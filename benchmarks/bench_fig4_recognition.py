@@ -78,7 +78,7 @@ def _recognition_series(scenario, data, split, adaptive: bool):
         n_sdes = 0
         logs = {}
         engines = {}
-        for region, (events, facts) in split.items():
+        for region, batch in split.items():
             definitions = build_traffic_definitions(
                 scenario.topology,
                 adaptive=adaptive,
@@ -88,7 +88,7 @@ def _recognition_series(scenario, data, split, adaptive: bool):
                 definitions, window=window, step=STEP_S, params=params,
                 start=window - STEP_S,
             )
-            engine.feed(events, facts)
+            engine.feed_columns(batch)
             engines[region] = engine
             logs[region] = RecognitionLog()
         for i in range(4):

@@ -110,7 +110,7 @@ def _cmd_recognise(args: argparse.Namespace) -> int:
         params=default_traffic_params(),
         incremental=not args.legacy,
     )
-    engine.feed(data.events, data.facts)
+    engine.feed_columns(data.columns)
     log = RecognitionLog()
     occurrence_counts: dict[str, int] = {}
     episode_counts: dict[str, int] = {}
@@ -314,6 +314,12 @@ def _render_metrics(registry) -> str:
         )
         lines.append("ingest:")
         lines.append(f"  {'ingest.events':<34} {ingested:>8} SDEs{rate}")
+        for name in (
+            "rtec.ingest.rows_fed",
+            "rtec.ingest.rows_materialised",
+            "rtec.ingest.rows_skipped_horizon",
+        ):
+            lines.append(f"  {name:<34} {counters.get(name, 0):>8}")
 
     definition_timings = sorted(
         (

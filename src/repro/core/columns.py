@@ -5,11 +5,12 @@ dict lookup per SDE per rule body per query.  This module provides the
 columnar representation behind the compiled fast path:
 
 * :class:`SDEColumns` — the ingestion batch type: one block of
-  ``numpy`` time/arrival arrays per event type (:class:`EventColumns`)
-  or fact name (:class:`FactColumns`).  The scheduler hands the engine
-  one batch per feed pass instead of a list of objects; pending rows
-  stay columnar until admission (:class:`PendingEventRow` /
-  :class:`PendingFactRow` materialise lazily).
+  ``numpy`` time/arrival arrays and typed field columns per event type
+  (:class:`EventColumns`) or fact name (:class:`FactColumns`).  The
+  simulators emit it, fault injection and the region split transform
+  it, and the engine's pending buffer keeps it: an ``Event`` or
+  ``FluentFact`` object is built only for a row admitted into a window
+  (:class:`RecordSequence` is the lazy object view for everyone else).
 * :class:`ColumnSpec` — a compiled rule's declaration of which payload
   fields it reads as numeric columns and which identify the grounding
   token.
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Optional
 
 import numpy as np
@@ -69,23 +71,63 @@ class ColumnSpec:
 # ----------------------------------------------------------------------
 # Ingestion batches
 # ----------------------------------------------------------------------
+def _typed_column(values, n: int, what: str) -> np.ndarray:
+    """A field column: ``int64``, ``float64`` or ``object``.
+
+    Integer and float arrays keep their kind (so a materialised payload
+    holds the Python ``int`` or ``float`` the producer meant); anything
+    else becomes an object column holding the original references.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iub":
+        col = values.astype(np.int64, copy=False)
+    elif isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        col = values.astype(np.float64, copy=False)
+    elif isinstance(values, np.ndarray) and values.dtype == object:
+        col = values
+    else:
+        col = np.fromiter(values, dtype=object, count=len(values))
+    if col.ndim != 1 or len(col) != n:
+        raise ValueError(f"column length mismatch for {what}")
+    return col
+
+
+def _numeric_column(values) -> np.ndarray:
+    """``numeric=`` shorthand: integers stay ``int64``, the rest is
+    ``float64``."""
+    col = np.asarray(values)
+    return col.astype(np.int64 if col.dtype.kind in "iub" else np.float64)
+
+
+def _mappings(fields: Mapping[str, np.ndarray], rows: np.ndarray) -> list:
+    """Read-only payload mappings of ``rows``, built column-wise:
+    ``tolist`` turns every NumPy scalar into the exact Python type."""
+    if not fields:
+        return [MappingProxyType({}) for _ in range(len(rows))]
+    names = tuple(fields)
+    columns = [col[rows].tolist() for col in fields.values()]
+    return [
+        MappingProxyType(dict(zip(names, values)))
+        for values in zip(*columns)
+    ]
+
+
 class EventColumns:
     """One event type's batch as a struct of arrays.
 
-    Two construction paths share the type:
+    Two representations share the type:
 
     * :meth:`from_events` wraps existing :class:`Event` objects —
       times/arrivals become arrays, payloads stay an object column so
       materialisation returns payload-identical events (zero-copy);
-    * :meth:`from_arrays` is the fully columnar path for array-native
-      producers (benchmarks, future mediators): no ``Event`` object
-      exists until a row is admitted into the working memory.
+    * ``fields`` is the fully columnar form the simulators and
+      :meth:`from_arrays` produce: one typed array per payload field
+      (``int64``, ``float64`` or ``object``), in payload key order.  No
+      ``Event`` object exists until a row is admitted into the working
+      memory, and a materialised payload is type-exact: an ``int64``
+      cell comes back as ``int``, a ``float64`` cell as ``float``.
     """
 
-    __slots__ = (
-        "type", "times", "arrivals", "payloads", "numeric", "extra",
-        "_times_list", "_arrivals_list",
-    )
+    __slots__ = ("type", "times", "arrivals", "payloads", "fields")
 
     def __init__(
         self,
@@ -94,17 +136,21 @@ class EventColumns:
         arrivals: np.ndarray,
         *,
         payloads: Optional[Sequence[Mapping[str, Any]]] = None,
-        numeric: Optional[Mapping[str, np.ndarray]] = None,
-        extra: Optional[Mapping[str, Sequence[Any]]] = None,
+        fields: Optional[Mapping[str, Any]] = None,
     ):
         self.type = etype
         self.times = times
         self.arrivals = arrivals
+        n = len(times)
+        if len(arrivals) != n:
+            raise ValueError(
+                f"column length mismatch for event type {etype!r}"
+            )
         self.payloads = list(payloads) if payloads is not None else None
-        self.numeric = dict(numeric or {})
-        self.extra = {k: list(v) for k, v in (extra or {}).items()}
-        self._times_list: Optional[list[int]] = None
-        self._arrivals_list: Optional[list[int]] = None
+        self.fields: dict[str, np.ndarray] = {
+            name: _typed_column(col, n, f"event type {etype!r}")
+            for name, col in (fields or {}).items()
+        }
 
     def __len__(self) -> int:
         return len(self.times)
@@ -132,8 +178,10 @@ class EventColumns:
         """Build from raw arrays (anything :func:`numpy.asarray` takes).
 
         ``arrivals`` defaults to the occurrence times; ``numeric``
-        columns become ``float64``, ``extra`` columns stay Python
-        objects (strings, ids).  All columns must share one length.
+        columns become ``float64`` — or ``int64`` when handed integers
+        — and ``extra`` columns stay Python objects (strings, ids).
+        Payload keys come in that order; all columns must share one
+        length.
         """
         times = np.asarray(times, dtype=np.int64)
         arr = (
@@ -141,73 +189,107 @@ class EventColumns:
             if arrivals is None
             else np.asarray(arrivals, dtype=np.int64)
         )
-        numeric_cols = {
-            name: np.asarray(col, dtype=np.float64)
+        fields: dict[str, Any] = {
+            name: _numeric_column(col)
             for name, col in (numeric or {}).items()
         }
-        n = len(times)
-        if len(arr) != n or any(
-            len(col) != n for col in numeric_cols.values()
-        ) or any(len(col) != n for col in (extra or {}).values()):
-            raise ValueError(
-                f"column length mismatch for event type {etype!r}"
+        fields.update(extra or {})
+        return cls(etype, times, arr, fields=fields)
+
+    def column(self, name: str) -> np.ndarray:
+        """One payload field as an array (an object array built from
+        the payloads when the block wraps objects)."""
+        if self.payloads is None:
+            return self.fields[name]
+        return np.fromiter(
+            (payload[name] for payload in self.payloads),
+            dtype=object,
+            count=len(self.payloads),
+        )
+
+    def take(self, rows: np.ndarray) -> "EventColumns":
+        """The block of ``rows`` (an integer index array), in that
+        order; rows may repeat."""
+        payloads = self.payloads
+        return EventColumns(
+            self.type,
+            self.times[rows],
+            self.arrivals[rows],
+            payloads=(
+                None
+                if payloads is None
+                else [payloads[i] for i in rows.tolist()]
+            ),
+            fields={name: col[rows] for name, col in self.fields.items()},
+        )
+
+    def records(self, rows: np.ndarray) -> list[Event]:
+        """Materialise ``rows`` as :class:`Event` objects
+        (payload-identical for :meth:`from_events` blocks)."""
+        if self.payloads is not None:
+            stored = self.payloads
+            payloads = [stored[i] for i in rows.tolist()]
+        else:
+            payloads = _mappings(self.fields, rows)
+        etype = self.type
+        return [
+            Event(etype, time, payload, arrival)
+            for time, payload, arrival in zip(
+                self.times[rows].tolist(),
+                payloads,
+                self.arrivals[rows].tolist(),
             )
-        return cls(etype, times, arr, numeric=numeric_cols, extra=extra)
-
-    # -- lazy Python-int caches (tuple sort keys, payload times) -------
-    @property
-    def times_list(self) -> list[int]:
-        if self._times_list is None:
-            self._times_list = self.times.tolist()
-        return self._times_list
-
-    @property
-    def arrivals_list(self) -> list[int]:
-        if self._arrivals_list is None:
-            self._arrivals_list = self.arrivals.tolist()
-        return self._arrivals_list
+        ]
 
     def event(self, i: int) -> Event:
-        """Materialise row ``i`` as an :class:`Event` (payload-identical
-        for :meth:`from_events` batches)."""
-        if self.payloads is not None:
-            payload = self.payloads[i]
-        else:
-            payload = {
-                name: float(col[i]) for name, col in self.numeric.items()
-            }
-            for name, col in self.extra.items():
-                payload[name] = col[i]
-        return Event(
-            self.type, self.times_list[i], payload, self.arrivals_list[i]
-        )
+        """Materialise row ``i`` as an :class:`Event`."""
+        return self.records(np.array([i]))[0]
 
 
 class FactColumns:
-    """One fact name's batch: times/arrivals as arrays, keys and values
-    as object columns (fact values are arbitrary — ``gps`` carries a
-    mapping)."""
+    """One fact name's batch: times/arrivals as arrays, plus either the
+    original key and value objects (:meth:`from_facts`) or, for
+    array-native producers, one object column per key position and one
+    typed column per field of a mapping-valued fluent (``gps`` carries
+    ``lon``/``lat``/``direction``/``congestion``) — the key tuple and
+    the value mapping are then rebuilt on access."""
 
     __slots__ = (
-        "name", "keys", "values", "times", "arrivals",
-        "_times_list", "_arrivals_list",
+        "name", "times", "arrivals", "keys", "values",
+        "key_columns", "value_fields",
     )
 
     def __init__(
         self,
         name: str,
-        keys: Sequence[FluentKey],
-        values: Sequence[Any],
         times: np.ndarray,
         arrivals: np.ndarray,
+        *,
+        keys: Optional[Sequence[FluentKey]] = None,
+        values: Optional[Sequence[Any]] = None,
+        key_columns: Sequence[Any] = (),
+        value_fields: Optional[Mapping[str, Any]] = None,
     ):
         self.name = name
-        self.keys = list(keys)
-        self.values = list(values)
         self.times = times
         self.arrivals = arrivals
-        self._times_list: Optional[list[int]] = None
-        self._arrivals_list: Optional[list[int]] = None
+        n = len(times)
+        if (keys is None) != (values is None):
+            raise ValueError("keys and values come together")
+        what = f"fluent fact {name!r}"
+        if len(arrivals) != n or (
+            keys is not None and (len(keys) != n or len(values) != n)
+        ):
+            raise ValueError(f"column length mismatch for {what}")
+        self.keys = list(keys) if keys is not None else None
+        self.values = list(values) if values is not None else None
+        self.key_columns = tuple(
+            _typed_column(col, n, what) for col in key_columns
+        )
+        self.value_fields: dict[str, np.ndarray] = {
+            field: _typed_column(col, n, what)
+            for field, col in (value_fields or {}).items()
+        }
 
     def __len__(self) -> int:
         return len(self.times)
@@ -219,67 +301,160 @@ class FactColumns:
         n = len(facts)
         return cls(
             name,
-            [f.key for f in facts],
-            [f.value for f in facts],
             np.fromiter((f.time for f in facts), np.int64, count=n),
             np.fromiter((f.arrival for f in facts), np.int64, count=n),
+            keys=[f.key for f in facts],
+            values=[f.value for f in facts],
         )
 
-    @property
-    def times_list(self) -> list[int]:
-        if self._times_list is None:
-            self._times_list = self.times.tolist()
-        return self._times_list
+    def key_column(self, position: int) -> np.ndarray:
+        """One position of the key tuples as an object array."""
+        if self.keys is None:
+            return self.key_columns[position]
+        return np.fromiter(
+            (key[position] for key in self.keys),
+            dtype=object,
+            count=len(self.keys),
+        )
 
-    @property
-    def arrivals_list(self) -> list[int]:
-        if self._arrivals_list is None:
-            self._arrivals_list = self.arrivals.tolist()
-        return self._arrivals_list
+    def value_column(self, field: str) -> np.ndarray:
+        """One field of a mapping-valued fluent as an array."""
+        if self.values is None:
+            return self.value_fields[field]
+        return np.fromiter(
+            (value[field] for value in self.values),
+            dtype=object,
+            count=len(self.values),
+        )
+
+    def take(self, rows: np.ndarray) -> "FactColumns":
+        """The block of ``rows`` (an integer index array), in that
+        order; rows may repeat."""
+        keys, values = self.keys, self.values
+        picked = rows.tolist() if keys is not None else ()
+        return FactColumns(
+            self.name,
+            self.times[rows],
+            self.arrivals[rows],
+            keys=None if keys is None else [keys[i] for i in picked],
+            values=None if values is None else [values[i] for i in picked],
+            key_columns=[col[rows] for col in self.key_columns],
+            value_fields={
+                field: col[rows] for field, col in self.value_fields.items()
+            },
+        )
+
+    def records(self, rows: np.ndarray) -> list[FluentFact]:
+        """Materialise ``rows`` as :class:`FluentFact` objects (key
+        and value are the original references for :meth:`from_facts`
+        blocks)."""
+        if self.keys is not None:
+            picked = rows.tolist()
+            keys = [self.keys[i] for i in picked]
+            values = [self.values[i] for i in picked]
+        else:
+            keys = (
+                list(zip(*(col[rows].tolist() for col in self.key_columns)))
+                if self.key_columns
+                else [()] * len(rows)
+            )
+            values = _mappings(self.value_fields, rows)
+        name = self.name
+        return [
+            FluentFact(name, key, value, time, arrival)
+            for key, value, time, arrival in zip(
+                keys,
+                values,
+                self.times[rows].tolist(),
+                self.arrivals[rows].tolist(),
+            )
+        ]
 
     def fact(self, i: int) -> FluentFact:
-        """Materialise row ``i`` as a :class:`FluentFact` (key and
-        value are the original object references)."""
-        return FluentFact(
-            self.name,
-            self.keys[i],
-            self.values[i],
-            self.times_list[i],
-            self.arrivals_list[i],
-        )
+        """Materialise row ``i`` as a :class:`FluentFact`."""
+        return self.records(np.array([i]))[0]
 
 
-class PendingRow:
-    """A not-yet-materialised batch row in the pending buffer.
+def block_rows(blocks: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """``(block index, row within block)`` of every row of ``blocks``,
+    in canonical order: block by block, row by row."""
+    lengths = [len(block) for block in blocks]
+    return (
+        np.repeat(np.arange(len(blocks)), lengths),
+        np.concatenate(
+            [np.arange(n) for n in lengths] or [np.empty(0, np.int64)]
+        ),
+    )
 
-    The working memory's pending entries are ``(arrival, seq, is_fact,
-    item)`` tuples; for batch feeds the item is one of these handles,
-    resolved into the real record only at admission (or when the
-    buffer is pickled).  ``(arrival, seq)`` is unique, so the tuple
-    sort never compares the handle itself.
+
+def build_records(
+    blocks: Sequence, block_of: np.ndarray, row_of: np.ndarray
+) -> list:
+    """Materialise rows spread over ``blocks`` — row ``row_of[i]`` of
+    block ``block_of[i]`` for every ``i``, in that order — with one
+    :meth:`records` call per block."""
+    out: list = [None] * len(block_of)
+    for b in np.unique(block_of).tolist():
+        slots = np.flatnonzero(block_of == b)
+        for slot, record in zip(
+            slots.tolist(), blocks[b].records(row_of[slots])
+        ):
+            out[slot] = record
+    return out
+
+
+class RecordSequence(Sequence):
+    """The rows of some blocks as one read-only, time-ordered sequence
+    of records, built on access.
+
+    ``len()`` is the sum of the block lengths; the merge order (a
+    stable sort by occurrence time over the blocks in the order given,
+    so ties keep block order, then row order) is computed on first
+    item access, and a record exists only while the caller holds it.
     """
 
-    __slots__ = ("block", "i")
+    def __init__(self, blocks: Sequence):
+        self._blocks = tuple(blocks)
+        self._len = sum(len(block) for block in self._blocks)
+        self._order: Optional[tuple[np.ndarray, np.ndarray]] = None
 
-    def __init__(self, block, i: int):
-        self.block = block
-        self.i = i
+    def __len__(self) -> int:
+        return self._len
 
+    def _records(self, positions) -> list:
+        if self._order is None:
+            block_of, row_of = block_rows(self._blocks)
+            times = np.concatenate(
+                [block.times for block in self._blocks]
+                or [np.empty(0, np.int64)]
+            )
+            order = np.argsort(times, kind="stable")
+            self._order = (block_of[order], row_of[order])
+        block_of, row_of = self._order
+        return build_records(
+            self._blocks, block_of[positions], row_of[positions]
+        )
 
-class PendingEventRow(PendingRow):
-    """A pending :class:`EventColumns` row."""
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._records(np.arange(self._len)[index])
+        if not -self._len <= index < self._len:
+            raise IndexError("record index out of range")
+        return self._records(np.array([index % self._len]))[0]
 
-    def resolve(self) -> Event:
-        """Materialise the row as an :class:`Event`."""
-        return self.block.event(self.i)
+    def __iter__(self) -> Iterator:
+        for lo in range(0, self._len, 4096):
+            yield from self._records(slice(lo, lo + 4096))
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, tuple, RecordSequence)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other)
+        )
 
-class PendingFactRow(PendingRow):
-    """A pending :class:`FactColumns` row."""
-
-    def resolve(self) -> FluentFact:
-        """Materialise the row as a :class:`FluentFact`."""
-        return self.block.fact(self.i)
+    def __repr__(self) -> str:
+        return f"<RecordSequence of {self._len} records>"
 
 
 class SDEColumns:
@@ -333,6 +508,11 @@ class SDEColumns:
         )
 
     @property
+    def blocks(self) -> tuple:
+        """Event blocks, then fact blocks: the canonical row order."""
+        return (*self.events, *self.facts)
+
+    @property
     def n_events(self) -> int:
         return sum(len(block) for block in self.events)
 
@@ -344,12 +524,31 @@ class SDEColumns:
     def n(self) -> int:
         return self.n_events + self.n_facts
 
+    def event_block(self, etype: str) -> Optional[EventColumns]:
+        """The block of one event type (``None`` when absent)."""
+        return next((b for b in self.events if b.type == etype), None)
+
+    def fact_block(self, name: str) -> Optional[FactColumns]:
+        """The block of one fact name (``None`` when absent)."""
+        return next((b for b in self.facts if b.name == name), None)
+
+    def in_stream_order(self) -> "SDEColumns":
+        """The same rows with the empty blocks dropped and the others
+        ordered by their first occurrence time (ties keep the present
+        order) — the block order :meth:`from_sdes` gives the
+        time-ordered object stream of these (time-sorted) blocks, and
+        therefore the sequence numbers an engine assigns."""
+        def ordered(blocks):
+            return sorted(
+                (block for block in blocks if len(block)),
+                key=lambda block: int(block.times[0]),
+            )
+        return SDEColumns(ordered(self.events), ordered(self.facts))
+
     def max_arrival(self) -> Optional[int]:
         """Latest arrival time in the batch (``None`` when empty)."""
         candidates = [
-            int(block.arrivals.max())
-            for block in (*self.events, *self.facts)
-            if len(block)
+            int(block.arrivals.max()) for block in self.blocks if len(block)
         ]
         return max(candidates) if candidates else None
 
@@ -369,28 +568,15 @@ class SDEColumns:
                     "time; SDE timestamps must be >= 0"
                 )
 
-    def rows(self) -> Iterator[tuple[int, bool, PendingRow]]:
-        """Canonical row enumeration: ``(arrival, is_fact, handle)``."""
-        for block in self.events:
-            arrivals = block.arrivals_list
-            for i in range(len(arrivals)):
-                yield arrivals[i], False, PendingEventRow(block, i)
-        for block in self.facts:
-            arrivals = block.arrivals_list
-            for i in range(len(arrivals)):
-                yield arrivals[i], True, PendingFactRow(block, i)
-
     def iter_events(self) -> Iterator[Event]:
         """Materialise every event row (legacy-engine feed path)."""
         for block in self.events:
-            for i in range(len(block)):
-                yield block.event(i)
+            yield from block.records(np.arange(len(block)))
 
     def iter_facts(self) -> Iterator[FluentFact]:
         """Materialise every fact row (legacy-engine feed path)."""
         for block in self.facts:
-            for i in range(len(block)):
-                yield block.fact(i)
+            yield from block.records(np.arange(len(block)))
 
 
 # ----------------------------------------------------------------------

@@ -48,7 +48,13 @@ from typing import Any, Hashable, Optional
 
 import numpy as np
 
-from .columns import ColumnMirror, ColumnSpec, PendingRow, SDEColumns
+from .columns import (
+    ColumnMirror,
+    ColumnSpec,
+    SDEColumns,
+    block_rows,
+    build_records,
+)
 from .events import Event, FluentFact, FluentKey, from_row, to_row
 from .intervals import IntervalList
 
@@ -70,7 +76,7 @@ def streamless_checkpoint():
     """Within this context, pickling a :class:`WorkingMemory` drops the
     regenerable initial-stream part of its pending buffer (see
     :data:`_STREAMLESS`).  Used by the checkpoint coordinator; restore
-    goes through :meth:`WorkingMemory.refill_stream`."""
+    goes through :meth:`WorkingMemory.refill_columns`."""
     token = _STREAMLESS.set(True)
     try:
         yield
@@ -223,6 +229,103 @@ class TimedColumn:
         return i, j
 
 
+class PendingBatch:
+    """One columnar feed awaiting admission, as arrays.
+
+    The batch's rows — in the canonical order that assigned their
+    sequence numbers — are sorted once by ``(arrival, seq)``; a cursor
+    marks the admitted prefix.  Per pending row the buffer holds five
+    integers (arrival, sequence number, occurrence time, block and row
+    within the block) and no Python object: :meth:`take_due`
+    materialises exactly the rows a query admits inside its window.
+    """
+
+    __slots__ = (
+        "blocks", "n_event_blocks", "arrival", "seq", "time", "block",
+        "row", "cursor",
+    )
+
+    def __init__(self, batch: SDEColumns, first_seq: int):
+        self._index(
+            batch.blocks,
+            len(batch.events),
+            np.arange(first_seq + 1, first_seq + 1 + batch.n),
+        )
+
+    def _index(self, blocks: tuple, n_event_blocks: int, seq: np.ndarray):
+        """Order the rows of ``blocks`` by ``(arrival, seq)``; ``seq``
+        numbers them in canonical order (block by block, row by row)
+        and ascends."""
+        self.blocks = blocks
+        self.n_event_blocks = n_event_blocks
+        empty = [np.empty(0, dtype=np.int64)]
+        arrival = np.concatenate([b.arrivals for b in blocks] or empty)
+        # Sequence numbers ascend in canonical row order, so a stable
+        # sort by arrival alone is the (arrival, seq) order.
+        order = np.argsort(arrival, kind="stable")
+        block_of, row_of = block_rows(blocks)
+        self.arrival = arrival[order]
+        self.seq = seq[order]
+        self.time = np.concatenate([b.times for b in blocks] or empty)[order]
+        self.block = block_of[order]
+        self.row = row_of[order]
+        self.cursor = 0
+
+    def __len__(self) -> int:
+        """Rows still pending."""
+        return len(self.arrival) - self.cursor
+
+    @property
+    def last_seq(self) -> int:
+        """The largest sequence number the batch was assigned."""
+        return int(self.seq.max()) if len(self.seq) else 0
+
+    def skip_through(self, q: int) -> None:
+        """Move the cursor past every row with ``arrival <= q``."""
+        self.cursor = int(np.searchsorted(self.arrival, q, side="right"))
+
+    def take_due(self, q: int, horizon: int) -> tuple[tuple, int]:
+        """Consume the rows with ``arrival <= q``.
+
+        Returns ``(arrivals, seqs, is_fact flags, records)`` — three
+        arrays and a list, parallel, over the consumed rows whose
+        occurrence time is after ``horizon``, in ``(arrival, seq)``
+        order — and the number of rows at or before the horizon, which
+        are skipped on the time array and never built.
+        """
+        lo = self.cursor
+        self.skip_through(q)
+        due = slice(lo, self.cursor)
+        live = np.flatnonzero(self.time[due] > horizon) + lo
+        block_of = self.block[live]
+        chunk = (
+            self.arrival[live],
+            self.seq[live],
+            block_of >= self.n_event_blocks,
+            build_records(self.blocks, block_of, self.row[live]),
+        )
+        return chunk, (self.cursor - lo) - len(live)
+
+    # A pickled batch carries only what is still pending, and nothing
+    # that can be recomputed: every block reduced to its pending rows
+    # (in canonical order) and their sequence numbers.  The order
+    # arrays are rebuilt on load.
+    def __getstate__(self):
+        block_of = self.block[self.cursor:]
+        rows = self.row[self.cursor:]
+        seq = self.seq[self.cursor:]
+        blocks, seqs = [], [np.empty(0, dtype=np.int64)]
+        for b, block in enumerate(self.blocks):
+            slots = np.flatnonzero(block_of == b)
+            slots = slots[np.argsort(rows[slots])]
+            blocks.append(block.take(rows[slots]))
+            seqs.append(seq[slots])
+        return tuple(blocks), self.n_event_blocks, np.concatenate(seqs)
+
+    def __setstate__(self, state) -> None:
+        self._index(*state)
+
+
 class WorkingMemory:
     """Persistent SDE store indexed by occurrence time.
 
@@ -251,12 +354,16 @@ class WorkingMemory:
         self._fact_partitions: dict[
             str, list[tuple[int, Callable[[FluentFact], Hashable]]]
         ] = {}
-        #: (arrival, seq, is_fact, item) awaiting admission; sorted
+        #: Columnar feeds awaiting admission, one
+        #: :class:`PendingBatch` per :meth:`buffer_columns` call: arrays
+        #: in ``(arrival, seq)`` order with a cursor, no object per row.
+        self._batches: list[PendingBatch] = []
+        #: (arrival, seq, is_fact, item) entries of the object feeds
+        #: (crowd feedback SDEs, tests) awaiting admission; sorted
         #: lazily — inputs mostly arrive in order, so a dirty-flagged
-        #: list beats a heap's per-item push/pop.  For batch feeds the
-        #: item may be a lazy :class:`~repro.core.columns.PendingRow`,
-        #: materialised only at admission; ``(arrival, seq)`` is unique,
-        #: so sorting never compares the item itself.
+        #: list beats a heap's per-item push/pop.  ``(arrival, seq)``
+        #: is unique across both buffers, so sorting never compares
+        #: the item itself.
         self._pending: list[tuple[int, int, bool, Any]] = []
         self._pending_sorted = True
         self._seq = 0
@@ -268,7 +375,12 @@ class WorkingMemory:
         #: stream* (see :meth:`mark_stream_boundary`); 0 means no
         #: boundary was declared and streamless pickling is disabled.
         self._stream_seq = 0
-        self._needs_refill = False
+        #: Batch-row accounting (``rtec.ingest.*``): rows :meth:`admit`
+        #: built a record for, and rows it dropped unbuilt because they
+        #: occurred at or before the horizon.  Read as differences
+        #: around a query; not carried through pickles.
+        self.rows_materialised = 0
+        self.rows_skipped_horizon = 0
 
     # -- durability ----------------------------------------------------
     # The per-token sub-indexes are keyed by ``id(partition_fn)``, which
@@ -278,27 +390,11 @@ class WorkingMemory:
     # re-registering them against the restored columns — the same
     # backfill path used when a partition is first declared.
     def __getstate__(self) -> dict[str, Any]:
-        if _STREAMLESS.get() and self._stream_seq:
-            # Checkpoint fast path: the initial stream (seq <= the
-            # boundary) is regenerable and omitted; only later feeds
-            # (crowd feedback SDEs) travel with the snapshot.  Restore
-            # must go through :meth:`refill_stream`.
-            pending = (
-                "tail",
-                [
-                    (arrival, seq, is_fact, _pending_to_row(item))
-                    for arrival, seq, is_fact, item in self._pending
-                    if seq > self._stream_seq
-                ],
-            )
-        else:
-            pending = (
-                "full",
-                [
-                    (arrival, seq, is_fact, _pending_to_row(item))
-                    for arrival, seq, is_fact, item in self._pending
-                ],
-            )
+        # Checkpoint fast path (``"tail"``): the initial stream (seq <=
+        # the boundary) is regenerable and omitted; only later feeds
+        # (crowd feedback SDEs) travel with the snapshot.  Restore
+        # must go through :meth:`refill_columns`.
+        boundary = self._stream_seq if _STREAMLESS.get() else 0
         return {
             "column_specs": self._column_specs,
             "events": self.events,
@@ -311,7 +407,19 @@ class WorkingMemory:
                 name: [fn for _, fn in fns]
                 for name, fns in self._fact_partitions.items()
             },
-            "pending": pending,
+            "pending": (
+                "tail" if boundary else "full",
+                [
+                    (arrival, seq, is_fact, to_row(item))
+                    for arrival, seq, is_fact, item in self._pending
+                    if seq > boundary
+                ],
+                [
+                    batch
+                    for batch in self._batches
+                    if batch.last_seq > boundary
+                ],
+            ),
             "pending_sorted": self._pending_sorted,
             "seq": self._seq,
             "stream_seq": self._stream_seq,
@@ -321,18 +429,16 @@ class WorkingMemory:
         self.__init__()
         self.events = state["events"]
         self.facts = state["facts"]
-        kind, rows = state["pending"]
+        _, rows, batches = state["pending"]
         self._pending = [
             (arrival, seq, is_fact, from_row(row))
             for arrival, seq, is_fact, row in rows
         ]
+        self._batches = batches
         self._pending_sorted = state["pending_sorted"]
         self._seq = state["seq"]
         self._stream_seq = state["stream_seq"]
         self._column_specs = state.get("column_specs", {})
-        #: A ``"tail"`` snapshot is incomplete until
-        #: :meth:`refill_stream` merges the regenerated stream back in.
-        self._needs_refill = kind == "tail"
         for etype, fns in state["event_partitions"].items():
             for fn in fns:
                 self.register_event_partition(etype, fn)
@@ -361,27 +467,19 @@ class WorkingMemory:
     def buffer_columns(self, batch: SDEColumns) -> None:
         """Queue a columnar SDE batch without materialising its rows.
 
-        Rows enter the pending buffer as lazy handles in the batch's
-        canonical order (event blocks, then fact blocks) and are
-        resolved into :class:`Event`/:class:`FluentFact` objects only
-        when :meth:`admit` moves them into the window — rows a window
-        never sees (or that get evicted on admission) are never built.
-        Sequence numbers are assigned exactly as the object path would
-        for the same order, so a batch-fed stream refills identically
-        (see :meth:`refill_columns`).
+        The batch enters the pending buffer as one
+        :class:`PendingBatch` — order arrays over its blocks — and a
+        row becomes an :class:`Event`/:class:`FluentFact` only when
+        :meth:`admit` moves it into the window; rows a window never
+        sees are never built.  Sequence numbers follow the batch's
+        canonical order (event blocks, then fact blocks), exactly as
+        the object path would assign them for the same order, so a
+        batch-fed stream refills identically (see
+        :meth:`refill_columns`).
         """
-        pending = self._pending
-        seq = self._seq
-        was_sorted = self._pending_sorted
-        last = pending[-1][:2] if pending else None
-        for arrival, is_fact, row in batch.rows():
-            seq += 1
-            if was_sorted and last is not None and (arrival, seq) < last:
-                was_sorted = False
-            last = (arrival, seq)
-            pending.append((arrival, seq, is_fact, row))
-        self._seq = seq
-        self._pending_sorted = was_sorted
+        if batch.n:
+            self._batches.append(PendingBatch(batch, self._seq))
+            self._seq += batch.n
 
     # -- columnar mirror declarations ----------------------------------
     def declare_columns(self, etype: str, spec: ColumnSpec) -> None:
@@ -410,73 +508,35 @@ class WorkingMemory:
         A checkpoint written inside :func:`streamless_checkpoint` then
         omits the not-yet-admitted part of that stream instead of
         re-serialising the whole future at every interval; restore
-        regenerates it and calls :meth:`refill_stream`.  Items buffered
+        regenerates it and calls :meth:`refill_columns`.  Items buffered
         *after* the boundary (crowd feedback SDEs produced mid-run) are
         not regenerable and always travel with the snapshot.
         """
         self._stream_seq = self._seq
 
-    def refill_stream(
-        self,
-        events: Iterable[Event],
-        facts: Iterable[FluentFact],
-        admitted_through: int,
-    ) -> None:
-        """Rebuild the pending entries a streamless checkpoint dropped.
-
-        ``events`` and ``facts`` must be the regenerated initial stream
-        in the exact order it was originally fed (events first, then
-        facts — the order :meth:`repro.core.rtec.RTECEngine.feed`
-        buffers them in), so the re-assigned sequence numbers match the
-        original feed.  Entries that were already admitted by the last
-        query at ``admitted_through`` are dropped — :meth:`admit`
-        consumed them before the checkpoint was taken — and the
-        survivors are merged with the retained post-boundary tail.
-        """
-        entries: list[tuple[int, int, bool, Any]] = []
-        seq = 0
-        for event in events:
-            seq += 1
-            entries.append((event.arrival, seq, False, event))
-        for fact in facts:
-            seq += 1
-            entries.append((fact.arrival, seq, True, fact))
-        self._merge_refilled(entries, seq, admitted_through)
-
     def refill_columns(
         self, batch: SDEColumns, admitted_through: int
     ) -> None:
-        """Columnar counterpart of :meth:`refill_stream`: the
-        regenerated initial stream arrives as one batch, whose
-        canonical row order matches the original
-        :meth:`buffer_columns` feed, so the re-assigned sequence
-        numbers line up with the checkpointed boundary."""
-        entries: list[tuple[int, int, bool, Any]] = []
-        seq = 0
-        for arrival, is_fact, row in batch.rows():
-            seq += 1
-            entries.append((arrival, seq, is_fact, row))
-        self._merge_refilled(entries, seq, admitted_through)
+        """Rebuild the pending rows a streamless checkpoint dropped.
 
-    def _merge_refilled(
-        self,
-        entries: list[tuple[int, int, bool, Any]],
-        seq: int,
-        admitted_through: int,
-    ) -> None:
-        if seq != self._stream_seq:
+        ``batch`` must be the regenerated initial stream exactly as it
+        was originally fed (one :meth:`buffer_columns` call on a fresh
+        engine), so the re-assigned sequence numbers match the
+        original feed.  Rows that had arrived by the last query at
+        ``admitted_through`` are skipped — :meth:`admit` consumed them
+        before the checkpoint was taken — and the rest joins the
+        post-boundary feeds the snapshot retained.
+        """
+        if batch.n != self._stream_seq:
             raise RuntimeError(
-                f"regenerated stream has {seq} items, the checkpointed "
-                f"boundary says {self._stream_seq} — the scenario did "
-                f"not regenerate deterministically"
+                f"regenerated stream has {batch.n} items, the "
+                f"checkpointed boundary says {self._stream_seq} — the "
+                f"scenario did not regenerate deterministically"
             )
-        entries.sort()
-        del entries[: bisect.bisect_left(entries, (admitted_through + 1,))]
-        entries.extend(self._pending)
-        entries.sort()
-        self._pending = entries
-        self._pending_sorted = True
-        self._needs_refill = False
+        refilled = PendingBatch(batch, 0)
+        refilled.skip_through(admitted_through)
+        if len(refilled):
+            self._batches.insert(0, refilled)
 
     # -- grounding partitions ------------------------------------------
     def register_event_partition(
@@ -539,20 +599,53 @@ class WorkingMemory:
         """
         new_events: list[Event] = []
         new_facts: list[FluentFact] = []
+        #: (arrivals, seqs, is_fact flags, items) per feed that came
+        #: due: three arrays and a list.
+        due: list[tuple] = []
+        for batch in self._batches:
+            chunk, skipped = batch.take_due(q, horizon)
+            self.rows_materialised += len(chunk[3])
+            self.rows_skipped_horizon += skipped
+            if chunk[3]:
+                due.append(chunk)
+        self._batches = [batch for batch in self._batches if len(batch)]
         pending = self._pending
         if not self._pending_sorted:
             pending.sort()
             self._pending_sorted = True
         cut = bisect.bisect_left(pending, (q + 1,))
-        if not cut:
+        if cut:
+            # Object entries keep their horizon check: nothing told
+            # them apart from the window before they were built.
+            live = [entry for entry in pending[:cut] if entry[3].time > horizon]
+            del pending[:cut]
+            if live:
+                arrivals, seqs, fact_flags, items = zip(*live)
+                due.append(
+                    (
+                        np.array(arrivals),
+                        np.array(seqs),
+                        np.array(fact_flags),
+                        items,
+                    )
+                )
+        if not due:
             return new_events, new_facts
-        batch = pending[:cut]
-        del pending[:cut]
-        for _, seq, is_fact, item in batch:
-            if isinstance(item, PendingRow):
-                item = item.resolve()
-            if item.time <= horizon:
-                continue
+        _, seqs, fact_flags, items = due[0]
+        if len(due) > 1:
+            # Several feeds came due together (crowd feedback beside
+            # the stream, per-step batches): one (arrival, seq) order,
+            # found on the arrays — no tuple per row.
+            arrivals, seqs, fact_flags = (
+                np.concatenate(column) for column in list(zip(*due))[:3]
+            )
+            order = np.lexsort((seqs, arrivals))
+            seqs, fact_flags = seqs[order], fact_flags[order]
+            items = [item for chunk in due for item in chunk[3]]
+            items = [items[i] for i in order.tolist()]
+        for seq, is_fact, item in zip(
+            seqs.tolist(), fact_flags.tolist(), items
+        ):
             if is_fact:
                 column = self.facts.get((item.name, item.key))
                 if column is None:
@@ -618,14 +711,6 @@ class WorkingMemory:
     def n_events(self) -> int:
         """Number of events currently inside the window."""
         return sum(len(column.items) for column in self.events.values())
-
-
-def _pending_to_row(item: Any):
-    """Checkpoint row of a pending entry's item; lazy batch rows are
-    materialised first (checkpoints must be self-contained)."""
-    if isinstance(item, PendingRow):
-        item = item.resolve()
-    return to_row(item)
 
 
 # ----------------------------------------------------------------------

@@ -121,6 +121,12 @@ class RecognitionSnapshot:
     cache_invalidations: int = 0
     compiled_evals: int = 0
     compiled_fallbacks: int = 0
+    #: Batch rows this query's admission built a record for, and batch
+    #: rows it dropped unbuilt because they occurred at or before the
+    #: window start (both zero in legacy mode, which materialises a
+    #: batch when it is fed).
+    rows_materialised: int = 0
+    rows_skipped_horizon: int = 0
     #: CPU seconds spent per definition (profiling breakdown).
     per_definition: dict[str, float] = field(default_factory=dict)
 
@@ -357,8 +363,8 @@ class RTEC:
 
         The batch counterpart of :meth:`feed`: negative-time validation
         runs vectorised over the batch's time arrays, and in
-        incremental mode the rows enter the working memory's pending
-        buffer as lazy handles — an :class:`Event` object is only built
+        incremental mode the batch enters the working memory's pending
+        buffer as arrays — an :class:`Event` object is only built
         when a row is actually admitted into a window.  Legacy engines
         materialise the batch into their object buffers (their whole
         evaluation is object-based).
@@ -384,16 +390,11 @@ class RTEC:
         if self._wm is not None:
             self._wm.mark_stream_boundary()
 
-    def refill_stream(self, events, facts, admitted_through: int) -> None:
-        """Rebuild the pending buffer of a streamless checkpoint from
-        the regenerated initial stream (no-op for legacy engines, whose
-        snapshots are always complete)."""
-        if self._wm is not None:
-            self._wm.refill_stream(events, facts, admitted_through)
-
     def refill_columns(self, batch: SDEColumns, admitted_through: int) -> None:
-        """Columnar counterpart of :meth:`refill_stream` for engines
-        whose initial stream was fed via :meth:`feed_columns`."""
+        """Rebuild the pending buffer of a streamless checkpoint from
+        the regenerated initial stream, fed as it originally was via
+        :meth:`feed_columns` (no-op for legacy engines, whose
+        snapshots are always complete)."""
         if self._wm is not None:
             self._wm.refill_columns(batch, admitted_through)
 
@@ -513,8 +514,10 @@ class RTEC:
         window_start = q - self.window
         previous = self._last_query
 
-        new_events, new_facts = self._wm.admit(q, window_start)
-        self._wm.evict(window_start)
+        wm = self._wm
+        built, skipped = wm.rows_materialised, wm.rows_skipped_horizon
+        new_events, new_facts = wm.admit(q, window_start)
+        wm.evict(window_start)
         if previous is not None:
             # Delayed SDEs: first seen now, but occurred inside the
             # previous window's overlap — they invalidate cached points.
@@ -552,6 +555,8 @@ class RTEC:
             window_start=window_start,
             n_events=n_events,
             n_new_events=len(new_events),
+            rows_materialised=wm.rows_materialised - built,
+            rows_skipped_horizon=wm.rows_skipped_horizon - skipped,
         )
         #: restricted contexts built this query, shared across
         #: definitions keyed by their (lo, hi] input range.

@@ -21,10 +21,14 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
+from ..core.columns import EventColumns, FactColumns
 from ..core.events import Event, FluentFact
 from .ground_truth import FREE_FLOW_SPEED_KMH, TrafficGroundTruth
 from .network import StreetNetwork
@@ -221,18 +225,16 @@ class BusFleetSimulator:
         if bus.direction == 1:
             pos = length - pos
         pos = min(max(pos, 0.0), length)
-        # Find the segment containing `pos`.
-        for i in range(len(cumulative) - 1):
-            if pos <= cumulative[i + 1] or i == len(cumulative) - 2:
-                seg_len = cumulative[i + 1] - cumulative[i]
-                frac = 0.0 if seg_len == 0 else (pos - cumulative[i]) / seg_len
-                lon_a, lat_a = self.network.position(nodes[i])
-                lon_b, lat_b = self.network.position(nodes[i + 1])
-                lon = lon_a + frac * (lon_b - lon_a)
-                lat = lat_a + frac * (lat_b - lat_a)
-                nearest = nodes[i] if frac < 0.5 else nodes[i + 1]
-                return lon, lat, nearest
-        raise AssertionError("unreachable: route has at least one segment")
+        # The segment containing `pos`: the first whose end reaches it.
+        i = bisect_left(cumulative, pos, 1) - 1
+        seg_len = cumulative[i + 1] - cumulative[i]
+        frac = 0.0 if seg_len == 0 else (pos - cumulative[i]) / seg_len
+        lon_a, lat_a = self.network.position(nodes[i])
+        lon_b, lat_b = self.network.position(nodes[i + 1])
+        lon = lon_a + frac * (lon_b - lon_a)
+        lat = lat_a + frac * (lat_b - lat_a)
+        nearest = nodes[i] if frac < 0.5 else nodes[i + 1]
+        return lon, lat, nearest
 
     def _advance(self, bus: _BusState, dt: int, t: int) -> None:
         """Move a bus for ``dt`` seconds at the local true speed."""
@@ -257,14 +259,18 @@ class BusFleetSimulator:
             return 1 - truth
         return truth
 
-    def events(
+    def columns(
         self, start: int, end: int, *, rng: Optional[random.Random] = None
-    ) -> Iterator[tuple[Event, FluentFact]]:
-        """Yield ``(move SDE, gps fact)`` pairs in ``[start, end)``.
+    ) -> tuple[EventColumns, FactColumns]:
+        """The ``move`` SDEs and paired ``gps`` facts of ``[start, end)``
+        as two column blocks, row ``i`` of one paired with row ``i`` of
+        the other.
 
         The stream is generated chronologically with a per-bus
         emission clock; the ``Delay`` attribute compares the bus's
-        actual progress against the scheduled speed.
+        actual progress against the scheduled speed.  Every emission
+        appends primitives to per-field columns — no record object is
+        built here.
 
         ``rng`` is the explicit randomness source for emission jitter
         and arrival delays; when omitted a fresh seeded stream derived
@@ -272,8 +278,16 @@ class BusFleetSimulator:
         yields the identical stream.  Global ``random`` state is never
         read.
         """
-        if end <= start:
-            return
+        times: list[int] = []
+        arrivals: list[int] = []
+        bus_ids: list[str] = []
+        line_ids: list[str] = []
+        operators: list[str] = []
+        delays: list[float] = []
+        lons: list[float] = []
+        lats: list[float] = []
+        directions: list[int] = []
+        congestion: list[int] = []
         lo, hi = self.emission_period
         if rng is None:
             rng = random.Random(self.seed + 1)
@@ -309,20 +323,51 @@ class BusFleetSimulator:
                 arrival = t + rng.randint(5, self.max_arrival_delay)
             else:
                 arrival = t + rng.randint(0, 5)
-            payload = {
-                "bus": bus.bus_id,
-                "line": bus.line.line_id,
-                "operator": bus.line.operator,
-                "delay": round(delay_s, 1),
-            }
-            gps_value = {
-                "lon": lon,
-                "lat": lat,
-                "direction": bus.direction,
-                "congestion": self._congestion_bit(bus, node, t),
-            }
-            yield (
-                Event("move", t, payload, arrival=arrival),
-                FluentFact("gps", (bus.bus_id,), gps_value, t, arrival=arrival),
-            )
+            times.append(t)
+            arrivals.append(arrival)
+            bus_ids.append(bus.bus_id)
+            line_ids.append(bus.line.line_id)
+            operators.append(bus.line.operator)
+            delays.append(round(delay_s, 1))
+            lons.append(lon)
+            lats.append(lat)
+            directions.append(bus.direction)
+            congestion.append(self._congestion_bit(bus, node, t))
             heapq.heappush(heap, (t + dt, bus_id, bus))
+
+        time_col = np.array(times, dtype=np.int64)
+        arrival_col = np.array(arrivals, dtype=np.int64)
+        bus_col = np.fromiter(bus_ids, dtype=object, count=len(bus_ids))
+        move = EventColumns(
+            "move",
+            time_col,
+            arrival_col,
+            fields={
+                "bus": bus_col,
+                "line": line_ids,
+                "operator": operators,
+                "delay": np.array(delays, dtype=np.float64),
+            },
+        )
+        gps = FactColumns(
+            "gps",
+            time_col,
+            arrival_col,
+            key_columns=(bus_col,),
+            value_fields={
+                "lon": np.array(lons, dtype=np.float64),
+                "lat": np.array(lats, dtype=np.float64),
+                "direction": np.array(directions, dtype=np.int64),
+                "congestion": np.array(congestion, dtype=np.int64),
+            },
+        )
+        return move, gps
+
+    def events(
+        self, start: int, end: int, *, rng: Optional[random.Random] = None
+    ) -> Iterator[tuple[Event, FluentFact]]:
+        """Yield ``(move SDE, gps fact)`` pairs in ``[start, end)`` —
+        the rows of :meth:`columns`, materialised."""
+        move, gps = self.columns(start, end, rng=rng)
+        rows = np.arange(len(move))
+        yield from zip(move.records(rows), gps.records(rows))

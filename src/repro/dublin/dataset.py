@@ -107,7 +107,7 @@ def read_jsonl(path: str | Path) -> ScenarioData:
     end = max(
         [e.time for e in events] + [f.time for f in facts], default=0
     )
-    return ScenarioData(events=events, facts=facts, start=start, end=end + 1)
+    return ScenarioData.from_sdes(events, facts, start, end + 1)
 
 
 def stream_items(data: ScenarioData) -> Iterator[DataItem]:
@@ -235,4 +235,4 @@ def read_csv(directory: str | Path) -> ScenarioData:
     end = max(
         [e.time for e in events] + [f.time for f in facts], default=0
     )
-    return ScenarioData(events=events, facts=facts, start=start, end=end + 1)
+    return ScenarioData.from_sdes(events, facts, start, end + 1)

@@ -168,6 +168,16 @@ class TrafficGroundTruth:
     _phase: dict = field(default_factory=dict, repr=False)
     _neighbour_cache: dict = field(default_factory=dict, repr=False)
     _hop_cache: dict = field(default_factory=dict, repr=False)
+    #: Memos of the two terms of :meth:`density` the simulators ask for
+    #: over and over: the per-junction base level and the demand
+    #: multiplier of a time-point.  Filled lazily while a stream is
+    #: generated, never in set-up, and dropped from pickles.
+    _base_memo: dict = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _profile_memo: dict = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         rng = random.Random(self.seed)
@@ -196,6 +206,12 @@ class TrafficGroundTruth:
             self._phase[node] = (rng.uniform(0.0, 2.0 * math.pi), amplitude)
         if self.incidents is None:
             self.incidents = self._random_incidents(rng)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_base_memo"] = {}
+        state["_profile_memo"] = {}
+        return state
 
     def _random_incidents(self, rng: random.Random) -> list[Incident]:
         nodes = list(self.network.graph.nodes)
@@ -282,10 +298,16 @@ class TrafficGroundTruth:
     def density(self, node, t: int) -> float:
         """True density (veh/km) at a junction and time."""
         phase, amplitude = self._phase[node]
-        base = self.base_density + self.centre_boost * self._centre_factor(
-            node
-        )
-        demand = base * daily_profile(t) * amplitude
+        base = self._base_memo.get(node)
+        if base is None:
+            base = self._base_memo[node] = (
+                self.base_density
+                + self.centre_boost * self._centre_factor(node)
+            )
+        profile = self._profile_memo.get(t)
+        if profile is None:
+            profile = self._profile_memo[t] = daily_profile(t)
+        demand = base * profile * amplitude
         wiggle = 1.5 * math.sin(2.0 * math.pi * t / 1800.0 + phase)
         density = demand + wiggle + self._incident_density(node, t)
         density += self._surge_density(node, t)

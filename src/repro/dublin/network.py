@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass, field
 
 import networkx as nx
+import numpy as np
 
 from ..core.geo import distance_m
 from ..core.traffic import Intersection, ScatsTopology
@@ -76,21 +77,30 @@ class StreetNetwork:
         """Number of junctions."""
         return self.graph.number_of_nodes()
 
-    def region_of(self, lon: float, lat: float) -> str:
-        """The city region of a point: central within the inner window,
-        otherwise north / west / south by bearing from the centre."""
+    def region_codes(self, lon, lat) -> np.ndarray:
+        """The city region of each point, as indexes into ``REGIONS``:
+        central within the inner window, otherwise north / west / south
+        by bearing from the centre.  ``lon``/``lat`` are float arrays
+        (or scalars) of one shape."""
         c_lon, c_lat = self.centre
         lon_min, lat_min, lon_max, lat_max = self.bbox
-        if (
-            abs(lon - c_lon) <= (lon_max - lon_min) / 6.0
-            and abs(lat - c_lat) <= (lat_max - lat_min) / 6.0
-        ):
-            return "central"
-        if lat >= c_lat and abs(lat - c_lat) >= abs(lon - c_lon) * 0.5:
-            return "north"
-        if lon <= c_lon:
-            return "west"
-        return "south"
+        lon = np.asarray(lon, dtype=np.float64)
+        lat = np.asarray(lat, dtype=np.float64)
+        d_lon = np.abs(lon - c_lon)
+        d_lat = np.abs(lat - c_lat)
+        central = (d_lon <= (lon_max - lon_min) / 6.0) & (
+            d_lat <= (lat_max - lat_min) / 6.0
+        )
+        north = (lat >= c_lat) & (d_lat >= d_lon * 0.5)
+        return np.select(
+            [central, north, lon <= c_lon],
+            [REGIONS.index(name) for name in ("central", "north", "west")],
+            REGIONS.index("south"),
+        )
+
+    def region_of(self, lon: float, lat: float) -> str:
+        """The city region of one point (see :meth:`region_codes`)."""
+        return REGIONS[int(self.region_codes(lon, lat))]
 
     def region_of_node(self, node) -> str:
         """Region of a junction."""

@@ -22,6 +22,9 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
+from ..core.columns import EventColumns
 from ..core.events import Event
 from ..core.traffic import ScatsTopology
 from .ground_truth import TrafficGroundTruth, greenshields_flow
@@ -114,12 +117,13 @@ class ScatsSensorSimulator:
         )
         return density, flow
 
-    def events(
+    def columns(
         self, start: int, end: int, *, rng: Optional[random.Random] = None
-    ) -> Iterator[Event]:
-        """Yield the ``traffic`` SDEs with occurrence in ``[start, end)``.
+    ) -> EventColumns:
+        """The ``traffic`` SDEs with occurrence in ``[start, end)`` as
+        one column block.
 
-        Events are generated sensor by sensor; callers needing global
+        Rows are generated sensor by sensor; callers needing global
         time order should sort (the RTEC engine sorts internally).
 
         ``rng`` is the explicit randomness source for measurement
@@ -128,8 +132,13 @@ class ScatsSensorSimulator:
         call is a pure function of ``(start, end, seed)``.  Global
         ``random`` state is never read.
         """
-        if end <= start:
-            return
+        times: list[int] = []
+        arrivals: list[int] = []
+        intersections: list[str] = []
+        approaches: list = []
+        sensors: list = []
+        densities: list[float] = []
+        flows: list[float] = []
         if rng is None:
             rng = random.Random(self.seed + 1)
         for int_id in self.topology.ids():
@@ -139,16 +148,32 @@ class ScatsSensorSimulator:
                 first = start + ((offset - start) % self.period)
                 for t in range(first, end, self.period):
                     density, flow = self._reading(sensor_key, node, t, rng)
-                    arrival = t + rng.randrange(self.max_arrival_delay + 1)
-                    yield Event(
-                        "traffic",
-                        t,
-                        {
-                            "intersection": sensor_key[0],
-                            "approach": sensor_key[1],
-                            "sensor": sensor_key[2],
-                            "density": density,
-                            "flow": flow,
-                        },
-                        arrival=arrival,
+                    times.append(t)
+                    arrivals.append(
+                        t + rng.randrange(self.max_arrival_delay + 1)
                     )
+                    intersections.append(sensor_key[0])
+                    approaches.append(sensor_key[1])
+                    sensors.append(sensor_key[2])
+                    densities.append(density)
+                    flows.append(flow)
+        return EventColumns(
+            "traffic",
+            np.array(times, dtype=np.int64),
+            np.array(arrivals, dtype=np.int64),
+            fields={
+                "intersection": intersections,
+                "approach": approaches,
+                "sensor": sensors,
+                "density": np.array(densities, dtype=np.float64),
+                "flow": np.array(flows, dtype=np.float64),
+            },
+        )
+
+    def events(
+        self, start: int, end: int, *, rng: Optional[random.Random] = None
+    ) -> Iterator[Event]:
+        """Yield the ``traffic`` SDEs of ``[start, end)`` — the rows of
+        :meth:`columns`, materialised."""
+        block = self.columns(start, end, rng=rng)
+        yield from block.records(np.arange(len(block)))

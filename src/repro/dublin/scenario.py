@@ -10,10 +10,14 @@ minutes, partitioned into four city regions.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
+import numpy as np
+
+from ..core.columns import RecordSequence, SDEColumns
 from ..core.events import Event, FluentFact
 from ..core.traffic import ScatsTopology
 from .buses import BusFleetSimulator, BusLine, make_lines
@@ -57,17 +61,46 @@ class ScenarioConfig:
 
 @dataclass
 class ScenarioData:
-    """The materialised SDE stream of one scenario run."""
+    """The SDE stream of one scenario run, as columns.
 
-    events: list[Event]
-    facts: list[FluentFact]
+    ``columns`` holds one time-sorted block per event type and fact
+    name.  :attr:`events` and :attr:`facts` are read-only, time-ordered
+    sequences over them whose records are built on access, for
+    consumers that want objects (the CLI, dataset export, tests); the
+    pipeline reads the arrays and builds none.
+    """
+
+    columns: SDEColumns
     start: int
     end: int
+
+    @classmethod
+    def from_sdes(
+        cls,
+        events: Iterable[Event],
+        facts: Iterable[FluentFact],
+        start: int,
+        end: int,
+    ) -> "ScenarioData":
+        """Wrap a time-ordered object stream (a loaded dataset).
+        Records come back in time order, those of one time-point
+        grouped by type."""
+        return cls(SDEColumns.from_sdes(events, facts), start, end)
+
+    @cached_property
+    def events(self) -> RecordSequence:
+        """Every SDE in time order (ties: block order, then row)."""
+        return RecordSequence(self.columns.events)
+
+    @cached_property
+    def facts(self) -> RecordSequence:
+        """Every input-fluent fact in time order."""
+        return RecordSequence(self.columns.facts)
 
     @property
     def n_sdes(self) -> int:
         """Total SDE count (move + traffic events)."""
-        return len(self.events)
+        return self.columns.n_events
 
     def sde_rate(self) -> float:
         """Mean SDEs per second over the run."""
@@ -77,9 +110,17 @@ class ScenarioData:
     def counts_by_type(self) -> dict[str, int]:
         """Number of SDEs per event type."""
         out: dict[str, int] = {}
-        for ev in self.events:
-            out[ev.type] = out.get(ev.type, 0) + 1
+        for block in self.columns.events:
+            if len(block):
+                out[block.type] = out.get(block.type, 0) + len(block)
         return out
+
+
+def _time_sorted(block):
+    """``block`` with its rows in stable occurrence-time order."""
+    if np.all(block.times[1:] >= block.times[:-1]):
+        return block
+    return block.take(np.argsort(block.times, kind="stable"))
 
 
 class DublinScenario:
@@ -152,43 +193,38 @@ class DublinScenario:
 
     # ------------------------------------------------------------------
     def generate(self, start: int, end: int) -> ScenarioData:
-        """Materialise the merged SDE stream for ``[start, end)``."""
-        events: list[Event] = []
-        facts: list[FluentFact] = []
-        for move, gps in self.buses.events(start, end):
-            events.append(move)
-            facts.append(gps)
-        events.extend(self.scats.events(start, end))
-        events.sort(key=lambda e: e.time)
-        facts.sort(key=lambda f: f.time)
-        return ScenarioData(events=events, facts=facts, start=start, end=end)
-
-    def region_of_event(self, event: Event, facts_index: Mapping) -> str:
-        """The city region an SDE belongs to.
-
-        ``traffic`` SDEs are assigned by their intersection's location;
-        ``move`` SDEs by the paired gps position (looked up in
-        ``facts_index``: ``(bus, time) → gps value``).
-        """
-        if event.type == "traffic":
-            lon, lat = self.topology.location(event["intersection"])
-            return self.network.region_of(lon, lat)
-        if event.type == "move":
-            gps = facts_index.get((event["bus"], event.time))
-            if gps is None:
-                return "central"
-            return self.network.region_of(gps["lon"], gps["lat"])
-        return "central"
+        """The merged SDE stream for ``[start, end)``: one city-wide
+        batch of ``move`` and ``traffic`` events and ``gps`` facts,
+        each block in stable time order."""
+        move, gps = self.buses.columns(start, end)
+        traffic = self.scats.columns(start, end)
+        return ScenarioData(
+            SDEColumns(
+                [_time_sorted(move), _time_sorted(traffic)],
+                [_time_sorted(gps)],
+            ),
+            start,
+            end,
+        )
 
     def split_by_region(
         self, data: ScenarioData, *, groups: Optional[Mapping] = None
-    ) -> dict[str, tuple[list[Event], list[FluentFact]]]:
+    ) -> dict[str, SDEColumns]:
         """Partition a stream into the four city regions.
 
         Reproduces the paper's distribution strategy: "each processor
         computed CEs concerning the SCATS sensors of one of the four
         areas of Dublin as well as CE concerning the buses that go
         through that area" (Section 7.1).
+
+        ``traffic`` rows are assigned by their intersection's location;
+        ``move`` rows by the position of the ``gps`` fact sharing their
+        ``(bus, time)`` — the last such fact when several do — and to
+        ``central`` when none does; any other event type goes to
+        ``central``.  A ``gps`` fact travels with every ``move`` row it
+        is paired with (twice with a duplicated ``move``, nowhere
+        without one).  The join is a sort and a binary search over
+        integer ``(bus, time)`` keys; no record is built.
 
         ``groups`` optionally maps each region name onto a coarser
         partition key (``{"central": "east", "north": "east", ...}``):
@@ -197,28 +233,91 @@ class DublinScenario:
         assignment itself is unchanged — grouping only changes which
         engine a region's SDEs are delivered to, which is how the
         pipeline packs four regions onto fewer shards.
+
+        Returns one :class:`~repro.core.columns.SDEColumns` per engine
+        key, its blocks in the order the engine numbers them.
         """
-        facts_index = {
-            (fact.key[0], fact.time): fact.value for fact in data.facts
-        }
         if groups is None:
             keys: list = list(REGIONS)
             key_of = {region: region for region in REGIONS}
         else:
             keys = list(dict.fromkeys(groups[r] for r in REGIONS))
             key_of = {region: groups[region] for region in REGIONS}
-        split: dict[str, tuple[list[Event], list[FluentFact]]] = {
-            key: ([], []) for key in keys
+        #: region code -> engine (position in ``keys``).
+        engine_of = np.array(
+            [keys.index(key_of[region]) for region in REGIONS]
+        )
+        gps = data.columns.fact_block("gps")
+        split: dict[str, tuple[list, list]] = {key: ([], []) for key in keys}
+        for block in data.columns.events:
+            region = np.full(len(block), REGIONS.index("central"))
+            paired = None
+            if block.type == "traffic":
+                table: dict = {}
+                codes = _codes(block.column("intersection"), table)
+                lon, lat = np.array(
+                    [self.topology.location(int_id) for int_id in table]
+                ).reshape(-1, 2).T
+                region = self.network.region_codes(lon, lat)[codes]
+            elif block.type == "move" and gps is not None and len(block):
+                paired = _last_matching_row(
+                    block.column("bus"), block.times,
+                    gps.key_column(0), gps.times,
+                )
+                found = paired[paired >= 0]
+                region[paired >= 0] = self.network.region_codes(
+                    gps.value_column("lon")[found],
+                    gps.value_column("lat")[found],
+                )
+            engine = engine_of[region]
+            for k, key in enumerate(keys):
+                rows = np.flatnonzero(engine == k)
+                split[key][0].append(block.take(rows))
+                if paired is not None:
+                    hits = paired[rows]
+                    split[key][1].append(gps.take(hits[hits >= 0]))
+        return {
+            key: SDEColumns(events, facts).in_stream_order()
+            for key, (events, facts) in split.items()
         }
-        fact_by_bus_time = {
-            (fact.key[0], fact.time): fact for fact in data.facts
-        }
-        for event in data.events:
-            region = self.region_of_event(event, facts_index)
-            target = split[key_of[region]]
-            target[0].append(event)
-            if event.type == "move":
-                fact = fact_by_bus_time.get((event["bus"], event.time))
-                if fact is not None:
-                    target[1].append(fact)
-        return split
+
+
+def _codes(values: np.ndarray, table: dict) -> np.ndarray:
+    """Integer codes of ``values`` under ``table`` (value -> code),
+    which grows by the values it has not seen."""
+    values = values.tolist()
+    for value in values:
+        if value not in table:
+            table[value] = len(table)
+    return np.fromiter(
+        map(table.__getitem__, values), dtype=np.int64, count=len(values)
+    )
+
+
+def _last_matching_row(
+    left_ids: np.ndarray,
+    left_times: np.ndarray,
+    right_ids: np.ndarray,
+    right_times: np.ndarray,
+) -> np.ndarray:
+    """Per left row, the index of the *last* right row with the same
+    ``(id, time)``, or ``-1``: the array form of looking each left row
+    up in a ``{(id, time): row}`` dict filled by scanning the right
+    rows in order."""
+    if not len(right_ids):
+        return np.full(len(left_ids), -1)
+    table: dict = {}
+    right_codes = _codes(right_ids, table)
+    left_codes = _codes(left_ids, table)
+    t0 = min(int(left_times.min()), int(right_times.min()))
+    span = max(int(left_times.max()), int(right_times.max())) - t0 + 1
+    left_keys = left_codes * span + (left_times - t0)
+    right_keys = right_codes * span + (right_times - t0)
+    # A stable sort keeps equal keys in row order, so side="right"
+    # lands just past the last row of a key.
+    order = np.argsort(right_keys, kind="stable")
+    sorted_keys = right_keys[order]
+    at = np.maximum(
+        np.searchsorted(sorted_keys, left_keys, side="right") - 1, 0
+    )
+    return np.where(sorted_keys[at] == left_keys, order[at], -1)

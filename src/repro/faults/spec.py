@@ -31,6 +31,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
+from ..core.columns import FactColumns, SDEColumns
 from ..core.events import Event, FluentFact
 from ..obs import Registry
 
@@ -171,6 +174,13 @@ def _corrupt_value(value, rng: random.Random):
     return value
 
 
+def _corrupt_cells(column: np.ndarray, rows: np.ndarray, rng) -> None:
+    """:func:`_corrupt_value` over ``rows`` of one field column, in
+    place (the caller owns the copy)."""
+    for i, value in zip(rows.tolist(), column[rows].tolist()):
+        column[i] = _corrupt_value(value, rng)
+
+
 class FaultInjector:
     """Applies one :class:`StreamFaults` spec to a record stream.
 
@@ -195,7 +205,7 @@ class FaultInjector:
 
     # -- bookkeeping -----------------------------------------------------
     def _count(self, kind: str, n: int = 1) -> None:
-        if self.metrics is not None:
+        if self.metrics is not None and n:
             self.metrics.counter(f"faults.{self.feed}.{kind}").inc(n)
 
     def _decide(self) -> tuple[bool, int, bool, bool]:
@@ -342,6 +352,81 @@ class FaultInjector:
             out.extend(self.item(item))
         return out
 
+    def block(self, block):
+        """Inject into one column block — an
+        :class:`~repro.core.columns.EventColumns` or
+        :class:`~repro.core.columns.FactColumns` — and return the
+        faulty block.
+
+        What :meth:`event` / :meth:`fact` do record by record, over the
+        block's arrays: the fates are still drawn one row at a time, in
+        row order (the RNG stream is the same), and then applied as a
+        keep-mask, an arrival offset, repeated rows for the duplicates
+        (adjacent, as the record path emits them) and overrides of the
+        corrupted cells.  Counters and the ``delay_s`` timing come out
+        as if every row had been counted on its own.
+        """
+        n = len(block)
+        decide = self._decide
+        fates = np.array(
+            [decide() for _ in range(n)], dtype=np.int64
+        ).reshape(n, 4)
+        delay = fates[:, 1]
+        kept, duplicated, corrupted = (
+            fates[:, column] == flag for column, flag in ((0, 0), (2, 1), (3, 1))
+        )
+        late = delay[kept & (delay > 0)]
+        source = np.repeat(np.arange(n), kept * (1 + duplicated))
+        out = block.take(source)  # fresh arrays: the input stays as it was
+        out.arrivals += delay[source]
+
+        self._count("seen", n)
+        self._count("dropped", n - int(kept.sum()))
+        self._corrupt_rows(out, source, corrupted)
+        self._count("delayed", len(late))
+        if self.metrics is not None:
+            for amount in late.tolist():
+                self.metrics.timing(f"faults.{self.feed}.delay_s").observe(
+                    amount
+                )
+        self._count("duplicated", int((kept & duplicated).sum()))
+        self._count("emitted", len(source))
+        return out
+
+    def _corrupt_rows(
+        self, out, source: np.ndarray, corrupted: np.ndarray
+    ) -> None:
+        """Corrupt, in place, the rows of the emitted block ``out``
+        whose source row drew a corruption; both copies of a duplicate
+        carry the same corrupted record."""
+        names = self.spec.corrupt_fields
+        rows = np.flatnonzero(corrupted[source])
+        if isinstance(out, FactColumns):
+            objects, fields = out.values, out.value_fields
+        else:
+            objects, fields = out.payloads, out.fields
+        if objects is None:
+            names = [name for name in names if name in fields]
+            if names and len(rows):
+                self._count("corrupted", len(np.unique(source[rows])))
+                for name in names:
+                    _corrupt_cells(fields[name], rows, self._rng)
+            return
+        for i in rows.tolist():
+            if i and source[i] == source[i - 1]:
+                objects[i] = objects[i - 1]
+                continue
+            old = objects[i]
+            if hasattr(old, "items"):
+                changes = {
+                    name: _corrupt_value(old[name], self._rng)
+                    for name in names
+                    if name in old
+                }
+                if changes:
+                    self._count("corrupted")
+                    objects[i] = {**old, **changes}
+
 
 def faulty_source(source, spec: StreamFaults, *, seed: int = 0,
                   metrics: Optional[Registry] = None):
@@ -367,29 +452,30 @@ def inject_scenario(data, profile: FaultProfile, *,
     ``traffic`` events go through the SCATS spec; ``move`` events and
     ``gps`` facts go through the bus spec (each feed on its own RNG
     stream, so per-feed injection is independent of interleaving).
-    Returns a new object of the same dataclass with the faulty streams.
+    ``data`` is a :class:`~repro.dublin.scenario.ScenarioData`; the
+    result is a new one over the faulty columns — the input's arrays
+    are never written to.
     """
-    scats = FaultInjector(
-        profile.scats, seed=profile.seed, feed="scats", metrics=metrics
+    injectors = {
+        feed: FaultInjector(
+            spec, seed=profile.seed, feed=feed, metrics=metrics
+        )
+        for feed, spec in (
+            ("scats", profile.scats), ("bus", profile.bus),
+            ("gps", profile.bus),
+        )
+    }
+    feed_of = {"traffic": "scats", "move": "bus"}
+    columns = SDEColumns(
+        [
+            injectors[feed_of[block.type]].block(block)
+            if block.type in feed_of
+            else block
+            for block in data.columns.events
+        ],
+        [
+            injectors["gps"].block(block) if block.name == "gps" else block
+            for block in data.columns.facts
+        ],
     )
-    bus = FaultInjector(
-        profile.bus, seed=profile.seed, feed="bus", metrics=metrics
-    )
-    gps = FaultInjector(
-        profile.bus, seed=profile.seed, feed="gps", metrics=metrics
-    )
-    events: list[Event] = []
-    for ev in data.events:
-        if ev.type == "traffic":
-            events.extend(scats.event(ev))
-        elif ev.type == "move":
-            events.extend(bus.event(ev))
-        else:
-            events.append(ev)
-    facts: list[FluentFact] = []
-    for fact in data.facts:
-        if fact.name == "gps":
-            facts.extend(gps.fact(fact))
-        else:
-            facts.append(fact)
-    return dataclasses.replace(data, events=events, facts=facts)
+    return dataclasses.replace(data, columns=columns)

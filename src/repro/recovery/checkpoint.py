@@ -34,7 +34,10 @@ from typing import Any, Optional
 from ..ioutils import atomic_write_bytes
 
 MAGIC = b"RPROCKP1"
-FORMAT_VERSION = 1
+#: Version 2: the engines' pending buffers are per-batch arrays
+#: (``PendingBatch``), not ``(arrival, seq, is_fact, row)`` tuples; a
+#: version-1 file is refused rather than mis-restored.
+FORMAT_VERSION = 2
 _HEADER = struct.Struct("<8sIQ32s")
 _NAME_RE = re.compile(r"^checkpoint-(\d{8})\.ckpt$")
 

@@ -209,6 +209,12 @@ class ShardWorker:
         self.metrics.counter("rtec.compiled.fallbacks").inc(
             snapshot.compiled_fallbacks
         )
+        self.metrics.counter("rtec.ingest.rows_materialised").inc(
+            snapshot.rows_materialised
+        )
+        self.metrics.counter("rtec.ingest.rows_skipped_horizon").inc(
+            snapshot.rows_skipped_horizon
+        )
 
     def _replay(self, records) -> None:
         """Re-drive the journalled work since the restored checkpoint.

@@ -16,7 +16,6 @@ Wires all four components into the closed loop the paper describes:
 
 from __future__ import annotations
 
-import bisect
 import difflib
 import pickle
 import random
@@ -28,6 +27,8 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass, field, fields
 from typing import Literal, Mapping, Optional
+
+import numpy as np
 
 from ..core.columns import SDEColumns
 from ..core.events import Event
@@ -394,9 +395,10 @@ class RunState:
     next_q: int
     #: 1-based count of completed recognition steps.
     step_index: int
-    #: Sorted per-feed SDE arrival times (the degradation breaker's
-    #: liveness signal), precomputed for the whole run.
-    feed_arrivals: dict[str, list[int]]
+    #: Per feed, how many SDEs arrive in each recognition step (the
+    #: degradation breaker's liveness signal), precomputed for the
+    #: whole run: element ``i`` belongs to step ``i + 1``.
+    feed_arrivals: dict[str, np.ndarray]
     #: The report under construction (logs, console, crowd counters).
     report: SystemReport
 
@@ -482,9 +484,10 @@ class UrbanTrafficSystem:
             staleness_s=cfg.flow_staleness_s,
             metrics=self.metrics,
         )
-        #: Recent bus congestion reports per intersection, feeding the
-        #: Section 5.1 priors; populated during run().
-        self._bus_reports: dict[str, list[tuple[int, int]]] = {}
+        #: Bus congestion reports per intersection, feeding the Section
+        #: 5.1 priors: ``(occurrence times, congestion bits)`` arrays in
+        #: time order; populated during run().
+        self._bus_reports: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         #: Last crowd query time per intersection (cooldown filter).
         self._last_query_at: dict[str, int] = {}
         #: Scripted per-region :class:`~repro.faults.crash.CrashInjector`
@@ -531,67 +534,123 @@ class UrbanTrafficSystem:
     # ------------------------------------------------------------------
     def _index_inputs(self, data) -> None:
         """Feed the flow estimator and the prior index from the raw
-        SDE stream (one pass; both are O(stream))."""
-        for event in data.events:
-            if event.type != "traffic":
-                continue
-            node = self.scenario.node_of.get(event["intersection"])
-            if node is not None:
-                self.flow_estimator.observe(node, event["flow"], event.time)
-        if self.config.ce_priors:
-            topology = self.scenario.topology
-            for fact in data.facts:
-                if fact.name != "gps":
-                    continue
-                gps = fact.value
-                for int_id in topology.intersections_close_to(
-                    gps["lon"], gps["lat"]
-                ):
-                    self._bus_reports.setdefault(int_id, []).append(
-                        (fact.time, gps["congestion"])
-                    )
+        SDE columns (one pass; both are O(stream))."""
+        traffic = data.columns.event_block("traffic")
+        if traffic is not None:
+            node_of = self.scenario.node_of
+            for int_id, flow, time in zip(
+                traffic.column("intersection").tolist(),
+                traffic.column("flow").tolist(),
+                traffic.times.tolist(),
+            ):
+                node = node_of.get(int_id)
+                if node is not None:
+                    self.flow_estimator.observe(node, flow, time)
+        gps = data.columns.fact_block("gps")
+        if self.config.ce_priors and gps is not None:
+            close_to = self.scenario.topology.intersections_close_to
+            reports: dict[str, tuple[list[int], list[int]]] = {}
+            for lon, lat, time, bit in zip(
+                gps.value_column("lon").tolist(),
+                gps.value_column("lat").tolist(),
+                gps.times.tolist(),
+                gps.value_column("congestion").tolist(),
+            ):
+                for int_id in close_to(lon, lat):
+                    times, bits = reports.setdefault(int_id, ([], []))
+                    times.append(time)
+                    bits.append(bit)
+            self._bus_reports = {
+                int_id: (np.array(times), np.array(bits))
+                for int_id, (times, bits) in reports.items()
+            }
 
     def _disagreement_prior(self, int_id: str, q: int):
         """Section 5.1 prior from nearby bus reports, or None."""
         if not self.config.ce_priors:
             return None
         reports = self._bus_reports.get(int_id)
-        if not reports:
+        if reports is None:
             return None
-        window_start = q - self.config.prior_window
-        recent = [bit for t, bit in reports if window_start < t <= q]
-        if not recent:
+        times, bits = reports
+        lo, hi = np.searchsorted(
+            times, (q - self.config.prior_window, q), side="right"
+        ).tolist()
+        if lo == hi:
             return None
-        return bus_report_prior(sum(recent), len(recent))
+        return bus_report_prior(int(bits[lo:hi].sum()), hi - lo)
 
-    @staticmethod
-    def _feed_arrivals(data) -> dict[str, list[int]]:
-        """Sorted SDE *arrival* times per feed — the liveness signal
-        the degradation breaker watches.  Arrival, not occurrence:
-        a delayed record keeps its feed alive only once it shows up."""
-        arrivals: dict[str, list[int]] = {"scats": [], "bus": []}
-        for event in data.events:
-            if event.type == "traffic":
-                arrivals["scats"].append(event.arrival)
-            elif event.type == "move":
-                arrivals["bus"].append(event.arrival)
-        for fact in data.facts:
-            if fact.name == "gps":
-                arrivals["bus"].append(fact.arrival)
-        for times in arrivals.values():
-            times.sort()
-        return arrivals
-
-    def _step_arrival_counts(
-        self, feed_arrivals: dict[str, list[int]], q: int
-    ) -> dict[str, int]:
-        """How many SDEs per feed arrived in the step ``(q-step, q]``."""
-        lo = q - self.config.step
-        return {
-            feed: bisect.bisect_right(times, q)
-            - bisect.bisect_right(times, lo)
-            for feed, times in feed_arrivals.items()
+    def _feed_arrivals(
+        self, data, start: int, end: int
+    ) -> dict[str, np.ndarray]:
+        """SDE *arrivals* per feed and recognition step — the liveness
+        signal the degradation breaker watches: element ``i`` counts the
+        records arriving in ``(q - step, q]`` for the ``i + 1``-th query
+        time ``q``.  Arrival, not occurrence: a delayed record keeps
+        its feed alive only once it shows up."""
+        columns = data.columns
+        feeds = {
+            "scats": [columns.event_block("traffic")],
+            "bus": [columns.event_block("move"), columns.fact_block("gps")],
         }
+        query_times = np.arange(start, end + 1, self.config.step)
+        return {
+            feed: np.diff(
+                np.searchsorted(
+                    np.sort(
+                        np.concatenate(
+                            [np.empty(0, dtype=np.int64)]
+                            + [b.arrivals for b in blocks if b is not None]
+                        )
+                    ),
+                    query_times,
+                    side="right",
+                )
+            )
+            for feed, blocks in feeds.items()
+        }
+
+    def _stream(self, system, start: int, end: int):
+        """``system``'s input stream for ``[start, end)``: generated,
+        fault-injected, and split into one batch per engine of *this*
+        system.  Returns ``(city-wide data, {engine key: batch})``."""
+        data = system.scenario.generate(start, end)
+        if system.fault_profile is not None:
+            data = inject_scenario(
+                data, system.fault_profile, metrics=system.metrics
+            )
+        if self.config.distribute_by_region:
+            split = system.scenario.split_by_region(
+                data, groups=self._region_to_group
+            )
+        else:
+            split = {"city": data.columns.in_stream_order()}
+        return data, split
+
+    def _ingest(self, start: int, end: int) -> dict[str, np.ndarray]:
+        """Generate the run's stream and feed every engine its share.
+
+        Columnar end to end: the simulators, the injectors and the
+        split hand arrays on, and each engine buffers its batch as
+        arrays — the first record object is built when a query admits
+        a row into its window.  The stream itself is local to this
+        call, so nothing of it but the engines' pending buffers
+        outlives the hand-off.  Returns the per-feed, per-step arrival
+        counts.
+        """
+        data, split = self._stream(self, start, end)
+        self._index_inputs(data)
+        for region, batch in split.items():
+            self.metrics.counter("ingest.events").inc(batch.n)
+            self.metrics.counter("rtec.ingest.rows_fed").inc(batch.n)
+            self.engines[region].feed_columns(batch)
+            # Everything up to here is deterministically regenerable
+            # from the baseline checkpoint; later feeds (crowd
+            # feedback) are not.  The boundary lets interval
+            # checkpoints drop the pending stream instead of
+            # re-serialising the whole future at every write.
+            self.engines[region].mark_stream_fed()
+        return self._feed_arrivals(data, start, end)
 
     def run(
         self, start: int, end: int, *, recovery=None
@@ -628,33 +687,7 @@ class UrbanTrafficSystem:
             # deterministic generation (and its metrics) happens
             # exactly once, from the checkpointed RNG state.
             recovery.on_run_start(self, (start, end))
-        data = self.scenario.generate(start, end)
-        if self.fault_profile is not None:
-            data = inject_scenario(
-                data, self.fault_profile, metrics=self.metrics
-            )
-        self._index_inputs(data)
-        feed_arrivals = self._feed_arrivals(data)
-        if self.config.distribute_by_region:
-            split = self.scenario.split_by_region(
-                data, groups=self._region_to_group
-            )
-        else:
-            split = {"city": (data.events, data.facts)}
-        for region, (events, facts) in split.items():
-            # Columnar hand-off: the engine receives one
-            # struct-of-arrays batch per region instead of a list of
-            # objects, so admission and the working-memory mirrors can
-            # work on arrays.
-            batch = SDEColumns.from_sdes(events, facts)
-            self.metrics.counter("ingest.events").inc(batch.n)
-            self.engines[region].feed_columns(batch)
-            # Everything up to here is deterministically regenerable
-            # from the baseline checkpoint; later feeds (crowd
-            # feedback) are not.  The boundary lets interval
-            # checkpoints drop the pending stream instead of
-            # re-serialising the whole future at every write.
-            self.engines[region].mark_stream_fed()
+        feed_arrivals = self._ingest(start, end)
 
         if self.config.sharded:
             # Ship the fully fed engines out to one worker process per
@@ -721,22 +754,10 @@ class UrbanTrafficSystem:
         regeneration here deliberately touches only ``pristine``'s
         metrics (discarded with it).
         """
-        data = pristine.scenario.generate(state.start, state.end)
-        if pristine.fault_profile is not None:
-            data = inject_scenario(
-                data, pristine.fault_profile, metrics=pristine.metrics
-            )
-        if self.config.distribute_by_region:
-            split = pristine.scenario.split_by_region(
-                data, groups=self._region_to_group
-            )
-        else:
-            split = {"city": (data.events, data.facts)}
+        _, split = self._stream(pristine, state.start, state.end)
         admitted_through = state.next_q - self.config.step
-        for region, (events, facts) in split.items():
-            self.engines[region].refill_columns(
-                SDEColumns.from_sdes(events, facts), admitted_through
-            )
+        for region, batch in split.items():
+            self.engines[region].refill_columns(batch, admitted_through)
 
     def _run_loop(self, state: RunState, recovery) -> SystemReport:
         """The recognition loop and end-of-run finalisation."""
@@ -748,9 +769,10 @@ class UrbanTrafficSystem:
             q = state.next_q
             while q <= state.end:
                 step = state.step_index + 1
-                arrivals = self._step_arrival_counts(
-                    state.feed_arrivals, q
-                )
+                arrivals = {
+                    feed: int(counts[step - 1])
+                    for feed, counts in state.feed_arrivals.items()
+                }
                 if recovery is not None:
                     recovery.begin_step(step, q, arrivals)
                 state.step_index = step
@@ -901,6 +923,12 @@ class UrbanTrafficSystem:
         )
         self.metrics.counter("rtec.compiled.fallbacks").inc(
             snapshot.compiled_fallbacks
+        )
+        self.metrics.counter("rtec.ingest.rows_materialised").inc(
+            snapshot.rows_materialised
+        )
+        self.metrics.counter("rtec.ingest.rows_skipped_horizon").inc(
+            snapshot.rows_skipped_horizon
         )
         for name, elapsed in snapshot.per_definition.items():
             self.metrics.timing(

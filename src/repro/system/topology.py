@@ -95,9 +95,10 @@ def build_paper_topology(
     topology.source("buses", bus_items)
 
     for region in REGIONS:
-        events, _ = split[region]
         items = [
-            event_to_item(e) for e in events if e.type == "traffic"
+            event_to_item(e)
+            for e in split[region].iter_events()
+            if e.type == "traffic"
         ]
         topology.source(f"scats-{region}", items)
 

@@ -25,7 +25,7 @@ from repro.core.columns import (
     SDEColumns,
 )
 from repro.core.events import Event, FluentFact
-from repro.core.incremental import TimedColumn
+from repro.core.incremental import PendingBatch, TimedColumn
 
 TRAFFIC = ColumnSpec(
     numeric=("density", "flow"),
@@ -140,7 +140,7 @@ def test_empty_batch():
     batch = SDEColumns.from_sdes([], [])
     assert batch.n == 0
     assert batch.max_arrival() is None
-    assert list(batch.rows()) == []
+    assert batch.blocks == ()
 
 
 def test_validate_rejects_negative_times():
@@ -153,15 +153,27 @@ def test_validate_rejects_negative_times():
         bad.validate()
 
 
-def test_rows_enumerates_events_then_facts_lazily():
+def test_pending_batch_keeps_canonical_order_and_builds_lazily():
     events = [_traffic_event(10), _traffic_event(40)]
     facts = [FluentFact("gps", ("B1",), {"lon": 1.0}, 20, 60)]
-    batch = SDEColumns.from_sdes(events, facts)
-    rows = list(batch.rows())
-    assert [arrival for arrival, _, _ in rows] == [10, 40, 60]
-    assert [is_fact for _, is_fact, _ in rows] == [False, False, True]
-    resolved = [row.resolve() for _, _, row in rows]
-    assert resolved == [*events, *facts]
+    pending = PendingBatch(SDEColumns.from_sdes(events, facts), first_seq=7)
+    # Canonical order (event blocks, then fact blocks) numbers the rows.
+    assert pending.arrival.tolist() == [10, 40, 60]
+    assert pending.seq.tolist() == [8, 9, 10]
+    assert len(pending) == 3
+    def taken(q):
+        (arrival, seq, is_fact, records), skipped = pending.take_due(
+            q, horizon=10
+        )
+        return (
+            arrival.tolist(), seq.tolist(), is_fact.tolist(), records,
+        ), skipped
+
+    # The row at the horizon is dropped from the time array, unbuilt.
+    assert taken(40) == (([40], [9], [False], [events[1]]), 1)
+    assert len(pending) == 1
+    assert taken(60) == (([60], [10], [True], [facts[0]]), 0)
+    assert len(pending) == 0
 
 
 def test_iter_events_matches_originals():

@@ -67,22 +67,24 @@ class TestDublinScenario:
     def test_split_by_region_partitions_events(self, scenario, data):
         split = scenario.split_by_region(data)
         assert set(split) == set(REGIONS)
-        total = sum(len(evs) for evs, _ in split.values())
+        total = sum(batch.n_events for batch in split.values())
         assert total == data.n_sdes
 
     def test_split_keeps_gps_with_moves(self, scenario, data):
         split = scenario.split_by_region(data)
-        for region, (events, facts) in split.items():
+        for region, batch in split.items():
             move_keys = {
-                (e["bus"], e.time) for e in events if e.type == "move"
+                (e["bus"], e.time)
+                for e in batch.iter_events()
+                if e.type == "move"
             }
-            fact_keys = {(f.key[0], f.time) for f in facts}
+            fact_keys = {(f.key[0], f.time) for f in batch.iter_facts()}
             assert fact_keys == move_keys
 
     def test_traffic_events_follow_intersection_region(self, scenario, data):
         split = scenario.split_by_region(data)
-        for region, (events, _) in split.items():
-            for ev in events:
+        for region, batch in split.items():
+            for ev in batch.iter_events():
                 if ev.type == "traffic":
                     lon, lat = scenario.topology.location(ev["intersection"])
                     assert scenario.network.region_of(lon, lat) == region

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.events import Event, FluentFact
+from repro.dublin import ScenarioData
 from repro.faults import (
     BOUNDED_DELAY_S,
     CrowdFaults,
@@ -206,23 +207,15 @@ class TestProfiles:
 
 
 class TestInjectScenario:
-    class Data:
-        pass
-
     def _data(self):
-        import dataclasses
-
-        @dataclasses.dataclass
-        class ScenarioLike:
-            events: list
-            facts: list
-
         moves = [
             Event("move", t * 60, {"bus": "B1", "line": "L1",
                                    "operator": "O1", "delay": 30})
             for t in range(1, 11)
         ]
-        return ScenarioLike(traffic_events(20) + moves, gps_facts(10))
+        return ScenarioData.from_sdes(
+            traffic_events(20) + moves, gps_facts(10), 0, 660
+        )
 
     def test_none_profile_is_identity(self):
         data = self._data()
@@ -246,8 +239,8 @@ class TestInjectScenario:
         )
         data = self._data()
         mixed = inject_scenario(data, profile)
-        scats_only = type(data)(
-            [e for e in data.events if e.type == "traffic"], []
+        scats_only = ScenarioData.from_sdes(
+            [e for e in data.events if e.type == "traffic"], [], 0, 660
         )
         alone = inject_scenario(scats_only, profile)
         assert (

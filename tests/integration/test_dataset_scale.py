@@ -50,5 +50,5 @@ class TestPaperScale:
         data = scenario.generate(0, 600)
         split = scenario.split_by_region(data)
         assert set(split) == {"central", "north", "west", "south"}
-        non_empty = [r for r, (evs, _) in split.items() if evs]
+        non_empty = [r for r, batch in split.items() if batch.n_events]
         assert len(non_empty) >= 3

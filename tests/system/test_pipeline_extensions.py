@@ -84,6 +84,42 @@ class TestPriors:
         ]
         assert non_uniform
 
+    def test_prior_equals_the_scan_over_the_report_list(
+        self, scenario, system_and_report
+    ):
+        # The index is sorted time/bit arrays read with two binary
+        # searches; the reference is the list scan it replaced, over
+        # the same gps stream.
+        from repro.crowd import bus_report_prior
+
+        system, _ = system_and_report
+        reports: dict = {}
+        for fact in scenario.generate(0, 1800).facts:
+            for int_id in scenario.topology.intersections_close_to(
+                fact.value["lon"], fact.value["lat"]
+            ):
+                reports.setdefault(int_id, []).append(
+                    (fact.time, fact.value["congestion"])
+                )
+        assert set(reports) == set(system._bus_reports)
+        window = system.config.prior_window
+        checked = 0
+        for int_id in [*reports, "no-such-intersection"]:
+            for q in range(0, 2400, 150):
+                recent = [
+                    bit
+                    for t, bit in reports.get(int_id, ())
+                    if q - window < t <= q
+                ]
+                expected = (
+                    bus_report_prior(sum(recent), len(recent))
+                    if recent
+                    else None
+                )
+                assert system._disagreement_prior(int_id, q) == expected
+                checked += expected is not None
+        assert checked
+
     def test_priors_disabled(self, scenario):
         system = UrbanTrafficSystem(
             scenario,
