@@ -91,13 +91,6 @@ def test_ablation_window_vs_step(benchmark):
         "after their window's query time; WM = step loses them."
     )
     emit("ablation_window_step.txt", lines)
-    # Process-time step cost across the WM/step ratios, for the
-    # regression gate (wall-clock at this scale is mostly noise).
-    benchmark.extra_info["gate_metrics"] = {
-        "window_series_step_cost_s": sum(
-            row["mean_elapsed"] for row in series
-        ),
-    }
 
     # --- shape assertions -------------------------------------------------
     # 1. WM = step loses delayed events; growing the window recovers

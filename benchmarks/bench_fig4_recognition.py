@@ -162,13 +162,6 @@ def test_fig4_recognition_performance(benchmark, workload):
     )
     emit("fig4_recognition.txt", lines)
     benchmark.extra_info["series"] = {"static": static, "adaptive": adaptive}
-    # Process-time recognition costs for the regression gate: summed
-    # over the WM series, they track the hot path without the
-    # wall-clock scheduling noise of the surrounding harness.
-    benchmark.extra_info["gate_metrics"] = {
-        "static_recognition_s": sum(r["mean_total_s"] for r in static),
-        "adaptive_recognition_s": sum(r["mean_total_s"] for r in adaptive),
-    }
 
     # --- shape assertions -------------------------------------------------
     # 1. Cost grows with the window for both modes.
@@ -301,10 +294,6 @@ def test_incremental_speedup_high_overlap(benchmark, workload):
     benchmark.extra_info["speedup"] = speedup
     benchmark.extra_info["legacy_mean_s"] = legacy_mean
     benchmark.extra_info["incremental_mean_s"] = incr_mean
-    benchmark.extra_info["gate_metrics"] = {
-        "legacy_steady_query_s": legacy_mean,
-        "incremental_steady_query_s": incr_mean,
-    }
 
     # The differential comes first: a fast wrong answer is no answer.
     assert incr_trace == legacy_trace
@@ -431,11 +420,6 @@ def test_checkpoint_overhead(benchmark):
         ],
     )
     benchmark.extra_info["checkpoint_overhead"] = overhead
-    benchmark.extra_info["gate_metrics"] = {
-        "plain_run_s": plain,
-        "checkpointed_run_s": ckpt,
-        "durability_direct_s": direct,
-    }
 
     # The run actually checkpointed (baseline + at least one interval).
     assert results["writes"] >= 2
@@ -499,9 +483,5 @@ def test_sharded_overhead(benchmark):
         ],
     )
     benchmark.extra_info["sharded_overhead"] = overhead
-    benchmark.extra_info["gate_metrics"] = {
-        "plain_loop_s": plain,
-        "sharded_loop_s": sharded,
-    }
 
     assert overhead <= 0.15

@@ -16,11 +16,6 @@ mirrors — and asserts the sustained ingest rate is at least
 ``REQUIRED_MULTIPLE`` times the paper's arrival rate.  A second pass
 pins the interpreter (``compiled=False``) so the report shows what the
 compiled path buys on identical input.
-
-The compiled pass's wall time feeds the calibration-normalised
-regression gate (``benchmarks/regression_gate.py``): once recorded in
-the baseline, a later PR that slows the columnar path by >15% fails
-the gate even while still clearing the absolute multiple.
 """
 
 from __future__ import annotations
@@ -210,12 +205,6 @@ def test_columnar_ingest_throughput(benchmark):
         "columnar": columnar,
         "interpreter": interp,
         "multiple": multiple,
-    }
-    # Wall time of the fixed compiled-pass workload: the figure the
-    # calibration-normalised regression gate tracks across PRs.
-    benchmark.extra_info["gate_metrics"] = {
-        "columnar_ingest_s": columnar["elapsed_s"],
-        "interpreter_ingest_s": interp["elapsed_s"],
     }
 
     # --- gate assertions --------------------------------------------------

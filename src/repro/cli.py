@@ -149,8 +149,6 @@ def _system_config_from(args: argparse.Namespace) -> SystemConfig:
     }
     if getattr(args, "legacy", False):
         mapping["incremental"] = False
-    if getattr(args, "parallel", False):
-        mapping["parallel_regions"] = True
     if getattr(args, "sharded", False):
         mapping["sharded"] = True
     if getattr(args, "shard_dir", None):
@@ -648,10 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--map", action="store_true", help="print the GP city map"
     )
     run.add_argument(
-        "--parallel", action="store_true",
-        help="fan per-region recognition out over a thread pool",
-    )
-    run.add_argument(
         "--sharded", action="store_true",
         help="run each region's engine in its own supervised OS "
         "process with per-shard checkpoint recovery (byte-identical "
@@ -704,10 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--noisy-variant", choices=("crowd", "pessimistic"), default="crowd"
     )
     metrics.add_argument("--participants", type=int, default=50)
-    metrics.add_argument(
-        "--parallel", action="store_true",
-        help="fan per-region recognition out over a thread pool",
-    )
     metrics.add_argument(
         "--sharded", action="store_true",
         help="run the per-region engines as supervised worker "

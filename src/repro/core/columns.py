@@ -245,6 +245,19 @@ class EventColumns:
         """Materialise row ``i`` as an :class:`Event`."""
         return self.records(np.array([i]))[0]
 
+    # Wrapped payloads are read-only proxies, which do not pickle; they
+    # travel as plain dicts and :meth:`records` freezes them again.
+    def __getstate__(self):
+        payloads = self.payloads
+        if payloads is not None:
+            payloads = [dict(payload) for payload in payloads]
+        return self.type, self.times, self.arrivals, payloads, self.fields
+
+    def __setstate__(self, state) -> None:
+        (
+            self.type, self.times, self.arrivals, self.payloads, self.fields,
+        ) = state
+
 
 class FactColumns:
     """One fact name's batch: times/arrivals as arrays, plus either the
@@ -373,6 +386,26 @@ class FactColumns:
     def fact(self, i: int) -> FluentFact:
         """Materialise row ``i`` as a :class:`FluentFact`."""
         return self.records(np.array([i]))[0]
+
+    # As for :class:`EventColumns`: frozen mapping values travel as
+    # plain dicts.
+    def __getstate__(self):
+        values = self.values
+        if values is not None:
+            values = [
+                dict(value) if isinstance(value, MappingProxyType) else value
+                for value in values
+            ]
+        return (
+            self.name, self.times, self.arrivals, self.keys, values,
+            self.key_columns, self.value_fields,
+        )
+
+    def __setstate__(self, state) -> None:
+        (
+            self.name, self.times, self.arrivals, self.keys, self.values,
+            self.key_columns, self.value_fields,
+        ) = state
 
 
 def block_rows(blocks: Sequence) -> tuple[np.ndarray, np.ndarray]:

@@ -66,8 +66,8 @@ _MAX_SEQ = sys.maxsize
 #: and re-serialising the whole future stream at every checkpoint is
 #: what would make checkpointing cost O(run length) per write.  The
 #: flag is scoped to the checkpoint writer; any other pickling of a
-#: working memory (e.g. shipping engines to process-pool workers)
-#: keeps the full buffer.
+#: working memory (shipping fed engines to the shard workers at start,
+#: the workers' own checkpoints) keeps the full buffer.
 _STREAMLESS = contextvars.ContextVar("wm_streamless_pickle", default=False)
 
 
@@ -354,18 +354,12 @@ class WorkingMemory:
         self._fact_partitions: dict[
             str, list[tuple[int, Callable[[FluentFact], Hashable]]]
         ] = {}
-        #: Columnar feeds awaiting admission, one
-        #: :class:`PendingBatch` per :meth:`buffer_columns` call: arrays
-        #: in ``(arrival, seq)`` order with a cursor, no object per row.
+        #: Feeds awaiting admission — the only pending buffer: one
+        #: :class:`PendingBatch` per :meth:`buffer_columns` call (the
+        #: input stream, and every later object feed wrapped by
+        #: :meth:`repro.core.rtec.RTEC.feed`): arrays in
+        #: ``(arrival, seq)`` order with a cursor, no object per row.
         self._batches: list[PendingBatch] = []
-        #: (arrival, seq, is_fact, item) entries of the object feeds
-        #: (crowd feedback SDEs, tests) awaiting admission; sorted
-        #: lazily — inputs mostly arrive in order, so a dirty-flagged
-        #: list beats a heap's per-item push/pop.  ``(arrival, seq)``
-        #: is unique across both buffers, so sorting never compares
-        #: the item itself.
-        self._pending: list[tuple[int, int, bool, Any]] = []
-        self._pending_sorted = True
         self._seq = 0
         #: declared columnar layout per event type (merged across the
         #: compiled rules reading the type); ``None`` marks a type
@@ -390,8 +384,8 @@ class WorkingMemory:
     # re-registering them against the restored columns — the same
     # backfill path used when a partition is first declared.
     def __getstate__(self) -> dict[str, Any]:
-        # Checkpoint fast path (``"tail"``): the initial stream (seq <=
-        # the boundary) is regenerable and omitted; only later feeds
+        # Checkpoint fast path: the initial stream (seq <= the
+        # boundary) is regenerable and omitted; only later feeds
         # (crowd feedback SDEs) travel with the snapshot.  Restore
         # must go through :meth:`refill_columns`.
         boundary = self._stream_seq if _STREAMLESS.get() else 0
@@ -407,20 +401,9 @@ class WorkingMemory:
                 name: [fn for _, fn in fns]
                 for name, fns in self._fact_partitions.items()
             },
-            "pending": (
-                "tail" if boundary else "full",
-                [
-                    (arrival, seq, is_fact, to_row(item))
-                    for arrival, seq, is_fact, item in self._pending
-                    if seq > boundary
-                ],
-                [
-                    batch
-                    for batch in self._batches
-                    if batch.last_seq > boundary
-                ],
-            ),
-            "pending_sorted": self._pending_sorted,
+            "batches": [
+                batch for batch in self._batches if batch.last_seq > boundary
+            ],
             "seq": self._seq,
             "stream_seq": self._stream_seq,
         }
@@ -429,13 +412,7 @@ class WorkingMemory:
         self.__init__()
         self.events = state["events"]
         self.facts = state["facts"]
-        _, rows, batches = state["pending"]
-        self._pending = [
-            (arrival, seq, is_fact, from_row(row))
-            for arrival, seq, is_fact, row in rows
-        ]
-        self._batches = batches
-        self._pending_sorted = state["pending_sorted"]
+        self._batches = state["batches"]
         self._seq = state["seq"]
         self._stream_seq = state["stream_seq"]
         self._column_specs = state.get("column_specs", {})
@@ -445,24 +422,6 @@ class WorkingMemory:
         for name, fns in state["fact_partitions"].items():
             for fn in fns:
                 self.register_fact_partition(name, fn)
-
-    def buffer_event(self, event: Event) -> None:
-        """Queue an input SDE until its arrival time is reached."""
-        self._seq += 1
-        entry = (event.arrival, self._seq, False, event)
-        pending = self._pending
-        if pending and entry < pending[-1]:
-            self._pending_sorted = False
-        pending.append(entry)
-
-    def buffer_fact(self, fact: FluentFact) -> None:
-        """Queue an input-fluent fact until its arrival time is reached."""
-        self._seq += 1
-        entry = (fact.arrival, self._seq, True, fact)
-        pending = self._pending
-        if pending and entry < pending[-1]:
-            self._pending_sorted = False
-        pending.append(entry)
 
     def buffer_columns(self, batch: SDEColumns) -> None:
         """Queue a columnar SDE batch without materialising its rows.
@@ -609,26 +568,6 @@ class WorkingMemory:
             if chunk[3]:
                 due.append(chunk)
         self._batches = [batch for batch in self._batches if len(batch)]
-        pending = self._pending
-        if not self._pending_sorted:
-            pending.sort()
-            self._pending_sorted = True
-        cut = bisect.bisect_left(pending, (q + 1,))
-        if cut:
-            # Object entries keep their horizon check: nothing told
-            # them apart from the window before they were built.
-            live = [entry for entry in pending[:cut] if entry[3].time > horizon]
-            del pending[:cut]
-            if live:
-                arrivals, seqs, fact_flags, items = zip(*live)
-                due.append(
-                    (
-                        np.array(arrivals),
-                        np.array(seqs),
-                        np.array(fact_flags),
-                        items,
-                    )
-                )
         if not due:
             return new_events, new_facts
         _, seqs, fact_flags, items = due[0]

@@ -121,14 +121,32 @@ class RecognitionSnapshot:
     cache_invalidations: int = 0
     compiled_evals: int = 0
     compiled_fallbacks: int = 0
-    #: Batch rows this query's admission built a record for, and batch
-    #: rows it dropped unbuilt because they occurred at or before the
-    #: window start (both zero in legacy mode, which materialises a
-    #: batch when it is fed).
+    #: Pending rows this query's admission built a record for, and
+    #: pending rows it dropped unbuilt because they occurred at or
+    #: before the window start (both zero in legacy mode, which
+    #: materialises a batch when it is fed).
     rows_materialised: int = 0
     rows_skipped_horizon: int = 0
     #: CPU seconds spent per definition (profiling breakdown).
     per_definition: dict[str, float] = field(default_factory=dict)
+
+    #: Snapshot field -> run-metrics counter (``docs/observability.md``).
+    COUNTERS = {
+        "cache_hits": "rtec.cache.hits",
+        "cache_misses": "rtec.cache.misses",
+        "cache_invalidations": "rtec.cache.invalidations",
+        "compiled_evals": "rtec.compiled.evals",
+        "compiled_fallbacks": "rtec.compiled.fallbacks",
+        "rows_materialised": "rtec.ingest.rows_materialised",
+        "rows_skipped_horizon": "rtec.ingest.rows_skipped_horizon",
+    }
+
+    def record_counters(self, metrics) -> None:
+        """Add this step's engine statistics to a
+        :class:`repro.obs.Registry` — the one mapping behind the
+        pipeline's registry and every shard worker's."""
+        for attr, name in self.COUNTERS.items():
+            metrics.counter(name).inc(getattr(self, attr))
 
     def intervals(self, name: str, key: FluentKey) -> IntervalList:
         """``holdsFor`` lookup on the snapshot."""
@@ -323,40 +341,45 @@ class RTEC:
         """Buffer input SDEs and input-fluent facts.
 
         Inputs may be fed in any order; the engine honours arrival
-        times when selecting window contents (legacy mode sorts its
-        buffers per query, incremental mode indexes by occurrence time
-        on admission).
+        times when selecting window contents.  An incremental engine
+        has one pending buffer, of arrays: the objects are grouped into
+        per-type blocks (:meth:`~.columns.SDEColumns.from_sdes`) and
+        numbered in that layout — type by type, each type in feed
+        order, which is the order every working-memory column keeps.
+        Legacy mode sorts its object buffers per query.
 
         SDEs with a negative occurrence time are rejected: the scenario
         clock starts at 0, so a negative stamp is always a mediator bug
         (or an injected corruption) and silently accepting it would
-        seed windows before time 0.
+        seed windows before time 0.  Whatever preceded the rejected
+        record stays fed.
         """
-        appended = False
-        for ev in events:
-            if ev.time < 0:
-                raise ValueError(
-                    f"event of type {ev.type!r} occurs at negative time "
-                    f"{ev.time}; SDE timestamps must be >= 0"
-                )
+        kept_events: list[Event] = []
+        kept_facts: list[FluentFact] = []
+        try:
+            for ev in events:
+                if ev.time < 0:
+                    raise ValueError(
+                        f"event of type {ev.type!r} occurs at negative "
+                        f"time {ev.time}; SDE timestamps must be >= 0"
+                    )
+                kept_events.append(ev)
+            for fact in facts:
+                if fact.time < 0:
+                    raise ValueError(
+                        f"fluent fact {fact.name!r} occurs at negative "
+                        f"time {fact.time}; SDE timestamps must be >= 0"
+                    )
+                kept_facts.append(fact)
+        finally:
             if self._wm is not None:
-                self._wm.buffer_event(ev)
-            else:
-                self._events.append(ev)
-                appended = True
-        for fact in facts:
-            if fact.time < 0:
-                raise ValueError(
-                    f"fluent fact {fact.name!r} occurs at negative time "
-                    f"{fact.time}; SDE timestamps must be >= 0"
+                self._wm.buffer_columns(
+                    SDEColumns.from_sdes(kept_events, kept_facts)
                 )
-            if self._wm is not None:
-                self._wm.buffer_fact(fact)
             else:
-                self._facts.append(fact)
-                appended = True
-        if appended:
-            self._inputs_sorted = False
+                self._events.extend(kept_events)
+                self._facts.extend(kept_facts)
+                self._inputs_sorted = False
 
     def feed_columns(self, batch: SDEColumns) -> None:
         """Buffer a columnar SDE batch (:class:`~.columns.SDEColumns`).

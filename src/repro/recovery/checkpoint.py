@@ -34,10 +34,11 @@ from typing import Any, Optional
 from ..ioutils import atomic_write_bytes
 
 MAGIC = b"RPROCKP1"
-#: Version 2: the engines' pending buffers are per-batch arrays
-#: (``PendingBatch``), not ``(arrival, seq, is_fact, row)`` tuples; a
-#: version-1 file is refused rather than mis-restored.
-FORMAT_VERSION = 2
+#: Version 3: ``PendingBatch`` arrays are the working memory's only
+#: pending buffer (version 2 carried object feeds as ``(arrival, seq,
+#: is_fact, row)`` tuples beside them, version 1 carried only those);
+#: an older file is refused rather than mis-restored.
+FORMAT_VERSION = 3
 _HEADER = struct.Struct("<8sIQ32s")
 _NAME_RE = re.compile(r"^checkpoint-(\d{8})\.ckpt$")
 

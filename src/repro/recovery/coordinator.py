@@ -1,8 +1,29 @@
-"""The checkpoint coordinator: durability hooks for the pipeline loop.
+"""The checkpoint coordinator: one durability protocol per directory.
 
-:class:`CheckpointCoordinator` is handed to
-:meth:`repro.system.pipeline.UrbanTrafficSystem.run` and observes the
-recognition loop:
+:class:`CheckpointCoordinator` owns one recovery directory — checksummed
+checkpoint files plus a write-ahead journal with one segment per
+checkpoint — and is the only implementation of the protocol over them:
+journal timing, the checkpoint write with its crash seams, segment
+rotation and pruning, and restore.  Two drivers use it:
+
+* the pipeline (:meth:`repro.system.pipeline.UrbanTrafficSystem.run`
+  with ``recovery=``), through the lifecycle methods below, which
+  snapshot the whole system;
+* every shard worker (:class:`repro.shard.worker.ShardWorker`), which
+  snapshots its own engine into ``shard-<region>/`` and additionally
+  journals the crowd SDEs it is fed.
+
+The journal records four kinds, each written *before* the work it
+describes::
+
+    {"kind": "step",   "step": n, "q": t, "arrivals": {feed: count}}
+    {"kind": "feed",   "step": n, "events": [<dataset items>]}
+    {"kind": "commit", "step": n, "crowd_events": k}
+    {"kind": "complete", "step": n}
+
+A ``step`` without its ``commit`` marks the step the process died in.
+
+The pipeline lifecycle:
 
 * ``on_run_start`` writes a baseline checkpoint (step 0) *before the
   input stream is generated*, so a crash at *any* later point has
@@ -17,7 +38,7 @@ recognition loop:
 * ``commit_step`` journals the step's completion;
 * ``after_step`` snapshots the whole pipeline every
   ``checkpoint_interval`` steps and rotates the journal to a fresh
-  segment, so recovery replays at most one segment;
+  segment, so recovery normally replays one segment;
 * ``restore_latest`` loads the newest valid checkpoint (falling back
   over torn files), accounts the steps to be replayed in the
   ``recovery.replay.*`` counters, and returns the revived system.
@@ -37,6 +58,7 @@ deduplicated by the restored logs.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from typing import Any, Mapping, Optional
 
 from ..core.incremental import streamless_checkpoint
@@ -48,13 +70,14 @@ __all__ = ["CheckpointCoordinator"]
 
 
 class CheckpointCoordinator:
-    """Durability sidecar for one pipeline run directory.
+    """Durability sidecar for one recovery directory.
 
     Parameters
     ----------
     directory:
         Where checkpoints and journal segments live.  One directory per
-        logical run; resuming reads and continues the same directory.
+        logical run (or per shard of one); resuming reads and continues
+        the same directory.
     interval:
         Checkpoint every this many recognition steps.  ``None`` (the
         default) adopts ``SystemConfig.checkpoint_interval`` from the
@@ -64,6 +87,10 @@ class CheckpointCoordinator:
     crash:
         Optional :class:`repro.faults.CrashInjector` consulted at the
         start of every step and during checkpoint writes.
+
+    ``metrics`` — the registry of the ``recovery.*`` series — is an
+    attribute, not a parameter: a restored registry lives inside the
+    checkpoint, so it can only be attached once that is loaded.
     """
 
     def __init__(
@@ -107,12 +134,114 @@ class CheckpointCoordinator:
             )
         self._count("recovery.journal.records")
 
+    # -- the protocol --------------------------------------------------
+    def begin_step(self, step: int, q: int, arrivals: Mapping[str, int]) -> None:
+        """Write-ahead record for the step about to execute (and the
+        crash injector's mid-step shot)."""
+        if self.crash is not None:
+            self.crash.before_step(step)
+        self._journal(
+            {
+                "kind": "step",
+                "step": step,
+                "q": q,
+                "arrivals": dict(arrivals),
+            }
+        )
+
+    def journal_feed(self, step: int, events: list[dict]) -> None:
+        """Journal SDEs fed after the input stream (as dataset items)
+        before the engine ingests them."""
+        self._journal({"kind": "feed", "step": step, "events": events})
+        self._count("recovery.journal.feed_events", len(events))
+
+    def commit_step(self, step: int, crowd_events: int) -> None:
+        """Completion record for a finished step."""
+        self._journal(
+            {"kind": "commit", "step": step, "crowd_events": crowd_events}
+        )
+
+    def due(self, step: int) -> bool:
+        """Whether the interval has elapsed since the last checkpoint."""
+        assert self.interval is not None
+        return step - self._base_step >= self.interval
+
+    def checkpoint(
+        self, step: int, payload: Any, *, streamless: bool = False
+    ) -> None:
+        """Write the checkpoint for ``step`` and rotate the journal.
+
+        ``streamless`` pickles the payload inside
+        :func:`repro.core.incremental.streamless_checkpoint`, dropping
+        the regenerable pending stream; whoever restores it must
+        rebuild that stream.
+        """
+        pre_replace = None
+        if self.crash is not None:
+            crash = self.crash
+
+            def pre_replace(path, data):
+                crash.on_checkpoint_write(step, path, data)
+
+        started = time.perf_counter()
+        with streamless_checkpoint() if streamless else nullcontext():
+            info = self.manager.save(step, payload, pre_replace=pre_replace)
+        elapsed = time.perf_counter() - started
+        self.last_checkpoint = info
+        self._base_step = step
+        self.journal.open(step)
+        # Segments below the oldest *mid-run* checkpoint can never be
+        # replayed again (the always-retained baseline only ever needs
+        # the segments a restore re-opens for it).
+        remaining = [i for i in self.manager.list() if i.step != 0]
+        if remaining:
+            self.journal.prune(remaining[0].step)
+        self._count("recovery.checkpoint.writes")
+        self._count("recovery.checkpoint.bytes", info.size)
+        if self.metrics is not None:
+            self.metrics.timing("recovery.checkpoint.seconds").observe(
+                elapsed
+            )
+
+    def complete(self, step: int) -> None:
+        """Mark the run finished and release the journal."""
+        self._journal({"kind": "complete", "step": step})
+        self.journal.close()
+
+    def restore(self) -> tuple[Any, list[dict[str, Any]], int]:
+        """Load the newest valid checkpoint and the journal after it.
+
+        Returns ``(payload, records, fallbacks)``: the checkpointed
+        state, the intact journal records written after it, and how
+        many newer-but-invalid checkpoints (torn mid-write files) were
+        skipped.  ``records`` spans *every* segment at or after the
+        restored step, in order: after a fallback the segments of the
+        skipped checkpoints hold committed work too.  Those segments
+        are archived and the restored step's reopened empty — replayed
+        work re-journals itself as it re-executes, so the journal on
+        disk always describes the run that actually happened, each
+        step once, and a crash after the replay finds it all again.
+
+        Raises :class:`~repro.recovery.checkpoint.NoValidCheckpoint`
+        when the directory holds no restorable state.
+        """
+        payload, info, fallbacks = self.manager.load_latest()
+        records: list[dict[str, Any]] = []
+        for base_step in self.journal.segments_from(info.step):
+            records.extend(self.journal.read_segment(base_step))
+            self.journal.archive(base_step)
+        self.journal.open(info.step)
+        self._resumed = True
+        self._base_step = info.step
+        self.last_checkpoint = info
+        return payload, records, fallbacks
+
+    # -- pipeline lifecycle --------------------------------------------
     def _attach(self, system) -> None:
         self.metrics = system.metrics
         if self.interval is None:
             self.interval = system.config.checkpoint_interval
 
-    # -- run lifecycle -------------------------------------------------
     def on_run_start(self, system, span: tuple[int, int]) -> None:
         """Baseline checkpoint + first journal segment (fresh runs);
         resumed runs already restored their baseline.
@@ -125,87 +254,26 @@ class CheckpointCoordinator:
         baseline restore knows what to re-run.
         """
         self._attach(system)
-        if self._resumed:
-            return
-        self._write_checkpoint(system, None, span=span)
-
-    def begin_step(self, step: int, q: int, arrivals: Mapping[str, int]) -> None:
-        """Write-ahead record for the step about to execute."""
-        if self.crash is not None:
-            self.crash.before_step(step)
-        self._journal(
-            {
-                "kind": "step",
-                "step": step,
-                "q": q,
-                "arrivals": dict(arrivals),
-            }
-        )
-
-    def commit_step(self, step: int, crowd_events: int) -> None:
-        """Completion record for a finished step."""
-        self._journal(
-            {"kind": "commit", "step": step, "crowd_events": crowd_events}
-        )
+        if not self._resumed:
+            self.checkpoint(0, {"system": system, "state": None, "span": span})
 
     def after_step(self, system, state) -> None:
-        """Checkpoint when the interval has elapsed since the last."""
-        assert self.interval is not None
-        if state.step_index - self._base_step >= self.interval:
-            self._write_checkpoint(system, state)
+        """Checkpoint when the interval has elapsed since the last.
+
+        Interval checkpoints are streamless; :meth:`restore_latest`
+        rebuilds the pending stream against the baseline checkpoint.
+        """
+        if self.due(state.step_index):
+            self.checkpoint(
+                state.step_index,
+                {"system": system, "state": state, "span": None},
+                streamless=True,
+            )
 
     def on_run_complete(self, system, state) -> None:
         """Mark the run finished and release the journal."""
-        self._journal({"kind": "complete", "step": state.step_index})
-        self.journal.close()
+        self.complete(state.step_index)
 
-    # ------------------------------------------------------------------
-    def _write_checkpoint(
-        self, system, state, *, span: Optional[tuple[int, int]] = None
-    ) -> None:
-        step = 0 if state is None else state.step_index
-        pre_replace = None
-        if self.crash is not None:
-            crash = self.crash
-
-            def pre_replace(path, data, _step=step, _crash=crash):
-                _crash.on_checkpoint_write(_step, path, data)
-
-        started = time.perf_counter()
-        payload = {
-            "system": system,
-            "state": state,
-            "span": span,
-            # Interval checkpoints drop the regenerable pending stream
-            # (see repro.core.incremental.streamless_checkpoint); the
-            # restore path rebuilds it against the baseline checkpoint.
-            "streamless": state is not None,
-        }
-        if state is not None:
-            with streamless_checkpoint():
-                info = self.manager.save(
-                    step, payload, pre_replace=pre_replace
-                )
-        else:
-            info = self.manager.save(step, payload, pre_replace=pre_replace)
-        elapsed = time.perf_counter() - started
-        self.last_checkpoint = info
-        self._base_step = step
-        self.journal.open(step)
-        # Segments below the oldest *mid-run* checkpoint can never be
-        # replayed again (the always-retained baseline only ever needs
-        # the segment a restore re-opens for it).
-        remaining = [i for i in self.manager.list() if i.step != 0]
-        if remaining:
-            self.journal.prune(remaining[0].step)
-        self._count("recovery.checkpoint.writes")
-        self._count("recovery.checkpoint.bytes", info.size)
-        if self.metrics is not None:
-            self.metrics.timing("recovery.checkpoint.seconds").observe(
-                elapsed
-            )
-
-    # -- restore -------------------------------------------------------
     def restore_latest(self) -> tuple[Any, Any]:
         """Load the newest valid checkpoint and prepare to continue.
 
@@ -214,18 +282,16 @@ class CheckpointCoordinator:
         calling ``system.run(*coordinator.restored_span,
         recovery=coordinator)``, which regenerates the input stream
         deterministically; otherwise call
-        ``system.resume_from(state, coordinator)``.
-
-        The journal segment following the restored checkpoint is read
-        for replay accounting, archived, and reopened fresh — the
-        replayed steps re-journal themselves as they re-execute, so the
-        segment on disk always describes the run that actually
-        happened.
+        ``system.resume_from(state, coordinator)``.  The journal after
+        the restored checkpoint (see :meth:`restore`) is read for
+        replay accounting only: the loop re-executes those steps on its
+        own.
         """
-        payload, info, fallbacks = self.manager.load_latest()
+        payload, records, fallbacks = self.restore()
         system, state = payload["system"], payload["state"]
-        self.restored_span = payload.get("span")
-        if state is not None and payload.get("streamless"):
+        self.restored_span = payload["span"]
+        restored_step = self.last_checkpoint.step
+        if state is not None:
             # The snapshot dropped the regenerable pending stream; the
             # pristine pre-generation system in the (always-retained)
             # baseline checkpoint anchors its reconstruction.
@@ -233,25 +299,21 @@ class CheckpointCoordinator:
                 baseline = self.manager.load(self.manager.path_for(0))
             except FileNotFoundError:
                 raise CheckpointError(
-                    f"checkpoint at step {info.step} needs the baseline "
-                    f"{self.manager.path_for(0)} to rebuild its pending "
-                    f"stream, but the file is missing"
+                    f"checkpoint at step {restored_step} needs the "
+                    f"baseline {self.manager.path_for(0)} to rebuild its "
+                    f"pending stream, but the file is missing"
                 ) from None
             system.rebuild_pending(baseline["system"], state)
         self._attach(system)
-        self._resumed = True
-        self._base_step = info.step
-        self.last_checkpoint = info
 
         replay_steps = set()
         replay_items = 0
-        for record in self.journal.read_segment(info.step):
-            if record.get("kind") == "step" and record["step"] > info.step:
+        for record in records:
+            if record.get("kind") == "step" and record["step"] > restored_step:
                 replay_steps.add(record["step"])
                 replay_items += sum(record["arrivals"].values())
         self._count("recovery.restore.count")
         self._count("recovery.restore.fallbacks", fallbacks)
         self._count("recovery.replay.steps", len(replay_steps))
         self._count("recovery.replay.items", replay_items)
-        self.journal.open(info.step, fresh=True)
         return system, state

@@ -2,9 +2,10 @@
 
 One journal *segment* per checkpoint: ``journal-%08d.wal`` is the
 segment opened right after the checkpoint for that step was written
-(segment 0 precedes the first checkpoint), so recovery only ever
-replays a single segment — the one following the checkpoint it
-restored.
+(segment 0 precedes the first checkpoint), so recovery replays a
+single segment — the one following the checkpoint it restored —
+unless it had to fall back over a corrupt newer checkpoint, in which
+case it replays every segment from the restored one on, in order.
 
 Each record is one line::
 
@@ -54,6 +55,13 @@ def _parse(line: str) -> Optional[dict[str, Any]]:
         return None
 
 
+def _base_step_of(path: Path) -> Optional[int]:
+    """The base step in a segment's (or a replay archive's) file name,
+    or ``None`` for a name that is not the journal's."""
+    digits = path.name[len("journal-"):len("journal-") + 8]
+    return int(digits) if digits.isdigit() else None
+
+
 class WriteAheadJournal:
     """Segmented, checksummed append-only journal in a run directory."""
 
@@ -74,26 +82,34 @@ class WriteAheadJournal:
         return self._base_step
 
     # ------------------------------------------------------------------
-    def open(self, base_step: int, *, fresh: bool = False) -> None:
-        """Start appending to the segment for ``base_step``.
-
-        With ``fresh`` any existing segment file is archived first (to
-        ``<name>.replayed-N``): on restore the replayed steps re-journal
-        themselves as they re-execute, so the live segment must restart
-        empty — while the superseded records stay on disk for forensics.
-        """
+    def open(self, base_step: int) -> None:
+        """Start appending to the segment for ``base_step``."""
         self.close()
-        path = self.segment_path(base_step)
-        if fresh and path.exists():
-            n = 0
-            while True:
-                archived = path.with_name(f"{path.name}.replayed-{n}")
-                if not archived.exists():
-                    break
-                n += 1
-            path.rename(archived)
-        self._handle = path.open("a", encoding="utf-8")
+        self._handle = self.segment_path(base_step).open(
+            "a", encoding="utf-8"
+        )
         self._base_step = base_step
+
+    def archive(self, base_step: int) -> None:
+        """Rename the segment for ``base_step``, if there is one, to
+        the first free ``<name>.replayed-N``.
+
+        On restore the replayed steps re-journal themselves as they
+        re-execute, so the live segments must restart empty — while the
+        superseded records stay on disk for forensics.
+        """
+        if self._base_step == base_step:
+            self.close()
+        path = self.segment_path(base_step)
+        if not path.exists():
+            return
+        n = 0
+        while True:
+            archived = path.with_name(f"{path.name}.replayed-{n}")
+            if not archived.exists():
+                break
+            n += 1
+        path.rename(archived)
 
     def append(self, record: dict[str, Any]) -> None:
         """Append one record to the open segment (write-ahead: call
@@ -114,11 +130,19 @@ class WriteAheadJournal:
         """Drop segments (and their replay archives) older than the
         oldest checkpoint still on disk — they can never be replayed."""
         for path in self.directory.glob("journal-*.wal*"):
-            digits = path.name[len("journal-"):len("journal-") + 8]
-            if digits.isdigit() and int(digits) < min_base_step:
+            base_step = _base_step_of(path)
+            if base_step is not None and base_step < min_base_step:
                 path.unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
+    def segments_from(self, base_step: int) -> list[int]:
+        """Base steps of the live segments at or after ``base_step``,
+        ascending — what a restore of that checkpoint replays."""
+        steps = map(_base_step_of, self.directory.glob("journal-*.wal"))
+        return sorted(
+            step for step in steps if step is not None and step >= base_step
+        )
+
     def read_segment(self, base_step: int) -> list[dict[str, Any]]:
         """All intact records of one segment, in order.
 

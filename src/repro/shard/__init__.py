@@ -3,7 +3,8 @@
 Per-region recognition workers as separate OS processes
 (:mod:`~repro.shard.worker`) fed over an abstracted message bus
 (:mod:`~repro.shard.bus`), each owning per-shard checkpoint + journal
-recovery (:mod:`~repro.shard.recovery`), supervised across process
+recovery (a :class:`~repro.recovery.CheckpointCoordinator` over its own
+directory), supervised across process
 boundaries with heartbeats, liveness timeouts and restart budgets
 (:mod:`~repro.shard.supervisor`), coordinated deterministically so an
 N-worker run is byte-identical to single-process output
@@ -18,7 +19,6 @@ from .bus import (
     ShardConnectionLost,
     Transport,
 )
-from .recovery import ShardCheckpointCoordinator
 from .runtime import ShardedRuntime, merge_in_region_order
 from .supervisor import ShardSupervisor
 from .worker import ShardWorker, shard_worker_main
@@ -30,7 +30,6 @@ __all__ = [
     "ShardBus",
     "ShardConnectionLost",
     "Transport",
-    "ShardCheckpointCoordinator",
     "ShardedRuntime",
     "merge_in_region_order",
     "ShardSupervisor",

@@ -16,8 +16,8 @@ Determinism: results are merged in canonical region order
 first, so an N-shard run is byte-identical to the single-process run.
 A worker death at any point — detected by EOF, dead pipe, exit code or
 heartbeat silence — triggers restart-from-its-own-checkpoint: the
-respawned worker replays at most one journal segment, is re-sent any
-feed batches newer than its restored ``feed_step`` (the ready
+respawned worker replays the journal after that checkpoint, is re-sent
+any feed batches newer than its restored ``feed_step`` (the ready
 handshake carries the high-water marks), and is re-asked the in-flight
 query, while sibling shards keep flowing untouched.
 """
@@ -85,8 +85,11 @@ class ShardedRuntime:
         shutdown) when ``None``.
     start_method:
         ``multiprocessing`` start method for the workers.
-    heartbeat_s / liveness_timeout_s / max_restarts / backoff_base_s:
-        Supervision tuning (see :class:`ShardSupervisor`).
+    heartbeat_s:
+        Worker heartbeat cadence (seconds, wall clock).
+    liveness_timeout_s / max_restarts / backoff_base_s:
+        Supervision tuning (see :class:`ShardSupervisor`); the liveness
+        timeout must exceed the heartbeat cadence.
     degradation:
         Optional degradation manager told about failed regions.
     crash_plans:
@@ -111,6 +114,13 @@ class ShardedRuntime:
         degradation=None,
         crash_plans: Optional[Mapping[str, Iterable]] = None,
     ):
+        if heartbeat_s <= 0:
+            raise ValueError("heartbeat_s must be positive")
+        if liveness_timeout_s <= heartbeat_s:
+            raise ValueError(
+                "liveness_timeout_s must exceed heartbeat_s (a worker is "
+                "only dead after missing heartbeats)"
+            )
         self.regions = list(regions)
         self.metrics = metrics
         self.checkpoint_interval = checkpoint_interval

@@ -3,12 +3,19 @@
 :func:`shard_worker_main` is the child-process entry point.  It serves
 the bus protocol in a loop — ``init`` (adopt a freshly fed engine and
 write the step-0 baseline checkpoint), ``restore`` (come back from this
-shard's own checkpoint directory, replaying at most one journal
-segment), ``feed`` (journal then ingest crowd SDEs), ``query`` (run one
+shard's own checkpoint directory, replaying the journal after it),
+``feed`` (journal then ingest crowd SDEs), ``query`` (run one
 recognition step under the begin/commit journal protocol) and
 ``shutdown`` (journal a clean end and return the worker's metrics).  A
 daemon thread heartbeats over the same channel so the supervisor can
 tell a slow worker from a dead one.
+
+Durability is the pipeline's own
+:class:`~repro.recovery.coordinator.CheckpointCoordinator` over the
+shard's private directory (``shard-<region>/``), scoped to this
+worker's engine.  There is no streamless mode here: a shard checkpoint
+pickles the fed engine wholesale (a quarter-city engine is small
+enough), so a restore never needs the scenario generator.
 
 Determinism contract: the engine is fed and queried in exactly the
 order the single-process pipeline would use, and a replayed query
@@ -36,8 +43,8 @@ from ..dublin.dataset import (
     item_to_fact,
 )
 from ..obs import Registry
+from ..recovery.coordinator import CheckpointCoordinator
 from .bus import Endpoint, ShardConnectionLost
-from .recovery import ShardCheckpointCoordinator
 
 __all__ = ["ShardWorker", "shard_worker_main", "encode_sdes", "decode_sdes"]
 
@@ -69,7 +76,7 @@ class ShardWorker:
     def __init__(
         self,
         region: str,
-        coordinator: ShardCheckpointCoordinator,
+        coordinator: CheckpointCoordinator,
         engine: RTEC,
         metrics: Registry,
         *,
@@ -79,7 +86,9 @@ class ShardWorker:
         self.region = region
         self.coordinator = coordinator
         self.engine = engine
-        self.metrics = metrics
+        #: This worker's registry, restored with it; the coordinator's
+        #: ``recovery.*`` series land here too.
+        self.metrics = coordinator.metrics = metrics
         #: Last completed recognition step (0 before the first query).
         self.step_index = step_index
         #: Step of the newest feed batch journalled and ingested.
@@ -87,10 +96,6 @@ class ShardWorker:
         self.replayed_steps = 0
         self.fallbacks = 0
         self._last: Optional[tuple[int, RecognitionSnapshot]] = None
-        #: Step whose write-ahead record is already journalled (guards
-        #: against double-journalling when the coordinator re-requests
-        #: the in-flight step a replay already re-began).
-        self._begun: Optional[int] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -104,12 +109,11 @@ class ShardWorker:
         crash=None,
     ) -> "ShardWorker":
         """Adopt a freshly fed engine and write the baseline checkpoint."""
-        metrics = Registry()
-        coordinator = ShardCheckpointCoordinator(
-            directory, interval=interval, crash=crash, metrics=metrics
+        coordinator = CheckpointCoordinator(
+            directory, interval=interval, crash=crash
         )
-        worker = cls(region, coordinator, engine, metrics)
-        coordinator.write_baseline(worker.state_payload())
+        worker = cls(region, coordinator, engine, Registry())
+        coordinator.checkpoint(0, worker.state_payload())
         return worker
 
     @classmethod
@@ -117,19 +121,18 @@ class ShardWorker:
         cls, region: str, directory, *, interval: int = 10, crash=None
     ) -> "ShardWorker":
         """Restore from this shard's newest valid checkpoint and replay
-        its trailing journal segment (at most one)."""
-        coordinator = ShardCheckpointCoordinator(
+        the journal written after it (one segment, unless the restore
+        fell back over a corrupt newer checkpoint)."""
+        coordinator = CheckpointCoordinator(
             directory, interval=interval, crash=crash
         )
-        payload, records, fallbacks = coordinator.restore_latest()
+        payload, records, fallbacks = coordinator.restore()
         state = payload["worker"]
-        metrics = Registry.from_dict(state["metrics"])
-        coordinator.metrics = metrics
         worker = cls(
             region,
             coordinator,
             state["engine"],
-            metrics,
+            Registry.from_dict(state["metrics"]),
             step_index=int(state["step_index"]),
             feed_step=int(state["feed_step"]),
         )
@@ -171,84 +174,63 @@ class ShardWorker:
         """
         if self._last is not None and self._last[0] == step:
             return self._last[1]
-        if self._begun != step:
-            self.coordinator.begin_step(step, q)
-            self._begun = step
+        if step != self.step_index + 1:
+            # Fail closed: querying here would silently skip the steps
+            # in between (a journal that lost segments to pruning or a
+            # second crash mid-replay cannot bring the engine up to
+            # the step the coordinator is at).
+            raise RuntimeError(
+                f"shard {self.region!r} is at step {self.step_index} and "
+                f"cannot run step {step}: the steps between were lost"
+            )
+        # The worker sees no stream arrivals and produces no crowd
+        # SDEs: those two fields of the protocol are the pipeline's.
+        self.coordinator.begin_step(step, q, {})
         snapshot = self.engine.query(q)
         self._record(snapshot)
-        self.coordinator.commit_step(step)
+        self.coordinator.commit_step(step, 0)
         self.step_index = step
         self._last = (step, snapshot)
-        self.coordinator.after_step(step, self.state_payload)
+        if self.coordinator.due(step):
+            self.coordinator.checkpoint(step, self.state_payload())
         return snapshot
 
     def apply_feed(self, step: int, sdes) -> None:
         """Journal (write-ahead) then ingest one feed batch."""
         self.coordinator.journal_feed(step, encode_sdes(sdes))
-        self._ingest(sdes)
-        self.feed_step = step
-
-    def _ingest(self, sdes) -> None:
         events = [s for s in sdes if not isinstance(s, FluentFact)]
         facts = [s for s in sdes if isinstance(s, FluentFact)]
         self.engine.feed(events=events, facts=facts)
-        self.metrics.counter("feed.events").inc(len(events) + len(facts))
+        self.metrics.counter("feed.events").inc(len(sdes))
+        self.feed_step = step
 
     def _record(self, snapshot: RecognitionSnapshot) -> None:
         self.metrics.counter("queries").inc()
         self.metrics.counter("items").inc(snapshot.n_new_events)
         self.metrics.timing("query.seconds").observe(snapshot.elapsed)
-        self.metrics.counter("rtec.cache.hits").inc(snapshot.cache_hits)
-        self.metrics.counter("rtec.cache.misses").inc(snapshot.cache_misses)
-        self.metrics.counter("rtec.cache.invalidations").inc(
-            snapshot.cache_invalidations
-        )
-        self.metrics.counter("rtec.compiled.evals").inc(
-            snapshot.compiled_evals
-        )
-        self.metrics.counter("rtec.compiled.fallbacks").inc(
-            snapshot.compiled_fallbacks
-        )
-        self.metrics.counter("rtec.ingest.rows_materialised").inc(
-            snapshot.rows_materialised
-        )
-        self.metrics.counter("rtec.ingest.rows_skipped_horizon").inc(
-            snapshot.rows_skipped_horizon
-        )
+        snapshot.record_counters(self.metrics)
 
     def _replay(self, records) -> None:
         """Re-drive the journalled work since the restored checkpoint.
 
-        Feeds re-ingest, committed steps re-execute (re-journalling
+        Feeds re-ingest and committed steps re-execute, re-journalling
         themselves into the fresh segment so a second crash still
-        replays cleanly); a trailing uncommitted ``step`` record is
-        re-begun but not executed — the coordinator re-requests it.
+        replays cleanly; a trailing uncommitted ``step`` record — the
+        query the worker died inside — is left to the coordinator,
+        which re-requests it.
         """
         pending: Optional[tuple[int, int]] = None
         for record in records:
             kind = record.get("kind")
             if kind == "feed":
                 events, facts = decode_sdes(record["events"])
-                self.coordinator.journal_feed(
-                    record["step"], record["events"]
-                )
-                self.engine.feed(events=events, facts=facts)
-                self.feed_step = int(record["step"])
+                self.apply_feed(int(record["step"]), events + facts)
             elif kind == "step":
-                step, q = int(record["step"]), int(record["q"])
-                self.coordinator.begin_step(step, q)
-                self._begun = step
-                pending = (step, q)
+                pending = (int(record["step"]), int(record["q"]))
             elif kind == "commit":
                 if pending is None:
                     continue  # commit without step: skip defensively
-                step, q = pending
-                snapshot = self.engine.query(q)
-                self._record(snapshot)
-                self.coordinator.commit_step(step)
-                self.step_index = step
-                self._last = (step, snapshot)
-                self.coordinator.after_step(step, self.state_payload)
+                self.query(*pending)
                 self.replayed_steps += 1
                 pending = None
             # "complete" cannot trail a crash — ignore anything else.

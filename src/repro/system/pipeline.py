@@ -17,14 +17,8 @@ Wires all four components into the closed loop the paper describes:
 from __future__ import annotations
 
 import difflib
-import pickle
 import random
 import time
-from concurrent.futures import (
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
 from dataclasses import dataclass, field, fields
 from typing import Literal, Mapping, Optional
 
@@ -60,6 +54,14 @@ from ..traffic_model import (
 )
 from .console import OperatorConsole
 from .degradation import DegradationManager, describe_timeline
+
+
+#: GP hyperparameters of the traffic-model snapshot (eq. 16 kernel
+#: weights and observation noise), shared by the rolling estimator and
+#: the ground-truth fallback of :meth:`UrbanTrafficSystem
+#: .estimate_citywide`.  The noise is the pipeline's own, twice
+#: :class:`~repro.traffic_model.RollingFlowEstimator`'s default.
+GP_HYPERPARAMETERS = {"alpha": 5.0, "beta": 0.05, "noise": 40.0}
 
 
 @dataclass(frozen=True)
@@ -103,42 +105,25 @@ class SystemConfig:
     #: scenario parity matrix pins this).  ``None`` keeps one engine
     #: per region.
     region_groups: Optional[tuple[tuple[str, ...], ...]] = None
-    #: Fan the per-region recognition queries out over an executor
-    #: (Section 7.1's parallel deployment).  The merge is deterministic:
-    #: results are applied in region order, so recognised CEs, operator
-    #: alerts and crowd handling are identical to the sequential path.
-    parallel_regions: bool = False
-    #: Executor backend for ``parallel_regions``: threads by default;
-    #: ``"process"`` uses a process pool when the engines are
-    #: pickle-safe and falls back to threads otherwise.
-    parallel_backend: Literal["thread", "process"] = "thread"
-    #: Worker count for the executor (``None``: one per region).
-    parallel_workers: Optional[int] = None
     #: Sharded runtime (:mod:`repro.shard`): each region's engine runs
     #: in its own supervised OS process with per-shard
-    #: checkpoint/journal recovery, fed over the message bus.  Output
-    #: is byte-identical to the single-process run; mutually exclusive
-    #: with ``parallel_regions`` (the sharded runtime *is* the parallel
-    #: deployment) and with a pipeline-level recovery coordinator
-    #: (each shard owns its recovery).
+    #: checkpoint/journal recovery, fed over the message bus — the
+    #: parallel deployment of Section 7.1.  Output is byte-identical to
+    #: the single-process run; mutually exclusive with a pipeline-level
+    #: recovery coordinator (each shard owns its recovery).  Heartbeat
+    #: cadence, liveness timeout and start method are
+    #: :class:`repro.shard.ShardedRuntime`'s defaults.
     sharded: bool = False
     #: Root directory for the per-shard recovery directories
     #: (``shard-<region>/``); ``None`` uses a temporary directory that
     #: is removed at the end of the run.
     shard_dir: Optional[str] = None
-    #: Worker heartbeat cadence (seconds, wall clock).
-    shard_heartbeat_s: float = 0.25
-    #: Seconds without any worker message before the supervisor
-    #: declares it dead (must exceed the heartbeat cadence).
-    shard_liveness_timeout_s: float = 30.0
     #: Restarts allowed per shard within one run before its breaker
     #: latches open and the region degrades.
     shard_max_restarts: int = 3
     #: Base of the capped exponential restart backoff (seconds,
     #: actually slept — worker restarts are wall-clock affairs).
     shard_restart_backoff_s: float = 0.05
-    #: ``multiprocessing`` start method for the shard workers.
-    shard_start_method: Literal["fork", "spawn", "forkserver"] = "fork"
     #: Crowdsourcing: number of simulated participants and their
     #: error-probability range; participants are scattered near SCATS
     #: intersections.
@@ -163,24 +148,16 @@ class SystemConfig:
     prior_window: int = 600
     #: Settle participant rewards at the end of the run.
     rewards: bool = True
-    #: GP hyperparameters for the traffic-model snapshot.
-    gp_alpha: float = 5.0
-    gp_beta: float = 0.05
-    gp_noise: float = 40.0
     #: Flow-field estimation source: ``True`` fits the GP on the
     #: *measured* SCATS flows (plus crowd pseudo-observations) kept by
     #: a rolling estimator; ``False`` reads the ground truth directly
     #: (useful for substrate debugging).
     use_measured_flows: bool = True
-    flow_staleness_s: int = 1800
     #: Named fault profile (see :mod:`repro.faults.profiles`) injected
     #: into the generated SDE streams and the crowd engine; ``None``
     #: (or ``"none"``) runs fault-free.  The profile's RNG seed is
     #: offset by :attr:`seed`, so chaos runs are exactly reproducible.
     fault_profile: Optional[str] = None
-    #: Consecutive silent recognition steps before a feed's breaker
-    #: opens and the system degrades to the surviving feed's CEs.
-    feed_outage_steps: int = 2
     #: Recognition steps between pipeline checkpoints when a
     #: :class:`repro.recovery.CheckpointCoordinator` is attached to the
     #: run (``run(..., recovery=...)`` or ``repro run --checkpoint-dir``).
@@ -201,11 +178,6 @@ class SystemConfig:
                 f"noisy_variant must be 'crowd' or 'pessimistic', "
                 f"got {self.noisy_variant!r}"
             )
-        if self.parallel_backend not in ("thread", "process"):
-            raise ValueError(
-                f"parallel_backend must be 'thread' or 'process', "
-                f"got {self.parallel_backend!r}"
-            )
         if self.n_participants < 0:
             raise ValueError("n_participants must not be negative")
         lo, hi = self.participant_error_range
@@ -214,37 +186,16 @@ class SystemConfig:
                 "participant_error_range must satisfy 0 <= lo <= hi <= 1, "
                 f"got {self.participant_error_range!r}"
             )
-        if self.parallel_workers is not None and self.parallel_workers < 1:
-            raise ValueError("parallel_workers must be at least 1")
         if self.crowd_cooldown_s < 0 or self.prior_window <= 0:
             raise ValueError(
                 "crowd_cooldown_s must be >= 0 and prior_window > 0"
             )
-        if self.feed_outage_steps < 1:
-            raise ValueError("feed_outage_steps must be at least 1")
         if self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be at least 1")
-        if self.sharded and self.parallel_regions:
-            raise ValueError(
-                "sharded and parallel_regions are mutually exclusive: "
-                "the sharded runtime already runs one process per region"
-            )
-        if self.shard_heartbeat_s <= 0:
-            raise ValueError("shard_heartbeat_s must be positive")
-        if self.shard_liveness_timeout_s <= self.shard_heartbeat_s:
-            raise ValueError(
-                "shard_liveness_timeout_s must exceed shard_heartbeat_s "
-                "(a worker is only dead after missing heartbeats)"
-            )
         if self.shard_max_restarts < 0:
             raise ValueError("shard_max_restarts must not be negative")
         if self.shard_restart_backoff_s < 0:
             raise ValueError("shard_restart_backoff_s must not be negative")
-        if self.shard_start_method not in ("fork", "spawn", "forkserver"):
-            raise ValueError(
-                f"shard_start_method must be 'fork', 'spawn' or "
-                f"'forkserver', got {self.shard_start_method!r}"
-            )
         if self.region_groups is not None:
             if not self.distribute_by_region:
                 raise ValueError(
@@ -368,13 +319,6 @@ class SystemReport:
         return total
 
 
-def _query_engine_remote(
-    engine: RTEC, q: int
-) -> tuple[RecognitionSnapshot, RTEC]:
-    """Process-pool worker: query and ship the mutated engine back."""
-    return engine.query(q), engine
-
-
 @dataclass
 class RunState:
     """Where one run is in its recognition loop.
@@ -428,9 +372,7 @@ class UrbanTrafficSystem:
                     profile.seed + cfg.seed
                 )
         #: Feed-liveness breaker driving graceful degradation.
-        self.degradation = DegradationManager(
-            threshold=cfg.feed_outage_steps, metrics=self.metrics
-        )
+        self.degradation = DegradationManager(metrics=self.metrics)
 
         params = default_traffic_params()
         #: Region -> engine-key mapping when the four regions are
@@ -478,10 +420,7 @@ class UrbanTrafficSystem:
         #: continuously", Section 7.3).
         self.flow_estimator = RollingFlowEstimator(
             scenario.network.graph,
-            alpha=cfg.gp_alpha,
-            beta=cfg.gp_beta,
-            noise=cfg.gp_noise,
-            staleness_s=cfg.flow_staleness_s,
+            **GP_HYPERPARAMETERS,
             metrics=self.metrics,
         )
         #: Bus congestion reports per intersection, feeding the Section
@@ -497,7 +436,7 @@ class UrbanTrafficSystem:
         self.shard_crash_plans: dict[str, list] = {}
         self._shard_runtime = None
         #: Crowd feedback produced while handling one step's results,
-        #: published to the shard workers in a single end-of-step batch.
+        #: delivered to the engines in a single end-of-step batch.
         self._crowd_feed_buffer: list[Event] = []
 
     # ------------------------------------------------------------------
@@ -657,15 +596,15 @@ class UrbanTrafficSystem:
     ) -> SystemReport:
         """Run the full loop over ``[start, end)`` and report.
 
-        With ``config.parallel_regions`` the per-region recognition
-        queries of each step run concurrently on an executor; the
-        results are then *applied* strictly in region order.  Because a
+        Every step computes all of its per-region snapshots first — in
+        this process, or on the shard workers with ``config.sharded`` —
+        and then *applies* them strictly in region order.  Because a
         crowd SDE produced while handling one region's results carries
         an occurrence time after the current query time, it can never
-        enter another region's window at the same step — so the
-        parallel schedule recognises exactly what the sequential one
-        does (the parity test in ``tests/system/test_parallel.py``
-        asserts this end to end).
+        enter another region's window at the same step — so where the
+        engines run does not change what is recognised (the parity
+        tests in ``tests/shard/test_sharded_parity.py`` assert this end
+        to end).
 
         ``recovery`` accepts a
         :class:`repro.recovery.CheckpointCoordinator`: the loop then
@@ -702,9 +641,6 @@ class UrbanTrafficSystem:
                 metrics=self.metrics,
                 checkpoint_interval=cfg.checkpoint_interval,
                 directory=cfg.shard_dir,
-                start_method=cfg.shard_start_method,
-                heartbeat_s=cfg.shard_heartbeat_s,
-                liveness_timeout_s=cfg.shard_liveness_timeout_s,
                 max_restarts=cfg.shard_max_restarts,
                 backoff_base_s=cfg.shard_restart_backoff_s,
                 degradation=self.degradation,
@@ -763,7 +699,6 @@ class UrbanTrafficSystem:
         """The recognition loop and end-of-run finalisation."""
         report = state.report
         logs = report.logs
-        executor = self._make_executor()
         loop_started = time.perf_counter()
         try:
             q = state.next_q
@@ -783,7 +718,10 @@ class UrbanTrafficSystem:
                     # query_step entered the degraded set mid-step.
                     degraded = self.degradation.degraded_feeds
                 else:
-                    snapshots = self._query_regions(q, executor)
+                    snapshots = {
+                        region: engine.query(q)
+                        for region, engine in self.engines.items()
+                    }
                 crowd_before = report.crowd_resolutions
                 for region, snapshot in snapshots.items():
                     self._record_query_metrics(region, snapshot)
@@ -792,14 +730,7 @@ class UrbanTrafficSystem:
                     self._handle_disagreements(
                         region, q, snapshot, fresh, report, degraded
                     )
-                if (
-                    self._shard_runtime is not None
-                    and self._crowd_feed_buffer
-                ):
-                    self._shard_runtime.publish_feed(
-                        step, self._crowd_feed_buffer
-                    )
-                    self._crowd_feed_buffer = []
+                self._deliver_crowd_feed(step)
                 q += self.config.step
                 state.next_q = q
                 if recovery is not None:
@@ -817,8 +748,6 @@ class UrbanTrafficSystem:
             self.metrics.timing("ingest.loop_seconds").observe(
                 time.perf_counter() - loop_started
             )
-            if executor is not None:
-                executor.shutdown()
 
         # Drain the shard workers *outside* the timed loop (spawn and
         # shutdown are deployment cost, not steady-state recognition
@@ -842,63 +771,6 @@ class UrbanTrafficSystem:
         return report
 
     # ------------------------------------------------------------------
-    def _make_executor(self) -> Optional[Executor]:
-        """The executor for parallel per-region queries, or ``None``.
-
-        ``"process"`` requires pickle-safe engines (the query mutates
-        engine state, so workers ship the engine back); when pickling
-        fails the system degrades to threads and says so in the
-        ``system.parallel.pickle_fallback`` gauge.
-        """
-        cfg = self.config
-        if self._shard_runtime is not None:
-            return None  # the workers are the parallelism
-        if not cfg.parallel_regions or len(self.engines) < 2:
-            return None
-        workers = cfg.parallel_workers or len(self.engines)
-        if cfg.parallel_backend == "process":
-            try:
-                pickle.dumps(self.engines)
-            except (TypeError, AttributeError, pickle.PicklingError):
-                # The three ways pickling engine state actually fails
-                # (lambdas/local classes, lost attributes, explicit
-                # refusals).  Anything else is a real bug and should
-                # surface, not silently degrade to threads.
-                self.metrics.counter("system.parallel.pickle_errors").inc()
-                self.metrics.gauge("system.parallel.pickle_fallback").set(1)
-            else:
-                return ProcessPoolExecutor(max_workers=workers)
-        return ThreadPoolExecutor(max_workers=workers)
-
-    def _query_regions(
-        self, q: int, executor: Optional[Executor]
-    ) -> dict[str, RecognitionSnapshot]:
-        """One recognition step over all regions, in region order."""
-        if executor is None:
-            return {
-                region: engine.query(q)
-                for region, engine in self.engines.items()
-            }
-        if isinstance(executor, ProcessPoolExecutor):
-            futures = {
-                region: executor.submit(_query_engine_remote, engine, q)
-                for region, engine in self.engines.items()
-            }
-            snapshots: dict[str, RecognitionSnapshot] = {}
-            for region, future in futures.items():
-                snapshot, engine = future.result()
-                # The worker mutated a copy; adopt it so window caches
-                # and pruning carry over to the next step.
-                self.engines[region] = engine
-                snapshots[region] = snapshot
-            return snapshots
-        futures = {
-            region: executor.submit(engine.query, q)
-            for region, engine in self.engines.items()
-        }
-        return {region: f.result() for region, f in futures.items()}
-
-    # ------------------------------------------------------------------
     def _record_query_metrics(
         self, region: str, snapshot: RecognitionSnapshot
     ) -> None:
@@ -913,23 +785,7 @@ class UrbanTrafficSystem:
         self.metrics.counter(f"{prefix}.queries").inc()
         self.metrics.counter(f"{prefix}.items").inc(snapshot.n_new_events)
         self.metrics.timing(f"{prefix}.seconds").observe(snapshot.elapsed)
-        self.metrics.counter("rtec.cache.hits").inc(snapshot.cache_hits)
-        self.metrics.counter("rtec.cache.misses").inc(snapshot.cache_misses)
-        self.metrics.counter("rtec.cache.invalidations").inc(
-            snapshot.cache_invalidations
-        )
-        self.metrics.counter("rtec.compiled.evals").inc(
-            snapshot.compiled_evals
-        )
-        self.metrics.counter("rtec.compiled.fallbacks").inc(
-            snapshot.compiled_fallbacks
-        )
-        self.metrics.counter("rtec.ingest.rows_materialised").inc(
-            snapshot.rows_materialised
-        )
-        self.metrics.counter("rtec.ingest.rows_skipped_horizon").inc(
-            snapshot.rows_skipped_horizon
-        )
+        snapshot.record_counters(self.metrics)
         for name, elapsed in snapshot.per_definition.items():
             self.metrics.timing(
                 f"rtec.definition.{name}.seconds"
@@ -1122,19 +978,32 @@ class UrbanTrafficSystem:
             )
 
     def _feed_crowd_event(self, event: Event) -> None:
-        """Crowd feedback re-enters recognition.
+        """Crowd feedback re-enters recognition — at the end of the
+        step, in the order it was produced (:meth:`_deliver_crowd_feed`)."""
+        self._crowd_feed_buffer.append(event)
 
-        In-process: straight into every engine.  Sharded: buffered for
-        one end-of-step publish over the bus — same recognition output,
-        because a crowd SDE occurs after the current query time and is
-        only ever visible from the next step onward, and the buffer
-        preserves the in-process feed order.
+    def _deliver_crowd_feed(self, step: int) -> None:
+        """Hand the step's crowd SDEs to every engine: over the shard
+        bus, or straight into the local engines.
+
+        One delivery at the end of the step recognises exactly what
+        feeding each SDE the moment it was produced would: a crowd SDE
+        occurs after the current query time, all of the step's
+        snapshots were computed before any was handled, and the buffer
+        keeps the order the SDEs were produced in — so every engine
+        numbers them as it always did.
         """
-        if self._shard_runtime is not None:
-            self._crowd_feed_buffer.append(event)
+        feed, self._crowd_feed_buffer = self._crowd_feed_buffer, []
+        if not feed:
             return
-        for engine in self.engines.values():
-            engine.feed([event])
+        self.metrics.counter("rtec.ingest.rows_fed").inc(
+            len(feed) * len(self.engines)
+        )
+        if self._shard_runtime is not None:
+            self._shard_runtime.publish_feed(step, feed)
+        else:
+            for engine in self.engines.values():
+                engine.feed(feed)
 
     # ------------------------------------------------------------------
     def estimate_citywide(self, t: int) -> dict:
@@ -1160,10 +1029,7 @@ class UrbanTrafficSystem:
             for node in scenario.node_of.values()
         }
         model = TrafficFlowModel(
-            scenario.network.graph,
-            alpha=self.config.gp_alpha,
-            beta=self.config.gp_beta,
-            noise=self.config.gp_noise,
+            scenario.network.graph, **GP_HYPERPARAMETERS
         )
         model.fit(observations)
         return model.estimate()

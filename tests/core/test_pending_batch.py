@@ -129,8 +129,13 @@ def _interleaved_memory() -> WorkingMemory:
     wm.buffer_columns(_batch(2_000, seed=1))
     wm.mark_stream_boundary()
     for t in range(420, 1300, 40):
-        wm.buffer_event(Event("crowd", t, {"answer": t % 3}, arrival=t + 30))
-        wm.buffer_fact(FluentFact("noisy", ("p%d" % (t % 5),), True, t, t + 75))
+        # One feed per SDE pair, as RTEC.feed wraps its objects.
+        wm.buffer_columns(
+            SDEColumns.from_sdes(
+                [Event("crowd", t, {"answer": t % 3}, arrival=t + 30)],
+                [FluentFact("noisy", ("p%d" % (t % 5),), True, t, t + 75)],
+            )
+        )
     wm.buffer_columns(_batch(300, seed=2))
     return wm
 

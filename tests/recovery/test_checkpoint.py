@@ -68,26 +68,35 @@ class TestValidation:
         with pytest.raises(CheckpointError):
             manager.load(info.path)
 
-    def test_version_1_file_refused(self, tmp_path):
-        # A version-1 file pickled the pending buffer as tuples of
-        # rows; this tree holds arrays.  An old file is refused at the
-        # header, before its payload is unpickled.
+    def _refuses_version(self, tmp_path, version):
         from repro.recovery.checkpoint import _HEADER, FORMAT_VERSION
 
-        assert FORMAT_VERSION == 2
+        assert FORMAT_VERSION == 3
         manager = CheckpointManager(tmp_path)
         info = manager.save(1, {"a": 1})
         data = info.path.read_bytes()
         magic, _, length, digest = _HEADER.unpack_from(data)
         info.path.write_bytes(
-            _HEADER.pack(magic, 1, length, digest) + data[_HEADER.size:]
+            _HEADER.pack(magic, version, length, digest)
+            + data[_HEADER.size:]
         )
         with pytest.raises(
-            CheckpointError, match="unsupported format version 1"
+            CheckpointError, match=f"unsupported format version {version}"
         ):
             manager.load(info.path)
         with pytest.raises(NoValidCheckpoint):
             manager.load_latest()
+
+    def test_version_1_file_refused(self, tmp_path):
+        # A version-1 file pickled the pending buffer as tuples of
+        # rows; this tree holds arrays.  An old file is refused at the
+        # header, before its payload is unpickled.
+        self._refuses_version(tmp_path, 1)
+
+    def test_version_2_file_refused(self, tmp_path):
+        # A version-2 working memory carried object feeds in a second,
+        # tuple-based pending buffer that this tree no longer reads.
+        self._refuses_version(tmp_path, 2)
 
     def test_load_latest_falls_back_over_torn_file(self, tmp_path):
         manager = CheckpointManager(tmp_path)

@@ -24,6 +24,7 @@ import pytest
 from repro.dublin import DublinScenario, ScenarioConfig
 from repro.faults import CrashInjector
 from repro.recovery import (
+    WriteAheadJournal,
     resume_run,
     run_resilient,
     run_with_recovery,
@@ -160,6 +161,35 @@ class TestCrashParity:
         counters = resumed.report.metrics["counters"]
         # The torn file was skipped; restore fell back one checkpoint.
         assert counters.get("recovery.restore.fallbacks") == 1
+
+    def test_fallback_accounts_every_later_segment(self, golden, tmp_path):
+        # Checkpoints at steps 3 and 6, death at the start of step 8,
+        # then the newest checkpoint rots: the restore falls back to
+        # step 3 and the journal it replays spans two segments.
+        outcome = run_with_recovery(
+            build_system(), 0, END, tmp_path, crash=CrashInjector(at_step=8)
+        )
+        assert outcome.crashed
+        newest = tmp_path / "checkpoint-00000006.ckpt"
+        data = bytearray(newest.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        newest.write_bytes(bytes(data))
+
+        system, resumed = resume_run(tmp_path)
+        assert fingerprint(system, resumed.report) == golden
+        counters = resumed.report.metrics["counters"]
+        assert counters["recovery.restore.fallbacks"] == 1
+        assert counters["recovery.replay.steps"] == 4  # steps 4..7
+        # The superseded segment was archived, not appended to: every
+        # step is journalled once in the live segments.
+        journal = WriteAheadJournal(tmp_path)
+        begun = [
+            record["step"]
+            for base in journal.segments_from(0)
+            for record in journal.read_segment(base)
+            if record["kind"] == "step"
+        ]
+        assert begun == sorted(set(begun)) and begun[-1] == STEPS
 
     def test_chained_crashes_run_resilient(self, golden, tmp_path):
         system, report = run_resilient(

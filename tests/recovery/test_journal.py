@@ -77,9 +77,11 @@ class TestSegmentLifecycle:
         journal = WriteAheadJournal(tmp_path)
         journal.open(0)
         journal.append({"kind": "step", "step": 1})
-        journal.open(0, fresh=True)
+        journal.archive(0)
+        journal.open(0)
         journal.append({"kind": "step", "step": 1})
-        journal.open(0, fresh=True)
+        journal.archive(0)
+        journal.open(0)
         journal.close()
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == [
@@ -95,7 +97,8 @@ class TestSegmentLifecycle:
         for base in (0, 5, 10):
             journal.open(base)
             journal.append({"kind": "step", "step": base + 1})
-        journal.open(0, fresh=True)  # leave an archive behind too
+        journal.archive(0)  # leave an archive behind too
+        journal.open(0)
         journal.close()
         journal.prune(5)
         names = sorted(p.name for p in tmp_path.iterdir())

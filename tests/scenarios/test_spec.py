@@ -8,7 +8,7 @@ document *is* the scenario, with no hidden state on the side.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.scenarios import (
@@ -165,7 +165,15 @@ class TestRoundTripProperty:
         reparsed = ScenarioSpec.from_mapping(spec.to_mapping())
         assert reparsed == spec
 
-        a = compile_scenario(spec)
+        try:
+            a = compile_scenario(spec)
+        except RuntimeError as error:
+            # About one drawn city in a hundred — a 6x6 grid whose
+            # diagonal arteries leave no shortest path of make_lines'
+            # eight junctions — cannot host a bus line at all.  That is
+            # the generator refusing the city, not a round-trip failure.
+            assume("long routes" not in str(error))
+            raise
         b = compile_scenario(reparsed)
         start, end = spec.start, spec.start + spec.duration
         data_a = a.generate(start, end)

@@ -105,10 +105,6 @@ class TestShardedParity:
             assert (shard_dir / "checkpoint-00000000.ckpt").exists()
             assert list(shard_dir.glob("journal-*.wal"))
 
-    def test_sharded_excludes_thread_parallel_mode(self):
-        with pytest.raises(ValueError):
-            SystemConfig(sharded=True, parallel_regions=True)
-
     def test_recovery_and_sharded_are_mutually_exclusive(self, tmp_path):
         system = build_system(sharded=True, shard_dir=str(tmp_path))
         with pytest.raises(ValueError, match="per-shard recovery"):

@@ -103,10 +103,14 @@ class TestMetrics:
         assert code == 0
         assert "streams.process." in capsys.readouterr().out
 
-    def test_run_accepts_parallel_flag(self, capsys):
-        code = main(["run", *SMALL, "--participants", "10", "--parallel"])
-        assert code == 0
-        assert "operator console summary" in capsys.readouterr().out
+    @pytest.mark.parametrize("command", ["run", "metrics"])
+    def test_parallel_flag_is_gone(self, capsys, command):
+        # The executor backend went; --sharded is the parallel
+        # deployment.  argparse's usage error, not a silent no-op.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *SMALL, "--participants", "10", "--parallel"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --parallel" in capsys.readouterr().err
 
 
 class TestMap:

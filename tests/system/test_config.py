@@ -1,8 +1,27 @@
 """Tests for the unified SystemConfig construction/validation API."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.system import SystemConfig
+
+#: Fields nobody needed two values of, removed with the executor
+#: backend; their values are now the defaults of the components that
+#: read them.
+REMOVED_KEYS = (
+    "parallel_regions",
+    "parallel_backend",
+    "parallel_workers",
+    "shard_heartbeat_s",
+    "shard_liveness_timeout_s",
+    "shard_start_method",
+    "gp_alpha",
+    "gp_beta",
+    "gp_noise",
+    "flow_staleness_s",
+    "feed_outage_steps",
+)
 
 
 class TestFromMapping:
@@ -35,6 +54,18 @@ class TestFromMapping:
     def test_empty_mapping_is_defaults(self):
         assert SystemConfig.from_mapping({}) == SystemConfig()
 
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_rejects_removed_keys(self, key):
+        with pytest.raises(
+            ValueError, match=f"unknown SystemConfig key\\(s\\): '{key}'"
+        ):
+            SystemConfig.from_mapping({key: 1})
+
+    def test_field_count(self):
+        # Every independently settable value doubles what the parity
+        # suites have to cover; adding one is a decision, not a default.
+        assert len(fields(SystemConfig)) == 28
+
 
 class TestValidation:
     def test_step_exceeding_window(self):
@@ -49,10 +80,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="noisy_variant"):
             SystemConfig(noisy_variant="optimistic")
 
-    def test_bad_parallel_backend(self):
-        with pytest.raises(ValueError, match="parallel_backend"):
-            SystemConfig(parallel_backend="greenlet")
-
     def test_bad_error_range(self):
         with pytest.raises(ValueError, match="participant_error_range"):
             SystemConfig(participant_error_range=(0.9, 0.1))
@@ -60,10 +87,6 @@ class TestValidation:
     def test_negative_participants(self):
         with pytest.raises(ValueError, match="n_participants"):
             SystemConfig(n_participants=-1)
-
-    def test_bad_parallel_workers(self):
-        with pytest.raises(ValueError, match="parallel_workers"):
-            SystemConfig(parallel_workers=0)
 
     def test_validation_applies_through_from_mapping(self):
         with pytest.raises(ValueError, match="step must not exceed"):
