@@ -211,8 +211,8 @@ def _steady_state_run(scenario, data, *, incremental: bool):
 
     Rule compilation is pinned OFF: this differential gates the
     *cross-window caching* layer in isolation, and compiled rule
-    bodies (``bench_throughput.py``'s subject) make the legacy
-    recompute cheap enough to dilute the caching signal it measures.
+    bodies make the legacy recompute cheap enough to dilute the
+    caching signal it measures.
     """
     engine = RTEC(
         build_traffic_definitions(

@@ -316,6 +316,8 @@ def _render_metrics(registry) -> str:
             "rtec.ingest.rows_fed",
             "rtec.ingest.rows_materialised",
             "rtec.ingest.rows_skipped_horizon",
+            "rtec.mirror.rows_encoded",
+            "rtec.close.rows_decided",
         ):
             lines.append(f"  {name:<34} {counters.get(name, 0):>8}")
 

@@ -14,21 +14,20 @@ columnar representation behind the compiled fast path:
 * :class:`ColumnSpec` — a compiled rule's declaration of which payload
   fields it reads as numeric columns and which identify the grounding
   token.
-* :class:`ColumnMirror` — a struct-of-arrays mirror maintained
-  alongside a working-memory :class:`~.incremental.TimedColumn`:
-  occurrence times, declared numeric fields and factorised grounding
-  tokens as growable arrays, plus per-token *integer row-index*
-  sub-indexes.  Appends extend the arrays in place; evictions advance
-  a start offset; an out-of-order insert (a delayed SDE) triggers a
-  full rebuild — correctness never depends on the incremental path.
-* views (:class:`MirrorView` / :class:`ListColumnView`) — the uniform
-  read interface compiled evaluators consume; the list-backed build is
-  the fallback for contexts that have no mirror (legacy mode, the
-  token-restricted contexts of dirty-grounding re-derivation).
+* :class:`ColumnMirror` — a struct-of-arrays mirror of the window's
+  rows of one event type (or one input fluent), in the working
+  memory's ``(time, seq)`` order: occurrence times, declared numeric
+  fields, integer codes of the grounding tokens (:class:`TokenCodes`)
+  and the records themselves.  A :class:`~.incremental.WorkingMemory` feeds it what it
+  admits — each record is encoded once; a delayed SDE is sorted into
+  place, an eviction advances the live range — and lazily joined
+  variable-length columns (the ``close`` join) stay with their rows.
+  Without a working memory (legacy mode, restricted contexts) the same
+  object is built from an object list per query.
 
 Everything here is representation only: compiled evaluators
-(:mod:`repro.core.compiled`) read views, and every emitted point is
-built from Python ints and the original payload objects, so the
+(:mod:`repro.core.compiled`) read the columns, and every emitted point
+is built from Python ints and the original payload objects, so the
 recognition output is bit-identical to the interpreter's.
 """
 
@@ -615,354 +614,260 @@ class SDEColumns:
 # ----------------------------------------------------------------------
 # Working-memory mirrors
 # ----------------------------------------------------------------------
-def _grow(array: np.ndarray, n: int, needed: int) -> np.ndarray:
-    """An array with capacity for ``n + needed`` rows (amortised)."""
-    cap = len(array)
-    if n + needed <= cap:
-        return array
-    new_cap = max(cap * 2, n + needed, 64)
-    grown = np.empty(new_cap, dtype=array.dtype)
-    grown[:n] = array[:n]
-    return grown
+class TokenCodes:
+    """Dense integer codes for grounding tokens.
+
+    One table serves every :class:`ColumnMirror` of a working memory
+    (or of a context without one), so the ``(bus,)`` token of a
+    ``move`` row and the key of the ``gps`` fact it pairs with carry
+    the same code and join as integers.  Codes are process-local: they
+    number tokens in the order this table first saw them.
+    """
+
+    __slots__ = ("_codes", "tokens")
+
+    def __init__(self) -> None:
+        self._codes: dict[tuple, int] = {}
+        #: code -> token.
+        self.tokens: list[tuple] = []
+
+    def get(self, token: tuple) -> Optional[int]:
+        """The code of ``token`` (``None`` if no row ever carried it)."""
+        return self._codes.get(token)
+
+    def encode(self, tokens: Iterable[tuple]) -> np.ndarray:
+        """The codes of ``tokens``, numbering the unseen ones."""
+        codes, table = self._codes, self.tokens
+        out = []
+        for token in tokens:
+            code = codes.get(token)
+            if code is None:
+                code = codes[token] = len(table)
+                table.append(token)
+            out.append(code)
+        return np.array(out, dtype=np.int64)
+
+
+def ragged_index(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i] .. starts[i] + lens[i] - 1`` of every
+    ``i``, concatenated: the gather index of a batch of slices."""
+    first = np.cumsum(lens) - lens
+    return np.repeat(starts - first, lens) + np.arange(int(lens.sum()))
 
 
 class ColumnMirror:
-    """Struct-of-arrays mirror of one working-memory column.
+    """Struct-of-arrays mirror of one event type's — or one input
+    fluent's — window rows, in the ``(time, seq)`` order the working
+    memory keeps its records in.
 
-    Mirrors the column's ``(time, seq)``-sorted items as ``int64``
-    times, declared ``float64`` numeric fields and factorised grounding
-    tokens, plus per-token integer row-index sub-indexes.  Kept
-    consistent through three operations, matched to the column's
-    mutation counters:
+    Per row: occurrence time, feed sequence number, the ``float64``
+    value of every numeric field of the spec, the integer code of the
+    grounding token (the spec's token fields of an event payload, the
+    key of a fact) and the record itself.  Compiled rule bodies read
+    these instead of iterating objects.
 
-    * *append* (in-order arrival, the common case): encode the new
-      suffix in place;
-    * *evict* (window slide): advance the dead-prefix offset — O(1),
-      with periodic compaction;
-    * *out-of-order insert* (a delayed SDE landed mid-column): full
-      rebuild.  Rare by construction, and the rebuild costs what a
-      single legacy query already paid per window.
+    A working memory keeps one mirror per declared type and feeds it
+    what changed: :meth:`merge` encodes *only the newly admitted
+    records* and sorts them into place (an in-order arrival appends; a
+    delayed one re-sorts the tail from its time on), :meth:`evict`
+    advances the live range.  Every record is encoded once in its life.
+    Without a working memory (the legacy engine, restricted contexts)
+    :meth:`from_records` builds the same thing from an object list per
+    query.
 
-    Mirrors are process-local caches: excluded from pickling and
-    rebuilt lazily after a restore.
+    :meth:`ragged` attaches a lazily computed variable-length column
+    (the ``close`` join: the intersections a ``gps`` position is close
+    to): computed once per row, on first request, and carried through
+    merges and evictions with the row.
+
+    Mirrors are process-local caches: never pickled, rebuilt from the
+    records on first use after a restore.
     """
 
     __slots__ = (
-        "spec", "_column", "_times", "_numeric", "_token_tuples",
-        "_groups", "_n", "_dead", "_seen_evictions", "_seen_mutations",
-        "version", "_views", "_token_rows_cache",
+        "spec", "is_fact", "tokens", "fresh", "rows_encoded",
+        "rows_ragged", "_bufs", "_pools", "_lo", "_hi",
     )
 
-    def __init__(self, column, spec: ColumnSpec):
+    def __init__(self, spec: ColumnSpec, is_fact: bool, tokens: TokenCodes):
         self.spec = spec
-        self._column = column
-        self._times = np.empty(0, dtype=np.int64)
-        self._numeric: dict[str, np.ndarray] = {
-            name: np.empty(0, dtype=np.float64) for name in spec.numeric
+        self.is_fact = is_fact
+        self.tokens = tokens
+        #: ``(time, seq, record)`` of rows admitted since the last
+        #: :meth:`sync`, appended by the working memory.
+        self.fresh: list[tuple[int, int, Any]] = []
+        #: Rows encoded from records, and rows a ragged column was
+        #: computed for, over this instance's life.
+        self.rows_encoded = 0
+        self.rows_ragged = 0
+        #: Column name -> buffer; rows ``_lo .. _hi - 1`` are live.
+        self._bufs: dict[Any, np.ndarray] = {
+            "time": np.empty(0, dtype=np.int64),
+            "seq": np.empty(0, dtype=np.int64),
+            "code": np.empty(0, dtype=np.int64),
+            "item": np.empty(0, dtype=object),
         }
-        #: storage-row -> grounding tuple (object column).
-        self._token_tuples: list[tuple] = []
-        #: grounding tuple -> ascending storage-row indexes.
-        self._groups: dict[tuple, list[int]] = {}
-        self._n = 0  # rows encoded (live + dead prefix)
-        self._dead = 0  # evicted rows still occupying the prefix
-        self._seen_evictions = 0
-        self._seen_mutations = 0
-        self.version = 0
-        self._views: dict[tuple[int, int], MirrorView] = {}
-        self._token_rows_cache: Optional[dict[tuple, np.ndarray]] = None
+        for name in spec.numeric:
+            self._bufs["field", name] = np.empty(0, dtype=np.float64)
+        #: Ragged column name -> its values; a row's slice starts at
+        #: ``_bufs["start", name]`` and is ``_bufs["len", name]`` long
+        #: (negative: not computed yet).
+        self._pools: dict[Any, np.ndarray] = {}
+        self._lo = 0
+        self._hi = 0
 
-    # -- synchronisation ----------------------------------------------
-    def sync(self) -> None:
-        """Bring the mirror up to date with its column."""
-        column = self._column
-        if column.mutations != self._seen_mutations:
-            self._rebuild()
-            return
-        changed = False
-        if column.evictions != self._seen_evictions:
-            self._dead += column.evictions - self._seen_evictions
-            self._seen_evictions = column.evictions
-            if self._dead > self._n:
-                # Evictions overshot the encoded rows: the column lost
-                # rows that were appended *and* evicted between syncs,
-                # so the offset arithmetic no longer identifies the
-                # live prefix — re-encode from scratch.
-                self._rebuild()
-                return
-            changed = True
-            if self._dead > 256 and self._dead * 2 > self._n:
-                self._compact()
-        new = len(column.items) - (self._n - self._dead)
-        if new > 0:
-            self._encode(column.items[self._n - self._dead:], column.times)
-            changed = True
-        if changed:
-            self.version += 1
-            self._views.clear()
-            self._token_rows_cache = None
+    @classmethod
+    def from_records(
+        cls,
+        records: Sequence,
+        spec: ColumnSpec,
+        is_fact: bool,
+        tokens: TokenCodes,
+    ) -> "ColumnMirror":
+        """The columns of ``records``, stably sorted by time."""
+        columns = cls(spec, is_fact, tokens)
+        columns.merge(
+            [record.time for record in records],
+            range(len(records)),
+            records,
+        )
+        return columns
 
-    def _rebuild(self) -> None:
-        column = self._column
-        self._times = np.empty(0, dtype=np.int64)
-        self._numeric = {
-            name: np.empty(0, dtype=np.float64) for name in self.spec.numeric
+    # -- maintenance ---------------------------------------------------
+    def sync(self, horizon: Optional[int]) -> None:
+        """Merge the rows admitted since the last call and drop those
+        at or before the working memory's eviction ``horizon``."""
+        if self.fresh:
+            self.merge(*zip(*self.fresh))
+            self.fresh = []
+        if horizon is not None:
+            self.evict(horizon)
+
+    def _encode(self, times, seqs, records) -> dict[Any, np.ndarray]:
+        k = len(records)
+        if self.is_fact:
+            mappings = [record.value for record in records]
+            tokens = [record.key for record in records]
+        else:
+            mappings = [record.payload for record in records]
+            fields = self.spec.token
+            tokens = [
+                tuple([mapping[f] for f in fields]) for mapping in mappings
+            ]
+        fresh = {
+            "time": np.fromiter(times, np.int64, count=k),
+            "seq": np.fromiter(seqs, np.int64, count=k),
+            "code": self.tokens.encode(tokens),
+            "item": np.fromiter(records, dtype=object, count=k),
         }
-        self._token_tuples = []
-        self._groups = {}
-        self._n = 0
-        self._dead = 0
-        self._seen_mutations = column.mutations
-        self._seen_evictions = column.evictions
-        self._encode(column.items, column.times)
-        self.version += 1
-        self._views.clear()
-        self._token_rows_cache = None
+        for name in self.spec.numeric:
+            fresh["field", name] = np.array(
+                [mapping[name] for mapping in mappings], dtype=np.float64
+            )
+        for name in self._pools:
+            fresh["start", name] = np.zeros(k, dtype=np.int64)
+            fresh["len", name] = np.full(k, -1, dtype=np.int64)
+        return fresh
 
-    def _encode(self, items, times: list[int]) -> None:
-        """Append ``items`` (the column's newest suffix) to the arrays."""
-        k = len(items)
+    def merge(self, times, seqs, records) -> None:
+        """Encode ``records`` (any order) and sort them into place."""
+        k = len(records)
         if not k:
             return
-        n = self._n
-        self._times = _grow(self._times, n, k)
-        self._times[n:n + k] = times[len(times) - k:]
-        for name in self.spec.numeric:
-            col = _grow(self._numeric[name], n, k)
-            payload_values = [item.payload[name] for item in items]
-            col[n:n + k] = payload_values
-            self._numeric[name] = col
-        token_fields = self.spec.token
-        tuples = self._token_tuples
-        groups = self._groups
-        for offset, item in enumerate(items):
-            payload = item.payload
-            token = tuple(payload[f] for f in token_fields)
-            tuples.append(token)
-            rows = groups.get(token)
-            if rows is None:
-                rows = groups[token] = []
-            rows.append(n + offset)
-        self._n = n + k
+        self.rows_encoded += k
+        fresh = self._encode(times, seqs, records)
+        self._reserve(k)
+        lo, hi = self._lo, self._hi
+        bufs = self._bufs
+        # Everything before the earliest fresh time keeps its place.
+        p = lo + int(
+            np.searchsorted(bufs["time"][lo:hi], fresh["time"].min(), "left")
+        )
+        order = np.lexsort((
+            np.concatenate((bufs["seq"][p:hi], fresh["seq"])),
+            np.concatenate((bufs["time"][p:hi], fresh["time"])),
+        ))
+        for name, buf in bufs.items():
+            buf[p:hi + k] = np.concatenate((buf[p:hi], fresh[name]))[order]
+        self._hi = hi + k
 
-    def _compact(self) -> None:
-        """Shift the live suffix down over the dead prefix."""
-        dead, n = self._dead, self._n
-        live = n - dead
-        self._times[:live] = self._times[dead:n].copy()
-        for name, col in self._numeric.items():
-            col[:live] = col[dead:n].copy()
-        del self._token_tuples[:dead]
-        compacted: dict[tuple, list[int]] = {}
-        for token, rows in self._groups.items():
-            kept = [r - dead for r in rows if r >= dead]
-            if kept:
-                compacted[token] = kept
-        self._groups = compacted
-        self._n = live
-        self._dead = 0
+    def _reserve(self, k: int) -> None:
+        """Room for ``k`` more rows, dropping the evicted prefix and
+        the dead slices of the ragged pools when it has to move."""
+        lo, hi = self._lo, self._hi
+        if hi + k <= len(self._bufs["time"]):
+            return
+        live = hi - lo
+        capacity = max(2 * (live + k), 64)
+        for name, buf in self._bufs.items():
+            grown = np.empty(capacity, dtype=buf.dtype)
+            grown[:live] = buf[lo:hi]
+            self._bufs[name] = grown
+        self._lo, self._hi = 0, live
+        for name, pool in self._pools.items():
+            start = self._bufs["start", name][:live]
+            lens = np.maximum(self._bufs["len", name][:live], 0)
+            self._pools[name] = pool[ragged_index(start, lens)]
+            start[:] = np.cumsum(lens) - lens
+
+    def evict(self, horizon: int) -> None:
+        """Drop the rows with occurrence time ``<= horizon``."""
+        lo = self._lo
+        cut = int(np.searchsorted(self.times, horizon, "right"))
+        if cut:
+            self._bufs["item"][lo:lo + cut] = None
+            self._lo = lo + cut
 
     # -- reads ---------------------------------------------------------
-    def live_view(self) -> "MirrorView":
-        """The whole live window as a view."""
-        return self._view(self._dead, self._n)
-
-    def view_bounds(self, i: int, j: int) -> "MirrorView":
-        """A view over the column's item range ``[i, j)``."""
-        return self._view(self._dead + i, self._dead + j)
-
-    def _view(self, a: int, b: int) -> "MirrorView":
-        view = self._views.get((a, b))
-        if view is None:
-            view = self._views[(a, b)] = MirrorView(self, a, b)
-        return view
-
-    def item(self, storage_row: int):
-        """The underlying record at an absolute storage row."""
-        return self._column.items[storage_row - self._dead]
-
-    def live_token_rows(self) -> dict[tuple, np.ndarray]:
-        """Per-token live row indexes, relative to the live window."""
-        cached = self._token_rows_cache
-        if cached is None:
-            dead = self._dead
-            cached = {}
-            for token, rows in self._groups.items():
-                arr = np.asarray(rows, dtype=np.int64)
-                k = int(np.searchsorted(arr, dead)) if dead else 0
-                if k < len(arr):
-                    cached[token] = arr[k:] - dead
-            self._token_rows_cache = cached
-        return cached
-
-
-class MirrorView:
-    """A slice of a :class:`ColumnMirror` in the uniform view shape."""
-
-    __slots__ = ("_mirror", "_a", "_b", "n", "times", "_times_list",
-                 "_tokens", "_token_rows")
-
-    def __init__(self, mirror: ColumnMirror, a: int, b: int):
-        self._mirror = mirror
-        self._a = a
-        self._b = b
-        self.n = b - a
-        self.times = mirror._times[a:b]
-        self._times_list: Optional[list[int]] = None
-        self._tokens: Optional[list[tuple]] = None
-        self._token_rows: Optional[dict[tuple, np.ndarray]] = None
-
-    def covers(self, spec: ColumnSpec) -> bool:
-        """Whether this view exposes everything ``spec`` requires
-        (same grounding-token layout, numeric fields a superset)."""
-        mine = self._mirror.spec
-        return mine.token == spec.token and all(
-            name in mine.numeric for name in spec.numeric
-        )
+    @property
+    def n(self) -> int:
+        return self._hi - self._lo
 
     @property
-    def times_list(self) -> list[int]:
-        if self._times_list is None:
-            self._times_list = self.times.tolist()
-        return self._times_list
+    def times(self) -> np.ndarray:
+        return self._bufs["time"][self._lo:self._hi]
+
+    @property
+    def codes(self) -> np.ndarray:
+        """Per row, the :class:`TokenCodes` code of its grounding."""
+        return self._bufs["code"][self._lo:self._hi]
+
+    @property
+    def items(self) -> np.ndarray:
+        """Per row, the record it was encoded from."""
+        return self._bufs["item"][self._lo:self._hi]
 
     def col(self, name: str) -> np.ndarray:
-        """The ``float64`` array of a declared numeric payload field."""
-        return self._mirror._numeric[name][self._a:self._b]
-
-    @property
-    def tokens(self) -> list[tuple]:
-        if self._tokens is None:
-            self._tokens = self._mirror._token_tuples[self._a:self._b]
-        return self._tokens
-
-    def token_rows(self) -> dict[tuple, np.ndarray]:
-        """Ascending row indexes (relative to this view) per token."""
-        if self._token_rows is None:
-            mirror = self._mirror
-            if self._a == mirror._dead and self._b == mirror._n:
-                self._token_rows = mirror.live_token_rows()
-            else:
-                a, b = self._a, self._b
-                out: dict[tuple, np.ndarray] = {}
-                for token, rows in mirror._groups.items():
-                    arr = np.asarray(rows, dtype=np.int64)
-                    i = int(np.searchsorted(arr, a))
-                    j = int(np.searchsorted(arr, b))
-                    if i < j:
-                        out[token] = arr[i:j] - a
-                self._token_rows = out
-        return self._token_rows
-
-    def item(self, i: int):
-        """The underlying record object at view row ``i``."""
-        return self._mirror.item(self._a + i)
-
-
-class ListColumnView:
-    """The fallback view, built from an event list per requested spec.
-
-    Used where no mirror applies: legacy engines, token-restricted
-    contexts, and column specs a working memory was not declared for.
-    Construction is O(n) — still far cheaper than interpreting, and
-    contexts memoise it per ``(event type, spec)``.
-    """
-
-    __slots__ = ("_events", "spec", "n", "times", "_numeric",
-                 "_times_list", "_tokens", "_token_rows")
-
-    def __init__(self, events: Sequence[Event], spec: ColumnSpec):
-        self._events = events
-        self.spec = spec
-        n = self.n = len(events)
-        self.times = np.fromiter(
-            (ev.time for ev in events), np.int64, count=n
-        )
-        self._numeric: dict[str, np.ndarray] = {}
-        self._times_list: Optional[list[int]] = None
-        self._tokens: Optional[list[tuple]] = None
-        self._token_rows: Optional[dict[tuple, np.ndarray]] = None
+        """The ``float64`` array of a declared numeric field."""
+        return self._bufs["field", name][self._lo:self._hi]
 
     def covers(self, spec: ColumnSpec) -> bool:
-        """Whether this view satisfies ``spec`` (see
-        :meth:`MirrorView.covers`)."""
+        """Whether these columns expose everything ``spec`` requires
+        (same grounding-token layout, numeric fields a superset)."""
         mine = self.spec
         return mine.token == spec.token and all(
             name in mine.numeric for name in spec.numeric
         )
 
-    @property
-    def times_list(self) -> list[int]:
-        if self._times_list is None:
-            self._times_list = self.times.tolist()
-        return self._times_list
-
-    def col(self, name: str) -> np.ndarray:
-        """The ``float64`` array of a payload field, built on demand."""
-        col = self._numeric.get(name)
-        if col is None:
-            col = self._numeric[name] = np.fromiter(
-                (ev.payload[name] for ev in self._events),
-                np.float64,
-                count=self.n,
-            )
-        return col
-
-    @property
-    def tokens(self) -> list[tuple]:
-        if self._tokens is None:
-            fields = self.spec.token
-            self._tokens = [
-                tuple(ev.payload[f] for f in fields) for ev in self._events
-            ]
-        return self._tokens
-
-    def token_rows(self) -> dict[tuple, np.ndarray]:
-        """Ascending row indexes per grounding token (see
-        :meth:`MirrorView.token_rows`)."""
-        if self._token_rows is None:
-            grouped: dict[tuple, list[int]] = {}
-            for i, token in enumerate(self.tokens):
-                rows = grouped.get(token)
-                if rows is None:
-                    rows = grouped[token] = []
-                rows.append(i)
-            self._token_rows = {
-                token: np.asarray(rows, dtype=np.int64)
-                for token, rows in grouped.items()
-            }
-        return self._token_rows
-
-    def item(self, i: int) -> Event:
-        """The underlying event object at view row ``i``."""
-        return self._events[i]
-
-
-class ColumnSource:
-    """A deferred view over one working-memory column, handed to rule
-    contexts by the engine.  ``view()`` syncs the mirror on first use
-    within the query, so definitions that fall back to the interpreter
-    never pay for encoding."""
-
-    __slots__ = ("column", "spec", "lo", "hi")
-
-    def __init__(
-        self,
-        column,
-        spec: ColumnSpec,
-        lo: Optional[int] = None,
-        hi: Optional[int] = None,
-    ):
-        self.column = column
-        self.spec = spec
-        self.lo = lo
-        self.hi = hi
-
-    def view(self) -> MirrorView:
-        """Sync the mirror and return the bounded (or live) view."""
-        mirror = self.column.mirror_for(self.spec)
-        mirror.sync()
-        if self.lo is None:
-            return mirror.live_view()
-        i, j = self.column.bounds(self.lo, self.hi)
-        return mirror.view_bounds(i, j)
+    def ragged(self, name, compute) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The variable-length column ``name`` as ``(starts, lens,
+        values)``: row ``i`` holds ``values[starts[i]:starts[i] +
+        lens[i]]``.  Rows that lack it get it now, from
+        ``compute(rows) -> (offsets, values)`` (a CSR pair over the
+        given row indexes); it then stays with the row."""
+        if name not in self._pools:
+            size = len(self._bufs["time"])
+            self._pools[name] = np.empty(0, dtype=np.int64)
+            self._bufs["start", name] = np.zeros(size, dtype=np.int64)
+            self._bufs["len", name] = np.full(size, -1, dtype=np.int64)
+        starts = self._bufs["start", name][self._lo:self._hi]
+        lens = self._bufs["len", name][self._lo:self._hi]
+        missing = np.flatnonzero(lens < 0)
+        if len(missing):
+            self.rows_ragged += len(missing)
+            offsets, values = compute(missing)
+            pool = self._pools[name]
+            starts[missing] = len(pool) + offsets[:-1]
+            lens[missing] = np.diff(offsets)
+            self._pools[name] = np.concatenate((pool, values))
+        return starts, lens, self._pools[name]

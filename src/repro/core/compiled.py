@@ -2,43 +2,57 @@
 
 The interpreter evaluates a rule body by iterating event objects and
 probing their payload mappings per event, per rule, per query.  For the
-simple body shapes that dominate the traffic suite — threshold
-comparisons over one event type, per-token consecutive-reading scans,
-banded classification — the whole body is expressible as a handful of
-``numpy`` operations over the columnar views of
-:mod:`repro.core.columns`.  Each :class:`CompiledRule` here lowers one
-such body; the engine calls :meth:`CompiledRule.derive` wherever it
-would have called the definition's interpreted rule bodies, in every
-evaluation context (full window, restricted range, dirty-grounding) —
-the view abstraction makes the contexts interchangeable.
+body shapes that dominate the traffic suite — threshold comparisons
+over one event type, per-token consecutive-reading scans, banded
+classification, and the bus-report family that joins ``move`` to
+``gps`` to the ``close`` intersections — the whole body is a handful of
+``numpy`` operations over the window's rows as arrays
+(:class:`repro.core.columns.ColumnMirror`).  Each :class:`CompiledRule`
+here lowers one such body; the engine calls :meth:`CompiledRule.derive`
+wherever it would have called the definition's interpreted rule bodies.
+
+An evaluator always reads the *whole window* and is called once per
+query.  What the incremental engine re-derives — the head, the tail,
+the bands around late arrivals and upstream changes, the dirty
+groundings — reaches it as a :class:`RowSelection`: the predicate
+arrays are computed once and the selection picks the rows whose points
+are emitted.  The incremental contract licenses that: a point at ``t``
+is a function of the inputs in ``(t - lookback, t + lookahead]``, so
+evaluating over any superset inside the window gives the same point.
 
 Parity is the hard constraint, enforced by the golden-trace and
 Hypothesis differential suites: a compiled body must yield exactly the
-point multiset the interpreted body would.  Two practices keep that
-true:
+points the interpreted body would, in an order that sorts to the same
+result.  Three practices keep that true:
 
 * every emitted time coordinate is converted to a Python ``int``
   (``numpy`` scalars would leak into snapshots and serialise
   differently);
-* payload construction always reads the *original* objects
-  (:meth:`~repro.core.columns.MirrorView.item`), never round-trips
-  through ``float64`` — an integer payload field must stay an integer.
+* payload construction always reads the *original* records
+  (:attr:`~repro.core.columns.ColumnMirror.items`), never round-trips
+  through ``float64`` — an integer payload field must stay an integer;
+* points are emitted in the interpreter's order — the rows of
+  ``ctx.events(...)``, and within a bus report the order of
+  :meth:`~repro.core.geo.SpatialGrid.near` — part by part of the
+  selection, which is the order the engine's per-segment evaluation of
+  an interpreted body produces.
 
-Anything these shapes can't express (spatial joins, fluent-dependent
-bodies, count thresholds over interval algebra) simply stays on the
-interpreter; :meth:`repro.core.rules.Definition.compiled` returns
-``None`` and the engine counts the evaluation as a fallback.
+Anything these shapes can't express (fluent-dependent bodies over
+derived events, pairwise geo comparison, interval algebra) simply stays
+on the interpreter; :meth:`repro.core.rules.Definition.compiled`
+returns ``None`` and the engine counts the evaluation as a fallback.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import Any, Optional
+from collections.abc import Callable, Mapping, Sequence
+from typing import Any, Hashable, Optional
 
 import numpy as np
 
-from .columns import ColumnSpec
+from .columns import ColumnMirror, ColumnSpec, ragged_index
 from .events import Occurrence
+from .incremental import RangeSet
 
 #: Columnar layout of the SCATS ``traffic`` SDE: the two measurements
 #: as numeric columns, the sensor identity as the grounding token.
@@ -50,31 +64,103 @@ TRAFFIC_COLUMNS = ColumnSpec(
 #: Columnar layout of the bus ``move`` SDE.
 MOVE_COLUMNS = ColumnSpec(numeric=("delay",), token=("bus",))
 
+#: Columnar layout of the ``gps`` input fluent paired with each
+#: ``move``; the grounding token of a fact is its key, ``(bus,)``.
+GPS_COLUMNS = ColumnSpec(numeric=("lon", "lat", "congestion"))
+
+
+def _as_is(token):
+    return token
+
+
+def _bus_token(bus) -> tuple:
+    """The ``move``/``gps`` grounding token of a bus."""
+    return (bus,)
+
+
+class RowSelection:
+    """The rows of a window the engine wants points for, in parts.
+
+    ``segments`` are disjoint ascending time ranges (inclusive); rows
+    of a ``dirty`` grounding form one more part, whatever their time,
+    and belong to no segment.  Evaluators emit a part's points
+    together, parts in order — what evaluating segment by segment and
+    then the dirty groundings would produce.
+    """
+
+    __slots__ = ("segments", "dirty")
+
+    def __init__(
+        self, segments: Sequence[tuple[int, int]], dirty: set[Hashable]
+    ):
+        self.segments = segments
+        self.dirty = dirty
+
+    def parts(
+        self, columns: ColumnMirror, token_of: Callable = _as_is
+    ) -> np.ndarray:
+        """Per row of ``columns`` the index of its part, ``-1`` for a
+        row that is not selected.  ``token_of`` maps a dirty grounding
+        (as the definition's partition functions name it) to the
+        columns' grounding token."""
+        part = RangeSet(self.segments).index(columns.times)
+        if self.dirty:
+            tokens = columns.tokens
+            is_dirty = np.zeros(len(tokens.tokens), dtype=bool)
+            codes = [tokens.get(token_of(token)) for token in self.dirty]
+            is_dirty[[c for c in codes if c is not None]] = True
+            part[is_dirty[columns.codes]] = len(self.segments)
+        return part
+
+
+def _emission_order(
+    selection: Optional[RowSelection],
+    columns: ColumnMirror,
+    anchors: np.ndarray,
+    token_of: Callable = _as_is,
+) -> np.ndarray:
+    """Which candidate points to emit, and in what order.
+
+    ``anchors[i]`` is the row candidate point ``i`` sits at (its time
+    and grounding are the row's); candidates come in the interpreter's
+    order.  Returns positions into ``anchors``: every candidate when
+    there is no selection, else the selected ones grouped by part."""
+    if selection is None:
+        return np.arange(len(anchors))
+    part = selection.parts(columns, token_of)[anchors]
+    kept = np.flatnonzero(part >= 0)
+    return kept[np.argsort(part[kept], kind="stable")]
+
 
 class CompiledRule:
     """A vectorised drop-in for one definition's rule bodies.
 
-    ``columns`` declares, per input event type, the
-    :class:`~repro.core.columns.ColumnSpec` the evaluator reads — the
-    engine uses it to pre-declare working-memory mirrors so the arrays
-    are maintained incrementally rather than rebuilt per query.
+    ``columns`` declares, per ``(kind, name)`` input — ``("event",
+    type)`` or ``("fact", fluent)`` — the
+    :class:`~repro.core.columns.ColumnSpec` the evaluator reads; the
+    engine uses it to have the working memory keep those rows as
+    arrays, fed what is admitted instead of rebuilt per query.
     ``derive`` returns the same stream dict
     :meth:`repro.core.rtec.RTEC._extract_streams` would
     (``{"occ": [...]}`` or ``{"init": [...], "term": [...]}``).
 
     Instances are constructed once per engine with thresholds bound
-    from the engine's parameters, hold only plain values, and must
-    remain picklable (engines ship to process-pool workers whole).
+    from the engine's parameters, hold only plain values (and the
+    topology their definition holds), and must remain picklable:
+    engines are checkpointed, and shipped to the shard workers, whole.
     """
 
-    columns: Mapping[str, ColumnSpec] = {}
+    columns: Mapping[tuple[str, str], ColumnSpec] = {}
 
-    def derive(self, ctx) -> dict[str, list[Any]]:
-        """Evaluate the rule body over the context's columnar views.
+    def derive(
+        self, ctx, selection: Optional[RowSelection] = None
+    ) -> dict[str, list[Any]]:
+        """Evaluate the rule body over the context's window columns.
 
         Returns the interpreter-shaped stream dict — ``{"occ": [...]}``
         for derived events, ``{"init": [...], "term": [...]}`` for
-        fluents — with every emitted time a Python ``int``.
+        fluents — with every emitted time a Python ``int``: every point
+        of the window, or with a ``selection`` the points at its rows.
         """
         raise NotImplementedError
 
@@ -87,29 +173,30 @@ class CompiledScatsCongestion(CompiledRule):
     out of a single boolean mask.
     """
 
-    columns = {"traffic": TRAFFIC_COLUMNS}
+    columns = {("event", "traffic"): TRAFFIC_COLUMNS}
 
     def __init__(self, density_hi: float, flow_lo: float):
         self.density_hi = density_hi
         self.flow_lo = flow_lo
 
-    def derive(self, ctx) -> dict[str, list[Any]]:
-        """One boolean mask over the batch; ``init`` where it holds,
+    def derive(self, ctx, selection=None) -> dict[str, list[Any]]:
+        """One boolean mask over the window; ``init`` where it holds,
         ``term`` where it does not."""
         view = ctx.events_columns("traffic", TRAFFIC_COLUMNS)
-        if not view.n:
-            return {"init": [], "term": []}
-        mask = (view.col("density") >= self.density_hi) & (
-            view.col("flow") <= self.flow_lo
-        )
-        tokens = view.tokens
-        times = view.times_list
-        init = [
-            (tokens[i], times[i]) for i in np.flatnonzero(mask).tolist()
-        ]
-        term = [
-            (tokens[i], times[i]) for i in np.flatnonzero(~mask).tolist()
-        ]
+        init: list[Any] = []
+        term: list[Any] = []
+        if view.n:
+            rows = _emission_order(selection, view, np.arange(view.n))
+            congested = (view.col("density") >= self.density_hi) & (
+                view.col("flow") <= self.flow_lo
+            )
+            table = view.tokens.tokens
+            for code, time, holds in zip(
+                view.codes[rows].tolist(),
+                view.times[rows].tolist(),
+                congested[rows].tolist(),
+            ):
+                (init if holds else term).append((table[code], time))
         return {"init": init, "term": term}
 
 
@@ -122,7 +209,7 @@ class CompiledTrafficRegime(CompiledRule):
     ``np.where``.
     """
 
-    columns = {"traffic": TRAFFIC_COLUMNS}
+    columns = {("event", "traffic"): TRAFFIC_COLUMNS}
 
     #: Must match :attr:`repro.core.traffic.scats.TrafficRegime.REGIMES`.
     REGIMES = ("free", "synchronized", "congested")
@@ -131,24 +218,28 @@ class CompiledTrafficRegime(CompiledRule):
         self.density_hi = density_hi
         self.synchronized_density = synchronized_density
 
-    def derive(self, ctx) -> dict[str, list[Any]]:
+    def derive(self, ctx, selection=None) -> dict[str, list[Any]]:
         """Band-classify every reading; each row initiates its regime
         value (valued-fluent semantics need no terminations)."""
         view = ctx.events_columns("traffic", TRAFFIC_COLUMNS)
         if not view.n:
             return {"init": [], "term": []}
-        density = view.col("density")
+        rows = _emission_order(selection, view, np.arange(view.n))
+        density = view.col("density")[rows]
         band = np.where(
             density >= self.density_hi,
             2,
             np.where(density >= self.synchronized_density, 1, 0),
-        ).tolist()
-        tokens = view.tokens
-        times = view.times_list
+        )
+        table = view.tokens.tokens
         regimes = self.REGIMES
         init = [
-            (tokens[i], regimes[band[i]], times[i])
-            for i in range(view.n)
+            (table[code], regimes[b], time)
+            for code, b, time in zip(
+                view.codes[rows].tolist(),
+                band.tolist(),
+                view.times[rows].tolist(),
+            )
         ]
         return {"init": init, "term": []}
 
@@ -156,14 +247,14 @@ class CompiledTrafficRegime(CompiledRule):
 class CompiledTrafficTrend(CompiledRule):
     """Monotone-run detection over each sensor's consecutive readings.
 
-    All tokens are evaluated in ONE flattened pass: the per-token row
-    groups are concatenated, the reading steps become a single
-    ``np.diff`` with the steps that cross a token boundary masked out,
-    and a trend initiation is a window of ``k`` consecutive qualifying
-    steps found with a cumulative-sum window count (a boundary step
-    inside a window forces the count below ``k``, so runs can never
-    leak across tokens).  A termination is any in-token step that
-    breaks the direction.  Per-token numpy calls would drown the
+    All tokens are evaluated in ONE flattened pass: the rows are
+    grouped by token with a stable sort, the reading steps become a
+    single ``np.diff`` with the steps that cross a token boundary
+    masked out, and a trend initiation is a window of ``k`` consecutive
+    qualifying steps found with a cumulative-sum window count (a
+    boundary step inside a window forces the count below ``k``, so runs
+    can never leak across tokens).  A termination is any in-token step
+    that breaks the direction.  Per-token numpy calls would drown the
     vector win in call overhead — windows here contain only tens of
     readings per sensor.
 
@@ -172,84 +263,237 @@ class CompiledTrafficTrend(CompiledRule):
     falling windows with the rising ones.
     """
 
-    columns = {"traffic": TRAFFIC_COLUMNS}
+    columns = {("event", "traffic"): TRAFFIC_COLUMNS}
 
     def __init__(self, quantity: str, k: int, delta: float):
         self.quantity = quantity
         self.k = k
         self.delta = delta
 
-    def derive(self, ctx) -> dict[str, list[Any]]:
+    def derive(self, ctx, selection=None) -> dict[str, list[Any]]:
         """Flattened diff/run-window pass over every token at once,
         emitting rising/falling trend initiations and direction-break
         terminations."""
         view = ctx.events_columns("traffic", TRAFFIC_COLUMNS)
-        init: list[Any] = []
-        term: list[Any] = []
-        if not view.n:
-            return {"init": init, "term": term}
-        groups = [
-            (token, rows)
-            for token, rows in view.token_rows().items()
-            if len(rows) >= 2
-        ]
-        if not groups:
-            return {"init": init, "term": term}
+        out: dict[str, list[Any]] = {"init": [], "term": []}
+        if view.n < 2:
+            return out
         k = self.k
         delta = self.delta
-        rising_keys = [token + ("rising",) for token, _ in groups]
-        falling_keys = [token + ("falling",) for token, _ in groups]
-        lengths = np.fromiter(
-            (len(rows) for _, rows in groups), np.int64, count=len(groups)
+        # Tokens in the order the window first shows them, each with
+        # its rows in window order.
+        _, first, group = np.unique(
+            view.codes, return_index=True, return_inverse=True
         )
-        order = np.concatenate([rows for _, rows in groups])
-        vals = view.col(self.quantity)[order]
-        times = view.times[order].tolist()
-        #: Group index of each flattened element (and of each in-token
-        #: step, which starts at that element).
-        element_group = np.repeat(
-            np.arange(len(groups)), lengths
-        ).tolist()
-        steps = np.diff(vals)
-        valid = np.ones(len(steps), dtype=bool)
-        last = np.cumsum(lengths) - 1
-        if len(last) > 1:
-            valid[last[:-1]] = False  # steps crossing a token boundary
+        group = np.argsort(np.argsort(first))[group]
+        order = np.argsort(group, kind="stable")
+        group = group[order]
+        steps = np.diff(view.col(self.quantity)[order])
+        valid = group[1:] == group[:-1]  # steps inside one token
         rising = (steps >= delta) & valid
         falling = (steps <= -delta) & valid
         # Terminations: any in-token step that fails a direction's
         # bound terminates that direction at the later reading.
-        for j in np.flatnonzero(valid & ~rising).tolist():
-            term.append((rising_keys[element_group[j]], times[j + 1]))
-        for j in np.flatnonzero(valid & ~falling).tolist():
-            term.append((falling_keys[element_group[j]], times[j + 1]))
+        candidates = {
+            "term": (
+                np.flatnonzero(valid & ~rising) + 1,
+                np.flatnonzero(valid & ~falling) + 1,
+            )
+        }
         # Initiations: k consecutive qualifying steps, anchored at the
         # reading that completes the run.  Window counts via cumsum:
         # sums[j] = qualifying steps among steps[j .. j+k-1].
-        if k < 1 or len(steps) < k:
-            return {"init": init, "term": term}
-        cs_r = np.concatenate(([0], np.cumsum(rising)))
-        cs_f = np.concatenate(([0], np.cumsum(falling)))
-        rising_runs = (cs_r[k:] - cs_r[:-k]) == k
-        falling_runs = (cs_f[k:] - cs_f[:-k]) == k
-        falling_runs &= ~rising_runs
-        for j in np.flatnonzero(rising_runs).tolist():
-            init.append((rising_keys[element_group[j]], times[j + k]))
-        for j in np.flatnonzero(falling_runs).tolist():
-            init.append((falling_keys[element_group[j]], times[j + k]))
-        return {"init": init, "term": term}
+        if 1 <= k <= len(steps):
+            cs_r = np.concatenate(([0], np.cumsum(rising)))
+            cs_f = np.concatenate(([0], np.cumsum(falling)))
+            rising_runs = (cs_r[k:] - cs_r[:-k]) == k
+            falling_runs = (cs_f[k:] - cs_f[:-k]) == k
+            falling_runs &= ~rising_runs
+            candidates["init"] = (
+                np.flatnonzero(rising_runs) + k,
+                np.flatnonzero(falling_runs) + k,
+            )
+        table = view.tokens.tokens
+        for stream, (rise, fall) in candidates.items():
+            # Candidate points as flattened positions, the rising ones
+            # first; the row of each anchors it in the selection.
+            at = order[np.concatenate((rise, fall))]
+            direction = ["rising"] * len(rise) + ["falling"] * len(fall)
+            emit = _emission_order(selection, view, at)
+            out[stream] = [
+                (table[code] + (direction[i],), time)
+                for i, code, time in zip(
+                    emit.tolist(),
+                    view.codes[at[emit]].tolist(),
+                    view.times[at[emit]].tolist(),
+                )
+            ]
+        return out
+
+
+# ----------------------------------------------------------------------
+# The bus-report family
+# ----------------------------------------------------------------------
+class HoldsAtIndex:
+    """``holdsAt`` of one boolean fluent for arrays of ``(grounding,
+    time)`` probes.
+
+    The fluent's maximal intervals are flattened into arrays sorted by
+    ``(grounding code, start)``; a probe finds the last interval of
+    its grounding starting at or before its time with one
+    ``searchsorted`` over integer keys and tests the interval's end.
+    ``code_of`` maps a fluent grounding to the integer the probes use
+    (``None``: a grounding no probe can name).
+    """
+
+    __slots__ = ("_owner", "_start", "_end", "_open")
+
+    def __init__(self, fluent: Mapping, code_of: Callable):
+        owner, start, end = [], [], []
+        for key, intervals in fluent.items():
+            code = code_of(key)
+            if code is None:
+                continue
+            for a, b in intervals:
+                owner.append(code)
+                start.append(a)
+                end.append(b)
+        order = np.lexsort((start, owner))
+        self._owner = np.array(owner, dtype=np.int64)[order]
+        self._start = np.array(start, dtype=np.int64)[order]
+        self._open = np.array([b is None for b in end], dtype=bool)[order]
+        self._end = np.array([b or 0 for b in end], dtype=np.int64)[order]
+
+    def probe(self, codes: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Whether the fluent holds for ``codes[i]`` at ``times[i]``."""
+        if not len(self._owner) or not len(times):
+            return np.zeros(len(times), dtype=bool)
+        # One integer key per (grounding, time): times shifted into
+        # [0, span) so a grounding's keys never reach the next one's.
+        lo = min(int(self._start.min()), int(times.min()))
+        hi = max(int(self._end.max()), int(times.max()) + 1)
+        span = hi - lo + 1
+        start_keys = self._owner * span + (self._start - lo)
+        end_keys = self._owner * span + (
+            np.where(self._open, hi, self._end) - lo
+        )
+        keys = codes * span + (times - lo)
+        at = np.searchsorted(start_keys, keys, "right") - 1
+        # An interval of another grounding ends below this one's keys.
+        return (at >= 0) & (keys < end_keys[np.maximum(at, 0)])
+
+
+def _holds_index(ctx, fluent: str, coding: Hashable, code_of: Callable):
+    """The context's :class:`HoldsAtIndex` of ``fluent`` under one
+    coding of its groundings, built on first use in the query."""
+    memo_key = ("__holds_at__", fluent, coding)
+    index = ctx.memo.get(memo_key)
+    if index is None:
+        index = ctx.memo[memo_key] = HoldsAtIndex(ctx.fluent(fluent), code_of)
+    return index
+
+
+class BusReports:
+    """The window's bus reports as one relation.
+
+    Every ``move`` row, in ``ctx.events("move")`` order, joined to the
+    first ``gps`` row with its ``(bus, time)`` — what
+    ``ctx.fact_at("gps", (bus,), time)`` finds — by one sort and one
+    ``searchsorted`` over integer ``(bus code, time)`` keys.  A
+    ``move`` whose ``gps`` is missing (dropped, or not arrived yet)
+    joins nothing and reports nothing.
+    """
+
+    __slots__ = ("move", "gps", "gps_row", "congestion", "_close")
+
+    def __init__(self, move: ColumnMirror, gps: ColumnMirror):
+        self.move = move
+        self.gps = gps
+        #: Per ``move`` row its ``gps`` row, ``-1`` for none, and the
+        #: congestion value that row reports (NaN for none).
+        self.gps_row = np.full(move.n, -1, dtype=np.int64)
+        self.congestion = np.full(move.n, np.nan)
+        self._close: dict[int, tuple] = {}
+        if not (move.n and gps.n):
+            return
+        lo = min(int(move.times[0]), int(gps.times[0]))
+        span = max(int(move.times[-1]), int(gps.times[-1])) - lo + 1
+        gps_keys = gps.codes * span + (gps.times - lo)
+        # Stable: of several gps rows of one key the first in
+        # (time, seq) order comes first, and the left search finds it.
+        order = np.argsort(gps_keys, kind="stable")
+        gps_keys = gps_keys[order]
+        move_keys = move.codes * span + (move.times - lo)
+        at = np.minimum(
+            np.searchsorted(gps_keys, move_keys, "left"), gps.n - 1
+        )
+        found = gps_keys[at] == move_keys
+        self.gps_row[found] = order[at[found]]
+        self.congestion[found] = gps.col("congestion")[self.gps_row[found]]
+
+    def close(self, topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``close/4`` join, per ``move`` row: ``(starts, lens,
+        intersections)`` — the row's position is close to the
+        intersections ``intersections[starts[i]:starts[i] + lens[i]]``
+        (positions in ``topology.ids()``), none for a row without
+        ``gps``.  Decided once per ``gps`` row, when it first shows up
+        here, and kept with the row from then on."""
+        joined = self._close.get(id(topology))
+        if joined is None:
+            gps = self.gps
+            lon, lat = gps.col("lon"), gps.col("lat")
+            starts, lens, pool = gps.ragged(
+                ("close", id(topology)),
+                lambda rows: topology.close_join(lon[rows], lat[rows]),
+            )
+            found = self.gps_row >= 0
+            move_starts = np.zeros(self.move.n, dtype=np.int64)
+            move_lens = np.zeros(self.move.n, dtype=np.int64)
+            move_starts[found] = starts[self.gps_row[found]]
+            move_lens[found] = lens[self.gps_row[found]]
+            joined = self._close[id(topology)] = (
+                move_starts, move_lens, pool
+            )
+        return joined
+
+
+def bus_reports(ctx) -> BusReports:
+    """The context's :class:`BusReports`, joined on first use in the
+    query and shared by every bus-side evaluator."""
+    reports = ctx.memo.get("__bus_reports__")
+    if reports is None:
+        reports = ctx.memo["__bus_reports__"] = BusReports(
+            ctx.events_columns("move", MOVE_COLUMNS),
+            ctx.facts_columns("gps", GPS_COLUMNS),
+        )
+    return reports
+
+
+def _report_pairs(reports: BusReports, topology, rows: np.ndarray):
+    """``(move row, intersection)`` per ``close`` pair of the given
+    ``move`` rows, rows in the order given and each row's
+    intersections in :meth:`~repro.core.geo.SpatialGrid.near`'s."""
+    starts, lens, pool = reports.close(topology)
+    lens = lens[rows]
+    return np.repeat(rows, lens), pool[ragged_index(starts[rows], lens)]
+
+
+_BUS_COLUMNS = {("event", "move"): MOVE_COLUMNS, ("fact", "gps"): GPS_COLUMNS}
 
 
 class CompiledDelayIncrease(CompiledRule):
     """Section 4.1's ``delayIncrease``: consecutive-pair deltas per bus.
 
-    The pair predicate (``0 < dt < t_max`` and ``delay step > d``)
-    vectorises per bus; only the (rare) hits fall back to Python for
-    the ``gps`` join and the payload, which is built from the original
-    event objects so integer delay fields survive untouched.
+    ONE flattened pass over all buses, the shape of
+    :class:`CompiledTrafficTrend`: rows grouped by bus code with a
+    stable sort, one ``np.diff`` each for times and delays with the
+    steps that cross a bus boundary masked out.  The pair predicate
+    (``0 < dt < t_max`` and ``delay step > d``) is a boolean mask; only
+    the (rare) hits reach Python, for the payload, which is built from
+    the original records so integer delay fields survive untouched.
     """
 
-    columns = {"move": MOVE_COLUMNS}
+    columns = _BUS_COLUMNS
 
     def __init__(
         self, name: str, delay_delta: float, delay_window: float
@@ -258,51 +502,187 @@ class CompiledDelayIncrease(CompiledRule):
         self.delay_delta = delay_delta
         self.delay_window = delay_window
 
-    def derive(self, ctx) -> dict[str, list[Any]]:
-        """Vectorised pair predicate per bus; hits join ``gps`` and
-        build occurrences from the original event objects."""
-        view = ctx.events_columns("move", MOVE_COLUMNS)
+    def derive(self, ctx, selection=None) -> dict[str, list[Any]]:
+        """Vectorised pair predicate over every bus at once; hits take
+        their ``gps`` positions from the shared move-gps join and
+        build occurrences from the original records."""
+        reports = bus_reports(ctx)
+        move = reports.move
         occ: list[Occurrence] = []
-        if not view.n:
+        if move.n < 2:
             return {"occ": occ}
-        delays = view.col("delay")
-        all_times = view.times
-        d = self.delay_delta
-        t_max = self.delay_window
-        for token, rows in view.token_rows().items():
-            if len(rows) < 2:
-                continue
-            times = all_times[rows]
-            dt = np.diff(times)
-            dd = np.diff(delays[rows])
-            hits = np.flatnonzero((dt > 0) & (dt < t_max) & (dd > d))
-            if not len(hits):
-                continue
-            bus = token[0]
-            rows_list = rows.tolist()
-            times_list = times.tolist()
-            for j in hits.tolist():
-                gps_prev = ctx.fact_at("gps", (bus,), times_list[j])
-                gps_cur = ctx.fact_at("gps", (bus,), times_list[j + 1])
-                if gps_prev is None or gps_cur is None:
-                    continue
-                prev_ev = view.item(rows_list[j])
-                cur_ev = view.item(rows_list[j + 1])
+        order = np.argsort(move.codes, kind="stable")
+        codes = move.codes[order]
+        dt = np.diff(move.times[order])
+        dd = np.diff(move.col("delay")[order])
+        gps_row = reports.gps_row[order]
+        hits = np.flatnonzero(
+            (codes[1:] == codes[:-1])
+            & (dt > 0)
+            & (dt < self.delay_window)
+            & (dd > self.delay_delta)
+            & (gps_row[1:] >= 0)
+            & (gps_row[:-1] >= 0)
+        )
+        # A hit is anchored at its later move.
+        hits = hits[
+            _emission_order(selection, move, order[hits + 1], _bus_token)
+        ]
+        moves, fixes = move.items, reports.gps.items
+        for prev, cur, gps_prev, gps_cur, time in zip(
+            order[hits].tolist(),
+            order[hits + 1].tolist(),
+            gps_row[hits].tolist(),
+            gps_row[hits + 1].tolist(),
+            move.times[order[hits + 1]].tolist(),
+        ):
+            prev_ev, cur_ev = moves[prev], moves[cur]
+            gps_prev, gps_cur = fixes[gps_prev].value, fixes[gps_cur].value
+            bus = cur_ev["bus"]
+            occ.append(
+                Occurrence(
+                    self.name,
+                    (bus,),
+                    time,
+                    {
+                        "bus": bus,
+                        "from_lon": gps_prev["lon"],
+                        "from_lat": gps_prev["lat"],
+                        "lon": gps_cur["lon"],
+                        "lat": gps_cur["lat"],
+                        "delay_increase": (
+                            cur_ev["delay"] - prev_ev["delay"]
+                        ),
+                    },
+                )
+            )
+        return {"occ": occ}
+
+
+class CompiledBusComparison(CompiledRule):
+    """``disagree`` / ``agree`` (Section 4.3): a bus close to a SCATS
+    intersection contradicts or confirms its sensors.
+
+    Both are the same comparison with opposite sign: per ``close`` pair
+    of the shared bus-report relation, the bus's congestion value (its
+    truthiness, as the interpreted body reads it) against
+    ``holdsAt(scatsIntCongestion(Int) = true, T)``, probed for all
+    pairs at once.  An ``Occurrence`` is built only for a pair that
+    fires.
+    """
+
+    columns = _BUS_COLUMNS
+
+    def __init__(
+        self, name: str, topology, scats_fluent: str, *, agree: bool
+    ):
+        self.name = name
+        self.topology = topology
+        self.scats_fluent = scats_fluent
+        self.agree = agree
+
+    def derive(self, ctx, selection=None) -> dict[str, list[Any]]:
+        """The comparison over the selected reports' ``close`` pairs;
+        occurrences in report order, then ``near``'s order."""
+        reports = bus_reports(ctx)
+        move = reports.move
+        occ: list[Occurrence] = []
+        if not move.n:
+            return {"occ": occ}
+        topology = self.topology
+        rows = _emission_order(
+            selection, move, np.arange(move.n), _bus_token
+        )
+        rows, intersections = _report_pairs(reports, topology, rows)
+        times = move.times[rows]
+        scats_says = _holds_index(
+            ctx,
+            self.scats_fluent,
+            id(topology),
+            lambda key: topology.index_of(key[0]),
+        ).probe(intersections, times)
+        bus_says = reports.congestion[rows] != 0
+        fires = np.flatnonzero(
+            bus_says == scats_says if self.agree else bus_says != scats_says
+        )
+        ids = topology.ids()
+        moves = move.items
+        name = self.name
+        for row, i, time, says in zip(
+            rows[fires].tolist(),
+            intersections[fires].tolist(),
+            times[fires].tolist(),
+            bus_says[fires].tolist(),
+        ):
+            bus = moves[row]["bus"]
+            int_id = ids[i]
+            if self.agree:
                 occ.append(
                     Occurrence(
-                        self.name,
+                        name,
                         (bus,),
-                        times_list[j + 1],
-                        {
-                            "bus": bus,
-                            "from_lon": gps_prev["lon"],
-                            "from_lat": gps_prev["lat"],
-                            "lon": gps_cur["lon"],
-                            "lat": gps_cur["lat"],
-                            "delay_increase": (
-                                cur_ev["delay"] - prev_ev["delay"]
-                            ),
-                        },
+                        time,
+                        {"bus": bus, "intersection": int_id},
                     )
                 )
+                continue
+            lon, lat = topology.location(int_id)
+            occ.append(
+                Occurrence(
+                    name,
+                    (bus, int_id),
+                    time,
+                    {
+                        "bus": bus,
+                        "intersection": int_id,
+                        "lon": lon,
+                        "lat": lat,
+                        # veracity.POSITIVE / veracity.NEGATIVE
+                        "value": "positive" if says else "negative",
+                    },
+                )
+            )
         return {"occ": occ}
+
+
+class CompiledBusCongestion(CompiledRule):
+    """Rule-sets (3) and (3′): ``busCongestion`` at every intersection
+    a report is ``close`` to — initiated by a congestion value of 1,
+    terminated by 0, anything else ignored; with a ``noisy_fluent``
+    the reports of a bus are discarded while ``noisy(Bus)`` holds,
+    probed for all reports at once.
+    """
+
+    columns = _BUS_COLUMNS
+
+    def __init__(self, topology, noisy_fluent: Optional[str]):
+        self.topology = topology
+        self.noisy_fluent = noisy_fluent
+
+    def derive(self, ctx, selection=None) -> dict[str, list[Any]]:
+        """Initiations and terminations at the ``close`` pairs of the
+        selected, trusted reports."""
+        reports = bus_reports(ctx)
+        move = reports.move
+        out: dict[str, list[Any]] = {"init": [], "term": []}
+        if not move.n:
+            return out
+        rows = _emission_order(selection, move, np.arange(move.n))
+        if self.noisy_fluent is not None:
+            noisy = _holds_index(
+                ctx, self.noisy_fluent, "token", move.tokens.get
+            ).probe(move.codes[rows], move.times[rows])
+            rows = rows[~noisy]
+        congestion = reports.congestion[rows]
+        ids = self.topology.ids()
+        for stream, value in (("init", 1), ("term", 0)):
+            at, intersections = _report_pairs(
+                reports, self.topology, rows[congestion == value]
+            )
+            out[stream] = [
+                ((ids[i],), time)
+                for i, time in zip(
+                    intersections.tolist(), move.times[at].tolist()
+                )
+            ]
+        return out

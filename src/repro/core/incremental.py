@@ -52,6 +52,7 @@ from .columns import (
     ColumnMirror,
     ColumnSpec,
     SDEColumns,
+    TokenCodes,
     block_rows,
     build_records,
 )
@@ -156,21 +157,12 @@ class TimedColumn:
     the lists the legacy engine builds per query.
     """
 
-    __slots__ = ("order", "times", "items", "evictions", "mutations",
-                 "mirror")
+    __slots__ = ("order", "times", "items")
 
     def __init__(self) -> None:
         self.order: list[tuple[int, int]] = []
         self.times: list[int] = []
         self.items: list[Any] = []
-        #: cumulative count of evicted items — lets a columnar mirror
-        #: advance its dead-prefix offset without diffing the list.
-        self.evictions = 0
-        #: count of out-of-order inserts — a change invalidates any
-        #: mirror's incremental state (rows moved mid-column).
-        self.mutations = 0
-        #: lazily attached :class:`~repro.core.columns.ColumnMirror`.
-        self.mirror: Optional[ColumnMirror] = None
 
     def insert(self, time: int, seq: int, item: Any) -> None:
         """Insert an item at its ``(time, seq)`` position."""
@@ -186,7 +178,6 @@ class TimedColumn:
         order.insert(i, key)
         self.times.insert(i, time)
         self.items.insert(i, item)
-        self.mutations += 1
 
     def evict(self, horizon: int) -> None:
         """Drop every item with occurrence time ``<= horizon``."""
@@ -195,21 +186,10 @@ class TimedColumn:
             del self.order[:cut]
             del self.times[:cut]
             del self.items[:cut]
-            self.evictions += cut
-
-    def mirror_for(self, spec: ColumnSpec) -> ColumnMirror:
-        """The columnar mirror of this column under ``spec``, created
-        on first use (callers :meth:`~ColumnMirror.sync` it)."""
-        mirror = self.mirror
-        if mirror is None or mirror.spec != spec:
-            mirror = self.mirror = ColumnMirror(self, spec)
-        return mirror
 
     # Checkpoint fast path: serialise items as compact rows (see
     # ``events.to_row``) so the pickler stays on its C path; ``times``
-    # is derivable from ``order`` and not stored.  Mirrors and their
-    # sync counters are process-local caches — dropped on pickle and
-    # rebuilt lazily after restore.
+    # is derivable from ``order`` and not stored.
     def __getstate__(self):
         return (self.order, [to_row(item) for item in self.items])
 
@@ -218,9 +198,6 @@ class TimedColumn:
         self.order = order
         self.times = [time for time, _ in order]
         self.items = [from_row(row) for row in rows]
-        self.evictions = 0
-        self.mutations = 0
-        self.mirror = None
 
     def bounds(self, lo: int, hi: int) -> tuple[int, int]:
         """Index bounds of the items with time in ``(lo, hi]``."""
@@ -361,10 +338,24 @@ class WorkingMemory:
         #: ``(arrival, seq)`` order with a cursor, no object per row.
         self._batches: list[PendingBatch] = []
         self._seq = 0
-        #: declared columnar layout per event type (merged across the
-        #: compiled rules reading the type); ``None`` marks a type
-        #: whose declarations conflicted — mirrors stay disabled for it.
-        self._column_specs: dict[str, Optional[ColumnSpec]] = {}
+        #: declared columnar layout per ``(kind, name)`` — ``("event",
+        #: type)`` or ``("fact", fluent name)`` — merged across the
+        #: compiled rules reading it; ``None`` marks one whose
+        #: declarations conflicted — no columns are kept for it.
+        self._column_specs: dict[
+            tuple[str, str], Optional[ColumnSpec]
+        ] = {}
+        #: The :class:`~.columns.ColumnMirror` of the declared types,
+        #: per kind and name, created when a compiled body first reads
+        #: them and from then on fed every admitted record — with the
+        #: token codes they share.  Process-local: not pickled, rebuilt
+        #: from the records on first use after a restore.
+        self._mirrors: dict[str, dict[str, ColumnMirror]] = {
+            "event": {}, "fact": {},
+        }
+        self.tokens = TokenCodes()
+        #: The left edge of the last :meth:`evict`.
+        self._horizon: Optional[int] = None
         #: Sequence number of the last item of the *initial input
         #: stream* (see :meth:`mark_stream_boundary`); 0 means no
         #: boundary was declared and streamless pickling is disabled.
@@ -441,22 +432,68 @@ class WorkingMemory:
             self._seq += batch.n
 
     # -- columnar mirror declarations ----------------------------------
-    def declare_columns(self, etype: str, spec: ColumnSpec) -> None:
+    def declare_columns(self, kind: str, name: str, spec: ColumnSpec) -> None:
         """Declare the columnar layout a compiled rule reads from an
-        event type.  Declarations from several rules merge by numeric
-        field union; conflicting grounding-token layouts disable the
-        mirror for the type (readers then build list-backed views)."""
-        if etype in self._column_specs:
-            current = self._column_specs[etype]
-            self._column_specs[etype] = (
+        event type (``kind="event"``) or an input fluent
+        (``kind="fact"``).  Declarations from several rules merge by
+        numeric field union; conflicting grounding-token layouts
+        disable the columns for it (readers then build them from the
+        object lists, per query)."""
+        key = (kind, name)
+        if key in self._column_specs:
+            current = self._column_specs[key]
+            self._column_specs[key] = (
                 None if current is None else current.merge(spec)
             )
         else:
-            self._column_specs[etype] = spec
+            self._column_specs[key] = spec
 
-    def column_spec_for(self, etype: str) -> Optional[ColumnSpec]:
-        """The merged declared spec of an event type (or ``None``)."""
-        return self._column_specs.get(etype)
+    def mirror(self, kind: str, name: str) -> Optional[ColumnMirror]:
+        """The mirror of a declared type — the window's rows as arrays
+        — brought up to date with what was admitted and evicted since
+        the last call (``None`` for an undeclared type)."""
+        spec = self._column_specs.get((kind, name))
+        if spec is None:
+            return None
+        mirror = self._mirrors[kind].get(name)
+        if mirror is None:
+            mirror = self._mirrors[kind][name] = ColumnMirror(
+                spec, kind == "fact", self.tokens
+            )
+            if kind == "fact":
+                stored = [
+                    column
+                    for (fname, _), column in self.facts.items()
+                    if fname == name
+                ]
+            else:
+                stored = [self.events[name]] if name in self.events else []
+            for column in stored:
+                mirror.fresh.extend(
+                    (time, seq, item)
+                    for (time, seq), item in zip(column.order, column.items)
+                )
+        mirror.sync(self._horizon)
+        return mirror
+
+    @property
+    def rows_encoded(self) -> int:
+        """Records encoded into the mirrors so far."""
+        return sum(
+            mirror.rows_encoded
+            for by_name in self._mirrors.values()
+            for mirror in by_name.values()
+        )
+
+    @property
+    def rows_close_decided(self) -> int:
+        """Rows a lazily joined column (the ``close`` join of the
+        ``gps`` positions) was computed for so far."""
+        return sum(
+            mirror.rows_ragged
+            for by_name in self._mirrors.values()
+            for mirror in by_name.values()
+        )
 
     # -- streamless checkpointing --------------------------------------
     def mark_stream_boundary(self) -> None:
@@ -582,6 +619,8 @@ class WorkingMemory:
             seqs, fact_flags = seqs[order], fact_flags[order]
             items = [item for chunk in due for item in chunk[3]]
             items = [items[i] for i in order.tolist()]
+        event_mirrors = self._mirrors["event"]
+        fact_mirrors = self._mirrors["fact"]
         for seq, is_fact, item in zip(
             seqs.tolist(), fact_flags.tolist(), items
         ):
@@ -599,6 +638,9 @@ class WorkingMemory:
                         self._group_insert(
                             by_key, item.key, item.time, seq, item
                         )
+                mirror = fact_mirrors.get(item.name)
+                if mirror is not None:
+                    mirror.fresh.append((item.time, seq, item))
                 new_facts.append(item)
             else:
                 column = self.events.get(item.type)
@@ -615,11 +657,15 @@ class WorkingMemory:
                             seq,
                             item,
                         )
+                mirror = event_mirrors.get(item.type)
+                if mirror is not None:
+                    mirror.fresh.append((item.time, seq, item))
                 new_events.append(item)
         return new_events, new_facts
 
     def evict(self, horizon: int) -> None:
         """Evict items that fell out of the window ``(horizon, Q]``."""
+        self._horizon = horizon
         for column in self.events.values():
             column.evict(horizon)
         for column in self.facts.values():
@@ -689,11 +735,11 @@ class RangeSet:
         i = bisect.bisect_right(self._starts, t) - 1
         return i >= 0 and t <= self._ends[i]
 
-    def mask(self, times: np.ndarray) -> np.ndarray:
-        """Vectorised membership: a boolean array marking which of
-        ``times`` fall inside any range (``__contains__``, batched)."""
+    def index(self, times: np.ndarray) -> np.ndarray:
+        """Per element of ``times`` the position of the range it falls
+        inside, ``-1`` for none."""
         if not self._starts:
-            return np.zeros(len(times), dtype=bool)
+            return np.full(len(times), -1, dtype=np.int64)
         idx = (
             np.searchsorted(
                 np.asarray(self._starts, dtype=np.int64), times, "right"
@@ -701,7 +747,14 @@ class RangeSet:
             - 1
         )
         ends = np.asarray(self._ends, dtype=np.int64)
-        return (idx >= 0) & (times <= ends[np.maximum(idx, 0)])
+        return np.where(
+            (idx >= 0) & (times <= ends[np.maximum(idx, 0)]), idx, -1
+        )
+
+    def mask(self, times: np.ndarray) -> np.ndarray:
+        """Vectorised membership: a boolean array marking which of
+        ``times`` fall inside any range (``__contains__``, batched)."""
+        return self.index(times) >= 0
 
 
 # ----------------------------------------------------------------------
@@ -717,28 +770,43 @@ def freeze(value: Any) -> Hashable:
     return value
 
 
-def changed_point_ranges(
-    old_pairs: Iterable[tuple[Hashable, int]],
-    new_pairs: Iterable[tuple[Hashable, int]],
-    lo: int,
-    hi: int,
-) -> list[TimeRange]:
-    """Time ranges where two point multisets differ, clipped to
-    ``[lo, hi]``.
+def _occurrence_token(occ) -> Hashable:
+    """Hashable identity of an occurrence for multiset diffing (the
+    payload mapping proxy itself is not hashable)."""
+    return (occ.type, occ.key, occ.time, freeze(occ.payload))
 
-    Each input is an iterable of ``(token, time)`` pairs where the
-    token identifies the point up to multiset equality (and embeds its
-    time, so every token maps to a single time-point).
+
+def changed_point_ranges(
+    old: Iterable[Any], new: Iterable[Any], lo: int, hi: int
+) -> list[TimeRange]:
+    """Time ranges where two multisets of occurrences differ, clipped
+    to ``[lo, hi]``.
+
+    The engine passes what a query *replaced* — the cached occurrences
+    it dropped and the ones it derived in their place — not the two
+    whole windows: a reused occurrence is the same object on both
+    sides.  Per time-point the two sides are first compared in order
+    (re-deriving unchanged inputs yields equal occurrences in the same
+    order); only where that fails are payloads frozen for a true
+    multiset comparison.
     """
-    counts: Counter = Counter()
-    time_of: dict[Hashable, int] = {}
-    for token, t in old_pairs:
-        counts[token] += 1
-        time_of[token] = t
-    for token, t in new_pairs:
-        counts[token] -= 1
-        time_of[token] = t
-    changed = {time_of[token] for token, c in counts.items() if c}
+    by_time: dict[int, tuple[list, list]] = {}
+    for side, points in enumerate((old, new)):
+        for pt in points:
+            sides = by_time.get(pt.time)
+            if sides is None:
+                sides = by_time[pt.time] = ([], [])
+            sides[side].append(pt)
+    changed = [
+        t
+        for t, (before, after) in by_time.items()
+        if len(before) != len(after)
+        or (
+            before != after
+            and Counter(map(_occurrence_token, before))
+            != Counter(map(_occurrence_token, after))
+        )
+    ]
     return merge_ranges(((t, t) for t in changed), lo, hi)
 
 

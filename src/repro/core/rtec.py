@@ -43,7 +43,8 @@ from typing import Any, Hashable, Optional
 
 import numpy as np
 
-from .columns import ColumnSource, SDEColumns
+from .columns import SDEColumns
+from .compiled import RowSelection
 from .events import Event, FluentFact, FluentKey, Occurrence
 from .incremental import (
     DefinitionState,
@@ -53,7 +54,6 @@ from .incremental import (
     WorkingMemory,
     changed_interval_ranges,
     changed_point_ranges,
-    freeze,
     merge_ranges,
 )
 from .intervals import EFFECT_DELAY, IntervalList, make_intervals
@@ -101,8 +101,11 @@ class RecognitionSnapshot:
         cache was partially invalidated (late arrivals or upstream
         changes).  All zero in legacy mode.
     compiled_evals / compiled_fallbacks:
-        Rule-compilation statistics: rule-body evaluations served by a
-        vectorised compiled evaluator, and evaluations of point-deriving
+        Rule-compilation statistics: rule-body evaluation requests —
+        one per full evaluation, and on a cache hit one per re-derived
+        segment plus one for the dirty groundings — served by a
+        vectorised compiled evaluator (which serves all of a query's
+        requests in one pass), and requests of point-deriving
         definitions that fell back to the interpreter (no compiled form
         exists for them).  Both zero when compilation is disabled.
     """
@@ -127,6 +130,12 @@ class RecognitionSnapshot:
     #: materialises a batch when it is fed).
     rows_materialised: int = 0
     rows_skipped_horizon: int = 0
+    #: Records this query encoded into the working memory's column
+    #: mirrors (each admitted record of a type a compiled rule reads,
+    #: once), and ``gps`` rows it decided the ``close`` join for (once
+    #: per row per engine).  Both zero in legacy mode.
+    mirror_rows_encoded: int = 0
+    close_rows_decided: int = 0
     #: CPU seconds spent per definition (profiling breakdown).
     per_definition: dict[str, float] = field(default_factory=dict)
 
@@ -139,6 +148,8 @@ class RecognitionSnapshot:
         "compiled_fallbacks": "rtec.compiled.fallbacks",
         "rows_materialised": "rtec.ingest.rows_materialised",
         "rows_skipped_horizon": "rtec.ingest.rows_skipped_horizon",
+        "mirror_rows_encoded": "rtec.mirror.rows_encoded",
+        "close_rows_decided": "rtec.close.rows_decided",
     }
 
     def record_counters(self, metrics) -> None:
@@ -161,15 +172,12 @@ class RecognitionSnapshot:
         return self.occurrences.get(name, [])
 
 
-def _occurrence_token(occ: Occurrence) -> Hashable:
-    """Hashable identity of an occurrence for multiset diffing (the
-    payload mapping proxy itself is not hashable)."""
-    return (occ.type, occ.key, occ.time, freeze(occ.payload))
-
-
 #: time coordinate of an occurrence, for binary-searching sorted
 #: occurrence streams (C-level accessor: the reuse scan is hot).
 _occurrence_time = operator.attrgetter("time")
+
+#: ``(time, key)``: the order occurrence streams are kept in.
+_occurrence_order = operator.attrgetter("time", "key")
 
 
 class RTEC:
@@ -262,31 +270,10 @@ class RTEC:
         self._wm = WorkingMemory() if self.incremental else None
         self._specs: dict[str, Optional[IncrementalSpec]] = {}
         self._states: dict[str, DefinitionState] = {}
-        if self.incremental:
-            for d in self._definitions:
-                spec = self._specs[d.name] = d.incremental_spec(self.params)
-                if (
-                    spec is None
-                    or spec.lookback is None
-                    or not spec.partitioned
-                ):
-                    continue
-                # Partitioned specs re-derive dirty groundings from a
-                # token-restricted context; registering their partition
-                # functions keeps the working memory pre-grouped so the
-                # context never needs a full-column scan.
-                for etype in spec.event_types:
-                    self._wm.register_event_partition(
-                        etype, spec.event_partition[etype]
-                    )
-                for fname in spec.fact_names:
-                    self._wm.register_fact_partition(
-                        fname, spec.fact_partition[fname]
-                    )
         # Rule compilation: definitions offering a vectorised evaluator
-        # get their bodies lowered; the working memory pre-declares the
-        # columnar layouts those evaluators read, so its mirrors are
-        # maintained incrementally alongside the object columns.
+        # get their bodies lowered; the working memory is told the
+        # columnar layouts those evaluators read, so it keeps those
+        # rows as arrays, fed what it admits.
         self.compiled_rules = bool(compiled)
         self._compiled: dict[str, Any] = {}
         if self.compiled_rules:
@@ -296,8 +283,32 @@ class RTEC:
                     continue
                 self._compiled[d.name] = rule
                 if self._wm is not None:
-                    for etype, cspec in rule.columns.items():
-                        self._wm.declare_columns(etype, cspec)
+                    for (kind, name), cspec in rule.columns.items():
+                        self._wm.declare_columns(kind, name, cspec)
+        if self.incremental:
+            for d in self._definitions:
+                spec = self._specs[d.name] = d.incremental_spec(self.params)
+                if (
+                    spec is None
+                    or spec.lookback is None
+                    or not spec.partitioned
+                    or d.name in self._compiled
+                ):
+                    continue
+                # Interpreted partitioned definitions re-derive dirty
+                # groundings from a token-restricted context;
+                # registering their partition functions keeps the
+                # working memory pre-grouped so the context never
+                # needs a full-column scan.  (A compiled body selects
+                # the dirty rows of the column mirrors instead.)
+                for etype in spec.event_types:
+                    self._wm.register_event_partition(
+                        etype, spec.event_partition[etype]
+                    )
+                for fname in spec.fact_names:
+                    self._wm.register_fact_partition(
+                        fname, spec.fact_partition[fname]
+                    )
         #: definitions some *other* definition depends on: only their
         #: output diffs feed downstream invalidation, so ``changed`` is
         #: computed for them alone (for sinks it would be dead work).
@@ -504,9 +515,7 @@ class RTEC:
                 snapshot.fluents[definition.name] = intervals
             elif isinstance(definition, DerivedEvent):
                 streams = self._extract_streams(definition, ctx, snapshot)
-                occurrences = sorted(
-                    streams["occ"], key=lambda o: (o.time, o.key)
-                )
+                occurrences = sorted(streams["occ"], key=_occurrence_order)
                 ctx._store_occurrences(definition.name, occurrences)
                 snapshot.occurrences[definition.name] = occurrences
             elif isinstance(definition, (SimpleFluent, ValuedFluent)):
@@ -539,6 +548,7 @@ class RTEC:
 
         wm = self._wm
         built, skipped = wm.rows_materialised, wm.rows_skipped_horizon
+        encoded, decided = wm.rows_encoded, wm.rows_close_decided
         new_events, new_facts = wm.admit(q, window_start)
         wm.evict(window_start)
         if previous is not None:
@@ -570,7 +580,7 @@ class RTEC:
             facts=facts_by_key,
             params=self.params,
             fact_times=fact_times,
-            columns=self._column_sources(),
+            columns=wm,
         )
 
         snapshot = RecognitionSnapshot(
@@ -582,8 +592,9 @@ class RTEC:
             rows_skipped_horizon=wm.rows_skipped_horizon - skipped,
         )
         #: restricted contexts built this query, shared across
-        #: definitions keyed by their (lo, hi] input range.
-        range_contexts: dict[tuple[int, int], RuleContext] = {}
+        #: definitions keyed by their (lo, hi] input range and the
+        #: input types they declare.
+        range_contexts: dict[tuple, RuleContext] = {}
         #: dirty-grounding contexts built this query, shared across
         #: definitions with identical declared inputs (and hence
         #: identical per-token slices of the working memory).
@@ -621,32 +632,37 @@ class RTEC:
                 state.stream_times = None
             elif isinstance(definition, DerivedEvent):
                 old = state.streams
-                streams = self._definition_streams(
+                #: only a consumed definition publishes where it changed
+                publishes = previous is not None and name in self._consumed
+                streams, replaced = self._definition_streams(
                     definition, state, ctx, q, window_start, previous,
                     late_events, late_facts, snapshot, range_contexts,
-                    token_contexts, occ_times,
+                    token_contexts, occ_times, track=publishes,
                 )
-                occurrences = sorted(
-                    streams["occ"], key=lambda o: (o.time, o.key)
-                )
+                occurrences = sorted(streams["occ"], key=_occurrence_order)
                 streams["occ"] = occurrences
                 ctx._store_occurrences(name, occurrences)
                 snapshot.occurrences[name] = occurrences
-                if previous is None or name not in self._consumed:
+                if not publishes:
                     state.changed = []
                 elif old is None:
                     state.changed = [(overlap_lo, previous)]
                 else:
+                    # Reused points are the same objects on both sides
+                    # and cannot differ: the diff runs over the cached
+                    # points that were dropped and the points that
+                    # were derived — all of them after a full
+                    # recomputation — both in stream order, so that
+                    # unchanged points meet their equals.
+                    dropped, derived = replaced or (old["occ"], occurrences)
                     state.changed = changed_point_ranges(
                         (
-                            (_occurrence_token(o), o.time)
-                            for o in old["occ"]
+                            o for o in dropped
                             if window_start < o.time <= previous
                         ),
-                        (
-                            (_occurrence_token(o), o.time)
-                            for o in occurrences
-                            if o.time <= previous
+                        sorted(
+                            (o for o in derived if o.time <= previous),
+                            key=_occurrence_order,
                         ),
                         overlap_lo,
                         previous,
@@ -654,7 +670,7 @@ class RTEC:
                 state.streams = streams
                 state.stream_times = None
             else:  # SimpleFluent / ValuedFluent
-                streams = self._definition_streams(
+                streams, _ = self._definition_streams(
                     definition, state, ctx, q, window_start, previous,
                     late_events, late_facts, snapshot, range_contexts,
                     token_contexts, occ_times,
@@ -685,6 +701,8 @@ class RTEC:
                 state.stream_times = None
             snapshot.per_definition[name] = _time.process_time() - d0
         snapshot.elapsed = _time.process_time() - t0
+        snapshot.mirror_rows_encoded = wm.rows_encoded - encoded
+        snapshot.close_rows_decided = wm.rows_close_decided - decided
 
         self._last_query = q
         return snapshot
@@ -743,9 +761,15 @@ class RTEC:
         range_contexts: dict[tuple[int, int], RuleContext],
         token_contexts: dict[Hashable, RuleContext],
         occ_times: dict[str, list[int]],
-    ) -> dict[str, list[Any]]:
+        track: bool = False,
+    ) -> tuple[dict[str, list[Any]], Optional[tuple[list, list]]]:
         """This query's output points, reusing the previous query's
         where the definition's incremental contract proves them stable.
+
+        Returns the streams and — for a derived event, when ``track``
+        is set and cached points were reused — what the reuse replaced:
+        the cached occurrences it dropped and the occurrences it
+        derived.  ``None`` there means everything was derived anew.
 
         The window splits into three regions around the cached points:
 
@@ -781,7 +805,7 @@ class RTEC:
         if not cacheable:
             if spec is not None and spec.lookback is not None:
                 snapshot.cache_misses += 1
-            return self._extract_streams(definition, ctx, snapshot)
+            return self._extract_streams(definition, ctx, snapshot), None
 
         # -- what changed since the previous query -----------------
         partitioned = spec.partitioned
@@ -823,8 +847,8 @@ class RTEC:
 
         band_set = RangeSet(bands)
         point_token = spec.point_partition
-        times = self._stream_times(definition)
         out: dict[str, list[Any]] = {s: [] for s in state.streams}
+        dropped: list[Any] = []
 
         # Middle: reuse cached points outside the invalidated bands.
         # The loops are specialised per definition kind — a cached
@@ -844,20 +868,20 @@ class RTEC:
                 hi_i = bisect.bisect_right(
                     cached_points, reuse_hi, lo=lo_i, key=_occurrence_time
                 )
+                if track:
+                    dropped += cached_points[:lo_i]
+                    dropped += cached_points[hi_i:]
                 if quiet:
                     out[sname] = cached_points[lo_i:hi_i]
                     continue
-                if not bands:
-                    for pt in cached_points[lo_i:hi_i]:
-                        if point_token(pt) not in dirty:
-                            kept.append(pt)
-                    continue
                 for pt in cached_points[lo_i:hi_i]:
-                    if pt.time in band_set:
-                        continue
-                    if dirty and point_token(pt) in dirty:
-                        continue
-                    kept.append(pt)
+                    if (bands and pt.time in band_set) or (
+                        dirty and point_token(pt) in dirty
+                    ):
+                        if track:
+                            dropped.append(pt)
+                    else:
+                        kept.append(pt)
                 continue
             # Fluent streams are unsorted point tuples; the time-range
             # and band filters run vectorised over a lazily built
@@ -889,67 +913,95 @@ class RTEC:
                     for i in np.flatnonzero(keep).tolist()
                 )
 
-        # Head, bands and tail: re-derive against a restricted context
-        # that contains every input a point in the segment can see.
-        for a, b in segments:
-            rctx = self._range_context(
-                max(a - lookback, window_start),
-                min(b + lookahead, q),
-                ctx,
-                range_contexts,
-            )
-            self._inject_upstream(rctx, definition, ctx, occ_times)
-            extracted = self._extract_streams(definition, rctx, snapshot)
+        n_reused = len(out.get("occ", ()))
+        rule = self._compiled.get(definition.name)
+        if rule is not None:
+            # A compiled body reads the whole window once and emits
+            # the points at the rows the segments and the dirty
+            # groundings select: no context, no call per segment.
+            # One evaluation request per part, as the loops below
+            # count them.
+            snapshot.compiled_evals += len(segments) + bool(dirty)
+            extracted = rule.derive(ctx, RowSelection(segments, dirty))
             for sname, points in extracted.items():
-                time_of = times[sname]
-                kept = out[sname]
-                for pt in points:
-                    t = time_of(pt)
-                    if t < a or t > b:
-                        continue
-                    if dirty and point_token(pt) in dirty:
-                        continue
-                    kept.append(pt)
-
-        # Dirty groundings: re-derive them over the whole window from
-        # a context restricted to their own inputs.
-        if dirty:
-            rctx = self._token_context(
-                spec, dirty, window_start, q, ctx, token_contexts
-            )
-            self._inject_upstream(rctx, definition, ctx, occ_times)
-            extracted = self._extract_streams(definition, rctx, snapshot)
-            for sname, points in extracted.items():
-                kept = out[sname]
-                for pt in points:
-                    if point_token(pt) in dirty:
+                out[sname] += points
+        else:
+            # An interpreted body runs per segment — head, bands, tail —
+            # against a restricted context that contains every input a
+            # point in the segment can see.
+            times = self._stream_times(definition)
+            for a, b in segments:
+                rctx = self._range_context(
+                    max(a - lookback, window_start),
+                    min(b + lookahead, q),
+                    spec,
+                    ctx,
+                    range_contexts,
+                )
+                self._inject_upstream(rctx, definition, ctx, occ_times)
+                extracted = self._extract_streams(definition, rctx, snapshot)
+                for sname, points in extracted.items():
+                    time_of = times[sname]
+                    kept = out[sname]
+                    for pt in points:
+                        t = time_of(pt)
+                        if t < a or t > b:
+                            continue
+                        if dirty and point_token(pt) in dirty:
+                            continue
                         kept.append(pt)
-        return out
+
+            # Dirty groundings: re-derive them over the whole window from
+            # a context restricted to their own inputs.
+            if dirty:
+                rctx = self._token_context(
+                    spec, dirty, window_start, q, ctx, token_contexts
+                )
+                self._inject_upstream(rctx, definition, ctx, occ_times)
+                extracted = self._extract_streams(definition, rctx, snapshot)
+                for sname, points in extracted.items():
+                    kept = out[sname]
+                    for pt in points:
+                        if point_token(pt) in dirty:
+                            kept.append(pt)
+        if not (track and derived):
+            return out, None
+        return out, (dropped, out["occ"][n_reused:])
 
     def _range_context(
         self,
         lo: int,
         hi: int,
+        spec: IncrementalSpec,
         ctx: RuleContext,
-        range_contexts: dict[tuple[int, int], RuleContext],
+        range_contexts: dict[tuple, RuleContext],
     ) -> RuleContext:
-        """A context over the inputs with occurrence time in
-        ``(lo, hi]``, sharing the full context's fluent results."""
-        rctx = range_contexts.get((lo, hi))
+        """A context over the inputs a definition declares
+        (``spec.event_types`` / ``spec.fact_names``) with occurrence
+        time in ``(lo, hi]``, sharing the full context's fluent
+        results."""
+        cache_key = (lo, hi, spec.event_types, spec.fact_names)
+        rctx = range_contexts.get(cache_key)
         if rctx is not None:
             return rctx
         events: dict[str, list[Event]] = {}
-        for etype, column in self._wm.events.items():
+        for etype in spec.event_types:
+            column = self._wm.events.get(etype)
+            if column is None:
+                continue
             i, j = column.bounds(lo, hi)
             if i < j:
                 events[etype] = column.items[i:j]
         facts: dict[tuple[str, FluentKey], list[FluentFact]] = {}
         fact_times: dict[tuple[str, FluentKey], list[int]] = {}
-        for fkey, column in self._wm.facts.items():
-            i, j = column.bounds(lo, hi)
-            if i < j:
-                facts[fkey] = column.items[i:j]
-                fact_times[fkey] = column.times[i:j]
+        if spec.fact_names:
+            for fkey, column in self._wm.facts.items():
+                if fkey[0] not in spec.fact_names:
+                    continue
+                i, j = column.bounds(lo, hi)
+                if i < j:
+                    facts[fkey] = column.items[i:j]
+                    fact_times[fkey] = column.times[i:j]
         rctx = RuleContext(
             window_start=lo,
             window_end=hi,
@@ -957,26 +1009,10 @@ class RTEC:
             facts=facts,
             params=self.params,
             fact_times=fact_times,
-            columns=self._column_sources(lo, hi),
         )
         rctx._fluents = ctx._fluents
-        range_contexts[(lo, hi)] = rctx
+        range_contexts[cache_key] = rctx
         return rctx
-
-    def _column_sources(
-        self, lo: Optional[int] = None, hi: Optional[int] = None
-    ) -> Optional[dict[str, ColumnSource]]:
-        """Deferred columnar views over the working-memory columns with
-        a declared layout (``None`` bounds mean the whole window).
-        Mirrors sync only when a compiled body actually reads them."""
-        if not self.compiled_rules:
-            return None
-        sources: dict[str, ColumnSource] = {}
-        for etype, column in self._wm.events.items():
-            spec = self._wm.column_spec_for(etype)
-            if spec is not None and column.items:
-                sources[etype] = ColumnSource(column, spec, lo, hi)
-        return sources
 
     def _token_context(
         self,

@@ -28,6 +28,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any, Callable, Optional
 
+from .columns import ColumnMirror, TokenCodes
 from .events import Event, FluentFact, FluentKey, Occurrence
 from .intervals import IntervalList
 
@@ -53,7 +54,7 @@ class RuleContext:
         fact_times: Optional[
             Mapping[tuple[str, FluentKey], Sequence[int]]
         ] = None,
-        columns: Optional[Mapping[str, Any]] = None,
+        columns: Optional[Any] = None,
     ):
         self.window_start = window_start
         self.window_end = window_end
@@ -68,9 +69,10 @@ class RuleContext:
             else {k: [f.time for f in fs] for k, fs in facts.items()}
         )
         self._params = params
-        # Columnar sources per event type, provided by the incremental
-        # engine over its working-memory mirrors; compiled rule bodies
-        # read them through :meth:`events_columns`.
+        # The incremental engine's working memory, which keeps the
+        # window's rows of the declared types as arrays; compiled rule
+        # bodies read them through :meth:`events_columns` and
+        # :meth:`facts_columns`.
         self._columns = columns
         self._occurrences: dict[str, list[Occurrence]] = {}
         self._fluents: dict[str, dict[FluentKey, IntervalList]] = {}
@@ -125,30 +127,54 @@ class RuleContext:
         return self._params[name]
 
     def events_columns(self, event_type: str, spec) -> Any:
-        """A columnar view over :meth:`events` of ``event_type``.
+        """The rows of :meth:`events` of ``event_type`` as arrays
+        (:class:`repro.core.columns.ColumnMirror`), in the same order.
 
         Compiled rule bodies call this instead of iterating event
-        objects.  When the engine attached a mirror-backed source for
-        the type (and its declared columns cover ``spec``), the view is
-        the struct-of-arrays mirror slice — no per-event Python work.
-        Otherwise a list-backed view is built from the object sequence
-        and memoised for the rest of the query, so every caller sees
-        the same rows as :meth:`events` in the same order.
+        objects.  When the engine's working memory keeps columns for
+        the type (and their declared layout covers ``spec``) those are
+        returned — no per-event Python work.  Otherwise they are built
+        from the object sequence and memoised for the rest of the
+        query.
         """
-        if self._columns is not None:
-            source = self._columns.get(event_type)
-            if source is not None:
-                view = source.view()
-                if view.covers(spec):
-                    return view
-        memo_key = ("__columns__", event_type, spec)
-        view = self.memo.get(memo_key)
-        if view is None:
-            from .columns import ListColumnView
+        return self._mirror("event", event_type, spec)
 
-            view = ListColumnView(self.events(event_type), spec)
-            self.memo[memo_key] = view
-        return view
+    def facts_columns(self, name: str, spec) -> Any:
+        """The facts of input fluent ``name`` inside the window — all
+        groundings together — as arrays, ordered by time and, within a
+        time-point, as :meth:`fact_at` would find them (the first fact
+        of a grounding at a time-point comes first)."""
+        return self._mirror("fact", name, spec)
+
+    def _mirror(self, kind: str, name: str, spec) -> Any:
+        memory = self._columns
+        if memory is not None:
+            columns = memory.mirror(kind, name)
+            if columns is not None and columns.covers(spec):
+                return columns
+        memo_key = ("__columns__", kind, name, spec)
+        columns = self.memo.get(memo_key)
+        if columns is None:
+            if kind == "fact":
+                records = [
+                    fact
+                    for (fname, _), facts in self._facts.items()
+                    if fname == name
+                    for fact in facts
+                ]
+            else:
+                records = self.events(name)
+            # One token table per context, so columns built here join
+            # with each other and with the working memory's.
+            tokens = (
+                memory.tokens
+                if memory is not None
+                else self.memo.setdefault("__tokens__", TokenCodes())
+            )
+            columns = self.memo[memo_key] = ColumnMirror.from_records(
+                records, spec, kind == "fact", tokens
+            )
+        return columns
 
     # -- intermediate results ------------------------------------------
     def derived(self, event_type: str) -> Sequence[Occurrence]:

@@ -31,7 +31,7 @@ from collections.abc import Iterable
 
 import math
 
-from ..compiled import CompiledDelayIncrease
+from ..compiled import CompiledBusCongestion, CompiledDelayIncrease
 from ..events import Event, FluentFact, FluentKey, Occurrence
 from ..geo import distance_m
 from ..incremental import IncrementalSpec
@@ -155,8 +155,8 @@ class DelayIncrease(DerivedEvent):
         )
 
     def compiled(self, params) -> CompiledDelayIncrease:
-        """Per-bus consecutive-pair deltas over the delay column; only
-        the hits pay for the Python-side ``gps`` join."""
+        """Consecutive-pair deltas of every bus in one pass over the
+        delay column; only the hits build a payload."""
         return CompiledDelayIncrease(
             self.name,
             params.get(
@@ -233,6 +233,14 @@ class BusCongestion(SimpleFluent):
             lookback=1,
             event_types=frozenset({"move"}),
             fact_names=frozenset({"gps"}),
+        )
+
+    def compiled(self, params) -> CompiledBusCongestion:
+        """Initiations and terminations over the shared bus-report
+        relation, the ``noisy`` filter of rule-set (3′) as one
+        vectorised ``holdsAt`` probe."""
+        return CompiledBusCongestion(
+            self._topology, self._noisy_fluent if self.adaptive else None
         )
 
 

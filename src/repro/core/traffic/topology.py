@@ -13,6 +13,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..geo import SpatialGrid, distance_m
 
 SensorKey = tuple  # (intersection, approach, sensor)
@@ -66,15 +68,20 @@ class ScatsTopology:
         #: the incremental engine), so the topology keeps the answer
         #: per position instead of re-probing the spatial grid.
         self._near_cache: dict[tuple[float, float], list[str]] = {}
+        #: Integer positions of the ids (:meth:`_positions`), built on
+        #: first use.
+        self._index = None
 
     # -- durability ----------------------------------------------------
     # The memoised ``close`` lookups grow with every distinct bus
     # position seen — hundreds of kilobytes over a long run — and are
     # recomputable from the spatial grid on demand.  Checkpoints drop
-    # the cache; the restored topology simply re-warms it.
+    # the cache (and the lazily built id index); the restored topology
+    # simply re-warms them.
     def __getstate__(self):
         state = dict(self.__dict__)
         state["_near_cache"] = {}
+        state["_index"] = None
         return state
 
     # ------------------------------------------------------------------
@@ -121,6 +128,35 @@ class ScatsTopology:
     def sensors_of(self, int_id: str) -> tuple[SensorKey, ...]:
         """Sensor keys mounted on an intersection."""
         return self._by_id[int_id].sensors
+
+    def _positions(self):
+        """``(id -> position in ids(), the grid's items as positions)``,
+        built on first use."""
+        if self._index is None:
+            position = {int_id: i for i, int_id in enumerate(self._by_id)}
+            self._index = (
+                position,
+                np.array(
+                    [position[i] for i in self._grid.indexed_items()],
+                    dtype=np.int64,
+                ),
+            )
+        return self._index
+
+    def index_of(self, int_id: str):
+        """Position of an intersection in :meth:`ids` (``None`` if
+        unknown) — the integer :meth:`close_join` reports."""
+        return self._positions()[0].get(int_id)
+
+    def close_join(self, lon, lat) -> tuple[np.ndarray, np.ndarray]:
+        """The ``close`` predicate of arrays of points against every
+        intersection, as a CSR pair ``(offsets, intersections)``:
+        point ``i`` is close to the intersections at positions
+        ``intersections[offsets[i]:offsets[i + 1]]`` of :meth:`ids`,
+        in :meth:`intersections_close_to`'s order and with its
+        decisions (:meth:`repro.core.geo.SpatialGrid.near_many`)."""
+        offsets, found = self._grid.near_many(lon, lat)
+        return offsets, self._positions()[1][found]
 
     def intersections_close_to(self, lon: float, lat: float) -> list[str]:
         """Ids of intersections the point is ``close`` to (the paper's

@@ -28,6 +28,7 @@ from collections.abc import Iterable, Mapping
 
 import math
 
+from ..compiled import CompiledBusComparison
 from ..events import Event, FluentKey, Occurrence
 from ..incremental import IncrementalSpec
 from ..intervals import IntervalList, relative_complement_all
@@ -171,6 +172,20 @@ class _BusScatsComparison(DerivedEvent):
             point_partition=_occ_bus,
         )
 
+    #: Whether the event fires on agreement (``agree``) or on
+    #: disagreement (``disagree``) of the two sources.
+    _fires_on_agreement: bool
+
+    def compiled(self, params) -> CompiledBusComparison:
+        """The comparison over the shared bus-report relation, the
+        SCATS fluent probed for every ``close`` pair at once."""
+        return CompiledBusComparison(
+            self.name,
+            self._topology,
+            self._scats_fluent,
+            agree=self._fires_on_agreement,
+        )
+
 
 class Disagree(_BusScatsComparison):
     """``disagree(Bus, LonInt, LatInt, Val)`` (Section 4.3).
@@ -180,6 +195,8 @@ class Disagree(_BusScatsComparison):
     the bus reports a congestion (the sensors do not) and ``negative``
     when the bus reports free flow (the sensors report congestion).
     """
+
+    _fires_on_agreement = False
 
     def __init__(
         self,
@@ -211,6 +228,8 @@ class Disagree(_BusScatsComparison):
 
 class Agree(_BusScatsComparison):
     """``agree(Bus)`` (Section 4.3): the bus confirms the sensors."""
+
+    _fires_on_agreement = True
 
     def __init__(
         self,

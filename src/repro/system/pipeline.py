@@ -487,21 +487,25 @@ class UrbanTrafficSystem:
                     self.flow_estimator.observe(node, flow, time)
         gps = data.columns.fact_block("gps")
         if self.config.ce_priors and gps is not None:
-            close_to = self.scenario.topology.intersections_close_to
-            reports: dict[str, tuple[list[int], list[int]]] = {}
-            for lon, lat, time, bit in zip(
-                gps.value_column("lon").tolist(),
-                gps.value_column("lat").tolist(),
-                gps.times.tolist(),
-                gps.value_column("congestion").tolist(),
-            ):
-                for int_id in close_to(lon, lat):
-                    times, bits = reports.setdefault(int_id, ([], []))
-                    times.append(time)
-                    bits.append(bit)
+            # The close/4 join of every report, as arrays: one
+            # (report, intersection) pair per hit, grouped by
+            # intersection with a stable sort, which keeps each
+            # group's reports in stream (time) order.
+            topology = self.scenario.topology
+            offsets, close_to = topology.close_join(
+                gps.value_column("lon"), gps.value_column("lat")
+            )
+            order = np.argsort(close_to, kind="stable")
+            report = np.repeat(np.arange(len(gps)), np.diff(offsets))[order]
+            times = gps.times[report]
+            bits = np.array(gps.value_column("congestion").tolist())[report]
+            cuts = np.searchsorted(
+                close_to[order], np.arange(len(topology) + 1)
+            ).tolist()
             self._bus_reports = {
-                int_id: (np.array(times), np.array(bits))
-                for int_id, (times, bits) in reports.items()
+                int_id: (times[lo:hi], bits[lo:hi])
+                for int_id, lo, hi in zip(topology.ids(), cuts, cuts[1:])
+                if lo < hi
             }
 
     def _disagreement_prior(self, int_id: str, q: int):

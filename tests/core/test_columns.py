@@ -4,10 +4,11 @@ Covers the three layers of ``repro.core.columns`` in isolation:
 
 * batch construction (``EventColumns`` / ``FactColumns`` /
   ``SDEColumns``) and its canonical row enumeration;
-* the working-memory :class:`ColumnMirror` sync protocol — append,
-  eviction, eviction overshoot and out-of-order rebuild;
-* the read views (``MirrorView`` / ``ListColumnView``) the compiled
-  evaluators consume.
+* the working memory's :class:`ColumnMirror` protocol — append,
+  eviction, rows admitted and evicted unseen, a delayed row sorted into
+  place — with every record encoded exactly once;
+* the read interface the compiled evaluators consume, fed by the
+  working memory or built from an object list.
 
 The end-to-end guarantees (identical recognition output) live in the
 golden-trace and Hypothesis parity suites.
@@ -21,11 +22,11 @@ from repro.core.columns import (
     ColumnSpec,
     EventColumns,
     FactColumns,
-    ListColumnView,
     SDEColumns,
+    TokenCodes,
 )
 from repro.core.events import Event, FluentFact
-from repro.core.incremental import PendingBatch, TimedColumn
+from repro.core.incremental import PendingBatch, WorkingMemory
 
 TRAFFIC = ColumnSpec(
     numeric=("density", "flow"),
@@ -183,102 +184,151 @@ def test_iter_events_matches_originals():
 
 
 # ----------------------------------------------------------------------
-# ColumnMirror sync protocol
+# ColumnMirror: the working memory's sync protocol
 # ----------------------------------------------------------------------
-def _filled_column(times):
-    column = TimedColumn()
-    for seq, t in enumerate(times):
-        column.insert(t, seq, _traffic_event(t, density=float(t)))
-    return column
+def _memory(*events):
+    """A working memory that keeps ``traffic`` columns, with ``events``
+    buffered (they are admitted by arrival time)."""
+    memory = WorkingMemory()
+    memory.declare_columns("event", "traffic", TRAFFIC)
+    _feed(memory, *events)
+    return memory
 
 
-def _synced_mirror(column):
-    mirror = column.mirror_for(TRAFFIC)
-    mirror.sync()
-    return mirror
+def _feed(memory, *events):
+    memory.buffer_columns(SDEColumns.from_sdes(events, []))
+
+
+def _columns(memory):
+    return memory.mirror("event", "traffic")
+
+
+def _at(t, **fields):
+    return _traffic_event(t, density=float(t), **fields)
 
 
 def test_mirror_appends_incrementally():
-    column = _filled_column([10, 20])
-    mirror = _synced_mirror(column)
-    view = mirror.live_view()
-    assert view.times_list == [10, 20]
-    version = mirror.version
-    column.insert(30, 2, _traffic_event(30, density=30.0))
-    mirror.sync()
-    view = mirror.live_view()
-    assert view.times_list == [10, 20, 30]
+    memory = _memory(_at(10), _at(20), _at(30))
+    memory.admit(20, 0)
+    assert _columns(memory).times.tolist() == [10, 20]
+    memory.admit(30, 0)
+    view = _columns(memory)
+    assert view.times.tolist() == [10, 20, 30]
     assert view.col("density").tolist() == [10.0, 20.0, 30.0]
-    assert mirror.version != version
+    # The third row was encoded alone, not the window again.
+    assert memory.rows_encoded == 3
 
 
 def test_mirror_tracks_eviction():
-    column = _filled_column([10, 20, 30])
-    mirror = _synced_mirror(column)
-    column.evict(15)
-    mirror.sync()
-    assert mirror.live_view().times_list == [20, 30]
+    memory = _memory(_at(10), _at(20), _at(30))
+    memory.admit(30, 0)
+    assert _columns(memory).n == 3
+    memory.evict(15)
+    view = _columns(memory)
+    assert view.times.tolist() == [20, 30]
+    assert [ev.time for ev in view.items] == [20, 30]
 
 
-def test_mirror_eviction_overshoot_rebuilds():
-    """Rows appended *and* evicted between two syncs: the mirror never
-    saw them, so its dead-prefix arithmetic would misalign — it must
-    fall back to a full rebuild."""
-    column = _filled_column([10, 20])
-    mirror = _synced_mirror(column)
-    for seq, t in enumerate((30, 40, 50), start=2):
-        column.insert(t, seq, _traffic_event(t, density=float(t)))
-    column.evict(45)  # evicts 4 rows, 2 of them never mirrored
-    mirror.sync()
-    view = mirror.live_view()
-    assert view.times_list == [50]
+def test_mirror_rows_admitted_and_evicted_between_reads():
+    """Rows admitted *and* evicted between two reads: the columns never
+    showed them, and must not show them now."""
+    memory = _memory(_at(10), _at(20), _at(30), _at(40), _at(50))
+    memory.admit(20, 0)
+    assert _columns(memory).times.tolist() == [10, 20]
+    memory.admit(50, 0)
+    memory.evict(45)  # evicts 4 rows, 2 of them never read
+    view = _columns(memory)
+    assert view.times.tolist() == [50]
     assert view.col("density").tolist() == [50.0]
 
 
-def test_mirror_out_of_order_insert_rebuilds():
-    column = _filled_column([10, 30])
-    mirror = _synced_mirror(column)
-    column.insert(20, 5, _traffic_event(20, density=20.0))  # delayed SDE
-    mirror.sync()
-    view = mirror.live_view()
-    assert view.times_list == [10, 20, 30]
+def test_mirror_out_of_order_insert_sorts_into_place():
+    memory = _memory(_at(10), _at(30), _at(20, arrival=40))  # delayed SDE
+    memory.admit(30, 0)
+    assert _columns(memory).times.tolist() == [10, 30]
+    memory.admit(40, 0)
+    view = _columns(memory)
+    assert view.times.tolist() == [10, 20, 30]
     assert view.col("density").tolist() == [10.0, 20.0, 30.0]
+    assert [ev.time for ev in view.items] == [10, 20, 30]
+    # ...by encoding the late row only.
+    assert memory.rows_encoded == 3
+
+
+def test_mirror_equal_times_keep_feed_order():
+    """Rows of one time-point stay in feed (sequence) order however
+    they arrive — the order of the working memory's own lists."""
+    events = [_at(10, sensor=name, arrival=a) for name, a in
+              (("d1", 30), ("d2", 10), ("d3", 20))]
+    memory = _memory(*events)
+    for q in (10, 20, 30):
+        memory.admit(q, 0)
+        view = _columns(memory)
+        assert list(view.items) == memory.events["traffic"].items
+    assert [ev["sensor"] for ev in view.items] == ["d1", "d2", "d3"]
 
 
 def test_mirror_token_rows_group_by_grounding():
-    column = TimedColumn()
-    for seq, (t, sensor) in enumerate(
-        [(10, "d1"), (20, "d2"), (30, "d1")]
-    ):
-        column.insert(t, seq, _traffic_event(t, sensor=sensor))
-    mirror = _synced_mirror(column)
-    groups = mirror.live_view().token_rows()
-    assert groups[("I1", "N", "d1")].tolist() == [0, 2]
-    assert groups[("I1", "N", "d2")].tolist() == [1]
+    memory = _memory(
+        _at(10, sensor="d1"), _at(20, sensor="d2"), _at(30, sensor="d1")
+    )
+    memory.admit(30, 0)
+    view = _columns(memory)
+    codes = view.codes.tolist()
+    assert codes[0] == codes[2] != codes[1]
+    assert view.tokens.tokens[codes[1]] == ("I1", "N", "d2")
+    assert view.tokens.get(("I1", "N", "d1")) == codes[0]
 
 
-def test_mirror_bounded_view_windows_rows():
-    column = _filled_column([10, 20, 30, 40])
-    mirror = _synced_mirror(column)
-    view = mirror.view_bounds(*column.bounds(15, 35))
-    assert view.times_list == [20, 30]
-    assert view.item(0).time == 20
+def test_mirror_ragged_column_is_computed_once_per_row():
+    """A lazily joined column is computed for the rows that lack it
+    and then travels with them through merges and evictions."""
+    asked = []
+
+    def compute(rows):
+        asked.append(view.times[rows].tolist())
+        # Row at time t -> the t // 10 values t, t, ...
+        lens = view.times[rows] // 10
+        return (
+            np.concatenate(([0], np.cumsum(lens))),
+            np.repeat(view.times[rows], lens),
+        )
+
+    def slices():
+        starts, lens, values = view.ragged("echo", compute)
+        return [
+            values[a:a + n].tolist()
+            for a, n in zip(starts.tolist(), lens.tolist())
+        ]
+
+    memory = _memory(_at(10), _at(30), _at(20, arrival=40), _at(50))
+    memory.admit(30, 0)
+    view = _columns(memory)
+    assert slices() == [[10], [30, 30, 30]]
+    memory.admit(50, 0)
+    memory.evict(10)
+    view = _columns(memory)
+    assert slices() == [[20, 20], [30, 30, 30], [50] * 5]
+    assert asked == [[10, 30], [20, 50]]
+    assert memory.rows_close_decided == 4
 
 
 def test_mirror_excluded_from_pickle():
     import pickle
 
-    column = _filled_column([10, 20])
-    _synced_mirror(column)
-    restored = pickle.loads(pickle.dumps(column))
-    assert restored.mirror is None
-    assert restored.times == [10, 20]
-    # A fresh mirror on the restored column sees the same rows.
-    assert _synced_mirror(restored).live_view().times_list == [10, 20]
+    memory = _memory(_at(10), _at(20))
+    memory.admit(20, 0)
+    assert _columns(memory).n == 2
+    restored = pickle.loads(pickle.dumps(memory))
+    assert restored.events["traffic"].times == [10, 20]
+    # The restored memory encodes the window once, on first read.
+    assert restored.rows_encoded == 0
+    assert _columns(restored).times.tolist() == [10, 20]
+    assert restored.rows_encoded == 2
 
 
 # ----------------------------------------------------------------------
-# ListColumnView fallback
+# Columns built from an object list
 # ----------------------------------------------------------------------
 def test_list_view_matches_mirror_view():
     events = [
@@ -286,28 +336,40 @@ def test_list_view_matches_mirror_view():
         _traffic_event(20, density=2.0, sensor="d2"),
         _traffic_event(30, density=3.0, sensor="d1"),
     ]
-    column = TimedColumn()
-    for seq, ev in enumerate(events):
-        column.insert(ev.time, seq, ev)
-    mirror_view = _synced_mirror(column).live_view()
-    list_view = ListColumnView(events, TRAFFIC)
+    memory = _memory(*events)
+    memory.admit(30, 0)
+    mirror_view = _columns(memory)
+    list_view = ColumnMirror.from_records(
+        events, TRAFFIC, False, TokenCodes()
+    )
     assert list_view.n == mirror_view.n
-    assert list_view.times_list == mirror_view.times_list
-    assert list_view.tokens == mirror_view.tokens
+    assert list_view.times.tolist() == mirror_view.times.tolist()
+    assert [
+        list_view.tokens.tokens[c] for c in list_view.codes.tolist()
+    ] == [mirror_view.tokens.tokens[c] for c in mirror_view.codes.tolist()]
     np.testing.assert_array_equal(
         list_view.col("density"), mirror_view.col("density")
     )
-    assert {
-        token: rows.tolist() for token, rows in list_view.token_rows().items()
-    } == {
-        token: rows.tolist()
-        for token, rows in mirror_view.token_rows().items()
-    }
-    assert list_view.item(1) is events[1]
+    assert list_view.items[1] is events[1]
+
+
+def test_fact_columns_take_the_key_as_token():
+    facts = [
+        FluentFact("gps", ("B2",), {"lon": 1.0, "lat": 2.0}, 20),
+        FluentFact("gps", ("B1",), {"lon": 3.0, "lat": 4.0}, 10),
+    ]
+    view = ColumnMirror.from_records(
+        facts, ColumnSpec(numeric=("lon",)), True, TokenCodes()
+    )
+    assert view.times.tolist() == [10, 20]
+    assert view.col("lon").tolist() == [3.0, 1.0]
+    assert [view.tokens.tokens[c] for c in view.codes.tolist()] == [
+        ("B1",), ("B2",)
+    ]
 
 
 def test_views_cover_subset_specs():
     events = [_traffic_event(10)]
-    view = ListColumnView(events, TRAFFIC)
+    view = ColumnMirror.from_records(events, TRAFFIC, False, TokenCodes())
     assert view.covers(ColumnSpec(numeric=("density",), token=TRAFFIC.token))
     assert not view.covers(ColumnSpec(token=("bus",)))

@@ -13,9 +13,20 @@ recognise *identical* output on them:
 
 Any divergence — an ``np.int64`` leaking into a time-point, a payload
 coerced through ``float64``, a run-window off-by-one in a vectorised
-rule body — fails here with the generating batch minimised.
+rule body, a ``move`` joined to the wrong ``gps`` — fails here with the
+generating batch minimised.
+
+The static suite and both self-adaptive suites are covered: the
+bus-report family (``disagree``/``agree``/``busCongestion``/
+``delayIncrease``) is compiled over a shared move-gps-close relation,
+and the batches carry the cases that relation must get right — a
+``move`` whose ``gps`` is missing or arrives later, duplicated halves,
+two different ``gps`` facts at one time-point, congestion values other
+than 0/1, buses close to two intersections or to none, and ``crowd``
+answers feeding the ``noisy`` fluent.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,17 +34,22 @@ from repro.core import RTEC, Event
 from repro.core.columns import SDEColumns
 from repro.core.traffic import build_traffic_definitions, default_traffic_params
 
-from .helpers import bus_report, make_topology
+from .helpers import LON, bus_report, crowd_event, make_topology
 
 WINDOW = 600
 STEP = 300
 HORIZON = 4 * STEP
 
 SENSORS = (("I1", "S1"), ("I1", "S2"), ("I2", "S1"))
-BUSES = ("B1", "B2")
+BUSES = ("B1", "B2", "B3")
+
+#: Intersections ~100 m apart: a bus between I1 and I2 is close to
+#: both, one at I3 to I3 alone, one far east to none.
+SPACING = 0.0015
+BUS_LONS = (LON, LON + SPACING / 2, LON + 2 * SPACING, LON + 0.1)
 
 
-def _engines(topology):
+def _engines(topology, adaptive=False, noisy_variant="pessimistic"):
     """(compiled-incremental, interpreter-incremental, legacy) triple."""
     params = default_traffic_params()
     engines = []
@@ -43,7 +59,7 @@ def _engines(topology):
         (False, False),
     ):
         definitions = build_traffic_definitions(
-            topology, adaptive=False, noisy_variant="pessimistic"
+            topology, adaptive=adaptive, noisy_variant=noisy_variant
         )
         engines.append(
             RTEC(
@@ -114,34 +130,44 @@ def sde_batches(draw):
                 arrival=t + delay_s,
             )
         )
-    n_moves = draw(st.integers(min_value=0, max_value=12))
+    n_moves = draw(st.integers(min_value=0, max_value=14))
+    lags = st.sampled_from((0, 0, 90, 400))
     for _ in range(n_moves):
-        t = draw(st.integers(min_value=1, max_value=HORIZON))
-        bus = draw(st.sampled_from(BUSES))
-        delay = draw(st.integers(min_value=0, max_value=400))
-        congestion = draw(st.integers(min_value=0, max_value=1))
-        arrival_lag = draw(st.sampled_from((0, 0, 90)))
-        move, gps = bus_report(
-            t,
-            bus=bus,
-            congestion=congestion,
-            delay=delay,
-            arrival=t + arrival_lag,
+        # Few distinct time-points, so reports of one bus collide.
+        t = draw(st.integers(min_value=1, max_value=HORIZON // 20)) * 20
+        # A value other than 0/1 is truthy for disagree/agree and
+        # neither initiates nor terminates busCongestion.
+        report = dict(
+            bus=draw(st.sampled_from(BUSES)),
+            lon=draw(st.sampled_from(BUS_LONS)),
+            congestion=draw(st.sampled_from((0, 0, 1, 1, 2, 0.5))),
+            delay=draw(st.integers(min_value=0, max_value=400)),
         )
-        events.append(move)
-        facts.append(gps)
+        # The two halves of a report are delayed independently, and
+        # either may be lost or duplicated.
+        for half, sink in ((0, events), (1, facts)):
+            fate = draw(st.sampled_from(("kept",) * 6 + ("lost", "twice")))
+            if fate != "lost":
+                record = bus_report(t, arrival=t + draw(lags), **report)[half]
+                sink.extend([record] * (2 if fate == "twice" else 1))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        events.append(
+            crowd_event(
+                draw(st.integers(min_value=1, max_value=HORIZON)),
+                intersection=draw(st.sampled_from(("I1", "I2", "I3"))),
+                value=draw(st.sampled_from(("positive", "negative"))),
+            )
+        )
     # Exact duplicates stress tie-breaking and duplicate admission.
     if events and draw(st.booleans()):
         events.append(draw(st.sampled_from(events)))
     return events, facts
 
 
-@settings(max_examples=25, deadline=None)
-@given(batch=sde_batches())
-def test_randomized_batches_identical_output(batch):
+def _assert_identical_output(batch, **suite):
     events, facts = batch
-    topology = make_topology(n_intersections=2)
-    compiled_engine, interp_engine, legacy_engine = _engines(topology)
+    topology = make_topology(n_intersections=3, spacing=SPACING)
+    compiled_engine, interp_engine, legacy_engine = _engines(topology, **suite)
 
     # The compiled engine takes the columnar batch; the reference
     # engines take the object lists — the hand-off format must not
@@ -156,6 +182,24 @@ def test_randomized_batches_identical_output(batch):
 
     assert compiled_out == interp_out
     assert compiled_out == legacy_out
+
+
+@settings(max_examples=25, deadline=None)
+@given(batch=sde_batches())
+def test_randomized_batches_identical_output(batch):
+    """The static suite: rule-set (3), every source trusted."""
+    _assert_identical_output(batch, adaptive=False)
+
+
+@pytest.mark.parametrize("noisy_variant", ["crowd", "pessimistic"])
+@settings(max_examples=25, deadline=None)
+@given(batch=sde_batches())
+def test_randomized_batches_identical_adaptive_output(noisy_variant, batch):
+    """The self-adaptive suites: ``disagree``/``agree`` feed ``noisy``
+    (rule-set (4) or (5)), which filters rule-set (3′)."""
+    _assert_identical_output(
+        batch, adaptive=True, noisy_variant=noisy_variant
+    )
 
 
 @settings(max_examples=15, deadline=None)

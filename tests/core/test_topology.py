@@ -70,3 +70,29 @@ class TestScatsTopology:
     def test_from_mappings_without_sensors(self):
         topo = ScatsTopology.from_mappings(locations={"I1": (LON, LAT)}, sensors={})
         assert topo.sensors_of("I1") == ()
+
+    def test_close_join_lists_what_the_scalar_query_lists(self):
+        topo = _topology()
+        lons = [LON, LON + 0.01, LON + 0.02, LON]
+        lats = [LAT + 50 * M, LAT, LAT - 100 * M, LAT + 200 * M]
+        offsets, found = topo.close_join(lons, lats)
+        ids = topo.ids()
+        for i, (lon, lat) in enumerate(zip(lons, lats)):
+            assert [
+                ids[j] for j in found[offsets[i]:offsets[i + 1]]
+            ] == topo.intersections_close_to(lon, lat)
+        assert [topo.index_of(int_id) for int_id in ids] == [0, 1]
+        assert topo.index_of("nope") is None
+
+    def test_close_join_on_empty_topology(self):
+        offsets, found = ScatsTopology([]).close_join([LON], [LAT])
+        assert offsets.tolist() == [0, 0] and not len(found)
+
+    def test_join_indexes_are_not_pickled(self):
+        import pickle
+
+        topo = _topology()
+        before = len(pickle.dumps(topo))
+        topo.close_join([LON], [LAT])
+        topo.index_of("I1")
+        assert len(pickle.dumps(topo)) == before

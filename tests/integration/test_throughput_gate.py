@@ -1,13 +1,16 @@
 """Tier-1 throughput gate: the columnar path must outrun Dublin.
 
-A miniature of ``benchmarks/bench_throughput.py`` small enough to run
-on every PR: array-native batches (no ``Event`` object before
-admission) are fed step by step into a compiled engine, and the
-sustained ingest rate must clear ``REQUIRED_MULTIPLE`` times the
+A miniature small enough to run on every PR: array-native batches (no
+``Event`` object before admission) — SCATS readings and a bus fleet
+reporting ``move`` + ``gps`` beside the intersections — are fed step
+by step into a compiled engine running the self-adaptive suite, and
+the sustained ingest rate must clear ``REQUIRED_MULTIPLE`` times the
 paper's fleet-wide arrival rate of one SDE every ~2 s.  The margin is
 three orders of magnitude on any hardware, so the gate only trips on
 a genuine hot-path catastrophe (e.g. an accidental O(n²) admission or
-a per-row Python round-trip sneaking back in), not on CI noise.
+a per-row Python round-trip sneaking back in), not on CI noise.  What
+a change costs or gains is read off the end-to-end benchmark
+(``benchmarks/e2e/run.py --compare``).
 """
 
 import time
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core import RTEC
-from repro.core.columns import EventColumns, SDEColumns
+from repro.core.columns import EventColumns, FactColumns, SDEColumns
 from repro.core.traffic import build_traffic_definitions, default_traffic_params
 
 from tests.core.helpers import make_topology
@@ -47,10 +50,49 @@ def _step_batches(topology):
     inter_col = [k[0] for k in sensors] * len(ticks)
     approach_col = [k[1] for k in sensors] * len(ticks)
     sensor_col = [k[2] for k in sensors] * len(ticks)
+    # The bus fleet: two buses per intersection, each reporting beside
+    # it every tick.  A bus says "congested" on its own slow cycle, so
+    # it agrees with the sensors at times and disagrees at others; its
+    # delay climbs in steps that trip delayIncrease.
+    stops = [topology.location(int_id) for int_id in topology.ids()]
+    n_buses = 2 * len(stops)
+    bus = np.arange(n_buses)
+    bus_times = np.repeat(ticks, n_buses)
+    bus_ids = [f"B{b}" for b in bus] * len(ticks)
+    tick = np.repeat(np.arange(len(ticks)), n_buses)
+    fleet = np.tile(bus, len(ticks))
+    lon = np.array([stops[b % len(stops)][0] for b in fleet]) + 2e-4
+    lat = np.array([stops[b % len(stops)][1] for b in fleet])
+    congestion = ((tick + fleet) // 7) % 2
+    delay = ((tick + fleet) % 5) * 70
     rows_per_step = (STEP_S // READ_PERIOD_S) * n_sensors
+    bus_rows_per_step = (STEP_S // READ_PERIOD_S) * n_buses
     batches = []
-    for start in range(0, len(times), rows_per_step):
+    for step, start in enumerate(range(0, len(times), rows_per_step)):
         stop = min(start + rows_per_step, len(times))
+        cut = slice(step * bus_rows_per_step, (step + 1) * bus_rows_per_step)
+        move = EventColumns.from_arrays(
+            "move",
+            bus_times[cut],
+            numeric={"delay": delay[cut]},
+            extra={
+                "bus": bus_ids[cut],
+                "line": ["L1"] * len(bus_ids[cut]),
+                "operator": ["O1"] * len(bus_ids[cut]),
+            },
+        )
+        gps = FactColumns(
+            "gps",
+            bus_times[cut],
+            bus_times[cut],
+            key_columns=[bus_ids[cut]],
+            value_fields={
+                "lon": lon[cut],
+                "lat": lat[cut],
+                "direction": np.zeros(len(lon[cut]), dtype=np.int64),
+                "congestion": congestion[cut],
+            },
+        )
         block = EventColumns.from_arrays(
             "traffic",
             times[start:stop],
@@ -65,7 +107,10 @@ def _step_batches(topology):
             },
         )
         batches.append(
-            (int(times[stop - 1]), SDEColumns(events=(block,)))
+            (
+                int(times[stop - 1]),
+                SDEColumns(events=(block, move), facts=(gps,)),
+            )
         )
     return batches
 
@@ -73,28 +118,25 @@ def _step_batches(topology):
 def _ingest(topology, batches, *, compiled):
     engine = RTEC(
         build_traffic_definitions(
-            topology,
-            adaptive=False,
-            noisy_variant="pessimistic",
-            feeds=("scats",),
+            topology, adaptive=True, noisy_variant="pessimistic"
         ),
         window=WINDOW_S,
         step=STEP_S,
         params=default_traffic_params(),
         compiled=compiled,
     )
-    n_outputs = 0
+    outputs = {}
     t0 = time.perf_counter()
     for q, batch in batches:
         engine.feed_columns(batch)
         snapshot = engine.query(q)
-        n_outputs += sum(len(v) for v in snapshot.occurrences.values())
-        n_outputs += sum(
-            len(il)
-            for groups in snapshot.fluents.values()
-            for il in groups.values()
-        )
-    return time.perf_counter() - t0, n_outputs
+        for name, occurrences in snapshot.occurrences.items():
+            outputs[name] = outputs.get(name, 0) + len(occurrences)
+        for name, groups in snapshot.fluents.items():
+            outputs[name] = outputs.get(name, 0) + sum(
+                len(il) for il in groups.values()
+            )
+    return time.perf_counter() - t0, outputs
 
 
 @pytest.mark.bench_smoke
@@ -105,7 +147,15 @@ def test_columnar_ingest_beats_dublin_rate():
     assert n_sdes > 0
 
     elapsed, outputs = _ingest(topology, batches, compiled=True)
-    assert outputs > 0, "gate stream produced no CEs — thresholds drifted"
+    silent = [
+        name
+        for name in (
+            "scatsCongestion", "delayIncrease", "disagree", "agree",
+            "busCongestion", "noisy",
+        )
+        if not outputs.get(name)
+    ]
+    assert not silent, f"gate stream never fires {silent} — thresholds drifted"
     achieved = n_sdes / elapsed if elapsed > 0 else float("inf")
     multiple = achieved / DUBLIN_SDE_RATE
     assert multiple >= REQUIRED_MULTIPLE, (

@@ -1,8 +1,10 @@
 """Tests for the pipeline extensions: priors, rewards, measured flows,
 structured intersections and SCATS reliability in the full loop."""
 
+import numpy as np
 import pytest
 
+from repro.crowd import bus_report_prior
 from repro.dublin import DublinScenario, ScenarioConfig
 from repro.system import SystemConfig, UrbanTrafficSystem
 
@@ -119,6 +121,43 @@ class TestPriors:
                 assert system._disagreement_prior(int_id, q) == expected
                 checked += expected is not None
         assert checked
+
+    @pytest.mark.parametrize("profile", [None, "chaos_day"])
+    def test_index_equals_the_per_row_join(self, scenario, profile):
+        # The index is one array close/4 join over the gps block and a
+        # stable sort by intersection; the reference is the loop it
+        # replaced, one scalar lookup per report — over a clean stream
+        # and one with delayed, dropped, duplicated and corrupted rows.
+        system = UrbanTrafficSystem(
+            scenario,
+            SystemConfig(fault_profile=profile, crowd_enabled=False, seed=31),
+        )
+        data, _ = system._stream(system, 0, 1800)
+        system._index_inputs(data)
+        reports: dict = {}
+        for fact in data.facts:
+            for int_id in scenario.topology.intersections_close_to(
+                fact.value["lon"], fact.value["lat"]
+            ):
+                times, bits = reports.setdefault(int_id, ([], []))
+                times.append(fact.time)
+                bits.append(fact.value["congestion"])
+        assert len(reports) > 10
+        assert set(reports) == set(system._bus_reports)
+        for int_id, (times, bits) in reports.items():
+            indexed_times, indexed_bits = system._bus_reports[int_id]
+            assert indexed_times.tolist() == times
+            assert indexed_bits.tolist() == bits
+            assert indexed_bits.dtype == np.array(bits).dtype
+            for q in (600, 1200, 1800):
+                recent = [
+                    bit for t, bit in zip(times, bits) if q - 600 < t <= q
+                ]
+                assert system._disagreement_prior(int_id, q) == (
+                    bus_report_prior(sum(recent), len(recent))
+                    if recent
+                    else None
+                )
 
     def test_priors_disabled(self, scenario):
         system = UrbanTrafficSystem(
