@@ -314,8 +314,9 @@ def _render_metrics(registry) -> str:
         lines.append(f"  {'ingest.events':<34} {ingested:>8} SDEs{rate}")
         for name in (
             "rtec.ingest.rows_fed",
-            "rtec.ingest.rows_materialised",
+            "rtec.ingest.rows_admitted",
             "rtec.ingest.rows_skipped_horizon",
+            "rtec.ingest.rows_materialised",
             "rtec.mirror.rows_encoded",
             "rtec.close.rows_decided",
         ):

@@ -9,7 +9,7 @@ Public surface:
   `StaticFluent`, `DerivedEvent`) and the rule evaluation context.
 * :mod:`repro.core.rtec` — the windowed recognition engine.
 * :mod:`repro.core.columns` — columnar (struct-of-arrays) SDE batches
-  and working-memory mirrors for the compiled hot path.
+  and the window store the working memory keeps them in.
 * :mod:`repro.core.compiled` — vectorised evaluators for the hot rule
   bodies.
 * :mod:`repro.core.traffic` — the Dublin traffic CE definitions.

@@ -1,34 +1,41 @@
-"""Columnar (struct-of-arrays) SDE batches and working-memory mirrors.
+"""Columnar (struct-of-arrays) SDE batches and the window store.
 
 The per-event-object hot path pays a Python-level attribute access and
 dict lookup per SDE per rule body per query.  This module provides the
-columnar representation behind the compiled fast path:
+columnar representation the engine keeps its inputs in, from the
+simulators to the rule bodies:
 
 * :class:`SDEColumns` — the ingestion batch type: one block of
   ``numpy`` time/arrival arrays and typed field columns per event type
   (:class:`EventColumns`) or fact name (:class:`FactColumns`).  The
   simulators emit it, fault injection and the region split transform
-  it, and the engine's pending buffer keeps it: an ``Event`` or
-  ``FluentFact`` object is built only for a row admitted into a window
-  (:class:`RecordSequence` is the lazy object view for everyone else).
+  it, the engine's pending buffer keeps it, and the window store
+  refers to its rows (:class:`RecordSequence` is the lazy object view
+  for everyone else).
 * :class:`ColumnSpec` — a compiled rule's declaration of which payload
   fields it reads as numeric columns and which identify the grounding
   token.
-* :class:`ColumnMirror` — a struct-of-arrays mirror of the window's
-  rows of one event type (or one input fluent), in the working
-  memory's ``(time, seq)`` order: occurrence times, declared numeric
-  fields, integer codes of the grounding tokens (:class:`TokenCodes`)
-  and the records themselves.  A :class:`~.incremental.WorkingMemory` feeds it what it
-  admits — each record is encoded once; a delayed SDE is sorted into
-  place, an eviction advances the live range — and lazily joined
-  variable-length columns (the ``close`` join) stay with their rows.
-  Without a working memory (legacy mode, restricted contexts) the same
-  object is built from an object list per query.
+* :class:`ColumnStore` — the window's rows of one event type (or one
+  input fluent, all groundings together) as a struct of arrays in
+  ``(time, seq)`` order: occurrence times, sequence numbers and a
+  ``(block, row)`` reference to the cells each row was fed with.  A
+  :class:`~.incremental.WorkingMemory` keeps one per type as its only
+  store: admission moves rows in by index arithmetic (a delayed SDE is
+  sorted into place), eviction advances an offset.  Everything else is
+  derived from the referenced cells lazily, at most once per row, and
+  then stays with the row: the integer codes of the grounding tokens
+  (:class:`TokenCodes`) and the ``float64`` columns of the declared
+  numeric fields when a compiled body first reads them,
+  variable-length joined columns (the ``close`` join) when one is
+  asked for, and an :class:`~.events.Event` / :class:`~.events.
+  FluentFact` only for a reader that needs an object.  Without a
+  working memory (legacy mode, restricted contexts) the same object is
+  built from an object list per query.
 
 Everything here is representation only: compiled evaluators
 (:mod:`repro.core.compiled`) read the columns, and every emitted point
-is built from Python ints and the original payload objects, so the
-recognition output is bit-identical to the interpreter's.
+is built from Python ints and the original cells, so the recognition
+output is bit-identical to the interpreter's.
 """
 
 from __future__ import annotations
@@ -200,10 +207,29 @@ class EventColumns:
         the payloads when the block wraps objects)."""
         if self.payloads is None:
             return self.fields[name]
+        return self.cells(name, np.arange(len(self)))
+
+    def cells(self, name: str, rows: np.ndarray) -> np.ndarray:
+        """Payload field ``name`` at ``rows``: those cells of the typed
+        column, or an object array read from the wrapped payloads.
+        ``tolist()`` of either gives the exact Python values a
+        materialised payload would hold."""
+        if self.payloads is None:
+            return self.fields[name][rows]
+        payloads = self.payloads
         return np.fromiter(
-            (payload[name] for payload in self.payloads),
+            (payloads[i][name] for i in rows.tolist()),
             dtype=object,
-            count=len(self.payloads),
+            count=len(rows),
+        )
+
+    def tokens(self, rows: np.ndarray, fields: Sequence[str]) -> list[tuple]:
+        """The grounding tokens of ``rows``: per row the tuple of its
+        ``fields`` cells."""
+        if not fields:
+            return [()] * len(rows)
+        return list(
+            zip(*(self.cells(name, rows).tolist() for name in fields))
         )
 
     def take(self, rows: np.ndarray) -> "EventColumns":
@@ -333,11 +359,29 @@ class FactColumns:
         """One field of a mapping-valued fluent as an array."""
         if self.values is None:
             return self.value_fields[field]
+        return self.cells(field, np.arange(len(self)))
+
+    def cells(self, name: str, rows: np.ndarray) -> np.ndarray:
+        """Field ``name`` of a mapping-valued fluent at ``rows`` (see
+        :meth:`EventColumns.cells`)."""
+        if self.values is None:
+            return self.value_fields[name][rows]
+        values = self.values
         return np.fromiter(
-            (value[field] for value in self.values),
+            (values[i][name] for i in rows.tolist()),
             dtype=object,
-            count=len(self.values),
+            count=len(rows),
         )
+
+    def tokens(self, rows: np.ndarray, fields: Sequence[str] = ()) -> list:
+        """The grounding tokens of ``rows``: a fact's is its key
+        (``fields`` is the event blocks' argument)."""
+        if self.keys is not None:
+            keys = self.keys
+            return [keys[i] for i in rows.tolist()]
+        if not self.key_columns:
+            return [()] * len(rows)
+        return list(zip(*(col[rows].tolist() for col in self.key_columns)))
 
     def take(self, rows: np.ndarray) -> "FactColumns":
         """The block of ``rows`` (an integer index array), in that
@@ -360,16 +404,10 @@ class FactColumns:
         """Materialise ``rows`` as :class:`FluentFact` objects (key
         and value are the original references for :meth:`from_facts`
         blocks)."""
-        if self.keys is not None:
-            picked = rows.tolist()
-            keys = [self.keys[i] for i in picked]
-            values = [self.values[i] for i in picked]
+        keys = self.tokens(rows)
+        if self.values is not None:
+            values = [self.values[i] for i in rows.tolist()]
         else:
-            keys = (
-                list(zip(*(col[rows].tolist() for col in self.key_columns)))
-                if self.key_columns
-                else [()] * len(rows)
-            )
             values = _mappings(self.value_fields, rows)
         name = self.name
         return [
@@ -585,19 +623,29 @@ class SDEColumns:
         return max(candidates) if candidates else None
 
     def validate(self) -> None:
-        """Reject negative occurrence times, as :meth:`RTEC.feed` does
-        per object — vectorised over each block."""
-        for block in self.events:
-            if len(block) and int(block.times.min()) < 0:
+        """Reject what the record constructors and :meth:`RTEC.feed`
+        reject per object — a negative occurrence time, an arrival
+        before the occurrence — vectorised over each block, so a bad
+        batch fails when it is fed, not when a later query admits the
+        row."""
+        for block in self.blocks:
+            if not len(block):
+                continue
+            what = (
+                f"fluent fact {block.name!r}"
+                if isinstance(block, FactColumns)
+                else f"event of type {block.type!r}"
+            )
+            if int(block.times.min()) < 0:
                 raise ValueError(
-                    f"event of type {block.type!r} occurs at negative "
+                    f"{what} occurs at negative "
                     "time; SDE timestamps must be >= 0"
                 )
-        for block in self.facts:
-            if len(block) and int(block.times.min()) < 0:
+            early = np.flatnonzero(block.arrivals < block.times)
+            if len(early):
                 raise ValueError(
-                    f"fluent fact {block.name!r} occurs at negative "
-                    "time; SDE timestamps must be >= 0"
+                    f"{what} arrives at {int(block.arrivals[early[0]])} "
+                    f"before it occurs at {int(block.times[early[0]])}"
                 )
 
     def iter_events(self) -> Iterator[Event]:
@@ -612,12 +660,12 @@ class SDEColumns:
 
 
 # ----------------------------------------------------------------------
-# Working-memory mirrors
+# The window store
 # ----------------------------------------------------------------------
 class TokenCodes:
     """Dense integer codes for grounding tokens.
 
-    One table serves every :class:`ColumnMirror` of a working memory
+    One table serves every :class:`ColumnStore` of a working memory
     (or of a context without one), so the ``(bus,)`` token of a
     ``move`` row and the key of the ``gps`` fact it pairs with carry
     the same code and join as integers.  Codes are process-local: they
@@ -635,16 +683,18 @@ class TokenCodes:
         """The code of ``token`` (``None`` if no row ever carried it)."""
         return self._codes.get(token)
 
-    def encode(self, tokens: Iterable[tuple]) -> np.ndarray:
+    def encode(self, tokens: Sequence[tuple]) -> np.ndarray:
         """The codes of ``tokens``, numbering the unseen ones."""
         codes, table = self._codes, self.tokens
-        out = []
-        for token in tokens:
-            code = codes.get(token)
-            if code is None:
-                code = codes[token] = len(table)
-                table.append(token)
-            out.append(code)
+        out = list(map(codes.get, tokens))
+        if None in out:
+            for i, token in enumerate(tokens):
+                if out[i] is None:
+                    code = codes.get(token)  # it may repeat in the batch
+                    if code is None:
+                        code = codes[token] = len(table)
+                        table.append(token)
+                    out[i] = code
         return np.array(out, dtype=np.int64)
 
 
@@ -655,152 +705,166 @@ def ragged_index(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.repeat(starts - first, lens) + np.arange(int(lens.sum()))
 
 
-class ColumnMirror:
-    """Struct-of-arrays mirror of one event type's — or one input
-    fluent's — window rows, in the ``(time, seq)`` order the working
-    memory keeps its records in.
+class ColumnStore:
+    """The window's rows of one event type — or of one input fluent,
+    all groundings together — as a struct of arrays, in ``(time, seq)``
+    order: the order the window is defined in (occurrence time, then
+    feed order within the type; sequence numbers are unique, so the
+    order is total and duplicate records are all kept).
 
-    Per row: occurrence time, feed sequence number, the ``float64``
-    value of every numeric field of the spec, the integer code of the
-    grounding token (the spec's token fields of an event payload, the
-    key of a fact) and the record itself.  Compiled rule bodies read
-    these instead of iterating objects.
+    What a row *is*: its occurrence time, its feed sequence number and
+    a reference ``(source block, row)`` to the cells it was fed with —
+    a row of an :class:`EventColumns` / :class:`FactColumns` block,
+    either representation.  :meth:`admit` moves rows in from the
+    pending buffer's blocks with index arithmetic (an in-order arrival
+    appends; a delayed one re-sorts the tail from its time on);
+    :meth:`evict` advances the live range.  No record is built.
 
-    A working memory keeps one mirror per declared type and feeds it
-    what changed: :meth:`merge` encodes *only the newly admitted
-    records* and sorts them into place (an in-order arrival appends; a
-    delayed one re-sorts the tail from its time on), :meth:`evict`
-    advances the live range.  Every record is encoded once in its life.
-    Without a working memory (the legacy engine, restricted contexts)
-    :meth:`from_records` builds the same thing from an object list per
-    query.
+    What is derived from the cells, lazily, at most once per row, and
+    then carried with the row through merges and evictions:
 
-    :meth:`ragged` attaches a lazily computed variable-length column
-    (the ``close`` join: the intersections a ``gps`` position is close
-    to): computed once per row, on first request, and carried through
-    merges and evictions with the row.
+    * the *evaluation columns* compiled rule bodies read — the integer
+      code of the grounding token (the spec's token fields of an event
+      payload; the key of a fact, so a fact store always has codes) and
+      the ``float64`` value of every numeric field of the spec — filled
+      for the rows that lack them when :attr:`codes` or :meth:`col` is
+      read;
+    * :meth:`ragged` variable-length columns (the ``close`` join: the
+      intersections a ``gps`` position is close to), computed on
+      request;
+    * the :class:`~.events.Event` / :class:`~.events.FluentFact` of a
+      row, built by :meth:`records` / :meth:`records_at` for a reader
+      that needs an object (an interpreted rule body, a partition
+      function, a test).
 
-    Mirrors are process-local caches: never pickled, rebuilt from the
-    records on first use after a restore.
+    An emitted point reads the cells it needs through :meth:`cells` —
+    type-exact, never through the ``float64`` columns.
+
+    A store pickles its live rows — sequence numbers and each source
+    block cut down to them — and nothing derived: codes are
+    process-local, and everything else is rebuilt on first use after a
+    restore.  Without a working memory (the legacy engine, restricted
+    contexts) :meth:`from_records` builds a store from an object list
+    per query.
     """
 
     __slots__ = (
-        "spec", "is_fact", "tokens", "fresh", "rows_encoded",
-        "rows_ragged", "_bufs", "_pools", "_lo", "_hi",
+        "spec", "is_fact", "tokens", "rows_encoded", "rows_ragged",
+        "rows_materialised", "_sources", "_bufs", "_blank", "_pools",
+        "_lo", "_hi", "_unencoded",
     )
 
-    def __init__(self, spec: ColumnSpec, is_fact: bool, tokens: TokenCodes):
-        self.spec = spec
+    def __init__(
+        self, spec: Optional[ColumnSpec], is_fact: bool, tokens: TokenCodes
+    ):
+        #: The declared layout; ``None`` for an event type no compiled
+        #: rule reads (no evaluation columns).  The grounding token of
+        #: a fact is its key, declared or not.
+        self.spec = ColumnSpec() if spec is None and is_fact else spec
         self.is_fact = is_fact
         self.tokens = tokens
-        #: ``(time, seq, record)`` of rows admitted since the last
-        #: :meth:`sync`, appended by the working memory.
-        self.fresh: list[tuple[int, int, Any]] = []
-        #: Rows encoded from records, and rows a ragged column was
-        #: computed for, over this instance's life.
+        #: Rows whose evaluation columns were filled, rows a ragged
+        #: column was computed for, and records built, over this
+        #: instance's life.
         self.rows_encoded = 0
         self.rows_ragged = 0
+        self.rows_materialised = 0
+        #: The blocks live rows refer to (few: one per feed that has
+        #: rows in the window).
+        self._sources: list = []
         #: Column name -> buffer; rows ``_lo .. _hi - 1`` are live.
-        self._bufs: dict[Any, np.ndarray] = {
-            "time": np.empty(0, dtype=np.int64),
-            "seq": np.empty(0, dtype=np.int64),
-            "code": np.empty(0, dtype=np.int64),
-            "item": np.empty(0, dtype=object),
-        }
-        for name in spec.numeric:
-            self._bufs["field", name] = np.empty(0, dtype=np.float64)
+        #: ``_blank`` holds the cell of a row that lacks the column.
+        self._bufs: dict[Any, np.ndarray] = {}
+        self._blank: dict[Any, Any] = {}
+        for name in ("time", "seq", "src", "row"):
+            self._column(name, np.int64, 0)
+        self._column("item", object, None)
+        self._column("built", bool, False)
+        if self.spec is not None:
+            self._column("code", np.int64, -1)
+            for name in self.spec.numeric:
+                self._column(("field", name), np.float64, np.nan)
         #: Ragged column name -> its values; a row's slice starts at
         #: ``_bufs["start", name]`` and is ``_bufs["len", name]`` long
         #: (negative: not computed yet).
         self._pools: dict[Any, np.ndarray] = {}
         self._lo = 0
         self._hi = 0
+        #: Whether rows were admitted since the evaluation columns
+        #: were last filled.
+        self._unencoded = False
+
+    def _column(self, name, dtype, blank) -> None:
+        self._blank[name] = blank
+        size = len(self._bufs["time"]) if self._bufs else 0
+        self._bufs[name] = np.full(size, blank, dtype=dtype)
 
     @classmethod
     def from_records(
         cls,
+        name: str,
         records: Sequence,
         spec: ColumnSpec,
         is_fact: bool,
         tokens: TokenCodes,
-    ) -> "ColumnMirror":
-        """The columns of ``records``, stably sorted by time."""
-        columns = cls(spec, is_fact, tokens)
-        columns.merge(
-            [record.time for record in records],
-            range(len(records)),
-            records,
-        )
-        return columns
+    ) -> "ColumnStore":
+        """The columns of ``records`` — events of type ``name``, or
+        facts of fluent ``name`` — stably sorted by time."""
+        store = cls(spec, is_fact, tokens)
+        wrap = FactColumns.from_facts if is_fact else EventColumns.from_events
+        block = wrap(name, records)
+        rows = np.arange(len(block))
+        store.admit(block, rows, block.times, rows)
+        return store
 
     # -- maintenance ---------------------------------------------------
-    def sync(self, horizon: Optional[int]) -> None:
-        """Merge the rows admitted since the last call and drop those
-        at or before the working memory's eviction ``horizon``."""
-        if self.fresh:
-            self.merge(*zip(*self.fresh))
-            self.fresh = []
-        if horizon is not None:
-            self.evict(horizon)
-
-    def _encode(self, times, seqs, records) -> dict[Any, np.ndarray]:
-        k = len(records)
-        if self.is_fact:
-            mappings = [record.value for record in records]
-            tokens = [record.key for record in records]
-        else:
-            mappings = [record.payload for record in records]
-            fields = self.spec.token
-            tokens = [
-                tuple([mapping[f] for f in fields]) for mapping in mappings
-            ]
-        fresh = {
-            "time": np.fromiter(times, np.int64, count=k),
-            "seq": np.fromiter(seqs, np.int64, count=k),
-            "code": self.tokens.encode(tokens),
-            "item": np.fromiter(records, dtype=object, count=k),
-        }
-        for name in self.spec.numeric:
-            fresh["field", name] = np.array(
-                [mapping[name] for mapping in mappings], dtype=np.float64
-            )
-        for name in self._pools:
-            fresh["start", name] = np.zeros(k, dtype=np.int64)
-            fresh["len", name] = np.full(k, -1, dtype=np.int64)
-        return fresh
-
-    def merge(self, times, seqs, records) -> None:
-        """Encode ``records`` (any order) and sort them into place."""
-        k = len(records)
+    def admit(
+        self,
+        block,
+        rows: np.ndarray,
+        times: np.ndarray,
+        seqs: np.ndarray,
+    ) -> None:
+        """Move ``rows`` of ``block`` (any order) into the window, at
+        their ``(time, seq)`` positions."""
+        k = len(rows)
         if not k:
             return
-        self.rows_encoded += k
-        fresh = self._encode(times, seqs, records)
         self._reserve(k)
+        for source, held in enumerate(self._sources):
+            if held is block:
+                break
+        else:
+            source = len(self._sources)
+            self._sources.append(block)
+        fresh = {"time": times, "seq": seqs, "src": source, "row": rows}
         lo, hi = self._lo, self._hi
         bufs = self._bufs
         # Everything before the earliest fresh time keeps its place.
-        p = lo + int(
-            np.searchsorted(bufs["time"][lo:hi], fresh["time"].min(), "left")
-        )
+        p = lo + int(np.searchsorted(bufs["time"][lo:hi], times.min(), "left"))
         order = np.lexsort((
-            np.concatenate((bufs["seq"][p:hi], fresh["seq"])),
-            np.concatenate((bufs["time"][p:hi], fresh["time"])),
+            np.concatenate((bufs["seq"][p:hi], seqs)),
+            np.concatenate((bufs["time"][p:hi], times)),
         ))
         for name, buf in bufs.items():
-            buf[p:hi + k] = np.concatenate((buf[p:hi], fresh[name]))[order]
+            tail = np.empty(hi - p + k, dtype=buf.dtype)
+            tail[:hi - p] = buf[p:hi]
+            tail[hi - p:] = fresh.get(name, self._blank[name])
+            buf[p:hi + k] = tail[order]
         self._hi = hi + k
+        self._unencoded = True
 
     def _reserve(self, k: int) -> None:
-        """Room for ``k`` more rows, dropping the evicted prefix and
-        the dead slices of the ragged pools when it has to move."""
+        """Room for ``k`` more rows, dropping the evicted prefix, the
+        dead slices of the ragged pools and the source blocks no live
+        row refers to when it has to move."""
         lo, hi = self._lo, self._hi
         if hi + k <= len(self._bufs["time"]):
             return
         live = hi - lo
         capacity = max(2 * (live + k), 64)
         for name, buf in self._bufs.items():
-            grown = np.empty(capacity, dtype=buf.dtype)
+            grown = np.full(capacity, self._blank[name], dtype=buf.dtype)
             grown[:live] = buf[lo:hi]
             self._bufs[name] = grown
         self._lo, self._hi = 0, live
@@ -809,6 +873,9 @@ class ColumnMirror:
             lens = np.maximum(self._bufs["len", name][:live], 0)
             self._pools[name] = pool[ragged_index(start, lens)]
             start[:] = np.cumsum(lens) - lens
+        src = self._bufs["src"][:live]
+        used, src[:] = np.unique(src, return_inverse=True)
+        self._sources = [self._sources[i] for i in used.tolist()]
 
     def evict(self, horizon: int) -> None:
         """Drop the rows with occurrence time ``<= horizon``."""
@@ -817,6 +884,44 @@ class ColumnMirror:
         if cut:
             self._bufs["item"][lo:lo + cut] = None
             self._lo = lo + cut
+
+    # A pickled store carries what its live rows are and nothing that
+    # can be recomputed: sequence numbers, and every source block cut
+    # down to its live rows (``take``, as a pending batch pickles).
+    # Times come back from the blocks, a row's index from its rank.
+    def __getstate__(self):
+        src = np.empty(self.n, dtype=np.int64)
+        blocks = []
+        for slots, block, rows in self._by_source(
+            np.arange(self._lo, self._hi)
+        ):
+            src[slots] = len(blocks)
+            blocks.append(block.take(rows))
+        return (
+            self.spec,
+            self.is_fact,
+            self.seqs,
+            src.astype(np.min_scalar_type(len(blocks))),
+            blocks,
+        )
+
+    def __setstate__(self, state) -> None:
+        spec, is_fact, seq, src, blocks = state
+        # A working memory hands its restored stores the table they
+        # share; a store on its own numbers its tokens itself.
+        self.__init__(spec, is_fact, TokenCodes())
+        n = len(seq)
+        self._reserve(n)
+        self._sources = list(blocks)
+        bufs = self._bufs
+        bufs["seq"][:n] = seq
+        bufs["src"][:n] = src
+        for s, block in enumerate(blocks):
+            at = np.flatnonzero(src == s)
+            bufs["row"][at] = np.arange(len(at))
+            bufs["time"][at] = block.times
+        self._hi = n
+        self._unencoded = True
 
     # -- reads ---------------------------------------------------------
     @property
@@ -828,26 +933,95 @@ class ColumnMirror:
         return self._bufs["time"][self._lo:self._hi]
 
     @property
-    def codes(self) -> np.ndarray:
-        """Per row, the :class:`TokenCodes` code of its grounding."""
-        return self._bufs["code"][self._lo:self._hi]
+    def seqs(self) -> np.ndarray:
+        """Per row, its feed sequence number."""
+        return self._bufs["seq"][self._lo:self._hi]
 
-    @property
-    def items(self) -> np.ndarray:
-        """Per row, the record it was encoded from."""
-        return self._bufs["item"][self._lo:self._hi]
+    def bounds(self, lo: int, hi: int) -> tuple[int, int]:
+        """Index bounds of the rows with time in ``(lo, hi]``."""
+        i, j = np.searchsorted(self.times, (lo, hi), "right").tolist()
+        return i, j
 
-    def col(self, name: str) -> np.ndarray:
-        """The ``float64`` array of a declared numeric field."""
-        return self._bufs["field", name][self._lo:self._hi]
+    def locate(self, seqs: np.ndarray) -> np.ndarray:
+        """The rows carrying the sequence numbers ``seqs``, ascending."""
+        return np.flatnonzero(np.isin(self.seqs, seqs))
 
+    def _by_source(self, at: np.ndarray):
+        """The rows at buffer positions ``at``, per source block:
+        ``(slots, block, rows)`` — ``at[slots]`` are ``rows`` of
+        ``block``."""
+        src, row = self._bufs["src"][at], self._bufs["row"][at]
+        for source in np.unique(src).tolist():
+            slots = np.flatnonzero(src == source)
+            yield slots, self._sources[source], row[slots]
+
+    def cells(self, name: str, at: np.ndarray) -> list:
+        """The cells of payload (or fluent-value) field ``name`` of the
+        rows ``at``, read from the blocks the rows were fed in: the
+        exact Python values a materialised record holds (an ``int64``
+        cell is an ``int``, an object cell the original reference)."""
+        out = np.empty(len(at), dtype=object)
+        for slots, block, rows in self._by_source(at + self._lo):
+            out[slots] = block.cells(name, rows)
+        return out.tolist()
+
+    def tokens_at(self, at: np.ndarray, fields: Sequence[str]) -> set[tuple]:
+        """The distinct grounding tokens of the rows ``at``, read from
+        the cells: a fact's key, an event's ``fields``."""
+        found: set[tuple] = set()
+        for _, block, rows in self._by_source(at + self._lo):
+            found.update(block.tokens(rows, fields))
+        return found
+
+    # -- evaluation columns ----------------------------------------------
     def covers(self, spec: ColumnSpec) -> bool:
         """Whether these columns expose everything ``spec`` requires
         (same grounding-token layout, numeric fields a superset)."""
         mine = self.spec
-        return mine.token == spec.token and all(
-            name in mine.numeric for name in spec.numeric
+        return (
+            mine is not None
+            and mine.token == spec.token
+            and all(name in mine.numeric for name in spec.numeric)
         )
+
+    @property
+    def grounded(self) -> bool:
+        """Whether :attr:`codes` tell the rows' groundings apart: a
+        fact's key always does, an event's token when the spec names
+        token fields."""
+        return self.spec is not None and (
+            self.is_fact or bool(self.spec.token)
+        )
+
+    def _encode(self) -> None:
+        """Fill the evaluation columns of the live rows that lack
+        them: the rows admitted since they were last read."""
+        if not self._unencoded:
+            return
+        self._unencoded = False
+        bufs = self._bufs
+        missing = (
+            np.flatnonzero(bufs["code"][self._lo:self._hi] < 0) + self._lo
+        )
+        self.rows_encoded += len(missing)
+        for slots, block, rows in self._by_source(missing):
+            at = missing[slots]
+            bufs["code"][at] = self.tokens.encode(
+                block.tokens(rows, self.spec.token)
+            )
+            for name in self.spec.numeric:
+                bufs["field", name][at] = block.cells(name, rows)
+
+    @property
+    def codes(self) -> np.ndarray:
+        """Per row, the :class:`TokenCodes` code of its grounding."""
+        self._encode()
+        return self._bufs["code"][self._lo:self._hi]
+
+    def col(self, name: str) -> np.ndarray:
+        """The ``float64`` array of a declared numeric field."""
+        self._encode()
+        return self._bufs["field", name][self._lo:self._hi]
 
     def ragged(self, name, compute) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The variable-length column ``name`` as ``(starts, lens,
@@ -856,10 +1030,9 @@ class ColumnMirror:
         ``compute(rows) -> (offsets, values)`` (a CSR pair over the
         given row indexes); it then stays with the row."""
         if name not in self._pools:
-            size = len(self._bufs["time"])
             self._pools[name] = np.empty(0, dtype=np.int64)
-            self._bufs["start", name] = np.zeros(size, dtype=np.int64)
-            self._bufs["len", name] = np.full(size, -1, dtype=np.int64)
+            self._column(("start", name), np.int64, 0)
+            self._column(("len", name), np.int64, -1)
         starts = self._bufs["start", name][self._lo:self._hi]
         lens = self._bufs["len", name][self._lo:self._hi]
         missing = np.flatnonzero(lens < 0)
@@ -871,3 +1044,53 @@ class ColumnMirror:
             lens[missing] = np.diff(offsets)
             self._pools[name] = np.concatenate((pool, values))
         return starts, lens, self._pools[name]
+
+    # -- records ---------------------------------------------------------
+    def _items(self, at: np.ndarray) -> np.ndarray:
+        """The records of the rows at buffer positions ``at``, building
+        those that were never asked for before."""
+        bufs = self._bufs
+        lacking = at[~bufs["built"][at]]
+        if len(lacking):
+            self.rows_materialised += len(lacking)
+            for slots, block, rows in self._by_source(lacking):
+                bufs["item"][lacking[slots]] = np.fromiter(
+                    block.records(rows), dtype=object, count=len(rows)
+                )
+            bufs["built"][lacking] = True
+        return bufs["item"][at]
+
+    def records(self, start: int = 0, stop: Optional[int] = None) -> list:
+        """The rows ``start .. stop - 1`` (default: all) as records, in
+        store order.  A record is built once — field for field what
+        ``block.records`` builds from the row's cells — and kept with
+        the row."""
+        at = np.arange(*slice(start, stop).indices(self.n))
+        return self._items(at + self._lo).tolist()
+
+    def records_at(self, at: np.ndarray) -> list:
+        """The records of the (distinct) rows ``at``."""
+        return self._items(at + self._lo).tolist()
+
+    def by_key(self) -> dict[FluentKey, tuple[list[int], list[FluentFact]]]:
+        """A fact store's rows grouped by grounding: ``key -> (times,
+        facts)``, each group in store order — a stable grouping, so a
+        grounding's facts are ordered by time and, within a time, by
+        feed order, as a store of that grounding alone would be."""
+        if not self.n:
+            return {}
+        codes = self.codes
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], codes[1:] != codes[:-1]))
+        ).tolist()
+        times = self.times[order].tolist()
+        facts = self._items(order + self._lo).tolist()
+        table = self.tokens.tokens
+        return {
+            table[code]: (times[a:b], facts[a:b])
+            for code, a, b in zip(
+                codes[starts].tolist(), starts, starts[1:] + [len(order)]
+            )
+        }

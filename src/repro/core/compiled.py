@@ -7,7 +7,7 @@ over one event type, per-token consecutive-reading scans, banded
 classification, and the bus-report family that joins ``move`` to
 ``gps`` to the ``close`` intersections — the whole body is a handful of
 ``numpy`` operations over the window's rows as arrays
-(:class:`repro.core.columns.ColumnMirror`).  Each :class:`CompiledRule`
+(:class:`repro.core.columns.ColumnStore`).  Each :class:`CompiledRule`
 here lowers one such body; the engine calls :meth:`CompiledRule.derive`
 wherever it would have called the definition's interpreted rule bodies.
 
@@ -28,9 +28,10 @@ result.  Three practices keep that true:
 * every emitted time coordinate is converted to a Python ``int``
   (``numpy`` scalars would leak into snapshots and serialise
   differently);
-* payload construction always reads the *original* records
-  (:attr:`~repro.core.columns.ColumnMirror.items`), never round-trips
-  through ``float64`` — an integer payload field must stay an integer;
+* payload construction always reads the *original* cells
+  (:meth:`~repro.core.columns.ColumnStore.cells`: the blocks the rows
+  were fed in), never round-trips through ``float64`` — an integer
+  payload field must stay an integer;
 * points are emitted in the interpreter's order — the rows of
   ``ctx.events(...)``, and within a bus report the order of
   :meth:`~repro.core.geo.SpatialGrid.near` — part by part of the
@@ -50,7 +51,7 @@ from typing import Any, Hashable, Optional
 
 import numpy as np
 
-from .columns import ColumnMirror, ColumnSpec, ragged_index
+from .columns import ColumnStore, ColumnSpec, ragged_index
 from .events import Occurrence
 from .incremental import RangeSet
 
@@ -69,55 +70,43 @@ MOVE_COLUMNS = ColumnSpec(numeric=("delay",), token=("bus",))
 GPS_COLUMNS = ColumnSpec(numeric=("lon", "lat", "congestion"))
 
 
-def _as_is(token):
-    return token
-
-
-def _bus_token(bus) -> tuple:
-    """The ``move``/``gps`` grounding token of a bus."""
-    return (bus,)
-
-
 class RowSelection:
     """The rows of a window the engine wants points for, in parts.
 
     ``segments`` are disjoint ascending time ranges (inclusive); rows
-    of a ``dirty`` grounding form one more part, whatever their time,
-    and belong to no segment.  Evaluators emit a part's points
-    together, parts in order — what evaluating segment by segment and
-    then the dirty groundings would produce.
+    of a ``dirty`` grounding — named by its token, as the columns name
+    it — form one more part, whatever their time, and belong to no
+    segment.  Evaluators emit a part's points together, parts in order
+    — what evaluating segment by segment and then the dirty groundings
+    would produce.
     """
 
     __slots__ = ("segments", "dirty")
 
     def __init__(
-        self, segments: Sequence[tuple[int, int]], dirty: set[Hashable]
+        self, segments: Sequence[tuple[int, int]], dirty: set[tuple]
     ):
         self.segments = segments
         self.dirty = dirty
 
-    def parts(
-        self, columns: ColumnMirror, token_of: Callable = _as_is
-    ) -> np.ndarray:
+    def parts(self, columns: ColumnStore) -> np.ndarray:
         """Per row of ``columns`` the index of its part, ``-1`` for a
-        row that is not selected.  ``token_of`` maps a dirty grounding
-        (as the definition's partition functions name it) to the
-        columns' grounding token."""
+        row that is not selected."""
         part = RangeSet(self.segments).index(columns.times)
         if self.dirty:
+            codes = columns.codes  # numbers the tokens of new rows
             tokens = columns.tokens
             is_dirty = np.zeros(len(tokens.tokens), dtype=bool)
-            codes = [tokens.get(token_of(token)) for token in self.dirty]
-            is_dirty[[c for c in codes if c is not None]] = True
-            part[is_dirty[columns.codes]] = len(self.segments)
+            dirty = [tokens.get(token) for token in self.dirty]
+            is_dirty[[c for c in dirty if c is not None]] = True
+            part[is_dirty[codes]] = len(self.segments)
         return part
 
 
 def _emission_order(
     selection: Optional[RowSelection],
-    columns: ColumnMirror,
+    columns: ColumnStore,
     anchors: np.ndarray,
-    token_of: Callable = _as_is,
 ) -> np.ndarray:
     """Which candidate points to emit, and in what order.
 
@@ -127,7 +116,7 @@ def _emission_order(
     there is no selection, else the selected ones grouped by part."""
     if selection is None:
         return np.arange(len(anchors))
-    part = selection.parts(columns, token_of)[anchors]
+    part = selection.parts(columns)[anchors]
     kept = np.flatnonzero(part >= 0)
     return kept[np.argsort(part[kept], kind="stable")]
 
@@ -151,6 +140,18 @@ class CompiledRule:
     """
 
     columns: Mapping[tuple[str, str], ColumnSpec] = {}
+
+    @staticmethod
+    def grounding_token(grounding: Hashable) -> tuple:
+        """The grounding token, as :attr:`columns` lay it out, of a
+        grounding as the definition's
+        :class:`~repro.core.incremental.IncrementalSpec` partition
+        functions name it.  For a compiled definition the engine finds
+        the groundings a late arrival dirtied on the arrays — as
+        tokens — and compares through this: every input the spec
+        partitions must be declared in :attr:`columns`, with token
+        fields that identify the partition's grounding."""
+        return grounding
 
     def derive(
         self, ctx, selection: Optional[RowSelection] = None
@@ -406,7 +407,7 @@ class BusReports:
 
     __slots__ = ("move", "gps", "gps_row", "congestion", "_close")
 
-    def __init__(self, move: ColumnMirror, gps: ColumnMirror):
+    def __init__(self, move: ColumnStore, gps: ColumnStore):
         self.move = move
         self.gps = gps
         #: Per ``move`` row its ``gps`` row, ``-1`` for none, and the
@@ -481,6 +482,11 @@ def _report_pairs(reports: BusReports, topology, rows: np.ndarray):
 _BUS_COLUMNS = {("event", "move"): MOVE_COLUMNS, ("fact", "gps"): GPS_COLUMNS}
 
 
+def _bus_token(bus) -> tuple:
+    """The ``move``/``gps`` grounding token of a bus."""
+    return (bus,)
+
+
 class CompiledDelayIncrease(CompiledRule):
     """Section 4.1's ``delayIncrease``: consecutive-pair deltas per bus.
 
@@ -490,10 +496,11 @@ class CompiledDelayIncrease(CompiledRule):
     steps that cross a bus boundary masked out.  The pair predicate
     (``0 < dt < t_max`` and ``delay step > d``) is a boolean mask; only
     the (rare) hits reach Python, for the payload, which is built from
-    the original records so integer delay fields survive untouched.
+    the original cells so integer delay fields survive untouched.
     """
 
     columns = _BUS_COLUMNS
+    grounding_token = staticmethod(_bus_token)
 
     def __init__(
         self, name: str, delay_delta: float, delay_window: float
@@ -505,7 +512,7 @@ class CompiledDelayIncrease(CompiledRule):
     def derive(self, ctx, selection=None) -> dict[str, list[Any]]:
         """Vectorised pair predicate over every bus at once; hits take
         their ``gps`` positions from the shared move-gps join and
-        build occurrences from the original records."""
+        build occurrences from the original cells."""
         reports = bus_reports(ctx)
         move = reports.move
         occ: list[Occurrence] = []
@@ -526,19 +533,22 @@ class CompiledDelayIncrease(CompiledRule):
         )
         # A hit is anchored at its later move.
         hits = hits[
-            _emission_order(selection, move, order[hits + 1], _bus_token)
+            _emission_order(selection, move, order[hits + 1])
         ]
-        moves, fixes = move.items, reports.gps.items
-        for prev, cur, gps_prev, gps_cur, time in zip(
-            order[hits].tolist(),
-            order[hits + 1].tolist(),
-            gps_row[hits].tolist(),
-            gps_row[hits + 1].tolist(),
-            move.times[order[hits + 1]].tolist(),
+        prev, cur = order[hits], order[hits + 1]
+        gps, gps_prev, gps_cur = reports.gps, gps_row[hits], gps_row[hits + 1]
+        for (
+            bus, time, delay_prev, delay_cur, from_lon, from_lat, lon, lat
+        ) in zip(
+            move.cells("bus", cur),
+            move.times[cur].tolist(),
+            move.cells("delay", prev),
+            move.cells("delay", cur),
+            gps.cells("lon", gps_prev),
+            gps.cells("lat", gps_prev),
+            gps.cells("lon", gps_cur),
+            gps.cells("lat", gps_cur),
         ):
-            prev_ev, cur_ev = moves[prev], moves[cur]
-            gps_prev, gps_cur = fixes[gps_prev].value, fixes[gps_cur].value
-            bus = cur_ev["bus"]
             occ.append(
                 Occurrence(
                     self.name,
@@ -546,13 +556,11 @@ class CompiledDelayIncrease(CompiledRule):
                     time,
                     {
                         "bus": bus,
-                        "from_lon": gps_prev["lon"],
-                        "from_lat": gps_prev["lat"],
-                        "lon": gps_cur["lon"],
-                        "lat": gps_cur["lat"],
-                        "delay_increase": (
-                            cur_ev["delay"] - prev_ev["delay"]
-                        ),
+                        "from_lon": from_lon,
+                        "from_lat": from_lat,
+                        "lon": lon,
+                        "lat": lat,
+                        "delay_increase": delay_cur - delay_prev,
                     },
                 )
             )
@@ -572,6 +580,7 @@ class CompiledBusComparison(CompiledRule):
     """
 
     columns = _BUS_COLUMNS
+    grounding_token = staticmethod(_bus_token)
 
     def __init__(
         self, name: str, topology, scats_fluent: str, *, agree: bool
@@ -590,9 +599,7 @@ class CompiledBusComparison(CompiledRule):
         if not move.n:
             return {"occ": occ}
         topology = self.topology
-        rows = _emission_order(
-            selection, move, np.arange(move.n), _bus_token
-        )
+        rows = _emission_order(selection, move, np.arange(move.n))
         rows, intersections = _report_pairs(reports, topology, rows)
         times = move.times[rows]
         scats_says = _holds_index(
@@ -606,15 +613,13 @@ class CompiledBusComparison(CompiledRule):
             bus_says == scats_says if self.agree else bus_says != scats_says
         )
         ids = topology.ids()
-        moves = move.items
         name = self.name
-        for row, i, time, says in zip(
-            rows[fires].tolist(),
+        for bus, i, time, says in zip(
+            move.cells("bus", rows[fires]),
             intersections[fires].tolist(),
             times[fires].tolist(),
             bus_says[fires].tolist(),
         ):
-            bus = moves[row]["bus"]
             int_id = ids[i]
             if self.agree:
                 occ.append(

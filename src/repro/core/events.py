@@ -166,37 +166,3 @@ class Occurrence:
         payload = dict(self.payload)
         payload.setdefault("key", self.key)
         return Event(self.type, self.time, payload)
-
-
-# ----------------------------------------------------------------------
-# Compact row serialisation (checkpoint fast path)
-# ----------------------------------------------------------------------
-# Pickling SDEs one object at a time pays a Python-level ``__reduce__``
-# call per record; a working memory holds tens of thousands, and the
-# checkpoint coordinator serialises them every interval.  Converting to
-# plain tuples first keeps the pickler on its C fast path — about 3x
-# faster and smaller on the wire.  Restore reconstructs through the
-# constructors, so the payload-freezing invariants are re-established.
-
-def to_row(item: Any) -> tuple:
-    """The compact tuple form of an :class:`Event`/:class:`FluentFact`;
-    anything else is passed through to be pickled as itself."""
-    kind = type(item)
-    if kind is Event:
-        return ("e", item.type, item.time, dict(item.payload), item.arrival)
-    if kind is FluentFact:
-        value = item.value
-        if isinstance(value, MappingProxyType):
-            value = dict(value)
-        return ("f", item.name, item.key, value, item.time, item.arrival)
-    return ("o", item)
-
-
-def from_row(row: tuple) -> Any:
-    """Rebuild the record serialised by :func:`to_row`."""
-    tag = row[0]
-    if tag == "e":
-        return Event(row[1], row[2], row[3], row[4])
-    if tag == "f":
-        return FluentFact(row[1], row[2], row[3], row[4], row[5])
-    return row[1]

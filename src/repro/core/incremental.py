@@ -10,9 +10,16 @@ the newest ``step`` of data:
   derived point can see (lookback/lookahead over the raw inputs it
   reads), which makes cached points reusable and late arrivals
   invalidatable;
-* :class:`WorkingMemory` — a persistent, time-indexed SDE store that
-  admits inputs by arrival time and evicts by the window's left edge
-  instead of rebuilding per query;
+* :class:`WorkingMemory` — the persistent window: one
+  :class:`~.columns.ColumnStore` (a struct of arrays in ``(time,
+  seq)`` order) per event type and input fluent, into which inputs are
+  admitted by arrival time straight from the pending batches' blocks
+  and from which they are evicted by the window's left edge — nothing
+  is rebuilt per query, and no ``Event``/``FluentFact`` exists until a
+  reader asks for one;
+* :class:`LateArrivals` — what a query admitted behind the previous
+  query time, per input, as arrays: the bands and dirty groundings
+  that invalidate cached points;
 * range utilities (:func:`merge_ranges`, :class:`RangeSet`) and output
   diffing (:func:`changed_point_ranges`,
   :func:`changed_interval_ranges`) used to propagate invalidation
@@ -40,7 +47,6 @@ from __future__ import annotations
 import bisect
 import contextlib
 import contextvars
-import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -49,17 +55,14 @@ from typing import Any, Hashable, Optional
 import numpy as np
 
 from .columns import (
-    ColumnMirror,
     ColumnSpec,
+    ColumnStore,
     SDEColumns,
     TokenCodes,
     block_rows,
-    build_records,
 )
-from .events import Event, FluentFact, FluentKey, from_row, to_row
+from .events import Event, FluentFact, FluentKey
 from .intervals import IntervalList
-
-_MAX_SEQ = sys.maxsize
 
 #: When set, :meth:`WorkingMemory.__getstate__` omits the pending
 #: entries of the *initial input stream* (everything buffered before
@@ -116,6 +119,12 @@ class IncrementalSpec:
         partition function, a late arrival invalidates only its own
         token's points — the engine re-derives just the affected
         groundings instead of a whole time band.
+        An input partition must be a function of the input's
+        *grounding token* — the key of a fact, the token fields a
+        compiled rule declares for an event type: of all the late rows
+        of one grounding the engine materialises a single
+        representative and asks the function about that one (every
+        partition in :mod:`repro.core.traffic` is such a function).
         ``point_partition`` receives an :class:`~.events.Occurrence`
         for derived events, a ``(key, t)`` pair for simple fluents and
         a ``(key, value, t)`` triple for valued fluents.
@@ -148,64 +157,6 @@ class IncrementalSpec:
 # ----------------------------------------------------------------------
 # Persistent working memory
 # ----------------------------------------------------------------------
-class TimedColumn:
-    """One time-sorted column of SDEs (one event type or fact key).
-
-    Items are kept sorted by ``(occurrence time, feed sequence)``; the
-    sequence number reproduces the legacy engine's stable-sort
-    tie-break, so window slices are element-for-element identical to
-    the lists the legacy engine builds per query.
-    """
-
-    __slots__ = ("order", "times", "items")
-
-    def __init__(self) -> None:
-        self.order: list[tuple[int, int]] = []
-        self.times: list[int] = []
-        self.items: list[Any] = []
-
-    def insert(self, time: int, seq: int, item: Any) -> None:
-        """Insert an item at its ``(time, seq)`` position."""
-        order = self.order
-        key = (time, seq)
-        if not order or key >= order[-1]:
-            # In-order arrival (the overwhelmingly common case).
-            order.append(key)
-            self.times.append(time)
-            self.items.append(item)
-            return
-        i = bisect.bisect_right(order, key)
-        order.insert(i, key)
-        self.times.insert(i, time)
-        self.items.insert(i, item)
-
-    def evict(self, horizon: int) -> None:
-        """Drop every item with occurrence time ``<= horizon``."""
-        cut = bisect.bisect_right(self.order, (horizon, _MAX_SEQ))
-        if cut:
-            del self.order[:cut]
-            del self.times[:cut]
-            del self.items[:cut]
-
-    # Checkpoint fast path: serialise items as compact rows (see
-    # ``events.to_row``) so the pickler stays on its C path; ``times``
-    # is derivable from ``order`` and not stored.
-    def __getstate__(self):
-        return (self.order, [to_row(item) for item in self.items])
-
-    def __setstate__(self, state) -> None:
-        order, rows = state
-        self.order = order
-        self.times = [time for time, _ in order]
-        self.items = [from_row(row) for row in rows]
-
-    def bounds(self, lo: int, hi: int) -> tuple[int, int]:
-        """Index bounds of the items with time in ``(lo, hi]``."""
-        i = bisect.bisect_right(self.order, (lo, _MAX_SEQ))
-        j = bisect.bisect_right(self.order, (hi, _MAX_SEQ))
-        return i, j
-
-
 class PendingBatch:
     """One columnar feed awaiting admission, as arrays.
 
@@ -213,8 +164,9 @@ class PendingBatch:
     sequence numbers — are sorted once by ``(arrival, seq)``; a cursor
     marks the admitted prefix.  Per pending row the buffer holds five
     integers (arrival, sequence number, occurrence time, block and row
-    within the block) and no Python object: :meth:`take_due`
-    materialises exactly the rows a query admits inside its window.
+    within the block) and no Python object: :meth:`take_due` hands the
+    rows a query admits inside its window to the window store as
+    index arrays into the blocks.
     """
 
     __slots__ = (
@@ -261,27 +213,26 @@ class PendingBatch:
         """Move the cursor past every row with ``arrival <= q``."""
         self.cursor = int(np.searchsorted(self.arrival, q, side="right"))
 
-    def take_due(self, q: int, horizon: int) -> tuple[tuple, int]:
+    def take_due(self, q: int, horizon: int) -> tuple[list[tuple], int]:
         """Consume the rows with ``arrival <= q``.
 
-        Returns ``(arrivals, seqs, is_fact flags, records)`` — three
-        arrays and a list, parallel, over the consumed rows whose
-        occurrence time is after ``horizon``, in ``(arrival, seq)``
-        order — and the number of rows at or before the horizon, which
-        are skipped on the time array and never built.
+        Returns the consumed rows that occurred after ``horizon``,
+        grouped by block — ``(block index, rows within the block,
+        occurrence times, sequence numbers)``, each group in
+        ``(arrival, seq)`` order — and the number of rows at or before
+        the horizon, which are dropped on the time array.
         """
         lo = self.cursor
         self.skip_through(q)
-        due = slice(lo, self.cursor)
-        live = np.flatnonzero(self.time[due] > horizon) + lo
+        if self.cursor == lo:
+            return [], 0
+        live = np.flatnonzero(self.time[lo:self.cursor] > horizon) + lo
         block_of = self.block[live]
-        chunk = (
-            self.arrival[live],
-            self.seq[live],
-            block_of >= self.n_event_blocks,
-            build_records(self.blocks, block_of, self.row[live]),
-        )
-        return chunk, (self.cursor - lo) - len(live)
+        groups = []
+        for b in np.unique(block_of).tolist():
+            at = live[block_of == b]
+            groups.append((b, self.row[at], self.time[at], self.seq[at]))
+        return groups, (self.cursor - lo) - len(live)
 
     # A pickled batch carries only what is still pending, and nothing
     # that can be recomputed: every block reduced to its pending rows
@@ -304,33 +255,26 @@ class PendingBatch:
 
 
 class WorkingMemory:
-    """Persistent SDE store indexed by occurrence time.
+    """The persistent window: every input SDE inside it, as arrays.
 
     Inputs are buffered with their arrival time; :meth:`admit` moves
-    everything that has arrived by the query time into the per-type /
-    per-fact-key columns, and :meth:`evict` cuts the prefix that fell
-    out of the window.  Between queries the columns *are* the window
-    contents — nothing is rebuilt.
+    everything that has arrived by the query time from the pending
+    batches' blocks into one :class:`~.columns.ColumnStore` per event
+    type and per input fluent — index arithmetic per block, no record
+    built — and :meth:`evict` advances each store past the rows that
+    fell out of the window.  Between queries the stores *are* the
+    window contents: per store, every row that has arrived and
+    occurred inside the window, by occurrence time and then by
+    sequence number.  Nothing is rebuilt, and an
+    :class:`~.events.Event` / :class:`~.events.FluentFact` exists only
+    for a row some reader asked for as an object.
     """
 
     def __init__(self) -> None:
-        self.events: dict[str, TimedColumn] = {}
-        self.facts: dict[tuple[str, FluentKey], TimedColumn] = {}
-        #: per-token sub-indexes maintained for registered grounding
-        #: partitions: ``(event type, id(fn)) -> token -> column`` and
-        #: ``(fact name, id(fn)) -> token -> fact key -> column``.
-        self.event_groups: dict[
-            tuple[str, int], dict[Hashable, TimedColumn]
-        ] = {}
-        self.fact_groups: dict[
-            tuple[str, int], dict[Hashable, dict[FluentKey, TimedColumn]]
-        ] = {}
-        self._event_partitions: dict[
-            str, list[tuple[int, Callable[[Event], Hashable]]]
-        ] = {}
-        self._fact_partitions: dict[
-            str, list[tuple[int, Callable[[FluentFact], Hashable]]]
-        ] = {}
+        #: The window, per ``(kind, name)`` — ``("event", type)`` or
+        #: ``("fact", fluent name)``: the only store.  Created when a
+        #: row of that type is first admitted.
+        self._stores: dict[tuple[str, str], ColumnStore] = {}
         #: Feeds awaiting admission — the only pending buffer: one
         #: :class:`PendingBatch` per :meth:`buffer_columns` call (the
         #: input stream, and every later object feed wrapped by
@@ -338,42 +282,28 @@ class WorkingMemory:
         #: ``(arrival, seq)`` order with a cursor, no object per row.
         self._batches: list[PendingBatch] = []
         self._seq = 0
-        #: declared columnar layout per ``(kind, name)`` — ``("event",
-        #: type)`` or ``("fact", fluent name)`` — merged across the
-        #: compiled rules reading it; ``None`` marks one whose
-        #: declarations conflicted — no columns are kept for it.
+        #: declared columnar layout per ``(kind, name)``, merged across
+        #: the compiled rules reading it; ``None`` marks one whose
+        #: declarations conflicted — its store keeps no evaluation
+        #: columns.
         self._column_specs: dict[
             tuple[str, str], Optional[ColumnSpec]
         ] = {}
-        #: The :class:`~.columns.ColumnMirror` of the declared types,
-        #: per kind and name, created when a compiled body first reads
-        #: them and from then on fed every admitted record — with the
-        #: token codes they share.  Process-local: not pickled, rebuilt
-        #: from the records on first use after a restore.
-        self._mirrors: dict[str, dict[str, ColumnMirror]] = {
-            "event": {}, "fact": {},
-        }
+        #: The token codes the stores share.  Process-local: not
+        #: pickled, renumbered on first use after a restore.
         self.tokens = TokenCodes()
-        #: The left edge of the last :meth:`evict`.
-        self._horizon: Optional[int] = None
         #: Sequence number of the last item of the *initial input
         #: stream* (see :meth:`mark_stream_boundary`); 0 means no
         #: boundary was declared and streamless pickling is disabled.
         self._stream_seq = 0
         #: Batch-row accounting (``rtec.ingest.*``): rows :meth:`admit`
-        #: built a record for, and rows it dropped unbuilt because they
+        #: moved into the window, and rows it dropped because they
         #: occurred at or before the horizon.  Read as differences
         #: around a query; not carried through pickles.
-        self.rows_materialised = 0
+        self.rows_admitted = 0
         self.rows_skipped_horizon = 0
 
     # -- durability ----------------------------------------------------
-    # The per-token sub-indexes are keyed by ``id(partition_fn)``, which
-    # is only meaningful within one process.  Checkpoints therefore
-    # serialise the partition *functions* (module-level callables that
-    # pickle by reference) and rebuild the indexes on restore by
-    # re-registering them against the restored columns — the same
-    # backfill path used when a partition is first declared.
     def __getstate__(self) -> dict[str, Any]:
         # Checkpoint fast path: the initial stream (seq <= the
         # boundary) is regenerable and omitted; only later feeds
@@ -382,16 +312,7 @@ class WorkingMemory:
         boundary = self._stream_seq if _STREAMLESS.get() else 0
         return {
             "column_specs": self._column_specs,
-            "events": self.events,
-            "facts": self.facts,
-            "event_partitions": {
-                etype: [fn for _, fn in fns]
-                for etype, fns in self._event_partitions.items()
-            },
-            "fact_partitions": {
-                name: [fn for _, fn in fns]
-                for name, fns in self._fact_partitions.items()
-            },
+            "stores": self._stores,
             "batches": [
                 batch for batch in self._batches if batch.last_seq > boundary
             ],
@@ -401,44 +322,37 @@ class WorkingMemory:
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         self.__init__()
-        self.events = state["events"]
-        self.facts = state["facts"]
+        self._column_specs = state["column_specs"]
+        self._stores = state["stores"]
+        for store in self._stores.values():
+            store.tokens = self.tokens
         self._batches = state["batches"]
         self._seq = state["seq"]
         self._stream_seq = state["stream_seq"]
-        self._column_specs = state.get("column_specs", {})
-        for etype, fns in state["event_partitions"].items():
-            for fn in fns:
-                self.register_event_partition(etype, fn)
-        for name, fns in state["fact_partitions"].items():
-            for fn in fns:
-                self.register_fact_partition(name, fn)
 
     def buffer_columns(self, batch: SDEColumns) -> None:
-        """Queue a columnar SDE batch without materialising its rows.
+        """Queue a columnar SDE batch.
 
         The batch enters the pending buffer as one
-        :class:`PendingBatch` — order arrays over its blocks — and a
-        row becomes an :class:`Event`/:class:`FluentFact` only when
-        :meth:`admit` moves it into the window; rows a window never
-        sees are never built.  Sequence numbers follow the batch's
-        canonical order (event blocks, then fact blocks), exactly as
-        the object path would assign them for the same order, so a
-        batch-fed stream refills identically (see
-        :meth:`refill_columns`).
+        :class:`PendingBatch` — order arrays over its blocks — and its
+        rows stay where they are: :meth:`admit` refers the window
+        store to them.  Sequence numbers follow the batch's canonical
+        order (event blocks, then fact blocks), exactly as the object
+        path would assign them for the same order, so a batch-fed
+        stream refills identically (see :meth:`refill_columns`).
         """
         if batch.n:
             self._batches.append(PendingBatch(batch, self._seq))
             self._seq += batch.n
 
-    # -- columnar mirror declarations ----------------------------------
+    # -- the window ----------------------------------------------------
     def declare_columns(self, kind: str, name: str, spec: ColumnSpec) -> None:
         """Declare the columnar layout a compiled rule reads from an
         event type (``kind="event"``) or an input fluent
         (``kind="fact"``).  Declarations from several rules merge by
         numeric field union; conflicting grounding-token layouts
-        disable the columns for it (readers then build them from the
-        object lists, per query)."""
+        disable the evaluation columns for it (readers then build them
+        from the records, per query)."""
         key = (kind, name)
         if key in self._column_specs:
             current = self._column_specs[key]
@@ -448,52 +362,29 @@ class WorkingMemory:
         else:
             self._column_specs[key] = spec
 
-    def mirror(self, kind: str, name: str) -> Optional[ColumnMirror]:
-        """The mirror of a declared type — the window's rows as arrays
-        — brought up to date with what was admitted and evicted since
-        the last call (``None`` for an undeclared type)."""
-        spec = self._column_specs.get((kind, name))
-        if spec is None:
-            return None
-        mirror = self._mirrors[kind].get(name)
-        if mirror is None:
-            mirror = self._mirrors[kind][name] = ColumnMirror(
-                spec, kind == "fact", self.tokens
-            )
-            if kind == "fact":
-                stored = [
-                    column
-                    for (fname, _), column in self.facts.items()
-                    if fname == name
-                ]
-            else:
-                stored = [self.events[name]] if name in self.events else []
-            for column in stored:
-                mirror.fresh.extend(
-                    (time, seq, item)
-                    for (time, seq), item in zip(column.order, column.items)
-                )
-        mirror.sync(self._horizon)
-        return mirror
+    def store(self, kind: str, name: str) -> Optional[ColumnStore]:
+        """The window's rows of one event type or input fluent
+        (``None`` if none was ever admitted)."""
+        return self._stores.get((kind, name))
+
+    def _counted(self, counter: str) -> int:
+        return sum(getattr(s, counter) for s in self._stores.values())
+
+    @property
+    def rows_materialised(self) -> int:
+        """Records built from the stores so far."""
+        return self._counted("rows_materialised")
 
     @property
     def rows_encoded(self) -> int:
-        """Records encoded into the mirrors so far."""
-        return sum(
-            mirror.rows_encoded
-            for by_name in self._mirrors.values()
-            for mirror in by_name.values()
-        )
+        """Rows whose evaluation columns were filled so far."""
+        return self._counted("rows_encoded")
 
     @property
     def rows_close_decided(self) -> int:
         """Rows a lazily joined column (the ``close`` join of the
         ``gps`` positions) was computed for so far."""
-        return sum(
-            mirror.rows_ragged
-            for by_name in self._mirrors.values()
-            for mirror in by_name.values()
-        )
+        return self._counted("rows_ragged")
 
     # -- streamless checkpointing --------------------------------------
     def mark_stream_boundary(self) -> None:
@@ -534,169 +425,130 @@ class WorkingMemory:
         if len(refilled):
             self._batches.insert(0, refilled)
 
-    # -- grounding partitions ------------------------------------------
-    def register_event_partition(
-        self, etype: str, fn: Callable[[Event], Hashable]
-    ) -> None:
-        """Maintain a per-token sub-index of an event type under ``fn``.
-
-        Registered partitions let the engine assemble the restricted
-        context of a dirty grounding from pre-grouped columns instead
-        of scanning (and re-tokenising) the whole window every query.
-        Functions are deduplicated by identity — the same module-level
-        partition shared by several definitions is indexed once.
-        """
-        fns = self._event_partitions.setdefault(etype, [])
-        if any(fid == id(fn) for fid, _ in fns):
-            return
-        fns.append((id(fn), fn))
-        groups: dict[Hashable, TimedColumn] = {}
-        self.event_groups[(etype, id(fn))] = groups
-        column = self.events.get(etype)
-        if column is not None:  # backfill anything already admitted
-            for (time, seq), item in zip(column.order, column.items):
-                self._group_insert(groups, fn(item), time, seq, item)
-
-    def register_fact_partition(
-        self, name: str, fn: Callable[[FluentFact], Hashable]
-    ) -> None:
-        """Maintain per-token, per-key sub-indexes of a fact name."""
-        fns = self._fact_partitions.setdefault(name, [])
-        if any(fid == id(fn) for fid, _ in fns):
-            return
-        fns.append((id(fn), fn))
-        groups: dict[Hashable, dict[FluentKey, TimedColumn]] = {}
-        self.fact_groups[(name, id(fn))] = groups
-        for (fname, fkey), column in self.facts.items():
-            if fname != name:
-                continue
-            for (time, seq), item in zip(column.order, column.items):
-                by_key = groups.setdefault(fn(item), {})
-                self._group_insert(by_key, fkey, time, seq, item)
-
-    @staticmethod
-    def _group_insert(
-        groups: dict, token: Hashable, time: int, seq: int, item: Any
-    ) -> None:
-        column = groups.get(token)
-        if column is None:
-            column = groups[token] = TimedColumn()
-        column.insert(time, seq, item)
-
     def admit(
         self, q: int, horizon: int
-    ) -> tuple[list[Event], list[FluentFact]]:
-        """Index everything that has arrived by ``q``.
+    ) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
+        """Move everything that has arrived by ``q`` into the window.
 
-        Items whose occurrence time is already at or before ``horizon``
-        (the new window's left edge) are discarded outright.  Returns
-        the newly admitted events and facts — the inputs this query
-        sees for the first time.
+        Rows whose occurrence time is already at or before ``horizon``
+        (the new window's left edge) are discarded outright.  Returns,
+        per ``(kind, name)``, the occurrence times and sequence numbers
+        of the rows admitted — the inputs this query sees for the
+        first time.
         """
-        new_events: list[Event] = []
-        new_facts: list[FluentFact] = []
-        #: (arrivals, seqs, is_fact flags, items) per feed that came
-        #: due: three arrays and a list.
-        due: list[tuple] = []
+        admitted: dict[tuple[str, str], list[tuple]] = {}
         for batch in self._batches:
-            chunk, skipped = batch.take_due(q, horizon)
-            self.rows_materialised += len(chunk[3])
+            groups, skipped = batch.take_due(q, horizon)
             self.rows_skipped_horizon += skipped
-            if chunk[3]:
-                due.append(chunk)
+            for b, rows, times, seqs in groups:
+                block = batch.blocks[b]
+                is_fact = b >= batch.n_event_blocks
+                key = (
+                    ("fact", block.name) if is_fact else ("event", block.type)
+                )
+                store = self._stores.get(key)
+                if store is None:
+                    store = self._stores[key] = ColumnStore(
+                        self._column_specs.get(key), is_fact, self.tokens
+                    )
+                store.admit(block, rows, times, seqs)
+                self.rows_admitted += len(rows)
+                admitted.setdefault(key, []).append((times, seqs))
         self._batches = [batch for batch in self._batches if len(batch)]
-        if not due:
-            return new_events, new_facts
-        _, seqs, fact_flags, items = due[0]
-        if len(due) > 1:
-            # Several feeds came due together (crowd feedback beside
-            # the stream, per-step batches): one (arrival, seq) order,
-            # found on the arrays — no tuple per row.
-            arrivals, seqs, fact_flags = (
-                np.concatenate(column) for column in list(zip(*due))[:3]
-            )
-            order = np.lexsort((seqs, arrivals))
-            seqs, fact_flags = seqs[order], fact_flags[order]
-            items = [item for chunk in due for item in chunk[3]]
-            items = [items[i] for i in order.tolist()]
-        event_mirrors = self._mirrors["event"]
-        fact_mirrors = self._mirrors["fact"]
-        for seq, is_fact, item in zip(
-            seqs.tolist(), fact_flags.tolist(), items
-        ):
-            if is_fact:
-                column = self.facts.get((item.name, item.key))
-                if column is None:
-                    column = self.facts[(item.name, item.key)] = TimedColumn()
-                column.insert(item.time, seq, item)
-                fns = self._fact_partitions.get(item.name)
-                if fns:
-                    for fid, fn in fns:
-                        by_key = self.fact_groups[(item.name, fid)].setdefault(
-                            fn(item), {}
-                        )
-                        self._group_insert(
-                            by_key, item.key, item.time, seq, item
-                        )
-                mirror = fact_mirrors.get(item.name)
-                if mirror is not None:
-                    mirror.fresh.append((item.time, seq, item))
-                new_facts.append(item)
-            else:
-                column = self.events.get(item.type)
-                if column is None:
-                    column = self.events[item.type] = TimedColumn()
-                column.insert(item.time, seq, item)
-                fns = self._event_partitions.get(item.type)
-                if fns:
-                    for fid, fn in fns:
-                        self._group_insert(
-                            self.event_groups[(item.type, fid)],
-                            fn(item),
-                            item.time,
-                            seq,
-                            item,
-                        )
-                mirror = event_mirrors.get(item.type)
-                if mirror is not None:
-                    mirror.fresh.append((item.time, seq, item))
-                new_events.append(item)
-        return new_events, new_facts
+        return {
+            key: tuple(np.concatenate(column) for column in zip(*chunks))
+            for key, chunks in admitted.items()
+        }
 
     def evict(self, horizon: int) -> None:
-        """Evict items that fell out of the window ``(horizon, Q]``."""
-        self._horizon = horizon
-        for column in self.events.values():
-            column.evict(horizon)
-        for column in self.facts.values():
-            column.evict(horizon)
-        for groups in self.event_groups.values():
-            stale = []
-            for token, column in groups.items():
-                column.evict(horizon)
-                if not column.items:
-                    stale.append(token)
-            for token in stale:
-                del groups[token]
-        for groups in self.fact_groups.values():
-            stale_tokens = []
-            for token, by_key in groups.items():
-                stale_keys = []
-                for fkey, column in by_key.items():
-                    column.evict(horizon)
-                    if not column.items:
-                        stale_keys.append(fkey)
-                for fkey in stale_keys:
-                    del by_key[fkey]
-                if not by_key:
-                    stale_tokens.append(token)
-            for token in stale_tokens:
-                del groups[token]
+        """Evict rows that fell out of the window ``(horizon, Q]``."""
+        for store in self._stores.values():
+            store.evict(horizon)
 
     def n_events(self) -> int:
         """Number of events currently inside the window."""
-        return sum(len(column.items) for column in self.events.values())
+        return sum(
+            store.n
+            for (kind, _), store in self._stores.items()
+            if kind == "event"
+        )
 
+
+class LateArrivals:
+    """The delayed SDEs of one query: rows it admitted that occurred at
+    or before the previous query time — inside the overlap whose
+    points are cached — per input, as arrays.
+
+    What invalidates is derived on demand and shared by the
+    definitions that declare the input: the time *ranges* a late row
+    touches (the distinct late times), and under a grounding partition
+    the dirty groundings — for a compiled definition as the *tokens*
+    of the late rows, read off the arrays; for an interpreted one as
+    its partition function names them (:meth:`dirty`).  A partition
+    function takes a record; it is asked about one representative per
+    distinct late grounding where the store codes groundings (every
+    fact store, every event type a compiled rule declares), and about
+    every late row otherwise (``crowd`` answers: dozens).
+    """
+
+    def __init__(
+        self,
+        memory: WorkingMemory,
+        admitted: Mapping[tuple[str, str], tuple[np.ndarray, np.ndarray]],
+        previous: Optional[int],
+    ):
+        self._memory = memory
+        #: ``(kind, name)`` -> (times, sequence numbers) of its late rows.
+        self._late: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
+        if previous is not None:
+            for key, (times, seqs) in admitted.items():
+                late = times <= previous
+                if late.any():
+                    self._late[key] = (times[late], seqs[late])
+        self._tokens: dict[tuple, set[tuple]] = {}
+        self._dirty: dict[tuple, set[Hashable]] = {}
+
+    def ranges(self, kind: str, name: str) -> list[TimeRange]:
+        """One ``(t, t)`` range per distinct late time of the input."""
+        times = self._late.get((kind, name), ((), ()))[0]
+        return [(t, t) for t in np.unique(times).tolist()]
+
+    def _rows(self, kind: str, name: str):
+        """The input's store and where its late rows sit in it."""
+        store = self._memory.store(kind, name)
+        return store, store.locate(self._late[kind, name][1])
+
+    def tokens(
+        self, kind: str, name: str, fields: Sequence[str]
+    ) -> set[tuple]:
+        """The grounding tokens of the input's late rows: the keys of
+        late facts, the ``fields`` cells of late events."""
+        key = (kind, name, fields)
+        found = self._tokens.get(key)
+        if found is None:
+            found = set()
+            if (kind, name) in self._late:
+                store, at = self._rows(kind, name)
+                found = store.tokens_at(at, fields)
+            self._tokens[key] = found
+        return found
+
+    def dirty(
+        self, kind: str, name: str, partition: Callable
+    ) -> set[Hashable]:
+        """The groundings, as ``partition`` names them, of the input's
+        late rows."""
+        key = (kind, name, partition)
+        found = self._dirty.get(key)
+        if found is None:
+            found = set()
+            if (kind, name) in self._late:
+                store, at = self._rows(kind, name)
+                if store.grounded:
+                    at = at[np.unique(store.codes[at], return_index=True)[1]]
+                found.update(map(partition, store.records_at(at)))
+            self._dirty[key] = found
+        return found
 
 # ----------------------------------------------------------------------
 # Range utilities

@@ -20,8 +20,8 @@ Two evaluation modes share those semantics:
 * the **legacy** mode (``incremental=False``) rebuilds the window
   contents and re-derives every definition from scratch at each query
   time — the direct transcription of the paper;
-* the **incremental** mode (the default) keeps SDEs in a persistent
-  time-indexed working memory (:class:`repro.core.incremental.
+* the **incremental** mode (the default) keeps SDEs as arrays in a
+  persistent working memory (:class:`repro.core.incremental.
   WorkingMemory`) that evicts by the window's left edge, and reuses
   each definition's output points from the previous query for the
   overlap ``[Q_i - window + step, Q_i]``, re-deriving only the newest
@@ -49,6 +49,7 @@ from .events import Event, FluentFact, FluentKey, Occurrence
 from .incremental import (
     DefinitionState,
     IncrementalSpec,
+    LateArrivals,
     RangeSet,
     TimeRange,
     WorkingMemory,
@@ -124,16 +125,21 @@ class RecognitionSnapshot:
     cache_invalidations: int = 0
     compiled_evals: int = 0
     compiled_fallbacks: int = 0
-    #: Pending rows this query's admission built a record for, and
-    #: pending rows it dropped unbuilt because they occurred at or
-    #: before the window start (both zero in legacy mode, which
-    #: materialises a batch when it is fed).
-    rows_materialised: int = 0
+    #: Pending rows this query moved into the window, and pending rows
+    #: it dropped because they occurred at or before the window start
+    #: (both zero in legacy mode, which materialises a batch when it
+    #: is fed).
+    rows_admitted: int = 0
     rows_skipped_horizon: int = 0
-    #: Records this query encoded into the working memory's column
-    #: mirrors (each admitted record of a type a compiled rule reads,
-    #: once), and ``gps`` rows it decided the ``close`` join for (once
-    #: per row per engine).  Both zero in legacy mode.
+    #: Records (``Event``/``FluentFact``) this query built from the
+    #: window's arrays — for an interpreted rule body or a partition
+    #: function; at most once per row in its life.  Zero in legacy
+    #: mode.
+    rows_materialised: int = 0
+    #: Rows whose evaluation columns (token codes, ``float64`` fields)
+    #: this query filled (each admitted row of a type a compiled rule
+    #: reads, once), and ``gps`` rows it decided the ``close`` join for
+    #: (once per row per engine).  Both zero in legacy mode.
     mirror_rows_encoded: int = 0
     close_rows_decided: int = 0
     #: CPU seconds spent per definition (profiling breakdown).
@@ -146,8 +152,9 @@ class RecognitionSnapshot:
         "cache_invalidations": "rtec.cache.invalidations",
         "compiled_evals": "rtec.compiled.evals",
         "compiled_fallbacks": "rtec.compiled.fallbacks",
-        "rows_materialised": "rtec.ingest.rows_materialised",
+        "rows_admitted": "rtec.ingest.rows_admitted",
         "rows_skipped_horizon": "rtec.ingest.rows_skipped_horizon",
+        "rows_materialised": "rtec.ingest.rows_materialised",
         "mirror_rows_encoded": "rtec.mirror.rows_encoded",
         "close_rows_decided": "rtec.close.rows_decided",
     }
@@ -229,10 +236,10 @@ class RTEC:
     last query time — must round-trip through pickle such that the
     restored engine answers every subsequent ``query(q)`` identically
     to the original.  This requires rule bodies and grounding-partition
-    functions to be module-level callables (pickled by reference, so
-    restored definitions and working-memory indexes share the same
-    function objects); frozen payload mappings are reduced to plain
-    dicts by the event classes' ``__reduce__``.
+    functions to be module-level callables (pickled by reference); the
+    window travels as arrays — per row a sequence number and the cells
+    it was fed with — and what is derived from them (token codes,
+    evaluation columns, records) is rebuilt on first use.
     """
 
     def __init__(
@@ -272,8 +279,8 @@ class RTEC:
         self._states: dict[str, DefinitionState] = {}
         # Rule compilation: definitions offering a vectorised evaluator
         # get their bodies lowered; the working memory is told the
-        # columnar layouts those evaluators read, so it keeps those
-        # rows as arrays, fed what it admits.
+        # columnar layouts those evaluators read, so its stores of
+        # those types keep the evaluation columns with their rows.
         self.compiled_rules = bool(compiled)
         self._compiled: dict[str, Any] = {}
         if self.compiled_rules:
@@ -287,28 +294,7 @@ class RTEC:
                         self._wm.declare_columns(kind, name, cspec)
         if self.incremental:
             for d in self._definitions:
-                spec = self._specs[d.name] = d.incremental_spec(self.params)
-                if (
-                    spec is None
-                    or spec.lookback is None
-                    or not spec.partitioned
-                    or d.name in self._compiled
-                ):
-                    continue
-                # Interpreted partitioned definitions re-derive dirty
-                # groundings from a token-restricted context;
-                # registering their partition functions keeps the
-                # working memory pre-grouped so the context never
-                # needs a full-column scan.  (A compiled body selects
-                # the dirty rows of the column mirrors instead.)
-                for etype in spec.event_types:
-                    self._wm.register_event_partition(
-                        etype, spec.event_partition[etype]
-                    )
-                for fname in spec.fact_names:
-                    self._wm.register_fact_partition(
-                        fname, spec.fact_partition[fname]
-                    )
+                self._specs[d.name] = d.incremental_spec(self.params)
         #: definitions some *other* definition depends on: only their
         #: output diffs feed downstream invalidation, so ``changed`` is
         #: computed for them alone (for sinks it would be dead work).
@@ -395,13 +381,14 @@ class RTEC:
     def feed_columns(self, batch: SDEColumns) -> None:
         """Buffer a columnar SDE batch (:class:`~.columns.SDEColumns`).
 
-        The batch counterpart of :meth:`feed`: negative-time validation
-        runs vectorised over the batch's time arrays, and in
-        incremental mode the batch enters the working memory's pending
-        buffer as arrays — an :class:`Event` object is only built
-        when a row is actually admitted into a window.  Legacy engines
-        materialise the batch into their object buffers (their whole
-        evaluation is object-based).
+        The batch counterpart of :meth:`feed`: validation (no negative
+        occurrence time, no arrival before the occurrence) runs
+        vectorised over the batch's time arrays, and in incremental
+        mode the batch enters the working memory's pending buffer as
+        arrays, from which a query admits rows into the window by
+        reference — no :class:`Event` object is built on the way.
+        Legacy engines materialise the batch into their object buffers
+        (their whole evaluation is object-based).
         """
         batch.validate()
         if self._wm is not None:
@@ -547,49 +534,38 @@ class RTEC:
         previous = self._last_query
 
         wm = self._wm
-        built, skipped = wm.rows_materialised, wm.rows_skipped_horizon
-        encoded, decided = wm.rows_encoded, wm.rows_close_decided
-        new_events, new_facts = wm.admit(q, window_start)
+        admitted_before = wm.rows_admitted
+        skipped_before = wm.rows_skipped_horizon
+        built, encoded = wm.rows_materialised, wm.rows_encoded
+        decided = wm.rows_close_decided
+        admitted = wm.admit(q, window_start)
         wm.evict(window_start)
-        if previous is not None:
-            # Delayed SDEs: first seen now, but occurred inside the
-            # previous window's overlap — they invalidate cached points.
-            late_events = [ev for ev in new_events if ev.time <= previous]
-            late_facts = [f for f in new_facts if f.time <= previous]
-        else:
-            late_events = []
-            late_facts = []
+        # Delayed SDEs: first seen now, but occurred inside the
+        # previous window's overlap — they invalidate cached points.
+        late = LateArrivals(wm, admitted, previous)
 
-        events_by_type: dict[str, list[Event]] = {}
-        n_events = 0
-        for etype, column in self._wm.events.items():
-            if column.items:
-                events_by_type[etype] = column.items
-                n_events += len(column.items)
-        facts_by_key: dict[tuple[str, FluentKey], list[FluentFact]] = {}
-        fact_times: dict[tuple[str, FluentKey], list[int]] = {}
-        for fkey, column in self._wm.facts.items():
-            if column.items:
-                facts_by_key[fkey] = column.items
-                fact_times[fkey] = column.times
-
+        # The window stays arrays: the context's record accessors
+        # build objects only for an interpreted body that asks.
         ctx = RuleContext(
             window_start=window_start,
             window_end=q,
-            events=events_by_type,
-            facts=facts_by_key,
+            events={},
+            facts={},
             params=self.params,
-            fact_times=fact_times,
             columns=wm,
         )
 
         snapshot = RecognitionSnapshot(
             query_time=q,
             window_start=window_start,
-            n_events=n_events,
-            n_new_events=len(new_events),
-            rows_materialised=wm.rows_materialised - built,
-            rows_skipped_horizon=wm.rows_skipped_horizon - skipped,
+            n_events=wm.n_events(),
+            n_new_events=sum(
+                len(times)
+                for (kind, _), (times, _) in admitted.items()
+                if kind == "event"
+            ),
+            rows_admitted=wm.rows_admitted - admitted_before,
+            rows_skipped_horizon=wm.rows_skipped_horizon - skipped_before,
         )
         #: restricted contexts built this query, shared across
         #: definitions keyed by their (lo, hi] input range and the
@@ -636,8 +612,8 @@ class RTEC:
                 publishes = previous is not None and name in self._consumed
                 streams, replaced = self._definition_streams(
                     definition, state, ctx, q, window_start, previous,
-                    late_events, late_facts, snapshot, range_contexts,
-                    token_contexts, occ_times, track=publishes,
+                    late, snapshot, range_contexts, token_contexts,
+                    occ_times, track=publishes,
                 )
                 occurrences = sorted(streams["occ"], key=_occurrence_order)
                 streams["occ"] = occurrences
@@ -672,8 +648,8 @@ class RTEC:
             else:  # SimpleFluent / ValuedFluent
                 streams, _ = self._definition_streams(
                     definition, state, ctx, q, window_start, previous,
-                    late_events, late_facts, snapshot, range_contexts,
-                    token_contexts, occ_times,
+                    late, snapshot, range_contexts, token_contexts,
+                    occ_times,
                 )
                 if isinstance(definition, ValuedFluent):
                     out = self._valued_intervals(
@@ -701,6 +677,7 @@ class RTEC:
                 state.stream_times = None
             snapshot.per_definition[name] = _time.process_time() - d0
         snapshot.elapsed = _time.process_time() - t0
+        snapshot.rows_materialised = wm.rows_materialised - built
         snapshot.mirror_rows_encoded = wm.rows_encoded - encoded
         snapshot.close_rows_decided = wm.rows_close_decided - decided
 
@@ -755,8 +732,7 @@ class RTEC:
         q: int,
         window_start: int,
         previous: Optional[int],
-        late_events: list[Event],
-        late_facts: list[FluentFact],
+        late: LateArrivals,
         snapshot: RecognitionSnapshot,
         range_contexts: dict[tuple[int, int], RuleContext],
         token_contexts: dict[Hashable, RuleContext],
@@ -809,24 +785,34 @@ class RTEC:
 
         # -- what changed since the previous query -----------------
         partitioned = spec.partitioned
+        rule = self._compiled.get(definition.name)
         changed_ranges: list[TimeRange] = []
+        #: Groundings a late arrival touched: as the partition
+        #: functions name them, from records — or, for a compiled
+        #: definition, as their tokens, from the arrays.
         dirty: set[Hashable] = set()
+        point_token = spec.point_partition
+        if partitioned and rule is not None:
+            point_token = lambda pt: rule.grounding_token(  # noqa: E731
+                spec.point_partition(pt)
+            )
         for dep in definition.depends_on:
             dep_state = self._states.get(dep)
             if dep_state is not None:
                 changed_ranges.extend(dep_state.changed)
-        for ev in late_events:
-            if ev.type in spec.event_types:
-                if partitioned:
-                    dirty.add(spec.event_partition[ev.type](ev))
+        for kind, names, partitions in (
+            ("event", spec.event_types, spec.event_partition),
+            ("fact", spec.fact_names, spec.fact_partition),
+        ):
+            for name in names:
+                if not partitioned:
+                    changed_ranges += late.ranges(kind, name)
+                elif rule is not None:
+                    dirty |= late.tokens(
+                        kind, name, rule.columns[kind, name].token
+                    )
                 else:
-                    changed_ranges.append((ev.time, ev.time))
-        for fact in late_facts:
-            if fact.name in spec.fact_names:
-                if partitioned:
-                    dirty.add(spec.fact_partition[fact.name](fact))
-                else:
-                    changed_ranges.append((fact.time, fact.time))
+                    dirty |= late.dirty(kind, name, partitions[name])
         # An input change at t affects points whose dependency band
         # (t - lookback, t + lookahead] contains it.
         bands = merge_ranges(
@@ -846,7 +832,6 @@ class RTEC:
         segments = merge_ranges(segments, window_start + 1, q)
 
         band_set = RangeSet(bands)
-        point_token = spec.point_partition
         out: dict[str, list[Any]] = {s: [] for s in state.streams}
         dropped: list[Any] = []
 
@@ -914,7 +899,6 @@ class RTEC:
                 )
 
         n_reused = len(out.get("occ", ()))
-        rule = self._compiled.get(definition.name)
         if rule is not None:
             # A compiled body reads the whole window once and emits
             # the points at the rows the segments and the dirty
@@ -985,30 +969,24 @@ class RTEC:
         if rctx is not None:
             return rctx
         events: dict[str, list[Event]] = {}
-        for etype in spec.event_types:
-            column = self._wm.events.get(etype)
-            if column is None:
-                continue
-            i, j = column.bounds(lo, hi)
-            if i < j:
-                events[etype] = column.items[i:j]
         facts: dict[tuple[str, FluentKey], list[FluentFact]] = {}
-        fact_times: dict[tuple[str, FluentKey], list[int]] = {}
-        if spec.fact_names:
-            for fkey, column in self._wm.facts.items():
-                if fkey[0] not in spec.fact_names:
-                    continue
-                i, j = column.bounds(lo, hi)
-                if i < j:
-                    facts[fkey] = column.items[i:j]
-                    fact_times[fkey] = column.times[i:j]
+        for etype in spec.event_types:
+            store = self._wm.store("event", etype)
+            if store is not None:
+                selected = store.records(*store.bounds(lo, hi))
+                if selected:
+                    events[etype] = selected
+        for fname in spec.fact_names:
+            store = self._wm.store("fact", fname)
+            if store is not None:
+                for fact in store.records(*store.bounds(lo, hi)):
+                    facts.setdefault((fname, fact.key), []).append(fact)
         rctx = RuleContext(
             window_start=lo,
             window_end=hi,
             events=events,
             facts=facts,
             params=self.params,
-            fact_times=fact_times,
         )
         rctx._fluents = ctx._fluents
         range_contexts[cache_key] = rctx
@@ -1051,80 +1029,30 @@ class RTEC:
         cached = token_contexts.get(cache_key)
         if cached is not None:
             return cached
+        # The dirty rows are picked out of the window's records on
+        # demand — the records the full context has the stores build,
+        # once per row — in store order.
         events: dict[str, list[Event]] = {}
+        facts: dict[tuple[str, FluentKey], list[FluentFact]] = {}
         for etype in spec.event_types:
             token_of = spec.event_partition[etype]
-            groups = self._wm.event_groups.get((etype, id(token_of)))
-            if groups is not None:
-                # Pre-grouped by the working memory: concatenate the
-                # dirty tokens' columns (merging restores (time, seq)
-                # order when several tokens are dirty at once).
-                columns = [
-                    groups[token] for token in dirty if token in groups
-                ]
-                if len(columns) == 1:
-                    selected = columns[0].items[:]
-                else:
-                    selected = [
-                        item
-                        for _, item in sorted(
-                            pair
-                            for column in columns
-                            for pair in zip(column.order, column.items)
-                        )
-                    ]
-                if selected:
-                    events[etype] = selected
-                continue
-            column = self._wm.events.get(etype)
-            if column is None:
-                continue
-            selected = [ev for ev in column.items if token_of(ev) in dirty]
+            selected = [
+                ev for ev in ctx.events(etype) if token_of(ev) in dirty
+            ]
             if selected:
                 events[etype] = selected
-        facts: dict[tuple[str, FluentKey], list[FluentFact]] = {}
-        fact_times: dict[tuple[str, FluentKey], list[int]] = {}
-        grouped_names = set()
         for fname in spec.fact_names:
             token_of = spec.fact_partition[fname]
-            groups = self._wm.fact_groups.get((fname, id(token_of)))
-            if groups is None:
-                continue
-            grouped_names.add(fname)
-            merged: dict[tuple[str, FluentKey], list] = {}
-            for token in dirty:
-                by_key = groups.get(token)
-                if not by_key:
-                    continue
-                for key, column in by_key.items():
-                    merged.setdefault((fname, key), []).append(column)
-            for fkey, columns in merged.items():
-                if len(columns) == 1:
-                    facts[fkey] = columns[0].items[:]
-                    fact_times[fkey] = columns[0].times[:]
-                else:
-                    pairs = sorted(
-                        pair
-                        for column in columns
-                        for pair in zip(column.order, column.items)
-                    )
-                    facts[fkey] = [item for _, item in pairs]
-                    fact_times[fkey] = [order[0] for order, _ in pairs]
-        for fkey, column in self._wm.facts.items():
-            if fkey[0] not in spec.fact_names or fkey[0] in grouped_names:
-                continue
-            token_of = spec.fact_partition[fkey[0]]
-            selected = [f for f in column.items if token_of(f) in dirty]
-            if selected:
-                facts[fkey] = selected
-                fact_times[fkey] = [f.time for f in selected]
+            for key, (_, group) in ctx._facts_of(fname).items():
+                selected = [f for f in group if token_of(f) in dirty]
+                if selected:
+                    facts[(fname, key)] = selected
         rctx = RuleContext(
             window_start=window_start,
             window_end=q,
             events=events,
             facts=facts,
             params=self.params,
-            fact_times=fact_times,
         )
         rctx._fluents = ctx._fluents
         token_contexts[cache_key] = rctx

@@ -28,7 +28,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any, Callable, Optional
 
-from .columns import ColumnMirror, TokenCodes
+from .columns import ColumnStore, TokenCodes
 from .events import Event, FluentFact, FluentKey, Occurrence
 from .intervals import IntervalList
 
@@ -41,6 +41,16 @@ class RuleContext:
     memory, input-fluent facts, derived-event occurrences of lower
     strata, fluent intervals of lower strata, and tunable parameters
     (thresholds such as the density/flow bounds of rule-set (2)).
+
+    Inputs come from one of two places.  ``events`` / ``facts`` hold
+    them as records (the legacy engine's per-query lists, a restricted
+    context's slices, tests).  ``columns`` is the incremental engine's
+    working memory, whose window is arrays: compiled rule bodies read
+    them as they are (:meth:`events_columns` / :meth:`facts_columns`),
+    and the record accessors — :meth:`events`, :meth:`fact_at`,
+    :meth:`fact_latest`, :meth:`fact_keys` — are lazy views that have
+    the store build the records of a type the first time a body asks
+    for it.
     """
 
     def __init__(
@@ -51,28 +61,20 @@ class RuleContext:
         events: Mapping[str, Sequence[Event]],
         facts: Mapping[tuple[str, FluentKey], Sequence[FluentFact]],
         params: Mapping[str, Any],
-        fact_times: Optional[
-            Mapping[tuple[str, FluentKey], Sequence[int]]
-        ] = None,
         columns: Optional[Any] = None,
     ):
         self.window_start = window_start
         self.window_end = window_end
-        self._events = events
-        self._facts = facts
-        # The incremental engine slices facts out of its time-indexed
-        # working memory and passes the matching time arrays along;
-        # otherwise derive them here.
-        self._fact_times: Mapping[tuple[str, FluentKey], Sequence[int]] = (
-            fact_times
-            if fact_times is not None
-            else {k: [f.time for f in fs] for k, fs in facts.items()}
-        )
+        self._events: dict[str, Sequence[Event]] = dict(events)
+        #: fluent name -> grounding -> (times, facts), time-ordered.
+        self._facts: dict[
+            str, dict[FluentKey, tuple[Sequence[int], Sequence[FluentFact]]]
+        ] = {}
+        for (name, key), group in facts.items():
+            self._facts.setdefault(name, {})[key] = (
+                [fact.time for fact in group], group
+            )
         self._params = params
-        # The incremental engine's working memory, which keeps the
-        # window's rows of the declared types as arrays; compiled rule
-        # bodies read them through :meth:`events_columns` and
-        # :meth:`facts_columns`.
         self._columns = columns
         self._occurrences: dict[str, list[Occurrence]] = {}
         self._fluents: dict[str, dict[FluentKey, IntervalList]] = {}
@@ -87,7 +89,30 @@ class RuleContext:
     def events(self, event_type: str) -> Sequence[Event]:
         """All input SDEs of ``event_type`` inside the window, sorted by
         occurrence time (``happensAt`` facts)."""
-        return self._events.get(event_type, ())
+        found = self._events.get(event_type)
+        if found is None:
+            store = self._store("event", event_type)
+            found = self._events[event_type] = (
+                store.records() if store is not None else ()
+            )
+        return found
+
+    def _store(self, kind: str, name: str):
+        memory = self._columns
+        return memory.store(kind, name) if memory is not None else None
+
+    def _facts_of(
+        self, name: str
+    ) -> Mapping[FluentKey, tuple[Sequence[int], Sequence[FluentFact]]]:
+        """The window's facts of input fluent ``name`` per grounding,
+        as ``(times, facts)``."""
+        found = self._facts.get(name)
+        if found is None:
+            store = self._store("fact", name)
+            found = self._facts[name] = (
+                store.by_key() if store is not None else {}
+            )
+        return found
 
     def fact_at(self, name: str, key: FluentKey, t: int) -> Optional[Any]:
         """Value of input fluent ``name(key)`` recorded *exactly* at
@@ -97,10 +122,7 @@ class RuleContext:
         the same time-point (formalisation (1)); rule bodies join them
         through this accessor.
         """
-        facts = self._facts.get((name, key))
-        if not facts:
-            return None
-        times = self._fact_times[(name, key)]
+        times, facts = self._facts_of(name).get(key, ((), ()))
         i = bisect.bisect_left(times, t)
         if i < len(times) and times[i] == t:
             return facts[i].value
@@ -109,10 +131,7 @@ class RuleContext:
     def fact_latest(self, name: str, key: FluentKey, t: int) -> Optional[Any]:
         """Most recent value of input fluent ``name(key)`` at or before
         ``t``, or ``None`` if no fact has been recorded yet."""
-        facts = self._facts.get((name, key))
-        if not facts:
-            return None
-        times = self._fact_times[(name, key)]
+        times, facts = self._facts_of(name).get(key, ((), ()))
         i = bisect.bisect_right(times, t)
         if i == 0:
             return None
@@ -120,7 +139,7 @@ class RuleContext:
 
     def fact_keys(self, name: str) -> list[FluentKey]:
         """All groundings of input fluent ``name`` seen in the window."""
-        return [key for (n, key) in self._facts if n == name]
+        return list(self._facts_of(name))
 
     def param(self, name: str) -> Any:
         """A tunable parameter (threshold) by dotted name."""
@@ -128,51 +147,49 @@ class RuleContext:
 
     def events_columns(self, event_type: str, spec) -> Any:
         """The rows of :meth:`events` of ``event_type`` as arrays
-        (:class:`repro.core.columns.ColumnMirror`), in the same order.
+        (:class:`repro.core.columns.ColumnStore`), in the same order.
 
         Compiled rule bodies call this instead of iterating event
-        objects.  When the engine's working memory keeps columns for
-        the type (and their declared layout covers ``spec``) those are
-        returned — no per-event Python work.  Otherwise they are built
-        from the object sequence and memoised for the rest of the
-        query.
+        objects.  When the engine's working memory keeps the type in a
+        store whose declared layout covers ``spec``, that store is
+        returned — no per-event Python work.  Otherwise the columns
+        are built from the record sequence and memoised for the rest
+        of the query.
         """
-        return self._mirror("event", event_type, spec)
+        return self._columns_of("event", event_type, spec)
 
     def facts_columns(self, name: str, spec) -> Any:
         """The facts of input fluent ``name`` inside the window — all
         groundings together — as arrays, ordered by time and, within a
         time-point, as :meth:`fact_at` would find them (the first fact
         of a grounding at a time-point comes first)."""
-        return self._mirror("fact", name, spec)
+        return self._columns_of("fact", name, spec)
 
-    def _mirror(self, kind: str, name: str, spec) -> Any:
-        memory = self._columns
-        if memory is not None:
-            columns = memory.mirror(kind, name)
-            if columns is not None and columns.covers(spec):
-                return columns
+    def _columns_of(self, kind: str, name: str, spec) -> Any:
+        columns = self._store(kind, name)
+        if columns is not None and columns.covers(spec):
+            return columns
         memo_key = ("__columns__", kind, name, spec)
         columns = self.memo.get(memo_key)
         if columns is None:
             if kind == "fact":
                 records = [
                     fact
-                    for (fname, _), facts in self._facts.items()
-                    if fname == name
+                    for _, facts in self._facts_of(name).values()
                     for fact in facts
                 ]
             else:
                 records = self.events(name)
             # One token table per context, so columns built here join
             # with each other and with the working memory's.
+            memory = self._columns
             tokens = (
                 memory.tokens
                 if memory is not None
                 else self.memo.setdefault("__tokens__", TokenCodes())
             )
-            columns = self.memo[memo_key] = ColumnMirror.from_records(
-                records, spec, kind == "fact", tokens
+            columns = self.memo[memo_key] = ColumnStore.from_records(
+                name, records, spec, kind == "fact", tokens
             )
         return columns
 

@@ -79,7 +79,7 @@ class SystemConfig:
     #: differential testing and micro-benchmarks).
     incremental: bool = True
     #: Compiled (vectorised) evaluation of the hot rule bodies over the
-    #: columnar working-memory mirrors.  ``False`` pins the pure
+    #: working memory's columns.  ``False`` pins the pure
     #: interpreter for every definition — same recognised CEs (the
     #: parity suite asserts it), useful for differential testing and
     #: as an escape hatch.  See ``docs/performance.md``.

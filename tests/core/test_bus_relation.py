@@ -15,7 +15,7 @@ from .helpers import bus_report, make_topology
 
 
 def _context(reports):
-    """A mirror-less context over ``(move, gps)`` pairs; either half
+    """A context without a working memory over ``(move, gps)`` pairs; either half
     may be ``None``."""
     events = sorted(
         (m for m, _ in reports if m is not None), key=lambda e: e.time
@@ -46,14 +46,15 @@ def test_join_finds_what_fact_at_finds():
     reports = bus_reports(ctx)
     assert bus_reports(ctx) is reports
     moves = ctx.events("move")
-    assert list(reports.move.items) == list(moves)
+    assert reports.move.records() == list(moves)
+    fixes = reports.gps.records()
     for move, row in zip(moves, reports.gps_row.tolist()):
         expected = ctx.fact_at("gps", (move["bus"],), move.time)
         if expected is None:
             assert row == -1
         else:
-            assert reports.gps.items[row].value is expected
-    assert reports.gps.items[reports.gps_row[1]] is first[1]
+            assert fixes[row].value is expected
+    assert fixes[reports.gps_row[1]].value is first[1].value
     # close/4 per move row: none without gps, none far away.
     starts, lens, close_to = reports.close(make_topology())
     assert lens.tolist() == [1, 1, 0, 0, 0]

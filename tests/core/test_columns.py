@@ -4,10 +4,10 @@ Covers the three layers of ``repro.core.columns`` in isolation:
 
 * batch construction (``EventColumns`` / ``FactColumns`` /
   ``SDEColumns``) and its canonical row enumeration;
-* the working memory's :class:`ColumnMirror` protocol — append,
-  eviction, rows admitted and evicted unseen, a delayed row sorted into
-  place — with every record encoded exactly once;
-* the read interface the compiled evaluators consume, fed by the
+* the working memory's :class:`ColumnStore` — append, eviction, rows
+  admitted and evicted unseen, a delayed row sorted into place — with
+  every row encoded exactly once and a record built only on request;
+* the read interface the compiled evaluators consume, kept by the
   working memory or built from an object list.
 
 The end-to-end guarantees (identical recognition output) live in the
@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from repro.core.columns import (
-    ColumnMirror,
     ColumnSpec,
+    ColumnStore,
     EventColumns,
     FactColumns,
     SDEColumns,
@@ -154,6 +154,48 @@ def test_validate_rejects_negative_times():
         bad.validate()
 
 
+def test_validate_rejects_an_event_arriving_before_it_occurs():
+    block = EventColumns.from_arrays(
+        "traffic", [10, 40, 50], arrivals=[10, 39, 20],
+        numeric={"density": [1.0, 2.0, 3.0]},
+    )
+    with pytest.raises(
+        ValueError,
+        match="event of type 'traffic' arrives at 39 before it occurs at 40",
+    ):
+        SDEColumns([block]).validate()
+
+
+def test_validate_rejects_a_fact_arriving_before_it_occurs():
+    block = FactColumns(
+        "gps", np.array([10, 40]), np.array([10, 30]),
+        key_columns=(["B1", "B2"],), value_fields={"lon": [1.0, 2.0]},
+    )
+    with pytest.raises(
+        ValueError,
+        match="fluent fact 'gps' arrives at 30 before it occurs at 40",
+    ):
+        SDEColumns([], [block]).validate()
+    # The record constructors say the same, in the same words.
+    with pytest.raises(ValueError, match="arrives at 30 before it occurs"):
+        FluentFact("gps", ("B2",), {"lon": 2.0}, 40, 30)
+
+
+def test_feed_columns_fails_closed_on_an_early_arrival():
+    """The engine refuses the batch when it is fed — also for a row a
+    query would have skipped behind its horizon, which no record
+    constructor would ever have seen."""
+    from repro.core import RTEC
+
+    engine = RTEC([], window=100, step=50, params={})
+    block = EventColumns.from_arrays(
+        "traffic", [5, 400], arrivals=[4, 400], numeric={"density": [1.0, 2.0]}
+    )
+    with pytest.raises(ValueError, match="arrives at 4 before it occurs at 5"):
+        engine.feed_columns(SDEColumns([block]))
+    assert engine.query(400).n_events == 0
+
+
 def test_pending_batch_keeps_canonical_order_and_builds_lazily():
     events = [_traffic_event(10), _traffic_event(40)]
     facts = [FluentFact("gps", ("B1",), {"lon": 1.0}, 20, 60)]
@@ -163,18 +205,19 @@ def test_pending_batch_keeps_canonical_order_and_builds_lazily():
     assert pending.seq.tolist() == [8, 9, 10]
     assert len(pending) == 3
     def taken(q):
-        (arrival, seq, is_fact, records), skipped = pending.take_due(
-            q, horizon=10
-        )
-        return (
-            arrival.tolist(), seq.tolist(), is_fact.tolist(), records,
-        ), skipped
+        groups, skipped = pending.take_due(q, horizon=10)
+        return [
+            (block, rows.tolist(), times.tolist(), seqs.tolist())
+            for block, rows, times, seqs in groups
+        ], skipped
 
-    # The row at the horizon is dropped from the time array, unbuilt.
-    assert taken(40) == (([40], [9], [False], [events[1]]), 1)
+    # The row at the horizon is dropped on the time array; the others
+    # come as (block, rows, times, seqs) — no record is built.
+    assert taken(40) == ([(0, [1], [40], [9])], 1)
     assert len(pending) == 1
-    assert taken(60) == (([60], [10], [True], [facts[0]]), 0)
+    assert taken(60) == ([(1, [0], [20], [10])], 0)
     assert len(pending) == 0
+    assert taken(90) == ([], 0)
 
 
 def test_iter_events_matches_originals():
@@ -184,7 +227,7 @@ def test_iter_events_matches_originals():
 
 
 # ----------------------------------------------------------------------
-# ColumnMirror: the working memory's sync protocol
+# ColumnStore: the working memory's window
 # ----------------------------------------------------------------------
 def _memory(*events):
     """A working memory that keeps ``traffic`` columns, with ``events``
@@ -200,7 +243,7 @@ def _feed(memory, *events):
 
 
 def _columns(memory):
-    return memory.mirror("event", "traffic")
+    return memory.store("event", "traffic")
 
 
 def _at(t, **fields):
@@ -211,12 +254,16 @@ def test_mirror_appends_incrementally():
     memory = _memory(_at(10), _at(20), _at(30))
     memory.admit(20, 0)
     assert _columns(memory).times.tolist() == [10, 20]
+    assert _columns(memory).col("density").tolist() == [10.0, 20.0]
+    assert memory.rows_encoded == 2
     memory.admit(30, 0)
     view = _columns(memory)
     assert view.times.tolist() == [10, 20, 30]
     assert view.col("density").tolist() == [10.0, 20.0, 30.0]
-    # The third row was encoded alone, not the window again.
+    # The third row was encoded alone, not the window again — and no
+    # record was built for any of them.
     assert memory.rows_encoded == 3
+    assert memory.rows_materialised == 0
 
 
 def test_mirror_tracks_eviction():
@@ -226,7 +273,7 @@ def test_mirror_tracks_eviction():
     memory.evict(15)
     view = _columns(memory)
     assert view.times.tolist() == [20, 30]
-    assert [ev.time for ev in view.items] == [20, 30]
+    assert [ev.time for ev in view.records()] == [20, 30]
 
 
 def test_mirror_rows_admitted_and_evicted_between_reads():
@@ -250,22 +297,24 @@ def test_mirror_out_of_order_insert_sorts_into_place():
     view = _columns(memory)
     assert view.times.tolist() == [10, 20, 30]
     assert view.col("density").tolist() == [10.0, 20.0, 30.0]
-    assert [ev.time for ev in view.items] == [10, 20, 30]
+    assert [ev.time for ev in view.records()] == [10, 20, 30]
     # ...by encoding the late row only.
     assert memory.rows_encoded == 3
 
 
 def test_mirror_equal_times_keep_feed_order():
     """Rows of one time-point stay in feed (sequence) order however
-    they arrive — the order of the working memory's own lists."""
+    they arrive."""
     events = [_at(10, sensor=name, arrival=a) for name, a in
               (("d1", 30), ("d2", 10), ("d3", 20))]
     memory = _memory(*events)
-    for q in (10, 20, 30):
+    for q, held in ((10, "2"), (20, "23"), (30, "123")):
         memory.admit(q, 0)
         view = _columns(memory)
-        assert list(view.items) == memory.events["traffic"].items
-    assert [ev["sensor"] for ev in view.items] == ["d1", "d2", "d3"]
+        assert [ev["sensor"] for ev in view.records()] == [
+            "d" + n for n in held
+        ]
+        assert view.records() == [events[int(n) - 1] for n in held]
 
 
 def test_mirror_token_rows_group_by_grounding():
@@ -319,12 +368,14 @@ def test_mirror_excluded_from_pickle():
     memory = _memory(_at(10), _at(20))
     memory.admit(20, 0)
     assert _columns(memory).n == 2
+    assert _columns(memory).col("density").tolist() == [10.0, 20.0]
     restored = pickle.loads(pickle.dumps(memory))
-    assert restored.events["traffic"].times == [10, 20]
+    assert _columns(restored).times.tolist() == [10, 20]
     # The restored memory encodes the window once, on first read.
     assert restored.rows_encoded == 0
-    assert _columns(restored).times.tolist() == [10, 20]
+    assert _columns(restored).col("density").tolist() == [10.0, 20.0]
     assert restored.rows_encoded == 2
+    assert _columns(restored).tokens is restored.tokens
 
 
 # ----------------------------------------------------------------------
@@ -339,8 +390,8 @@ def test_list_view_matches_mirror_view():
     memory = _memory(*events)
     memory.admit(30, 0)
     mirror_view = _columns(memory)
-    list_view = ColumnMirror.from_records(
-        events, TRAFFIC, False, TokenCodes()
+    list_view = ColumnStore.from_records(
+        "traffic", events, TRAFFIC, False, TokenCodes()
     )
     assert list_view.n == mirror_view.n
     assert list_view.times.tolist() == mirror_view.times.tolist()
@@ -350,7 +401,8 @@ def test_list_view_matches_mirror_view():
     np.testing.assert_array_equal(
         list_view.col("density"), mirror_view.col("density")
     )
-    assert list_view.items[1] is events[1]
+    assert list_view.records()[1].payload is events[1].payload
+    assert list_view.cells("sensor", np.array([2, 1])) == ["d1", "d2"]
 
 
 def test_fact_columns_take_the_key_as_token():
@@ -358,8 +410,8 @@ def test_fact_columns_take_the_key_as_token():
         FluentFact("gps", ("B2",), {"lon": 1.0, "lat": 2.0}, 20),
         FluentFact("gps", ("B1",), {"lon": 3.0, "lat": 4.0}, 10),
     ]
-    view = ColumnMirror.from_records(
-        facts, ColumnSpec(numeric=("lon",)), True, TokenCodes()
+    view = ColumnStore.from_records(
+        "gps", facts, ColumnSpec(numeric=("lon",)), True, TokenCodes()
     )
     assert view.times.tolist() == [10, 20]
     assert view.col("lon").tolist() == [3.0, 1.0]
@@ -370,6 +422,8 @@ def test_fact_columns_take_the_key_as_token():
 
 def test_views_cover_subset_specs():
     events = [_traffic_event(10)]
-    view = ColumnMirror.from_records(events, TRAFFIC, False, TokenCodes())
+    view = ColumnStore.from_records(
+        "traffic", events, TRAFFIC, False, TokenCodes()
+    )
     assert view.covers(ColumnSpec(numeric=("density",), token=TRAFFIC.token))
     assert not view.covers(ColumnSpec(token=("bus",)))

@@ -1,10 +1,13 @@
-"""The pending buffer holds arrays, not records.
+"""The pending buffer holds arrays, not records, and so does the
+window it feeds.
 
-A columnar feed costs no Python object per SDE; a record is built only
-for a row that a query admits inside its window; and the buffer
-survives pickling — whole (shard start, shard checkpoints) and
-streamless (interval checkpoints, refilled from the regenerated
-stream) — admitting the same rows in the same order afterwards.
+A columnar feed costs no Python object per SDE; admission moves the
+rows a query admits inside its window into the window store by
+reference, and a record is built only for a row something reads as an
+object; and the buffer survives pickling — whole (shard start, shard
+checkpoints) and streamless (interval checkpoints, refilled from the
+regenerated stream) — admitting the same rows in the same order
+afterwards.
 """
 
 import gc
@@ -84,30 +87,53 @@ def test_admit_materialises_exactly_the_window_rows():
     batch = _batch(50_000)
     arrivals = np.concatenate([b.arrivals for b in batch.blocks])
     times = np.concatenate([b.times for b in batch.blocks])
+    is_ping = np.arange(batch.n) < len(batch.events[0])
     engine = RTEC([Echo()], window=100, step=50, params={})
     engine.feed_columns(batch)
     previous = -1
-    built = skipped = 0
+    admitted = built = skipped = 0
     for q in (300, 350, 400, 900):
         snapshot = engine.query(q)
         due = (arrivals > previous) & (arrivals <= q)
         live = due & (times > q - 100)
-        assert snapshot.rows_materialised == int(live.sum())
+        assert snapshot.rows_admitted == int(live.sum())
         assert snapshot.rows_skipped_horizon == int((due & ~live).sum())
+        # Echo reads ``ping`` records and nothing reads ``pos``: only
+        # the pings are ever built, each once.
+        assert snapshot.rows_materialised == int((live & is_ping).sum())
+        admitted += snapshot.rows_admitted
         built += snapshot.rows_materialised
         skipped += snapshot.rows_skipped_horizon
         previous = q
     wm = engine._wm
-    assert (wm.rows_materialised, wm.rows_skipped_horizon) == (built, skipped)
-    assert built + skipped + sum(len(b) for b in wm._batches) == 50_000
+    assert (wm.rows_admitted, wm.rows_skipped_horizon) == (admitted, skipped)
+    assert wm.rows_materialised == built
+    assert 0 < built < admitted
+    assert admitted + skipped + sum(len(b) for b in wm._batches) == 50_000
+
+
+def test_admission_builds_no_object_per_row():
+    """The twin of the feed bound above, one layer in: moving 50,000
+    rows from the pending buffer into the window allocates arrays."""
+    wm = WorkingMemory()
+    wm.buffer_columns(_batch(50_000))
+    gc.collect()
+    before = len(gc.get_objects())
+    wm.admit(2000, -1)
+    wm.evict(-1)
+    gc.collect()
+    assert len(gc.get_objects()) - before < 1000
+    assert wm.rows_admitted == 50_000 and wm.rows_materialised == 0
 
 
 def test_materialised_payloads_are_type_exact():
     batch = _batch(40)
     wm = WorkingMemory()
     wm.buffer_columns(batch)
-    events, facts = wm.admit(2000, -1)
-    assert len(events) + len(facts) == 40
+    wm.admit(2000, -1)
+    events = wm.store("event", "ping").records()
+    facts = wm.store("fact", "pos").records()
+    assert len(events) + len(facts) == 40 == wm.rows_materialised
     for ev in events:
         assert list(ev.payload) == ["level", "id", "src"]
         assert [type(v) for v in ev.payload.values()] == [float, int, str]
@@ -115,11 +141,29 @@ def test_materialised_payloads_are_type_exact():
     for fact in facts:
         assert type(fact.key) is tuple and type(fact.key[0]) is str
         assert [type(v) for v in fact.value.values()] == [float, int]
+    # A record is what the block builds for the row, built once.
+    assert events == sorted(
+        batch.events[0].records(np.arange(20)), key=lambda ev: ev.time
+    )
+    assert wm.store("event", "ping").records()[3] is events[3]
+    assert wm.rows_materialised == 40
 
 
 def _admissions(wm: WorkingMemory, queries, window=300):
-    """What each query admits, in admission order."""
-    return [wm.admit(q, q - window) for q in queries]
+    """What each query admits — occurrence times and sequence numbers
+    per column — and the window it leaves, as records."""
+    out = []
+    for q in queries:
+        admitted = wm.admit(q, q - window)
+        wm.evict(q - window)
+        out.append((
+            {
+                key: (times.tolist(), seqs.tolist())
+                for key, (times, seqs) in admitted.items()
+            },
+            {key: store.records() for key, store in wm._stores.items()},
+        ))
+    return out
 
 
 def _interleaved_memory() -> WorkingMemory:
@@ -146,7 +190,7 @@ QUERIES = tuple(range(500, 1500, 100))
 def test_fed_memory_pickles_to_the_same_admissions():
     wm = _interleaved_memory()
     first = _admissions(wm, QUERIES[:3])
-    assert sum(len(e) + len(f) for e, f in first)
+    assert sum(len(rows) for _, held in first for rows in held.values())
     restored = pickle.loads(pickle.dumps(wm))
     assert _admissions(restored, QUERIES[3:]) == _admissions(wm, QUERIES[3:])
     assert restored._seq == wm._seq

@@ -8,8 +8,11 @@ and a storm-like twin with half the bus SDEs delayed by minutes:
 
 * ``close/4`` is decided once per admitted ``gps`` row per engine, by
   the array join — never by the scalar lookup;
-* a record is encoded into the column mirrors once, when it is
-  admitted — the window is not re-encoded per query;
+* a row's evaluation columns are filled once, when it is first read
+  after admission — the window is not re-encoded per query — and no
+  ``move``, ``gps`` or ``traffic`` record is built at all: what the
+  default path materialises is ``crowd`` answers, and under
+  ``compiled=False`` every admitted row, exactly once over its life;
 * a compiled definition's body runs once per query, and no restricted
   context is built for it;
 * a quiet query — nothing late, nothing changed upstream — freezes no
@@ -20,7 +23,7 @@ import numpy as np
 import pytest
 
 import repro.core.incremental as incremental
-from repro.core import RTEC
+from repro.core import RTEC, Event
 from repro.core.columns import EventColumns, FactColumns, SDEColumns
 from repro.core.rules import RuleContext
 from repro.core.traffic import (
@@ -101,11 +104,12 @@ def streams():
     }
 
 
-def _run(definitions, batch, instrument=lambda engine: None):
+def _run(definitions, batch, instrument=lambda engine: None, **engine_args):
     """Feed ``batch`` to a default engine over ``definitions``; returns
     it with its snapshots and the number of rule contexts built."""
     engine = RTEC(
-        definitions, window=WINDOW, step=STEP, params=golden_params()
+        definitions, window=WINDOW, step=STEP, params=golden_params(),
+        **engine_args,
     )
     instrument(engine)
     engine.feed_columns(batch)
@@ -158,6 +162,74 @@ def test_records_are_encoded_once_not_per_query(streams, stream):
     # out-of-order arrival — every query, on either stream — encodes
     # more rows than that, without the gps facts counted here.
     assert sum(s.n_events for s in snapshots) > encoded
+
+
+def _with_crowd(batch):
+    """``batch`` plus a few ``crowd`` answers, some of them late."""
+    answer = {"intersection": "I0", "lon": 0.0, "lat": 0.0, "value": "negative"}
+    answers = SDEColumns.from_sdes([
+        Event("crowd", t, answer, t + lag)
+        for t, lag in ((400, 0), (900, 350), (1500, 20), (2100, 700))
+    ])
+    return SDEColumns(batch.events + answers.events, batch.facts)
+
+
+@pytest.mark.parametrize("stream", ["golden", "delayed"])
+def test_the_default_path_materialises_crowd_rows_only(streams, stream):
+    scenario, batches = streams
+    batch = _with_crowd(batches[stream])
+    engine, snapshots, _ = _run(
+        build_traffic_definitions(scenario.topology, adaptive=True), batch
+    )
+    admitted = {
+        name: _admitted(batch, name) for name in MIRRORED + ("crowd",)
+    }
+    assert sum(s.rows_skipped_horizon for s in snapshots) == 0
+    # What the parent counted as materialised is what is admitted...
+    assert sum(s.rows_admitted for s in snapshots) == sum(admitted.values())
+    # ...and the only records built are crowd answers: every rule body
+    # over the raw SDEs reads arrays, and a dirty grounding is named by
+    # its code.  (A late row of a partitioned *interpreted* definition
+    # would cost one representative; the default rule set has none
+    # over these three inputs.)
+    built = {
+        key: store.rows_materialised
+        for key, store in engine._wm._stores.items()
+    }
+    assert built == {
+        ("event", "traffic"): 0,
+        ("event", "move"): 0,
+        ("fact", "gps"): 0,
+        ("event", "crowd"): admitted["crowd"],
+    }
+    assert sum(s.rows_materialised for s in snapshots) == admitted["crowd"] > 0
+
+
+@pytest.mark.parametrize("stream", ["golden", "delayed"])
+def test_the_interpreter_materialises_each_row_exactly_once(streams, stream):
+    scenario, batches = streams
+    batch = _with_crowd(batches[stream])
+    definitions = build_traffic_definitions(scenario.topology, adaptive=True)
+    engine, snapshots, _ = _run(definitions, batch, compiled=False)
+    admitted = sum(s.rows_admitted for s in snapshots)
+    assert admitted == sum(
+        _admitted(batch, name) for name in MIRRORED + ("crowd",)
+    )
+    assert sum(s.rows_materialised for s in snapshots) == admitted
+    # Each of them was built once: what a store holds at the end are
+    # the very records it hands out again.
+    for store in engine._wm._stores.values():
+        before = store.rows_materialised
+        assert all(
+            a is b for a, b in zip(store.records(), store.records())
+        )
+        assert store.rows_materialised == before
+    # Same recognition either way.
+    _, default, _ = _run(definitions, batch)
+    assert [s.occurrences for s in snapshots] == [
+        s.occurrences for s in default
+    ]
+    assert [s.fluents for s in snapshots] == [s.fluents for s in default]
 
 
 def test_compiled_bodies_run_once_per_query_without_contexts(streams):

@@ -71,7 +71,7 @@ class TestValidation:
     def _refuses_version(self, tmp_path, version):
         from repro.recovery.checkpoint import _HEADER, FORMAT_VERSION
 
-        assert FORMAT_VERSION == 3
+        assert FORMAT_VERSION == 4
         manager = CheckpointManager(tmp_path)
         info = manager.save(1, {"a": 1})
         data = info.path.read_bytes()
@@ -97,6 +97,11 @@ class TestValidation:
         # A version-2 working memory carried object feeds in a second,
         # tuple-based pending buffer that this tree no longer reads.
         self._refuses_version(tmp_path, 2)
+
+    def test_version_3_file_refused(self, tmp_path):
+        # A version-3 working memory held its window as per-key lists
+        # of record tuples; this tree holds one array store per type.
+        self._refuses_version(tmp_path, 3)
 
     def test_load_latest_falls_back_over_torn_file(self, tmp_path):
         manager = CheckpointManager(tmp_path)

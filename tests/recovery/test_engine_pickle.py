@@ -8,6 +8,13 @@ a record per SDE.  Measured on ten minutes of the default city
 (942 buses, seed 0): 81 bytes a row before the ingest path went
 columnar (969,332 bytes for the 11,947 rows of ``central``), 58 after
 (698,916 bytes).
+
+The window travels as arrays too, once it holds rows: per held row its
+sequence number and the cells it was fed with, the source blocks cut
+down to the live rows.  The same engine after its two queries (11,805
+rows held, 111 still pending) pickled to 1,086,706 bytes — 92 a held
+row — while the window was per-key lists of record tuples, and to
+842,231 — 71 a row — as one array store per type.
 """
 
 import pickle
@@ -22,6 +29,11 @@ START, END = 25200, 25800
 #: Bytes a pending row of the fed ``central`` engine cost in a pickle
 #: at the commit before this test existed.
 OBJECT_BUFFER_BYTES_PER_ROW = 81
+
+#: Bytes a held row of the same engine cost in a pickle taken after
+#: its queries, at the last commit whose window was a list of records
+#: per event type and fact key.
+OBJECT_WINDOW_BYTES_PER_ROW = 92
 
 
 @pytest.fixture(scope="module")
@@ -52,3 +64,22 @@ def test_unpickled_engine_recognises_the_same(fed):
         assert ours.rows_materialised == theirs.rows_materialised
         assert ours.occurrences == theirs.occurrences
         assert ours.fluents == theirs.fluents
+
+
+def test_engine_holding_a_window_pickles_no_fatter_than_records(fed):
+    engine, rows = fed
+    for q in range(START + 300, END + 1, 300):
+        if engine._last_query is None or q > engine._last_query:
+            engine.query(q)
+    wm = engine._wm
+    held = sum(store.n for store in wm._stores.values())
+    assert held > 0.9 * rows > sum(len(batch) for batch in wm._batches)
+    size = len(pickle.dumps(engine, pickle.HIGHEST_PROTOCOL))
+    print(f"\nengine holding {held} rows: {size} bytes pickled")
+    assert size <= OBJECT_WINDOW_BYTES_PER_ROW * held
+    # ...and nothing derived travels: the twin re-derives its codes.
+    twin = pickle.loads(pickle.dumps(engine, pickle.HIGHEST_PROTOCOL))
+    assert twin._wm.rows_encoded == 0 == len(twin._wm.tokens.tokens)
+    assert {
+        key: store.records() for key, store in twin._wm._stores.items()
+    } == {key: store.records() for key, store in wm._stores.items()}
