@@ -622,8 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     recognise.add_argument(
         "--legacy", action="store_true",
-        help="recompute every window from scratch instead of the "
-        "incremental cross-window cache (differential testing)",
+        help="rebuild the window from objects per query instead of "
+        "sliding the array working memory: the reference engine",
     )
     recognise.set_defaults(fn=_cmd_recognise)
 
@@ -665,7 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--legacy", action="store_true",
-        help="disable incremental recognition (recompute per window)",
+        help="rebuild the window from objects per query instead of "
+        "sliding the array working memory: the reference engine",
     )
     run.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
@@ -721,7 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metrics.add_argument(
         "--legacy", action="store_true",
-        help="disable incremental recognition (recompute per window)",
+        help="rebuild the window from objects per query instead of "
+        "sliding the array working memory: the reference engine",
     )
     metrics.set_defaults(fn=_cmd_metrics)
 

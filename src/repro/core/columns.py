@@ -29,8 +29,8 @@ simulators to the rule bodies:
   variable-length joined columns (the ``close`` join) when one is
   asked for, and an :class:`~.events.Event` / :class:`~.events.
   FluentFact` only for a reader that needs an object.  Without a
-  working memory (legacy mode, restricted contexts) the same object is
-  built from an object list per query.
+  working memory (the object-window engine) the same object is built
+  from an object list per query.
 
 Everything here is representation only: compiled evaluators
 (:mod:`repro.core.compiled`) read the columns, and every emitted point
@@ -649,12 +649,12 @@ class SDEColumns:
                 )
 
     def iter_events(self) -> Iterator[Event]:
-        """Materialise every event row (legacy-engine feed path)."""
+        """Materialise every event row (object-window feed path)."""
         for block in self.events:
             yield from block.records(np.arange(len(block)))
 
     def iter_facts(self) -> Iterator[FluentFact]:
-        """Materialise every fact row (legacy-engine feed path)."""
+        """Materialise every fact row (object-window feed path)."""
         for block in self.facts:
             yield from block.records(np.arange(len(block)))
 
@@ -733,9 +733,8 @@ class ColumnStore:
       intersections a ``gps`` position is close to), computed on
       request;
     * the :class:`~.events.Event` / :class:`~.events.FluentFact` of a
-      row, built by :meth:`records` / :meth:`records_at` for a reader
-      that needs an object (an interpreted rule body, a partition
-      function, a test).
+      row, built by :meth:`records` for a reader that needs an object
+      (an interpreted rule body, a test).
 
     An emitted point reads the cells it needs through :meth:`cells` —
     type-exact, never through the ``float64`` columns.
@@ -743,9 +742,9 @@ class ColumnStore:
     A store pickles its live rows — sequence numbers and each source
     block cut down to them — and nothing derived: codes are
     process-local, and everything else is rebuilt on first use after a
-    restore.  Without a working memory (the legacy engine, restricted
-    contexts) :meth:`from_records` builds a store from an object list
-    per query.
+    restore.  Without a working memory (the object-window engine)
+    :meth:`from_records` builds a store from an object list per query
+    — one whose sequence numbers are positions, not identities.
     """
 
     __slots__ = (
@@ -937,15 +936,6 @@ class ColumnStore:
         """Per row, its feed sequence number."""
         return self._bufs["seq"][self._lo:self._hi]
 
-    def bounds(self, lo: int, hi: int) -> tuple[int, int]:
-        """Index bounds of the rows with time in ``(lo, hi]``."""
-        i, j = np.searchsorted(self.times, (lo, hi), "right").tolist()
-        return i, j
-
-    def locate(self, seqs: np.ndarray) -> np.ndarray:
-        """The rows carrying the sequence numbers ``seqs``, ascending."""
-        return np.flatnonzero(np.isin(self.seqs, seqs))
-
     def _by_source(self, at: np.ndarray):
         """The rows at buffer positions ``at``, per source block:
         ``(slots, block, rows)`` — ``at[slots]`` are ``rows`` of
@@ -965,14 +955,6 @@ class ColumnStore:
             out[slots] = block.cells(name, rows)
         return out.tolist()
 
-    def tokens_at(self, at: np.ndarray, fields: Sequence[str]) -> set[tuple]:
-        """The distinct grounding tokens of the rows ``at``, read from
-        the cells: a fact's key, an event's ``fields``."""
-        found: set[tuple] = set()
-        for _, block, rows in self._by_source(at + self._lo):
-            found.update(block.tokens(rows, fields))
-        return found
-
     # -- evaluation columns ----------------------------------------------
     def covers(self, spec: ColumnSpec) -> bool:
         """Whether these columns expose everything ``spec`` requires
@@ -982,15 +964,6 @@ class ColumnStore:
             mine is not None
             and mine.token == spec.token
             and all(name in mine.numeric for name in spec.numeric)
-        )
-
-    @property
-    def grounded(self) -> bool:
-        """Whether :attr:`codes` tell the rows' groundings apart: a
-        fact's key always does, an event's token when the spec names
-        token fields."""
-        return self.spec is not None and (
-            self.is_fact or bool(self.spec.token)
         )
 
     def _encode(self) -> None:
@@ -1060,17 +1033,11 @@ class ColumnStore:
             bufs["built"][lacking] = True
         return bufs["item"][at]
 
-    def records(self, start: int = 0, stop: Optional[int] = None) -> list:
-        """The rows ``start .. stop - 1`` (default: all) as records, in
-        store order.  A record is built once — field for field what
-        ``block.records`` builds from the row's cells — and kept with
-        the row."""
-        at = np.arange(*slice(start, stop).indices(self.n))
-        return self._items(at + self._lo).tolist()
-
-    def records_at(self, at: np.ndarray) -> list:
-        """The records of the (distinct) rows ``at``."""
-        return self._items(at + self._lo).tolist()
+    def records(self) -> list:
+        """The rows as records, in store order.  A record is built
+        once — field for field what ``block.records`` builds from the
+        row's cells — and kept with the row."""
+        return self._items(np.arange(self._lo, self._hi)).tolist()
 
     def by_key(self) -> dict[FluentKey, tuple[list[int], list[FluentFact]]]:
         """A fact store's rows grouped by grounding: ``key -> (times,

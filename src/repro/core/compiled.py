@@ -12,13 +12,8 @@ here lowers one such body; the engine calls :meth:`CompiledRule.derive`
 wherever it would have called the definition's interpreted rule bodies.
 
 An evaluator always reads the *whole window* and is called once per
-query.  What the incremental engine re-derives — the head, the tail,
-the bands around late arrivals and upstream changes, the dirty
-groundings — reaches it as a :class:`RowSelection`: the predicate
-arrays are computed once and the selection picks the rows whose points
-are emitted.  The incremental contract licenses that: a point at ``t``
-is a function of the inputs in ``(t - lookback, t + lookahead]``, so
-evaluating over any superset inside the window gives the same point.
+query: every point of the window is derived anew, from arrays that
+are computed over the whole window either way.
 
 Parity is the hard constraint, enforced by the golden-trace and
 Hypothesis differential suites: a compiled body must yield exactly the
@@ -34,9 +29,8 @@ result.  Three practices keep that true:
   payload field must stay an integer;
 * points are emitted in the interpreter's order — the rows of
   ``ctx.events(...)``, and within a bus report the order of
-  :meth:`~repro.core.geo.SpatialGrid.near` — part by part of the
-  selection, which is the order the engine's per-segment evaluation of
-  an interpreted body produces.
+  :meth:`~repro.core.geo.SpatialGrid.near` — so that the engine's
+  stable sort leaves ties where the interpreter's would fall.
 
 Anything these shapes can't express (fluent-dependent bodies over
 derived events, pairwise geo comparison, interval algebra) simply stays
@@ -46,14 +40,13 @@ returns ``None`` and the engine counts the evaluation as a fallback.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 from typing import Any, Hashable, Optional
 
 import numpy as np
 
 from .columns import ColumnStore, ColumnSpec, ragged_index
 from .events import Occurrence
-from .incremental import RangeSet
 
 #: Columnar layout of the SCATS ``traffic`` SDE: the two measurements
 #: as numeric columns, the sensor identity as the grounding token.
@@ -68,57 +61,6 @@ MOVE_COLUMNS = ColumnSpec(numeric=("delay",), token=("bus",))
 #: Columnar layout of the ``gps`` input fluent paired with each
 #: ``move``; the grounding token of a fact is its key, ``(bus,)``.
 GPS_COLUMNS = ColumnSpec(numeric=("lon", "lat", "congestion"))
-
-
-class RowSelection:
-    """The rows of a window the engine wants points for, in parts.
-
-    ``segments`` are disjoint ascending time ranges (inclusive); rows
-    of a ``dirty`` grounding — named by its token, as the columns name
-    it — form one more part, whatever their time, and belong to no
-    segment.  Evaluators emit a part's points together, parts in order
-    — what evaluating segment by segment and then the dirty groundings
-    would produce.
-    """
-
-    __slots__ = ("segments", "dirty")
-
-    def __init__(
-        self, segments: Sequence[tuple[int, int]], dirty: set[tuple]
-    ):
-        self.segments = segments
-        self.dirty = dirty
-
-    def parts(self, columns: ColumnStore) -> np.ndarray:
-        """Per row of ``columns`` the index of its part, ``-1`` for a
-        row that is not selected."""
-        part = RangeSet(self.segments).index(columns.times)
-        if self.dirty:
-            codes = columns.codes  # numbers the tokens of new rows
-            tokens = columns.tokens
-            is_dirty = np.zeros(len(tokens.tokens), dtype=bool)
-            dirty = [tokens.get(token) for token in self.dirty]
-            is_dirty[[c for c in dirty if c is not None]] = True
-            part[is_dirty[codes]] = len(self.segments)
-        return part
-
-
-def _emission_order(
-    selection: Optional[RowSelection],
-    columns: ColumnStore,
-    anchors: np.ndarray,
-) -> np.ndarray:
-    """Which candidate points to emit, and in what order.
-
-    ``anchors[i]`` is the row candidate point ``i`` sits at (its time
-    and grounding are the row's); candidates come in the interpreter's
-    order.  Returns positions into ``anchors``: every candidate when
-    there is no selection, else the selected ones grouped by part."""
-    if selection is None:
-        return np.arange(len(anchors))
-    part = selection.parts(columns)[anchors]
-    kept = np.flatnonzero(part >= 0)
-    return kept[np.argsort(part[kept], kind="stable")]
 
 
 class CompiledRule:
@@ -141,27 +83,13 @@ class CompiledRule:
 
     columns: Mapping[tuple[str, str], ColumnSpec] = {}
 
-    @staticmethod
-    def grounding_token(grounding: Hashable) -> tuple:
-        """The grounding token, as :attr:`columns` lay it out, of a
-        grounding as the definition's
-        :class:`~repro.core.incremental.IncrementalSpec` partition
-        functions name it.  For a compiled definition the engine finds
-        the groundings a late arrival dirtied on the arrays — as
-        tokens — and compares through this: every input the spec
-        partitions must be declared in :attr:`columns`, with token
-        fields that identify the partition's grounding."""
-        return grounding
-
-    def derive(
-        self, ctx, selection: Optional[RowSelection] = None
-    ) -> dict[str, list[Any]]:
+    def derive(self, ctx) -> dict[str, list[Any]]:
         """Evaluate the rule body over the context's window columns.
 
         Returns the interpreter-shaped stream dict — ``{"occ": [...]}``
         for derived events, ``{"init": [...], "term": [...]}`` for
-        fluents — with every emitted time a Python ``int``: every point
-        of the window, or with a ``selection`` the points at its rows.
+        fluents — holding every point of the window, each emitted time
+        a Python ``int``.
         """
         raise NotImplementedError
 
@@ -180,22 +108,21 @@ class CompiledScatsCongestion(CompiledRule):
         self.density_hi = density_hi
         self.flow_lo = flow_lo
 
-    def derive(self, ctx, selection=None) -> dict[str, list[Any]]:
+    def derive(self, ctx) -> dict[str, list[Any]]:
         """One boolean mask over the window; ``init`` where it holds,
         ``term`` where it does not."""
         view = ctx.events_columns("traffic", TRAFFIC_COLUMNS)
         init: list[Any] = []
         term: list[Any] = []
         if view.n:
-            rows = _emission_order(selection, view, np.arange(view.n))
             congested = (view.col("density") >= self.density_hi) & (
                 view.col("flow") <= self.flow_lo
             )
             table = view.tokens.tokens
             for code, time, holds in zip(
-                view.codes[rows].tolist(),
-                view.times[rows].tolist(),
-                congested[rows].tolist(),
+                view.codes.tolist(),
+                view.times.tolist(),
+                congested.tolist(),
             ):
                 (init if holds else term).append((table[code], time))
         return {"init": init, "term": term}
@@ -219,14 +146,13 @@ class CompiledTrafficRegime(CompiledRule):
         self.density_hi = density_hi
         self.synchronized_density = synchronized_density
 
-    def derive(self, ctx, selection=None) -> dict[str, list[Any]]:
+    def derive(self, ctx) -> dict[str, list[Any]]:
         """Band-classify every reading; each row initiates its regime
         value (valued-fluent semantics need no terminations)."""
         view = ctx.events_columns("traffic", TRAFFIC_COLUMNS)
         if not view.n:
             return {"init": [], "term": []}
-        rows = _emission_order(selection, view, np.arange(view.n))
-        density = view.col("density")[rows]
+        density = view.col("density")
         band = np.where(
             density >= self.density_hi,
             2,
@@ -237,9 +163,7 @@ class CompiledTrafficRegime(CompiledRule):
         init = [
             (table[code], regimes[b], time)
             for code, b, time in zip(
-                view.codes[rows].tolist(),
-                band.tolist(),
-                view.times[rows].tolist(),
+                view.codes.tolist(), band.tolist(), view.times.tolist()
             )
         ]
         return {"init": init, "term": []}
@@ -271,7 +195,7 @@ class CompiledTrafficTrend(CompiledRule):
         self.k = k
         self.delta = delta
 
-    def derive(self, ctx, selection=None) -> dict[str, list[Any]]:
+    def derive(self, ctx) -> dict[str, list[Any]]:
         """Flattened diff/run-window pass over every token at once,
         emitting rising/falling trend initiations and direction-break
         terminations."""
@@ -317,16 +241,15 @@ class CompiledTrafficTrend(CompiledRule):
         table = view.tokens.tokens
         for stream, (rise, fall) in candidates.items():
             # Candidate points as flattened positions, the rising ones
-            # first; the row of each anchors it in the selection.
+            # first; each sits at the row of its later reading.
             at = order[np.concatenate((rise, fall))]
             direction = ["rising"] * len(rise) + ["falling"] * len(fall)
-            emit = _emission_order(selection, view, at)
             out[stream] = [
-                (table[code] + (direction[i],), time)
-                for i, code, time in zip(
-                    emit.tolist(),
-                    view.codes[at[emit]].tolist(),
-                    view.times[at[emit]].tolist(),
+                (table[code] + (way,), time)
+                for way, code, time in zip(
+                    direction,
+                    view.codes[at].tolist(),
+                    view.times[at].tolist(),
                 )
             ]
         return out
@@ -370,9 +293,15 @@ class HoldsAtIndex:
         if not len(self._owner) or not len(times):
             return np.zeros(len(times), dtype=bool)
         # One integer key per (grounding, time): times shifted into
-        # [0, span) so a grounding's keys never reach the next one's.
+        # [0, span) so a grounding's keys never reach the next one's —
+        # the starts too, one of which may lie beyond every end and
+        # every probe.
         lo = min(int(self._start.min()), int(times.min()))
-        hi = max(int(self._end.max()), int(times.max()) + 1)
+        hi = max(
+            int(self._end.max()),
+            int(self._start.max()) + 1,
+            int(times.max()) + 1,
+        )
         span = hi - lo + 1
         start_keys = self._owner * span + (self._start - lo)
         end_keys = self._owner * span + (
@@ -482,11 +411,6 @@ def _report_pairs(reports: BusReports, topology, rows: np.ndarray):
 _BUS_COLUMNS = {("event", "move"): MOVE_COLUMNS, ("fact", "gps"): GPS_COLUMNS}
 
 
-def _bus_token(bus) -> tuple:
-    """The ``move``/``gps`` grounding token of a bus."""
-    return (bus,)
-
-
 class CompiledDelayIncrease(CompiledRule):
     """Section 4.1's ``delayIncrease``: consecutive-pair deltas per bus.
 
@@ -500,7 +424,6 @@ class CompiledDelayIncrease(CompiledRule):
     """
 
     columns = _BUS_COLUMNS
-    grounding_token = staticmethod(_bus_token)
 
     def __init__(
         self, name: str, delay_delta: float, delay_window: float
@@ -509,7 +432,7 @@ class CompiledDelayIncrease(CompiledRule):
         self.delay_delta = delay_delta
         self.delay_window = delay_window
 
-    def derive(self, ctx, selection=None) -> dict[str, list[Any]]:
+    def derive(self, ctx) -> dict[str, list[Any]]:
         """Vectorised pair predicate over every bus at once; hits take
         their ``gps`` positions from the shared move-gps join and
         build occurrences from the original cells."""
@@ -532,9 +455,6 @@ class CompiledDelayIncrease(CompiledRule):
             & (gps_row[:-1] >= 0)
         )
         # A hit is anchored at its later move.
-        hits = hits[
-            _emission_order(selection, move, order[hits + 1])
-        ]
         prev, cur = order[hits], order[hits + 1]
         gps, gps_prev, gps_cur = reports.gps, gps_row[hits], gps_row[hits + 1]
         for (
@@ -575,12 +495,24 @@ class CompiledBusComparison(CompiledRule):
     of the shared bus-report relation, the bus's congestion value (its
     truthiness, as the interpreted body reads it) against
     ``holdsAt(scatsIntCongestion(Int) = true, T)``, probed for all
-    pairs at once.  An ``Occurrence`` is built only for a pair that
-    fires.
+    pairs at once.
+
+    The comparison is decided anew at every query; what is kept from
+    one query to the next is only the :class:`~.events.Occurrence`
+    *objects* it emitted, by ``(move row sequence number, intersection
+    index, verdict)`` — a firing pair the previous query also emitted
+    gets the object built then.  The key determines every field of the
+    occurrence (bus and time are the row's cells, id and location the
+    topology's, ``value`` the verdict; the verdict is in the key
+    because the ``gps`` row a ``move`` joins can change when a late or
+    duplicate ``gps`` arrives), so the table has no invalidation rule:
+    it is replaced by each query's firings.  These two events fire for
+    most reports of most queries, every snapshot is retained by the
+    run's report, and consecutive windows overlap: without the table a
+    run builds each occurrence once per window it falls in.
     """
 
     columns = _BUS_COLUMNS
-    grounding_token = staticmethod(_bus_token)
 
     def __init__(
         self, name: str, topology, scats_fluent: str, *, agree: bool
@@ -589,65 +521,89 @@ class CompiledBusComparison(CompiledRule):
         self.topology = topology
         self.scats_fluent = scats_fluent
         self.agree = agree
+        self._held: dict[tuple[int, int, bool], Occurrence] = {}
 
-    def derive(self, ctx, selection=None) -> dict[str, list[Any]]:
-        """The comparison over the selected reports' ``close`` pairs;
+    def __getstate__(self):
+        # Process-local, like the token codes: a restored rule refills
+        # the table at its first query.
+        return {**self.__dict__, "_held": {}}
+
+    def derive(self, ctx) -> dict[str, list[Any]]:
+        """The comparison over every report's ``close`` pairs;
         occurrences in report order, then ``near``'s order."""
         reports = bus_reports(ctx)
         move = reports.move
-        occ: list[Occurrence] = []
         if not move.n:
-            return {"occ": occ}
+            return {"occ": []}
         topology = self.topology
-        rows = _emission_order(selection, move, np.arange(move.n))
-        rows, intersections = _report_pairs(reports, topology, rows)
-        times = move.times[rows]
+        rows, intersections = _report_pairs(
+            reports, topology, np.arange(move.n)
+        )
         scats_says = _holds_index(
             ctx,
             self.scats_fluent,
             id(topology),
             lambda key: topology.index_of(key[0]),
-        ).probe(intersections, times)
+        ).probe(intersections, move.times[rows])
         bus_says = reports.congestion[rows] != 0
         fires = np.flatnonzero(
             bus_says == scats_says if self.agree else bus_says != scats_says
         )
+        rows, intersections = rows[fires], intersections[fires]
+        bus_says = bus_says[fires]
+        keys = list(zip(
+            move.seqs[rows].tolist(),
+            intersections.tolist(),
+            bus_says.tolist(),
+        ))
+        # A sequence number identifies a row for life only in the
+        # working memory's own store; a store built per query numbers
+        # its rows by position, and every occurrence is built.
+        persistent = move is ctx.window_store("event", "move")
+        occ = list(map((self._held if persistent else {}).get, keys))
+        missing = [n for n, held in enumerate(occ) if held is None]
+        for n, built in zip(
+            missing,
+            self._occurrences(
+                move, rows[missing], intersections[missing], bus_says[missing]
+            ),
+        ):
+            occ[n] = built
+        if persistent:
+            self._held = dict(zip(keys, occ))
+        return {"occ": occ}
+
+    def _occurrences(self, move, rows, intersections, bus_says):
+        """The occurrences of the firing pairs ``(rows[i],
+        intersections[i])``, built."""
+        topology, name = self.topology, self.name
         ids = topology.ids()
-        name = self.name
         for bus, i, time, says in zip(
-            move.cells("bus", rows[fires]),
-            intersections[fires].tolist(),
-            times[fires].tolist(),
-            bus_says[fires].tolist(),
+            move.cells("bus", rows),
+            intersections.tolist(),
+            move.times[rows].tolist(),
+            bus_says.tolist(),
         ):
             int_id = ids[i]
             if self.agree:
-                occ.append(
-                    Occurrence(
-                        name,
-                        (bus,),
-                        time,
-                        {"bus": bus, "intersection": int_id},
-                    )
+                yield Occurrence(
+                    name, (bus,), time, {"bus": bus, "intersection": int_id}
                 )
                 continue
             lon, lat = topology.location(int_id)
-            occ.append(
-                Occurrence(
-                    name,
-                    (bus, int_id),
-                    time,
-                    {
-                        "bus": bus,
-                        "intersection": int_id,
-                        "lon": lon,
-                        "lat": lat,
-                        # veracity.POSITIVE / veracity.NEGATIVE
-                        "value": "positive" if says else "negative",
-                    },
-                )
+            yield Occurrence(
+                name,
+                (bus, int_id),
+                time,
+                {
+                    "bus": bus,
+                    "intersection": int_id,
+                    "lon": lon,
+                    "lat": lat,
+                    # veracity.POSITIVE / veracity.NEGATIVE
+                    "value": "positive" if says else "negative",
+                },
             )
-        return {"occ": occ}
 
 
 class CompiledBusCongestion(CompiledRule):
@@ -664,19 +620,19 @@ class CompiledBusCongestion(CompiledRule):
         self.topology = topology
         self.noisy_fluent = noisy_fluent
 
-    def derive(self, ctx, selection=None) -> dict[str, list[Any]]:
+    def derive(self, ctx) -> dict[str, list[Any]]:
         """Initiations and terminations at the ``close`` pairs of the
-        selected, trusted reports."""
+        trusted reports."""
         reports = bus_reports(ctx)
         move = reports.move
         out: dict[str, list[Any]] = {"init": [], "term": []}
         if not move.n:
             return out
-        rows = _emission_order(selection, move, np.arange(move.n))
+        rows = np.arange(move.n)
         if self.noisy_fluent is not None:
             noisy = _holds_index(
                 ctx, self.noisy_fluent, "token", move.tokens.get
-            ).probe(move.codes[rows], move.times[rows])
+            ).probe(move.codes, move.times)
             rows = rows[~noisy]
         congestion = reports.congestion[rows]
         ids = self.topology.ids()

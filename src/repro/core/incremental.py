@@ -1,15 +1,11 @@
-"""Cross-window caching machinery for the incremental RTEC engine.
+"""The array window of the RTEC engine: a persistent working memory.
 
 Consecutive query times ``Q_{i-1}`` and ``Q_i`` share the overlap
-``(Q_i - window, Q_{i-1}]`` of their working memories, yet the legacy
-engine re-derives every definition from scratch at each query.  This
-module provides the building blocks the engine uses to re-derive only
-the newest ``step`` of data:
+``(Q_i - window, Q_{i-1}]`` of their working memories.  What is kept
+across queries is the *window itself* — never anything derived from
+it: every definition is evaluated over the whole window at every
+query (:mod:`repro.core.rtec`).
 
-* :class:`IncrementalSpec` — a definition's declaration of *how far* a
-  derived point can see (lookback/lookahead over the raw inputs it
-  reads), which makes cached points reusable and late arrivals
-  invalidatable;
 * :class:`WorkingMemory` — the persistent window: one
   :class:`~.columns.ColumnStore` (a struct of arrays in ``(time,
   seq)`` order) per event type and input fluent, into which inputs are
@@ -17,40 +13,16 @@ the newest ``step`` of data:
   and from which they are evicted by the window's left edge — nothing
   is rebuilt per query, and no ``Event``/``FluentFact`` exists until a
   reader asks for one;
-* :class:`LateArrivals` — what a query admitted behind the previous
-  query time, per input, as arrays: the bands and dirty groundings
-  that invalidate cached points;
-* range utilities (:func:`merge_ranges`, :class:`RangeSet`) and output
-  diffing (:func:`changed_point_ranges`,
-  :func:`changed_interval_ranges`) used to propagate invalidation
-  through the definition strata.
-
-The contract behind :class:`IncrementalSpec`: a definition's output
-*point* at time ``t`` (an occurrence, or an initiation/termination
-point) must be a function of
-
-* input SDEs/facts of the declared types with occurrence time in
-  ``(t - lookback, t + lookahead]``, and
-* upstream definition outputs in the same band (upstream changes are
-  propagated by the engine via the published change ranges),
-
-and nothing else.  A definition whose points depend on unbounded
-history (e.g. "k consecutive readings" with no time bound) declares
-``lookback=None`` and is recomputed in full each query.  Definitions
-with no spec at all (the default) also take the full-recompute path,
-so user-supplied rules are always evaluated exactly as by the legacy
-engine.
+* :class:`PendingBatch` — one columnar feed awaiting admission;
+* :func:`streamless_checkpoint` — the checkpoint writer's way of
+  leaving the regenerable input stream out of a pickle.
 """
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import contextvars
-from collections import Counter
-from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
-from typing import Any, Hashable, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -61,8 +33,6 @@ from .columns import (
     TokenCodes,
     block_rows,
 )
-from .events import Event, FluentFact, FluentKey
-from .intervals import IntervalList
 
 #: When set, :meth:`WorkingMemory.__getstate__` omits the pending
 #: entries of the *initial input stream* (everything buffered before
@@ -86,72 +56,6 @@ def streamless_checkpoint():
         yield
     finally:
         _STREAMLESS.reset(token)
-
-#: Inclusive integer time range ``[lo, hi]``.
-TimeRange = tuple[int, int]
-
-
-# ----------------------------------------------------------------------
-# Incremental contracts
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class IncrementalSpec:
-    """How a definition's output points depend on its raw inputs.
-
-    Attributes
-    ----------
-    lookback:
-        A point at ``t`` depends on inputs with occurrence time
-        ``> t - lookback``; ``None`` marks the definition uncacheable
-        (points may depend on unbounded history inside the window).
-    lookahead:
-        A point at ``t`` depends on inputs with occurrence time
-        ``<= t + lookahead``.
-    event_types / fact_names:
-        The raw SDE event types and input-fluent names the rule body
-        reads.  Late arrivals of other types never invalidate this
-        definition's cache.
-    event_partition / fact_partition / point_partition:
-        Optional *grounding partition*: maps from an input event / an
-        input fact / an output point to a hashable token such that a
-        point is a function only of inputs carrying the same token
-        (e.g. per-bus rules).  When every declared input type has a
-        partition function, a late arrival invalidates only its own
-        token's points — the engine re-derives just the affected
-        groundings instead of a whole time band.
-        An input partition must be a function of the input's
-        *grounding token* — the key of a fact, the token fields a
-        compiled rule declares for an event type: of all the late rows
-        of one grounding the engine materialises a single
-        representative and asks the function about that one (every
-        partition in :mod:`repro.core.traffic` is such a function).
-        ``point_partition`` receives an :class:`~.events.Occurrence`
-        for derived events, a ``(key, t)`` pair for simple fluents and
-        a ``(key, value, t)`` triple for valued fluents.
-    """
-
-    lookback: Optional[int]
-    lookahead: int = 0
-    event_types: frozenset[str] = frozenset()
-    fact_names: frozenset[str] = frozenset()
-    event_partition: Optional[
-        Mapping[str, Callable[[Event], Hashable]]
-    ] = None
-    fact_partition: Optional[
-        Mapping[str, Callable[[FluentFact], Hashable]]
-    ] = None
-    point_partition: Optional[Callable[[Any], Hashable]] = None
-
-    @property
-    def partitioned(self) -> bool:
-        """Whether invalidation can target individual groundings."""
-        if self.point_partition is None:
-            return False
-        events = self.event_partition or {}
-        facts = self.fact_partition or {}
-        return all(t in events for t in self.event_types) and all(
-            n in facts for n in self.fact_names
-        )
 
 
 # ----------------------------------------------------------------------
@@ -425,18 +329,15 @@ class WorkingMemory:
         if len(refilled):
             self._batches.insert(0, refilled)
 
-    def admit(
-        self, q: int, horizon: int
-    ) -> dict[tuple[str, str], tuple[np.ndarray, np.ndarray]]:
+    def admit(self, q: int, horizon: int) -> int:
         """Move everything that has arrived by ``q`` into the window.
 
         Rows whose occurrence time is already at or before ``horizon``
-        (the new window's left edge) are discarded outright.  Returns,
-        per ``(kind, name)``, the occurrence times and sequence numbers
-        of the rows admitted — the inputs this query sees for the
-        first time.
+        (the new window's left edge) are discarded outright.  Returns
+        the number of *events* admitted — the SDEs this query sees for
+        the first time.
         """
-        admitted: dict[tuple[str, str], list[tuple]] = {}
+        n_events = 0
         for batch in self._batches:
             groups, skipped = batch.take_due(q, horizon)
             self.rows_skipped_horizon += skipped
@@ -453,12 +354,10 @@ class WorkingMemory:
                     )
                 store.admit(block, rows, times, seqs)
                 self.rows_admitted += len(rows)
-                admitted.setdefault(key, []).append((times, seqs))
+                if not is_fact:
+                    n_events += len(rows)
         self._batches = [batch for batch in self._batches if len(batch)]
-        return {
-            key: tuple(np.concatenate(column) for column in zip(*chunks))
-            for key, chunks in admitted.items()
-        }
+        return n_events
 
     def evict(self, horizon: int) -> None:
         """Evict rows that fell out of the window ``(horizon, Q]``."""
@@ -472,242 +371,3 @@ class WorkingMemory:
             for (kind, _), store in self._stores.items()
             if kind == "event"
         )
-
-
-class LateArrivals:
-    """The delayed SDEs of one query: rows it admitted that occurred at
-    or before the previous query time — inside the overlap whose
-    points are cached — per input, as arrays.
-
-    What invalidates is derived on demand and shared by the
-    definitions that declare the input: the time *ranges* a late row
-    touches (the distinct late times), and under a grounding partition
-    the dirty groundings — for a compiled definition as the *tokens*
-    of the late rows, read off the arrays; for an interpreted one as
-    its partition function names them (:meth:`dirty`).  A partition
-    function takes a record; it is asked about one representative per
-    distinct late grounding where the store codes groundings (every
-    fact store, every event type a compiled rule declares), and about
-    every late row otherwise (``crowd`` answers: dozens).
-    """
-
-    def __init__(
-        self,
-        memory: WorkingMemory,
-        admitted: Mapping[tuple[str, str], tuple[np.ndarray, np.ndarray]],
-        previous: Optional[int],
-    ):
-        self._memory = memory
-        #: ``(kind, name)`` -> (times, sequence numbers) of its late rows.
-        self._late: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
-        if previous is not None:
-            for key, (times, seqs) in admitted.items():
-                late = times <= previous
-                if late.any():
-                    self._late[key] = (times[late], seqs[late])
-        self._tokens: dict[tuple, set[tuple]] = {}
-        self._dirty: dict[tuple, set[Hashable]] = {}
-
-    def ranges(self, kind: str, name: str) -> list[TimeRange]:
-        """One ``(t, t)`` range per distinct late time of the input."""
-        times = self._late.get((kind, name), ((), ()))[0]
-        return [(t, t) for t in np.unique(times).tolist()]
-
-    def _rows(self, kind: str, name: str):
-        """The input's store and where its late rows sit in it."""
-        store = self._memory.store(kind, name)
-        return store, store.locate(self._late[kind, name][1])
-
-    def tokens(
-        self, kind: str, name: str, fields: Sequence[str]
-    ) -> set[tuple]:
-        """The grounding tokens of the input's late rows: the keys of
-        late facts, the ``fields`` cells of late events."""
-        key = (kind, name, fields)
-        found = self._tokens.get(key)
-        if found is None:
-            found = set()
-            if (kind, name) in self._late:
-                store, at = self._rows(kind, name)
-                found = store.tokens_at(at, fields)
-            self._tokens[key] = found
-        return found
-
-    def dirty(
-        self, kind: str, name: str, partition: Callable
-    ) -> set[Hashable]:
-        """The groundings, as ``partition`` names them, of the input's
-        late rows."""
-        key = (kind, name, partition)
-        found = self._dirty.get(key)
-        if found is None:
-            found = set()
-            if (kind, name) in self._late:
-                store, at = self._rows(kind, name)
-                if store.grounded:
-                    at = at[np.unique(store.codes[at], return_index=True)[1]]
-                found.update(map(partition, store.records_at(at)))
-            self._dirty[key] = found
-        return found
-
-# ----------------------------------------------------------------------
-# Range utilities
-# ----------------------------------------------------------------------
-def merge_ranges(
-    ranges: Iterable[TimeRange], lo: int, hi: int
-) -> list[TimeRange]:
-    """Clip inclusive ranges to ``[lo, hi]`` and merge overlapping or
-    adjacent ones into a sorted, disjoint list."""
-    clipped = sorted(
-        (max(a, lo), min(b, hi)) for a, b in ranges if a <= hi and b >= lo
-    )
-    out: list[TimeRange] = []
-    for a, b in clipped:
-        if out and a <= out[-1][1] + 1:
-            if b > out[-1][1]:
-                out[-1] = (out[-1][0], b)
-        else:
-            out.append((a, b))
-    return out
-
-
-class RangeSet:
-    """Membership tests over a merged, sorted list of inclusive ranges."""
-
-    __slots__ = ("_starts", "_ends")
-
-    def __init__(self, ranges: Sequence[TimeRange]):
-        self._starts = [a for a, _ in ranges]
-        self._ends = [b for _, b in ranges]
-
-    def __bool__(self) -> bool:
-        return bool(self._starts)
-
-    def __contains__(self, t: int) -> bool:
-        i = bisect.bisect_right(self._starts, t) - 1
-        return i >= 0 and t <= self._ends[i]
-
-    def index(self, times: np.ndarray) -> np.ndarray:
-        """Per element of ``times`` the position of the range it falls
-        inside, ``-1`` for none."""
-        if not self._starts:
-            return np.full(len(times), -1, dtype=np.int64)
-        idx = (
-            np.searchsorted(
-                np.asarray(self._starts, dtype=np.int64), times, "right"
-            )
-            - 1
-        )
-        ends = np.asarray(self._ends, dtype=np.int64)
-        return np.where(
-            (idx >= 0) & (times <= ends[np.maximum(idx, 0)]), idx, -1
-        )
-
-    def mask(self, times: np.ndarray) -> np.ndarray:
-        """Vectorised membership: a boolean array marking which of
-        ``times`` fall inside any range (``__contains__``, batched)."""
-        return self.index(times) >= 0
-
-
-# ----------------------------------------------------------------------
-# Output diffing (invalidation propagation between strata)
-# ----------------------------------------------------------------------
-def freeze(value: Any) -> Hashable:
-    """A hashable stand-in for a payload value (mappings and lists are
-    converted recursively; payload mapping proxies are not hashable)."""
-    if isinstance(value, Mapping):
-        return tuple(sorted((k, freeze(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(freeze(v) for v in value)
-    return value
-
-
-def _occurrence_token(occ) -> Hashable:
-    """Hashable identity of an occurrence for multiset diffing (the
-    payload mapping proxy itself is not hashable)."""
-    return (occ.type, occ.key, occ.time, freeze(occ.payload))
-
-
-def changed_point_ranges(
-    old: Iterable[Any], new: Iterable[Any], lo: int, hi: int
-) -> list[TimeRange]:
-    """Time ranges where two multisets of occurrences differ, clipped
-    to ``[lo, hi]``.
-
-    The engine passes what a query *replaced* — the cached occurrences
-    it dropped and the ones it derived in their place — not the two
-    whole windows: a reused occurrence is the same object on both
-    sides.  Per time-point the two sides are first compared in order
-    (re-deriving unchanged inputs yields equal occurrences in the same
-    order); only where that fails are payloads frozen for a true
-    multiset comparison.
-    """
-    by_time: dict[int, tuple[list, list]] = {}
-    for side, points in enumerate((old, new)):
-        for pt in points:
-            sides = by_time.get(pt.time)
-            if sides is None:
-                sides = by_time[pt.time] = ([], [])
-            sides[side].append(pt)
-    changed = [
-        t
-        for t, (before, after) in by_time.items()
-        if len(before) != len(after)
-        or (
-            before != after
-            and Counter(map(_occurrence_token, before))
-            != Counter(map(_occurrence_token, after))
-        )
-    ]
-    return merge_ranges(((t, t) for t in changed), lo, hi)
-
-
-def changed_interval_ranges(
-    old: Mapping[FluentKey, IntervalList],
-    new: Mapping[FluentKey, IntervalList],
-    lo: int,
-    hi: int,
-) -> list[TimeRange]:
-    """Time ranges where two fluent outputs differ point-wise, clipped
-    to ``[lo, hi]``.
-
-    For each grounding the symmetric difference of the old and new
-    interval lists — ``(old OR new) AND NOT (old AND new)`` — is exactly
-    the set of time-points where ``holdsAt`` changed.
-    """
-    ranges: list[TimeRange] = []
-    empty = IntervalList.empty()
-    for key in old.keys() | new.keys():
-        a = old.get(key, empty)
-        b = new.get(key, empty)
-        if a == b:
-            continue
-        union = a.union(b)
-        common = a.intersect(b)
-        for start, end in union.relative_complement([common]):
-            last = hi if end is None else end - 1
-            ranges.append((start, last))
-    return merge_ranges(ranges, lo, hi)
-
-
-# ----------------------------------------------------------------------
-# Per-definition cache state
-# ----------------------------------------------------------------------
-@dataclass
-class DefinitionState:
-    """Cross-query cache state the engine keeps per definition."""
-
-    #: cached output points per stream (``{"occ": [...]}`` for derived
-    #: events, ``{"init": [...], "term": [...]}`` for fluents), covering
-    #: the whole previous window.
-    streams: Optional[dict[str, list[Any]]] = None
-    #: lazily built ``int64`` time arrays per cached stream, for the
-    #: vectorised middle-reuse filter; reset whenever ``streams`` is
-    #: reassigned (the engine sets it back to ``None``).
-    stream_times: Optional[dict[str, np.ndarray]] = None
-    #: previous query's final interval output (fluent kinds only).
-    prev_out: Optional[dict[FluentKey, IntervalList]] = None
-    #: where this definition's output changed relative to the previous
-    #: query, clipped to the overlap — read by downstream definitions
-    #: to invalidate their own caches.
-    changed: list[TimeRange] = field(default_factory=list)

@@ -15,48 +15,37 @@ Evaluation proceeds stratum by stratum over the definitions (see
 window's left edge is seeded from the previous evaluation cycle, which
 carries the law of inertia across overlapping windows.
 
-Two evaluation modes share those semantics:
+One evaluation loop serves every query: each definition is evaluated
+over the *whole* window at every query time — nothing derived at an
+earlier query is kept, except the inertia seed above.  What the
+``incremental`` flag selects is only where the window comes from:
 
-* the **legacy** mode (``incremental=False``) rebuilds the window
-  contents and re-derives every definition from scratch at each query
-  time — the direct transcription of the paper;
-* the **incremental** mode (the default) keeps SDEs as arrays in a
+* the **array window** (the default) keeps SDEs as arrays in a
   persistent working memory (:class:`repro.core.incremental.
-  WorkingMemory`) that evicts by the window's left edge, and reuses
-  each definition's output points from the previous query for the
-  overlap ``[Q_i - window + step, Q_i]``, re-deriving only the newest
-  ``step`` of data plus whatever late arrivals and upstream changes
-  invalidated (see :mod:`repro.core.incremental` for the contract).
-  Its output is identical to the legacy mode's — the golden-trace
-  differential tests in ``tests/core/test_golden_trace.py`` pin that.
+  WorkingMemory`): a query admits what has arrived, evicts what fell
+  behind the window's left edge, and the rule bodies read the stores;
+* the **object window** (``incremental=False``) buffers the fed
+  ``Event``/``FluentFact`` objects and rebuilds the window's contents
+  from them at each query time — the direct transcription of the
+  paper, independent of the working memory's admission, which is what
+  makes it the reference engine of the parity suites.
+
+Their output is identical — the golden-trace differential tests in
+``tests/core/test_golden_trace.py`` pin that.
 """
 
 from __future__ import annotations
 
-import bisect
 import operator
 import time as _time
 from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Optional
-
-import numpy as np
+from typing import Any, Optional
 
 from .columns import SDEColumns
-from .compiled import RowSelection
 from .events import Event, FluentFact, FluentKey, Occurrence
-from .incremental import (
-    DefinitionState,
-    IncrementalSpec,
-    LateArrivals,
-    RangeSet,
-    TimeRange,
-    WorkingMemory,
-    changed_interval_ranges,
-    changed_point_ranges,
-    merge_ranges,
-)
+from .incremental import WorkingMemory
 from .intervals import EFFECT_DELAY, IntervalList, make_intervals
 from .rules import (
     Definition,
@@ -95,20 +84,12 @@ class RecognitionSnapshot:
         windows the same SDE is *considered* by several consecutive
         queries (and so counted in ``n_events`` each time); this field
         counts each SDE exactly once across a run.
-    cache_hits / cache_misses / cache_invalidations:
-        Incremental-evaluation statistics: definitions that reused
-        cached points for the window overlap, cacheable definitions
-        that had to recompute in full, and reusing definitions whose
-        cache was partially invalidated (late arrivals or upstream
-        changes).  All zero in legacy mode.
     compiled_evals / compiled_fallbacks:
-        Rule-compilation statistics: rule-body evaluation requests —
-        one per full evaluation, and on a cache hit one per re-derived
-        segment plus one for the dirty groundings — served by a
-        vectorised compiled evaluator (which serves all of a query's
-        requests in one pass), and requests of point-deriving
-        definitions that fell back to the interpreter (no compiled form
-        exists for them).  Both zero when compilation is disabled.
+        Rule-compilation statistics, one count per definition per
+        query: point-deriving definitions whose body a vectorised
+        compiled evaluator ran, and point-deriving definitions whose
+        body ran on the interpreter (no compiled form exists for
+        them).  Both zero when compilation is disabled.
     """
 
     query_time: int
@@ -120,6 +101,10 @@ class RecognitionSnapshot:
     elapsed: float = 0.0
     n_events: int = 0
     n_new_events: int = 0
+    #: Always zero: nothing is cached across queries.  Kept only
+    #: because the frozen ``benchmarks/e2e/tracing.py`` sums them into
+    #: ``core.incremental.*``; they go with the benchmark revision of
+    #: ROADMAP item 6.
     cache_hits: int = 0
     cache_misses: int = 0
     cache_invalidations: int = 0
@@ -127,19 +112,18 @@ class RecognitionSnapshot:
     compiled_fallbacks: int = 0
     #: Pending rows this query moved into the window, and pending rows
     #: it dropped because they occurred at or before the window start
-    #: (both zero in legacy mode, which materialises a batch when it
-    #: is fed).
+    #: (both zero over the object window, which materialises a batch
+    #: when it is fed).
     rows_admitted: int = 0
     rows_skipped_horizon: int = 0
     #: Records (``Event``/``FluentFact``) this query built from the
-    #: window's arrays — for an interpreted rule body or a partition
-    #: function; at most once per row in its life.  Zero in legacy
-    #: mode.
+    #: window's arrays — for an interpreted rule body; at most once per
+    #: row in its life.  Zero over the object window.
     rows_materialised: int = 0
     #: Rows whose evaluation columns (token codes, ``float64`` fields)
     #: this query filled (each admitted row of a type a compiled rule
     #: reads, once), and ``gps`` rows it decided the ``close`` join for
-    #: (once per row per engine).  Both zero in legacy mode.
+    #: (once per row per engine).  Both zero over the object window.
     mirror_rows_encoded: int = 0
     close_rows_decided: int = 0
     #: CPU seconds spent per definition (profiling breakdown).
@@ -147,9 +131,6 @@ class RecognitionSnapshot:
 
     #: Snapshot field -> run-metrics counter (``docs/observability.md``).
     COUNTERS = {
-        "cache_hits": "rtec.cache.hits",
-        "cache_misses": "rtec.cache.misses",
-        "cache_invalidations": "rtec.cache.invalidations",
         "compiled_evals": "rtec.compiled.evals",
         "compiled_fallbacks": "rtec.compiled.fallbacks",
         "rows_admitted": "rtec.ingest.rows_admitted",
@@ -178,10 +159,6 @@ class RecognitionSnapshot:
         """All occurrences of derived event ``name`` in this window."""
         return self.occurrences.get(name, [])
 
-
-#: time coordinate of an occurrence, for binary-searching sorted
-#: occurrence streams (C-level accessor: the reuse scan is hot).
-_occurrence_time = operator.attrgetter("time")
 
 #: ``(time, key)``: the order occurrence streams are kept in.
 _occurrence_order = operator.attrgetter("time", "key")
@@ -212,10 +189,13 @@ class RTEC:
         fluents.  Those fluents hold from before the first window until
         terminated.
     incremental:
-        When ``True`` (the default) SDEs are indexed into a persistent
-        working memory and definition outputs are cached across the
-        window overlap; ``False`` selects the legacy from-scratch
-        evaluation.  Both modes produce identical recognition output.
+        Where the window comes from.  ``True`` (the default): a
+        persistent working memory of arrays, into which a query admits
+        what has arrived and from which it evicts what fell out.
+        ``False``: object buffers from which the window is rebuilt per
+        query — the reference engine.  Every definition is evaluated
+        over the whole window at every query either way, and both
+        produce identical recognition output.
     compiled:
         When ``True`` (the default) definitions offering a vectorised
         evaluator (:meth:`repro.core.rules.Definition.compiled`) have
@@ -230,16 +210,15 @@ class RTEC:
     Engines are checkpointed by :mod:`repro.recovery` through
     whole-object pickling.  The contract: all cross-query state — the
     persistent :class:`~.incremental.WorkingMemory` (including pending
-    SDEs that have not yet *arrived*), the per-definition cached
-    streams/change ranges (:class:`~.incremental.DefinitionState`), the
-    fluent-inertia cache that seeds each window's left edge, and the
-    last query time — must round-trip through pickle such that the
-    restored engine answers every subsequent ``query(q)`` identically
-    to the original.  This requires rule bodies and grounding-partition
-    functions to be module-level callables (pickled by reference); the
-    window travels as arrays — per row a sequence number and the cells
-    it was fed with — and what is derived from them (token codes,
-    evaluation columns, records) is rebuilt on first use.
+    SDEs that have not yet *arrived*), the fluent-inertia cache that
+    seeds each window's left edge, and the last query time — must
+    round-trip through pickle such that the restored engine answers
+    every subsequent ``query(q)`` identically to the original.  Nothing
+    derived travels: no output point of an earlier query is state, the
+    window is arrays — per row a sequence number and the cells it was
+    fed with — and what is derived from them (token codes, evaluation
+    columns, records) is rebuilt on first use.  Rule bodies must be
+    module-level callables (pickled by reference).
     """
 
     def __init__(
@@ -268,15 +247,12 @@ class RTEC:
         self._start = start
         self._last_query: Optional[int] = None
         self.incremental = bool(incremental)
-        # Legacy input buffers (legacy mode only).
+        # The object window's input buffers (``incremental=False``).
         self._events: list[Event] = []
         self._facts: list[FluentFact] = []
         self._inputs_sorted = True
-        # Incremental state: the persistent working memory, each
-        # definition's declared input contract and its cached points.
+        # The array window: the persistent working memory.
         self._wm = WorkingMemory() if self.incremental else None
-        self._specs: dict[str, Optional[IncrementalSpec]] = {}
-        self._states: dict[str, DefinitionState] = {}
         # Rule compilation: definitions offering a vectorised evaluator
         # get their bodies lowered; the working memory is told the
         # columnar layouts those evaluators read, so its stores of
@@ -292,15 +268,6 @@ class RTEC:
                 if self._wm is not None:
                     for (kind, name), cspec in rule.columns.items():
                         self._wm.declare_columns(kind, name, cspec)
-        if self.incremental:
-            for d in self._definitions:
-                self._specs[d.name] = d.incremental_spec(self.params)
-        #: definitions some *other* definition depends on: only their
-        #: output diffs feed downstream invalidation, so ``changed`` is
-        #: computed for them alone (for sinks it would be dead work).
-        self._consumed = {
-            dep for d in self._definitions for dep in d.depends_on
-        }
         #: last computed intervals per fluent name and grounding; seeds
         #: the value at the next window's left edge (inertia).  Valued
         #: fluents are cached under ``grounding + (value,)``; groundings
@@ -338,12 +305,12 @@ class RTEC:
         """Buffer input SDEs and input-fluent facts.
 
         Inputs may be fed in any order; the engine honours arrival
-        times when selecting window contents.  An incremental engine
-        has one pending buffer, of arrays: the objects are grouped into
+        times when selecting window contents.  The working memory has
+        one pending buffer, of arrays: the objects are grouped into
         per-type blocks (:meth:`~.columns.SDEColumns.from_sdes`) and
         numbered in that layout — type by type, each type in feed
         order, which is the order every working-memory column keeps.
-        Legacy mode sorts its object buffers per query.
+        The object window sorts its buffers per query.
 
         SDEs with a negative occurrence time are rejected: the scenario
         clock starts at 0, so a negative stamp is always a mediator bug
@@ -383,12 +350,11 @@ class RTEC:
 
         The batch counterpart of :meth:`feed`: validation (no negative
         occurrence time, no arrival before the occurrence) runs
-        vectorised over the batch's time arrays, and in incremental
-        mode the batch enters the working memory's pending buffer as
-        arrays, from which a query admits rows into the window by
-        reference — no :class:`Event` object is built on the way.
-        Legacy engines materialise the batch into their object buffers
-        (their whole evaluation is object-based).
+        vectorised over the batch's time arrays, and the batch enters
+        the working memory's pending buffer as arrays, from which a
+        query admits rows into the window by reference — no
+        :class:`Event` object is built on the way.  An object-window
+        engine materialises the batch into its object buffers.
         """
         batch.validate()
         if self._wm is not None:
@@ -405,8 +371,8 @@ class RTEC:
         Checkpoints written in streamless mode then drop the pending
         part of that stream and regenerate it on restore; SDEs fed
         after this call (crowd feedback) are snapshotted verbatim.
-        Legacy (non-incremental) engines keep full snapshots and ignore
-        the marker.
+        Object-window engines keep full snapshots and ignore the
+        marker.
         """
         if self._wm is not None:
             self._wm.mark_stream_boundary()
@@ -414,7 +380,7 @@ class RTEC:
     def refill_columns(self, batch: SDEColumns, admitted_through: int) -> None:
         """Rebuild the pending buffer of a streamless checkpoint from
         the regenerated initial stream, fed as it originally was via
-        :meth:`feed_columns` (no-op for legacy engines, whose
+        :meth:`feed_columns` (no-op for object-window engines, whose
         snapshots are always complete)."""
         if self._wm is not None:
             self._wm.refill_columns(batch, admitted_through)
@@ -438,25 +404,38 @@ class RTEC:
 
         Only SDEs with occurrence in ``(q - window, q]`` that have
         arrived by ``q`` are considered; everything older is discarded
-        (the paper's working-memory semantics).
+        (the paper's working-memory semantics).  Every definition is
+        evaluated over that whole window.
         """
         if self._last_query is not None and q <= self._last_query:
             raise ValueError(
                 f"query times must be increasing: {q} <= {self._last_query}"
             )
-        if self._wm is not None:
-            return self._query_incremental(q)
-        return self._query_legacy(q)
+        snapshot = RecognitionSnapshot(
+            query_time=q, window_start=q - self.window
+        )
+        wm = self._wm
+        if wm is None:
+            self._evaluate(self._object_window(snapshot), snapshot)
+            self._prune(snapshot.window_start)
+        else:
+            built, encoded = wm.rows_materialised, wm.rows_encoded
+            decided = wm.rows_close_decided
+            self._evaluate(self._array_window(snapshot), snapshot)
+            snapshot.rows_materialised = wm.rows_materialised - built
+            snapshot.mirror_rows_encoded = wm.rows_encoded - encoded
+            snapshot.close_rows_decided = wm.rows_close_decided - decided
+        self._last_query = q
+        return snapshot
 
-    # -- legacy mode ---------------------------------------------------
-    def _query_legacy(self, q: int) -> RecognitionSnapshot:
+    def _object_window(self, snapshot: RecognitionSnapshot) -> RuleContext:
+        """The window of ``snapshot``'s query, rebuilt from the object
+        buffers (``incremental=False``)."""
         self._ensure_sorted()
-        window_start = q - self.window
+        q, window_start = snapshot.query_time, snapshot.window_start
         previous = self._last_query
 
         events_by_type: dict[str, list[Event]] = defaultdict(list)
-        n_events = 0
-        n_new_events = 0
         for ev in self._events:
             if ev.time <= window_start:
                 continue
@@ -464,9 +443,9 @@ class RTEC:
                 break
             if ev.arrival <= q:
                 events_by_type[ev.type].append(ev)
-                n_events += 1
+                snapshot.n_events += 1
                 if previous is None or ev.arrival > previous:
-                    n_new_events += 1
+                    snapshot.n_new_events += 1
 
         facts_by_key: dict[tuple[str, FluentKey], list[FluentFact]] = (
             defaultdict(list)
@@ -479,7 +458,7 @@ class RTEC:
             if fact.arrival <= q:
                 facts_by_key[(fact.name, fact.key)].append(fact)
 
-        ctx = RuleContext(
+        return RuleContext(
             window_start=window_start,
             window_end=q,
             events=events_by_type,
@@ -487,66 +466,21 @@ class RTEC:
             params=self.params,
         )
 
-        snapshot = RecognitionSnapshot(
-            query_time=q,
-            window_start=window_start,
-            n_events=n_events,
-            n_new_events=n_new_events,
-        )
-        t0 = _time.process_time()
-        for definition in self._definitions:
-            d0 = _time.process_time()
-            if isinstance(definition, StaticFluent):
-                intervals = dict(definition.derive(ctx))
-                ctx._store_fluent(definition.name, intervals)
-                snapshot.fluents[definition.name] = intervals
-            elif isinstance(definition, DerivedEvent):
-                streams = self._extract_streams(definition, ctx, snapshot)
-                occurrences = sorted(streams["occ"], key=_occurrence_order)
-                ctx._store_occurrences(definition.name, occurrences)
-                snapshot.occurrences[definition.name] = occurrences
-            elif isinstance(definition, (SimpleFluent, ValuedFluent)):
-                streams = self._extract_streams(definition, ctx, snapshot)
-                if isinstance(definition, ValuedFluent):
-                    intervals = self._valued_intervals(
-                        definition.name, ctx, streams["init"], streams["term"]
-                    )
-                else:
-                    intervals = self._simple_intervals(
-                        definition.name, ctx, streams["init"], streams["term"]
-                    )
-                ctx._store_fluent(definition.name, intervals)
-                snapshot.fluents[definition.name] = intervals
-            else:  # pragma: no cover - guarded by the type system
-                raise TypeError(f"unknown definition type: {definition!r}")
-            snapshot.per_definition[definition.name] = (
-                _time.process_time() - d0
-            )
-        snapshot.elapsed = _time.process_time() - t0
-
-        self._last_query = q
-        self._prune(window_start)
-        return snapshot
-
-    # -- incremental mode ----------------------------------------------
-    def _query_incremental(self, q: int) -> RecognitionSnapshot:
-        window_start = q - self.window
-        previous = self._last_query
-
+    def _array_window(self, snapshot: RecognitionSnapshot) -> RuleContext:
+        """The window of ``snapshot``'s query, slid forward in the
+        working memory: what has arrived is admitted, what fell out is
+        evicted.  The window stays arrays — the context's record
+        accessors build objects only for an interpreted body that
+        asks."""
         wm = self._wm
-        admitted_before = wm.rows_admitted
-        skipped_before = wm.rows_skipped_horizon
-        built, encoded = wm.rows_materialised, wm.rows_encoded
-        decided = wm.rows_close_decided
-        admitted = wm.admit(q, window_start)
+        q, window_start = snapshot.query_time, snapshot.window_start
+        admitted, skipped = wm.rows_admitted, wm.rows_skipped_horizon
+        snapshot.n_new_events = wm.admit(q, window_start)
         wm.evict(window_start)
-        # Delayed SDEs: first seen now, but occurred inside the
-        # previous window's overlap — they invalidate cached points.
-        late = LateArrivals(wm, admitted, previous)
-
-        # The window stays arrays: the context's record accessors
-        # build objects only for an interpreted body that asks.
-        ctx = RuleContext(
+        snapshot.n_events = wm.n_events()
+        snapshot.rows_admitted = wm.rows_admitted - admitted
+        snapshot.rows_skipped_horizon = wm.rows_skipped_horizon - skipped
+        return RuleContext(
             window_start=window_start,
             window_end=q,
             events={},
@@ -555,155 +489,60 @@ class RTEC:
             columns=wm,
         )
 
-        snapshot = RecognitionSnapshot(
-            query_time=q,
-            window_start=window_start,
-            n_events=wm.n_events(),
-            n_new_events=sum(
-                len(times)
-                for (kind, _), (times, _) in admitted.items()
-                if kind == "event"
-            ),
-            rows_admitted=wm.rows_admitted - admitted_before,
-            rows_skipped_horizon=wm.rows_skipped_horizon - skipped_before,
-        )
-        #: restricted contexts built this query, shared across
-        #: definitions keyed by their (lo, hi] input range and the
-        #: input types they declare.
-        range_contexts: dict[tuple, RuleContext] = {}
-        #: dirty-grounding contexts built this query, shared across
-        #: definitions with identical declared inputs (and hence
-        #: identical per-token slices of the working memory).
-        token_contexts: dict[Hashable, RuleContext] = {}
-        #: occurrence-time arrays per already-evaluated derived event,
-        #: for bisecting upstream slices into restricted contexts.
-        occ_times: dict[str, list[int]] = {}
-        overlap_lo = window_start + 1
-
+    def _evaluate(
+        self, ctx: RuleContext, snapshot: RecognitionSnapshot
+    ) -> None:
+        """Evaluate every definition, stratum by stratum, over the
+        whole window ``ctx`` exposes — the one evaluation loop, whatever
+        the window was built from."""
         t0 = _time.process_time()
         for definition in self._definitions:
             d0 = _time.process_time()
             name = definition.name
-            state = self._states.get(name)
-            if state is None:
-                state = self._states[name] = DefinitionState()
-
             if isinstance(definition, StaticFluent):
-                # Statically-determined fluents are pure interval
-                # algebra over their dependencies — recomputed in full
-                # (the algebra is cheap; the expensive part is the
-                # point derivation upstream, which *is* cached).
-                out = dict(definition.derive(ctx))
-                ctx._store_fluent(name, out)
-                snapshot.fluents[name] = out
-                state.changed = (
-                    []
-                    if previous is None or name not in self._consumed
-                    else changed_interval_ranges(
-                        state.prev_out or {}, out, overlap_lo, previous
-                    )
-                )
-                state.prev_out = out
-                state.streams = None
-                state.stream_times = None
+                intervals = dict(definition.derive(ctx))
+                ctx._store_fluent(name, intervals)
+                snapshot.fluents[name] = intervals
             elif isinstance(definition, DerivedEvent):
-                old = state.streams
-                #: only a consumed definition publishes where it changed
-                publishes = previous is not None and name in self._consumed
-                streams, replaced = self._definition_streams(
-                    definition, state, ctx, q, window_start, previous,
-                    late, snapshot, range_contexts, token_contexts,
-                    occ_times, track=publishes,
-                )
+                streams = self._extract_streams(definition, ctx, snapshot)
+                # Stable: points tied on (time, key) stay in body order.
                 occurrences = sorted(streams["occ"], key=_occurrence_order)
-                streams["occ"] = occurrences
                 ctx._store_occurrences(name, occurrences)
                 snapshot.occurrences[name] = occurrences
-                if not publishes:
-                    state.changed = []
-                elif old is None:
-                    state.changed = [(overlap_lo, previous)]
-                else:
-                    # Reused points are the same objects on both sides
-                    # and cannot differ: the diff runs over the cached
-                    # points that were dropped and the points that
-                    # were derived — all of them after a full
-                    # recomputation — both in stream order, so that
-                    # unchanged points meet their equals.
-                    dropped, derived = replaced or (old["occ"], occurrences)
-                    state.changed = changed_point_ranges(
-                        (
-                            o for o in dropped
-                            if window_start < o.time <= previous
-                        ),
-                        sorted(
-                            (o for o in derived if o.time <= previous),
-                            key=_occurrence_order,
-                        ),
-                        overlap_lo,
-                        previous,
-                    )
-                state.streams = streams
-                state.stream_times = None
-            else:  # SimpleFluent / ValuedFluent
-                streams, _ = self._definition_streams(
-                    definition, state, ctx, q, window_start, previous,
-                    late, snapshot, range_contexts, token_contexts,
-                    occ_times,
+            elif isinstance(definition, (SimpleFluent, ValuedFluent)):
+                streams = self._extract_streams(definition, ctx, snapshot)
+                build = (
+                    self._valued_intervals
+                    if isinstance(definition, ValuedFluent)
+                    else self._simple_intervals
                 )
-                if isinstance(definition, ValuedFluent):
-                    out = self._valued_intervals(
-                        name, ctx, streams["init"], streams["term"]
-                    )
-                elif isinstance(definition, SimpleFluent):
-                    out = self._simple_intervals(
-                        name, ctx, streams["init"], streams["term"]
-                    )
-                else:  # pragma: no cover - guarded by the type system
-                    raise TypeError(
-                        f"unknown definition type: {definition!r}"
-                    )
-                ctx._store_fluent(name, out)
-                snapshot.fluents[name] = out
-                state.changed = (
-                    []
-                    if previous is None or name not in self._consumed
-                    else changed_interval_ranges(
-                        state.prev_out or {}, out, overlap_lo, previous
-                    )
-                )
-                state.prev_out = out
-                state.streams = streams
-                state.stream_times = None
+                intervals = build(name, ctx, streams["init"], streams["term"])
+                ctx._store_fluent(name, intervals)
+                snapshot.fluents[name] = intervals
+            else:  # pragma: no cover - guarded by the type system
+                raise TypeError(f"unknown definition type: {definition!r}")
             snapshot.per_definition[name] = _time.process_time() - d0
         snapshot.elapsed = _time.process_time() - t0
-        snapshot.rows_materialised = wm.rows_materialised - built
-        snapshot.mirror_rows_encoded = wm.rows_encoded - encoded
-        snapshot.close_rows_decided = wm.rows_close_decided - decided
-
-        self._last_query = q
-        return snapshot
 
     def _extract_streams(
         self,
         definition: Definition,
         ctx: RuleContext,
-        snapshot: Optional[RecognitionSnapshot] = None,
+        snapshot: RecognitionSnapshot,
     ) -> dict[str, list[Any]]:
         """Run a definition's rule bodies, as point streams.
 
         Definitions with a compiled evaluator take the vectorised path
         over the context's columnar views; everything else runs the
         interpreted bodies.  The snapshot's ``compiled_evals`` /
-        ``compiled_fallbacks`` counters record which path served each
-        evaluation.
+        ``compiled_fallbacks`` counters record which path served the
+        definition.
         """
         rule = self._compiled.get(definition.name)
         if rule is not None:
-            if snapshot is not None:
-                snapshot.compiled_evals += 1
+            snapshot.compiled_evals += 1
             return rule.derive(ctx)
-        if snapshot is not None and self.compiled_rules:
+        if self.compiled_rules:
             snapshot.compiled_fallbacks += 1
         if isinstance(definition, DerivedEvent):
             return {"occ": list(definition.occurrences(ctx))}
@@ -712,375 +551,7 @@ class RTEC:
             "term": list(definition.terminations(ctx)),
         }
 
-    @staticmethod
-    def _stream_times(definition: Definition):
-        """Per-stream accessors for a point's time coordinate."""
-        if isinstance(definition, DerivedEvent):
-            occ_time = lambda pt: pt.time  # noqa: E731
-            return {"occ": occ_time}
-        if isinstance(definition, ValuedFluent):
-            triple_time = lambda pt: pt[2]  # noqa: E731
-            return {"init": triple_time, "term": triple_time}
-        pair_time = lambda pt: pt[1]  # noqa: E731
-        return {"init": pair_time, "term": pair_time}
-
-    def _definition_streams(
-        self,
-        definition: Definition,
-        state: DefinitionState,
-        ctx: RuleContext,
-        q: int,
-        window_start: int,
-        previous: Optional[int],
-        late: LateArrivals,
-        snapshot: RecognitionSnapshot,
-        range_contexts: dict[tuple[int, int], RuleContext],
-        token_contexts: dict[Hashable, RuleContext],
-        occ_times: dict[str, list[int]],
-        track: bool = False,
-    ) -> tuple[dict[str, list[Any]], Optional[tuple[list, list]]]:
-        """This query's output points, reusing the previous query's
-        where the definition's incremental contract proves them stable.
-
-        Returns the streams and — for a derived event, when ``track``
-        is set and cached points were reused — what the reuse replaced:
-        the cached occurrences it dropped and the occurrences it
-        derived.  ``None`` there means everything was derived anew.
-
-        The window splits into three regions around the cached points:
-
-        * a *head* ``(window_start, window_start + lookback)`` whose
-          points saw deeper history last query than the new window
-          retains — re-derived against the truncated window, exactly
-          as the legacy engine would;
-        * a *middle* ``[window_start + lookback, previous - lookahead]``
-          reused from the cache, minus invalidated *bands* (widened
-          time ranges around late arrivals and upstream output
-          changes) and *dirty groundings* (partitioned definitions
-          re-derive only the groundings a late arrival touched);
-        * a *tail* ``(previous - lookahead, q]`` covering the new data,
-          plus the points whose lookahead now reaches inputs that did
-          not exist at the previous query.
-        """
-        spec = self._specs.get(definition.name)
-        cacheable = (
-            spec is not None
-            and spec.lookback is not None
-            and previous is not None
-            and state.streams is not None
-        )
-        if cacheable:
-            lookback = spec.lookback
-            lookahead = spec.lookahead
-            reuse_lo = window_start + max(lookback, 1)
-            reuse_hi = previous - lookahead
-            if reuse_lo > reuse_hi:
-                # The overlap is thinner than the dependency horizon:
-                # nothing cached is provably stable.
-                cacheable = False
-        if not cacheable:
-            if spec is not None and spec.lookback is not None:
-                snapshot.cache_misses += 1
-            return self._extract_streams(definition, ctx, snapshot), None
-
-        # -- what changed since the previous query -----------------
-        partitioned = spec.partitioned
-        rule = self._compiled.get(definition.name)
-        changed_ranges: list[TimeRange] = []
-        #: Groundings a late arrival touched: as the partition
-        #: functions name them, from records — or, for a compiled
-        #: definition, as their tokens, from the arrays.
-        dirty: set[Hashable] = set()
-        point_token = spec.point_partition
-        if partitioned and rule is not None:
-            point_token = lambda pt: rule.grounding_token(  # noqa: E731
-                spec.point_partition(pt)
-            )
-        for dep in definition.depends_on:
-            dep_state = self._states.get(dep)
-            if dep_state is not None:
-                changed_ranges.extend(dep_state.changed)
-        for kind, names, partitions in (
-            ("event", spec.event_types, spec.event_partition),
-            ("fact", spec.fact_names, spec.fact_partition),
-        ):
-            for name in names:
-                if not partitioned:
-                    changed_ranges += late.ranges(kind, name)
-                elif rule is not None:
-                    dirty |= late.tokens(
-                        kind, name, rule.columns[kind, name].token
-                    )
-                else:
-                    dirty |= late.dirty(kind, name, partitions[name])
-        # An input change at t affects points whose dependency band
-        # (t - lookback, t + lookahead] contains it.
-        bands = merge_ranges(
-            ((a - lookahead, b + lookback) for a, b in changed_ranges),
-            reuse_lo,
-            reuse_hi,
-        )
-        snapshot.cache_hits += 1
-        if bands or dirty:
-            snapshot.cache_invalidations += 1
-
-        segments: list[TimeRange] = []
-        if lookback > 1:
-            segments.append((window_start + 1, window_start + lookback - 1))
-        segments.extend(bands)
-        segments.append((reuse_hi + 1, q))
-        segments = merge_ranges(segments, window_start + 1, q)
-
-        band_set = RangeSet(bands)
-        out: dict[str, list[Any]] = {s: [] for s in state.streams}
-        dropped: list[Any] = []
-
-        # Middle: reuse cached points outside the invalidated bands.
-        # The loops are specialised per definition kind — a cached
-        # window holds thousands of points and a per-point accessor
-        # call would dominate the reuse path it exists to avoid.
-        quiet = not bands and not dirty
-        derived = isinstance(definition, DerivedEvent)
-        t_index = 2 if isinstance(definition, ValuedFluent) else 1
-        for sname, cached_points in state.streams.items():
-            kept = out[sname]
-            if derived:
-                # Occurrence streams are cached (time, key)-sorted, so
-                # the reusable range is a binary-searched slice.
-                lo_i = bisect.bisect_left(
-                    cached_points, reuse_lo, key=_occurrence_time
-                )
-                hi_i = bisect.bisect_right(
-                    cached_points, reuse_hi, lo=lo_i, key=_occurrence_time
-                )
-                if track:
-                    dropped += cached_points[:lo_i]
-                    dropped += cached_points[hi_i:]
-                if quiet:
-                    out[sname] = cached_points[lo_i:hi_i]
-                    continue
-                for pt in cached_points[lo_i:hi_i]:
-                    if (bands and pt.time in band_set) or (
-                        dirty and point_token(pt) in dirty
-                    ):
-                        if track:
-                            dropped.append(pt)
-                    else:
-                        kept.append(pt)
-                continue
-            # Fluent streams are unsorted point tuples; the time-range
-            # and band filters run vectorised over a lazily built
-            # (per-stream, per-query) int64 time array — the Python
-            # loop only touches the surviving indices.
-            if not cached_points:
-                continue
-            stream_times = state.stream_times
-            if stream_times is None:
-                stream_times = state.stream_times = {}
-            ts = stream_times.get(sname)
-            if ts is None:
-                ts = stream_times[sname] = np.fromiter(
-                    (pt[t_index] for pt in cached_points),
-                    np.int64,
-                    count=len(cached_points),
-                )
-            keep = (ts >= reuse_lo) & (ts <= reuse_hi)
-            if bands:
-                keep &= ~band_set.mask(ts)
-            if dirty:
-                for i in np.flatnonzero(keep).tolist():
-                    pt = cached_points[i]
-                    if point_token(pt) not in dirty:
-                        kept.append(pt)
-            else:
-                kept.extend(
-                    cached_points[i]
-                    for i in np.flatnonzero(keep).tolist()
-                )
-
-        n_reused = len(out.get("occ", ()))
-        if rule is not None:
-            # A compiled body reads the whole window once and emits
-            # the points at the rows the segments and the dirty
-            # groundings select: no context, no call per segment.
-            # One evaluation request per part, as the loops below
-            # count them.
-            snapshot.compiled_evals += len(segments) + bool(dirty)
-            extracted = rule.derive(ctx, RowSelection(segments, dirty))
-            for sname, points in extracted.items():
-                out[sname] += points
-        else:
-            # An interpreted body runs per segment — head, bands, tail —
-            # against a restricted context that contains every input a
-            # point in the segment can see.
-            times = self._stream_times(definition)
-            for a, b in segments:
-                rctx = self._range_context(
-                    max(a - lookback, window_start),
-                    min(b + lookahead, q),
-                    spec,
-                    ctx,
-                    range_contexts,
-                )
-                self._inject_upstream(rctx, definition, ctx, occ_times)
-                extracted = self._extract_streams(definition, rctx, snapshot)
-                for sname, points in extracted.items():
-                    time_of = times[sname]
-                    kept = out[sname]
-                    for pt in points:
-                        t = time_of(pt)
-                        if t < a or t > b:
-                            continue
-                        if dirty and point_token(pt) in dirty:
-                            continue
-                        kept.append(pt)
-
-            # Dirty groundings: re-derive them over the whole window from
-            # a context restricted to their own inputs.
-            if dirty:
-                rctx = self._token_context(
-                    spec, dirty, window_start, q, ctx, token_contexts
-                )
-                self._inject_upstream(rctx, definition, ctx, occ_times)
-                extracted = self._extract_streams(definition, rctx, snapshot)
-                for sname, points in extracted.items():
-                    kept = out[sname]
-                    for pt in points:
-                        if point_token(pt) in dirty:
-                            kept.append(pt)
-        if not (track and derived):
-            return out, None
-        return out, (dropped, out["occ"][n_reused:])
-
-    def _range_context(
-        self,
-        lo: int,
-        hi: int,
-        spec: IncrementalSpec,
-        ctx: RuleContext,
-        range_contexts: dict[tuple, RuleContext],
-    ) -> RuleContext:
-        """A context over the inputs a definition declares
-        (``spec.event_types`` / ``spec.fact_names``) with occurrence
-        time in ``(lo, hi]``, sharing the full context's fluent
-        results."""
-        cache_key = (lo, hi, spec.event_types, spec.fact_names)
-        rctx = range_contexts.get(cache_key)
-        if rctx is not None:
-            return rctx
-        events: dict[str, list[Event]] = {}
-        facts: dict[tuple[str, FluentKey], list[FluentFact]] = {}
-        for etype in spec.event_types:
-            store = self._wm.store("event", etype)
-            if store is not None:
-                selected = store.records(*store.bounds(lo, hi))
-                if selected:
-                    events[etype] = selected
-        for fname in spec.fact_names:
-            store = self._wm.store("fact", fname)
-            if store is not None:
-                for fact in store.records(*store.bounds(lo, hi)):
-                    facts.setdefault((fname, fact.key), []).append(fact)
-        rctx = RuleContext(
-            window_start=lo,
-            window_end=hi,
-            events=events,
-            facts=facts,
-            params=self.params,
-        )
-        rctx._fluents = ctx._fluents
-        range_contexts[cache_key] = rctx
-        return rctx
-
-    def _token_context(
-        self,
-        spec: IncrementalSpec,
-        dirty: set[Hashable],
-        window_start: int,
-        q: int,
-        ctx: RuleContext,
-        token_contexts: dict[Hashable, RuleContext],
-    ) -> RuleContext:
-        """A full-window context restricted to the declared input types,
-        filtered down to the dirty groundings.
-
-        Definitions declaring the same inputs (same types, same
-        partition functions — e.g. the paper's ``disagree`` / ``agree``
-        pair over per-bus ``move``/``gps`` reports) select identical
-        slices for identical dirty sets, so the context is shared
-        between them within one query; the keying deliberately ignores
-        ``point_partition``, which only labels *outputs*.
-        """
-        cache_key = (
-            tuple(
-                sorted(
-                    (t, id(spec.event_partition[t]))
-                    for t in spec.event_types
-                )
-            ),
-            tuple(
-                sorted(
-                    (n, id(spec.fact_partition[n]))
-                    for n in spec.fact_names
-                )
-            ),
-            frozenset(dirty),
-        )
-        cached = token_contexts.get(cache_key)
-        if cached is not None:
-            return cached
-        # The dirty rows are picked out of the window's records on
-        # demand — the records the full context has the stores build,
-        # once per row — in store order.
-        events: dict[str, list[Event]] = {}
-        facts: dict[tuple[str, FluentKey], list[FluentFact]] = {}
-        for etype in spec.event_types:
-            token_of = spec.event_partition[etype]
-            selected = [
-                ev for ev in ctx.events(etype) if token_of(ev) in dirty
-            ]
-            if selected:
-                events[etype] = selected
-        for fname in spec.fact_names:
-            token_of = spec.fact_partition[fname]
-            for key, (_, group) in ctx._facts_of(fname).items():
-                selected = [f for f in group if token_of(f) in dirty]
-                if selected:
-                    facts[(fname, key)] = selected
-        rctx = RuleContext(
-            window_start=window_start,
-            window_end=q,
-            events=events,
-            facts=facts,
-            params=self.params,
-        )
-        rctx._fluents = ctx._fluents
-        token_contexts[cache_key] = rctx
-        return rctx
-
-    def _inject_upstream(
-        self,
-        rctx: RuleContext,
-        definition: Definition,
-        ctx: RuleContext,
-        occ_times: dict[str, list[int]],
-    ) -> None:
-        """Expose this query's upstream derived events to a restricted
-        context, sliced to its ``(lo, hi]`` range."""
-        for dep in definition.depends_on:
-            if dep in rctx._occurrences:
-                continue
-            occurrences = ctx._occurrences.get(dep)
-            if occurrences is None:
-                continue  # a fluent or raw-input dependency
-            dep_times = occ_times.get(dep)
-            if dep_times is None:
-                dep_times = occ_times[dep] = [o.time for o in occurrences]
-            i = bisect.bisect_right(dep_times, rctx.window_start)
-            j = bisect.bisect_right(dep_times, rctx.window_end)
-            rctx._store_occurrences(dep, occurrences[i:j])
-
-    # -- fluent interval assembly (shared by both modes) ---------------
+    # -- fluent interval assembly ---------------------------------------
     def _simple_intervals(
         self,
         name: str,

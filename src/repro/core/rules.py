@@ -43,14 +43,13 @@ class RuleContext:
     (thresholds such as the density/flow bounds of rule-set (2)).
 
     Inputs come from one of two places.  ``events`` / ``facts`` hold
-    them as records (the legacy engine's per-query lists, a restricted
-    context's slices, tests).  ``columns`` is the incremental engine's
-    working memory, whose window is arrays: compiled rule bodies read
-    them as they are (:meth:`events_columns` / :meth:`facts_columns`),
-    and the record accessors — :meth:`events`, :meth:`fact_at`,
-    :meth:`fact_latest`, :meth:`fact_keys` — are lazy views that have
-    the store build the records of a type the first time a body asks
-    for it.
+    them as records (the object window's per-query lists, tests).
+    ``columns`` is the engine's working memory, whose window is
+    arrays: compiled rule bodies read them as they are
+    (:meth:`events_columns` / :meth:`facts_columns`), and the record
+    accessors — :meth:`events`, :meth:`fact_at`, :meth:`fact_latest`,
+    :meth:`fact_keys` — are lazy views that have the store build the
+    records of a type the first time a body asks for it.
     """
 
     def __init__(
@@ -91,13 +90,17 @@ class RuleContext:
         occurrence time (``happensAt`` facts)."""
         found = self._events.get(event_type)
         if found is None:
-            store = self._store("event", event_type)
+            store = self.window_store("event", event_type)
             found = self._events[event_type] = (
                 store.records() if store is not None else ()
             )
         return found
 
-    def _store(self, kind: str, name: str):
+    def window_store(self, kind: str, name: str):
+        """The working memory's own store of an event type / input
+        fluent — the window itself, whose rows keep their sequence
+        numbers from query to query — or ``None`` when the inputs are
+        records (or no row of it was ever admitted)."""
         memory = self._columns
         return memory.store(kind, name) if memory is not None else None
 
@@ -108,7 +111,7 @@ class RuleContext:
         as ``(times, facts)``."""
         found = self._facts.get(name)
         if found is None:
-            store = self._store("fact", name)
+            store = self.window_store("fact", name)
             found = self._facts[name] = (
                 store.by_key() if store is not None else {}
             )
@@ -166,7 +169,7 @@ class RuleContext:
         return self._columns_of("fact", name, spec)
 
     def _columns_of(self, kind: str, name: str, spec) -> Any:
-        columns = self._store(kind, name)
+        columns = self.window_store(kind, name)
         if columns is not None and columns.covers(spec):
             return columns
         memo_key = ("__columns__", kind, name, spec)
@@ -246,17 +249,6 @@ class Definition(abc.ABC):
     def __init__(self, name: str, depends_on: Iterable[str] = ()):
         self.name = name
         self.depends_on = tuple(depends_on)
-
-    def incremental_spec(self, params: Mapping[str, Any]):
-        """Declare how output points depend on raw inputs (or ``None``).
-
-        Returning an :class:`repro.core.incremental.IncrementalSpec`
-        lets the incremental engine reuse this definition's cached
-        points across overlapping windows; the default ``None`` keeps
-        the definition on the full-recompute path, which is always
-        semantically safe.
-        """
-        return None
 
     def compiled(self, params: Mapping[str, Any]):
         """A vectorised evaluator for this rule body (or ``None``).

@@ -29,12 +29,9 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable
 
-import math
-
 from ..compiled import CompiledBusCongestion, CompiledDelayIncrease
-from ..events import Event, FluentFact, FluentKey, Occurrence
+from ..events import Event, FluentKey, Occurrence
 from ..geo import distance_m
-from ..incremental import IncrementalSpec
 from ..rules import DerivedEvent, RuleContext, SimpleFluent
 from .topology import ScatsTopology
 
@@ -49,21 +46,6 @@ DEFAULT_BUS_PARAMS: dict[str, float | int] = {
     "citm.window": 300,
     "citm.radius_m": 300.0,
 }
-
-
-def _move_bus(ev: Event) -> object:
-    """Grounding token of a ``move`` SDE: the reporting bus."""
-    return ev["bus"]
-
-
-def _gps_bus(fact: FluentFact) -> object:
-    """Grounding token of a ``gps`` fact: the bus in its key."""
-    return fact.key[0]
-
-
-def _occ_bus(occ: Occurrence) -> object:
-    """Grounding token of a bus-keyed point: ``key[0]``."""
-    return occ.key[0]
 
 
 def _moves_by_bus(ctx: RuleContext) -> dict[object, list[Event]]:
@@ -132,27 +114,6 @@ class DelayIncrease(DerivedEvent):
                         "delay_increase": cur["delay"] - prev["delay"],
                     },
                 )
-
-    def incremental_spec(self, params) -> IncrementalSpec:
-        """An occurrence at ``T`` pairs a move at ``T`` with the bus's
-        previous move (strictly less than ``bus.delay_window`` earlier)
-        and the ``gps`` facts at both times — all inputs of one bus
-        within the lookback band."""
-        lookback = int(
-            math.ceil(
-                params.get(
-                    "bus.delay_window", DEFAULT_BUS_PARAMS["bus.delay_window"]
-                )
-            )
-        )
-        return IncrementalSpec(
-            lookback=lookback,
-            event_types=frozenset({"move"}),
-            fact_names=frozenset({"gps"}),
-            event_partition={"move": _move_bus},
-            fact_partition={"gps": _gps_bus},
-            point_partition=_occ_bus,
-        )
 
     def compiled(self, params) -> CompiledDelayIncrease:
         """Consecutive-pair deltas of every bus in one pass over the
@@ -223,18 +184,6 @@ class BusCongestion(SimpleFluent):
     def terminations(self, ctx: RuleContext) -> Iterable[tuple[FluentKey, int]]:
         return self._reports(ctx, congestion=0)
 
-    def incremental_spec(self, params) -> IncrementalSpec:
-        """Point-wise over single ``move``/``gps`` reports (plus, in
-        the adaptive variant, the ``noisy`` fluent at the same instant,
-        propagated through the dependency's change ranges).  Not
-        grounding-partitioned: one bus report initiates/terminates
-        every intersection it is close to."""
-        return IncrementalSpec(
-            lookback=1,
-            event_types=frozenset({"move"}),
-            fact_names=frozenset({"gps"}),
-        )
-
     def compiled(self, params) -> CompiledBusCongestion:
         """Initiations and terminations over the shared bus-report
         relation, the ``noisy`` filter of rule-set (3′) as one
@@ -299,15 +248,3 @@ class CongestionInTheMake(DerivedEvent):
                             "support": len(nearby_buses),
                         },
                     )
-
-    def incremental_spec(self, params) -> IncrementalSpec:
-        """An anchor at ``T`` is supported by ``delayIncrease`` CEs in
-        ``[T - citm.window, T]`` (a dependency, propagated as change
-        ranges); the +1 turns the closed bound into the spec's
-        half-open lookback."""
-        lookback = int(
-            math.ceil(
-                params.get("citm.window", DEFAULT_BUS_PARAMS["citm.window"])
-            )
-        )
-        return IncrementalSpec(lookback=lookback + 1)

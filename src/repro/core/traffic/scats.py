@@ -42,7 +42,6 @@ from ..compiled import (
     CompiledTrafficTrend,
 )
 from ..events import Event, FluentKey
-from ..incremental import IncrementalSpec
 from ..intervals import IntervalList, count_threshold
 from ..rules import RuleContext, SimpleFluent, StaticFluent, ValuedFluent
 from .topology import ScatsTopology
@@ -62,12 +61,6 @@ DEFAULT_SCATS_PARAMS: dict[str, float | int] = {
     "trend.readings": 3,
     "trend.flow_delta": 120.0,
     "trend.density_delta": 8.0,
-    # Declared upper bound on the time between consecutive retained
-    # readings of one sensor, giving the trend rules a finite
-    # incremental lookback (SCATS reports every 6 minutes).  Set to
-    # ``None`` for deployments without a periodicity guarantee — the
-    # trend rules then fall back to full recomputation every query.
-    "trend.max_reading_gap_s": 360.0,
     # Traffic-regime bands (veh/km): free < synchronized < congested,
     # with the congested bound shared with rule-set (2).
     "regime.synchronized_density": 35.0,
@@ -76,28 +69,6 @@ DEFAULT_SCATS_PARAMS: dict[str, float | int] = {
 
 def _sensor_key(ev: Event) -> FluentKey:
     return (ev["intersection"], ev["approach"], ev["sensor"])
-
-
-def _point_sensor(point) -> FluentKey:
-    """Grounding token of a fluent point: its (Int, A, S) key."""
-    return point[0]
-
-
-def _point_trend_sensor(point) -> FluentKey:
-    """Grounding token of a trend point: the (Int, A, S) prefix of its
-    key (both trend directions are functions of the same readings)."""
-    return point[0][:3]
-
-
-#: Incremental contract shared by the point-wise per-sensor rules: a
-#: point at ``T`` is a function of the ``traffic`` SDE of that sensor
-#: at ``T`` alone, so lookback 1 / lookahead 0, partitioned by sensor.
-_POINTWISE_SENSOR_SPEC = IncrementalSpec(
-    lookback=1,
-    event_types=frozenset({"traffic"}),
-    event_partition={"traffic": _sensor_key},
-    point_partition=_point_sensor,
-)
 
 
 class ScatsCongestion(SimpleFluent):
@@ -127,10 +98,6 @@ class ScatsCongestion(SimpleFluent):
             # the threshold, or flow back above its threshold.
             if ev["density"] < density_hi or ev["flow"] > flow_lo:
                 yield _sensor_key(ev), ev.time
-
-    def incremental_spec(self, params) -> IncrementalSpec:
-        """Point-wise over single ``traffic`` readings, per sensor."""
-        return _POINTWISE_SENSOR_SPEC
 
     def compiled(self, params) -> CompiledScatsCongestion:
         """One boolean mask over the density/flow columns."""
@@ -226,32 +193,6 @@ class TrafficTrend(SimpleFluent):
                     yield key + ("rising",), t1
                 if step > -delta:
                     yield key + ("falling",), t1
-
-    def incremental_spec(self, params) -> IncrementalSpec:
-        """A trend point depends on ``k`` *consecutive* readings of its
-        sensor, which bounds its history in reading count, not in time
-        — on its own no finite lookback exists.  When the deployment
-        declares ``trend.max_reading_gap_s`` (SCATS reports strictly
-        every 6 minutes), ``k`` consecutive gaps span at most
-        ``k * gap``, so a lookback of ``k * gap + 1`` is sound and the
-        definition caches per sensor; with the parameter unset (or
-        ``None``) it is recomputed in full each query."""
-        gap = params.get("trend.max_reading_gap_s")
-        if gap is None:
-            return IncrementalSpec(
-                lookback=None, event_types=frozenset({"traffic"})
-            )
-        k = int(
-            params.get(
-                "trend.readings", DEFAULT_SCATS_PARAMS["trend.readings"]
-            )
-        )
-        return IncrementalSpec(
-            lookback=k * int(gap) + 1,
-            event_types=frozenset({"traffic"}),
-            event_partition={"traffic": _sensor_key},
-            point_partition=_point_trend_sensor,
-        )
 
     def compiled(self, params) -> CompiledTrafficTrend:
         """Per-sensor monotone-run scan over one measurement column."""
@@ -380,10 +321,6 @@ class TrafficRegime(ValuedFluent):
     def terminations(self, ctx: RuleContext):
         """No explicit terminations: regimes displace one another."""
         return ()
-
-    def incremental_spec(self, params) -> IncrementalSpec:
-        """Point-wise over single ``traffic`` readings, per sensor."""
-        return _POINTWISE_SENSOR_SPEC
 
     def compiled(self, params) -> CompiledTrafficRegime:
         """Banded classification of the density column."""

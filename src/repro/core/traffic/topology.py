@@ -64,9 +64,8 @@ class ScatsTopology:
         for inter in self._by_id.values():
             self._grid.insert(inter.id, inter.lon, inter.lat)
         #: Memoised ``close`` lookups.  Bus positions repeat across
-        #: overlapping windows (and across the restricted contexts of
-        #: the incremental engine), so the topology keeps the answer
-        #: per position instead of re-probing the spatial grid.
+        #: overlapping windows, so the topology keeps the answer per
+        #: position instead of re-probing the spatial grid.
         self._near_cache: dict[tuple[float, float], list[str]] = {}
         #: Integer positions of the ids (:meth:`_positions`), built on
         #: first use.

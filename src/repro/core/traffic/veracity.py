@@ -26,14 +26,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-import math
-
 from ..compiled import CompiledBusComparison
-from ..events import Event, FluentKey, Occurrence
-from ..incremental import IncrementalSpec
+from ..events import FluentKey, Occurrence
 from ..intervals import IntervalList, relative_complement_all
 from ..rules import DerivedEvent, RuleContext, SimpleFluent, StaticFluent
-from .bus import _gps_at, _gps_bus, _move_bus, close_intersections
+from .bus import _gps_at, close_intersections
 from .topology import ScatsTopology
 
 #: Default thresholds for the veracity definitions.
@@ -45,33 +42,6 @@ DEFAULT_VERACITY_PARAMS: dict[str, float | int] = {
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
-
-
-def _occ_bus(occ: Occurrence) -> object:
-    """Grounding token of a bus comparison point: ``key[0]``."""
-    return occ.key[0]
-
-
-def _crowd_intersection(ev: Event) -> object:
-    """Grounding token of a ``crowd`` SDE: the intersection asked."""
-    return ev["intersection"]
-
-
-def _point_intersection(point) -> object:
-    """Grounding token of an intersection-keyed fluent point."""
-    return point[0][0]
-
-
-def _crowd_window(params) -> int:
-    """The crowd-response window as an integral number of ticks."""
-    return int(
-        math.ceil(
-            params.get(
-                "veracity.crowd_response_window",
-                DEFAULT_VERACITY_PARAMS["veracity.crowd_response_window"],
-            )
-        )
-    )
 
 
 class SourceDisagreement(StaticFluent):
@@ -158,19 +128,6 @@ class _BusScatsComparison(DerivedEvent):
                 out.append((bus, int_id, ev.time, bus_says, scats_says))
         ctx.memo[memo_key] = out
         return out
-
-    def incremental_spec(self, params) -> IncrementalSpec:
-        """Point-wise over single ``move``/``gps`` reports of one bus
-        (the SCATS fluent probed at the same instant is a dependency,
-        propagated as change ranges)."""
-        return IncrementalSpec(
-            lookback=1,
-            event_types=frozenset({"move"}),
-            fact_names=frozenset({"gps"}),
-            event_partition={"move": _move_bus},
-            fact_partition={"gps": _gps_bus},
-            point_partition=_occ_bus,
-        )
 
     #: Whether the event fires on agreement (``agree``) or on
     #: disagreement (``disagree``) of the two sources.
@@ -321,16 +278,6 @@ class NoisyCrowdValidated(SimpleFluent):
             if verdict is not None and verdict == occ["value"]:
                 yield (occ["bus"],), occ.time
 
-    def incremental_spec(self, params) -> IncrementalSpec:
-        """Points sit at ``disagree``/``agree`` times (dependencies)
-        and look *ahead* up to the crowd-response window for the
-        ``crowd`` answer that validates them."""
-        return IncrementalSpec(
-            lookback=1,
-            lookahead=_crowd_window(params),
-            event_types=frozenset({"crowd"}),
-        )
-
 
 class NoisyPessimistic(SimpleFluent):
     """``noisy(Bus)`` — rule-set (5), SCATS-presumed-trustworthy.
@@ -370,15 +317,6 @@ class NoisyPessimistic(SimpleFluent):
                     # Terminate at T' (the crowd answer's time).
                     yield (occ["bus"],), t_crowd
                     break
-
-    def incremental_spec(self, params) -> IncrementalSpec:
-        """A termination at ``T'`` (a crowd answer's time) reaches back
-        to the disagreement it rehabilitates, up to the crowd-response
-        window earlier; initiations are point-wise on dependencies."""
-        return IncrementalSpec(
-            lookback=_crowd_window(params),
-            event_types=frozenset({"crowd"}),
-        )
 
 
 class NoisyScatsIntersection(SimpleFluent):
@@ -438,16 +376,6 @@ class NoisyScatsIntersection(SimpleFluent):
         for int_id, t, crowd_says, scats_says in self._verdicts(ctx):
             if crowd_says == scats_says:
                 yield (int_id,), t
-
-    def incremental_spec(self, params) -> IncrementalSpec:
-        """Points sit at ``crowd`` answer times and reach back to the
-        disagreements they resolve (a dependency), per intersection."""
-        return IncrementalSpec(
-            lookback=_crowd_window(params),
-            event_types=frozenset({"crowd"}),
-            event_partition={"crowd": _crowd_intersection},
-            point_partition=_point_intersection,
-        )
 
 
 class TrustedScatsCongestion(StaticFluent):

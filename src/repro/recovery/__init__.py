@@ -3,8 +3,8 @@
 The paper's system is meant to run continuously over the city's
 streams; this package makes the reproduction restartable: a
 :class:`CheckpointCoordinator` snapshots the full pipeline object
-graph — incremental working memories and RTEC caches (pending items
-included), recognition-log dedup sets, crowd online-EM ``p_i``
+graph — the engines' working memories (pending items included) and
+inertia seeds, recognition-log dedup sets, crowd online-EM ``p_i``
 estimates, degradation breaker/timeline state, metrics counters —
 every ``SystemConfig.checkpoint_interval`` recognition steps, into
 checksummed checkpoints written atomically, alongside a write-ahead

@@ -34,14 +34,16 @@ from typing import Any, Optional
 from ..ioutils import atomic_write_bytes
 
 MAGIC = b"RPROCKP1"
-#: Version 4: the working memory's window is one ``ColumnStore`` per
-#: type, pickled as sequence numbers plus the source blocks cut down
-#: to the live rows (version 3 carried the window as per-key lists of
-#: record tuples, version 2 carried object feeds as ``(arrival, seq,
-#: is_fact, row)`` tuples beside the ``PendingBatch`` arrays, version
-#: 1 carried only those); an older file is refused rather than
-#: mis-restored.
-FORMAT_VERSION = 4
+#: Version 5: an engine carries its window, its pending batches, the
+#: inertia seed and the last query time — no output point of an
+#: earlier query (a version-4 engine pickled each definition's cached
+#: output points and reuse contract, in classes this tree no longer
+#: has; version 3 carried the window as per-key
+#: lists of record tuples, version 2 carried object feeds as
+#: ``(arrival, seq, is_fact, row)`` tuples beside the ``PendingBatch``
+#: arrays, version 1 carried only those); an older file is refused
+#: rather than mis-restored.
+FORMAT_VERSION = 5
 _HEADER = struct.Struct("<8sIQ32s")
 _NAME_RE = re.compile(r"^checkpoint-(\d{8})\.ckpt$")
 

@@ -6,7 +6,7 @@ declarative document — topology family and size, fleet, sensor
 coverage, incident storms, stadium surges, weather windows, system
 overrides — compiled by a seeded generator into the same
 ``DublinScenario`` object the Dublin module produces, so every
-scenario runs unchanged through the incremental, compiled-columnar
+scenario runs unchanged through the array-window, compiled-columnar
 and sharded pipelines.  Each scenario carries an acceptance envelope
 (CE-count tolerance bands, latency bounds, degradation bounds, parity
 demands) that ``repro scenarios run`` and the pytest matrix check.

@@ -30,9 +30,11 @@ __all__ = [
 ]
 
 #: Execution-path variants an envelope may demand parity against the
-#: baseline (incremental + compiled) run.  ``legacy`` recomputes every
-#: window from scratch, ``interpreted`` disables the compiled-columnar
-#: rule path, ``sharded2`` runs the multi-process runtime with the four
+#: baseline (array window + compiled) run.  ``legacy`` rebuilds every
+#: window from buffered objects instead of sliding the working memory
+#: (every variant evaluates every definition over the whole window),
+#: ``interpreted`` disables the compiled-columnar rule path,
+#: ``sharded2`` runs the multi-process runtime with the four
 #: regions packed onto two engines (checked against an in-process run
 #: with the same grouping).
 PARITY_VARIANTS = ("legacy", "interpreted", "sharded2")

@@ -1,9 +1,9 @@
 """Run compiled scenarios through the system and check their envelopes.
 
 One :func:`run_scenario` call performs the whole acceptance ritual for
-a spec: compile, run the baseline pipeline (incremental + compiled
+a spec: compile, run the baseline pipeline (array window + compiled
 rules), run whichever parity variants the envelope demands — the
-legacy recompute path, the interpreted rule path, and the sharded
+object window (``legacy``), the interpreted rule path, and the sharded
 runtime with the four regions packed onto two engines — compare their
 CE output against the baseline, and evaluate every envelope clause.
 :func:`run_matrix` does it for a whole library and aggregates.

@@ -306,7 +306,7 @@ class StreamRuntime:
         # Processes containing time-driven processors (an overridden
         # ``advance``): the clock hook fires for these whenever the
         # merged arrival clock moves, even while their own input is
-        # silent — so an embedded incremental engine keeps running its
+        # silent — so an embedded recognition engine keeps running its
         # scheduled query times instead of stalling until flush.
         time_driven = [
             (process, hooks)

@@ -72,11 +72,12 @@ class SystemConfig:
     #: delayed SDEs (paper, Figure 2).
     window: int = 600
     step: int = 300
-    #: Incremental recognition (cross-window caching): when overlapping
-    #: windows share data, only the newest ``step`` of each window is
-    #: re-derived.  ``False`` pins the legacy recompute-per-query path
-    #: (same output — the golden-trace tests assert it — useful for
-    #: differential testing and micro-benchmarks).
+    #: Where each engine's window comes from.  ``True``: a persistent
+    #: working memory of arrays that a query slides forward.
+    #: ``False``: the window is rebuilt from buffered objects per
+    #: query — the reference engine (same output; the golden-trace
+    #: tests assert it).  Every definition is evaluated over the whole
+    #: window at every query either way.
     incremental: bool = True
     #: Compiled (vectorised) evaluation of the hot rule bodies over the
     #: working memory's columns.  ``False`` pins the pure

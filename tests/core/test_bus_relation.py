@@ -4,7 +4,7 @@ interpreter's primitive it replaces: the move-gps join against
 ``IntervalList.holds_at``."""
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.compiled import HoldsAtIndex, bus_reports
@@ -74,6 +74,13 @@ _intervals = st.lists(
     probes=st.lists(
         st.tuples(st.sampled_from("abcde"), st.integers(-10, 70)), max_size=20
     ),
+)
+@example(  # an open interval starting after every end and every probe
+    fluent={
+        ("a",): IntervalList([(0, 1), (3, None)]),
+        ("b",): IntervalList([(0, None)]),
+    },
+    probes=[("b", 0)],
 )
 def test_batched_holds_at_equals_the_interval_lookup(fluent, probes):
     codes = {("a",): 0, ("b",): 1, ("c",): 5, ("e",): 6}  # "d" is unknown

@@ -20,11 +20,7 @@ import pytest
 from repro.core import RTEC, Event, FluentFact
 from repro.core.columns import EventColumns, FactColumns, SDEColumns
 from repro.core.events import Occurrence
-from repro.core.incremental import (
-    IncrementalSpec,
-    WorkingMemory,
-    streamless_checkpoint,
-)
+from repro.core.incremental import WorkingMemory, streamless_checkpoint
 from repro.core.rules import DerivedEvent, RuleContext
 
 
@@ -37,9 +33,6 @@ class Echo(DerivedEvent):
     def occurrences(self, ctx: RuleContext) -> Iterable[Occurrence]:
         for ev in ctx.events("ping"):
             yield Occurrence("echo", (ev["id"],), ev.time, {"id": ev["id"]})
-
-    def incremental_spec(self, params):
-        return IncrementalSpec(lookback=1, event_types=frozenset({"ping"}))
 
 
 def _batch(n: int, seed: int = 0) -> SDEColumns:
@@ -150,18 +143,18 @@ def test_materialised_payloads_are_type_exact():
 
 
 def _admissions(wm: WorkingMemory, queries, window=300):
-    """What each query admits — occurrence times and sequence numbers
-    per column — and the window it leaves, as records."""
+    """How many events each query admits, and the window it leaves —
+    per column the rows' sequence numbers and the rows as records."""
     out = []
     for q in queries:
         admitted = wm.admit(q, q - window)
         wm.evict(q - window)
         out.append((
+            admitted,
             {
-                key: (times.tolist(), seqs.tolist())
-                for key, (times, seqs) in admitted.items()
+                key: (store.seqs.tolist(), store.records())
+                for key, store in wm._stores.items()
             },
-            {key: store.records() for key, store in wm._stores.items()},
         ))
     return out
 

@@ -1,25 +1,18 @@
-"""Behavioural tests of the incremental engine's bookkeeping.
+"""Behavioural tests of the engine's input bookkeeping.
 
-The golden-trace and fault-parity suites prove the incremental engine
-*recognises* exactly what the legacy engine does; this module pins the
-bookkeeping around it:
-
-* ``n_new_events`` counts each SDE exactly once across a run even
-  though overlapping windows consider the same SDE repeatedly
-  (``n_events`` keeps the per-window semantics), and the pipeline's
-  ``process.cep-<region>.items`` throughput counter is fed from it —
-  the satellite fix for the old overlap double-count;
-* the ``cache_hits`` / ``cache_misses`` / ``cache_invalidations``
-  statistics follow the documented lifecycle (miss on the first
-  query, hits on quiet overlaps, invalidations on late arrivals,
-  all-zero in legacy mode and for definitions without a spec).
+The golden-trace and fault-parity suites prove the array-window engine
+*recognises* exactly what the object-window engine does; this module
+pins the counting around it: ``n_new_events`` counts each SDE exactly
+once across a run even though overlapping windows consider the same
+SDE repeatedly (``n_events`` keeps the per-window semantics), and the
+pipeline's ``process.cep-<region>.items`` throughput counter is fed
+from it — the satellite fix for the old overlap double-count.
 """
 
 from collections.abc import Iterable
 
 from repro.core import RTEC, Event
 from repro.core.events import Occurrence
-from repro.core.incremental import IncrementalSpec
 from repro.core.rules import DerivedEvent, RuleContext
 from repro.dublin import DublinScenario, ScenarioConfig
 from repro.system import SystemConfig, UrbanTrafficSystem
@@ -28,18 +21,12 @@ from repro.system import SystemConfig, UrbanTrafficSystem
 class Echo(DerivedEvent):
     """One occurrence per ``ping`` SDE, at the SDE's time."""
 
-    def __init__(self, *, spec: bool = True):
+    def __init__(self):
         super().__init__("echo", depends_on=())
-        self._spec = spec
 
     def occurrences(self, ctx: RuleContext) -> Iterable[Occurrence]:
         for ev in ctx.events("ping"):
             yield Occurrence("echo", (ev["id"],), ev.time, {"id": ev["id"]})
-
-    def incremental_spec(self, params):
-        if not self._spec:
-            return None
-        return IncrementalSpec(lookback=1, event_types=frozenset({"ping"}))
 
 
 def ping(t, ident="a", arrival=None):
@@ -86,47 +73,6 @@ class TestNewEventCounting:
         assert third.n_new_events == 0
 
 
-class TestCacheCounters:
-    def test_lifecycle_miss_then_hits(self):
-        engine = make_engine()
-        engine.feed([ping(t) for t in range(10, 100, 10)])
-        first = engine.query(25)
-        second = engine.query(50)
-        assert (first.cache_misses, first.cache_hits) == (1, 0)
-        assert (second.cache_misses, second.cache_hits) == (0, 1)
-        assert second.cache_invalidations == 0
-
-    def test_late_arrival_in_overlap_invalidates(self):
-        engine = make_engine()
-        engine.feed([ping(t) for t in range(10, 60, 10)])
-        engine.query(25)
-        engine.query(50)
-        # Occurred at 30 (inside the settled overlap), arrives at 60.
-        engine.feed([ping(30, ident="late", arrival=60)])
-        snapshot = engine.query(75)
-        assert snapshot.cache_hits == 1
-        assert snapshot.cache_invalidations == 1
-        assert [o.time for o in snapshot.occurrences["echo"]] == [
-            10, 20, 30, 30, 40, 50,
-        ]
-
-    def test_unspecced_definition_counts_nothing(self):
-        engine = make_engine(definition=Echo(spec=False))
-        engine.feed([ping(t) for t in range(10, 100, 10)])
-        for snapshot in engine.run(100):
-            assert snapshot.cache_hits == 0
-            assert snapshot.cache_misses == 0
-            assert snapshot.cache_invalidations == 0
-
-    def test_legacy_mode_counts_nothing(self):
-        engine = make_engine(incremental=False)
-        engine.feed([ping(t) for t in range(10, 100, 10)])
-        for snapshot in engine.run(100):
-            assert snapshot.cache_hits == 0
-            assert snapshot.cache_misses == 0
-            assert snapshot.cache_invalidations == 0
-
-
 class TestPipelineMetrics:
     def test_items_counter_has_no_overlap_double_count(self):
         scenario = DublinScenario(
@@ -158,23 +104,3 @@ class TestPipelineMetrics:
         # The regression being fixed: counting the window contents
         # (``n_events``) would have inflated ``.items`` by the overlap.
         assert considered > new > 0
-
-    def test_cache_counters_exported(self):
-        scenario = DublinScenario(
-            ScenarioConfig(
-                seed=5,
-                rows=6,
-                cols=6,
-                n_intersections=8,
-                n_buses=6,
-                n_lines=2,
-                n_incidents=2,
-                incident_window=(0, 1800),
-            )
-        )
-        config = SystemConfig(window=1200, step=300, crowd_enabled=False)
-        system = UrbanTrafficSystem(scenario, config)
-        counters = system.run(0, 1800).metrics["counters"]
-        assert counters["rtec.cache.hits"] > 0
-        assert "rtec.cache.misses" in counters
-        assert "rtec.cache.invalidations" in counters

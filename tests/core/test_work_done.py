@@ -13,30 +13,29 @@ and a storm-like twin with half the bus SDEs delayed by minutes:
   ``move``, ``gps`` or ``traffic`` record is built at all: what the
   default path materialises is ``crowd`` answers, and under
   ``compiled=False`` every admitted row, exactly once over its life;
-* a compiled definition's body runs once per query, and no restricted
-  context is built for it;
-* a quiet query — nothing late, nothing changed upstream — freezes no
-  payload to publish that nothing changed.
+* every definition is evaluated once per query over the one
+  full-window context — a compiled body runs exactly once, whatever
+  arrived late;
+* ``disagree``/``agree`` decide every comparison anew but build an
+  ``Occurrence`` only for a firing the previous query did not emit:
+  the object of a row still in the window is handed out again, by the
+  row's sequence number — on the working memory's own store only.
 """
+
+import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import repro.core.incremental as incremental
+import repro.core.compiled as compiled
 from repro.core import RTEC, Event
 from repro.core.columns import EventColumns, FactColumns, SDEColumns
+from repro.core.events import Occurrence
 from repro.core.rules import RuleContext
-from repro.core.traffic import (
-    Agree,
-    BusCongestion,
-    DelayIncrease,
-    Disagree,
-    ScatsCongestion,
-    ScatsIntersectionCongestion,
-    ScatsTopology,
-    SourceDisagreement,
-    build_traffic_definitions,
-)
+from repro.core.traffic import ScatsTopology, build_traffic_definitions
 
 from tests.golden.record_golden import HORIZON, golden_params, golden_scenario
 
@@ -104,15 +103,20 @@ def streams():
     }
 
 
-def _run(definitions, batch, instrument=lambda engine: None, **engine_args):
-    """Feed ``batch`` to a default engine over ``definitions``; returns
-    it with its snapshots and the number of rule contexts built."""
+def _engine(definitions, batch, **engine_args):
     engine = RTEC(
         definitions, window=WINDOW, step=STEP, params=golden_params(),
         **engine_args,
     )
-    instrument(engine)
     engine.feed_columns(batch)
+    return engine
+
+
+def _run(definitions, batch, instrument=lambda engine: None, **engine_args):
+    """Feed ``batch`` to a default engine over ``definitions``; returns
+    it with its snapshots and the number of rule contexts built."""
+    engine = _engine(definitions, batch, **engine_args)
+    instrument(engine)
     built = []
     original = RuleContext.__init__
 
@@ -188,10 +192,7 @@ def test_the_default_path_materialises_crowd_rows_only(streams, stream):
     # What the parent counted as materialised is what is admitted...
     assert sum(s.rows_admitted for s in snapshots) == sum(admitted.values())
     # ...and the only records built are crowd answers: every rule body
-    # over the raw SDEs reads arrays, and a dirty grounding is named by
-    # its code.  (A late row of a partitioned *interpreted* definition
-    # would cost one representative; the default rule set has none
-    # over these three inputs.)
+    # over the raw SDEs reads arrays.
     built = {
         key: store.rows_materialised
         for key, store in engine._wm._stores.items()
@@ -233,73 +234,172 @@ def test_the_interpreter_materialises_each_row_exactly_once(streams, stream):
 
 
 def test_compiled_bodies_run_once_per_query_without_contexts(streams):
-    """Every point-deriving definition below is compiled: a query then
-    builds its one full-window context and nothing else, however many
-    late SDEs cut the window into bands."""
+    """A query builds its one full-window context and evaluates every
+    definition over it once, however many late SDEs it admitted."""
     scenario, batches = streams
-    topology = scenario.topology
-    definitions = [
-        ScatsCongestion(),
-        ScatsIntersectionCongestion(topology),
-        DelayIncrease(),
-        Disagree(topology),
-        Agree(topology),
-        BusCongestion(topology),
-        SourceDisagreement(topology),
-    ]
-    calls = {}
-
-    def count_derives(engine):
-        for name, rule in engine._compiled.items():
-            calls[name] = 0
-
-            def counted(ctx, selection=None, name=name, derive=rule.derive):
-                calls[name] += 1
-                return derive(ctx, selection)
-
-            rule.derive = counted
-
-    _, snapshots, built = _run(definitions, batches["delayed"], count_derives)
-    assert set(calls) == {
-        "scatsCongestion", "delayIncrease", "disagree", "agree",
-        "busCongestion",
-    }
-    assert all(n == len(snapshots) for n in calls.values()), calls
-    assert built == len(snapshots)
-    # The cache was hit, and cut into more pieces than there were
-    # bodies run: several evaluation requests served by one pass.
-    assert sum(s.cache_invalidations for s in snapshots) > 0
-    assert sum(s.compiled_evals for s in snapshots) > sum(calls.values())
-    assert sum(s.compiled_fallbacks for s in snapshots) == 0
-
-
-def test_a_quiet_query_freezes_no_payload(streams, monkeypatch):
-    scenario, batches = streams
-    frozen = []
-    freeze = incremental.freeze
-
-    def counting_freeze(value):
-        frozen.append(value)
-        return freeze(value)
-
-    monkeypatch.setattr(incremental, "freeze", counting_freeze)
     definitions = build_traffic_definitions(scenario.topology, adaptive=True)
-    # Every SDE arrives the moment it occurs: every query after the
-    # first reuses its cache and invalidates none of it...
-    _, snapshots, _ = _run(definitions, batches["punctual"])
-    assert sum(s.cache_hits for s in snapshots) > 0
-    assert sum(s.cache_invalidations for s in snapshots) == 0
-    # ...and publishing that nothing changed costs no payload, although
-    # delayIncrease re-derives the head of its window at every query.
-    assert sum(len(s.occurrences["delayIncrease"]) for s in snapshots) > 0
-    assert not frozen
-    # With late arrivals re-derived points are compared — by equality
-    # first, frozen only where that fails.
-    _, snapshots, _ = _run(definitions, batches["delayed"])
-    assert sum(s.cache_invalidations for s in snapshots) > 0
-    compared = sum(
-        len(s.occurrences[name])
-        for s in snapshots
-        for name in ("disagree", "agree", "delayIncrease")
+    for stream in ("delayed", "punctual"):
+        calls = Counter()
+
+        def count_derives(engine):
+            for name, rule in engine._compiled.items():
+                def counted(ctx, name=name, derive=rule.derive):
+                    calls[name] += 1
+                    return derive(ctx)
+
+                rule.derive = counted
+
+        engine, snapshots, built = _run(
+            definitions, batches[stream], count_derives
+        )
+        n = len(snapshots)
+        assert built == n
+        assert calls == dict.fromkeys(engine._compiled, n)
+        # Counted once per definition per query: eight compiled bodies,
+        # two interpreted by choice (noisy, congestionInTheMake).
+        assert len(engine._compiled) == 8
+        assert [s.compiled_evals for s in snapshots] == [8] * n
+        assert [s.compiled_fallbacks for s in snapshots] == [2] * n
+        assert not any(
+            s.cache_hits or s.cache_misses or s.cache_invalidations
+            for s in snapshots
+        )
+
+
+COMPARISONS = ("disagree", "agree")
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Occurrences the compiled bodies build, per CE name."""
+    built = Counter()
+
+    def counting(name, *fields):
+        built[name] += 1
+        return Occurrence(name, *fields)
+
+    monkeypatch.setattr(compiled, "Occurrence", counting)
+    return built
+
+
+def _adaptive(scenario, batch, **engine_args):
+    return _engine(
+        build_traffic_definitions(scenario.topology, adaptive=True),
+        batch, **engine_args,
     )
-    assert len(frozen) < compared / 10
+
+
+QUERIES = range(STEP, HORIZON + 1, STEP)
+
+
+@pytest.mark.parametrize("stream", ["delayed", "punctual"])
+def test_a_row_still_in_the_window_keeps_its_occurrence(
+    streams, stream, constructions
+):
+    scenario, batches = streams
+    engine = _adaptive(scenario, batches[stream])
+    tables = {name: engine._compiled[name] for name in COMPARISONS}
+    previous, handed_out_again = None, 0
+    for q in QUERIES:
+        held = {name: set(rule._held) for name, rule in tables.items()}
+        before = Counter(constructions)
+        snapshot = engine.query(q)
+        for name, rule in tables.items():
+            fired = snapshot.occurrences[name]
+            # The table is this query's firings, no more...
+            assert len(rule._held) == len(fired)
+            assert {id(o) for o in rule._held.values()} == {
+                id(o) for o in fired
+            }
+            # ...of which exactly those the predecessor did not hold
+            # were built,
+            assert constructions[name] - before[name] == len(
+                rule._held.keys() - held[name]
+            )
+            # and the others are the predecessor's very objects.
+            if previous is not None:
+                old = {id(o) for o in previous.occurrences[name]}
+                again = sum(id(o) in old for o in fired)
+                assert again == len(rule._held.keys() & held[name])
+                handed_out_again += again
+        previous = snapshot
+    assert handed_out_again > 0
+
+
+def test_the_held_table_does_not_travel(streams):
+    scenario, batches = streams
+    engine = _adaptive(scenario, batches["delayed"])
+    for q in QUERIES[:4]:
+        engine.query(q)
+    assert all(engine._compiled[name]._held for name in COMPARISONS)
+    twin = pickle.loads(pickle.dumps(engine))
+    assert not any(twin._compiled[name]._held for name in COMPARISONS)
+    # Refilled at the first query, which answers as the original does.
+    ours, theirs = engine.query(QUERIES[4]), twin.query(QUERIES[4])
+    assert ours.occurrences == theirs.occurrences
+    assert ours.fluents == theirs.fluents
+    for name in COMPARISONS:
+        assert len(twin._compiled[name]._held) == len(theirs.occurrences[name])
+
+
+def test_a_store_built_per_query_gets_fresh_objects(streams, constructions):
+    """The object window with compiled rules wraps its records in a
+    store per query, whose sequence numbers are positions: nothing is
+    held, every firing is built, at every query."""
+    scenario, batches = streams
+    engine = _adaptive(scenario, batches["delayed"], incremental=False)
+    for q in QUERIES:
+        before = Counter(constructions)
+        snapshot = engine.query(q)
+        for name in COMPARISONS:
+            assert not engine._compiled[name]._held
+            assert constructions[name] - before[name] == len(
+                snapshot.occurrences[name]
+            )
+    assert sum(constructions[name] for name in COMPARISONS) > 0
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    delay_rate=st.sampled_from([0.0, 0.3, 0.6]),
+    duplicate_rate=st.sampled_from([0.0, 0.2]),
+    drop_rate=st.sampled_from([0.0, 0.2]),
+)
+def test_the_held_table_changes_no_answer(
+    streams, seed, delay_rate, duplicate_rate, drop_rate
+):
+    """Delayed and duplicated ``move``/``gps`` rows, ``gps`` rows late
+    or lost: an engine whose tables are emptied before every query
+    answers exactly as an untouched twin."""
+    scenario, batches = streams
+    rng = np.random.default_rng(seed)
+
+    def copies(block, name):
+        n = len(block)
+        if name == "traffic":
+            return np.arange(n)
+        kept = rng.random(n) >= (drop_rate if name == "gps" else 0.0)
+        return np.repeat(
+            np.arange(n), kept * (1 + (rng.random(n) < duplicate_rate))
+        )
+
+    def lagged(block, name):
+        late = rng.random(len(block)) < delay_rate
+        return block.arrivals + late * rng.integers(1, 600, len(block))
+
+    golden = batches["golden"]
+    batch = _with_arrivals(
+        SDEColumns(
+            [b.take(copies(b, b.type)) for b in golden.events],
+            [b.take(copies(b, b.name)) for b in golden.facts],
+        ),
+        lagged,
+    )
+    forgetful, twin = _adaptive(scenario, batch), _adaptive(scenario, batch)
+    for q in QUERIES:
+        for name in COMPARISONS:
+            forgetful._compiled[name]._held.clear()
+        ours, theirs = forgetful.query(q), twin.query(q)
+        assert ours.occurrences == theirs.occurrences
+        assert ours.fluents == theirs.fluents

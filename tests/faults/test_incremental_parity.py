@@ -1,16 +1,17 @@
-"""Randomized delayed-arrival parity: incremental vs legacy engine.
+"""Randomized delayed-arrival parity: array window vs object window.
 
 The working memory exists for the paper's Figure 2 pathology: SDEs
 arriving after later query times have already run.  As long as an
 SDE's delay stays below ``window - step`` it is still admitted by some
 query window that covers its occurrence time, so recognition *settles*
 to the same output an on-time delivery would have produced — and the
-incremental engine's cache invalidation must reproduce that settling
-exactly.
+persistent array window, into which late rows are sorted behind rows
+that earlier queries already saw, must hold exactly what the reference
+engine rebuilds from its object buffers.
 
 These tests drive both engines over identical randomly-faulted streams
 (``repro.faults`` injectors: delays below ``window - step``, plus
-duplicates to stress the multiset output diff) and assert the full
+duplicates, which both windows must keep) and assert the full
 recognition traces are equal, query by query.
 """
 
@@ -54,8 +55,7 @@ def _trace(scenario, events, facts, *, incremental):
         incremental=incremental,
     )
     engine.feed(events, facts)
-    snapshots = list(engine.run(HORIZON))
-    return [serialise_snapshot(s) for s in snapshots], snapshots
+    return [serialise_snapshot(s) for s in engine.run(HORIZON)]
 
 
 @pytest.mark.parametrize("seed", [11, 23, 47])
@@ -64,17 +64,6 @@ def _trace(scenario, events, facts, *, incremental):
 )
 def test_randomized_delays_settle_identically(seed, spec):
     scenario, events, facts = _faulty_stream(seed, spec)
-    incremental_trace, _ = _trace(scenario, events, facts, incremental=True)
-    legacy_trace, _ = _trace(scenario, events, facts, incremental=False)
+    incremental_trace = _trace(scenario, events, facts, incremental=True)
+    legacy_trace = _trace(scenario, events, facts, incremental=False)
     assert incremental_trace == legacy_trace
-
-
-def test_delays_actually_trigger_invalidation():
-    """The parity above is only meaningful if late arrivals land inside
-    the reuse region: the incremental engine must report cache
-    invalidations on the delayed stream."""
-    scenario, events, facts = _faulty_stream(11, DELAYS)
-    assert any(ev.arrival > ev.time for ev in events)
-    _, snapshots = _trace(scenario, events, facts, incremental=True)
-    assert sum(s.cache_invalidations for s in snapshots) > 0
-    assert sum(s.cache_hits for s in snapshots) > 0

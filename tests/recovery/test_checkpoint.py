@@ -71,7 +71,7 @@ class TestValidation:
     def _refuses_version(self, tmp_path, version):
         from repro.recovery.checkpoint import _HEADER, FORMAT_VERSION
 
-        assert FORMAT_VERSION == 4
+        assert FORMAT_VERSION == 5
         manager = CheckpointManager(tmp_path)
         info = manager.save(1, {"a": 1})
         data = info.path.read_bytes()
@@ -102,6 +102,11 @@ class TestValidation:
         # A version-3 working memory held its window as per-key lists
         # of record tuples; this tree holds one array store per type.
         self._refuses_version(tmp_path, 3)
+
+    def test_version_4_file_refused(self, tmp_path):
+        # A version-4 engine pickled each definition's cached output
+        # points in classes this tree no longer has.
+        self._refuses_version(tmp_path, 4)
 
     def test_load_latest_falls_back_over_torn_file(self, tmp_path):
         manager = CheckpointManager(tmp_path)

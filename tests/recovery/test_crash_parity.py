@@ -84,7 +84,7 @@ def fingerprint(system, report):
         "items": {
             k: v
             for k, v in counters.items()
-            if k.startswith(("process.", "crowd.", "faults.", "rtec.cache."))
+            if k.startswith(("process.", "crowd.", "faults."))
         },
     }
 

@@ -13,8 +13,10 @@ The window travels as arrays too, once it holds rows: per held row its
 sequence number and the cells it was fed with, the source blocks cut
 down to the live rows.  The same engine after its two queries (11,805
 rows held, 111 still pending) pickled to 1,086,706 bytes — 92 a held
-row — while the window was per-key lists of record tuples, and to
-842,231 — 71 a row — as one array store per type.
+row — while the window was per-key lists of record tuples, to
+842,231 — 71 a row — as one array store per type with every
+definition's last output points cached beside it, and to 716,586 — 61
+a row — now that no output point is kept.
 """
 
 import pickle
@@ -31,9 +33,9 @@ START, END = 25200, 25800
 OBJECT_BUFFER_BYTES_PER_ROW = 81
 
 #: Bytes a held row of the same engine cost in a pickle taken after
-#: its queries, at the last commit whose window was a list of records
-#: per event type and fact key.
-OBJECT_WINDOW_BYTES_PER_ROW = 92
+#: its queries, at the last commit that cached (and pickled) each
+#: definition's output points; 92 while the window was records.
+CACHED_POINTS_BYTES_PER_ROW = 71
 
 
 @pytest.fixture(scope="module")
@@ -74,11 +76,15 @@ def test_engine_holding_a_window_pickles_no_fatter_than_records(fed):
     wm = engine._wm
     held = sum(store.n for store in wm._stores.values())
     assert held > 0.9 * rows > sum(len(batch) for batch in wm._batches)
-    size = len(pickle.dumps(engine, pickle.HIGHEST_PROTOCOL))
-    print(f"\nengine holding {held} rows: {size} bytes pickled")
-    assert size <= OBJECT_WINDOW_BYTES_PER_ROW * held
-    # ...and nothing derived travels: the twin re-derives its codes.
-    twin = pickle.loads(pickle.dumps(engine, pickle.HIGHEST_PROTOCOL))
+    blob = pickle.dumps(engine, pickle.HIGHEST_PROTOCOL)
+    print(f"\nengine holding {held} rows: {len(blob)} bytes pickled")
+    assert len(blob) <= CACHED_POINTS_BYTES_PER_ROW * held
+    # Nothing derived travels.  No output point: the queries emitted
+    # occurrences, the rules hold some, the pickle names none...
+    assert engine._compiled["agree"]._held
+    assert b"Occurrence" not in blob
+    # ...and no code: the twin re-derives its own.
+    twin = pickle.loads(blob)
     assert twin._wm.rows_encoded == 0 == len(twin._wm.tokens.tokens)
     assert {
         key: store.records() for key, store in twin._wm._stores.items()

@@ -62,7 +62,7 @@ def fingerprint(system, report):
             k: v
             for k, v in counters.items()
             if k.startswith(
-                ("process.", "crowd.", "faults.", "rtec.cache.", "ingest.events")
+                ("process.", "crowd.", "faults.", "ingest.events")
             )
         },
     }
