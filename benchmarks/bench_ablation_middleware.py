@@ -1,23 +1,21 @@
-"""Ablation A7: middleware overhead of the Streams wiring.
+"""Ablation A7: what the Streams wiring costs.
 
 The paper runs every component inside the Streams framework, paying
-per-item data-flow overhead (queueing, copying, fan-out) on top of the
-analysis work.  This ablation measures that tax in the reproduction:
-the same scenario is processed (a) by the direct orchestration of
-:class:`~repro.system.pipeline.UrbanTrafficSystem` and (b) through the
-full Section 3 data-flow graph of
-:func:`~repro.system.topology.build_paper_topology`, comparing
-wall-clock and per-item throughput.  The point is not that one wins —
-it is to check the middleware's cost stays a small multiple, i.e. the
-architecture is affordable (the premise of deploying everything on
-Streams).
+per-item data-flow overhead (building, queueing, copying and
+dispatching one data item per SDE) on top of the analysis work.  This
+ablation measures that tax in the reproduction: one
+:class:`~repro.system.SystemConfig` and one day, run (a) by the direct
+loop of :class:`~repro.system.pipeline.UrbanTrafficSystem` and (b) by
+the same system wired as the Section 3 data-flow graph
+(:func:`~repro.system.topology.build_paper_topology`).  Both wirings
+run the same engines, the same crowd loop and the same flow estimator
+— the bench asserts they recognise and crowdsource the same things —
+so the difference between them is transport and nothing else.
 """
 
 from __future__ import annotations
 
 import time
-
-import pytest
 
 from repro.dublin import DublinScenario, ScenarioConfig
 from repro.streams import StreamRuntime
@@ -28,8 +26,8 @@ from conftest import emit, system_config
 DURATION = 1800
 
 
-def _scenario():
-    return DublinScenario(
+def _system():
+    scenario = DublinScenario(
         ScenarioConfig(
             seed=59,
             rows=12,
@@ -42,41 +40,58 @@ def _scenario():
             incident_window=(0, DURATION),
         )
     )
-
-
-def _run_direct():
-    scenario = _scenario()
-    system = UrbanTrafficSystem(
+    return UrbanTrafficSystem(
         scenario,
         system_config(adaptive=True, noisy_variant="crowd",
                       n_participants=30, seed=59),
     )
+
+
+def _recognised(logs):
+    """Per region and query: what was admitted and what was recognised."""
+    return {
+        region: [
+            (s.query_time, s.n_new_events, s.occurrences, s.fluents)
+            for s in log.snapshots
+        ]
+        for region, log in logs.items()
+    }
+
+
+def _run_direct():
+    system = _system()
     t0 = time.process_time()
     report = system.run(0, DURATION)
     elapsed = time.process_time() - t0
-    n_ces = sum(
-        len(s.occurrences.get("disagree", []))
-        for log in report.logs.values()
-        for s in log.snapshots
-    )
-    return {"elapsed": elapsed, "alerts": len(report.console.alerts),
-            "disagree_occurrences": n_ces}
+    return {
+        "elapsed": elapsed,
+        "alerts": len(report.console.alerts),
+        "recognised": _recognised(report.logs),
+        "crowd": (report.crowd_resolutions, report.crowd_unresolved,
+                  report.crowd_suppressed),
+    }
 
 
 def _run_middleware():
-    scenario = _scenario()
-    data = scenario.generate(0, DURATION)
-    paper = build_paper_topology(
-        scenario, data, window=600, step=300, n_participants=30, seed=59
-    )
+    system = _system()
     t0 = time.process_time()
+    data = system.scenario.generate(0, DURATION)
+    paper = build_paper_topology(system, data)
+    t1 = time.process_time()
     stats = StreamRuntime(paper.topology).run()
-    paper.flush(DURATION)
-    elapsed = time.process_time() - t0
+    system.estimate_citywide(DURATION)
+    t2 = time.process_time()
+    crowd = system.crowd_loop
     return {
-        "elapsed": elapsed,
+        "elapsed": t2 - t0,
+        "build": t1 - t0,
+        "dispatch": t2 - t1,
         "items": stats.items_ingested,
         "ce_items": len(paper.topology.queues["complex-events"]),
+        "recognised": _recognised(
+            {r: p.log for r, p in paper.rtec_processors.items()}
+        ),
+        "crowd": (crowd.resolved, crowd.unresolved, crowd.suppressed),
     }
 
 
@@ -91,28 +106,44 @@ def test_ablation_middleware_overhead(benchmark):
     benchmark.pedantic(run, rounds=1, iterations=1)
     direct, middleware = rows["direct"], rows["middleware"]
     ratio = middleware["elapsed"] / max(direct["elapsed"], 1e-9)
+    per_item_us = (
+        (middleware["elapsed"] - direct["elapsed"])
+        / middleware["items"] * 1e6
+    )
+    resolved, unresolved, suppressed = middleware["crowd"]
 
     lines = [
-        "Ablation A7 — orchestration cost: direct pipeline vs the full "
-        "Streams data-flow graph (same 30-minute scenario)",
-        f"{'orchestration':<22}{'CPU (s)':>9}{'notes':>40}",
-        f"{'direct pipeline':<22}{direct['elapsed']:>9.2f}"
-        f"{str(direct['alerts']) + ' alerts':>40}",
-        f"{'streams middleware':<22}{middleware['elapsed']:>9.2f}"
-        f"{str(middleware['items']) + ' items through the graph':>40}",
-        f"middleware/direct CPU ratio: {ratio:.2f}x",
-        "finding: routing every SDE through the data-flow graph costs "
-        "a small constant factor — the Streams architecture is "
-        "affordable for this workload, as the paper's deployment "
-        "presumes.",
+        "Ablation A7 — one system, two wirings: the direct loop vs the "
+        "Section 3 Streams data-flow graph (one SystemConfig, the same "
+        "30-minute day)",
+        f"{'wiring':<22}{'CPU (s)':>9}{'notes':>52}",
+        f"{'direct loop':<22}{direct['elapsed']:>9.2f}"
+        f"{str(direct['alerts']) + ' alerts':>52}",
+        f"{'streams graph':<22}{middleware['elapsed']:>9.2f}"
+        f"{str(middleware['items']) + ' items through the graph':>52}",
+        f"{'  generate + build':<22}{middleware['build']:>9.2f}"
+        f"{'one data item per SDE, sources sorted by arrival':>52}",
+        f"{'  dispatch':<22}{middleware['dispatch']:>9.2f}"
+        f"{'queues, copies, per-step engine hand-off, queries':>52}",
+        f"graph/direct CPU ratio: {ratio:.2f}x",
+        f"finding: both wirings admit and recognise the same CEs at every "
+        f"query and crowdsource the same disagreements ({resolved} "
+        f"resolved / {unresolved} unresolved / {suppressed} suppressed), "
+        f"so the {ratio:.1f}x is transport: {per_item_us:.0f} us per "
+        f"data item to build, sort, queue, copy and dispatch what the "
+        f"direct loop hands its engines as one array batch per region.",
     ]
     emit("ablation_middleware.txt", lines)
 
     # --- shape assertions -------------------------------------------------
-    # 1. Both orchestrations recognise work (not vacuous runs).
+    # 1. Both wirings recognise work (not vacuous runs) ...
     assert middleware["ce_items"] > 0
     assert direct["alerts"] > 0
-    # 2. The middleware tax is bounded: well under an order of magnitude.
+    # 2. ... the *same* work: A7 compares transport, not analysis.
+    assert middleware["recognised"] == direct["recognised"]
+    assert middleware["crowd"] == direct["crowd"]
+    assert sum(middleware["crowd"]) > 0
+    # 3. The middleware tax is bounded: well under an order of magnitude.
     assert ratio < 8.0
-    # 3. Every generated record went through the graph.
+    # 4. Every generated record went through the graph.
     assert middleware["items"] > 0

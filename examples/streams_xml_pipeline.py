@@ -15,19 +15,18 @@ Usage::
 
 from repro.core import RTEC
 from repro.core.traffic import build_traffic_definitions, default_traffic_params
-from repro.crowd import (
-    CrowdsourcingComponent,
-    Participant,
-    QueryExecutionEngine,
-)
 from repro.dublin import DublinScenario, ScenarioConfig, stream_items
 from repro.obs import Registry
 from repro.streams import Counter, StreamRuntime, parse_topology
 from repro.system import (
+    CrowdLoop,
     CrowdsourcingProcessor,
     FluentFeedbackProcessor,
+    OperatorConsole,
     RtecProcessor,
+    SystemConfig,
 )
+from repro.traffic_model import RollingFlowEstimator
 
 PIPELINE_XML = """
 <container>
@@ -75,23 +74,22 @@ def main() -> None:
     )
     rtec_processor = RtecProcessor(engine)
 
-    crowd_engine = QueryExecutionEngine(seed=5)
-    for i, int_id in enumerate(scenario.topology.ids()[:20]):
-        lon, lat = scenario.topology.location(int_id)
-        crowd_engine.register(Participant(f"p{i}", 0.1, lon=lon, lat=lat))
-    crowd = CrowdsourcingComponent(crowd_engine)
-
-    def ground_truth_label(int_id, t):
-        node = scenario.node_of[int_id]
-        return scenario.ground_truth.congestion_label(node, t)
+    # The crowdsourcing leg the full system runs (participants, query
+    # policy, priors), built from what it reads.
+    metrics = Registry()
+    crowd_loop = CrowdLoop(
+        scenario,
+        SystemConfig(n_participants=40, seed=5),
+        OperatorConsole(),
+        RollingFlowEstimator(scenario.network.graph),
+        metrics,
+    )
 
     registry = {
         "app.DublinStream": lambda **_: stream_items(data),
         "app.RtecProcessor": lambda **_: rtec_processor,
         "app.CrowdsourcingProcessor": lambda **_: CrowdsourcingProcessor(
-            crowd,
-            locate=scenario.topology.location,
-            truth_lookup=ground_truth_label,
+            crowd_loop
         ),
         "app.FeedbackProcessor": lambda **_: FluentFeedbackProcessor(engine),
     }
@@ -105,7 +103,6 @@ def main() -> None:
         "operator-tap", input="crowd-answers", processors=[answer_counter]
     )
 
-    metrics = Registry()
     stats = StreamRuntime(topology, metrics=metrics).run()
     rtec_processor.flush(1800)
 

@@ -108,7 +108,6 @@ def _cmd_recognise(args: argparse.Namespace) -> int:
         window=args.window,
         step=args.step,
         params=default_traffic_params(),
-        incremental=not args.legacy,
     )
     engine.feed_columns(data.columns)
     log = RecognitionLog()
@@ -147,8 +146,6 @@ def _system_config_from(args: argparse.Namespace) -> SystemConfig:
         "n_participants": args.participants,
         "seed": args.seed,
     }
-    if getattr(args, "legacy", False):
-        mapping["incremental"] = False
     if getattr(args, "sharded", False):
         mapping["sharded"] = True
     if getattr(args, "shard_dir", None):
@@ -358,28 +355,25 @@ def _render_metrics(registry) -> str:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     scenario = _scenario_from(args)
     system = UrbanTrafficSystem(scenario, _system_config_from(args))
-    system.run(0, args.duration)
     registry = system.metrics
 
     if args.streams:
-        # Also execute the paper's Streams data-flow graph so the
-        # report includes per-process middleware throughput
-        # (streams.process.*), not just the per-region engines.
+        # The same system behind the paper's Streams data-flow graph
+        # instead of the direct loop: the report then carries the
+        # per-process middleware throughput (streams.process.*)
+        # beside the engines' own numbers.
         from .streams import StreamRuntime
         from .system import build_paper_topology
 
-        data = scenario.generate(0, args.duration)
-        paper = build_paper_topology(
-            scenario,
-            data,
-            window=args.window,
-            step=args.step,
-            noisy_variant=args.noisy_variant,
-            n_participants=args.participants,
-            seed=args.seed,
-        )
+        data, _ = system._stream(system, 0, args.duration)
+        paper = build_paper_topology(system, data)
         StreamRuntime(paper.topology, metrics=registry).run()
-        paper.flush(args.duration)
+        for region, processor in paper.rtec_processors.items():
+            for snapshot in processor.log.snapshots:
+                system._record_query_metrics(region, snapshot)
+        system._finalise_metrics(args.duration)
+    else:
+        system.run(0, args.duration)
 
     print(_render_metrics(registry))
     if args.json:
@@ -620,11 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--noisy-variant", choices=("crowd", "pessimistic"),
         default="pessimistic",
     )
-    recognise.add_argument(
-        "--legacy", action="store_true",
-        help="rebuild the window from objects per query instead of "
-        "sliding the array working memory: the reference engine",
-    )
     recognise.set_defaults(fn=_cmd_recognise)
 
     run = subparsers.add_parser(
@@ -662,11 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--faults", default=None, metavar="PROFILE",
         help="inject a named fault profile (see 'faults' subcommand)",
-    )
-    run.add_argument(
-        "--legacy", action="store_true",
-        help="rebuild the window from objects per query instead of "
-        "sliding the array working memory: the reference engine",
     )
     run.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
@@ -709,8 +693,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metrics.add_argument(
         "--streams", action="store_true",
-        help="also execute the Streams data-flow graph and report "
-        "per-process middleware throughput",
+        help="run the system as the paper's Streams data-flow graph "
+        "instead of the direct loop and report per-process middleware "
+        "throughput",
     )
     metrics.add_argument(
         "--faults", default=None, metavar="PROFILE",
@@ -719,11 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument(
         "--json", default=None, metavar="PATH",
         help="write the full registry export as JSON",
-    )
-    metrics.add_argument(
-        "--legacy", action="store_true",
-        help="rebuild the window from objects per query instead of "
-        "sliding the array working memory: the reference engine",
     )
     metrics.set_defaults(fn=_cmd_metrics)
 

@@ -34,16 +34,19 @@ from typing import Any, Optional
 from ..ioutils import atomic_write_bytes
 
 MAGIC = b"RPROCKP1"
-#: Version 5: an engine carries its window, its pending batches, the
-#: inertia seed and the last query time — no output point of an
-#: earlier query (a version-4 engine pickled each definition's cached
-#: output points and reuse contract, in classes this tree no longer
-#: has; version 3 carried the window as per-key
+#: Version 6: a pipeline checkpoint's crowd state (participants,
+#: cooldown times, prior index, reward ledger, outcome counts) is the
+#: system's ``CrowdLoop``; a version-5 system pickled it as attributes
+#: of its own.  An engine has carried its window, its pending batches,
+#: the inertia seed and the last query time — no output point of an
+#: earlier query — since version 5 (a version-4 engine pickled each
+#: definition's cached output points and reuse contract, in classes
+#: this tree no longer has; version 3 carried the window as per-key
 #: lists of record tuples, version 2 carried object feeds as
 #: ``(arrival, seq, is_fact, row)`` tuples beside the ``PendingBatch``
 #: arrays, version 1 carried only those); an older file is refused
 #: rather than mis-restored.
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 _HEADER = struct.Struct("<8sIQ32s")
 _NAME_RE = re.compile(r"^checkpoint-(\d{8})\.ckpt$")
 

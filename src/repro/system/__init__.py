@@ -1,6 +1,7 @@
 """The integrated system: pipeline, console and Streams embeddings."""
 
 from .console import Alert, OperatorConsole
+from .crowdloop import CrowdLoop
 from .degradation import DegradationManager, describe_timeline
 from .pipeline import RunState, SystemConfig, SystemReport, UrbanTrafficSystem
 from .processors import (
@@ -14,6 +15,7 @@ from .topology import PaperTopology, build_paper_topology
 __all__ = [
     "Alert",
     "OperatorConsole",
+    "CrowdLoop",
     "SystemConfig",
     "RunState",
     "SystemReport",

@@ -17,14 +17,12 @@ Wires all four components into the closed loop the paper describes:
 from __future__ import annotations
 
 import difflib
-import random
 import time
 from dataclasses import dataclass, field, fields
 from typing import Literal, Mapping, Optional
 
 import numpy as np
 
-from ..core.columns import SDEColumns
 from ..core.events import Event
 from ..core.rtec import RTEC, RecognitionLog, RecognitionSnapshot
 from ..faults import FaultProfile, get_profile, inject_scenario
@@ -34,25 +32,16 @@ from ..core.traffic import (
     default_traffic_params,
     feeds_of_definition,
 )
-from ..crowd import (
-    CrowdsourcingComponent,
-    LocationPolicy,
-    OnlineEM,
-    Participant,
-    QueryExecutionEngine,
-    RewardLedger,
-    bus_report_prior,
-)
+from ..crowd import CrowdsourcingComponent, RewardLedger
 from ..dublin import REGIONS, DublinScenario, greenshields_flow
 from ..traffic_model import (
-    CONGESTED_FLOW,
-    FREE_FLOW,
     RollingFlowEstimator,
     TrafficFlowModel,
     render_flow_map,
     write_city_svg,
 )
 from .console import OperatorConsole
+from .crowdloop import CrowdLoop
 from .degradation import DegradationManager, describe_timeline
 
 
@@ -410,12 +399,6 @@ class UrbanTrafficSystem:
             )
 
         self.console = OperatorConsole()
-        self.crowd: Optional[CrowdsourcingComponent] = None
-        self.reward_ledger: Optional[RewardLedger] = None
-        if cfg.crowd_enabled:
-            self.crowd = self._build_crowd_component()
-            if cfg.rewards:
-                self.reward_ledger = RewardLedger()
         #: Rolling city-wide flow field fed by measured SCATS readings
         #: and crowd pseudo-observations ("this step is repeated
         #: continuously", Section 7.3).
@@ -424,52 +407,30 @@ class UrbanTrafficSystem:
             **GP_HYPERPARAMETERS,
             metrics=self.metrics,
         )
-        #: Bus congestion reports per intersection, feeding the Section
-        #: 5.1 priors: ``(occurrence times, congestion bits)`` arrays in
-        #: time order; populated during run().
-        self._bus_reports: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        #: Last crowd query time per intersection (cooldown filter).
-        self._last_query_at: dict[str, int] = {}
+        #: The crowdsourcing leg: participants, query policy, priors,
+        #: rewards.  One fresh disagreement at a time, from
+        #: :meth:`_run_loop` here and from the ``crowdsourcing``
+        #: process of the Section 3 graph.
+        self.crowd_loop = CrowdLoop(
+            scenario, cfg, self.console, self.flow_estimator, self.metrics,
+            faults=getattr(self.fault_profile, "crowd", None),
+        )
         #: Scripted per-region :class:`~repro.faults.crash.CrashInjector`
         #: plans for the sharded runtime, consumed one per worker spawn
         #: (the first arms the initial worker, the next its first
         #: restart, ...).  Set by chaos tests before :meth:`run`.
         self.shard_crash_plans: dict[str, list] = {}
         self._shard_runtime = None
-        #: Crowd feedback produced while handling one step's results,
-        #: delivered to the engines in a single end-of-step batch.
-        self._crowd_feed_buffer: list[Event] = []
 
-    # ------------------------------------------------------------------
-    def _build_crowd_component(self) -> CrowdsourcingComponent:
-        """Scatter simulated participants around SCATS intersections."""
-        cfg = self.config
-        rng = random.Random(cfg.seed + 100)
-        engine = QueryExecutionEngine(
-            policy=LocationPolicy(radius_m=cfg.participant_radius_m),
-            seed=cfg.seed + 101,
-            metrics=self.metrics,
-            faults=(
-                self.fault_profile.crowd
-                if self.fault_profile is not None
-                else None
-            ),
-        )
-        intersections = self.scenario.topology.ids()
-        lo, hi = cfg.participant_error_range
-        for i in range(cfg.n_participants):
-            int_id = rng.choice(intersections)
-            lon, lat = self.scenario.topology.location(int_id)
-            engine.register(
-                Participant(
-                    participant_id=f"C{i:03d}",
-                    error_probability=rng.uniform(lo, hi),
-                    lon=lon + rng.uniform(-0.002, 0.002),
-                    lat=lat + rng.uniform(-0.002, 0.002),
-                    connection=rng.choice(("2g", "3g", "wifi")),
-                )
-            )
-        return CrowdsourcingComponent(engine, aggregator=OnlineEM())
+    @property
+    def crowd(self) -> Optional[CrowdsourcingComponent]:
+        """The crowdsourcing component (``None`` with the crowd off)."""
+        return self.crowd_loop.crowd
+
+    @property
+    def reward_ledger(self) -> Optional[RewardLedger]:
+        """The reward ledger (``None`` with rewards or the crowd off)."""
+        return self.crowd_loop.reward_ledger
 
     # ------------------------------------------------------------------
     def _index_inputs(self, data) -> None:
@@ -486,43 +447,7 @@ class UrbanTrafficSystem:
                 node = node_of.get(int_id)
                 if node is not None:
                     self.flow_estimator.observe(node, flow, time)
-        gps = data.columns.fact_block("gps")
-        if self.config.ce_priors and gps is not None:
-            # The close/4 join of every report, as arrays: one
-            # (report, intersection) pair per hit, grouped by
-            # intersection with a stable sort, which keeps each
-            # group's reports in stream (time) order.
-            topology = self.scenario.topology
-            offsets, close_to = topology.close_join(
-                gps.value_column("lon"), gps.value_column("lat")
-            )
-            order = np.argsort(close_to, kind="stable")
-            report = np.repeat(np.arange(len(gps)), np.diff(offsets))[order]
-            times = gps.times[report]
-            bits = np.array(gps.value_column("congestion").tolist())[report]
-            cuts = np.searchsorted(
-                close_to[order], np.arange(len(topology) + 1)
-            ).tolist()
-            self._bus_reports = {
-                int_id: (times[lo:hi], bits[lo:hi])
-                for int_id, lo, hi in zip(topology.ids(), cuts, cuts[1:])
-                if lo < hi
-            }
-
-    def _disagreement_prior(self, int_id: str, q: int):
-        """Section 5.1 prior from nearby bus reports, or None."""
-        if not self.config.ce_priors:
-            return None
-        reports = self._bus_reports.get(int_id)
-        if reports is None:
-            return None
-        times, bits = reports
-        lo, hi = np.searchsorted(
-            times, (q - self.config.prior_window, q), side="right"
-        ).tolist()
-        if lo == hi:
-            return None
-        return bus_report_prior(int(bits[lo:hi].sum()), hi - lo)
+        self.crowd_loop.index_bus_reports(data.columns.fact_block("gps"))
 
     def _feed_arrivals(
         self, data, start: int, end: int
@@ -704,6 +629,7 @@ class UrbanTrafficSystem:
         """The recognition loop and end-of-run finalisation."""
         report = state.report
         logs = report.logs
+        crowd = self.crowd_loop
         loop_started = time.perf_counter()
         try:
             q = state.next_q
@@ -727,21 +653,27 @@ class UrbanTrafficSystem:
                         region: engine.query(q)
                         for region, engine in self.engines.items()
                     }
-                crowd_before = report.crowd_resolutions
+                crowd_before = crowd.resolved
+                # Crowd feedback produced while handling the step's
+                # results, delivered in one end-of-step batch.
+                feed: list[Event] = []
                 for region, snapshot in snapshots.items():
                     self._record_query_metrics(region, snapshot)
                     fresh = logs[region].add(snapshot)
                     self._surface_alerts(region, fresh, degraded)
-                    self._handle_disagreements(
-                        region, q, snapshot, fresh, report, degraded
-                    )
-                self._deliver_crowd_feed(step)
+                    for _, key, start, _ in fresh.episodes_of(
+                        "sourceDisagreement"
+                    ):
+                        event = crowd.resolve(
+                            region, q, key[0], start, snapshot, degraded
+                        )
+                        if event is not None:
+                            feed.append(event)
+                self._deliver_crowd_feed(step, feed)
                 q += self.config.step
                 state.next_q = q
                 if recovery is not None:
-                    recovery.commit_step(
-                        step, report.crowd_resolutions - crowd_before
-                    )
+                    recovery.commit_step(step, crowd.resolved - crowd_before)
                     recovery.after_step(self, state)
         except BaseException:
             # Abort path: kill what will not drain, release channels.
@@ -765,10 +697,10 @@ class UrbanTrafficSystem:
 
         report.degraded = self.degradation.finish()
         report.flow_estimates = self.estimate_citywide(state.end)
-        if self.reward_ledger is not None and self.crowd is not None:
-            report.rewards = self.reward_ledger.settle(
-                self.crowd.aggregator
-            )
+        report.crowd_resolutions = crowd.resolved
+        report.crowd_unresolved = crowd.unresolved
+        report.crowd_suppressed = crowd.suppressed
+        report.rewards = crowd.settle_rewards()
         self._finalise_metrics(state.end)
         report.metrics = self.metrics.to_dict()
         if recovery is not None:
@@ -877,117 +809,7 @@ class UrbanTrafficSystem:
                     f"delay increases from {occ['support']} buses", region,
                 )
 
-    def _disagreement_support(self, snapshot, int_id: str) -> int:
-        """Distinct buses that disagreed at this intersection in the
-        window (the significance measure for querying the crowd)."""
-        buses = {
-            occ["bus"]
-            for occ in snapshot.all_occurrences("disagree")
-            if occ["intersection"] == int_id
-        }
-        return len(buses)
-
-    def _handle_disagreements(
-        self,
-        region: str,
-        q: int,
-        snapshot,
-        fresh,
-        report: SystemReport,
-        degraded: frozenset[str] = frozenset(),
-    ) -> None:
-        """Crowdsource fresh source disagreements; feed answers back.
-
-        "To minimise the impact on the participants, the crowdsourcing
-        component is invoked ... when a significant disagreement in the
-        data sources is detected" (Section 5): an intersection is only
-        queried when enough distinct buses disagreed and it was not
-        already queried within the cooldown.  While either feed is
-        degraded a "disagreement" is an artifact of the outage, so the
-        crowd is not bothered at all.
-        """
-        cfg = self.config
-        disagreements = fresh.episodes_of("sourceDisagreement")
-        if disagreements and degraded and any(
-            feed in degraded
-            for feed in feeds_of_definition("sourceDisagreement")
-        ):
-            report.crowd_suppressed += len(disagreements)
-            self.metrics.counter("system.degraded.crowd_suppressed").inc(
-                len(disagreements)
-            )
-            return
-        for _, key, start, _ in disagreements:
-            int_id = key[0]
-            lon, lat = self.scenario.topology.location(int_id)
-            self.console.notify(
-                start, "source disagreement", str(int_id),
-                "buses and SCATS sensors disagree on congestion", region,
-            )
-            self.metrics.counter("crowd.disagreements").inc()
-            if self.crowd is None:
-                report.crowd_unresolved += 1
-                self.metrics.counter("crowd.unresolved").inc()
-                continue
-            last = self._last_query_at.get(int_id)
-            if last is not None and q - last < cfg.crowd_cooldown_s:
-                report.crowd_suppressed += 1
-                self.metrics.counter("crowd.suppressed").inc()
-                continue
-            if cfg.adaptive and cfg.crowd_min_support > 1:
-                support = self._disagreement_support(snapshot, int_id)
-                if support < cfg.crowd_min_support:
-                    report.crowd_suppressed += 1
-                    self.metrics.counter("crowd.suppressed").inc()
-                    continue
-            self._last_query_at[int_id] = q
-            node = self.scenario.node_of[int_id]
-            truth = self.scenario.ground_truth.congestion_label(node, q)
-            outcome = self.crowd.handle_disagreement(
-                intersection=int_id,
-                lon=lon,
-                lat=lat,
-                time=q,
-                prior=self._disagreement_prior(int_id, q),
-                true_label=truth,
-                deadline_ms=self.config.crowd_deadline_ms,
-            )
-            if outcome.crowd_event is None:
-                report.crowd_unresolved += 1
-                self.metrics.counter("crowd.unresolved").inc()
-                continue
-            report.crowd_resolutions += 1
-            self.metrics.counter("crowd.resolved").inc()
-            if self.reward_ledger is not None:
-                self.reward_ledger.record_answers(
-                    outcome.execution.answer_set.answers
-                )
-            # Crowd pseudo-observation for the flow field: a confirmed
-            # congestion pins the junction to the congested branch.
-            crowd_flow = (
-                CONGESTED_FLOW
-                if outcome.crowd_event["value"] == "positive"
-                else FREE_FLOW
-            )
-            self.flow_estimator.observe(
-                node, crowd_flow, outcome.crowd_event.time
-            )
-            # Feedback: the crowd SDE re-enters every engine so the
-            # noisy-bus rules can use it at the next query time.
-            self._feed_crowd_event(outcome.crowd_event)
-            self.console.notify(
-                outcome.crowd_event.time, "crowd resolution", str(int_id),
-                f"crowd says {outcome.crowd_event['value']} "
-                f"(confidence {outcome.crowd_event['confidence']:.2f})",
-                region,
-            )
-
-    def _feed_crowd_event(self, event: Event) -> None:
-        """Crowd feedback re-enters recognition — at the end of the
-        step, in the order it was produced (:meth:`_deliver_crowd_feed`)."""
-        self._crowd_feed_buffer.append(event)
-
-    def _deliver_crowd_feed(self, step: int) -> None:
+    def _deliver_crowd_feed(self, step: int, feed: list[Event]) -> None:
         """Hand the step's crowd SDEs to every engine: over the shard
         bus, or straight into the local engines.
 
@@ -998,7 +820,6 @@ class UrbanTrafficSystem:
         keeps the order the SDEs were produced in — so every engine
         numbers them as it always did.
         """
-        feed, self._crowd_feed_buffer = self._crowd_feed_buffer, []
         if not feed:
             return
         self.metrics.counter("rtec.ingest.rows_fed").inc(

@@ -11,90 +11,76 @@ as an XML data-flow graph.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..core.columns import SDEColumns
+from ..core.events import Event, FluentFact
 from ..core.rtec import RTEC, RecognitionLog
-from ..crowd import CrowdsourcingComponent
 from ..dublin.dataset import event_to_item, item_to_event, item_to_fact
-from ..streams.items import TIME_KEY, DataItem
+from ..streams.items import TIME_KEY, DataItem, item_arrival
 from ..streams.processors import Processor, ProcessorResult
+from .crowdloop import CrowdLoop
 
 
 class RtecProcessor(Processor):
     """Embeds an RTEC engine in a Streams process.
 
-    Consumes SDE/fluent data items, buffers them into the engine, and
-    triggers a recognition step whenever an item's arrival time crosses
-    the next query-time boundary.  Fresh CE occurrences and fluent
-    episodes are emitted as data items (``@type`` = CE name, episodes
-    flagged with ``episode=True``).
+    Consumes SDE/fluent data items one at a time, keeps those of the
+    current step in a list, and hands the list to the engine once per
+    query time: query ``q`` runs — preceded by that one feed — when an
+    item arriving after ``q`` (or the clock hook, or :meth:`flush`)
+    proves that everything arriving by ``q`` is in.  Fresh CE
+    occurrences and fluent episodes are emitted as data items
+    (``@type`` = CE name, episodes flagged with ``episode=True``), each
+    carrying the ``query_time`` that surfaced it and the ``snapshot``
+    it was read from.
     """
 
     def __init__(self, engine: RTEC, *, start: int = 0):
         self.engine = engine
         self.log = RecognitionLog()
         self._next_query = start + engine.step
+        self._events: list[Event] = []
+        self._facts: list[FluentFact] = []
 
     def _recognise_until(self, t: int) -> list[DataItem]:
         out: list[DataItem] = []
         while self._next_query <= t:
-            snapshot = self.engine.query(self._next_query)
+            q = self._next_query
+            if self._events or self._facts:
+                self.engine.feed(self._events, self._facts)
+                self._events, self._facts = [], []
+            snapshot = self.engine.query(q)
             fresh = self.log.add(snapshot)
+            surfaced = {"query_time": q, "snapshot": snapshot}
             for occ in fresh.occurrences:
-                item = dict(occ.payload)
-                item["@type"] = occ.type
-                item[TIME_KEY] = occ.time
-                item["key"] = occ.key
-                out.append(item)
+                out.append({
+                    **occ.payload, "@type": occ.type, TIME_KEY: occ.time,
+                    "key": occ.key, **surfaced,
+                })
             for name, key, start, end in fresh.episodes:
-                out.append(
-                    {
-                        "@type": name,
-                        TIME_KEY: start,
-                        "key": key,
-                        "episode": True,
-                        "end": end,
-                    }
-                )
+                out.append({
+                    "@type": name, TIME_KEY: start, "key": key,
+                    "episode": True, "end": end, **surfaced,
+                })
             self._next_query += self.engine.step
         return out
 
     def process(self, item: DataItem) -> ProcessorResult:
-        arrival = item.get("@arrival", item[TIME_KEY])
-        type_tag = item.get("@type", "")
-        if type_tag.startswith("fluent:"):
-            self.engine.feed(facts=[item_to_fact(item)])
+        # Everything arriving by a query time before this arrival is
+        # in; the item itself belongs to a later step.
+        out = self._recognise_until(item_arrival(item) - 1)
+        if item.get("@type", "").startswith("fluent:"):
+            self._facts.append(item_to_fact(item))
         else:
-            self.engine.feed(events=[item_to_event(item)])
-        return self._recognise_until(arrival)
-
-    def process_batch(self, batch: SDEColumns) -> ProcessorResult:
-        """Columnar fast path: admit a whole struct-of-arrays batch.
-
-        Array-native producers (the scheduler's per-step hand-off, the
-        throughput benchmark) skip the per-item ``DataItem`` round-trip
-        entirely: the batch is fed once and recognition advances to the
-        newest arrival it carries.  Emits the same items
-        :meth:`process` would for the equivalent item sequence.
-        """
-        self.engine.feed_columns(batch)
-        newest = batch.max_arrival()
-        if newest is None:
-            return []
-        return self._recognise_until(newest)
+            self._events.append(item_to_event(item))
+        return out
 
     def advance(self, now: int) -> ProcessorResult:
         """Clock hook: run query times that fell strictly before ``now``.
 
         Keeps recognition flowing while this region's own input is
         silent but the merged stream's clock advances.  Only queries
-        ``< now`` run here — a query at exactly ``now`` must wait for
-        the items arriving at ``now`` to be fed first (the runtime
-        fires the hook before delivering them), and :meth:`process`
-        runs it afterwards.  The recognised output is identical either
-        way: an SDE arriving at ``now`` is never admitted to a query
-        time before ``now``.
+        ``< now`` run — a query at exactly ``now`` must wait for the
+        items arriving at ``now`` (the runtime fires the hook before
+        delivering them).
         """
         return self._recognise_until(now - 1)
 
@@ -105,41 +91,28 @@ class RtecProcessor(Processor):
 
 
 class CrowdsourcingProcessor(Processor):
-    """Embeds the crowdsourcing component in a Streams process.
+    """Embeds the crowdsourcing leg in a Streams process.
 
-    Consumes ``sourceDisagreement`` episode items emitted by
-    :class:`RtecProcessor` and produces ``crowd`` SDE items carrying the
-    fused answer.  The ``truth_lookup`` callable supplies the simulated
-    ground truth (intersection id, time → label); a real deployment
-    would instead wait for human answers.
+    Consumes the ``sourceDisagreement`` episode items emitted by
+    :class:`RtecProcessor` — resolved at the query time that surfaced
+    them, for the ``region`` the wiring stamped on them (if any) — and
+    produces ``crowd`` SDE items carrying the fused answer.
     """
 
-    def __init__(
-        self,
-        component: CrowdsourcingComponent,
-        locate,
-        truth_lookup,
-    ):
-        self.component = component
-        self._locate = locate
-        self._truth = truth_lookup
+    def __init__(self, crowd_loop: CrowdLoop):
+        self.crowd_loop = crowd_loop
 
     def process(self, item: DataItem) -> ProcessorResult:
         if item.get("@type") != "sourceDisagreement":
             return None
-        int_id = item["key"][0]
-        lon, lat = self._locate(int_id)
-        t = item[TIME_KEY]
-        outcome = self.component.handle_disagreement(
-            intersection=int_id,
-            lon=lon,
-            lat=lat,
-            time=t,
-            true_label=self._truth(int_id, t),
+        event = self.crowd_loop.resolve(
+            item.get("region"),
+            item["query_time"],
+            item["key"][0],
+            item[TIME_KEY],
+            item.get("snapshot"),
         )
-        if outcome.crowd_event is None:
-            return None
-        return event_to_item(outcome.crowd_event)
+        return None if event is None else event_to_item(event)
 
 
 class FluentFeedbackProcessor(Processor):

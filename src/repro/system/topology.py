@@ -12,32 +12,26 @@ Section 3 describes the deployed data-flow graph:
 * *traffic modelling processes*: the congestion-estimation procedure
   wrapped as a Streams *service*.
 
-:func:`build_paper_topology` reproduces that graph over a synthetic
-scenario: one bus source, four per-region SCATS sources, one RTEC
-process per region (each consuming the merged region traffic), the
-crowdsourcing process fed from the CE queues, and the feedback process
-closing the loop — with the rolling flow estimator registered as the
-``traffic-model`` service.
+:func:`build_paper_topology` is that graph as a second *wiring* of one
+:class:`~repro.system.pipeline.UrbanTrafficSystem`: the system's own
+per-region engines, crowd loop and flow estimator behind the paper's
+sources, intake filters, per-region CEP processes, crowdsourcing
+process and feedback processes.  What the graph adds to the direct
+loop is transport: every SDE crosses it as one data item.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from ..core.rtec import RTEC
-from ..core.traffic import build_traffic_definitions, default_traffic_params
-from ..crowd import (
-    CrowdsourcingComponent,
-    OnlineEM,
-    Participant,
-    QueryExecutionEngine,
-)
-from ..dublin import REGIONS, DublinScenario
+from ..crowd import CrowdsourcingComponent
+from ..dublin import REGIONS
 from ..dublin.dataset import event_to_item, fact_to_item
-from ..streams import Processor, Topology
+from ..streams import Filter, SetAttributes, Tap, Topology
 from ..streams.items import TIME_KEY
 from ..traffic_model import RollingFlowEstimator
+from .pipeline import UrbanTrafficSystem
 from .processors import (
     CrowdsourcingProcessor,
     FluentFeedbackProcessor,
@@ -47,7 +41,7 @@ from .processors import (
 
 @dataclass
 class PaperTopology:
-    """The constructed graph plus handles to its live components."""
+    """The graph plus handles to the system's components it runs."""
 
     topology: Topology
     rtec_processors: dict[str, RtecProcessor]
@@ -55,183 +49,132 @@ class PaperTopology:
     crowd: CrowdsourcingComponent
     flow_estimator: RollingFlowEstimator
 
-    def flush(self, until: int) -> None:
-        """Run the outstanding RTEC query times of every region."""
-        for processor in self.rtec_processors.values():
-            processor.flush(until)
 
-
-def build_paper_topology(
-    scenario: DublinScenario,
-    data,
-    *,
-    window: int = 600,
-    step: int = 300,
-    noisy_variant: str = "crowd",
-    n_participants: int = 40,
-    seed: int = 0,
-    incremental: bool = True,
-) -> PaperTopology:
-    """Assemble the Section 3 data-flow graph for a generated stream.
+def build_paper_topology(system: UrbanTrafficSystem, data) -> PaperTopology:
+    """Wire ``system`` as the Section 3 data-flow graph over ``data``.
 
     Sources: ``buses`` (one stream, ``move`` SDEs + ``gps`` facts
-    interleaved) and ``scats-<region>`` (four streams of ``traffic``
-    SDEs).  Processes: ``cep-<region>`` (RTEC per region, consuming the
-    bus stream and its region's SCATS stream via a merge queue),
-    ``crowdsourcing`` and ``adaptation-feedback``.  Service:
-    ``traffic-model`` (a rolling GP estimator fed by a tap on the SCATS
-    streams).
+    interleaved), ``scats-<region>`` (four streams of ``traffic``
+    SDEs) and ``end-of-stream`` (one tick past the data's end, so the
+    last query time runs inside the graph like every other).
+    Processes: ``cep-<region>`` (the system's engine of that region,
+    consuming the bus stream and its region's SCATS stream via a merge
+    queue; its CEs are stamped with the region on their way to the
+    ``complex-events`` queue), ``crowdsourcing`` (the system's crowd
+    loop) and ``feedback-<region>``.  Service: ``traffic-model`` (the
+    system's flow estimator, fed by a tap on the SCATS streams).
     """
-    split = scenario.split_by_region(data)
+    if list(system.engines) != list(REGIONS) or system.config.sharded:
+        raise ValueError(
+            "the paper's graph has four regional streams: it wires a "
+            "system with one in-process engine per region (no "
+            "region_groups, distribute_by_region=False or sharded)"
+        )
+    scenario = system.scenario
+    flow_estimator = system.flow_estimator
     topology = Topology()
 
     # --- input handling ---------------------------------------------------
-    bus_items = []
-    for event in data.events:
-        if event.type == "move":
-            bus_items.append(event_to_item(event))
-    for fact in data.facts:
-        bus_items.append(fact_to_item(fact))
+    bus_items = [event_to_item(e) for e in data.events if e.type == "move"]
+    bus_items.extend(fact_to_item(f) for f in data.facts)
     topology.source("buses", bus_items)
-
-    for region in REGIONS:
-        items = [
-            event_to_item(e)
-            for e in split[region].iter_events()
-            if e.type == "traffic"
-        ]
-        topology.source(f"scats-{region}", items)
-
-    # Region of every bus emission, from its gps position.
-    region_index = {
-        (fact.key[0], fact.time): scenario.network.region_of(
-            fact.value["lon"], fact.value["lat"]
+    for region, batch in scenario.split_by_region(data).items():
+        topology.source(
+            f"scats-{region}",
+            [
+                event_to_item(e)
+                for e in batch.iter_events()
+                if e.type == "traffic"
+            ],
         )
-        for fact in data.facts
-        if fact.name == "gps"
-    }
+    topology.source("end-of-stream", [{TIME_KEY: data.end + 1}])
+
+    # Region code of every bus emission, from its gps position: it
+    # decides for the ``move`` item and its paired ``fluent:gps`` item.
+    region_index: dict = {}
+    gps = data.columns.fact_block("gps")
+    if gps is not None:
+        region_index = dict(
+            zip(
+                zip(gps.key_column(0).tolist(), gps.times.tolist()),
+                scenario.network.region_codes(
+                    gps.value_column("lon"), gps.value_column("lat")
+                ).tolist(),
+            )
+        )
+    system.crowd_loop.index_bus_reports(gps)
+
+    def in_region(code):
+        def keep(item):
+            type_tag = item.get("@type")
+            if type_tag == "move":
+                key = (item["bus"], item[TIME_KEY])
+            elif type_tag == "fluent:gps":
+                key = (item["@key"][0], item[TIME_KEY])
+            else:
+                return False
+            return region_index.get(key) == code
+
+        return keep
 
     # --- traffic-model service ---------------------------------------------
-    flow_estimator = RollingFlowEstimator(scenario.network.graph)
     topology.service("traffic-model", flow_estimator)
-
-    # --- event processing processes -----------------------------------------
-    params = default_traffic_params()
-    engines: dict[str, RTEC] = {}
-    rtec_processors: dict[str, RtecProcessor] = {}
     node_of = scenario.node_of
 
-    class _FeedTrafficModel(Processor):
-        """Tap: forward SCATS readings into the traffic-model service."""
+    def feed_traffic_model(item):
+        """Tap: forward a SCATS reading into the traffic-model service."""
+        node = node_of.get(item.get("intersection"))
+        if node is not None:
+            flow_estimator.observe(node, item["flow"], item[TIME_KEY])
 
-        def process(self, item):
-            node = node_of.get(item.get("intersection"))
-            if node is not None:
-                flow_estimator.observe(node, item["flow"], item[TIME_KEY])
-            return item
-
-    for region in REGIONS:
-        engine = RTEC(
-            build_traffic_definitions(
-                scenario.topology, adaptive=True, noisy_variant=noisy_variant
-            ),
-            window=window,
-            step=step,
-            params=params,
-            incremental=incremental,
-        )
-        engines[region] = engine
-        rtec_processors[region] = RtecProcessor(engine)
+    # --- event processing processes -----------------------------------------
+    rtec_processors = {
+        region: RtecProcessor(engine, start=data.start)
+        for region, engine in system.engines.items()
+    }
+    for code, region in enumerate(REGIONS):
         # Region merge: buses + this region's SCATS into one queue.
         topology.process(
             f"scats-intake-{region}",
             input=f"scats-{region}",
-            processors=[_FeedTrafficModel()],
+            processors=[Tap(feed_traffic_model)],
             output=f"region-{region}",
         ).process(
             f"bus-intake-{region}",
             input="buses",
-            processors=[_RegionFilter(region, region_index)],
+            processors=[Filter(in_region(code))],
             output=f"region-{region}",
         ).process(
             f"cep-{region}",
             input=f"region-{region}",
             processors=[rtec_processors[region]],
+            output=f"ce-{region}",
+        ).process(
+            f"ce-stamp-{region}",
+            input=f"ce-{region}",
+            processors=[SetAttributes(region=region)],
             output="complex-events",
         )
 
     # --- crowdsourcing processes ---------------------------------------------
-    crowd_engine = QueryExecutionEngine(seed=seed)
-    rng = random.Random(seed)
-    intersections = scenario.topology.ids()
-    for i in range(n_participants):
-        int_id = rng.choice(intersections)
-        lon, lat = scenario.topology.location(int_id)
-        crowd_engine.register(
-            Participant(
-                f"C{i:03d}",
-                rng.uniform(0.05, 0.4),
-                lon=lon,
-                lat=lat,
-                connection=rng.choice(("2g", "3g", "wifi")),
-            )
-        )
-    crowd = CrowdsourcingComponent(crowd_engine, aggregator=OnlineEM())
-
-    def _truth(int_id, t):
-        return scenario.ground_truth.congestion_label(
-            scenario.node_of[int_id], t
-        )
-
     topology.process(
         "crowdsourcing",
         input="complex-events",
-        processors=[
-            CrowdsourcingProcessor(
-                crowd,
-                locate=scenario.topology.location,
-                truth_lookup=_truth,
-            )
-        ],
+        processors=[CrowdsourcingProcessor(system.crowd_loop)],
         output="crowd-answers",
     )
-    for region in REGIONS:
+    for region, engine in system.engines.items():
         topology.process(
             f"feedback-{region}",
             input="crowd-answers",
-            processors=[FluentFeedbackProcessor(engines[region])],
+            processors=[FluentFeedbackProcessor(engine)],
         )
 
     return PaperTopology(
         topology=topology,
         rtec_processors=rtec_processors,
-        engines=engines,
-        crowd=crowd,
+        engines=system.engines,
+        crowd=system.crowd,
         flow_estimator=flow_estimator,
     )
 
-
-class _RegionFilter(Processor):
-    """Processor passing only the bus items of one region.
-
-    The region of a bus emission is decided by its gps position; a
-    precomputed ``(bus, time) -> region`` index (built from the gps
-    facts when the topology is assembled) resolves both the ``move``
-    item and its paired ``fluent:gps`` item.
-    """
-
-    def __init__(self, region: str, region_index: dict):
-        self._region = region
-        self._index = region_index
-
-    def process(self, item):
-        type_tag = item.get("@type", "")
-        if type_tag == "move":
-            key = (item["bus"], item[TIME_KEY])
-        elif type_tag == "fluent:gps":
-            key = (item["@key"][0], item[TIME_KEY])
-        else:
-            return None
-        if self._index.get(key) == self._region:
-            return item
-        return None

@@ -11,18 +11,18 @@ import pytest
 
 from repro.core import RTEC
 from repro.core.traffic import build_traffic_definitions, default_traffic_params
-from repro.crowd import (
-    CrowdsourcingComponent,
-    Participant,
-    QueryExecutionEngine,
-)
 from repro.dublin import DublinScenario, ScenarioConfig, stream_items
+from repro.obs import Registry
 from repro.streams import StreamRuntime, parse_topology
 from repro.system import (
+    CrowdLoop,
     CrowdsourcingProcessor,
     FluentFeedbackProcessor,
+    OperatorConsole,
     RtecProcessor,
+    SystemConfig,
 )
+from repro.traffic_model import RollingFlowEstimator
 
 
 @pytest.fixture(scope="module")
@@ -51,22 +51,19 @@ def wired():
     )
     rtec_processor = RtecProcessor(engine)
 
-    crowd_engine = QueryExecutionEngine(seed=5)
-    for i, int_id in enumerate(scenario.topology.ids()[:10]):
-        lon, lat = scenario.topology.location(int_id)
-        crowd_engine.register(Participant(f"p{i}", 0.1, lon=lon, lat=lat))
-    component = CrowdsourcingComponent(crowd_engine)
-
-    def truth(int_id, t):
-        node = scenario.node_of[int_id]
-        return scenario.ground_truth.congestion_label(node, t)
+    crowd_loop = CrowdLoop(
+        scenario,
+        SystemConfig(n_participants=40, seed=5),
+        OperatorConsole(),
+        RollingFlowEstimator(scenario.network.graph),
+        Registry(),
+    )
+    component = crowd_loop.crowd
 
     registry = {
         "dublin.Stream": lambda **_: stream_items(data),
         "system.Rtec": lambda **_: rtec_processor,
-        "system.Crowd": lambda **_: CrowdsourcingProcessor(
-            component, locate=scenario.topology.location, truth_lookup=truth
-        ),
+        "system.Crowd": lambda **_: CrowdsourcingProcessor(crowd_loop),
         "system.Feedback": lambda **_: FluentFeedbackProcessor(engine),
     }
     xml = """

@@ -71,7 +71,7 @@ class TestValidation:
     def _refuses_version(self, tmp_path, version):
         from repro.recovery.checkpoint import _HEADER, FORMAT_VERSION
 
-        assert FORMAT_VERSION == 5
+        assert FORMAT_VERSION == 6
         manager = CheckpointManager(tmp_path)
         info = manager.save(1, {"a": 1})
         data = info.path.read_bytes()
@@ -107,6 +107,12 @@ class TestValidation:
         # A version-4 engine pickled each definition's cached output
         # points in classes this tree no longer has.
         self._refuses_version(tmp_path, 4)
+
+    def test_version_5_file_refused(self, tmp_path):
+        # A version-5 system pickled the crowd state (participants,
+        # cooldowns, prior index, rewards) as its own attributes; this
+        # tree's system reads it from its CrowdLoop.
+        self._refuses_version(tmp_path, 5)
 
     def test_load_latest_falls_back_over_torn_file(self, tmp_path):
         manager = CheckpointManager(tmp_path)

@@ -76,7 +76,7 @@ class TestMeasuredFlowEstimation:
 class TestPriors:
     def test_prior_built_from_bus_reports(self, system_and_report):
         system, _ = system_and_report
-        assert system._bus_reports, "prior index must be populated"
+        assert system.crowd_loop._bus_reports, "prior index must be populated"
         # At least one crowdsourced task should have carried a
         # non-uniform prior.
         non_uniform = [
@@ -103,7 +103,7 @@ class TestPriors:
                 reports.setdefault(int_id, []).append(
                     (fact.time, fact.value["congestion"])
                 )
-        assert set(reports) == set(system._bus_reports)
+        assert set(reports) == set(system.crowd_loop._bus_reports)
         window = system.config.prior_window
         checked = 0
         for int_id in [*reports, "no-such-intersection"]:
@@ -118,7 +118,7 @@ class TestPriors:
                     if recent
                     else None
                 )
-                assert system._disagreement_prior(int_id, q) == expected
+                assert system.crowd_loop.prior(int_id, q) == expected
                 checked += expected is not None
         assert checked
 
@@ -143,9 +143,9 @@ class TestPriors:
                 times.append(fact.time)
                 bits.append(fact.value["congestion"])
         assert len(reports) > 10
-        assert set(reports) == set(system._bus_reports)
+        assert set(reports) == set(system.crowd_loop._bus_reports)
         for int_id, (times, bits) in reports.items():
-            indexed_times, indexed_bits = system._bus_reports[int_id]
+            indexed_times, indexed_bits = system.crowd_loop._bus_reports[int_id]
             assert indexed_times.tolist() == times
             assert indexed_bits.tolist() == bits
             assert indexed_bits.dtype == np.array(bits).dtype
@@ -153,7 +153,7 @@ class TestPriors:
                 recent = [
                     bit for t, bit in zip(times, bits) if q - 600 < t <= q
                 ]
-                assert system._disagreement_prior(int_id, q) == (
+                assert system.crowd_loop.prior(int_id, q) == (
                     bus_report_prior(sum(recent), len(recent))
                     if recent
                     else None
@@ -168,7 +168,7 @@ class TestPriors:
             ),
         )
         system.run(0, 900)
-        assert not system._bus_reports
+        assert not system.crowd_loop._bus_reports
         for outcome in system.crowd.outcomes:
             values = set(round(v, 6) for v in outcome.task.prior.values())
             assert len(values) == 1  # uniform

@@ -4,11 +4,6 @@ import pytest
 
 from repro.core import RTEC
 from repro.core.traffic import build_traffic_definitions, default_traffic_params
-from repro.crowd import (
-    CrowdsourcingComponent,
-    Participant,
-    QueryExecutionEngine,
-)
 from repro.dublin import DublinScenario, ScenarioConfig, stream_items
 from repro.streams import Collect, Process, Source, StreamRuntime, Topology
 from repro.system import (
@@ -17,12 +12,13 @@ from repro.system import (
     RtecProcessor,
 )
 
+from tests.system.test_crowdloop import hand_made_loop
 
-@pytest.fixture(scope="module")
-def scenario():
+
+def _city(seed):
     return DublinScenario(
         ScenarioConfig(
-            seed=7,
+            seed=seed,
             rows=10,
             cols=10,
             n_intersections=25,
@@ -35,12 +31,17 @@ def scenario():
     )
 
 
-def _engine(scenario, adaptive=True):
+@pytest.fixture(scope="module")
+def scenario():
+    return _city(7)
+
+
+def _engine(scenario, window=600, noisy_variant="crowd"):
     return RTEC(
         build_traffic_definitions(
-            scenario.topology, adaptive=adaptive, noisy_variant="crowd"
+            scenario.topology, adaptive=True, noisy_variant=noisy_variant
         ),
-        window=600,
+        window=window,
         step=300,
         params=default_traffic_params(),
     )
@@ -79,35 +80,95 @@ class TestRtecProcessor:
         assert [s.query_time for s in rtec.log.snapshots] == [300, 600, 900]
 
 
+@pytest.mark.parametrize("window", [600, 300])
+@pytest.mark.parametrize("seed", [47, 13])
+class TestSdesOnTheTick:
+    """An SDE arriving exactly at a query time belongs to that query:
+    the engine behind :class:`RtecProcessor` admits what its twin fed
+    the whole stream as one columnar batch admits, query by query."""
+
+    def _run(self, seed, window):
+        from tests.golden.record_golden import serialise_snapshot
+
+        # Pessimistic ``noisy``: self-adaptive without a crowd in the loop.
+        scenario = _city(seed)
+        data = scenario.generate(0, 1200)
+        rtec = RtecProcessor(_engine(scenario, window, "pessimistic"))
+        topo = Topology().source("dublin", stream_items(data)).process(
+            "cep", input="dublin", processors=[rtec], output="ce"
+        )
+        StreamRuntime(topo).run()
+        rtec.flush(1200)
+        twin = _engine(scenario, window, "pessimistic")
+        twin.feed_columns(data.columns)
+        return data, rtec, list(twin.run(1200)), serialise_snapshot
+
+    def test_admits_what_the_columnar_twin_admits(self, seed, window):
+        data, rtec, reference, serialise = self._run(seed, window)
+        arrivals = {e.arrival for e in data.events}
+        assert arrivals & {300, 600, 900}, "no SDE arrives on a tick"
+        assert len(rtec.log.snapshots) == len(reference) == 4
+        for ours, theirs in zip(rtec.log.snapshots, reference):
+            assert ours.query_time == theirs.query_time
+            assert ours.n_new_events == theirs.n_new_events
+            assert ours.rows_skipped_horizon == theirs.rows_skipped_horizon
+            assert serialise(ours) == serialise(theirs)
+
+    def test_engine_is_fed_once_per_query_time(
+        self, seed, window, monkeypatch
+    ):
+        from repro.core.columns import ColumnStore
+        from repro.core.incremental import WorkingMemory
+
+        feeds, admits = [], []
+        buffer_columns, admit = WorkingMemory.buffer_columns, ColumnStore.admit
+        monkeypatch.setattr(
+            WorkingMemory, "buffer_columns",
+            lambda wm, batch: (feeds.append(wm), buffer_columns(wm, batch)),
+        )
+        monkeypatch.setattr(
+            ColumnStore, "admit",
+            lambda store, *a: (admits.append(store), admit(store, *a)),
+        )
+        data, rtec, _, _ = self._run(seed, window)
+        queries = len(rtec.log.snapshots)
+        ours = rtec.engine._wm
+        stores = list(ours._stores.values())
+        assert stores
+        # One hand-off per query time (no crowd feed here), one
+        # admission per store per query: not one per item.
+        assert sum(wm is ours for wm in feeds) <= queries
+        for store in stores:
+            assert sum(s is store for s in admits) <= queries
+        assert data.n_sdes > 50 * queries
+
+
 class TestCrowdsourcingProcessor:
     def _processor(self, scenario):
-        engine = QueryExecutionEngine(seed=1)
-        int_id = scenario.topology.ids()[0]
-        lon, lat = scenario.topology.location(int_id)
-        for i in range(4):
-            engine.register(
-                Participant(f"p{i}", 0.05, lon=lon, lat=lat)
-            )
-        component = CrowdsourcingComponent(engine)
-        return CrowdsourcingProcessor(
-            component,
-            locate=scenario.topology.location,
-            truth_lookup=lambda i, t: "congestion",
-        ), int_id
+        loop, int_id = hand_made_loop(scenario)
+        return CrowdsourcingProcessor(loop), int_id
 
     def test_resolves_disagreement_items(self, scenario):
         processor, int_id = self._processor(scenario)
         item = {
             "@type": "sourceDisagreement",
-            "@time": 600,
+            "@time": 450,
             "key": (int_id,),
             "episode": True,
+            "query_time": 600,
         }
         result = processor.process(item)
         assert result is not None
         assert result["@type"] == "crowd"
-        assert result["value"] == "positive"
+        congested = scenario.ground_truth.is_congested(
+            scenario.node_of[int_id], 600
+        )
+        assert result["value"] == ("positive" if congested else "negative")
         assert result["intersection"] == int_id
+        # Asked at the query time that surfaced the episode, not at
+        # the episode's start.
+        assert processor.crowd_loop.crowd.outcomes[0].task.time == 600
+        assert result["@time"] > 600
 
     def test_ignores_other_items(self, scenario):
         processor, _ = self._processor(scenario)
