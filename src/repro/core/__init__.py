@@ -8,6 +8,9 @@ Public surface:
 * :mod:`repro.core.rules` — definition DSL (`SimpleFluent`,
   `StaticFluent`, `DerivedEvent`) and the rule evaluation context.
 * :mod:`repro.core.rtec` — the windowed recognition engine.
+* :mod:`repro.core.reference` — the reference engine the frozen
+  benchmark's oracle selects (the window rebuilt from objects per
+  query, nothing compiled); not re-exported here.
 * :mod:`repro.core.columns` — columnar (struct-of-arrays) SDE batches
   and the window store the working memory keeps them in.
 * :mod:`repro.core.compiled` — vectorised evaluators for the hot rule

@@ -28,9 +28,7 @@ simulators to the rule bodies:
   numeric fields when a compiled body first reads them,
   variable-length joined columns (the ``close`` join) when one is
   asked for, and an :class:`~.events.Event` / :class:`~.events.
-  FluentFact` only for a reader that needs an object.  Without a
-  working memory (the object-window engine) the same object is built
-  from an object list per query.
+  FluentFact` only for a reader that needs an object.
 
 Everything here is representation only: compiled evaluators
 (:mod:`repro.core.compiled`) read the columns, and every emitted point
@@ -649,12 +647,13 @@ class SDEColumns:
                 )
 
     def iter_events(self) -> Iterator[Event]:
-        """Materialise every event row (object-window feed path)."""
+        """Materialise every event row (the reference engine's feed
+        path, and the Section 3 graph's sources)."""
         for block in self.events:
             yield from block.records(np.arange(len(block)))
 
     def iter_facts(self) -> Iterator[FluentFact]:
-        """Materialise every fact row (object-window feed path)."""
+        """Materialise every fact row (as :meth:`iter_events`)."""
         for block in self.facts:
             yield from block.records(np.arange(len(block)))
 
@@ -742,9 +741,7 @@ class ColumnStore:
     A store pickles its live rows — sequence numbers and each source
     block cut down to them — and nothing derived: codes are
     process-local, and everything else is rebuilt on first use after a
-    restore.  Without a working memory (the object-window engine)
-    :meth:`from_records` builds a store from an object list per query
-    — one whose sequence numbers are positions, not identities.
+    restore.
     """
 
     __slots__ = (
@@ -797,24 +794,6 @@ class ColumnStore:
         self._blank[name] = blank
         size = len(self._bufs["time"]) if self._bufs else 0
         self._bufs[name] = np.full(size, blank, dtype=dtype)
-
-    @classmethod
-    def from_records(
-        cls,
-        name: str,
-        records: Sequence,
-        spec: ColumnSpec,
-        is_fact: bool,
-        tokens: TokenCodes,
-    ) -> "ColumnStore":
-        """The columns of ``records`` — events of type ``name``, or
-        facts of fluent ``name`` — stably sorted by time."""
-        store = cls(spec, is_fact, tokens)
-        wrap = FactColumns.from_facts if is_fact else EventColumns.from_events
-        block = wrap(name, records)
-        rows = np.arange(len(block))
-        store.admit(block, rows, block.times, rows)
-        return store
 
     # -- maintenance ---------------------------------------------------
     def admit(
@@ -956,16 +935,6 @@ class ColumnStore:
         return out.tolist()
 
     # -- evaluation columns ----------------------------------------------
-    def covers(self, spec: ColumnSpec) -> bool:
-        """Whether these columns expose everything ``spec`` requires
-        (same grounding-token layout, numeric fields a superset)."""
-        mine = self.spec
-        return (
-            mine is not None
-            and mine.token == spec.token
-            and all(name in mine.numeric for name in spec.numeric)
-        )
-
     def _encode(self) -> None:
         """Fill the evaluation columns of the live rows that lack
         them: the rows admitted since they were last read."""

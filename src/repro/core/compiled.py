@@ -69,8 +69,9 @@ class CompiledRule:
     ``columns`` declares, per ``(kind, name)`` input — ``("event",
     type)`` or ``("fact", fluent)`` — the
     :class:`~repro.core.columns.ColumnSpec` the evaluator reads; the
-    engine uses it to have the working memory keep those rows as
-    arrays, fed what is admitted instead of rebuilt per query.
+    engine has the working memory keep those rows' evaluation columns
+    in that layout.  Rules reading one input must agree on its
+    grounding-token fields (their numeric fields merge by union).
     ``derive`` returns the same stream dict
     :meth:`repro.core.rtec.RTEC._extract_streams` would
     (``{"occ": [...]}`` or ``{"init": [...], "term": [...]}``).
@@ -556,11 +557,7 @@ class CompiledBusComparison(CompiledRule):
             intersections.tolist(),
             bus_says.tolist(),
         ))
-        # A sequence number identifies a row for life only in the
-        # working memory's own store; a store built per query numbers
-        # its rows by position, and every occurrence is built.
-        persistent = move is ctx.window_store("event", "move")
-        occ = list(map((self._held if persistent else {}).get, keys))
+        occ = list(map(self._held.get, keys))
         missing = [n for n, held in enumerate(occ) if held is None]
         for n, built in zip(
             missing,
@@ -569,8 +566,7 @@ class CompiledBusComparison(CompiledRule):
             ),
         ):
             occ[n] = built
-        if persistent:
-            self._held = dict(zip(keys, occ))
+        self._held = dict(zip(keys, occ))
         return {"occ": occ}
 
     def _occurrences(self, move, rows, intersections, bus_says):

@@ -187,12 +187,8 @@ class WorkingMemory:
         self._batches: list[PendingBatch] = []
         self._seq = 0
         #: declared columnar layout per ``(kind, name)``, merged across
-        #: the compiled rules reading it; ``None`` marks one whose
-        #: declarations conflicted — its store keeps no evaluation
-        #: columns.
-        self._column_specs: dict[
-            tuple[str, str], Optional[ColumnSpec]
-        ] = {}
+        #: the compiled rules reading it.
+        self._column_specs: dict[tuple[str, str], ColumnSpec] = {}
         #: The token codes the stores share.  Process-local: not
         #: pickled, renumbered on first use after a restore.
         self.tokens = TokenCodes()
@@ -254,17 +250,17 @@ class WorkingMemory:
         """Declare the columnar layout a compiled rule reads from an
         event type (``kind="event"``) or an input fluent
         (``kind="fact"``).  Declarations from several rules merge by
-        numeric field union; conflicting grounding-token layouts
-        disable the evaluation columns for it (readers then build them
-        from the records, per query)."""
+        numeric field union; conflicting grounding-token layouts are an
+        error — one store cannot group its rows two ways."""
         key = (kind, name)
-        if key in self._column_specs:
-            current = self._column_specs[key]
-            self._column_specs[key] = (
-                None if current is None else current.merge(spec)
+        merged = self._column_specs.get(key, spec).merge(spec)
+        if merged is None:
+            raise ValueError(
+                f"compiled rules declare conflicting grounding-token "
+                f"layouts for {kind} {name!r}: "
+                f"{self._column_specs[key].token} and {spec.token}"
             )
-        else:
-            self._column_specs[key] = spec
+        self._column_specs[key] = merged
 
     def store(self, kind: str, name: str) -> Optional[ColumnStore]:
         """The window's rows of one event type or input fluent

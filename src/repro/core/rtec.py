@@ -17,21 +17,17 @@ carries the law of inertia across overlapping windows.
 
 One evaluation loop serves every query: each definition is evaluated
 over the *whole* window at every query time — nothing derived at an
-earlier query is kept, except the inertia seed above.  What the
-``incremental`` flag selects is only where the window comes from:
+earlier query is kept, except the inertia seed above.  The window is
+arrays in a persistent working memory (:class:`repro.core.incremental.
+WorkingMemory`): a query admits what has arrived, evicts what fell
+behind the window's left edge, and the rule bodies read the stores —
+compiled where the definition offers a vectorised form, interpreted
+otherwise (``noisy``, ``congestionInTheMake``, ``noisyScats`` and
+user-defined rules).
 
-* the **array window** (the default) keeps SDEs as arrays in a
-  persistent working memory (:class:`repro.core.incremental.
-  WorkingMemory`): a query admits what has arrived, evicts what fell
-  behind the window's left edge, and the rule bodies read the stores;
-* the **object window** (``incremental=False``) buffers the fed
-  ``Event``/``FluentFact`` objects and rebuilds the window's contents
-  from them at each query time — the direct transcription of the
-  paper, independent of the working memory's admission, which is what
-  makes it the reference engine of the parity suites.
-
-Their output is identical — the golden-trace differential tests in
-``tests/core/test_golden_trace.py`` pin that.
+:class:`repro.core.reference.ReferenceRTEC` is the one other engine:
+the same loop over a window rebuilt from buffered objects, kept while
+the frozen benchmark's oracle selects it.
 """
 
 from __future__ import annotations
@@ -89,7 +85,7 @@ class RecognitionSnapshot:
         query: point-deriving definitions whose body a vectorised
         compiled evaluator ran, and point-deriving definitions whose
         body ran on the interpreter (no compiled form exists for
-        them).  Both zero when compilation is disabled.
+        them, or the engine compiles nothing: the reference engine).
     """
 
     query_time: int
@@ -111,19 +107,17 @@ class RecognitionSnapshot:
     compiled_evals: int = 0
     compiled_fallbacks: int = 0
     #: Pending rows this query moved into the window, and pending rows
-    #: it dropped because they occurred at or before the window start
-    #: (both zero over the object window, which materialises a batch
-    #: when it is fed).
+    #: it dropped because they occurred at or before the window start.
     rows_admitted: int = 0
     rows_skipped_horizon: int = 0
     #: Records (``Event``/``FluentFact``) this query built from the
     #: window's arrays — for an interpreted rule body; at most once per
-    #: row in its life.  Zero over the object window.
+    #: row in its life.
     rows_materialised: int = 0
     #: Rows whose evaluation columns (token codes, ``float64`` fields)
     #: this query filled (each admitted row of a type a compiled rule
     #: reads, once), and ``gps`` rows it decided the ``close`` join for
-    #: (once per row per engine).  Both zero over the object window.
+    #: (once per row per engine).
     mirror_rows_encoded: int = 0
     close_rows_decided: int = 0
     #: CPU seconds spent per definition (profiling breakdown).
@@ -188,22 +182,13 @@ class RTEC:
         for boolean simple fluents, an arbitrary value for valued
         fluents.  Those fluents hold from before the first window until
         terminated.
-    incremental:
-        Where the window comes from.  ``True`` (the default): a
-        persistent working memory of arrays, into which a query admits
-        what has arrived and from which it evicts what fell out.
-        ``False``: object buffers from which the window is rebuilt per
-        query — the reference engine.  Every definition is evaluated
-        over the whole window at every query either way, and both
-        produce identical recognition output.
-    compiled:
-        When ``True`` (the default) definitions offering a vectorised
-        evaluator (:meth:`repro.core.rules.Definition.compiled`) have
-        their rule bodies lowered to array operations over columnar
-        views; ``False`` keeps every body on the interpreter.  The
-        recognition output is identical either way (pinned by the
-        parity suites); the flag exists for debugging and differential
-        testing.
+
+    Definitions offering a vectorised evaluator
+    (:meth:`repro.core.rules.Definition.compiled`) have their rule
+    bodies lowered to array operations over the window's stores; the
+    rest run interpreted over the same window.  Two compiled rules
+    declaring different grounding-token layouts for one input type
+    raise :class:`ValueError` here.
 
     Durability
     ----------
@@ -230,8 +215,6 @@ class RTEC:
         params: Optional[Mapping[str, Any]] = None,
         start: int = 0,
         initially: Optional[Mapping[tuple[str, FluentKey], Any]] = None,
-        incremental: bool = True,
-        compiled: bool = True,
     ):
         if window <= 0 or step <= 0:
             raise ValueError("window and step must be positive")
@@ -246,28 +229,20 @@ class RTEC:
         self._definitions = stratify(definitions)
         self._start = start
         self._last_query: Optional[int] = None
-        self.incremental = bool(incremental)
-        # The object window's input buffers (``incremental=False``).
-        self._events: list[Event] = []
-        self._facts: list[FluentFact] = []
-        self._inputs_sorted = True
-        # The array window: the persistent working memory.
-        self._wm = WorkingMemory() if self.incremental else None
+        # The window: the persistent working memory.
+        self._wm = WorkingMemory()
         # Rule compilation: definitions offering a vectorised evaluator
         # get their bodies lowered; the working memory is told the
         # columnar layouts those evaluators read, so its stores of
         # those types keep the evaluation columns with their rows.
-        self.compiled_rules = bool(compiled)
         self._compiled: dict[str, Any] = {}
-        if self.compiled_rules:
-            for d in self._definitions:
-                rule = d.compiled(self.params)
-                if rule is None:
-                    continue
-                self._compiled[d.name] = rule
-                if self._wm is not None:
-                    for (kind, name), cspec in rule.columns.items():
-                        self._wm.declare_columns(kind, name, cspec)
+        for d in self._definitions:
+            rule = d.compiled(self.params)
+            if rule is None:
+                continue
+            self._compiled[d.name] = rule
+            for (kind, name), cspec in rule.columns.items():
+                self._wm.declare_columns(kind, name, cspec)
         #: last computed intervals per fluent name and grounding; seeds
         #: the value at the next window's left edge (inertia).  Valued
         #: fluents are cached under ``grounding + (value,)``; groundings
@@ -310,7 +285,6 @@ class RTEC:
         per-type blocks (:meth:`~.columns.SDEColumns.from_sdes`) and
         numbered in that layout — type by type, each type in feed
         order, which is the order every working-memory column keeps.
-        The object window sorts its buffers per query.
 
         SDEs with a negative occurrence time are rejected: the scenario
         clock starts at 0, so a negative stamp is always a mediator bug
@@ -336,14 +310,9 @@ class RTEC:
                     )
                 kept_facts.append(fact)
         finally:
-            if self._wm is not None:
-                self._wm.buffer_columns(
-                    SDEColumns.from_sdes(kept_events, kept_facts)
-                )
-            else:
-                self._events.extend(kept_events)
-                self._facts.extend(kept_facts)
-                self._inputs_sorted = False
+            self._wm.buffer_columns(
+                SDEColumns.from_sdes(kept_events, kept_facts)
+            )
 
     def feed_columns(self, batch: SDEColumns) -> None:
         """Buffer a columnar SDE batch (:class:`~.columns.SDEColumns`).
@@ -353,16 +322,10 @@ class RTEC:
         vectorised over the batch's time arrays, and the batch enters
         the working memory's pending buffer as arrays, from which a
         query admits rows into the window by reference — no
-        :class:`Event` object is built on the way.  An object-window
-        engine materialises the batch into its object buffers.
+        :class:`Event` object is built on the way.
         """
         batch.validate()
-        if self._wm is not None:
-            self._wm.buffer_columns(batch)
-        elif batch.n:
-            self._events.extend(batch.iter_events())
-            self._facts.extend(batch.iter_facts())
-            self._inputs_sorted = False
+        self._wm.buffer_columns(batch)
 
     def mark_stream_fed(self) -> None:
         """Declare the initial input stream fully fed (see
@@ -371,30 +334,14 @@ class RTEC:
         Checkpoints written in streamless mode then drop the pending
         part of that stream and regenerate it on restore; SDEs fed
         after this call (crowd feedback) are snapshotted verbatim.
-        Object-window engines keep full snapshots and ignore the
-        marker.
         """
-        if self._wm is not None:
-            self._wm.mark_stream_boundary()
+        self._wm.mark_stream_boundary()
 
     def refill_columns(self, batch: SDEColumns, admitted_through: int) -> None:
         """Rebuild the pending buffer of a streamless checkpoint from
         the regenerated initial stream, fed as it originally was via
-        :meth:`feed_columns` (no-op for object-window engines, whose
-        snapshots are always complete)."""
-        if self._wm is not None:
-            self._wm.refill_columns(batch, admitted_through)
-
-    def _ensure_sorted(self) -> None:
-        if not self._inputs_sorted:
-            self._events.sort(key=lambda e: e.time)
-            self._facts.sort(key=lambda f: f.time)
-            self._inputs_sorted = True
-
-    def _prune(self, horizon: int) -> None:
-        """Discard inputs that can never again fall inside a window."""
-        self._events = [e for e in self._events if e.time > horizon]
-        self._facts = [f for f in self._facts if f.time > horizon]
+        :meth:`feed_columns`."""
+        self._wm.refill_columns(batch, admitted_through)
 
     # ------------------------------------------------------------------
     # Recognition
@@ -415,58 +362,16 @@ class RTEC:
             query_time=q, window_start=q - self.window
         )
         wm = self._wm
-        if wm is None:
-            self._evaluate(self._object_window(snapshot), snapshot)
-            self._prune(snapshot.window_start)
-        else:
-            built, encoded = wm.rows_materialised, wm.rows_encoded
-            decided = wm.rows_close_decided
-            self._evaluate(self._array_window(snapshot), snapshot)
-            snapshot.rows_materialised = wm.rows_materialised - built
-            snapshot.mirror_rows_encoded = wm.rows_encoded - encoded
-            snapshot.close_rows_decided = wm.rows_close_decided - decided
+        built, encoded = wm.rows_materialised, wm.rows_encoded
+        decided = wm.rows_close_decided
+        self._evaluate(self._window(snapshot), snapshot)
+        snapshot.rows_materialised = wm.rows_materialised - built
+        snapshot.mirror_rows_encoded = wm.rows_encoded - encoded
+        snapshot.close_rows_decided = wm.rows_close_decided - decided
         self._last_query = q
         return snapshot
 
-    def _object_window(self, snapshot: RecognitionSnapshot) -> RuleContext:
-        """The window of ``snapshot``'s query, rebuilt from the object
-        buffers (``incremental=False``)."""
-        self._ensure_sorted()
-        q, window_start = snapshot.query_time, snapshot.window_start
-        previous = self._last_query
-
-        events_by_type: dict[str, list[Event]] = defaultdict(list)
-        for ev in self._events:
-            if ev.time <= window_start:
-                continue
-            if ev.time > q:
-                break
-            if ev.arrival <= q:
-                events_by_type[ev.type].append(ev)
-                snapshot.n_events += 1
-                if previous is None or ev.arrival > previous:
-                    snapshot.n_new_events += 1
-
-        facts_by_key: dict[tuple[str, FluentKey], list[FluentFact]] = (
-            defaultdict(list)
-        )
-        for fact in self._facts:
-            if fact.time <= window_start:
-                continue
-            if fact.time > q:
-                break
-            if fact.arrival <= q:
-                facts_by_key[(fact.name, fact.key)].append(fact)
-
-        return RuleContext(
-            window_start=window_start,
-            window_end=q,
-            events=events_by_type,
-            facts=facts_by_key,
-            params=self.params,
-        )
-
-    def _array_window(self, snapshot: RecognitionSnapshot) -> RuleContext:
+    def _window(self, snapshot: RecognitionSnapshot) -> RuleContext:
         """The window of ``snapshot``'s query, slid forward in the
         working memory: what has arrived is admitted, what fell out is
         evicted.  The window stays arrays — the context's record
@@ -493,8 +398,7 @@ class RTEC:
         self, ctx: RuleContext, snapshot: RecognitionSnapshot
     ) -> None:
         """Evaluate every definition, stratum by stratum, over the
-        whole window ``ctx`` exposes — the one evaluation loop, whatever
-        the window was built from."""
+        whole window ``ctx`` exposes — the one evaluation loop."""
         t0 = _time.process_time()
         for definition in self._definitions:
             d0 = _time.process_time()
@@ -533,8 +437,8 @@ class RTEC:
         """Run a definition's rule bodies, as point streams.
 
         Definitions with a compiled evaluator take the vectorised path
-        over the context's columnar views; everything else runs the
-        interpreted bodies.  The snapshot's ``compiled_evals`` /
+        over the window's stores; everything else runs the interpreted
+        bodies.  The snapshot's ``compiled_evals`` /
         ``compiled_fallbacks`` counters record which path served the
         definition.
         """
@@ -542,8 +446,7 @@ class RTEC:
         if rule is not None:
             snapshot.compiled_evals += 1
             return rule.derive(ctx)
-        if self.compiled_rules:
-            snapshot.compiled_fallbacks += 1
+        snapshot.compiled_fallbacks += 1
         if isinstance(definition, DerivedEvent):
             return {"occ": list(definition.occurrences(ctx))}
         return {

@@ -28,7 +28,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any, Callable, Optional
 
-from .columns import ColumnStore, TokenCodes
+from .columns import ColumnStore
 from .events import Event, FluentFact, FluentKey, Occurrence
 from .intervals import IntervalList
 
@@ -42,14 +42,15 @@ class RuleContext:
     strata, fluent intervals of lower strata, and tunable parameters
     (thresholds such as the density/flow bounds of rule-set (2)).
 
-    Inputs come from one of two places.  ``events`` / ``facts`` hold
-    them as records (the object window's per-query lists, tests).
-    ``columns`` is the engine's working memory, whose window is
-    arrays: compiled rule bodies read them as they are
-    (:meth:`events_columns` / :meth:`facts_columns`), and the record
-    accessors — :meth:`events`, :meth:`fact_at`, :meth:`fact_latest`,
-    :meth:`fact_keys` — are lazy views that have the store build the
-    records of a type the first time a body asks for it.
+    Inputs come from one of two places.  ``columns`` is the engine's
+    working memory, whose window is arrays: compiled rule bodies read
+    them as they are (:meth:`events_columns` / :meth:`facts_columns`),
+    and the record accessors — :meth:`events`, :meth:`fact_at`,
+    :meth:`fact_latest`, :meth:`fact_keys` — are lazy views that have
+    the store build the records of a type the first time a body asks
+    for it.  ``events`` / ``facts`` hold the inputs as records instead
+    (the reference engine's per-query lists, hand-built contexts in
+    tests); such a context serves interpreted bodies only.
     """
 
     def __init__(
@@ -150,14 +151,13 @@ class RuleContext:
 
     def events_columns(self, event_type: str, spec) -> Any:
         """The rows of :meth:`events` of ``event_type`` as arrays
-        (:class:`repro.core.columns.ColumnStore`), in the same order.
-
-        Compiled rule bodies call this instead of iterating event
-        objects.  When the engine's working memory keeps the type in a
-        store whose declared layout covers ``spec``, that store is
-        returned — no per-event Python work.  Otherwise the columns
-        are built from the record sequence and memoised for the rest
-        of the query.
+        (:class:`repro.core.columns.ColumnStore`), in the same order:
+        the working memory's own store of the type, which keeps the
+        layout ``spec`` the rule declared at engine construction
+        (:attr:`repro.core.compiled.CompiledRule.columns`) — or an
+        empty store of that layout while no row of the type was ever
+        admitted.  Compiled rule bodies call this instead of iterating
+        event objects.
         """
         return self._columns_of("event", event_type, spec)
 
@@ -169,32 +169,10 @@ class RuleContext:
         return self._columns_of("fact", name, spec)
 
     def _columns_of(self, kind: str, name: str, spec) -> Any:
-        columns = self.window_store(kind, name)
-        if columns is not None and columns.covers(spec):
-            return columns
-        memo_key = ("__columns__", kind, name, spec)
-        columns = self.memo.get(memo_key)
-        if columns is None:
-            if kind == "fact":
-                records = [
-                    fact
-                    for _, facts in self._facts_of(name).values()
-                    for fact in facts
-                ]
-            else:
-                records = self.events(name)
-            # One token table per context, so columns built here join
-            # with each other and with the working memory's.
-            memory = self._columns
-            tokens = (
-                memory.tokens
-                if memory is not None
-                else self.memo.setdefault("__tokens__", TokenCodes())
-            )
-            columns = self.memo[memo_key] = ColumnStore.from_records(
-                name, records, spec, kind == "fact", tokens
-            )
-        return columns
+        store = self._columns.store(kind, name)
+        if store is None:
+            store = ColumnStore(spec, kind == "fact", self._columns.tokens)
+        return store
 
     # -- intermediate results ------------------------------------------
     def derived(self, event_type: str) -> Sequence[Occurrence]:
@@ -257,9 +235,11 @@ class Definition(abc.ABC):
         engine lower this definition's point derivation to array
         operations over columnar views; the returned object must
         produce exactly the streams the interpreted body would (the
-        parity suite pins this).  The default ``None`` keeps the
-        definition on the interpreter, which is always safe —
-        anything the compiler can't express simply stays there.
+        parity suite pins this), and every rule reading one input
+        type must declare the same grounding-token layout for it.  The
+        default ``None`` keeps the definition on the interpreter,
+        which is always safe — anything the compiler can't express
+        simply stays there.
         """
         return None
 

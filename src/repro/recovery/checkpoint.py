@@ -34,10 +34,14 @@ from typing import Any, Optional
 from ..ioutils import atomic_write_bytes
 
 MAGIC = b"RPROCKP1"
-#: Version 6: a pipeline checkpoint's crowd state (participants,
-#: cooldown times, prior index, reward ledger, outcome counts) is the
-#: system's ``CrowdLoop``; a version-5 system pickled it as attributes
-#: of its own.  An engine has carried its window, its pending batches,
+#: Version 7: an engine pickle no longer carries the object window's
+#: buffers nor the two configuration flags (``incremental``,
+#: ``compiled_rules``, ``_events``, ``_facts``, ``_inputs_sorted``) a
+#: version-6 engine did; the engine is one class.  Since version 6 a
+#: pipeline checkpoint's crowd state (participants, cooldown times,
+#: prior index, reward ledger, outcome counts) is the system's
+#: ``CrowdLoop``; a version-5 system pickled it as attributes of its
+#: own.  An engine has carried its window, its pending batches,
 #: the inertia seed and the last query time — no output point of an
 #: earlier query — since version 5 (a version-4 engine pickled each
 #: definition's cached output points and reuse contract, in classes
@@ -46,7 +50,7 @@ MAGIC = b"RPROCKP1"
 #: ``(arrival, seq, is_fact, row)`` tuples beside the ``PendingBatch``
 #: arrays, version 1 carried only those); an older file is refused
 #: rather than mis-restored.
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 _HEADER = struct.Struct("<8sIQ32s")
 _NAME_RE = re.compile(r"^checkpoint-(\d{8})\.ckpt$")
 

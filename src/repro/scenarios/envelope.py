@@ -30,14 +30,12 @@ __all__ = [
 ]
 
 #: Execution-path variants an envelope may demand parity against the
-#: baseline (array window + compiled) run.  ``legacy`` rebuilds every
-#: window from buffered objects instead of sliding the working memory
-#: (every variant evaluates every definition over the whole window),
-#: ``interpreted`` disables the compiled-columnar rule path,
-#: ``sharded2`` runs the multi-process runtime with the four
-#: regions packed onto two engines (checked against an in-process run
-#: with the same grouping).
-PARITY_VARIANTS = ("legacy", "interpreted", "sharded2")
+#: baseline run.  ``reference`` runs the reference engine
+#: (:class:`repro.core.reference.ReferenceRTEC`: every window rebuilt
+#: from buffered objects, every rule body interpreted), ``sharded2``
+#: the multi-process runtime with the four regions packed onto two
+#: engines (checked against an in-process run with the same grouping).
+PARITY_VARIANTS = ("reference", "sharded2")
 
 
 def _band(name: str, value) -> tuple[int, int]:
@@ -79,7 +77,7 @@ class EnvelopeSpec:
     degraded: tuple[tuple[str, int, Optional[int]], ...] = ()
     #: Execution-path variants whose CE output must match the baseline
     #: run exactly (see :data:`PARITY_VARIANTS`).
-    parity: tuple[str, ...] = ("legacy", "interpreted")
+    parity: tuple[str, ...] = ("reference",)
 
     def __post_init__(self) -> None:
         def _bands(name, pairs):

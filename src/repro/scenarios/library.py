@@ -39,7 +39,7 @@ _DOCUMENTS: tuple[dict, ...] = (
         "name": "grid_rush",
         "description": (
             "baseline morning rush on the grid city: centre-boosted "
-            "demand, no disruptions; the full parity quad must agree"
+            "demand, no disruptions; every parity leg must agree"
         ),
         "seed": 101,
         "start": _RUSH,
@@ -52,7 +52,7 @@ _DOCUMENTS: tuple[dict, ...] = (
             "occurrences": {"agree": [6, 70], "disagree": [1, 30]},
             "alerts": {"bus congestion": [1, 12]},
             "max_mean_recognition_ms": 400.0,
-            "parity": ["legacy", "interpreted", "sharded2"],
+            "parity": ["reference", "sharded2"],
         },
     },
     {
@@ -84,7 +84,7 @@ _DOCUMENTS: tuple[dict, ...] = (
             },
             "max_mean_recognition_ms": 400.0,
             "crowd_resolutions": [1, 20],
-            "parity": ["legacy", "interpreted"],
+            "parity": ["reference"],
         },
     },
     {
@@ -115,7 +115,7 @@ _DOCUMENTS: tuple[dict, ...] = (
             },
             "max_mean_recognition_ms": 400.0,
             "crowd_resolutions": [2, 25],
-            "parity": ["legacy", "interpreted"],
+            "parity": ["reference"],
         },
     },
     {
@@ -140,7 +140,7 @@ _DOCUMENTS: tuple[dict, ...] = (
                 "bus congestion": [1, 15],
             },
             "max_mean_recognition_ms": 400.0,
-            "parity": ["legacy", "interpreted"],
+            "parity": ["reference"],
         },
     },
     {
@@ -169,7 +169,7 @@ _DOCUMENTS: tuple[dict, ...] = (
             "alerts": {"crowd resolution": [1, 10]},
             "max_mean_recognition_ms": 400.0,
             "crowd_resolutions": [1, 10],
-            "parity": ["legacy", "interpreted"],
+            "parity": ["reference"],
         },
     },
     {
@@ -206,7 +206,7 @@ _DOCUMENTS: tuple[dict, ...] = (
             },
             "max_mean_recognition_ms": 400.0,
             "degraded": [["scats", 600, 2700]],
-            "parity": ["legacy", "interpreted"],
+            "parity": ["reference"],
         },
     },
 )

@@ -1,9 +1,8 @@
 """Run compiled scenarios through the system and check their envelopes.
 
 One :func:`run_scenario` call performs the whole acceptance ritual for
-a spec: compile, run the baseline pipeline (array window + compiled
-rules), run whichever parity variants the envelope demands — the
-object window (``legacy``), the interpreted rule path, and the sharded
+a spec: compile, run the baseline pipeline, run whichever parity
+variants the envelope demands — the reference engine, and the sharded
 runtime with the four regions packed onto two engines — compare their
 CE output against the baseline, and evaluate every envelope clause.
 :func:`run_matrix` does it for a whole library and aggregates.
@@ -159,14 +158,12 @@ def run_scenario(
     parity: dict = {}
     if check_parity:
         for variant in spec.envelope.parity:
-            if variant == "legacy":
+            if variant == "reference":
                 _, other = _run_variant(
-                    spec, replace(config, incremental=False), start, end
-                )
-                parity[variant] = ce_fingerprint(other) == baseline
-            elif variant == "interpreted":
-                _, other = _run_variant(
-                    spec, replace(config, compiled_rules=False), start, end
+                    spec,
+                    replace(config, incremental=False, compiled_rules=False),
+                    start,
+                    end,
                 )
                 parity[variant] = ce_fingerprint(other) == baseline
             elif variant == "sharded2":

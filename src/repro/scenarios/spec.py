@@ -251,7 +251,6 @@ RESERVED_SYSTEM_KEYS = frozenset(
         "sharded",
         "shard_dir",
         "region_groups",
-        "distribute_by_region",
     }
 )
 

@@ -19,7 +19,9 @@ heartbeat silence — triggers restart-from-its-own-checkpoint: the
 respawned worker replays the journal after that checkpoint, is re-sent
 any feed batches newer than its restored ``feed_step`` (the ready
 handshake carries the high-water marks), and is re-asked the in-flight
-query, while sibling shards keep flowing untouched.
+query, while sibling shards keep flowing untouched.  A worker that
+comes back *behind* the coordinator — its journal lost a segment — is
+a journal gap no restart can cure: the region fails at once.
 """
 
 from __future__ import annotations
@@ -265,9 +267,10 @@ class ShardedRuntime:
         """Fan one batch of SDEs (crowd feedback) out to all live
         shards; the batch is retained for restart catch-up.
 
-        A send to an already-dead worker is dropped silently here: the
-        death is handled at the next query, and the restart handshake
-        re-sends everything past the restored ``feed_step``.
+        A send to an already-dead worker is dropped here and counted
+        (``shard.feed.dropped_sends``): the death is handled at the
+        next query, and the restart handshake re-sends everything past
+        the restored ``feed_step``.
         """
         batch = list(sdes)
         if not batch:
@@ -279,7 +282,7 @@ class ShardedRuntime:
             try:
                 self.bus.send(region, "feed", step=step, sdes=batch)
             except ShardConnectionLost:
-                pass
+                self.metrics.counter("shard.feed.dropped_sends").inc()
 
     def _resend_feeds(self, region: str, after_step: int) -> None:
         for step, batch in self._feed_history:
@@ -355,7 +358,11 @@ class ShardedRuntime:
 
         Returns ``False`` once the restart budget is exhausted (the
         supervisor has latched the breaker and forced the region into
-        the degradation timeline).
+        the degradation timeline) — or at once when the restored
+        worker's handshake puts it behind both steps it may be at, the
+        in-flight one or the one before: its journal lost what lay
+        between, the re-request could only be refused, and every
+        further restart would restore the same state.
         """
         while True:
             self._reap(region)
@@ -370,15 +377,26 @@ class ShardedRuntime:
                 reason = str(error)
                 continue
             self.supervisor.record_restart(region, step, q)
-            return True
+            restored = int(ready["step"])
+            if restored in (step - 1, step):
+                return True
+            self._reap(region)
+            self.metrics.counter("shard.journal_gaps").inc()
+            self.supervisor.fail(
+                region, step, q,
+                f"journal gap: shard at step {restored}, "
+                f"coordinator at step {step}",
+            )
+            return False
 
     # -- teardown ------------------------------------------------------
     def shutdown(self) -> list[dict]:
         """Drain the workers, fold their metrics in, release resources.
 
         Robust by construction: a worker that will not answer the
-        shutdown handshake is killed, so this doubles as the abort path
-        after an exception.  Returns the supervisor's restart/failure
+        shutdown handshake is killed (and counted,
+        ``shard.shutdown.unanswered``), so this doubles as the abort
+        path after an exception.  Returns the supervisor's restart/failure
         event list (chronological).
         """
         if self._closed:
@@ -397,7 +415,7 @@ class ShardedRuntime:
                             summaries[region] = payload["metrics"]
                             break
                 except ShardConnectionLost:
-                    pass
+                    self.metrics.counter("shard.shutdown.unanswered").inc()
             self._reap(region)
         self.bus.close()
         self.supervisor.record_breaker_states()

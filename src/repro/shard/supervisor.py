@@ -119,22 +119,35 @@ class ShardSupervisor:
         breaker = self.breaker_for(region)
         breaker.record_failure(q)
         if breaker.is_open:
-            self.events.append(
-                {
-                    "event": "failed",
-                    "region": region,
-                    "step": step,
-                    "q": q,
-                    "reason": reason,
-                    "deaths": self.deaths[region],
-                }
-            )
-            self._count("shard.failed")
-            if self.degradation is not None:
-                self.degradation.force_outage(f"shard:{region}", q)
-            self._record_breaker(region)
+            self._record_failed(region, step, q, reason)
             return False
         return True
+
+    def fail(self, region: str, step: int, q: int, reason: str) -> None:
+        """Declare ``region`` failed at once, whatever is left of its
+        restart budget: a condition no restart can cure."""
+        breaker = self.breaker_for(region)
+        while not breaker.is_open:
+            breaker.record_failure(q)
+        self._record_failed(region, step, q, reason)
+
+    def _record_failed(
+        self, region: str, step: int, q: int, reason: str
+    ) -> None:
+        self.events.append(
+            {
+                "event": "failed",
+                "region": region,
+                "step": step,
+                "q": q,
+                "reason": reason,
+                "deaths": self.deaths.get(region, 0),
+            }
+        )
+        self._count("shard.failed")
+        if self.degradation is not None:
+            self.degradation.force_outage(f"shard:{region}", q)
+        self._record_breaker(region)
 
     def backoff_s(self, region: str) -> float:
         """Seconds to sleep before this shard's next restart."""

@@ -24,6 +24,7 @@ from typing import Literal, Mapping, Optional
 import numpy as np
 
 from ..core.events import Event
+from ..core.reference import ReferenceRTEC
 from ..core.rtec import RTEC, RecognitionLog, RecognitionSnapshot
 from ..faults import FaultProfile, get_profile, inject_scenario
 from ..obs import Registry
@@ -61,18 +62,14 @@ class SystemConfig:
     #: delayed SDEs (paper, Figure 2).
     window: int = 600
     step: int = 300
-    #: Where each engine's window comes from.  ``True``: a persistent
-    #: working memory of arrays that a query slides forward.
-    #: ``False``: the window is rebuilt from buffered objects per
-    #: query — the reference engine (same output; the golden-trace
-    #: tests assert it).  Every definition is evaluated over the whole
-    #: window at every query either way.
+    #: Two fields, one choice.  Both ``True`` (the default): the
+    #: engine, :class:`repro.core.rtec.RTEC`.  Both ``False``:
+    #: :class:`repro.core.reference.ReferenceRTEC` — in-process only,
+    #: no recovery coordinator.  A mixed pair is an error.  They are
+    #: two because the frozen ``benchmarks/e2e/workloads.py::oracle``
+    #: names both; they go, with the reference engine, in the
+    #: benchmark revision of ROADMAP item 6.
     incremental: bool = True
-    #: Compiled (vectorised) evaluation of the hot rule bodies over the
-    #: working memory's columns.  ``False`` pins the pure
-    #: interpreter for every definition — same recognised CEs (the
-    #: parity suite asserts it), useful for differential testing and
-    #: as an escape hatch.  See ``docs/performance.md``.
     compiled_rules: bool = True
     #: Static vs self-adaptive recognition, and the noisy-rule variant.
     adaptive: bool = True
@@ -82,10 +79,8 @@ class SystemConfig:
     #: (requires ``adaptive``).
     structured_intersections: bool = False
     scats_reliability: bool = False
-    #: Distribute recognition across the four city regions (Section 7.1)
-    #: or run a single engine.
-    distribute_by_region: bool = True
-    #: Pack the four city regions onto fewer recognition engines: each
+    #: Recognition is distributed across the four city regions
+    #: (Section 7.1), one engine each — or packed onto fewer: each
     #: inner tuple is one engine's set of regions, and together they
     #: must partition ``REGIONS`` exactly.  ``(("central", "north"),
     #: ("west", "south"))`` runs two engines — and two workers under
@@ -138,11 +133,6 @@ class SystemConfig:
     prior_window: int = 600
     #: Settle participant rewards at the end of the run.
     rewards: bool = True
-    #: Flow-field estimation source: ``True`` fits the GP on the
-    #: *measured* SCATS flows (plus crowd pseudo-observations) kept by
-    #: a rolling estimator; ``False`` reads the ground truth directly
-    #: (useful for substrate debugging).
-    use_measured_flows: bool = True
     #: Named fault profile (see :mod:`repro.faults.profiles`) injected
     #: into the generated SDE streams and the crowd engine; ``None``
     #: (or ``"none"``) runs fault-free.  The profile's RNG seed is
@@ -186,12 +176,18 @@ class SystemConfig:
             raise ValueError("shard_max_restarts must not be negative")
         if self.shard_restart_backoff_s < 0:
             raise ValueError("shard_restart_backoff_s must not be negative")
+        if self.incremental != self.compiled_rules:
+            raise ValueError(
+                "incremental and compiled_rules select one engine "
+                "together: both True (the engine) or both False (the "
+                "reference engine)"
+            )
+        if self.sharded and not self.incremental:
+            raise ValueError(
+                "the reference engine runs in-process only: sharded "
+                "requires incremental=True, compiled_rules=True"
+            )
         if self.region_groups is not None:
-            if not self.distribute_by_region:
-                raise ValueError(
-                    "region_groups requires distribute_by_region: a "
-                    "single city-wide engine has nothing to group"
-                )
             groups = tuple(
                 tuple(group) for group in self.region_groups
             )
@@ -367,11 +363,9 @@ class UrbanTrafficSystem:
         params = default_traffic_params()
         #: Region -> engine-key mapping when the four regions are
         #: packed onto fewer engines; ``None`` means one engine per
-        #: region (or the single "city" engine).
+        #: region.
         self._region_to_group: Optional[dict[str, str]] = None
-        if not cfg.distribute_by_region:
-            regions = ["city"]
-        elif cfg.region_groups is not None:
+        if cfg.region_groups is not None:
             regions = ["+".join(group) for group in cfg.region_groups]
             self._region_to_group = {
                 region: "+".join(group)
@@ -380,6 +374,7 @@ class UrbanTrafficSystem:
             }
         else:
             regions = list(REGIONS)
+        engine_class = RTEC if cfg.incremental else ReferenceRTEC
         self.engines: dict[str, RTEC] = {}
         for region in regions:
             definitions = build_traffic_definitions(
@@ -389,13 +384,8 @@ class UrbanTrafficSystem:
                 structured_intersections=cfg.structured_intersections,
                 scats_reliability=cfg.scats_reliability,
             )
-            self.engines[region] = RTEC(
-                definitions,
-                window=cfg.window,
-                step=cfg.step,
-                params=params,
-                incremental=cfg.incremental,
-                compiled=cfg.compiled_rules,
+            self.engines[region] = engine_class(
+                definitions, window=cfg.window, step=cfg.step, params=params
             )
 
         self.console = OperatorConsole()
@@ -488,13 +478,9 @@ class UrbanTrafficSystem:
             data = inject_scenario(
                 data, system.fault_profile, metrics=system.metrics
             )
-        if self.config.distribute_by_region:
-            split = system.scenario.split_by_region(
-                data, groups=self._region_to_group
-            )
-        else:
-            split = {"city": data.columns.in_stream_order()}
-        return data, split
+        return data, system.scenario.split_by_region(
+            data, groups=self._region_to_group
+        )
 
     def _ingest(self, start: int, end: int) -> dict[str, np.ndarray]:
         """Generate the run's stream and feed every engine its share.
@@ -548,6 +534,11 @@ class UrbanTrafficSystem:
                 "sharded runs use per-shard recovery (each worker owns "
                 "its checkpoint directory); a pipeline-level "
                 "CheckpointCoordinator cannot be attached as well"
+            )
+        if recovery is not None and not self.config.incremental:
+            raise ValueError(
+                "the reference engine has no streamless checkpoint form: "
+                "recovery requires incremental=True, compiled_rules=True"
             )
         if recovery is not None:
             # The baseline checkpoint is written *before* the stream is
@@ -835,19 +826,16 @@ class UrbanTrafficSystem:
     def estimate_citywide(self, t: int) -> dict:
         """Traffic-model snapshot: flow estimates for every junction.
 
-        With ``use_measured_flows`` (the default) the GP is fitted on
-        the rolling estimator's fresh *measured* SCATS flows plus the
-        crowd pseudo-observations accumulated so far; the GP fills in
-        the unsensed junctions — the sparsity answer of Section 6.
-        Without it (or before any reading arrived) the true flows at
-        the SCATS junctions are used instead, which is useful when
-        debugging the substrate itself.
+        The GP is fitted on the rolling estimator's fresh *measured*
+        SCATS flows plus the crowd pseudo-observations accumulated so
+        far; the GP fills in the unsensed junctions — the sparsity
+        answer of Section 6.  Before the first reading arrives the
+        true flows at the SCATS junctions are used instead.
         """
         scenario = self.scenario
-        if self.config.use_measured_flows:
-            estimates = self.flow_estimator.estimate(t)
-            if estimates is not None:
-                return estimates
+        estimates = self.flow_estimator.estimate(t)
+        if estimates is not None:
+            return estimates
         observations = {
             node: greenshields_flow(
                 scenario.ground_truth.density(node, t)

@@ -68,7 +68,7 @@ def build_paper_topology(system: UrbanTrafficSystem, data) -> PaperTopology:
         raise ValueError(
             "the paper's graph has four regional streams: it wires a "
             "system with one in-process engine per region (no "
-            "region_groups, distribute_by_region=False or sharded)"
+            "region_groups or sharded)"
         )
     scenario = system.scenario
     flow_estimator = system.flow_estimator

@@ -7,7 +7,14 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.core.compiled import HoldsAtIndex, bus_reports
+from repro.core.columns import SDEColumns
+from repro.core.compiled import (
+    GPS_COLUMNS,
+    MOVE_COLUMNS,
+    HoldsAtIndex,
+    bus_reports,
+)
+from repro.core.incremental import WorkingMemory
 from repro.core.intervals import IntervalList
 from repro.core.rules import RuleContext
 
@@ -15,20 +22,19 @@ from .helpers import bus_report, make_topology
 
 
 def _context(reports):
-    """A context without a working memory over ``(move, gps)`` pairs; either half
-    may be ``None``."""
-    events = sorted(
-        (m for m, _ in reports if m is not None), key=lambda e: e.time
-    )
-    facts = {}
-    for _, gps in reports:
-        if gps is not None:
-            facts.setdefault(("gps", gps.key), []).append(gps)
-    for by_key in facts.values():
-        by_key.sort(key=lambda f: f.time)
+    """A context over a working memory holding ``(move, gps)`` pairs;
+    either half may be ``None``."""
+    memory = WorkingMemory()
+    memory.declare_columns("event", "move", MOVE_COLUMNS)
+    memory.declare_columns("fact", "gps", GPS_COLUMNS)
+    memory.buffer_columns(SDEColumns.from_sdes(
+        [m for m, _ in reports if m is not None],
+        [g for _, g in reports if g is not None],
+    ))
+    memory.admit(1000, 0)
     return RuleContext(
-        window_start=0, window_end=1000, events={"move": events},
-        facts=facts, params={},
+        window_start=0, window_end=1000, events={}, facts={}, params={},
+        columns=memory,
     )
 
 

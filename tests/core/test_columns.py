@@ -8,7 +8,7 @@ Covers the three layers of ``repro.core.columns`` in isolation:
   admitted and evicted unseen, a delayed row sorted into place — with
   every row encoded exactly once and a record built only on request;
 * the read interface the compiled evaluators consume, kept by the
-  working memory or built from an object list.
+  working memory in the layout the rules declared.
 
 The end-to-end guarantees (identical recognition output) live in the
 golden-trace and Hypothesis parity suites.
@@ -19,11 +19,9 @@ import pytest
 
 from repro.core.columns import (
     ColumnSpec,
-    ColumnStore,
     EventColumns,
     FactColumns,
     SDEColumns,
-    TokenCodes,
 )
 from repro.core.events import Event, FluentFact
 from repro.core.incremental import PendingBatch, WorkingMemory
@@ -379,7 +377,7 @@ def test_mirror_excluded_from_pickle():
 
 
 # ----------------------------------------------------------------------
-# Columns built from an object list
+# What the store's arrays say about the records they were fed with
 # ----------------------------------------------------------------------
 def test_list_view_matches_mirror_view():
     events = [
@@ -389,20 +387,15 @@ def test_list_view_matches_mirror_view():
     ]
     memory = _memory(*events)
     memory.admit(30, 0)
-    mirror_view = _columns(memory)
-    list_view = ColumnStore.from_records(
-        "traffic", events, TRAFFIC, False, TokenCodes()
-    )
-    assert list_view.n == mirror_view.n
-    assert list_view.times.tolist() == mirror_view.times.tolist()
-    assert [
-        list_view.tokens.tokens[c] for c in list_view.codes.tolist()
-    ] == [mirror_view.tokens.tokens[c] for c in mirror_view.codes.tolist()]
-    np.testing.assert_array_equal(
-        list_view.col("density"), mirror_view.col("density")
-    )
-    assert list_view.records()[1].payload is events[1].payload
-    assert list_view.cells("sensor", np.array([2, 1])) == ["d1", "d2"]
+    view = _columns(memory)
+    assert view.n == len(events)
+    assert view.times.tolist() == [ev.time for ev in events]
+    assert [view.tokens.tokens[c] for c in view.codes.tolist()] == [
+        tuple(ev[name] for name in TRAFFIC.token) for ev in events
+    ]
+    assert view.col("density").tolist() == [ev["density"] for ev in events]
+    assert view.records()[1].payload is events[1].payload
+    assert view.cells("sensor", np.array([2, 1])) == ["d1", "d2"]
 
 
 def test_fact_columns_take_the_key_as_token():
@@ -410,9 +403,11 @@ def test_fact_columns_take_the_key_as_token():
         FluentFact("gps", ("B2",), {"lon": 1.0, "lat": 2.0}, 20),
         FluentFact("gps", ("B1",), {"lon": 3.0, "lat": 4.0}, 10),
     ]
-    view = ColumnStore.from_records(
-        "gps", facts, ColumnSpec(numeric=("lon",)), True, TokenCodes()
-    )
+    memory = WorkingMemory()
+    memory.declare_columns("fact", "gps", ColumnSpec(numeric=("lon",)))
+    memory.buffer_columns(SDEColumns.from_sdes([], facts))
+    memory.admit(20, 0)
+    view = memory.store("fact", "gps")
     assert view.times.tolist() == [10, 20]
     assert view.col("lon").tolist() == [3.0, 1.0]
     assert [view.tokens.tokens[c] for c in view.codes.tolist()] == [
@@ -421,9 +416,18 @@ def test_fact_columns_take_the_key_as_token():
 
 
 def test_views_cover_subset_specs():
-    events = [_traffic_event(10)]
-    view = ColumnStore.from_records(
-        "traffic", events, TRAFFIC, False, TokenCodes()
-    )
-    assert view.covers(ColumnSpec(numeric=("density",), token=TRAFFIC.token))
-    assert not view.covers(ColumnSpec(token=("bus",)))
+    """Two rules reading one type share one store: their numeric
+    fields merge by union, and conflicting grounding-token layouts
+    are refused when the second is declared."""
+    memory = WorkingMemory()
+    for numeric in (("density",), ("flow",)):
+        memory.declare_columns(
+            "event", "traffic", ColumnSpec(numeric, TRAFFIC.token)
+        )
+    _feed(memory, _traffic_event(10, density=7.0, flow=300.0))
+    memory.admit(10, 0)
+    view = _columns(memory)
+    assert view.col("density").tolist() == [7.0]
+    assert view.col("flow").tolist() == [300.0]
+    with pytest.raises(ValueError, match="conflicting grounding-token"):
+        memory.declare_columns("event", "traffic", ColumnSpec(token=("bus",)))

@@ -2,14 +2,13 @@
 
 Hypothesis generates randomized SDE batches — arbitrary reading
 values around the rule thresholds, delayed arrivals, duplicate
-time-points, multi-window streams — and asserts that three engines
+time-points, multi-window streams — and asserts that the two engines
 recognise *identical* output on them:
 
-* incremental + compiled (the default columnar hot path, fed via
+* ``RTEC`` (the array window, every compiled body, fed via
   ``feed_columns``),
-* incremental + interpreter (``compiled=False``),
-* legacy + interpreter (recompute per query, the reference
-  semantics).
+* ``ReferenceRTEC`` (the window rebuilt from objects per query, every
+  body on the interpreter).
 
 Any divergence — an ``np.int64`` leaking into a time-point, a payload
 coerced through ``float64``, a run-window off-by-one in a vectorised
@@ -32,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.core import RTEC, Event
 from repro.core.columns import SDEColumns
+from repro.core.reference import ReferenceRTEC
 from repro.core.traffic import build_traffic_definitions, default_traffic_params
 
 from .helpers import LON, bus_report, crowd_event, make_topology
@@ -50,28 +50,19 @@ BUS_LONS = (LON, LON + SPACING / 2, LON + 2 * SPACING, LON + 0.1)
 
 
 def _engines(topology, adaptive=False, noisy_variant="pessimistic"):
-    """(compiled-incremental, interpreter-incremental, legacy) triple."""
+    """The (compiled, interpreting reference) engine pair."""
     params = default_traffic_params()
-    engines = []
-    for incremental, compiled in (
-        (True, True),
-        (True, False),
-        (False, False),
-    ):
-        definitions = build_traffic_definitions(
-            topology, adaptive=adaptive, noisy_variant=noisy_variant
+    return [
+        engine_class(
+            build_traffic_definitions(
+                topology, adaptive=adaptive, noisy_variant=noisy_variant
+            ),
+            window=WINDOW,
+            step=STEP,
+            params=params,
         )
-        engines.append(
-            RTEC(
-                definitions,
-                window=WINDOW,
-                step=STEP,
-                params=params,
-                incremental=incremental,
-                compiled=compiled,
-            )
-        )
-    return engines
+        for engine_class in (RTEC, ReferenceRTEC)
+    ]
 
 
 def _serialise(snapshot):
@@ -167,21 +158,18 @@ def sde_batches(draw):
 def _assert_identical_output(batch, **suite):
     events, facts = batch
     topology = make_topology(n_intersections=3, spacing=SPACING)
-    compiled_engine, interp_engine, legacy_engine = _engines(topology, **suite)
+    compiled_engine, interp_engine = _engines(topology, **suite)
 
     # The compiled engine takes the columnar batch; the reference
-    # engines take the object lists — the hand-off format must not
+    # engine takes the object lists — the hand-off format must not
     # change recognition either.
     compiled_engine.feed_columns(SDEColumns.from_sdes(events, facts))
     interp_engine.feed(events, facts)
-    legacy_engine.feed(events, facts)
 
     compiled_out = [_serialise(s) for s in compiled_engine.run(HORIZON)]
     interp_out = [_serialise(s) for s in interp_engine.run(HORIZON)]
-    legacy_out = [_serialise(s) for s in legacy_engine.run(HORIZON)]
 
     assert compiled_out == interp_out
-    assert compiled_out == legacy_out
 
 
 @settings(max_examples=25, deadline=None)
@@ -215,7 +203,7 @@ def test_trend_runs_identical_output(deltas, period):
     """Focused monotone-run stress for the flattened trend compiler:
     consecutive readings of one sensor with arbitrary steps."""
     topology = make_topology()
-    compiled_engine, interp_engine, _ = _engines(topology)
+    compiled_engine, interp_engine = _engines(topology)
     value = 60.0
     events = []
     for i, delta in enumerate(deltas):

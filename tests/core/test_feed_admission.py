@@ -14,8 +14,9 @@ it occurred in is never admitted; and the per-grounding view of a
 fluent is a stable grouping of its column.  The engine's window is
 arrays; it is read here through the store's own record view.  A pickle
 round trip in the middle of a sequence — whole, or streamless and
-refilled — changes nothing that is admitted afterwards, and an
-interpreting engine (``compiled=False``) holds and recognises the same.
+refilled — changes nothing that is admitted afterwards, and an engine
+whose definition has no compiled form (``Echo`` beside
+``CompilableEcho``) holds and recognises the same.
 """
 
 import pickle
@@ -185,13 +186,10 @@ def _restored(engine, initial, q, streamless):
 @settings(max_examples=120, deadline=None)
 @given(stream=_columns, ops=_ops)
 def test_interleaved_feeds_admit_exactly_the_window(stream, ops):
-    # The default engine and its interpreting twin, fed alike.
+    # A compiled body and its interpreted twin, fed alike.
     engines = [
-        RTEC(
-            [CompilableEcho()], window=WINDOW, step=STEP, params={},
-            compiled=compiled,
-        )
-        for compiled in (True, False)
+        RTEC([definition], window=WINDOW, step=STEP, params={})
+        for definition in (CompilableEcho(), Echo())
     ]
     initial, fed = _array_batch(*stream[1:])
     for engine in engines:

@@ -1,14 +1,19 @@
 """Golden-trace differential tests for the recognition engine.
 
 The checked-in fixture ``tests/golden/traffic_small.json`` was
-recorded from the pre-incremental engine over a deterministic
+recorded from the reference engine's ancestor over a deterministic
 miniature Dublin scenario whose feed carries natural arrival delays.
 These tests assert, for every recorded (window, step) pair and for
 both the static and the self-adaptive rule suites, that
 
-* the default engine (the window kept as arrays in a working memory),
-* the reference engine (``incremental=False``: the window rebuilt from
-  objects per query),
+* the engine (``RTEC``: the window kept as arrays in a working
+  memory, compiled rule bodies — the ``incr-compiled`` ids),
+* the engine over the same definitions stripped of their compiled
+  forms (``incr-interp``): every body interpreted through the lazy
+  record views of the array window, which is how a user-defined rule
+  reads ``traffic``, ``move`` and ``gps``,
+* the reference engine (``ReferenceRTEC``: the window rebuilt from
+  objects per query, every body interpreted — ``legacy-interp``),
 
 each reproduce the golden trace exactly — query times, SDE counts,
 fluent intervals and CE occurrences included.  Any hot-path change
@@ -21,6 +26,8 @@ import json
 
 import pytest
 
+from repro.core import RTEC
+from repro.core.reference import ReferenceRTEC
 from tests.golden.record_golden import (
     GOLDEN_PATH,
     HORIZON,
@@ -46,23 +53,31 @@ def _config_id(entry):
     return f"w{cfg['window']}-s{cfg['step']}-{suite}"
 
 
+def _interpreting(definitions, **engine_args):
+    """The engine over ``definitions`` with no compiled form on offer
+    (there is no engine flag for that: a definition runs interpreted
+    when it offers none)."""
+    for definition in definitions:
+        definition.compiled = lambda params: None
+    engine = RTEC(definitions, **engine_args)
+    assert not engine._compiled
+    return engine
+
+
 def _trace_entries():
     return json.loads(GOLDEN_PATH.read_text())["traces"]
 
 
 @pytest.mark.parametrize("entry", _trace_entries(), ids=_config_id)
 @pytest.mark.parametrize(
-    "compiled", [True, False], ids=["compiled", "interp"]
+    "engine_class",
+    [RTEC, _interpreting, ReferenceRTEC],
+    ids=["incr-compiled", "incr-interp", "legacy-interp"],
 )
-@pytest.mark.parametrize("incremental", [True, False], ids=["incr", "legacy"])
-def test_engine_matches_golden(golden_stream, entry, incremental, compiled):
+def test_engine_matches_golden(golden_stream, entry, engine_class):
     scenario, data = golden_stream
     trace = run_trace(
-        scenario,
-        data,
-        **entry["config"],
-        incremental=incremental,
-        compiled=compiled,
+        scenario, data, **entry["config"], engine_class=engine_class
     )
     assert trace == entry["queries"]
 

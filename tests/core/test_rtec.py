@@ -50,6 +50,38 @@ class TestEngineValidation:
         with pytest.raises(ValueError, match="increasing"):
             eng.query(10)
 
+    def test_conflicting_column_layouts_are_refused_at_construction(self):
+        # Two compiled rules grouping one type's rows two ways: one
+        # store cannot serve both (this used to downgrade the type,
+        # silently, to a per-query rebuild from records).
+        from repro.core.columns import ColumnSpec
+        from repro.core.compiled import CompiledRule
+
+        class Compilable(FunctionalEvent):
+            def __init__(self, name, token):
+                super().__init__(name, lambda ctx: ())
+                self.token = token
+
+            def compiled(self, params):
+                rule = CompiledRule()
+                rule.columns = {("event", "ping"): ColumnSpec(token=self.token)}
+                return rule
+
+        RTEC([Compilable("a", ("id",)), Compilable("b", ("id",))],
+             window=10, step=5)
+        with pytest.raises(ValueError, match="conflicting grounding-token"):
+            RTEC([Compilable("a", ("id",)), Compilable("b", ("bus",))],
+                 window=10, step=5)
+        # The reference engine compiles nothing but refuses the same
+        # rule set: what the engine cannot run needs no oracle.
+        from repro.core.reference import ReferenceRTEC
+
+        with pytest.raises(ValueError, match="conflicting grounding-token"):
+            ReferenceRTEC(
+                [Compilable("a", ("id",)), Compilable("b", ("bus",))],
+                window=10, step=5,
+            )
+
     def test_negative_event_time_rejected(self):
         # A negative stamp is always a mediator bug (or an injected
         # corruption); accepting it would seed windows before time 0.

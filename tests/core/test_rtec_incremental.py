@@ -1,7 +1,7 @@
 """Behavioural tests of the engine's input bookkeeping.
 
-The golden-trace and fault-parity suites prove the array-window engine
-*recognises* exactly what the object-window engine does; this module
+The golden-trace and fault-parity suites prove the engine
+*recognises* exactly what the reference engine does; this module
 pins the counting around it: ``n_new_events`` counts each SDE exactly
 once across a run even though overlapping windows consider the same
 SDE repeatedly (``n_events`` keeps the per-window semantics), and the
@@ -13,6 +13,7 @@ from collections.abc import Iterable
 
 from repro.core import RTEC, Event
 from repro.core.events import Occurrence
+from repro.core.reference import ReferenceRTEC
 from repro.core.rules import DerivedEvent, RuleContext
 from repro.dublin import DublinScenario, ScenarioConfig
 from repro.system import SystemConfig, UrbanTrafficSystem
@@ -33,10 +34,12 @@ def ping(t, ident="a", arrival=None):
     return Event("ping", t, {"id": ident}, arrival=arrival)
 
 
-def make_engine(**kwargs):
+def make_engine(engine_class=RTEC, **kwargs):
     kwargs.setdefault("window", 100)
     kwargs.setdefault("step", 25)
-    return RTEC([kwargs.pop("definition", Echo())], params={}, **kwargs)
+    return engine_class(
+        [kwargs.pop("definition", Echo())], params={}, **kwargs
+    )
 
 
 class TestNewEventCounting:
@@ -50,15 +53,16 @@ class TestNewEventCounting:
         assert sum(s.n_events for s in snapshots) > len(events)
 
     def test_legacy_mode_agrees(self):
+        """The reference engine counts new SDEs as the engine does."""
         events = [ping(t, ident=str(t)) for t in range(10, 100, 10)]
         per_query = {}
-        for mode in (True, False):
-            engine = make_engine(incremental=mode)
+        for engine_class in (RTEC, ReferenceRTEC):
+            engine = make_engine(engine_class)
             engine.feed(events)
-            per_query[mode] = [
+            per_query[engine_class] = [
                 s.n_new_events for s in engine.run(100)
             ]
-        assert per_query[True] == per_query[False]
+        assert per_query[RTEC] == per_query[ReferenceRTEC]
 
     def test_delayed_sde_counted_when_it_arrives(self):
         engine = make_engine()

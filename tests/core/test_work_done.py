@@ -11,15 +11,16 @@ and a storm-like twin with half the bus SDEs delayed by minutes:
 * a row's evaluation columns are filled once, when it is first read
   after admission — the window is not re-encoded per query — and no
   ``move``, ``gps`` or ``traffic`` record is built at all: what the
-  default path materialises is ``crowd`` answers, and under
-  ``compiled=False`` every admitted row, exactly once over its life;
+  default path materialises is ``crowd`` answers, and beside an
+  interpreted body that reads every type, every admitted row, exactly
+  once over its life;
 * every definition is evaluated once per query over the one
   full-window context — a compiled body runs exactly once, whatever
   arrived late;
 * ``disagree``/``agree`` decide every comparison anew but build an
   ``Occurrence`` only for a firing the previous query did not emit:
   the object of a row still in the window is handed out again, by the
-  row's sequence number — on the working memory's own store only.
+  row's sequence number.
 """
 
 import pickle
@@ -34,7 +35,7 @@ import repro.core.compiled as compiled
 from repro.core import RTEC, Event
 from repro.core.columns import EventColumns, FactColumns, SDEColumns
 from repro.core.events import Occurrence
-from repro.core.rules import RuleContext
+from repro.core.rules import FunctionalEvent, RuleContext
 from repro.core.traffic import ScatsTopology, build_traffic_definitions
 
 from tests.golden.record_golden import HORIZON, golden_params, golden_scenario
@@ -206,12 +207,21 @@ def test_the_default_path_materialises_crowd_rows_only(streams, stream):
     assert sum(s.rows_materialised for s in snapshots) == admitted["crowd"] > 0
 
 
+def _read_every_type(ctx):
+    """An interpreted body over the records of every input type."""
+    for name in ("traffic", "move", "crowd"):
+        ctx.events(name)
+    ctx.fact_keys("gps")
+    return ()
+
+
 @pytest.mark.parametrize("stream", ["golden", "delayed"])
 def test_the_interpreter_materialises_each_row_exactly_once(streams, stream):
     scenario, batches = streams
     batch = _with_crowd(batches[stream])
     definitions = build_traffic_definitions(scenario.topology, adaptive=True)
-    engine, snapshots, _ = _run(definitions, batch, compiled=False)
+    reader = FunctionalEvent("reader", _read_every_type)
+    engine, snapshots, _ = _run(definitions + [reader], batch)
     admitted = sum(s.rows_admitted for s in snapshots)
     assert admitted == sum(
         _admitted(batch, name) for name in MIRRORED + ("crowd",)
@@ -225,10 +235,10 @@ def test_the_interpreter_materialises_each_row_exactly_once(streams, stream):
             a is b for a, b in zip(store.records(), store.records())
         )
         assert store.rows_materialised == before
-    # Same recognition either way.
+    # Same recognition beside the reader as without it.
     _, default, _ = _run(definitions, batch)
     assert [s.occurrences for s in snapshots] == [
-        s.occurrences for s in default
+        {**s.occurrences, "reader": []} for s in default
     ]
     assert [s.fluents for s in snapshots] == [s.fluents for s in default]
 
@@ -340,23 +350,6 @@ def test_the_held_table_does_not_travel(streams):
     assert ours.fluents == theirs.fluents
     for name in COMPARISONS:
         assert len(twin._compiled[name]._held) == len(theirs.occurrences[name])
-
-
-def test_a_store_built_per_query_gets_fresh_objects(streams, constructions):
-    """The object window with compiled rules wraps its records in a
-    store per query, whose sequence numbers are positions: nothing is
-    held, every firing is built, at every query."""
-    scenario, batches = streams
-    engine = _adaptive(scenario, batches["delayed"], incremental=False)
-    for q in QUERIES:
-        before = Counter(constructions)
-        snapshot = engine.query(q)
-        for name in COMPARISONS:
-            assert not engine._compiled[name]._held
-            assert constructions[name] - before[name] == len(
-                snapshot.occurrences[name]
-            )
-    assert sum(constructions[name] for name in COMPARISONS) > 0
 
 
 @settings(max_examples=12, deadline=None)

@@ -17,6 +17,8 @@ recognition traces are equal, query by query.
 
 import pytest
 
+from repro.core import RTEC
+from repro.core.reference import ReferenceRTEC
 from repro.faults import FaultInjector, StreamFaults
 from tests.golden.record_golden import (
     HORIZON,
@@ -46,13 +48,13 @@ def _faulty_stream(seed, spec):
     return scenario, events, facts
 
 
-def _trace(scenario, events, facts, *, incremental):
+def _trace(scenario, events, facts, engine_class):
     engine = build_engine(
         scenario,
         window=WINDOW,
         step=STEP,
         adaptive=True,
-        incremental=incremental,
+        engine_class=engine_class,
     )
     engine.feed(events, facts)
     return [serialise_snapshot(s) for s in engine.run(HORIZON)]
@@ -64,6 +66,6 @@ def _trace(scenario, events, facts, *, incremental):
 )
 def test_randomized_delays_settle_identically(seed, spec):
     scenario, events, facts = _faulty_stream(seed, spec)
-    incremental_trace = _trace(scenario, events, facts, incremental=True)
-    legacy_trace = _trace(scenario, events, facts, incremental=False)
-    assert incremental_trace == legacy_trace
+    array_trace = _trace(scenario, events, facts, RTEC)
+    reference_trace = _trace(scenario, events, facts, ReferenceRTEC)
+    assert array_trace == reference_trace

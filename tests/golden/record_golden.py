@@ -6,18 +6,24 @@ builder and the serialiser from here) and a script: running it
 
     PYTHONPATH=src python tests/golden/record_golden.py
 
-re-records ``tests/golden/traffic_small.json`` from the *current*
-engine.  The checked-in fixture was recorded from the pre-incremental
-engine, so it pins the seed behaviour: any engine change that alters
-recognition output — intervals, occurrences or SDE counts — fails the
-golden tests until the fixture is deliberately re-recorded and the
-diff reviewed.
+re-records ``tests/golden/traffic_small.json`` from the reference
+engine (:class:`repro.core.reference.ReferenceRTEC`, the direct
+transcription of the paper's windowing).  The checked-in fixture was
+recorded from that engine's ancestor, so it pins the seed behaviour:
+any engine change that alters recognition output — intervals,
+occurrences or SDE counts — fails the golden tests until the fixture
+is deliberately re-recorded and the diff reviewed.  The reference
+engine shares its evaluation loop and its inertia seed with the
+production engine; the check on *it* is the naive evaluator of
+``tests/reference`` (which replays these same (window, step) pairs),
+not this fixture.
 
 The scenario is a miniature Dublin run (small grid, few buses, a
 couple of incidents) whose bus feed carries the generator's natural
 arrival delays (up to 120 s), so queries routinely admit SDEs that
-occurred before the previous query time — the exact situation the
-incremental engine's invalidation logic must survive.
+occurred before the previous query time — the exact situation a
+window that slides (rows kept, rows evicted, late rows sorted into
+place) must survive.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.core import RTEC
+from repro.core.reference import ReferenceRTEC
 from repro.core.traffic import (
     build_traffic_definitions,
     default_traffic_params,
@@ -93,22 +100,15 @@ def build_engine(
     window: int,
     step: int,
     adaptive: bool,
-    **engine_kwargs: Any,
+    engine_class: type[RTEC] = RTEC,
 ) -> RTEC:
-    """An engine over the golden scenario's rule suite.
-
-    Extra keyword arguments go straight to :class:`RTEC`, so tests can
-    pass ``incremental=False`` to pin the legacy path.
-    """
+    """An engine of ``engine_class`` over the golden scenario's rule
+    suite."""
     definitions = build_traffic_definitions(
         scenario.topology, adaptive=adaptive, noisy_variant="pessimistic"
     )
-    return RTEC(
-        definitions,
-        window=window,
-        step=step,
-        params=golden_params(),
-        **engine_kwargs,
+    return engine_class(
+        definitions, window=window, step=step, params=golden_params()
     )
 
 
@@ -169,7 +169,7 @@ def run_trace(
     window: int,
     step: int,
     adaptive: bool,
-    **engine_kwargs: Any,
+    engine_class: type[RTEC] = RTEC,
 ) -> list[dict[str, Any]]:
     """Serialised snapshots for every query time up to the horizon."""
     engine = build_engine(
@@ -177,14 +177,15 @@ def run_trace(
         window=window,
         step=step,
         adaptive=adaptive,
-        **engine_kwargs,
+        engine_class=engine_class,
     )
     engine.feed(data.events, data.facts)
     return [serialise_snapshot(s) for s in engine.run(HORIZON)]
 
 
 def record() -> dict[str, Any]:
-    """Re-record the fixture from the current engine and return it."""
+    """Re-record the fixture from the reference engine and return
+    it."""
     scenario = golden_scenario()
     data = scenario.generate(0, HORIZON + 600)
     document: dict[str, Any] = {
@@ -199,7 +200,9 @@ def record() -> dict[str, Any]:
         document["traces"].append(
             {
                 "config": dict(config),
-                "queries": run_trace(scenario, data, **config),
+                "queries": run_trace(
+                    scenario, data, **config, engine_class=ReferenceRTEC
+                ),
             }
         )
     GOLDEN_PATH.write_text(

@@ -3,7 +3,7 @@
 A miniature small enough to run on every PR: array-native batches (no
 ``Event`` object before admission) — SCATS readings and a bus fleet
 reporting ``move`` + ``gps`` beside the intersections — are fed step
-by step into a compiled engine running the self-adaptive suite, and
+by step into an engine running the self-adaptive suite, and
 the sustained ingest rate must clear ``REQUIRED_MULTIPLE`` times the
 paper's fleet-wide arrival rate of one SDE every ~2 s.  The margin is
 three orders of magnitude on any hardware, so the gate only trips on
@@ -20,6 +20,7 @@ import pytest
 
 from repro.core import RTEC
 from repro.core.columns import EventColumns, FactColumns, SDEColumns
+from repro.core.reference import ReferenceRTEC
 from repro.core.traffic import build_traffic_definitions, default_traffic_params
 
 from tests.core.helpers import make_topology
@@ -115,15 +116,14 @@ def _step_batches(topology):
     return batches
 
 
-def _ingest(topology, batches, *, compiled):
-    engine = RTEC(
+def _ingest(topology, batches, engine_class=RTEC):
+    engine = engine_class(
         build_traffic_definitions(
             topology, adaptive=True, noisy_variant="pessimistic"
         ),
         window=WINDOW_S,
         step=STEP_S,
         params=default_traffic_params(),
-        compiled=compiled,
     )
     outputs = {}
     t0 = time.perf_counter()
@@ -146,7 +146,7 @@ def test_columnar_ingest_beats_dublin_rate():
     n_sdes = sum(batch.n for _, batch in batches)
     assert n_sdes > 0
 
-    elapsed, outputs = _ingest(topology, batches, compiled=True)
+    elapsed, outputs = _ingest(topology, batches)
     silent = [
         name
         for name in (
@@ -166,10 +166,11 @@ def test_columnar_ingest_beats_dublin_rate():
 
 @pytest.mark.bench_smoke
 def test_gate_stream_parity_compiled_vs_interpreter():
-    """The gate's own stream recognises identically on both paths —
-    the throughput number measures the same computation."""
+    """The gate's own stream recognises on the engine what it does on
+    the interpreting reference engine — the throughput number measures
+    the same computation."""
     topology = make_topology(n_intersections=4)
     batches = _step_batches(topology)
-    _, compiled_outputs = _ingest(topology, batches, compiled=True)
-    _, interp_outputs = _ingest(topology, batches, compiled=False)
+    _, compiled_outputs = _ingest(topology, batches)
+    _, interp_outputs = _ingest(topology, batches, ReferenceRTEC)
     assert compiled_outputs == interp_outputs

@@ -71,7 +71,7 @@ class TestValidation:
     def _refuses_version(self, tmp_path, version):
         from repro.recovery.checkpoint import _HEADER, FORMAT_VERSION
 
-        assert FORMAT_VERSION == 6
+        assert FORMAT_VERSION == 7
         manager = CheckpointManager(tmp_path)
         info = manager.save(1, {"a": 1})
         data = info.path.read_bytes()
@@ -113,6 +113,12 @@ class TestValidation:
         # cooldowns, prior index, rewards) as its own attributes; this
         # tree's system reads it from its CrowdLoop.
         self._refuses_version(tmp_path, 5)
+
+    def test_version_6_file_refused(self, tmp_path):
+        # A version-6 engine pickled the object window's buffers and
+        # the incremental/compiled flags; this tree's engine has
+        # neither.
+        self._refuses_version(tmp_path, 6)
 
     def test_load_latest_falls_back_over_torn_file(self, tmp_path):
         manager = CheckpointManager(tmp_path)

@@ -44,7 +44,7 @@ class TestClauses:
             alerts={"bus congestion": (1, 10)},
             max_mean_recognition_ms=50.0,
             crowd_resolutions=(0, 4),
-            parity=("legacy",),
+            parity=("reference",),
         )
         report = StubReport(
             occurrences={"agree": 7},
@@ -56,7 +56,7 @@ class TestClauses:
             report,
             scenario="s",
             run_end=600,
-            parity={"legacy": True},
+            parity={"reference": True},
         )
         assert result.passed
         assert len(result.clauses) == 5
@@ -114,7 +114,7 @@ class TestClauses:
         ).passed
 
     def test_unchecked_parity_fails_closed(self):
-        envelope = EnvelopeSpec(parity=("legacy", "sharded2"))
+        envelope = EnvelopeSpec(parity=("reference", "sharded2"))
         report = StubReport()
         result = check_envelope(
             envelope, report, scenario="s", run_end=1, parity=None
@@ -123,14 +123,14 @@ class TestClauses:
         assert all(c.observed == "unchecked" for c in result.clauses)
 
     def test_diverged_parity_fails(self):
-        envelope = EnvelopeSpec(parity=("legacy",))
+        envelope = EnvelopeSpec(parity=("reference",))
         report = StubReport()
         result = check_envelope(
             envelope,
             report,
             scenario="s",
             run_end=1,
-            parity={"legacy": False},
+            parity={"reference": False},
         )
         assert not result.passed
         assert result.failures[0].observed == "DIVERGED"
@@ -148,7 +148,7 @@ class TestEnvelopeSpecValidation:
             degraded=(("scats", 100, None),),
             crowd_resolutions=(0, 3),
             max_mean_recognition_ms=10.0,
-            parity=("legacy", "interpreted"),
+            parity=("reference", "sharded2"),
         )
         assert EnvelopeSpec.from_mapping(envelope.to_mapping()) == envelope
 

@@ -3,9 +3,10 @@
 Extends the golden-trace harness's interval serialisation
 (``tests/golden/record_golden.serialise_snapshot``) from the one
 recorded Dublin miniature to DSL-generated scenarios of all three
-topology families: for each scenario, the legacy (recompute), the
-incremental, the interpreted (compiled rules off) and the two-shard
-sharded pipelines must produce identical CE output — at the engine
+topology families: for each scenario, the engine, the reference
+engine (every window rebuilt from objects, every rule interpreted)
+and the two-shard sharded pipeline must produce identical CE output —
+at the engine
 level snapshot-for-snapshot (fluent intervals included), and at the
 system level on the full produced fingerprint (alerts, crowd
 outcomes, rewards).
@@ -16,6 +17,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import RTEC
+from repro.core.reference import ReferenceRTEC
 from repro.core.traffic import (
     build_traffic_definitions,
     default_traffic_params,
@@ -33,18 +35,16 @@ from tests.golden.record_golden import serialise_snapshot
 PARITY_SCENARIOS = ("grid_rush", "radial_storm", "multi_centre_stadium")
 
 
-def _engine_trace(scenario, data, *, incremental, compiled):
+def _engine_trace(scenario, data, engine_class):
     definitions = build_traffic_definitions(
         scenario.topology, adaptive=True
     )
-    engine = RTEC(
+    engine = engine_class(
         definitions,
         window=600,
         step=300,
         start=data.start,
         params=default_traffic_params(),
-        incremental=incremental,
-        compiled=compiled,
     )
     engine.feed(data.events, data.facts)
     return [
@@ -60,22 +60,16 @@ class TestEngineIntervalParity:
         spec = get_scenario(name)
         scenario = compile_scenario(spec)
         data = scenario.generate(spec.start, spec.start + 1800)
-        baseline = _engine_trace(
-            scenario, data, incremental=True, compiled=True
+        # The one leg left of the 2x2 the name recalls: object window
+        # and interpreter together, the reference engine.
+        assert _engine_trace(scenario, data, ReferenceRTEC) == (
+            _engine_trace(scenario, data, RTEC)
         )
-        legacy = _engine_trace(
-            scenario, data, incremental=False, compiled=True
-        )
-        interpreted = _engine_trace(
-            scenario, data, incremental=True, compiled=False
-        )
-        assert legacy == baseline
-        assert interpreted == baseline
 
 
 @pytest.mark.parametrize("name", PARITY_SCENARIOS)
 class TestSystemPathParity:
-    """System-level: the four execution paths produce one output."""
+    """System-level: the execution paths produce one output."""
 
     def test_quad_parity(self, name):
         spec = get_scenario(name)
@@ -84,15 +78,13 @@ class TestSystemPathParity:
         _, baseline = _run_variant(spec, config, start, end)
         baseline_fp = ce_fingerprint(baseline)
 
-        _, legacy = _run_variant(
-            spec, replace(config, incremental=False), start, end
+        _, reference = _run_variant(
+            spec,
+            replace(config, incremental=False, compiled_rules=False),
+            start,
+            end,
         )
-        assert ce_fingerprint(legacy) == baseline_fp
-
-        _, interpreted = _run_variant(
-            spec, replace(config, compiled_rules=False), start, end
-        )
-        assert ce_fingerprint(interpreted) == baseline_fp
+        assert ce_fingerprint(reference) == baseline_fp
 
         # The two-shard legs share one grouping so the comparison
         # isolates the process topology (a different grouping may

@@ -37,6 +37,23 @@ class TestRestartBudget:
         assert not sup.record_death("north", 0, 0, "killed")
         assert sup.is_failed("north")
 
+    def test_fail_latches_at_once_whatever_budget_is_left(self):
+        degradation = DegradationManager()
+        sup = ShardSupervisor(max_restarts=3, degradation=degradation)
+        assert sup.record_death("north", 5, 1500, "killed")
+        sup.record_restart("north", 5, 1500)
+        sup.fail("north", 5, 1500, "journal gap: shard at step 3, ...")
+        assert sup.is_failed("north")
+        assert sup.events[-1] == {
+            "event": "failed",
+            "region": "north",
+            "step": 5,
+            "q": 1500,
+            "reason": "journal gap: shard at step 3, ...",
+            "deaths": 1,
+        }
+        assert degradation.intervals["shard:north"] == [(1500, None)]
+
     def test_budgets_are_per_region(self):
         sup = ShardSupervisor(max_restarts=1)
         sup.record_death("north", 1, 300, "x")

@@ -7,12 +7,16 @@ segment, while sibling shards keep flowing, and the run's final output
 is byte-identical to the unharmed single-process run.  When the
 restart budget is exhausted the shard's breaker latches open, the
 region enters the degradation timeline as ``shard:<region>``, and the
-survivors still finish their own regions intact.
+survivors still finish their own regions intact.  A worker restored
+*behind* the coordinator (its journal lost a segment) is the one death
+no restart can cure: the region fails at once, with the gap as the
+reason, instead of burning its budget on refused re-requests.
 """
 
 import pytest
 
 from repro.faults import CrashInjector
+from repro.shard import ShardedRuntime
 
 from .test_sharded_parity import (
     CONFIG,
@@ -125,6 +129,52 @@ class TestWorkerKill:
         # North stopped after its failure: it has strictly fewer
         # snapshots than the full run.
         assert len(report.logs["north"].snapshots) < STEPS
+
+    def test_a_lost_journal_segment_fails_the_region_at_once(
+        self, golden, tmp_path, monkeypatch
+    ):
+        # Checkpoints at steps 0 and 3; north dies inside step 5, so
+        # the committed step 4 lives only in the segment after
+        # checkpoint 3 — which is gone when the worker comes back.
+        system = sharded_system(
+            tmp_path,
+            {
+                "north": [
+                    CrashInjector(at_step=5, phase="step", mode="sigkill")
+                ]
+            },
+        )
+        spawn = ShardedRuntime._spawn
+
+        def lose_a_segment_first(runtime, region, *, engine=None):
+            if engine is None:  # a restart
+                (
+                    tmp_path / f"shard-{region}" / "journal-00000003.wal"
+                ).unlink()
+            spawn(runtime, region, engine=engine)
+
+        monkeypatch.setattr(ShardedRuntime, "_spawn", lose_a_segment_first)
+        report = system.run(0, END)
+        assert [(e["event"], e["region"]) for e in report.shard_events] == [
+            ("restart", "north"),
+            ("failed", "north"),
+        ]
+        assert report.shard_events[-1]["reason"] == (
+            "journal gap: shard at step 3, coordinator at step 5"
+        )
+        counters = report.metrics["counters"]
+        assert counters["shard.journal_gaps"] == 1
+        assert counters["shard.restarts"] == 1
+        # One death, of a budget of three: nothing was spent on
+        # restarts that could only be refused.
+        assert counters["shard.north.deaths"] == 1
+        assert counters["shard.failed"] == 1
+        assert report.degraded["shard:north"] == [(1500, None)]
+        assert len(report.logs["north"].snapshots) == 4
+        fp = fingerprint(system, report)
+        for region in system.engines:
+            if region != "north":
+                assert fp["ce"][region] == golden["ce"][region]
 
     def test_failed_shard_suppresses_alerts_without_stalling(
         self, tmp_path

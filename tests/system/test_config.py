@@ -21,6 +21,8 @@ REMOVED_KEYS = (
     "gp_noise",
     "flow_staleness_s",
     "feed_outage_steps",
+    "distribute_by_region",
+    "use_measured_flows",
 )
 
 
@@ -64,7 +66,7 @@ class TestFromMapping:
     def test_field_count(self):
         # Every independently settable value doubles what the parity
         # suites have to cover; adding one is a decision, not a default.
-        assert len(fields(SystemConfig)) == 28
+        assert len(fields(SystemConfig)) == 26
 
 
 class TestValidation:
@@ -87,6 +89,23 @@ class TestValidation:
     def test_negative_participants(self):
         with pytest.raises(ValueError, match="n_participants"):
             SystemConfig(n_participants=-1)
+
+    @pytest.mark.parametrize(
+        "incremental, compiled_rules", [(True, False), (False, True)]
+    )
+    def test_the_two_engine_fields_are_one_choice(
+        self, incremental, compiled_rules
+    ):
+        with pytest.raises(ValueError, match="select one engine together"):
+            SystemConfig(
+                incremental=incremental, compiled_rules=compiled_rules
+            )
+
+    def test_the_reference_engine_is_in_process_only(self):
+        reference = dict(incremental=False, compiled_rules=False)
+        assert SystemConfig(**reference).incremental is False
+        with pytest.raises(ValueError, match="in-process only"):
+            SystemConfig(sharded=True, **reference)
 
     def test_validation_applies_through_from_mapping(self):
         with pytest.raises(ValueError, match="step must not exceed"):

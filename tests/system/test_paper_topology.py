@@ -173,11 +173,10 @@ class TestOneSystemWiredTwice:
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"distribute_by_region": False},
             {"region_groups": (("central", "north"), ("west", "south"))},
             {"sharded": True},
         ],
-        ids=["city-engine", "region-groups", "sharded"],
+        ids=["region-groups", "sharded"],
     )
     def test_refuses_a_system_that_is_not_one_engine_per_region(
         self, overrides

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.core import RTEC
+from repro.core.reference import ReferenceRTEC
 from repro.dublin import DublinScenario, ScenarioConfig
+from repro.recovery import CheckpointCoordinator
 from repro.system import SystemConfig, SystemReport, UrbanTrafficSystem
 
 
@@ -40,12 +43,25 @@ class TestUrbanTrafficSystem:
         system = UrbanTrafficSystem(scenario)
         assert set(system.engines) == {"central", "north", "west", "south"}
 
-    def test_single_engine_mode(self, scenario):
-        system = UrbanTrafficSystem(
-            scenario, SystemConfig(distribute_by_region=False,
-                                   crowd_enabled=False)
+    def test_the_config_pair_selects_the_engine_class(self, scenario):
+        reference = SystemConfig(
+            incremental=False, compiled_rules=False, crowd_enabled=False
         )
-        assert set(system.engines) == {"city"}
+        for config, engine_class in (
+            (SystemConfig(crowd_enabled=False), RTEC),
+            (reference, ReferenceRTEC),
+        ):
+            system = UrbanTrafficSystem(scenario, config)
+            assert {type(e) for e in system.engines.values()} == {engine_class}
+
+    def test_the_reference_engine_refuses_a_recovery_coordinator(
+        self, scenario, tmp_path
+    ):
+        system = UrbanTrafficSystem(
+            scenario, SystemConfig(incremental=False, compiled_rules=False)
+        )
+        with pytest.raises(ValueError, match="no streamless checkpoint"):
+            system.run(0, 600, recovery=CheckpointCoordinator(tmp_path))
 
     def test_run_produces_recognition_logs(self, report):
         assert set(report.logs) == {"central", "north", "west", "south"}

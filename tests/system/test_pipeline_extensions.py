@@ -38,7 +38,6 @@ def system_and_report(scenario):
             n_participants=40,
             ce_priors=True,
             rewards=True,
-            use_measured_flows=True,
             seed=31,
         ),
     )
@@ -57,18 +56,10 @@ class TestMeasuredFlowEstimation:
     def test_ground_truth_fallback_before_any_reading(self, scenario):
         system = UrbanTrafficSystem(
             scenario,
-            SystemConfig(crowd_enabled=False, use_measured_flows=True),
+            SystemConfig(crowd_enabled=False),
         )
         # No run() yet: the rolling estimator is empty, so the snapshot
         # falls back to the substrate's ground truth.
-        estimates = system.estimate_citywide(900)
-        assert len(estimates) == scenario.network.n_junctions()
-
-    def test_ground_truth_mode(self, scenario):
-        system = UrbanTrafficSystem(
-            scenario,
-            SystemConfig(crowd_enabled=False, use_measured_flows=False),
-        )
         estimates = system.estimate_citywide(900)
         assert len(estimates) == scenario.network.n_junctions()
 
