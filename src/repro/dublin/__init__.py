@@ -31,6 +31,7 @@ from .ground_truth import (
     CONGESTION_DENSITY,
     FREE_FLOW_SPEED_KMH,
     JAM_DENSITY_VEH_KM,
+    DensityField,
     Incident,
     Surge,
     TrafficGroundTruth,
@@ -56,6 +57,7 @@ __all__ = [
     "generate_street_network",
     "place_scats_topology",
     "TrafficGroundTruth",
+    "DensityField",
     "Incident",
     "Surge",
     "WeatherSlowdown",

@@ -15,13 +15,21 @@ Data veracity is modelled explicitly: a configurable fraction of buses
 is *unreliable* and reports a stuck or inverted congestion bit, which
 is exactly the behaviour the self-adaptive recognition (rule-sets
 (4)/(5)) must detect and discard.
+
+A stream is generated in two passes.  **The schedule** — who emits
+when, how long until its next emission and when the report arrives —
+is drawn first, one emission at a time in global time order from one
+``random.Random``: the draws read the clocks and the RNG and nothing
+of the traffic.  **The kinematics** — where each bus then is, how far
+it got and what it saw — are computed afterwards as arrays: given the
+ground truth's field the buses are independent, so the k-th emissions
+of all buses are advanced together, a round at a time.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Optional
@@ -30,7 +38,11 @@ import numpy as np
 
 from ..core.columns import EventColumns, FactColumns
 from ..core.events import Event, FluentFact
-from .ground_truth import FREE_FLOW_SPEED_KMH, TrafficGroundTruth
+from .ground_truth import (
+    FREE_FLOW_SPEED_KMH,
+    DensityField,
+    TrafficGroundTruth,
+)
 from .network import StreetNetwork
 
 #: Bus emission period bounds in seconds ("every 20-30 sec").
@@ -89,18 +101,55 @@ def make_lines(
     return lines
 
 
-@dataclass
+@dataclass(frozen=True)
 class _BusState:
-    """Kinematic state of one simulated bus."""
+    """One simulated bus as every generation pass starts it."""
 
     bus_id: str
     line: BusLine
     direction: int  # 0 = forwards along the route, 1 = backwards
-    position_m: float  # distance along the (directed) route
+    offset_m: float  # distance along the (directed) route
     next_emission: int
     unreliable_mode: str  # "ok", "stuck_congested", "inverted"
-    distance_travelled_m: float = 0.0
-    started_at: int = 0
+
+
+@dataclass
+class _RouteTables:
+    """The fleet's routes as ``(line, position on route)`` tables,
+    ragged rows padded: cumulative distance with ``inf`` (so no padded
+    cell is ever "behind" a bus), the rest with zeros never read."""
+
+    length: np.ndarray  # (line,) route length in metres
+    cumulative: np.ndarray  # (line, stop) metres from the first stop
+    lon: np.ndarray
+    lat: np.ndarray
+    node: np.ndarray  # (line, stop) junction number in the field
+
+    def locate(
+        self, line: np.ndarray, direction: np.ndarray, offset: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(lon, lat, nearest route junction)`` of buses ``offset``
+        metres along their directed routes."""
+        length = self.length[line]
+        pos = np.where(direction == 1, length - offset, offset)
+        pos = np.minimum(np.maximum(pos, 0.0), length)
+        # The segment containing `pos`: the first whose end reaches it.
+        i = (self.cumulative[line, 1:] < pos[:, None]).sum(axis=1)
+        seg_start = self.cumulative[line, i]
+        seg_len = self.cumulative[line, i + 1] - seg_start
+        frac = np.divide(
+            pos - seg_start,
+            seg_len,
+            out=np.zeros(len(pos)),
+            where=seg_len != 0,
+        )
+        lon_a, lat_a = self.lon[line, i], self.lat[line, i]
+        lon = lon_a + frac * (self.lon[line, i + 1] - lon_a)
+        lat = lat_a + frac * (self.lat[line, i + 1] - lat_a)
+        nearest = np.where(
+            frac < 0.5, self.node[line, i], self.node[line, i + 1]
+        )
+        return lon, lat, nearest
 
 
 class BusFleetSimulator:
@@ -174,7 +223,7 @@ class BusFleetSimulator:
                     bus_id=f"B{i:04d}",
                     line=line,
                     direction=rng.randint(0, 1),
-                    position_m=rng.uniform(
+                    offset_m=rng.uniform(
                         0.0, self._route_length(line)
                     ),
                     next_emission=rng.randint(0, hi),
@@ -183,15 +232,6 @@ class BusFleetSimulator:
                     ),
                 )
             )
-        #: Frozen initial kinematics, restored at the top of every
-        #: :meth:`events` call so the stream is a pure function of
-        #: ``(start, end, seed)`` — repeated generation from one fleet
-        #: object is byte-identical (checkpoint/resume and the scenario
-        #: round-trip tests rely on this).
-        self._initial_states: list[tuple[int, float, int]] = [
-            (bus.direction, bus.position_m, bus.next_emission)
-            for bus in self._buses
-        ]
 
     # ------------------------------------------------------------------
     def unreliable_buses(self) -> set[str]:
@@ -217,60 +257,85 @@ class BusFleetSimulator:
         __, cumulative = self._route_geometry(line)
         return cumulative[-1]
 
-    def _locate(self, bus: _BusState) -> tuple[float, float, object]:
-        """Current (lon, lat, nearest route node) of a bus."""
-        nodes, cumulative = self._route_geometry(bus.line)
-        length = cumulative[-1]
-        pos = bus.position_m
-        if bus.direction == 1:
-            pos = length - pos
-        pos = min(max(pos, 0.0), length)
-        # The segment containing `pos`: the first whose end reaches it.
-        i = bisect_left(cumulative, pos, 1) - 1
-        seg_len = cumulative[i + 1] - cumulative[i]
-        frac = 0.0 if seg_len == 0 else (pos - cumulative[i]) / seg_len
-        lon_a, lat_a = self.network.position(nodes[i])
-        lon_b, lat_b = self.network.position(nodes[i + 1])
-        lon = lon_a + frac * (lon_b - lon_a)
-        lat = lat_a + frac * (lat_b - lat_a)
-        nearest = nodes[i] if frac < 0.5 else nodes[i + 1]
-        return lon, lat, nearest
+    def _route_tables(self, field: DensityField) -> _RouteTables:
+        """The padded route tables of this fleet's lines, junctions
+        numbered as ``field`` numbers them."""
+        geometry = [self._route_geometry(line) for line in self.lines]
+        width = max(len(nodes) for nodes, __ in geometry)
+        shape = (len(geometry), width)
+        tables = _RouteTables(
+            length=np.array([cum[-1] for __, cum in geometry]),
+            cumulative=np.full(shape, np.inf),
+            lon=np.zeros(shape),
+            lat=np.zeros(shape),
+            node=np.zeros(shape, dtype=np.int64),
+        )
+        for row, (nodes, cumulative) in enumerate(geometry):
+            n = len(nodes)
+            tables.cumulative[row, :n] = cumulative
+            tables.lon[row, :n], tables.lat[row, :n] = zip(
+                *map(self.network.position, nodes)
+            )
+            tables.node[row, :n] = [field.index[v] for v in nodes]
+        return tables
 
-    def _advance(self, bus: _BusState, dt: int, t: int) -> None:
-        """Move a bus for ``dt`` seconds at the local true speed."""
-        __, __, node = self._locate(bus)
-        speed_ms = max(
-            self.ground_truth.speed(node, t) / 3.6, 1.0
-        )  # floor: buses crawl, never stall completely
-        distance = speed_ms * dt
-        bus.distance_travelled_m += distance
-        length = self._route_length(bus.line)
-        new_pos = bus.position_m + distance
-        while new_pos >= length:  # reached a terminal: turn around
-            new_pos -= length
-            bus.direction = 1 - bus.direction
-        bus.position_m = new_pos
+    def _schedule(
+        self, start: int, end: int, rng: random.Random
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Pass 1: ``(time, bus number, seconds to the bus's next
+        emission, arrival)`` of every emission in ``[start, end)``, in
+        global time order.
 
-    def _congestion_bit(self, bus: _BusState, node, t: int) -> int:
-        truth = 1 if self.ground_truth.is_congested(node, t) else 0
-        if bus.unreliable_mode == "stuck_congested":
-            return 1
-        if bus.unreliable_mode == "inverted":
-            return 1 - truth
-        return truth
+        Three draws per emission, from the one shared stream, earliest
+        bus first (ties: the smaller id *string*).  The draws must
+        never read the ground truth or where a bus is: that they do
+        not is what lets :meth:`columns` compute the kinematics
+        afterwards, for all buses at once.
+        """
+        lo, hi = self.emission_period
+        late_fraction = self.late_fraction
+        max_delay = self.max_arrival_delay
+        times: list[int] = []
+        emitters: list[int] = []
+        gaps: list[int] = []
+        arrivals: list[int] = []
+        # Per-bus local clocks, advanced in global time order; never
+        # empty, since every popped bus is pushed back.
+        heap = [
+            (start + bus.next_emission % hi, bus.bus_id, i)
+            for i, bus in enumerate(self._buses)
+        ]
+        heapq.heapify(heap)
+        while heap[0][0] < end:
+            t, bus_id, i = heap[0]
+            dt = rng.randint(lo, hi)
+            if rng.random() < late_fraction:
+                arrival = t + rng.randint(5, max_delay)
+            else:
+                arrival = t + rng.randint(0, 5)
+            times.append(t)
+            emitters.append(i)
+            gaps.append(dt)
+            arrivals.append(arrival)
+            heapq.heapreplace(heap, (t + dt, bus_id, i))
+        return (
+            np.array(times, dtype=np.int64),
+            np.array(emitters, dtype=np.int64),
+            np.array(gaps, dtype=np.int64),
+            np.array(arrivals, dtype=np.int64),
+        )
 
     def columns(
         self, start: int, end: int, *, rng: Optional[random.Random] = None
     ) -> tuple[EventColumns, FactColumns]:
         """The ``move`` SDEs and paired ``gps`` facts of ``[start, end)``
         as two column blocks, row ``i`` of one paired with row ``i`` of
-        the other.
+        the other, in global time order.
 
-        The stream is generated chronologically with a per-bus
-        emission clock; the ``Delay`` attribute compares the bus's
-        actual progress against the scheduled speed.  Every emission
-        appends primitives to per-field columns — no record object is
-        built here.
+        Every bus starts from its initial state, so the stream is a
+        pure function of ``(start, end, seed)``; the ``Delay``
+        attribute compares the bus's actual progress against the
+        scheduled speed.  No record object is built here.
 
         ``rng`` is the explicit randomness source for emission jitter
         and arrival delays; when omitted a fresh seeded stream derived
@@ -278,87 +343,95 @@ class BusFleetSimulator:
         yields the identical stream.  Global ``random`` state is never
         read.
         """
-        times: list[int] = []
-        arrivals: list[int] = []
-        bus_ids: list[str] = []
-        line_ids: list[str] = []
-        operators: list[str] = []
-        delays: list[float] = []
-        lons: list[float] = []
-        lats: list[float] = []
-        directions: list[int] = []
-        congestion: list[int] = []
-        lo, hi = self.emission_period
         if rng is None:
             rng = random.Random(self.seed + 1)
-        # Per-bus local clocks, advanced in global time order.  Bus
-        # kinematics restart from the frozen initial states: a second
-        # generation pass must not continue where the first left off.
-        clock: dict[str, int] = {}
-        for bus, initial in zip(self._buses, self._initial_states):
-            bus.direction, bus.position_m, bus.next_emission = initial
-            clock[bus.bus_id] = start + bus.next_emission % hi
-            bus.started_at = start
-            bus.distance_travelled_m = 0.0
+        times, bus, gaps, arrivals = self._schedule(start, end, rng)
 
-        # Round-based generation: at every step pick the earliest bus.
-        heap = [(clock[b.bus_id], b.bus_id, b) for b in self._buses]
-        heapq.heapify(heap)
-        while heap:
-            t, bus_id, bus = heapq.heappop(heap)
-            if t >= end:
-                continue
-            # Advance the bus from its last emission to t.
-            dt = rng.randint(lo, hi)
-            self._advance(bus, dt, t)
-            lon, lat, node = self._locate(bus)
-            elapsed = max(t - bus.started_at, 1)
-            scheduled_m = SCHEDULED_SPEED_KMH / 3.6 * elapsed
-            delay_s = max(
-                0.0,
-                (scheduled_m - bus.distance_travelled_m)
-                / (SCHEDULED_SPEED_KMH / 3.6),
+        # Pass 2: every bus from its initial state, a round at a time.
+        n_buses = len(self._buses)
+        field = DensityField(self.ground_truth, start, end)
+        routes = self._route_tables(field)
+        row_of = {line.line_id: k for k, line in enumerate(self.lines)}
+        line = np.array([row_of[b.line.line_id] for b in self._buses])
+        route_length = routes.length[line]
+        direction = np.array(
+            [b.direction for b in self._buses], dtype=np.int64
+        )
+        offset = np.array([b.offset_m for b in self._buses])
+        travelled = np.zeros(n_buses)
+        __, __, node = routes.locate(line, direction, offset)
+        lons = np.empty(len(bus))
+        lats = np.empty(len(bus))
+        progress = np.empty(len(bus))
+        directions = np.empty(len(bus), dtype=np.int64)
+        nodes = np.empty(len(bus), dtype=np.int64)
+        for rows in _rounds(bus):
+            b = bus[rows]
+            # Move for `gaps` seconds at the local true speed (floor:
+            # buses crawl, never stall completely).
+            speed_ms = np.maximum(
+                field.speed(node[b], times[rows]) / 3.6, 1.0
             )
-            if rng.random() < self.late_fraction:
-                arrival = t + rng.randint(5, self.max_arrival_delay)
-            else:
-                arrival = t + rng.randint(0, 5)
-            times.append(t)
-            arrivals.append(arrival)
-            bus_ids.append(bus.bus_id)
-            line_ids.append(bus.line.line_id)
-            operators.append(bus.line.operator)
-            delays.append(round(delay_s, 1))
-            lons.append(lon)
-            lats.append(lat)
-            directions.append(bus.direction)
-            congestion.append(self._congestion_bit(bus, node, t))
-            heapq.heappush(heap, (t + dt, bus_id, bus))
+            distance = speed_ms * gaps[rows]
+            travelled[b] = travelled[b] + distance
+            length = route_length[b]
+            moved = offset[b] + distance
+            heading = direction[b]
+            over = moved >= length
+            while over.any():  # reached a terminal: turn around
+                moved = np.where(over, moved - length, moved)
+                heading = np.where(over, 1 - heading, heading)
+                over = moved >= length
+            offset[b] = moved
+            direction[b] = heading
+            lons[rows], lats[rows], node[b] = routes.locate(
+                line[b], heading, moved
+            )
+            progress[rows] = travelled[b]
+            directions[rows] = heading
+            nodes[rows] = node[b]
 
-        time_col = np.array(times, dtype=np.int64)
-        arrival_col = np.array(arrivals, dtype=np.int64)
-        bus_col = np.fromiter(bus_ids, dtype=object, count=len(bus_ids))
+        scheduled_mps = SCHEDULED_SPEED_KMH / 3.6
+        scheduled_m = scheduled_mps * np.maximum(times - start, 1)
+        delay_s = np.maximum(0.0, (scheduled_m - progress) / scheduled_mps)
+        truth = field.is_congested(nodes, times).astype(np.int64)
+        stuck, inverted = (
+            np.array([b.unreliable_mode == mode for b in self._buses])[bus]
+            for mode in ("stuck_congested", "inverted")
+        )
+        congestion = np.where(
+            stuck, 1, np.where(inverted, 1 - truth, truth)
+        )
+
+        bus_col = _object_column(b.bus_id for b in self._buses)[bus]
         move = EventColumns(
             "move",
-            time_col,
-            arrival_col,
+            times,
+            arrivals,
             fields={
                 "bus": bus_col,
-                "line": line_ids,
-                "operator": operators,
-                "delay": np.array(delays, dtype=np.float64),
+                "line": _object_column(
+                    b.line.line_id for b in self._buses
+                )[bus],
+                "operator": _object_column(
+                    b.line.operator for b in self._buses
+                )[bus],
+                "delay": np.array(
+                    [round(d, 1) for d in delay_s.tolist()],
+                    dtype=np.float64,
+                ),
             },
         )
         gps = FactColumns(
             "gps",
-            time_col,
-            arrival_col,
+            times,
+            arrivals,
             key_columns=(bus_col,),
             value_fields={
-                "lon": np.array(lons, dtype=np.float64),
-                "lat": np.array(lats, dtype=np.float64),
-                "direction": np.array(directions, dtype=np.int64),
-                "congestion": np.array(congestion, dtype=np.int64),
+                "lon": lons,
+                "lat": lats,
+                "direction": directions,
+                "congestion": congestion,
             },
         )
         return move, gps
@@ -371,3 +444,23 @@ class BusFleetSimulator:
         move, gps = self.columns(start, end, rng=rng)
         rows = np.arange(len(move))
         yield from zip(move.records(rows), gps.records(rows))
+
+
+def _rounds(bus: np.ndarray) -> list[np.ndarray]:
+    """The rows of a schedule grouped into rounds: round ``k`` holds
+    the row of the k-th emission of every bus that has one, so no bus
+    appears twice in a round.  ``bus`` is the emitting bus of each row,
+    a bus's rows in time order."""
+    per_bus = np.bincount(bus)
+    rank = np.empty(len(bus), dtype=np.int64)
+    rank[np.argsort(bus, kind="stable")] = np.arange(len(bus)) - np.repeat(
+        np.cumsum(per_bus) - per_bus, per_bus
+    )
+    by_round = np.argsort(rank, kind="stable")
+    return np.split(by_round, np.cumsum(np.bincount(rank))[:-1])
+
+
+def _object_column(values) -> np.ndarray:
+    """``values`` as a 1-D object array holding the very references."""
+    values = list(values)
+    return np.fromiter(values, dtype=object, count=len(values))

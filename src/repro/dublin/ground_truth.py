@@ -19,6 +19,12 @@ Per-junction density is composed of:
   component must detect.
 
 Everything is deterministic given the seed; no wall-clock randomness.
+
+The model is stated once, as the scalar :meth:`TrafficGroundTruth.density`
+of one junction at one time.  The simulators, which ask for it a few
+hundred thousand times a run, read it through :class:`DensityField` —
+the same expression over arrays of ``(junction index, t)``, cell for
+cell the float the scalar gives.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from .network import StreetNetwork
 
@@ -53,6 +61,19 @@ def greenshields_flow(density: float) -> float:
     return min(max(density, 0.0), JAM_DENSITY_VEH_KM) * greenshields_speed(
         density
     )
+
+
+def greenshields_speeds(density: np.ndarray) -> np.ndarray:
+    """:func:`greenshields_speed` over an array, cell for cell."""
+    density = np.minimum(np.maximum(density, 0.0), JAM_DENSITY_VEH_KM)
+    return FREE_FLOW_SPEED_KMH * (1.0 - density / JAM_DENSITY_VEH_KM)
+
+
+def greenshields_flows(density: np.ndarray) -> np.ndarray:
+    """:func:`greenshields_flow` over an array, cell for cell."""
+    return np.minimum(
+        np.maximum(density, 0.0), JAM_DENSITY_VEH_KM
+    ) * greenshields_speeds(density)
 
 
 def daily_profile(t: int) -> float:
@@ -168,16 +189,6 @@ class TrafficGroundTruth:
     _phase: dict = field(default_factory=dict, repr=False)
     _neighbour_cache: dict = field(default_factory=dict, repr=False)
     _hop_cache: dict = field(default_factory=dict, repr=False)
-    #: Memos of the two terms of :meth:`density` the simulators ask for
-    #: over and over: the per-junction base level and the demand
-    #: multiplier of a time-point.  Filled lazily while a stream is
-    #: generated, never in set-up, and dropped from pickles.
-    _base_memo: dict = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _profile_memo: dict = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         rng = random.Random(self.seed)
@@ -207,12 +218,6 @@ class TrafficGroundTruth:
         if self.incidents is None:
             self.incidents = self._random_incidents(rng)
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_base_memo"] = {}
-        state["_profile_memo"] = {}
-        return state
-
     def _random_incidents(self, rng: random.Random) -> list[Incident]:
         nodes = list(self.network.graph.nodes)
         lo, hi = self.incident_window
@@ -240,6 +245,12 @@ class TrafficGroundTruth:
             (lat - c_lat) / (lat_max - lat_min),
         ) * 2.0
         return math.exp(-2.5 * d * d)
+
+    def _base_level(self, node) -> float:
+        """Off-peak density of a junction: higher towards the centre."""
+        return self.base_density + self.centre_boost * self._centre_factor(
+            node
+        )
 
     def _incident_density(self, node, t: int) -> float:
         extra = 0.0
@@ -298,16 +309,7 @@ class TrafficGroundTruth:
     def density(self, node, t: int) -> float:
         """True density (veh/km) at a junction and time."""
         phase, amplitude = self._phase[node]
-        base = self._base_memo.get(node)
-        if base is None:
-            base = self._base_memo[node] = (
-                self.base_density
-                + self.centre_boost * self._centre_factor(node)
-            )
-        profile = self._profile_memo.get(t)
-        if profile is None:
-            profile = self._profile_memo[t] = daily_profile(t)
-        demand = base * profile * amplitude
+        demand = self._base_level(node) * daily_profile(t) * amplitude
         wiggle = 1.5 * math.sin(2.0 * math.pi * t / 1800.0 + phase)
         density = demand + wiggle + self._incident_density(node, t)
         density += self._surge_density(node, t)
@@ -338,3 +340,125 @@ class TrafficGroundTruth:
             for node in self.network.graph.nodes
             if self.is_congested(node, t)
         ]
+
+
+class DensityField:
+    """:meth:`TrafficGroundTruth.density` over arrays of ``(junction
+    index, t)``, equal to the scalar bit for bit.
+
+    The scalar is the model; this is the same expression with NumPy
+    doing the ``+ - * /``, the comparisons and the gathers in the
+    scalar's operand order, and Python's own ``math.sin`` /
+    ``math.exp`` doing the transcendentals (NumPy's SIMD loops may
+    differ from them in the last place).  Incidents are summed in list
+    order, surges after them, weather as a product, the clamp last —
+    any change to :meth:`TrafficGroundTruth.density` is a change here,
+    and ``tests/dublin/test_density_field.py`` compares the two with
+    ``==``.
+
+    A field covers the time span it was built for (its demand-profile
+    table is over ``[t_lo, t_hi)``) and numbers the junctions in graph
+    order: ``nodes[i]`` is junction ``i`` and ``index[node]`` its
+    number.  It is built where a stream is generated and dropped with
+    it; the ground truth keeps no reference to one.
+    """
+
+    def __init__(self, truth: TrafficGroundTruth, t_lo: int, t_hi: int):
+        graph = truth.network.graph
+        self.nodes: list = list(graph.nodes)
+        self.index: dict = {node: i for i, node in enumerate(self.nodes)}
+        self.t_lo = t_lo
+        self.t_hi = t_hi
+        n = len(self.nodes)
+        self._phase = np.array([truth._phase[v][0] for v in self.nodes])
+        self._amplitude = np.array([truth._phase[v][1] for v in self.nodes])
+        self._base = np.array([truth._base_level(v) for v in self.nodes])
+        self._profile = np.array(
+            [daily_profile(t) for t in range(t_lo, t_hi)]
+        )
+        #: Per incident in progress at some time of the span: its
+        #: window and what it adds at each junction (full severity at
+        #: the epicentre, half at its neighbours, nothing elsewhere).
+        #: The others add 0.0 to every cell and are left out.
+        self._incidents: list[tuple[int, int, np.ndarray]] = []
+        for incident in truth.incidents:
+            stop = incident.start + incident.duration
+            if stop <= t_lo or incident.start >= t_hi:
+                continue
+            added = np.zeros(n)
+            for neighbour in graph.neighbors(incident.node):
+                added[self.index[neighbour]] = incident.severity / 2.0
+            added[self.index[incident.node]] = incident.severity
+            self._incidents.append((incident.start, stop, added))
+        #: Per surge: window, ramp edge, magnitude, and per junction
+        #: the hop decay and whether the surge reaches it at all.
+        self._surges: list[tuple] = []
+        for surge in truth.surges:
+            decay = np.zeros(n)
+            reached = np.zeros(n, dtype=bool)
+            hops = truth._hops_from(surge.node, surge.radius_hops)
+            for node, hop in hops.items():
+                decay[self.index[node]] = 1.0 - hop / (surge.radius_hops + 1)
+                reached[self.index[node]] = True
+            self._surges.append((
+                surge.start,
+                surge.start + surge.duration,
+                max(surge.duration // 4, 1),
+                surge.magnitude,
+                decay,
+                reached,
+            ))
+        self._weather = [
+            (window.start, window.end, window.density_factor)
+            for window in truth.weather
+        ]
+
+    def density(self, node: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """True density (veh/km) at junction ``node[i]`` and time
+        ``t[i]``; both are integer arrays of one length."""
+        if len(t) and not (
+            self.t_lo <= int(t.min()) and int(t.max()) < self.t_hi
+        ):
+            raise ValueError(
+                f"time outside the field's span [{self.t_lo}, {self.t_hi})"
+            )
+        demand = (
+            self._base[node]
+            * self._profile[t - self.t_lo]
+            * self._amplitude[node]
+        )
+        angle = 2.0 * math.pi * t / 1800.0 + self._phase[node]
+        wiggle = 1.5 * np.fromiter(
+            map(math.sin, angle.tolist()), dtype=np.float64, count=len(t)
+        )
+        extra = 0.0
+        for start, stop, added in self._incidents:
+            active = (start <= t) & (t < stop)
+            extra = extra + np.where(active, added[node], 0.0)
+        density = demand + wiggle + extra
+        extra = 0.0
+        for start, stop, edge, magnitude, decay, reached in self._surges:
+            ramp = np.minimum(
+                1.0, np.minimum((t - start) / edge, (stop - t) / edge)
+            )
+            felt = (start <= t) & (t < stop) & (ramp > 0.0) & reached[node]
+            extra = extra + np.where(
+                felt, magnitude * ramp * decay[node], 0.0
+            )
+        density = density + extra
+        factor = 1.0
+        for start, end, slowdown in self._weather:
+            factor = factor * np.where(
+                (start <= t) & (t < end), slowdown, 1.0
+            )
+        density = density * factor
+        return np.minimum(np.maximum(density, 0.0), JAM_DENSITY_VEH_KM)
+
+    def speed(self, node: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """True speed (km/h), cell for cell
+        :meth:`TrafficGroundTruth.speed`."""
+        return greenshields_speeds(self.density(node, t))
+
+    def is_congested(self, node: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Whether each junction is truly congested at its time."""
+        return self.density(node, t) >= CONGESTION_DENSITY

@@ -13,6 +13,12 @@ simulator therefore (a) aggregates the true state over the reporting
 period, (b) adds measurement noise, (c) delays arrival by a batching
 latency, and (d) optionally makes some sensors *faulty* (stuck at a
 free-flow reading), which produces genuine source disagreements.
+
+Like the bus fleet, a stream is generated in two passes: the noise
+and the batching latency of every reading are drawn first, sensor by
+sensor from one ``random.Random`` (a stuck sensor draws no noise); the
+readings themselves — three mediator samples of the ground truth's
+field, bias, noise, Greenshields flow — are then computed as arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +33,12 @@ import numpy as np
 from ..core.columns import EventColumns
 from ..core.events import Event
 from ..core.traffic import ScatsTopology
-from .ground_truth import TrafficGroundTruth, greenshields_flow
+from .ground_truth import (
+    DensityField,
+    TrafficGroundTruth,
+    greenshields_flow,
+    greenshields_flows,
+)
 
 #: SCATS reporting period in seconds ("every six minutes").
 SCATS_PERIOD_S = 360
@@ -96,27 +107,6 @@ class ScatsSensorSimulator:
         """The stuck sensors (ground truth for evaluations)."""
         return set(self._faulty)
 
-    def _reading(
-        self, sensor_key: tuple, node, t: int, rng: random.Random
-    ) -> tuple[float, float]:
-        """One (density, flow) measurement after mediator treatment."""
-        if sensor_key in self._faulty:
-            # Stuck at a plausible free-flow report.
-            return 12.0, greenshields_flow(12.0)
-        bias = self._sensor_bias[sensor_key]
-        # Mediator aggregation: mean true density over the period.
-        samples = [
-            self.ground_truth.density(node, max(t - dt, 0))
-            for dt in (0, self.period // 2, self.period - 1)
-        ]
-        density_true = bias * sum(samples) / len(samples)
-        density = max(0.0, density_true + rng.gauss(0.0, self.density_noise))
-        flow = max(
-            0.0,
-            greenshields_flow(density_true) + rng.gauss(0.0, self.flow_noise),
-        )
-        return density, flow
-
     def columns(
         self, start: int, end: int, *, rng: Optional[random.Random] = None
     ) -> EventColumns:
@@ -132,41 +122,80 @@ class ScatsSensorSimulator:
         call is a pure function of ``(start, end, seed)``.  Global
         ``random`` state is never read.
         """
-        times: list[int] = []
-        arrivals: list[int] = []
-        intersections: list[str] = []
-        approaches: list = []
-        sensors: list = []
-        densities: list[float] = []
-        flows: list[float] = []
         if rng is None:
             rng = random.Random(self.seed + 1)
-        for int_id in self.topology.ids():
-            node = self.node_of[int_id]
-            for sensor_key in self.topology.sensors_of(int_id):
-                offset = self._sensor_offset[sensor_key]
-                first = start + ((offset - start) % self.period)
-                for t in range(first, end, self.period):
-                    density, flow = self._reading(sensor_key, node, t, rng)
-                    times.append(t)
-                    arrivals.append(
-                        t + rng.randrange(self.max_arrival_delay + 1)
-                    )
-                    intersections.append(sensor_key[0])
-                    approaches.append(sensor_key[1])
-                    sensors.append(sensor_key[2])
-                    densities.append(density)
-                    flows.append(flow)
+        # Pass 1: per reading, its sensor, its time and its draws.
+        sensors = [
+            (int_id, sensor_key)
+            for int_id in self.topology.ids()
+            for sensor_key in self.topology.sensors_of(int_id)
+        ]
+        emitters: list[int] = []
+        occurred: list[int] = []
+        density_noise: list[float] = []
+        flow_noise: list[float] = []
+        arrivals: list[int] = []
+        for k, (__, sensor_key) in enumerate(sensors):
+            faulty = sensor_key in self._faulty
+            offset = self._sensor_offset[sensor_key]
+            first = start + ((offset - start) % self.period)
+            for t in range(first, end, self.period):
+                emitters.append(k)
+                occurred.append(t)
+                if not faulty:
+                    density_noise.append(rng.gauss(0.0, self.density_noise))
+                    flow_noise.append(rng.gauss(0.0, self.flow_noise))
+                arrivals.append(
+                    t + rng.randrange(self.max_arrival_delay + 1)
+                )
+        sensor = np.array(emitters, dtype=np.int64)
+        times = np.array(occurred, dtype=np.int64)
+
+        # Pass 2: the measurements after mediator treatment.
+        field = DensityField(
+            self.ground_truth, max(start - (self.period - 1), 0), end
+        )
+        stuck = np.array(
+            [key in self._faulty for __, key in sensors], dtype=bool
+        )[sensor]
+        node = np.array(
+            [field.index[self.node_of[int_id]] for int_id, __ in sensors],
+            dtype=np.int64,
+        )[sensor]
+        bias = np.array(
+            [self._sensor_bias[key] for __, key in sensors]
+        )[sensor]
+        # Mediator aggregation: mean true density over the period.
+        now, mid, early = (
+            field.density(node, np.maximum(times - dt, 0))
+            for dt in (0, self.period // 2, self.period - 1)
+        )
+        density_true = bias * (now + mid + early) / 3
+        noise = np.zeros((2, len(times)))
+        noise[:, ~stuck] = density_noise, flow_noise
+        density = np.maximum(0.0, density_true + noise[0])
+        flow = np.maximum(0.0, greenshields_flows(density_true) + noise[1])
+        # A stuck sensor repeats a plausible free-flow report.
+        density[stuck] = 12.0
+        flow[stuck] = greenshields_flow(12.0)
+        intersection, approach, lane = (
+            np.fromiter(
+                (key[part] for __, key in sensors),
+                dtype=object,
+                count=len(sensors),
+            )[sensor]
+            for part in range(3)
+        )
         return EventColumns(
             "traffic",
-            np.array(times, dtype=np.int64),
+            times,
             np.array(arrivals, dtype=np.int64),
             fields={
-                "intersection": intersections,
-                "approach": approaches,
-                "sensor": sensors,
-                "density": np.array(densities, dtype=np.float64),
-                "flow": np.array(flows, dtype=np.float64),
+                "intersection": intersection,
+                "approach": approach,
+                "sensor": lane,
+                "density": density,
+                "flow": flow,
             },
         )
 

@@ -34,10 +34,14 @@ from typing import Any, Optional
 from ..ioutils import atomic_write_bytes
 
 MAGIC = b"RPROCKP1"
-#: Version 7: an engine pickle no longer carries the object window's
-#: buffers nor the two configuration flags (``incremental``,
-#: ``compiled_rules``, ``_events``, ``_facts``, ``_inputs_sorted``) a
-#: version-6 engine did; the engine is one class.  Since version 6 a
+#: Version 8: the scenario a pipeline checkpoint carries holds each
+#: bus as its frozen initial state and a ground truth without memo
+#: tables; a version-7 bus pickled its kinematics (position, distance
+#: travelled, the span's start) and a version-7 ground truth two
+#: memo dicts.  Since version 7 an engine pickle carries neither the
+#: object window's buffers nor the two configuration flags
+#: (``incremental``, ``compiled_rules``, ``_events``, ``_facts``,
+#: ``_inputs_sorted``) a version-6 engine did.  Since version 6 a
 #: pipeline checkpoint's crowd state (participants, cooldown times,
 #: prior index, reward ledger, outcome counts) is the system's
 #: ``CrowdLoop``; a version-5 system pickled it as attributes of its
@@ -50,7 +54,7 @@ MAGIC = b"RPROCKP1"
 #: ``(arrival, seq, is_fact, row)`` tuples beside the ``PendingBatch``
 #: arrays, version 1 carried only those); an older file is refused
 #: rather than mis-restored.
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 _HEADER = struct.Struct("<8sIQ32s")
 _NAME_RE = re.compile(r"^checkpoint-(\d{8})\.ckpt$")
 

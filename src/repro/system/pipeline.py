@@ -492,8 +492,14 @@ class UrbanTrafficSystem:
         call, so nothing of it but the engines' pending buffers
         outlives the hand-off.  Returns the per-feed, per-step arrival
         counts.
+
+        ``ingest.generate_seconds`` is what the stream cost to make —
+        simulators, injectors and the split — observed here, once per
+        run: :meth:`rebuild_pending` regenerates on the pristine twin
+        of a restore and is not a second observation.
         """
-        data, split = self._stream(self, start, end)
+        with self.metrics.timing("ingest.generate_seconds").time():
+            data, split = self._stream(self, start, end)
         self._index_inputs(data)
         for region, batch in split.items():
             self.metrics.counter("ingest.events").inc(batch.n)

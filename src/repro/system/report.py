@@ -183,10 +183,16 @@ def render_html_report(
     metrics = report.metrics or {}
     counters = metrics.get("counters", {})
     gauges = metrics.get("gauges", {})
+    seconds = {
+        name: f"{summary['total']:.2f}"
+        for name, summary in metrics.get("timings", {}).items()
+    }
     engine_rows = []
     for label, value in (
         ("SDEs ingested", counters.get("ingest.events")),
         ("ingest throughput (SDE/s)", gauges.get("ingest.events_per_s")),
+        ("stream generation (s)", seconds.get("ingest.generate_seconds")),
+        ("recognition loop (s)", seconds.get("ingest.loop_seconds")),
         ("compiled rule evaluations", counters.get("rtec.compiled.evals")),
         (
             "interpreter fallbacks",

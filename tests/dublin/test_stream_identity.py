@@ -13,7 +13,12 @@ import json
 
 import pytest
 
-from tests.golden.stream_identity import DIGESTS_PATH, compute_digests
+from tests.golden.stream_identity import (
+    BARE_ONLY,
+    CITIES,
+    DIGESTS_PATH,
+    compute_digests,
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,9 +37,10 @@ def test_same_streams_are_recorded(current, recorded):
     }
 
 
-@pytest.mark.parametrize("city", ["miniature", "storm300"])
+@pytest.mark.parametrize("city", list(CITIES))
 def test_stream_and_split_digests(current, recorded, city):
-    assert "split_groups2" in recorded[city]["split_quirks"]
+    probe = "clean" if city in BARE_ONLY else "split_quirks"
+    assert "split_groups2" in recorded[city][probe]
     for name, expected in recorded[city].items():
         got = current[city][name]
         assert sorted(got) == sorted(expected), (city, name)
@@ -45,5 +51,21 @@ def test_stream_and_split_digests(current, recorded, city):
 def test_split_quirks_profile_reaches_the_quirks(recorded):
     # The quirks only exist where bus records are lost or doubled: the
     # profile built for them must change the record counts.
-    for city in recorded.values():
-        assert city["split_quirks"]["n"] != city["clean"]["n"]
+    for name, city in recorded.items():
+        if name not in BARE_ONLY:
+            assert city["split_quirks"]["n"] != city["clean"]["n"]
+
+
+def test_added_miniatures_reach_the_branches_they_were_added_for():
+    scenario, start, end = CITIES["miniature_two_hours"]()
+    assert scenario.config.unreliable_mode == "inverted"
+    assert scenario.buses.unreliable_buses()
+    assert scenario.scats.faulty_sensors()
+    gps = scenario.generate(start, end).columns.fact_block("gps")
+    bus = gps.key_column(0)
+    direction = gps.value_column("direction")
+    turned = {
+        b for b in set(bus.tolist())
+        if len(set(direction[bus == b].tolist())) == 2
+    }
+    assert turned, "no bus reached a terminal in two hours"

@@ -23,6 +23,13 @@ two engines.  The split reads which bus records exist and where they
 are, not when they arrive or what they say, so on the larger city it is
 recorded only for the streams that differ in that: the bare one, the
 one with duplicates and the one built for the quirks.
+
+Two more miniatures are recorded bare, for the generator branches the
+first two never take: ``miniature_inverted`` (a third of the fleet
+reports the *opposite* of the truth, a tenth of the sensors stuck) and
+``miniature_two_hours`` (the same city over a span in which buses
+reach a terminal and turn around).  Their digests were taken from the
+per-emission loop of the commit before the fleet became arrays.
 """
 
 from __future__ import annotations
@@ -103,12 +110,43 @@ def miniature() -> tuple[DublinScenario, int, int]:
     return scenario, 25200, 26400
 
 
+def miniature_inverted() -> tuple[DublinScenario, int, int]:
+    scenario = DublinScenario(
+        ScenarioConfig(
+            seed=5,
+            rows=8,
+            cols=8,
+            n_intersections=20,
+            n_buses=20,
+            n_lines=4,
+            unreliable_fraction=0.3,
+            unreliable_mode="inverted",
+            scats_fault_rate=0.1,
+        )
+    )
+    return scenario, 25200, 26400
+
+
+def miniature_two_hours() -> tuple[DublinScenario, int, int]:
+    scenario, start, __ = miniature_inverted()
+    return scenario, start, start + 7200
+
+
 def storm_city() -> tuple[DublinScenario, int, int]:
     spec = ScenarioSpec.from_mapping(STORM_SPEC)
     return compile_scenario(spec), spec.start, spec.start + spec.duration
 
 
-CITIES = {"miniature": miniature, "storm300": storm_city}
+CITIES = {
+    "miniature": miniature,
+    "storm300": storm_city,
+    "miniature_inverted": miniature_inverted,
+    "miniature_two_hours": miniature_two_hours,
+}
+
+#: Cities recorded bare only: they are there for the generators, and
+#: the injectors read nothing the first two cities do not show them.
+BARE_ONLY = ("miniature_inverted", "miniature_two_hours")
 
 #: Streams whose split is recorded, per city (default: all of them).
 SPLIT_STREAMS = {"storm300": ("clean", "duplicating_mediator", "split_quirks")}
@@ -174,7 +212,10 @@ def compute_digests() -> dict:
         scenario, start, end = build()
         clean = scenario.generate(start, end)
         streams = {"clean": clean}
-        for profile in (*sorted_profiles(), SPLIT_QUIRKS):
+        profiles = () if city in BARE_ONLY else (
+            *sorted_profiles(), SPLIT_QUIRKS
+        )
+        for profile in profiles:
             streams[profile.name] = inject_scenario(
                 clean, profile.with_seed(profile.seed + PROFILE_SEED)
             )

@@ -71,7 +71,7 @@ class TestValidation:
     def _refuses_version(self, tmp_path, version):
         from repro.recovery.checkpoint import _HEADER, FORMAT_VERSION
 
-        assert FORMAT_VERSION == 7
+        assert FORMAT_VERSION == 8
         manager = CheckpointManager(tmp_path)
         info = manager.save(1, {"a": 1})
         data = info.path.read_bytes()
@@ -119,6 +119,12 @@ class TestValidation:
         # the incremental/compiled flags; this tree's engine has
         # neither.
         self._refuses_version(tmp_path, 6)
+
+    def test_version_7_file_refused(self, tmp_path):
+        # A version-7 scenario pickled every bus's kinematics as
+        # mutable state and the ground truth's memo tables; this
+        # tree's buses are their frozen initial states.
+        self._refuses_version(tmp_path, 7)
 
     def test_load_latest_falls_back_over_torn_file(self, tmp_path):
         manager = CheckpointManager(tmp_path)

@@ -134,6 +134,12 @@ class TestCrashParity:
             counters.get("recovery.replay.steps", 0)
             <= CONFIG["checkpoint_interval"]
         )
+        # The stream is generated once per run: a baseline restore
+        # (kill at step 2) re-runs the ingest on a system that had not
+        # generated yet, a later one regenerates on the pristine twin,
+        # whose metrics are discarded with it.
+        timings = resumed.report.metrics["timings"]
+        assert timings["ingest.generate_seconds"]["count"] == 1
 
     def test_seeded_kill_step_is_deterministic(self, tmp_path):
         drawn = CrashInjector(seed=7, step_range=(1, STEPS))

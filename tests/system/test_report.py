@@ -40,6 +40,13 @@ class TestHtmlReport:
         doc = render_html_report(system, report, at=1200)
         assert "recognition time" in doc
         assert str(report.crowd_resolutions) in doc
+        # The two ingest layers side by side, in seconds.
+        generate = report.metrics["timings"]["ingest.generate_seconds"]
+        assert (
+            'stream generation (s)</td><td class="num">'
+            f"{generate['total']:.2f}" in doc
+        )
+        assert "recognition loop (s)" in doc
 
     def test_alert_kinds_listed(self, run):
         system, report = run
