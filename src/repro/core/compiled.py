@@ -15,14 +15,24 @@ An evaluator always reads the *whole window* and is called once per
 query: every point of the window is derived anew, from arrays that
 are computed over the whole window either way.
 
+A fluent's points leave an evaluator as arrays, never as a tuple per
+point: per stream (``init``, ``term``) an ``int64`` grounding-code
+array and an ``int64`` time array — plus, for a valued fluent, a
+value-code array between them — and a code -> grounding lookup
+(``groundings``; for a valued fluent also the value table,
+``values``).  The engine builds every grounding's maximal intervals
+from those arrays at once (:func:`repro.core.intervals.
+simple_intervals`) and looks a grounding up once per distinct code.
+Derived events stay :class:`~.events.Occurrence` lists.
+
 Parity is the hard constraint, enforced by the golden-trace and
 Hypothesis differential suites: a compiled body must yield exactly the
 points the interpreted body would, in an order that sorts to the same
 result.  Three practices keep that true:
 
-* every emitted time coordinate is converted to a Python ``int``
+* every emitted occurrence time is converted to a Python ``int``
   (``numpy`` scalars would leak into snapshots and serialise
-  differently);
+  differently; the interval functions convert fluent bounds themselves);
 * payload construction always reads the *original* cells
   (:meth:`~repro.core.columns.ColumnStore.cells`: the blocks the rows
   were fed in), never round-trips through ``float64`` — an integer
@@ -30,7 +40,9 @@ result.  Three practices keep that true:
 * points are emitted in the interpreter's order — the rows of
   ``ctx.events(...)``, and within a bus report the order of
   :meth:`~repro.core.geo.SpatialGrid.near` — so that the engine's
-  stable sort leaves ties where the interpreter's would fall.
+  stable sort leaves ties where the interpreter's would fall, and a
+  fluent's groundings first appear in the order the interpreter's
+  would (the order the engine lists them in follows from it).
 
 Anything these shapes can't express (fluent-dependent bodies over
 derived events, pairwise geo comparison, interval algebra) simply stays
@@ -62,6 +74,9 @@ MOVE_COLUMNS = ColumnSpec(numeric=("delay",), token=("bus",))
 #: ``move``; the grounding token of a fact is its key, ``(bus,)``.
 GPS_COLUMNS = ColumnSpec(numeric=("lon", "lat", "congestion"))
 
+#: An empty point column.
+_NO_POINTS = np.empty(0, dtype=np.int64)
+
 
 class CompiledRule:
     """A vectorised drop-in for one definition's rule bodies.
@@ -72,9 +87,9 @@ class CompiledRule:
     engine has the working memory keep those rows' evaluation columns
     in that layout.  Rules reading one input must agree on its
     grounding-token fields (their numeric fields merge by union).
-    ``derive`` returns the same stream dict
-    :meth:`repro.core.rtec.RTEC._extract_streams` would
-    (``{"occ": [...]}`` or ``{"init": [...], "term": [...]}``).
+    ``derive`` returns the stream dict
+    :meth:`repro.core.rtec.RTEC._extract_streams` returns for the
+    definition (see :meth:`derive`).
 
     Instances are constructed once per engine with thresholds bound
     from the engine's parameters, hold only plain values (and the
@@ -84,13 +99,21 @@ class CompiledRule:
 
     columns: Mapping[tuple[str, str], ColumnSpec] = {}
 
-    def derive(self, ctx) -> dict[str, list[Any]]:
+    def derive(self, ctx) -> dict[str, Any]:
         """Evaluate the rule body over the context's window columns.
 
-        Returns the interpreter-shaped stream dict — ``{"occ": [...]}``
-        for derived events, ``{"init": [...], "term": [...]}`` for
-        fluents — holding every point of the window, each emitted time
-        a Python ``int``.
+        Returns every point of the window.  A derived event:
+        ``{"occ": [Occurrence, ...]}``, each time a Python ``int``.  A
+        simple fluent: ``{"init": (codes, times), "term": (codes,
+        times), "groundings": lookup}`` — ``int64`` arrays, one entry
+        per point, and ``lookup(code)`` the grounding of a code (called
+        at most once per distinct code and query).  A valued fluent:
+        ``{"init": (codes, value_codes, times), "term": (codes,
+        value_codes, times), "groundings": lookup, "values": table}``
+        with ``table[value_code]`` the value.  Within the one call,
+        codes must be one-to-one with groundings (two codes of one
+        grounding raise ``ValueError``); across calls they need not
+        agree: nothing of them is kept.
         """
         raise NotImplementedError
 
@@ -109,24 +132,19 @@ class CompiledScatsCongestion(CompiledRule):
         self.density_hi = density_hi
         self.flow_lo = flow_lo
 
-    def derive(self, ctx) -> dict[str, list[Any]]:
+    def derive(self, ctx) -> dict[str, Any]:
         """One boolean mask over the window; ``init`` where it holds,
         ``term`` where it does not."""
         view = ctx.events_columns("traffic", TRAFFIC_COLUMNS)
-        init: list[Any] = []
-        term: list[Any] = []
-        if view.n:
-            congested = (view.col("density") >= self.density_hi) & (
-                view.col("flow") <= self.flow_lo
-            )
-            table = view.tokens.tokens
-            for code, time, holds in zip(
-                view.codes.tolist(),
-                view.times.tolist(),
-                congested.tolist(),
-            ):
-                (init if holds else term).append((table[code], time))
-        return {"init": init, "term": term}
+        congested = (view.col("density") >= self.density_hi) & (
+            view.col("flow") <= self.flow_lo
+        )
+        codes, times = view.codes, view.times
+        return {
+            "init": (codes[congested], times[congested]),
+            "term": (codes[~congested], times[~congested]),
+            "groundings": view.tokens.tokens.__getitem__,
+        }
 
 
 class CompiledTrafficRegime(CompiledRule):
@@ -147,27 +165,22 @@ class CompiledTrafficRegime(CompiledRule):
         self.density_hi = density_hi
         self.synchronized_density = synchronized_density
 
-    def derive(self, ctx) -> dict[str, list[Any]]:
+    def derive(self, ctx) -> dict[str, Any]:
         """Band-classify every reading; each row initiates its regime
         value (valued-fluent semantics need no terminations)."""
         view = ctx.events_columns("traffic", TRAFFIC_COLUMNS)
-        if not view.n:
-            return {"init": [], "term": []}
         density = view.col("density")
         band = np.where(
             density >= self.density_hi,
             2,
             np.where(density >= self.synchronized_density, 1, 0),
         )
-        table = view.tokens.tokens
-        regimes = self.REGIMES
-        init = [
-            (table[code], regimes[b], time)
-            for code, b, time in zip(
-                view.codes.tolist(), band.tolist(), view.times.tolist()
-            )
-        ]
-        return {"init": init, "term": []}
+        return {
+            "init": (view.codes, band, view.times),
+            "term": (_NO_POINTS,) * 3,
+            "groundings": view.tokens.tokens.__getitem__,
+            "values": self.REGIMES,
+        }
 
 
 class CompiledTrafficTrend(CompiledRule):
@@ -196,12 +209,20 @@ class CompiledTrafficTrend(CompiledRule):
         self.k = k
         self.delta = delta
 
-    def derive(self, ctx) -> dict[str, list[Any]]:
+    #: Grounding ``token + (way,)`` is coded ``token code * 2 + way``.
+    WAYS = ("rising", "falling")
+
+    def derive(self, ctx) -> dict[str, Any]:
         """Flattened diff/run-window pass over every token at once,
         emitting rising/falling trend initiations and direction-break
         terminations."""
         view = ctx.events_columns("traffic", TRAFFIC_COLUMNS)
-        out: dict[str, list[Any]] = {"init": [], "term": []}
+        table, ways = view.tokens.tokens, self.WAYS
+        out: dict[str, Any] = {
+            "init": (_NO_POINTS, _NO_POINTS),
+            "term": (_NO_POINTS, _NO_POINTS),
+            "groundings": lambda code: table[code >> 1] + (ways[code & 1],),
+        }
         if view.n < 2:
             return out
         k = self.k
@@ -239,20 +260,12 @@ class CompiledTrafficTrend(CompiledRule):
                 np.flatnonzero(rising_runs) + k,
                 np.flatnonzero(falling_runs) + k,
             )
-        table = view.tokens.tokens
         for stream, (rise, fall) in candidates.items():
             # Candidate points as flattened positions, the rising ones
             # first; each sits at the row of its later reading.
             at = order[np.concatenate((rise, fall))]
-            direction = ["rising"] * len(rise) + ["falling"] * len(fall)
-            out[stream] = [
-                (table[code] + (way,), time)
-                for way, code, time in zip(
-                    direction,
-                    view.codes[at].tolist(),
-                    view.times[at].tolist(),
-                )
-            ]
+            way = np.arange(len(at)) >= len(rise)
+            out[stream] = (view.codes[at] * 2 + way, view.times[at])
         return out
 
 
@@ -616,12 +629,17 @@ class CompiledBusCongestion(CompiledRule):
         self.topology = topology
         self.noisy_fluent = noisy_fluent
 
-    def derive(self, ctx) -> dict[str, list[Any]]:
+    def derive(self, ctx) -> dict[str, Any]:
         """Initiations and terminations at the ``close`` pairs of the
-        trusted reports."""
+        trusted reports, grounded by intersection position."""
         reports = bus_reports(ctx)
         move = reports.move
-        out: dict[str, list[Any]] = {"init": [], "term": []}
+        ids = self.topology.ids()
+        out: dict[str, Any] = {
+            "init": (_NO_POINTS, _NO_POINTS),
+            "term": (_NO_POINTS, _NO_POINTS),
+            "groundings": lambda i: (ids[i],),
+        }
         if not move.n:
             return out
         rows = np.arange(move.n)
@@ -631,15 +649,9 @@ class CompiledBusCongestion(CompiledRule):
             ).probe(move.codes, move.times)
             rows = rows[~noisy]
         congestion = reports.congestion[rows]
-        ids = self.topology.ids()
         for stream, value in (("init", 1), ("term", 0)):
             at, intersections = _report_pairs(
                 reports, self.topology, rows[congestion == value]
             )
-            out[stream] = [
-                ((ids[i],), time)
-                for i, time in zip(
-                    intersections.tolist(), move.times[at].tolist()
-                )
-            ]
+            out[stream] = (intersections, move.times[at])
         return out

@@ -21,6 +21,14 @@ Conventions
   onwards; a termination at ``t`` makes it cease from ``t + 1`` onwards.
   This mirrors the Event Calculus convention that effects of an event
   hold strictly after its occurrence.
+
+The engine builds every simple and valued fluent's intervals with
+:func:`simple_intervals` / :func:`valued_intervals`: the points of all
+groundings at once, as ``(grounding code, time)`` arrays, one
+``lexsort`` and a pass over the points where the state changes.
+:func:`make_intervals` is the same law of inertia for one grounding,
+point by point — its statement, and the reference the array form is
+tested against.
 """
 
 from __future__ import annotations
@@ -28,7 +36,9 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from heapq import merge as _heap_merge
-from typing import Optional
+from typing import Any, Optional
+
+import numpy as np
 
 #: Effects of an initiation/termination apply this many time-points
 #: after the triggering event (Event Calculus convention).
@@ -488,3 +498,228 @@ def make_intervals(
     # must pass through a later initiation point first), so the output
     # is already in normal form.
     return IntervalList._from_normalised(tuple(out))
+
+
+# ----------------------------------------------------------------------
+# Every grounding at once: fluent intervals from point arrays
+# ----------------------------------------------------------------------
+#: State code of "no value held" (value codes are non-negative).
+_NONE = -1
+
+#: End of a segment still held at the window's right edge.
+_OPEN = int(np.iinfo(np.int64).max)
+
+
+def _held_segments(codes, times, is_init, values, seeds, table):
+    """The segments during which groundings hold a value, from their
+    initiation/termination points — ``(code, value, start, end)``
+    arrays, grounding by grounding in code order, each grounding's in
+    time order; ``end`` is ``_OPEN`` for a segment still held after
+    the last point.
+
+    ``codes`` / ``times`` / ``is_init`` describe every point, ``values``
+    its value code (``None`` for a simple fluent), ``seeds`` the state
+    held before the first point: ``(codes, value codes, starts)`` of
+    the seeded groundings — each of which must have points — and
+    ``table`` the values the value codes index.
+
+    One ``lexsort`` orders the points by ``(code, time)``; the flags
+    of equal points are OR-ed together with ``reduceat``.  The state
+    after a point is then, for a simple fluent, "held unless
+    terminated there" (termination wins); for a valued fluent, the
+    largest value initiated there — or, at a point without initiation,
+    the value of the segment the point lies in (begun by the last
+    initiation, or by the seed) unless a termination of that value at
+    this or an earlier point of the segment killed it.  Segments begin
+    at the seeds and where the state changes into a value, and end
+    where it changes out of one.
+    """
+    order = np.lexsort((times, codes))
+    codes, times, is_init = codes[order], times[order], is_init[order]
+    fresh = np.ones(len(codes), dtype=bool)
+    fresh[1:] = (codes[1:] != codes[:-1]) | (times[1:] != times[:-1])
+    first = np.flatnonzero(fresh)
+    p_code, p_time = codes[first], times[first]
+    n = len(first)
+    leads = np.ones(n, dtype=bool)
+    leads[1:] = p_code[1:] != p_code[:-1]
+    heads = np.flatnonzero(leads)
+    lasts = np.append(heads[1:], n) - 1
+    group = np.cumsum(leads) - 1
+    seed_codes, seed_values, seed_starts = (
+        np.asarray(column, dtype=np.int64) for column in seeds
+    )
+    g_state = np.full(len(heads), _NONE, dtype=np.int64)
+    g_start = np.zeros(len(heads), dtype=np.int64)
+    at = np.searchsorted(p_code[heads], seed_codes)
+    g_state[at] = seed_values
+    g_start[at] = seed_starts
+
+    if values is None:
+        has_term = np.logical_or.reduceat(~is_init, first)
+        after = np.where(has_term, _NONE, 0)
+    else:
+        values = values[order]
+        init_values = np.where(is_init, values, _NONE)
+        top = np.maximum.reduceat(init_values, first)
+        low = np.minimum.reduceat(np.where(is_init, values, _OPEN), first)
+        has_init = top != _NONE
+        # Where several values are initiated at one point, the largest
+        # in ``sorted`` order of the values themselves wins — ranked in
+        # Python, among the values that meet there only: values that
+        # never meet need not be comparable.
+        bounds = np.append(first, len(codes)).tolist()
+        for p in np.flatnonzero(has_init & (low != top)).tolist():
+            meeting = init_values[bounds[p]:bounds[p + 1]]
+            top[p] = sorted(
+                meeting[meeting != _NONE].tolist(), key=table.__getitem__
+            )[-1]
+        # Initiating ``None`` ends the value held, as a termination.
+        nones = [code for code, value in enumerate(table) if value is None]
+        initiated = np.where(np.isin(top, nones), _NONE, top)
+        begins = has_init | leads
+        seg = np.cumsum(begins) - 1
+        seg_value = np.where(has_init, initiated, g_state[group])[begins]
+        point = np.cumsum(fresh) - 1
+        kills = (
+            ~is_init
+            & ~has_init[point]
+            & (values == seg_value[seg[point]])
+        )
+        killed_segs, at = np.unique(seg[point[kills]], return_index=True)
+        kill_at = np.full(len(seg_value), n)
+        kill_at[killed_segs] = point[kills][at]
+        held = np.where(np.arange(n) < kill_at[seg], seg_value[seg], _NONE)
+        after = np.where(has_init, initiated, held)
+
+    before = np.empty_like(after)
+    before[1:] = after[:-1]
+    before[heads] = g_state
+    changed = np.flatnonzero(before != after)
+    seeded = g_state != _NONE
+    into = changed[after[changed] != _NONE]
+    out_of = changed[before[changed] != _NONE]
+    still = lasts[after[lasts] != _NONE]
+    # A grounding's segments begin and end alternately, so the k-th
+    # beginning (in point order; a seed before its grounding's first
+    # point) pairs with the k-th end (one still held: after the last).
+    begin = np.argsort(np.concatenate((2 * heads[seeded] - 1, 2 * into)))
+    end = np.argsort(np.concatenate((2 * out_of, 2 * still + 1)))
+    return (
+        np.concatenate((p_code[heads[seeded]], p_code[into]))[begin],
+        np.concatenate((g_state[seeded], after[into]))[begin],
+        np.concatenate((g_start[seeded], p_time[into] + EFFECT_DELAY))[begin],
+        np.concatenate((
+            p_time[out_of] + EFFECT_DELAY, np.full(len(still), _OPEN)
+        ))[end],
+    )
+
+
+def _points(init, term):
+    """The two streams' points as one set of arrays."""
+    codes = np.concatenate((init[0], term[0])).astype(np.int64, copy=False)
+    times = np.concatenate((init[-1], term[-1])).astype(np.int64, copy=False)
+    is_init = np.arange(len(codes)) < len(init[0])
+    return codes, times, is_init
+
+
+def simple_intervals(init, term, seeds) -> dict[int, IntervalList]:
+    """The maximal intervals of a simple fluent's groundings, by
+    grounding code, from its points as arrays.
+
+    ``init`` / ``term`` are ``(codes, times)`` arrays: the grounding
+    code and time-point of every ``initiatedAt`` / ``terminatedAt``
+    point, duplicates allowed.  ``seeds`` is ``(codes, starts)`` for
+    the groundings (among those with points) that held at the window's
+    first time-point, and since when.  Per grounding this is
+    :func:`make_intervals` with ``holding_at_start`` and
+    ``window_start`` from its seed: termination wins at a shared
+    point, an episode keeps its seeded start, and a piece ending at or
+    before its start is dropped.  Groundings that hold nowhere are
+    absent; every bound is a Python ``int``.
+    """
+    codes, times, is_init = _points(init, term)
+    if not len(codes):
+        return {}
+    seed_codes, seed_starts = seeds
+    found = _held_segments(
+        codes, times, is_init, None,
+        (seed_codes, np.zeros(len(seed_codes), dtype=np.int64), seed_starts),
+        None,
+    )
+    out: dict[int, list[Interval]] = {}
+    for code, _, start, end in zip(*(column.tolist() for column in found)):
+        if end == _OPEN:
+            out.setdefault(code, []).append((start, None))
+        elif end > start:
+            out.setdefault(code, []).append((start, end))
+    return {
+        code: IntervalList._from_normalised(tuple(ivs))
+        for code, ivs in out.items()
+    }
+
+
+def valued_intervals(
+    init, term, seeds, values: Sequence[Any]
+) -> dict[int, list[tuple[int, IntervalList]]]:
+    """The intervals of a multi-valued fluent's groundings, by
+    grounding code: per grounding, ``(value code, intervals)`` in the
+    order each value's first segment starts.
+
+    ``init`` / ``term`` are ``(codes, value codes, times)`` arrays,
+    ``values`` the value table the value codes index and ``seeds``
+    ``(codes, value codes, starts)`` for the groundings (among those
+    with points) that held a value at the window's first time-point.
+    A grounding holds one value at a time.  At one time-point the held
+    value's termination applies first, then the largest initiated
+    value — "largest" in ``sorted`` order of the values initiated
+    there, ranked in Python — takes over (initiating ``None`` holds
+    nothing); re-initiating the held value at its own termination is
+    no change.  Each value's spans are normalised by
+    :class:`IntervalList`; every bound is a Python ``int``.
+    """
+    codes, times, is_init = _points(init, term)
+    if not len(codes):
+        return {}
+    found = _held_segments(
+        codes, times, is_init,
+        np.concatenate((init[1], term[1])).astype(np.int64, copy=False),
+        seeds, values,
+    )
+    spans: dict[int, dict[int, list[Interval]]] = {}
+    for code, value, start, end in zip(*(column.tolist() for column in found)):
+        spans.setdefault(code, {}).setdefault(value, []).append(
+            (start, None if end == _OPEN else end)
+        )
+    return {
+        code: [(value, IntervalList(ivs)) for value, ivs in by_value.items()]
+        for code, by_value in spans.items()
+    }
+
+
+def encode_points(
+    init_points: Sequence, term_points: Sequence, *, valued: bool
+) -> dict[str, Any]:
+    """An interpreted fluent body's points — lists of ``(grounding,
+    T)``, or ``(grounding, value, T)`` for a valued fluent — as the
+    arrays a compiled body returns
+    (:meth:`repro.core.compiled.CompiledRule.derive`): groundings and
+    values numbered in the order they first appear, initiations before
+    terminations."""
+    groundings: dict = {}
+    value_codes: dict = {}
+    streams: dict[str, Any] = {}
+    for stream, points in (("init", init_points), ("term", term_points)):
+        codes = [groundings.setdefault(p[0], len(groundings)) for p in points]
+        arrays = [np.array(codes, dtype=np.int64)]
+        if valued:
+            arrays.append(np.array(
+                [value_codes.setdefault(p[1], len(value_codes)) for p in points],
+                dtype=np.int64,
+            ))
+        arrays.append(np.array([p[-1] for p in points], dtype=np.int64))
+        streams[stream] = tuple(arrays)
+    streams["groundings"] = list(groundings).__getitem__
+    if valued:
+        streams["values"] = list(value_codes)
+    return streams

@@ -34,15 +34,22 @@ from __future__ import annotations
 
 import operator
 import time as _time
-from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+import numpy as np
+
 from .columns import SDEColumns
 from .events import Event, FluentFact, FluentKey, Occurrence
 from .incremental import WorkingMemory
-from .intervals import EFFECT_DELAY, IntervalList, make_intervals
+from .intervals import (
+    EFFECT_DELAY,
+    IntervalList,
+    encode_points,
+    simple_intervals,
+    valued_intervals,
+)
 from .rules import (
     Definition,
     DerivedEvent,
@@ -156,6 +163,32 @@ class RecognitionSnapshot:
 
 #: ``(time, key)``: the order occurrence streams are kept in.
 _occurrence_order = operator.attrgetter("time", "key")
+
+
+def _groundings_seen(
+    streams: Mapping[str, Any]
+) -> tuple[
+    dict[int, FluentKey], dict[FluentKey, int], list[FluentKey], list[FluentKey]
+]:
+    """The groundings of a fluent's point streams: ``{code:
+    grounding}``, each looked up in the streams' table once, its
+    inverse, and per stream (``init``, ``term``) its groundings in the
+    order they first appear in it.  Codes must be one-to-one with
+    groundings (:meth:`~.compiled.CompiledRule.derive`)."""
+    lookup = streams["groundings"]
+    key_of: dict[int, FluentKey] = {}
+    seen = []
+    for stream in ("init", "term"):
+        distinct, first = np.unique(streams[stream][0], return_index=True)
+        in_order = distinct[np.argsort(first)].tolist()
+        for code in in_order:
+            if code not in key_of:
+                key_of[code] = lookup(code)
+        seen.append([key_of[code] for code in in_order])
+    code_of = {key: code for code, key in key_of.items()}
+    if len(code_of) != len(key_of):
+        raise ValueError("a fluent's point streams give one grounding two codes")
+    return key_of, code_of, seen[0], seen[1]
 
 
 class RTEC:
@@ -420,7 +453,7 @@ class RTEC:
                     if isinstance(definition, ValuedFluent)
                     else self._simple_intervals
                 )
-                intervals = build(name, ctx, streams["init"], streams["term"])
+                intervals = build(name, ctx, streams)
                 ctx._store_fluent(name, intervals)
                 snapshot.fluents[name] = intervals
             else:  # pragma: no cover - guarded by the type system
@@ -433,14 +466,16 @@ class RTEC:
         definition: Definition,
         ctx: RuleContext,
         snapshot: RecognitionSnapshot,
-    ) -> dict[str, list[Any]]:
+    ) -> dict[str, Any]:
         """Run a definition's rule bodies, as point streams.
 
         Definitions with a compiled evaluator take the vectorised path
         over the window's stores; everything else runs the interpreted
-        bodies.  The snapshot's ``compiled_evals`` /
-        ``compiled_fallbacks`` counters record which path served the
-        definition.
+        bodies, whose fluent points are encoded into the arrays a
+        compiled body returns (:func:`~.intervals.encode_points`), so
+        that every fluent reaches the same interval functions.  The
+        snapshot's ``compiled_evals`` / ``compiled_fallbacks`` counters
+        record which path served the definition.
         """
         rule = self._compiled.get(definition.name)
         if rule is not None:
@@ -449,21 +484,35 @@ class RTEC:
         snapshot.compiled_fallbacks += 1
         if isinstance(definition, DerivedEvent):
             return {"occ": list(definition.occurrences(ctx))}
-        return {
-            "init": list(definition.initiations(ctx)),
-            "term": list(definition.terminations(ctx)),
-        }
+        return encode_points(
+            list(definition.initiations(ctx)),
+            list(definition.terminations(ctx)),
+            valued=isinstance(definition, ValuedFluent),
+        )
 
     # -- fluent interval assembly ---------------------------------------
+    #
+    # The intervals themselves come from the array functions
+    # (:func:`~.intervals.simple_intervals` /
+    # :func:`~.intervals.valued_intervals`).  What is left here is
+    # seeding inertia from the cache and putting the output in order.
+    # The order is output: the iteration order of ``snapshot.fluents
+    # [name]`` is the order ``RecognitionLog.add`` hands fresh episodes
+    # to the alerts and to the crowd's shared RNG, and the cache's
+    # order is where the next query's comes from.  Both are the order
+    # of a ``set`` of groundings (ROADMAP finding F5: it moves with
+    # ``PYTHONHASHSEED``), and that set is built exactly as the
+    # point-by-point loops before the array form built it — ``set(init
+    # groundings) | set(term groundings)``, each a *list* in first-
+    # appearance order (a ``set`` of a ``dict`` is presized and
+    # iterates differently), then the quiescent cached groundings
+    # ``add``-ed in cache order — and the cache is mutated in that
+    # order.  ``tests/golden/fluent_order_digests.json`` pins it.
     def _simple_intervals(
-        self,
-        name: str,
-        ctx: RuleContext,
-        init_points: Iterable[tuple[FluentKey, int]],
-        term_points: Iterable[tuple[FluentKey, int]],
+        self, name: str, ctx: RuleContext, streams: Mapping[str, Any]
     ) -> dict[FluentKey, IntervalList]:
-        """Build a simple fluent's maximal intervals from its
-        initiation/termination points, seeding inertia from the cache.
+        """Build a simple fluent's maximal intervals from its point
+        arrays, seeding inertia from the cache.
 
         The seed is the fluent's value at the *first time-point of the
         new window* (``window_start + EFFECT_DELAY``): events at or
@@ -472,38 +521,33 @@ class RTEC:
         point.  When the fluent was holding, the episode keeps its
         historical start from the cached interval (RTEC's interval
         retention), so an episode longer than the window is not
-        re-reported with an artificial start at every slide.
+        re-reported with an artificial start at every slide.  A
+        grounding without points that held there holds on.
         """
-        inits: dict[FluentKey, list[int]] = defaultdict(list)
-        terms: dict[FluentKey, list[int]] = defaultdict(list)
-        for key, t in init_points:
-            inits[key].append(t)
-        for key, t in term_points:
-            terms[key].append(t)
-
+        key_of, code_of, init_keys, term_keys = _groundings_seen(streams)
         seed_point = ctx.window_start + EFFECT_DELAY
         cache = self._fluent_cache.setdefault(name, {})
-        keys = set(inits) | set(terms)
-        # Keys quiescent in this window persist by inertia if their
-        # cached intervals still hold at the seed point.
+        keys = set(init_keys) | set(term_keys)
+        seeds: tuple[list[int], list[int]] = ([], [])
+        found: dict[FluentKey, IntervalList] = {}
         for key, cached in cache.items():
-            if key not in keys and cached.holds_at(seed_point):
-                keys.add(key)
+            held = cached.interval_at(seed_point)
+            if held is None:
+                continue
+            keys.add(key)
+            code = code_of.get(key)
+            if code is None:
+                found[key] = IntervalList.single(held[0], None)
+            else:
+                seeds[0].append(code)
+                seeds[1].append(held[0])
+        built = simple_intervals(streams["init"], streams["term"], seeds)
+        for code, intervals in built.items():
+            found[key_of[code]] = intervals
 
         out: dict[FluentKey, IntervalList] = {}
         for key in keys:
-            cached = cache.get(key, IntervalList.empty())
-            seed_interval = cached.interval_at(seed_point)
-            intervals = make_intervals(
-                inits.get(key, ()),
-                terms.get(key, ()),
-                holding_at_start=seed_interval is not None,
-                window_start=(
-                    seed_interval[0]
-                    if seed_interval is not None
-                    else ctx.window_start
-                ),
-            )
+            intervals = found.get(key)
             if intervals:
                 cache[key] = intervals
                 out[key] = intervals
@@ -512,87 +556,67 @@ class RTEC:
         return out
 
     def _valued_intervals(
-        self,
-        name: str,
-        ctx: RuleContext,
-        init_points: Iterable[tuple[FluentKey, Any, int]],
-        term_points: Iterable[tuple[FluentKey, Any, int]],
+        self, name: str, ctx: RuleContext, streams: Mapping[str, Any]
     ) -> dict[FluentKey, IntervalList]:
-        """Build a multi-valued fluent's intervals from its points.
+        """Build a multi-valued fluent's intervals from its point
+        arrays.
 
         A grounding holds one value at a time: initiating ``F = V``
         implicitly terminates the previously held value.  Results (and
         the cache) are stored under ``grounding + (value,)``.  At one
         time-point, explicit terminations apply before initiations, and
         among several initiated values the largest (sorted order) wins.
+        The seed of a grounding is the first of its cached values (in
+        cache order) that held at the window's first time-point.
         """
-        inits: dict[FluentKey, list[tuple[int, Any]]] = defaultdict(list)
-        terms: dict[FluentKey, set[tuple[int, Any]]] = defaultdict(set)
-        for key, value, t in init_points:
-            inits[key].append((t, value))
-        for key, value, t in term_points:
-            terms[key].add((t, value))
-
+        key_of, code_of, init_keys, term_keys = _groundings_seen(streams)
         seed_point = ctx.window_start + EFFECT_DELAY
         cache = self._fluent_cache.setdefault(name, {})
-        base_keys = set(inits) | set(terms)
-        cached_by_base: dict[FluentKey, list[tuple[FluentKey, IntervalList]]]
-        cached_by_base = defaultdict(list)
+        base_keys = set(init_keys) | set(term_keys)
+        stored_by_base: dict[FluentKey, list[FluentKey]] = {}
+        seed_of: dict[FluentKey, tuple[Any, int]] = {}
         for stored_key, cached in cache.items():
-            if stored_key:
-                cached_by_base[stored_key[:-1]].append((stored_key, cached))
-                if cached.holds_at(seed_point):
-                    base_keys.add(stored_key[:-1])
+            base = stored_key[:-1]
+            stored_by_base.setdefault(base, []).append(stored_key)
+            held = cached.interval_at(seed_point)
+            if held is not None:
+                base_keys.add(base)
+                seed_of.setdefault(base, (stored_key[-1], held[0]))
+
+        values = list(streams["values"])
+        value_code = {value: code for code, value in enumerate(values)}
+        seeds: tuple[list[int], list[int], list[int]] = ([], [], [])
+        found: dict[FluentKey, list[tuple[Any, IntervalList]]] = {}
+        for base, (value, start) in seed_of.items():
+            code = code_of.get(base)
+            if code is None:
+                found[base] = [(value, IntervalList.single(start, None))]
+                continue
+            if value not in value_code:
+                value_code[value] = len(values)
+                values.append(value)
+            seeds[0].append(code)
+            seeds[1].append(value_code[value])
+            seeds[2].append(start)
+        built = valued_intervals(
+            streams["init"], streams["term"], seeds, values
+        )
+        for code, spans in built.items():
+            found[key_of[code]] = [
+                (values[value], intervals) for value, intervals in spans
+            ]
 
         out: dict[FluentKey, IntervalList] = {}
-        for key in base_keys:
-            # Seed: the value (and historical episode start) held at the
-            # first point of the window, from the previous evaluation.
-            state: Any = None
-            state_start = ctx.window_start
-            for stored_key, cached in cached_by_base.get(key, ()):
-                seed_interval = cached.interval_at(seed_point)
-                if seed_interval is not None:
-                    state = stored_key[-1]
-                    state_start = seed_interval[0]
-                    break
-
-            inits_by_t: dict[int, list[Any]] = defaultdict(list)
-            for t, value in inits.get(key, ()):
-                inits_by_t[t].append(value)
-            key_terms = terms.get(key, set())
-            points = sorted(inits_by_t.keys() | {t for t, _ in key_terms})
-            spans: dict[Any, list[tuple[int, Optional[int]]]] = defaultdict(
-                list
-            )
-            for t in points:
-                terminated = state is not None and (t, state) in key_terms
-                initiated = sorted(inits_by_t.get(t, ()))
-                new_state = state
-                if terminated:
-                    new_state = None
-                if initiated:
-                    # Termination applies first; a simultaneous
-                    # initiation then takes over (largest value wins).
-                    new_state = initiated[-1]
-                if new_state != state:
-                    if state is not None:
-                        spans[state].append((state_start, t + EFFECT_DELAY))
-                    state = new_state
-                    state_start = t + EFFECT_DELAY
-            if state is not None:
-                spans[state].append((state_start, None))
-
+        for base in base_keys:
             # Refresh the cache for every previously known value of this
             # grounding, then store the new spans.
-            for stored_key, _ in cached_by_base.get(key, ()):
+            for stored_key in stored_by_base.get(base, ()):
                 cache.pop(stored_key, None)
-            for value, intervals in spans.items():
-                extended = key + (value,)
-                interval_list = IntervalList(intervals)
-                if interval_list:
-                    cache[extended] = interval_list
-                    out[extended] = interval_list
+            for value, intervals in found.get(base, ()):
+                if intervals:
+                    extended = base + (value,)
+                    cache[extended] = intervals
+                    out[extended] = intervals
         return out
 
     def cached_intervals(self, name: str, key: FluentKey) -> IntervalList:

@@ -234,8 +234,10 @@ class Definition(abc.ABC):
         Returning a :class:`repro.core.compiled.CompiledRule` lets the
         engine lower this definition's point derivation to array
         operations over columnar views; the returned object must
-        produce exactly the streams the interpreted body would (the
-        parity suite pins this), and every rule reading one input
+        produce exactly the points the interpreted body would — for a
+        fluent as arrays plus a code -> grounding lookup
+        (:meth:`repro.core.compiled.CompiledRule.derive`; the parity
+        suite pins this) — and every rule reading one input
         type must declare the same grounding-token layout for it.  The
         default ``None`` keeps the definition on the interpreter,
         which is always safe — anything the compiler can't express
@@ -258,10 +260,13 @@ class DerivedEvent(Definition):
 class SimpleFluent(Definition):
     """A fluent defined by initiation/termination rules plus inertia.
 
-    The engine collects the ``initiatedAt`` / ``terminatedAt``
-    time-points per grounding and builds maximal intervals with
-    :func:`repro.core.intervals.make_intervals`, seeding the value at
-    the window's left edge from the previous evaluation cycle.
+    The engine encodes the ``initiatedAt`` / ``terminatedAt`` points
+    of all groundings as ``(grounding code, time)`` arrays and builds
+    their maximal intervals at once
+    (:func:`repro.core.intervals.simple_intervals`: per grounding,
+    the law of inertia :func:`repro.core.intervals.make_intervals`
+    states), seeding the value at the window's left edge from the
+    previous evaluation cycle.
     """
 
     @abc.abstractmethod

@@ -20,7 +20,11 @@ and a storm-like twin with half the bus SDEs delayed by minutes:
 * ``disagree``/``agree`` decide every comparison anew but build an
   ``Occurrence`` only for a firing the previous query did not emit:
   the object of a row still in the window is handed out again, by the
-  row's sequence number.
+  row's sequence number;
+* the compiled fluent bodies hand their points over as ``int64``
+  arrays, never a tuple per point, and the engine looks a grounding
+  up at most once per distinct grounding per query, however
+  many points it has.
 """
 
 import pickle
@@ -34,6 +38,12 @@ from hypothesis import strategies as st
 import repro.core.compiled as compiled
 from repro.core import RTEC, Event
 from repro.core.columns import EventColumns, FactColumns, SDEColumns
+from repro.core.compiled import (
+    CompiledBusCongestion,
+    CompiledScatsCongestion,
+    CompiledTrafficRegime,
+    CompiledTrafficTrend,
+)
 from repro.core.events import Occurrence
 from repro.core.rules import FunctionalEvent, RuleContext
 from repro.core.traffic import ScatsTopology, build_traffic_definitions
@@ -396,3 +406,62 @@ def test_the_held_table_changes_no_answer(
         ours, theirs = forgetful.query(q), twin.query(q)
         assert ours.occurrences == theirs.occurrences
         assert ours.fluents == theirs.fluents
+
+
+FLUENT_EVALUATORS = (
+    CompiledScatsCongestion,
+    CompiledTrafficTrend,
+    CompiledTrafficRegime,
+    CompiledBusCongestion,
+)
+
+
+@pytest.mark.parametrize("stream", ["golden", "delayed"])
+def test_fluent_points_are_arrays_and_groundings_are_looked_up_once(
+    streams, stream
+):
+    scenario, batches = streams
+    engine = _adaptive(scenario, batches[stream])
+    fluents = {
+        name: rule for name, rule in engine._compiled.items()
+        if isinstance(rule, FLUENT_EVALUATORS)
+    }
+    assert {type(rule) for rule in fluents.values()} == set(FLUENT_EVALUATORS)
+    lookups, distinct, points = Counter(), Counter(), Counter()
+
+    def instrument(name, derive):
+        def derive_counted(ctx):
+            out = derive(ctx)
+            codes = []
+            for kind in ("init", "term"):
+                for column in out[kind]:
+                    assert isinstance(column, np.ndarray), (name, kind)
+                    assert column.dtype == np.int64, (name, kind)
+                codes.append(out[kind][0])
+            codes = np.concatenate(codes)
+            points[name] += len(codes)
+            distinct[name] = len(np.unique(codes))
+            lookup = out["groundings"]
+
+            def counted_lookup(code):
+                lookups[name, code] += 1
+                return lookup(code)
+
+            return {**out, "groundings": counted_lookup}
+
+        return derive_counted
+
+    for name, rule in fluents.items():
+        rule.derive = instrument(name, rule.derive)
+    looked_up = Counter()
+    for q in QUERIES:
+        lookups.clear()
+        engine.query(q)
+        assert set(lookups.values()) <= {1}
+        per_name = Counter(name for name, _ in lookups)
+        assert per_name == +distinct
+        looked_up.update(per_name)
+        distinct.clear()
+    # Every body had points, and more points than lookups.
+    assert set(points) == set(fluents)
+    assert all(points[name] > looked_up[name] for name in fluents)

@@ -6,8 +6,11 @@ each other.
   feed delayed within and past the window, feed a duplicate, feed
   columnar, slide, pickle round trips (whole; streamless +
   ``refill_columns`` for ``RTEC``) — over a rule set with one
-  definition of every kind; after every query the engine's snapshot
-  must equal the evaluator's.  Tier-1 runs it derandomised with a
+  definition of every kind, plus a compiled derived event, simple
+  fluent and valued fluent (``RTEC`` runs their array bodies, the
+  evaluator and ``ReferenceRTEC`` their interpreted twins, so the
+  point arrays of a compiled fluent body are held to the definition);
+  after every query the engine's snapshot must equal the evaluator's.  Tier-1 runs it derandomised with a
   fixed example budget; given ``--hypothesis-seed`` (CI's ``chaos``
   job draws one and prints it) it runs a larger, seeded budget.
 * The golden small city's recorded ``(window, step)`` pairs, static
@@ -160,22 +163,75 @@ class FastEcho(Echo):
 class On(SimpleFluent):
     """``on(Id)``: initiated by ``on``, terminated by ``off``."""
 
+    def __init__(self, name, *, compile_it=False):
+        super().__init__(name)
+        self._compile_it = compile_it
+
     def initiations(self, ctx):
         return [((e["id"],), e.time) for e in ctx.events("on")]
 
     def terminations(self, ctx):
         return [((e["id"],), e.time) for e in ctx.events("off")]
 
+    def compiled(self, params):
+        return CompiledOn() if self._compile_it else None
+
+
+class CompiledOn(CompiledRule):
+    """``On`` over the window's arrays: its points leave as grounding
+    codes and times, the array path a compiled fluent body takes."""
+
+    columns = {("event", "on"): PINGS, ("event", "off"): PINGS}
+
+    def derive(self, ctx):
+        on, off = (ctx.events_columns(kind, PINGS) for kind in ("on", "off"))
+        return {
+            "init": (on.codes, on.times),
+            "term": (off.codes, off.times),
+            "groundings": on.tokens.tokens.__getitem__,
+        }
+
 
 class Level(ValuedFluent):
     """``level(Id) = V``: ``set`` initiates a value, ``clear``
     terminates one."""
+
+    def __init__(self, name, *, compile_it=False):
+        super().__init__(name)
+        self._compile_it = compile_it
 
     def initiations(self, ctx):
         return [((e["id"],), e["value"], e.time) for e in ctx.events("set")]
 
     def terminations(self, ctx):
         return [((e["id"],), e["value"], e.time) for e in ctx.events("clear")]
+
+    def compiled(self, params):
+        return CompiledLevel() if self._compile_it else None
+
+
+class CompiledLevel(CompiledRule):
+    """``Level`` over the window's arrays: grounding codes, value codes
+    (over a table numbered in first-seen order, not in value order) and
+    times."""
+
+    columns = {("event", "set"): PINGS, ("event", "clear"): PINGS}
+
+    def derive(self, ctx):
+        table = {}
+        streams = {}
+        for stream, kind in (("init", "set"), ("term", "clear")):
+            rows = ctx.events_columns(kind, PINGS)
+            values = [
+                table.setdefault(v, len(table))
+                for v in rows.cells("value", np.arange(rows.n))
+            ]
+            streams[stream] = (
+                rows.codes, np.array(values, dtype=np.int64), rows.times
+            )
+        streams["groundings"] = rows.tokens.tokens.__getitem__
+        streams["values"] = list(table)
+        return streams
 
 
 class Armed(SimpleFluent):
@@ -207,7 +263,9 @@ def definitions():
         Echo("echo"),
         FastEcho("fastEcho", compile_it=True),
         On("on"),
+        On("fastOn", compile_it=True),
         Level("level"),
+        Level("fastLevel", compile_it=True),
         Armed(),
         FunctionalStaticFluent("onAndHigh", _on_and_high, ("on", "level")),
     ]
