@@ -19,7 +19,7 @@ import sys
 import time
 
 from repro.core.columns import ColumnStore
-from repro.core.incremental import WorkingMemory
+from repro.core.window import WorkingMemory
 from repro.dublin import DublinScenario, ScenarioConfig
 from repro.streams import StreamRuntime
 from repro.system import SystemConfig, UrbanTrafficSystem, build_paper_topology

@@ -33,7 +33,7 @@ PIPELINE_XML = """
   <stream id="dublin-sdes" class="app.DublinStream"/>
 
   <process id="event-processing" input="dublin-sdes" output="complex-events">
-    <processor class="app.RtecProcessor"/>
+    <processor class="app.RtecProcessor" window="600" step="300"/>
   </process>
 
   <process id="crowdsourcing" input="complex-events" output="crowd-answers">
@@ -64,15 +64,20 @@ def main() -> None:
     data = scenario.generate(0, 1800)
     print(f"generated {data.n_sdes} SDEs ({data.counts_by_type()})")
 
-    engine = RTEC(
-        build_traffic_definitions(
-            scenario.topology, adaptive=True, noisy_variant="crowd"
-        ),
-        window=600,
-        step=300,
-        params=default_traffic_params(),
-    )
-    rtec_processor = RtecProcessor(engine)
+    # The XML attributes arrive as keyword arguments, coerced to int.
+    built = {}
+
+    def rtec_processor_factory(window, step):
+        engine = RTEC(
+            build_traffic_definitions(
+                scenario.topology, adaptive=True, noisy_variant="crowd"
+            ),
+            window=window,
+            step=step,
+            params=default_traffic_params(),
+        )
+        built["rtec"] = RtecProcessor(engine)
+        return built["rtec"]
 
     # The crowdsourcing leg the full system runs (participants, query
     # policy, priors), built from what it reads.
@@ -87,11 +92,13 @@ def main() -> None:
 
     registry = {
         "app.DublinStream": lambda **_: stream_items(data),
-        "app.RtecProcessor": lambda **_: rtec_processor,
+        "app.RtecProcessor": rtec_processor_factory,
         "app.CrowdsourcingProcessor": lambda **_: CrowdsourcingProcessor(
             crowd_loop
         ),
-        "app.FeedbackProcessor": lambda **_: FluentFeedbackProcessor(engine),
+        "app.FeedbackProcessor": lambda **_: FluentFeedbackProcessor(
+            built["rtec"].engine
+        ),
     }
 
     topology = parse_topology(PIPELINE_XML, registry)
@@ -104,7 +111,7 @@ def main() -> None:
     )
 
     stats = StreamRuntime(topology, metrics=metrics).run()
-    rtec_processor.flush(1800)
+    built["rtec"].flush(1800)
 
     print(f"runtime processed {stats.items_ingested} items")
     print("\nqueue contents:")

@@ -367,7 +367,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
         data, _ = system._stream(system, 0, args.duration)
         paper = build_paper_topology(system, data)
-        StreamRuntime(paper.topology, metrics=registry).run()
+        with registry.timing("ingest.loop_seconds").time():
+            StreamRuntime(paper.topology, metrics=registry).run()
         for region, processor in paper.rtec_processors.items():
             for snapshot in processor.log.snapshots:
                 system._record_query_metrics(region, snapshot)

@@ -30,7 +30,6 @@ from .intervals import (
     IntervalList,
     count_threshold,
     intersect_all,
-    make_intervals,
     relative_complement_all,
     union_all,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "intersect_all",
     "relative_complement_all",
     "count_threshold",
-    "make_intervals",
     "RTEC",
     "RecognitionSnapshot",
     "RecognitionLog",

@@ -19,7 +19,7 @@ simulators to the rule bodies:
   input fluent, all groundings together) as a struct of arrays in
   ``(time, seq)`` order: occurrence times, sequence numbers and a
   ``(block, row)`` reference to the cells each row was fed with.  A
-  :class:`~.incremental.WorkingMemory` keeps one per type as its only
+  :class:`~.window.WorkingMemory` keeps one per type as its only
   store: admission moves rows in by index arithmetic (a delayed SDE is
   sorted into place), eviction advances an offset.  Everything else is
   derived from the referenced cells lazily, at most once per row, and
@@ -95,13 +95,6 @@ def _typed_column(values, n: int, what: str) -> np.ndarray:
     return col
 
 
-def _numeric_column(values) -> np.ndarray:
-    """``numeric=`` shorthand: integers stay ``int64``, the rest is
-    ``float64``."""
-    col = np.asarray(values)
-    return col.astype(np.int64 if col.dtype.kind in "iub" else np.float64)
-
-
 def _mappings(fields: Mapping[str, np.ndarray], rows: np.ndarray) -> list:
     """Read-only payload mappings of ``rows``, built column-wise:
     ``tolist`` turns every NumPy scalar into the exact Python type."""
@@ -123,8 +116,8 @@ class EventColumns:
     * :meth:`from_events` wraps existing :class:`Event` objects —
       times/arrivals become arrays, payloads stay an object column so
       materialisation returns payload-identical events (zero-copy);
-    * ``fields`` is the fully columnar form the simulators and
-      :meth:`from_arrays` produce: one typed array per payload field
+    * ``fields`` is the fully columnar form the simulators produce:
+      one typed array per payload field
       (``int64``, ``float64`` or ``object``), in payload key order.  No
       ``Event`` object exists until a row is admitted into the working
       memory, and a materialised payload is type-exact: an ``int64``
@@ -168,37 +161,6 @@ class EventColumns:
             np.fromiter((ev.arrival for ev in events), np.int64, count=n),
             payloads=[ev.payload for ev in events],
         )
-
-    @classmethod
-    def from_arrays(
-        cls,
-        etype: str,
-        times,
-        *,
-        arrivals=None,
-        numeric: Optional[Mapping[str, Any]] = None,
-        extra: Optional[Mapping[str, Sequence[Any]]] = None,
-    ) -> "EventColumns":
-        """Build from raw arrays (anything :func:`numpy.asarray` takes).
-
-        ``arrivals`` defaults to the occurrence times; ``numeric``
-        columns become ``float64`` — or ``int64`` when handed integers
-        — and ``extra`` columns stay Python objects (strings, ids).
-        Payload keys come in that order; all columns must share one
-        length.
-        """
-        times = np.asarray(times, dtype=np.int64)
-        arr = (
-            times
-            if arrivals is None
-            else np.asarray(arrivals, dtype=np.int64)
-        )
-        fields: dict[str, Any] = {
-            name: _numeric_column(col)
-            for name, col in (numeric or {}).items()
-        }
-        fields.update(extra or {})
-        return cls(etype, times, arr, fields=fields)
 
     def column(self, name: str) -> np.ndarray:
         """One payload field as an array (an object array built from
@@ -263,10 +225,6 @@ class EventColumns:
                 self.arrivals[rows].tolist(),
             )
         ]
-
-    def event(self, i: int) -> Event:
-        """Materialise row ``i`` as an :class:`Event`."""
-        return self.records(np.array([i]))[0]
 
     # Wrapped payloads are read-only proxies, which do not pickle; they
     # travel as plain dicts and :meth:`records` freezes them again.
@@ -418,10 +376,6 @@ class FactColumns:
             )
         ]
 
-    def fact(self, i: int) -> FluentFact:
-        """Materialise row ``i`` as a :class:`FluentFact`."""
-        return self.records(np.array([i]))[0]
-
     # As for :class:`EventColumns`: frozen mapping values travel as
     # plain dicts.
     def __getstate__(self):
@@ -521,10 +475,6 @@ class RecordSequence(Sequence):
             a == b for a, b in zip(self, other)
         )
 
-    def __repr__(self) -> str:
-        return f"<RecordSequence of {self._len} records>"
-
-
 class SDEColumns:
     """A heterogeneous SDE batch: event blocks plus fact blocks.
 
@@ -612,13 +562,6 @@ class SDEColumns:
                 key=lambda block: int(block.times[0]),
             )
         return SDEColumns(ordered(self.events), ordered(self.facts))
-
-    def max_arrival(self) -> Optional[int]:
-        """Latest arrival time in the batch (``None`` when empty)."""
-        candidates = [
-            int(block.arrivals.max()) for block in self.blocks if len(block)
-        ]
-        return max(candidates) if candidates else None
 
     def validate(self) -> None:
         """Reject what the record constructors and :meth:`RTEC.feed`

@@ -159,10 +159,3 @@ class Occurrence:
 
     def __reduce__(self):
         return (Occurrence, (self.type, self.key, self.time, dict(self.payload)))
-
-    def as_event(self) -> Event:
-        """View this occurrence as an input :class:`Event` (CEs can be
-        re-injected as SDEs of a higher-level engine)."""
-        payload = dict(self.payload)
-        payload.setdefault("key", self.key)
-        return Event(self.type, self.time, payload)

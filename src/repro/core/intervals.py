@@ -26,9 +26,9 @@ The engine builds every simple and valued fluent's intervals with
 :func:`simple_intervals` / :func:`valued_intervals`: the points of all
 groundings at once, as ``(grounding code, time)`` arrays, one
 ``lexsort`` and a pass over the points where the state changes.
-:func:`make_intervals` is the same law of inertia for one grounding,
-point by point — its statement, and the reference the array form is
-tested against.
+The same law of inertia for one grounding, point by point, is
+``make_intervals`` in ``tests/reference/inertia.py``: its statement,
+and the reference the array form is tested against.
 """
 
 from __future__ import annotations
@@ -449,57 +449,6 @@ def count_threshold(lists: Sequence[IntervalList], n: int) -> IntervalList:
 # ----------------------------------------------------------------------
 # Simple-fluent interval construction (law of inertia)
 # ----------------------------------------------------------------------
-def make_intervals(
-    initiations: Iterable[int],
-    terminations: Iterable[int],
-    *,
-    holding_at_start: bool = False,
-    window_start: int = 0,
-) -> IntervalList:
-    """Build the maximal intervals of a simple fluent.
-
-    Given the time-points at which ``initiatedAt`` and ``terminatedAt``
-    hold inside the current window, produce the maximal intervals during
-    which the fluent holds, applying the law of inertia: once initiated
-    at ``t`` the fluent holds from ``t + EFFECT_DELAY`` until the first
-    later termination point ``t'`` (ceasing at ``t' + EFFECT_DELAY``).
-
-    ``holding_at_start`` seeds the state at the window's left edge from
-    the previous evaluation cycle, which is how inertia is carried
-    across overlapping windows.
-
-    Tie-break: if the same time-point both initiates and terminates the
-    fluent, termination wins (the fluent does not (re)start there).
-    """
-    init_set = set(initiations)
-    term_set = set(terminations)
-    points = sorted(init_set | term_set)
-
-    out: list[Interval] = []
-    holding = holding_at_start
-    current_start: Optional[int] = window_start if holding else None
-    for t in points:
-        terminates = t in term_set
-        initiates = t in init_set and not terminates
-        if holding and terminates:
-            end = t + EFFECT_DELAY
-            assert current_start is not None
-            if end > current_start:
-                out.append((current_start, end))
-            holding = False
-            current_start = None
-        elif not holding and initiates:
-            holding = True
-            current_start = t + EFFECT_DELAY
-    if holding and current_start is not None:
-        out.append((current_start, None))
-    # Pieces are emitted in point order and a new episode can only
-    # start strictly after the previous one ended (the state machine
-    # must pass through a later initiation point first), so the output
-    # is already in normal form.
-    return IntervalList._from_normalised(tuple(out))
-
-
 # ----------------------------------------------------------------------
 # Every grounding at once: fluent intervals from point arrays
 # ----------------------------------------------------------------------
@@ -631,9 +580,9 @@ def simple_intervals(init, term, seeds) -> dict[int, IntervalList]:
     code and time-point of every ``initiatedAt`` / ``terminatedAt``
     point, duplicates allowed.  ``seeds`` is ``(codes, starts)`` for
     the groundings (among those with points) that held at the window's
-    first time-point, and since when.  Per grounding this is
-    :func:`make_intervals` with ``holding_at_start`` and
-    ``window_start`` from its seed: termination wins at a shared
+    first time-point, and since when.  Per grounding this is the law of
+    inertia (``make_intervals`` in ``tests/reference/inertia.py``)
+    with ``holding_at_start`` and ``window_start`` from its seed: termination wins at a shared
     point, an episode keeps its seeded start, and a piece ending at or
     before its start is dropped.  Groundings that hold nowhere are
     absent; every bound is a Python ``int``.

@@ -18,7 +18,7 @@ carries the law of inertia across overlapping windows.
 One evaluation loop serves every query: each definition is evaluated
 over the *whole* window at every query time — nothing derived at an
 earlier query is kept, except the inertia seed above.  The window is
-arrays in a persistent working memory (:class:`repro.core.incremental.
+arrays in a persistent working memory (:class:`repro.core.window.
 WorkingMemory`): a query admits what has arrived, evicts what fell
 behind the window's left edge, and the rule bodies read the stores —
 compiled where the definition offers a vectorised form, interpreted
@@ -42,7 +42,7 @@ import numpy as np
 
 from .columns import SDEColumns
 from .events import Event, FluentFact, FluentKey, Occurrence
-from .incremental import WorkingMemory
+from .window import WorkingMemory
 from .intervals import (
     EFFECT_DELAY,
     IntervalList,
@@ -227,7 +227,7 @@ class RTEC:
     ----------
     Engines are checkpointed by :mod:`repro.recovery` through
     whole-object pickling.  The contract: all cross-query state — the
-    persistent :class:`~.incremental.WorkingMemory` (including pending
+    persistent :class:`~.window.WorkingMemory` (including pending
     SDEs that have not yet *arrived*), the fluent-inertia cache that
     seeds each window's left edge, and the last query time — must
     round-trip through pickle such that the restored engine answers
@@ -362,7 +362,7 @@ class RTEC:
 
     def mark_stream_fed(self) -> None:
         """Declare the initial input stream fully fed (see
-        :meth:`repro.core.incremental.WorkingMemory.mark_stream_boundary`).
+        :meth:`repro.core.window.WorkingMemory.mark_stream_boundary`).
 
         Checkpoints written in streamless mode then drop the pending
         part of that stream and regenerate it on restore; SDEs fed

@@ -245,10 +245,6 @@ class Definition(abc.ABC):
         """
         return None
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({self.name!r})"
-
-
 class DerivedEvent(Definition):
     """A CE defined as instantaneous event instances (``happensAt``)."""
 
@@ -264,9 +260,8 @@ class SimpleFluent(Definition):
     of all groundings as ``(grounding code, time)`` arrays and builds
     their maximal intervals at once
     (:func:`repro.core.intervals.simple_intervals`: per grounding,
-    the law of inertia :func:`repro.core.intervals.make_intervals`
-    states), seeding the value at the window's left edge from the
-    previous evaluation cycle.
+    the law of inertia), seeding the value at the window's left edge
+    from the previous evaluation cycle.
     """
 
     @abc.abstractmethod

@@ -116,7 +116,6 @@ def build_traffic_definitions(
     include_trends: bool = True,
     structured_intersections: bool = False,
     scats_reliability: bool = False,
-    feeds: tuple[str, ...] = ("scats", "bus"),
 ) -> list[Definition]:
     """Assemble the Dublin CE definition suite.
 
@@ -124,15 +123,6 @@ def build_traffic_definitions(
     ----------
     topology:
         SCATS intersections and the ``close`` predicate configuration.
-    feeds:
-        Which SDE feeds the suite may read; the default builds the
-        full suite.  ``("bus",)`` or ``("scats",)`` builds the
-        degraded single-feed fallback used when the other feed's
-        circuit breaker is open: cross-source definitions (the
-        veracity suite) are omitted because they cannot be evaluated
-        honestly with one side silent.  Single-feed suites are
-        incompatible with ``adaptive`` and ``scats_reliability``
-        (both consume cross-source events).
     adaptive:
         ``False`` reproduces *static* recognition (rule-set (3)):
         every source is always trusted.  ``True`` reproduces
@@ -153,40 +143,6 @@ def build_traffic_definitions(
         ``noisyScats`` fluent and the ``trustedScatsCongestion`` view)
         — the formalisation Section 4.3 mentions but omits.
     """
-    known_feeds = {"scats", "bus"}
-    feed_set = set(feeds)
-    if not feed_set or not feed_set <= known_feeds:
-        raise ValueError(
-            f"feeds must be a non-empty subset of {sorted(known_feeds)}, "
-            f"got {feeds!r}"
-        )
-    if feed_set != known_feeds:
-        if adaptive or scats_reliability:
-            raise ValueError(
-                "adaptive recognition and scats_reliability consume "
-                "cross-source events and need both feeds; got "
-                f"feeds={feeds!r}"
-            )
-        definitions: list[Definition] = []
-        if "scats" in feed_set:
-            definitions.append(ScatsCongestion())
-            if structured_intersections:
-                definitions.append(ApproachCongestion(topology))
-                definitions.append(
-                    StructuredIntersectionCongestion(topology)
-                )
-            else:
-                definitions.append(ScatsIntersectionCongestion(topology))
-            if include_trends:
-                definitions.append(TrafficTrend("flow"))
-                definitions.append(TrafficTrend("density"))
-                definitions.append(TrafficRegime())
-        if "bus" in feed_set:
-            definitions.append(DelayIncrease())
-            definitions.append(CongestionInTheMake())
-            definitions.append(BusCongestion(topology, adaptive=False))
-        return definitions
-
     definitions = [ScatsCongestion()]
     if structured_intersections:
         definitions.append(ApproachCongestion(topology))

@@ -10,12 +10,12 @@ Dublin scenario it is derived from the street network).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..geo import SpatialGrid, distance_m
+from ..geo import SpatialGrid
 
 SensorKey = tuple  # (intersection, approach, sensor)
 
@@ -84,26 +84,6 @@ class ScatsTopology:
         return state
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_mappings(
-        cls,
-        locations: Mapping[str, tuple[float, float]],
-        sensors: Mapping[str, Iterable[SensorKey]],
-        *,
-        close_radius_m: float = 150.0,
-    ) -> "ScatsTopology":
-        """Build a topology from id→(lon, lat) and id→sensors maps."""
-        intersections = [
-            Intersection(
-                id=int_id,
-                lon=lon,
-                lat=lat,
-                sensors=tuple(sensors.get(int_id, ())),
-            )
-            for int_id, (lon, lat) in locations.items()
-        ]
-        return cls(intersections, close_radius_m=close_radius_m)
-
     # ------------------------------------------------------------------
     def __contains__(self, int_id: str) -> bool:
         return int_id in self._by_id
@@ -114,10 +94,6 @@ class ScatsTopology:
     def ids(self) -> list[str]:
         """All intersection ids."""
         return list(self._by_id)
-
-    def get(self, int_id: str) -> Intersection:
-        """Intersection by id (KeyError if unknown)."""
-        return self._by_id[int_id]
 
     def location(self, int_id: str) -> tuple[float, float]:
         """``(lon, lat)`` of an intersection."""
@@ -169,24 +145,3 @@ class ScatsTopology:
                 self._near_cache.clear()
             hit = self._near_cache[key] = list(self._grid.near(lon, lat))
         return hit
-
-    def nearest_intersection(
-        self, lon: float, lat: float
-    ) -> tuple[str, float]:
-        """Nearest intersection id and its distance in metres.
-
-        Falls back to a linear scan when nothing is within the close
-        radius (used to map crowd answers given by ``(Lon, Lat)`` back
-        to an intersection).
-        """
-        near = self._grid.near(lon, lat)
-        candidates = near if near else list(self._by_id)
-        best_id, best_d = None, float("inf")
-        for int_id in candidates:
-            inter = self._by_id[int_id]
-            d = distance_m(lon, lat, inter.lon, inter.lat)
-            if d < best_d:
-                best_id, best_d = int_id, d
-        if best_id is None:
-            raise ValueError("topology has no intersections")
-        return best_id, best_d

@@ -52,10 +52,7 @@ from .probes import (
 from .rewards import RewardLedger, RewardPolicy
 from .selection import (
     AllParticipants,
-    ChainedPolicy,
-    DeadlinePolicy,
     LocationPolicy,
-    ReliabilityPolicy,
     SelectionPolicy,
 )
 
@@ -79,9 +76,6 @@ __all__ = [
     "SelectionPolicy",
     "AllParticipants",
     "LocationPolicy",
-    "ReliabilityPolicy",
-    "DeadlinePolicy",
-    "ChainedPolicy",
     "LatencyModel",
     "StepLatency",
     "PUSH_LATENCY",

@@ -89,22 +89,6 @@ class QueryExecutionResult:
     #: of the reduce phase).
     vote_counts: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def answered_count(self) -> int:
-        return sum(1 for e in self.executions if e.answered)
-
-    def mean_step_ms(self) -> dict[str, float]:
-        """Mean per-step latency over the executed map tasks."""
-        if not self.executions:
-            return {"trigger": 0.0, "push": 0.0, "communication": 0.0}
-        n = len(self.executions)
-        return {
-            "trigger": sum(e.trigger_ms for e in self.executions) / n,
-            "push": sum(e.push_ms for e in self.executions) / n,
-            "communication": sum(e.communication_ms for e in self.executions) / n,
-        }
-
-
 class QueryExecutionEngine:
     """Deterministic simulation of the mobile crowdsourcing engine.
 
@@ -162,31 +146,6 @@ class QueryExecutionEngine:
         if participant_id not in self._devices:
             raise KeyError(f"unknown participant: {participant_id!r}")
         self._online[participant_id] = online
-
-    def update_location(
-        self, participant_id: str, lon: float, lat: float
-    ) -> None:
-        """Track a moving participant (location-based selection uses
-        the current position)."""
-        device = self._devices.get(participant_id)
-        if device is None:
-            raise KeyError(f"unknown participant: {participant_id!r}")
-        device.lon = lon
-        device.lat = lat
-
-    def update_connection(self, participant_id: str, connection: str) -> None:
-        """Track a connection-type change (e.g. WiFi → 3G).
-
-        The paper's push service "enables us to track the participant
-        even if he changes his connection type"; latency estimates for
-        future tasks follow the new network.
-        """
-        device = self._devices.get(participant_id)
-        if device is None:
-            raise KeyError(f"unknown participant: {participant_id!r}")
-        # Validate against the latency model before committing.
-        self.latency_model.expected_engine_ms(connection)
-        device.connection = connection
 
     def online_participants(self) -> list[Participant]:
         """The currently reachable registered participants."""

@@ -151,9 +151,6 @@ class AnswerSet:
             )
         self.answers[participant_id] = label
 
-    def __len__(self) -> int:
-        return len(self.answers)
-
     def __bool__(self) -> bool:
         return bool(self.answers)
 

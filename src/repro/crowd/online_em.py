@@ -25,7 +25,7 @@ ablation bench and DESIGN.md).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .em import posterior_over_labels
@@ -115,27 +115,6 @@ class OnlineEM:
     # estimates, the per-participant step counts ``t_i`` that drive the
     # γ schedule, and the peaked-posterior statistics.  The schedule
     # itself is configuration, not state.
-    def state_dict(self) -> dict:
-        """The estimator's durable state as plain JSON-able data."""
-        return {
-            "error_probabilities": dict(self.error_probabilities),
-            "query_counts": dict(self.query_counts),
-            "peaked_events": self.peaked_events,
-            "total_events": self.total_events,
-        }
-
-    def load_state_dict(self, state: Mapping) -> None:
-        """Restore state captured by :meth:`state_dict`."""
-        self.error_probabilities = {
-            str(k): float(v)
-            for k, v in state["error_probabilities"].items()
-        }
-        self.query_counts = {
-            str(k): int(v) for k, v in state["query_counts"].items()
-        }
-        self.peaked_events = int(state["peaked_events"])
-        self.total_events = int(state["total_events"])
-
     def process(self, answer_set: AnswerSet) -> CrowdEstimate:
         """Process one disagreement event (one loop body of Algorithm 1).
 
@@ -190,18 +169,3 @@ class OnlineEM:
         computation of the reward").
         """
         return sorted(self.error_probabilities, key=self.estimate)
-
-    def relative_errors(
-        self, true_probabilities: Mapping[str, float]
-    ) -> dict[str, float]:
-        """Relative estimation error per participant (Figure 5 bottom).
-
-        ``(p̂_i - p_i) / p_i`` for every participant with known ground
-        truth.
-        """
-        out = {}
-        for pid, true_p in true_probabilities.items():
-            if true_p <= 0:
-                continue
-            out[pid] = (self.estimate(pid) - true_p) / true_p
-        return out

@@ -11,7 +11,6 @@ error-rate estimates.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .online_em import OnlineEM
@@ -69,17 +68,5 @@ class RewardLedger:
         """Compute every participant's reward from current estimates."""
         return {
             pid: self.policy.reward(count, estimator.estimate(pid))
-            for pid, count in self.answer_counts.items()
-        }
-
-    def settle_from(
-        self, error_probabilities: Mapping[str, float],
-        default_error: float = 0.25,
-    ) -> dict[str, float]:
-        """Settle against an explicit error-probability mapping."""
-        return {
-            pid: self.policy.reward(
-                count, error_probabilities.get(pid, default_error)
-            )
             for pid, count in self.answer_counts.items()
         }

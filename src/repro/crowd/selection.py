@@ -13,7 +13,7 @@ compose by chaining.
 from __future__ import annotations
 
 import abc
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 from ..core.geo import distance_m
 from .model import DisagreementTask, Participant
@@ -29,11 +29,6 @@ class SelectionPolicy(abc.ABC):
         candidates: Sequence[Participant],
     ) -> list[Participant]:
         """Return the selected subset, preserving preference order."""
-
-    def __or__(self, other: "SelectionPolicy") -> "ChainedPolicy":
-        """Compose: ``location | reliability`` filters sequentially."""
-        return ChainedPolicy([self, other])
-
 
 class AllParticipants(SelectionPolicy):
     """Query everyone (the Fig. 5 experiment queries all 10)."""
@@ -59,73 +54,3 @@ class LocationPolicy(SelectionPolicy):
             for p in candidates
             if distance_m(task.lon, task.lat, p.lon, p.lat) <= self.radius_m
         ]
-
-
-class ReliabilityPolicy(SelectionPolicy):
-    """The ``k`` most reliable participants by estimated error rate.
-
-    ``estimates`` is typically the live
-    :attr:`repro.crowd.online_em.OnlineEM.error_probabilities` mapping;
-    unknown participants are ranked with ``default_error``.
-    """
-
-    def __init__(
-        self,
-        estimates: Mapping[str, float],
-        k: int = 5,
-        default_error: float = 0.25,
-    ):
-        if k <= 0:
-            raise ValueError("k must be positive")
-        self.estimates = estimates
-        self.k = k
-        self.default_error = default_error
-
-    def select(self, task, candidates):
-        ranked = sorted(
-            candidates,
-            key=lambda p: self.estimates.get(
-                p.participant_id, self.default_error
-            ),
-        )
-        return ranked[: self.k]
-
-
-class DeadlinePolicy(SelectionPolicy):
-    """Admission control: only workers expected to meet the deadline.
-
-    The paper requires ``comm_iq + comp_iq < deadline_q`` for every
-    selected participant, with both terms estimated from historical
-    data; ``estimate_ms`` provides that estimate (e.g.
-    ``QueryExecutionEngine.estimated_latency_ms``).
-    """
-
-    def __init__(self, deadline_ms: float, estimate_ms):
-        if deadline_ms <= 0:
-            raise ValueError("deadline must be positive")
-        self.deadline_ms = deadline_ms
-        self.estimate_ms = estimate_ms
-
-    def select(self, task, candidates):
-        return [
-            p
-            for p in candidates
-            if self.estimate_ms(p) < self.deadline_ms
-        ]
-
-
-class ChainedPolicy(SelectionPolicy):
-    """Apply several policies in sequence (set intersection, ordered)."""
-
-    def __init__(self, policies: Sequence[SelectionPolicy]):
-        if not policies:
-            raise ValueError("a chain needs at least one policy")
-        self.policies = list(policies)
-
-    def select(self, task, candidates):
-        current = list(candidates)
-        for policy in self.policies:
-            current = policy.select(task, current)
-            if not current:
-                break
-        return current

@@ -15,16 +15,12 @@ from .buses import (
     make_lines,
 )
 from .dataset import (
-    BUS_CSV_COLUMNS,
-    SCATS_CSV_COLUMNS,
     event_to_item,
     fact_to_item,
     item_to_event,
     item_to_fact,
-    read_csv,
     read_jsonl,
     stream_items,
-    write_csv,
     write_jsonl,
 )
 from .ground_truth import (
@@ -83,9 +79,5 @@ __all__ = [
     "item_to_fact",
     "write_jsonl",
     "read_jsonl",
-    "write_csv",
-    "read_csv",
-    "BUS_CSV_COLUMNS",
-    "SCATS_CSV_COLUMNS",
     "stream_items",
 ]

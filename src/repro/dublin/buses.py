@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..core.columns import EventColumns, FactColumns
-from ..core.events import Event, FluentFact
 from .ground_truth import (
     FREE_FLOW_SPEED_KMH,
     DensityField,
@@ -234,12 +233,6 @@ class BusFleetSimulator:
             )
 
     # ------------------------------------------------------------------
-    def unreliable_buses(self) -> set[str]:
-        """Ids of the corrupted buses (evaluation ground truth)."""
-        return {
-            b.bus_id for b in self._buses if b.unreliable_mode != "ok"
-        }
-
     def _route_geometry(self, line: BusLine) -> tuple[list, list[float]]:
         """Route nodes and cumulative distances (cached per line)."""
         if line.line_id not in self._route_geometry_cache:
@@ -435,16 +428,6 @@ class BusFleetSimulator:
             },
         )
         return move, gps
-
-    def events(
-        self, start: int, end: int, *, rng: Optional[random.Random] = None
-    ) -> Iterator[tuple[Event, FluentFact]]:
-        """Yield ``(move SDE, gps fact)`` pairs in ``[start, end)`` —
-        the rows of :meth:`columns`, materialised."""
-        move, gps = self.columns(start, end, rng=rng)
-        rows = np.arange(len(move))
-        yield from zip(move.records(rows), gps.records(rows))
-
 
 def _rounds(bus: np.ndarray) -> list[np.ndarray]:
     """The rows of a schedule grouped into rounds: round ``k`` holds

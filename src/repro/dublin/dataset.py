@@ -117,122 +117,3 @@ def stream_items(data: ScenarioData) -> Iterator[DataItem]:
     items.sort(key=lambda i: i.get(ARRIVAL_KEY, i[TIME_KEY]))
     return iter(items)
 
-
-# ----------------------------------------------------------------------
-# CSV round-trip (the dublinked.ie distribution format, simplified)
-# ----------------------------------------------------------------------
-#: Column layouts of the two CSV files, modelled on the dublinked.ie
-#: distribution (bus probe CSV and SCATS CSV), simplified to the
-#: attributes this system consumes.
-BUS_CSV_COLUMNS = (
-    "time", "bus", "line", "operator", "delay",
-    "lon", "lat", "direction", "congestion", "arrival",
-)
-SCATS_CSV_COLUMNS = (
-    "time", "intersection", "approach", "sensor",
-    "density", "flow", "arrival",
-)
-
-
-def write_csv(directory: str | Path, data: ScenarioData) -> tuple[Path, Path]:
-    """Persist a scenario as ``buses.csv`` + ``scats.csv``.
-
-    Mirrors how the Dublin data is actually distributed: one CSV per
-    source, bus rows joining the ``move`` event with its paired ``gps``
-    fact.  Returns the two file paths.
-    """
-    import csv
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    bus_path = directory / "buses.csv"
-    scats_path = directory / "scats.csv"
-
-    gps = {(f.key[0], f.time): f.value for f in data.facts if f.name == "gps"}
-    with bus_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(BUS_CSV_COLUMNS)
-        for event in data.events:
-            if event.type != "move":
-                continue
-            value = gps.get((event["bus"], event.time))
-            if value is None:
-                continue
-            writer.writerow([
-                event.time, event["bus"], event["line"], event["operator"],
-                event["delay"], value["lon"], value["lat"],
-                value["direction"], value["congestion"], event.arrival,
-            ])
-
-    with scats_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SCATS_CSV_COLUMNS)
-        for event in data.events:
-            if event.type != "traffic":
-                continue
-            writer.writerow([
-                event.time, event["intersection"], event["approach"],
-                event["sensor"], event["density"], event["flow"],
-                event.arrival,
-            ])
-    return bus_path, scats_path
-
-
-def read_csv(directory: str | Path) -> ScenarioData:
-    """Load a scenario persisted by :func:`write_csv`."""
-    import csv
-
-    directory = Path(directory)
-    events: list[Event] = []
-    facts: list[FluentFact] = []
-
-    bus_path = directory / "buses.csv"
-    if bus_path.exists():
-        with bus_path.open(newline="", encoding="utf-8") as handle:
-            for row in csv.DictReader(handle):
-                t = int(row["time"])
-                arrival = int(row["arrival"])
-                events.append(Event(
-                    "move", t,
-                    {
-                        "bus": row["bus"], "line": row["line"],
-                        "operator": row["operator"],
-                        "delay": float(row["delay"]),
-                    },
-                    arrival=arrival,
-                ))
-                facts.append(FluentFact(
-                    "gps", (row["bus"],),
-                    {
-                        "lon": float(row["lon"]), "lat": float(row["lat"]),
-                        "direction": int(row["direction"]),
-                        "congestion": int(row["congestion"]),
-                    },
-                    t, arrival=arrival,
-                ))
-
-    scats_path = directory / "scats.csv"
-    if scats_path.exists():
-        with scats_path.open(newline="", encoding="utf-8") as handle:
-            for row in csv.DictReader(handle):
-                events.append(Event(
-                    "traffic", int(row["time"]),
-                    {
-                        "intersection": row["intersection"],
-                        "approach": row["approach"],
-                        "sensor": row["sensor"],
-                        "density": float(row["density"]),
-                        "flow": float(row["flow"]),
-                    },
-                    arrival=int(row["arrival"]),
-                ))
-
-    events.sort(key=lambda e: e.time)
-    facts.sort(key=lambda f: f.time)
-    start = min(
-        [e.time for e in events] + [f.time for f in facts], default=0
-    )
-    end = max(
-        [e.time for e in events] + [f.time for f in facts], default=0
-    )
-    return ScenarioData.from_sdes(events, facts, start, end + 1)

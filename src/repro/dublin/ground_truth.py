@@ -316,10 +316,6 @@ class TrafficGroundTruth:
         density *= self._weather_factor(t)
         return min(max(density, 0.0), JAM_DENSITY_VEH_KM)
 
-    def flow(self, node, t: int) -> float:
-        """True flow (veh/h) at a junction and time (Greenshields)."""
-        return greenshields_flow(self.density(node, t))
-
     def speed(self, node, t: int) -> float:
         """True speed (km/h) at a junction and time."""
         return greenshields_speed(self.density(node, t))
@@ -332,15 +328,6 @@ class TrafficGroundTruth:
         """Ground-truth crowd label at a junction (for simulated
         participants): ``congestion`` or ``free_flow``."""
         return "congestion" if self.is_congested(node, t) else "free_flow"
-
-    def congested_nodes(self, t: int) -> list:
-        """All congested junctions at ``t``."""
-        return [
-            node
-            for node in self.network.graph.nodes
-            if self.is_congested(node, t)
-        ]
-
 
 class DensityField:
     """:meth:`TrafficGroundTruth.density` over arrays of ``(junction

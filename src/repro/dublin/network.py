@@ -98,15 +98,6 @@ class StreetNetwork:
             REGIONS.index("south"),
         )
 
-    def region_of(self, lon: float, lat: float) -> str:
-        """The city region of one point (see :meth:`region_codes`)."""
-        return REGIONS[int(self.region_codes(lon, lat))]
-
-    def region_of_node(self, node) -> str:
-        """Region of a junction."""
-        lon, lat = self.position(node)
-        return self.region_of(lon, lat)
-
     def nearest_node(self, lon: float, lat: float):
         """The junction closest to a point (linear scan; used to map
         sensor locations onto the graph, as in Section 7.3)."""

@@ -24,14 +24,13 @@ field, bias, noise, Greenshields flow — are then computed as arrays.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..core.columns import EventColumns
-from ..core.events import Event
 from ..core.traffic import ScatsTopology
 from .ground_truth import (
     DensityField,
@@ -198,11 +197,3 @@ class ScatsSensorSimulator:
                 "flow": flow,
             },
         )
-
-    def events(
-        self, start: int, end: int, *, rng: Optional[random.Random] = None
-    ) -> Iterator[Event]:
-        """Yield the ``traffic`` SDEs of ``[start, end)`` — the rows of
-        :meth:`columns`, materialised."""
-        block = self.columns(start, end, rng=rng)
-        yield from block.records(np.arange(len(block)))

@@ -9,13 +9,12 @@ guides.
 """
 
 from .crash import CrashInjector, SimulatedCrash
-from .profiles import BOUNDED_DELAY_S, PROFILES, get_profile, list_profiles
+from .profiles import BOUNDED_DELAY_S, PROFILES, get_profile
 from .spec import (
     CrowdFaults,
     FaultInjector,
     FaultProfile,
     StreamFaults,
-    faulty_source,
     inject_scenario,
 )
 
@@ -24,12 +23,10 @@ __all__ = [
     "CrowdFaults",
     "FaultProfile",
     "FaultInjector",
-    "faulty_source",
     "inject_scenario",
     "PROFILES",
     "BOUNDED_DELAY_S",
     "get_profile",
-    "list_profiles",
     "CrashInjector",
     "SimulatedCrash",
 ]

@@ -109,11 +109,6 @@ PROFILES: dict[str, FaultProfile] = {
 }
 
 
-def list_profiles() -> list[FaultProfile]:
-    """All registered profiles, sorted by name."""
-    return [PROFILES[name] for name in sorted(PROFILES)]
-
-
 def get_profile(name: str) -> FaultProfile:
     """Resolve a profile by name (closest-match hint on a miss)."""
     try:

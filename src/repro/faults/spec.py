@@ -428,23 +428,6 @@ class FaultInjector:
                     objects[i] = {**old, **changes}
 
 
-def faulty_source(source, spec: StreamFaults, *, seed: int = 0,
-                  metrics: Optional[Registry] = None):
-    """Wrap a Streams :class:`~repro.streams.processes.Source` with
-    injected faults.
-
-    Returns a new ``Source`` of the same name whose items went through
-    a :class:`FaultInjector`; the source re-sorts by arrival, so
-    injected delays genuinely reorder delivery.
-    """
-    from ..streams.processes import Source
-
-    injector = FaultInjector(
-        spec, seed=seed, feed=source.name, metrics=metrics
-    )
-    return Source(source.name, injector.items(iter(source)))
-
-
 def inject_scenario(data, profile: FaultProfile, *,
                     metrics: Optional[Registry] = None):
     """Apply a profile to a scenario's SDE stream.

@@ -155,29 +155,9 @@ class Registry:
         return timing
 
     # -- introspection -----------------------------------------------------
-    def names(self) -> list[str]:
-        """All instrument names, sorted."""
-        return sorted(
-            set(self._counters) | set(self._gauges) | set(self._timings)
-        )
-
     def counters(self) -> dict[str, int]:
         """Counter values by name (a copy)."""
         return {name: c.value for name, c in sorted(self._counters.items())}
-
-    def counters_with_prefix(self, prefix: str) -> dict[str, int]:
-        """Counter values whose name starts with ``prefix`` (a copy).
-
-        The conventional view over one subsystem's namespace — e.g.
-        ``counters_with_prefix("faults.")`` for everything the fault
-        injectors did, or ``counters_with_prefix("streams.breaker.")``
-        for breaker activity.
-        """
-        return {
-            name: c.value
-            for name, c in sorted(self._counters.items())
-            if name.startswith(prefix)
-        }
 
     def gauges(self) -> dict[str, float]:
         """Gauge values by name (a copy)."""
@@ -186,11 +166,6 @@ class Registry:
     def timings(self) -> dict[str, Timing]:
         """Timing instruments by name (the live objects)."""
         return dict(sorted(self._timings.items()))
-
-    def __len__(self) -> int:
-        return (
-            len(self._counters) + len(self._gauges) + len(self._timings)
-        )
 
     # -- merge / export ----------------------------------------------------
     def merge(self, other: "Registry", *, prefix: str = "") -> None:
@@ -250,8 +225,3 @@ class Registry:
         for name, summary in data.get("timings", {}).items():
             registry._timings[name] = Timing.from_dict(summary)
         return registry
-
-    @classmethod
-    def from_json(cls, text: str) -> "Registry":
-        """Rebuild a registry from a :meth:`to_json` document."""
-        return cls.from_dict(json.loads(text))

@@ -21,7 +21,6 @@ from .checkpoint import (
     NoValidCheckpoint,
 )
 from .coordinator import CheckpointCoordinator
-from .harness import CrashOutcome, resume_run, run_resilient, run_with_recovery
 from .journal import WriteAheadJournal
 
 __all__ = [
@@ -31,8 +30,4 @@ __all__ = [
     "NoValidCheckpoint",
     "WriteAheadJournal",
     "CheckpointCoordinator",
-    "CrashOutcome",
-    "run_with_recovery",
-    "resume_run",
-    "run_resilient",
 ]

@@ -34,7 +34,11 @@ from typing import Any, Optional
 from ..ioutils import atomic_write_bytes
 
 MAGIC = b"RPROCKP1"
-#: Version 8: the scenario a pipeline checkpoint carries holds each
+#: Version 9: the engine's working memory pickles as
+#: ``repro.core.window.WorkingMemory`` (``repro.core.incremental`` until
+#: version 8), and a pipeline checkpoint's ``SystemConfig`` has
+#: seventeen fields (twenty-six until version 8).  Since version 8 the
+#: scenario a pipeline checkpoint carries holds each
 #: bus as its frozen initial state and a ground truth without memo
 #: tables; a version-7 bus pickled its kinematics (position, distance
 #: travelled, the span's start) and a version-7 ground truth two
@@ -54,7 +58,7 @@ MAGIC = b"RPROCKP1"
 #: ``(arrival, seq, is_fact, row)`` tuples beside the ``PendingBatch``
 #: arrays, version 1 carried only those); an older file is refused
 #: rather than mis-restored.
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 _HEADER = struct.Struct("<8sIQ32s")
 _NAME_RE = re.compile(r"^checkpoint-(\d{8})\.ckpt$")
 

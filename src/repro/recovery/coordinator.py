@@ -61,7 +61,7 @@ import time
 from contextlib import nullcontext
 from typing import Any, Mapping, Optional
 
-from ..core.incremental import streamless_checkpoint
+from ..core.window import streamless_checkpoint
 from ..obs import Registry
 from .checkpoint import CheckpointError, CheckpointInfo, CheckpointManager
 from .journal import WriteAheadJournal
@@ -172,7 +172,7 @@ class CheckpointCoordinator:
         """Write the checkpoint for ``step`` and rotate the journal.
 
         ``streamless`` pickles the payload inside
-        :func:`repro.core.incremental.streamless_checkpoint`, dropping
+        :func:`repro.core.window.streamless_checkpoint`, dropping
         the regenerable pending stream; whoever restores it must
         rebuild that stream.
         """

@@ -76,11 +76,6 @@ class WriteAheadJournal:
         ``base_step``."""
         return self.directory / f"journal-{base_step:08d}.wal"
 
-    @property
-    def base_step(self) -> Optional[int]:
-        """The open segment's base step, or ``None`` before open()."""
-        return self._base_step
-
     # ------------------------------------------------------------------
     def open(self, base_step: int) -> None:
         """Start appending to the segment for ``base_step``."""

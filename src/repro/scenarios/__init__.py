@@ -25,7 +25,6 @@ from .envelope import (
 from .library import (
     SCENARIO_LIBRARY,
     get_scenario,
-    library_families,
     scenario_names,
 )
 from .report import render_matrix_html, write_matrix_report
@@ -74,7 +73,6 @@ __all__ = [
     "compile_ground_truth",
     "SCENARIO_LIBRARY",
     "scenario_names",
-    "library_families",
     "get_scenario",
     "run_scenario",
     "run_matrix",

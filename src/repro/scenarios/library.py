@@ -27,7 +27,6 @@ __all__ = [
     "SCENARIO_LIBRARY",
     "scenario_names",
     "get_scenario",
-    "library_families",
 ]
 
 #: 07:45 — the rising edge of the morning peak.
@@ -220,12 +219,6 @@ SCENARIO_LIBRARY: tuple[ScenarioSpec, ...] = tuple(
 def scenario_names() -> list[str]:
     """Names of every library scenario, in declaration order."""
     return [spec.name for spec in SCENARIO_LIBRARY]
-
-
-def library_families() -> set[str]:
-    """Topology families the library covers (the matrix acceptance
-    criterion demands >= 3)."""
-    return {spec.topology.family for spec in SCENARIO_LIBRARY}
 
 
 def get_scenario(name: str) -> ScenarioSpec:

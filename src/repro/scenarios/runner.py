@@ -105,19 +105,6 @@ class MatrixResult:
     def n_failed(self) -> int:
         return sum(0 if run.passed else 1 for run in self.runs)
 
-    def format(self) -> str:
-        """Every envelope verdict plus the ``N/M scenarios passed``
-        summary line."""
-        lines = []
-        for run in self.runs:
-            lines.append(run.envelope.format())
-        lines.append(
-            f"matrix: {len(self.runs) - self.n_failed}/{len(self.runs)} "
-            "scenarios passed"
-        )
-        return "\n".join(lines)
-
-
 def _base_config(spec: ScenarioSpec) -> SystemConfig:
     return SystemConfig(seed=spec.seed, **spec.system_overrides)
 

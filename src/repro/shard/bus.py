@@ -161,30 +161,10 @@ class ShardBus:
         if endpoint is not None:
             endpoint.close()
 
-    def shards(self) -> list[str]:
-        """Attached shard names, sorted."""
-        return sorted(self._endpoints)
-
     # ------------------------------------------------------------------
     def send(self, shard: str, kind: str, **payload: Any) -> None:
         """Send one message to one shard."""
         self._endpoints[shard].send((kind, payload))
-
-    def publish(self, kind: str, **payload: Any) -> dict[str, ShardConnectionLost]:
-        """Fan one message out to every attached shard.
-
-        Returns the shards whose channel was already dead, mapped to
-        the error — the caller (the runtime) decides whether that is a
-        restartable death or ignorable (the ready handshake re-sends
-        missed feeds after a restart, so a dropped publish is safe).
-        """
-        failures: dict[str, ShardConnectionLost] = {}
-        for shard in sorted(self._endpoints):
-            try:
-                self.send(shard, kind, **payload)
-            except ShardConnectionLost as error:
-                failures[shard] = error
-        return failures
 
     def close(self) -> None:
         """Close every channel."""

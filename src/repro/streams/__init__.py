@@ -12,27 +12,16 @@ from .items import (
     TIME_KEY,
     DataItem,
     item_arrival,
-    item_source,
-    item_time,
-    iter_attributes,
-    make_item,
     payload_of,
 )
 from .processes import Process, Queue, Source
 from .processors import (
-    Collect,
     Counter,
-    Deduplicate,
-    EmitTo,
     Filter,
     Processor,
-    ProcessorContext,
-    SelectKeys,
     SetAttributes,
     Tap,
-    Throttle,
     Transform,
-    TumblingAggregate,
     normalise_result,
 )
 from .runtime import RunStats, StreamRuntime, Topology
@@ -52,28 +41,17 @@ __all__ = [
     "TIME_KEY",
     "ARRIVAL_KEY",
     "SOURCE_KEY",
-    "make_item",
-    "item_time",
     "item_arrival",
-    "item_source",
     "payload_of",
-    "iter_attributes",
     "Source",
     "Queue",
     "Process",
     "Processor",
-    "ProcessorContext",
     "Filter",
     "Transform",
     "SetAttributes",
-    "SelectKeys",
     "Tap",
-    "Collect",
-    "EmitTo",
     "Counter",
-    "TumblingAggregate",
-    "Throttle",
-    "Deduplicate",
     "normalise_result",
     "ServiceRegistry",
     "Topology",

@@ -9,7 +9,7 @@ of helpers for the reserved keys the runtime uses.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 DataItem = dict[str, Any]
 
@@ -21,46 +21,12 @@ ARRIVAL_KEY = "@arrival"
 SOURCE_KEY = "@source"
 
 
-def make_item(
-    payload: Mapping[str, Any],
-    *,
-    time: int | None = None,
-    arrival: int | None = None,
-    source: str | None = None,
-) -> DataItem:
-    """Build a data item, stamping the reserved keys when provided."""
-    item: DataItem = dict(payload)
-    if time is not None:
-        item[TIME_KEY] = time
-    if arrival is not None:
-        item[ARRIVAL_KEY] = arrival
-    if source is not None:
-        item[SOURCE_KEY] = source
-    return item
-
-
-def item_time(item: Mapping[str, Any]) -> int:
-    """Event-time of an item (KeyError when unstamped)."""
-    return item[TIME_KEY]
-
-
 def item_arrival(item: Mapping[str, Any]) -> int:
     """Arrival time of an item; falls back to its event-time."""
     return item.get(ARRIVAL_KEY, item[TIME_KEY])
-
-
-def item_source(item: Mapping[str, Any]) -> str | None:
-    """The source stream an item came from, if stamped."""
-    return item.get(SOURCE_KEY)
 
 
 def payload_of(item: Mapping[str, Any]) -> DataItem:
     """The item without the reserved ``@``-prefixed runtime keys."""
     return {k: v for k, v in item.items() if not k.startswith("@")}
 
-
-def iter_attributes(item: Mapping[str, Any]) -> Iterator[tuple[str, Any]]:
-    """Iterate over non-reserved attributes of an item."""
-    for key, value in item.items():
-        if not key.startswith("@"):
-            yield key, value

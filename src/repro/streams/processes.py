@@ -42,10 +42,6 @@ class Source:
     def __iter__(self) -> Iterator[DataItem]:
         return iter(self._items)
 
-    def __len__(self) -> int:
-        return len(self._items)
-
-
 class Queue:
     """A named FIFO connecting processes.
 

@@ -12,7 +12,7 @@ Java.
 from __future__ import annotations
 
 import abc
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from typing import Any, Optional, Union
 
 from .items import DataItem
@@ -21,41 +21,11 @@ from .items import DataItem
 ProcessorResult = Union[None, DataItem, list[DataItem]]
 
 
-class ProcessorContext:
-    """Runtime facilities available to a processor.
-
-    Exposes the service registry (the Streams notion of *services*: sets
-    of functions accessible throughout the application) and the output
-    queues a processor may emit to explicitly.
-    """
-
-    def __init__(self, services: Any = None):
-        self._services = services
-        self._emissions: list[tuple[str, DataItem]] = []
-
-    def service(self, name: str) -> Any:
-        """Look up a registered service by name."""
-        if self._services is None:
-            raise LookupError("no service registry attached")
-        return self._services.lookup(name)
-
-    def emit(self, queue: str, item: DataItem) -> None:
-        """Send an item to a named queue (outside the main chain)."""
-        self._emissions.append((queue, item))
-
-    def drain_emissions(self) -> list[tuple[str, DataItem]]:
-        """Collect and clear explicit queue emissions (runtime use)."""
-        out = self._emissions
-        self._emissions = []
-        return out
-
-
 class Processor(abc.ABC):
     """Base class of all processors."""
 
-    def init(self, context: ProcessorContext) -> None:
+    def init(self) -> None:
         """Called once before the first item (resource setup)."""
-        self.context = context
 
     @abc.abstractmethod
     def process(self, item: DataItem) -> ProcessorResult:
@@ -122,20 +92,6 @@ class SetAttributes(Processor):
         return item
 
 
-class SelectKeys(Processor):
-    """Project each item onto a fixed set of keys (plus reserved keys)."""
-
-    def __init__(self, keys: Iterable[str]):
-        self.keys = set(keys)
-
-    def process(self, item: DataItem) -> ProcessorResult:
-        return {
-            k: v
-            for k, v in item.items()
-            if k in self.keys or k.startswith("@")
-        }
-
-
 class Tap(Processor):
     """Invoke a side-effect callback and pass the item through."""
 
@@ -144,28 +100,6 @@ class Tap(Processor):
 
     def process(self, item: DataItem) -> ProcessorResult:
         self.callback(item)
-        return item
-
-
-class Collect(Processor):
-    """Accumulate every item into a list (test/inspection sink)."""
-
-    def __init__(self) -> None:
-        self.items: list[DataItem] = []
-
-    def process(self, item: DataItem) -> ProcessorResult:
-        self.items.append(item)
-        return item
-
-
-class EmitTo(Processor):
-    """Copy every item to an additional named queue."""
-
-    def __init__(self, queue: str):
-        self.queue = queue
-
-    def process(self, item: DataItem) -> ProcessorResult:
-        self.context.emit(self.queue, dict(item))
         return item
 
 
@@ -182,152 +116,4 @@ class Counter(Processor):
         if self.group_by is not None:
             group = item.get(self.group_by)
             self.per_group[group] = self.per_group.get(group, 0) + 1
-        return item
-
-
-class TumblingAggregate(Processor):
-    """Aggregate items over tumbling event-time windows.
-
-    Mediators in the paper's architecture "apply filtering and
-    aggregation mechanisms" before the platform sees the data; this
-    processor provides that building block: items are grouped by
-    ``key_fn`` within consecutive ``window`` wide event-time buckets,
-    and when an item's timestamp enters a new bucket the finished
-    bucket is emitted as one aggregate item per group::
-
-        {"@time": window_end, "key": <group>, "value": <aggregate>,
-         "count": <n>}
-
-    ``finish()`` does not flush (processors cannot emit there); call
-    :meth:`flush` explicitly for the trailing partial window.
-    """
-
-    def __init__(
-        self,
-        window: int,
-        key_fn: Callable[[DataItem], Any],
-        value_fn: Callable[[DataItem], float],
-        agg: str = "mean",
-    ):
-        if window <= 0:
-            raise ValueError("window must be positive")
-        if agg not in ("mean", "sum", "min", "max"):
-            raise ValueError(f"unknown aggregate: {agg!r}")
-        self.window = window
-        self.key_fn = key_fn
-        self.value_fn = value_fn
-        self.agg = agg
-        self._bucket_start: Optional[int] = None
-        self._groups: dict[Any, list[float]] = {}
-
-    def _aggregate(self, values: list[float]) -> float:
-        if self.agg == "mean":
-            return sum(values) / len(values)
-        if self.agg == "sum":
-            return sum(values)
-        if self.agg == "min":
-            return min(values)
-        return max(values)
-
-    def _emit_bucket(self) -> list[DataItem]:
-        assert self._bucket_start is not None
-        window_end = self._bucket_start + self.window
-        out = [
-            {
-                "@time": window_end,
-                "key": key,
-                "value": self._aggregate(values),
-                "count": len(values),
-            }
-            for key, values in sorted(
-                self._groups.items(), key=lambda kv: repr(kv[0])
-            )
-        ]
-        self._groups = {}
-        return out
-
-    def process(self, item: DataItem) -> ProcessorResult:
-        t = item["@time"]
-        bucket = (t // self.window) * self.window
-        emitted: list[DataItem] = []
-        if self._bucket_start is None:
-            self._bucket_start = bucket
-        elif bucket > self._bucket_start:
-            if self._groups:
-                emitted = self._emit_bucket()
-            self._bucket_start = bucket
-        elif bucket < self._bucket_start:
-            raise ValueError(
-                "items must arrive in non-decreasing event time for "
-                f"tumbling aggregation (got {t} in bucket {bucket} after "
-                f"{self._bucket_start})"
-            )
-        self._groups.setdefault(self.key_fn(item), []).append(
-            float(self.value_fn(item))
-        )
-        return emitted or None
-
-    def flush(self) -> list[DataItem]:
-        """Emit the trailing partial window (call at end of stream)."""
-        if self._bucket_start is None or not self._groups:
-            return []
-        return self._emit_bucket()
-
-
-class Throttle(Processor):
-    """Rate-limit items per group: at most one per ``interval`` seconds.
-
-    Models a mediator's *filtering* side (the paper's mediators thin
-    the raw sensor feed before the platform sees it): for each value of
-    ``key_fn`` only the first item of every ``interval``-long span of
-    event time passes; later items inside the span are dropped.
-    """
-
-    def __init__(self, interval: int, key_fn: Callable[[DataItem], Any]):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self.interval = interval
-        self.key_fn = key_fn
-        self._last_pass: dict[Any, int] = {}
-
-    def process(self, item: DataItem) -> ProcessorResult:
-        t = item["@time"]
-        key = self.key_fn(item)
-        last = self._last_pass.get(key)
-        if last is not None and t - last < self.interval:
-            return None
-        self._last_pass[key] = t
-        return item
-
-
-class Deduplicate(Processor):
-    """Drop items whose identity was already seen.
-
-    ``key_fn`` extracts the identity (e.g. ``(bus, time)``); duplicates
-    arising from at-least-once transports or queue fan-in are dropped.
-    ``max_keys`` bounds the memory: the oldest half of the identity set
-    is discarded when the bound is hit (streams are ordered enough in
-    practice that late duplicates beyond that horizon are rare).
-    """
-
-    def __init__(
-        self,
-        key_fn: Callable[[DataItem], Any],
-        max_keys: int = 100_000,
-    ):
-        if max_keys <= 1:
-            raise ValueError("max_keys must exceed 1")
-        self.key_fn = key_fn
-        self.max_keys = max_keys
-        self._seen: dict[Any, None] = {}
-
-    def process(self, item: DataItem) -> ProcessorResult:
-        key = self.key_fn(item)
-        if key in self._seen:
-            return None
-        self._seen[key] = None
-        if len(self._seen) > self.max_keys:
-            # Evict the oldest half (dict preserves insertion order).
-            for old in list(self._seen)[: self.max_keys // 2]:
-                del self._seen[old]
         return item

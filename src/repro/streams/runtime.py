@@ -28,7 +28,7 @@ from typing import Optional
 from ..obs import Registry
 from .items import DataItem, item_arrival
 from .processes import Process, Queue, Source
-from .processors import Processor, ProcessorContext, normalise_result
+from .processors import Processor, normalise_result
 from .services import ServiceRegistry
 from .supervision import ProcessorTimeout, Supervisor
 
@@ -39,14 +39,6 @@ class RunStats:
 
     items_ingested: int = 0
     items_delivered: int = 0
-    #: Source items skipped at seeding time because they were below the
-    #: runtime's ``start_offsets`` (already processed before a resume).
-    items_skipped: int = 0
-    #: Absolute per-source consumption offsets: how many of each
-    #: source's items have been dispatched, *including* any skipped
-    #: prefix — so the final offsets of a resumed run equal an
-    #: uninterrupted run's.
-    source_offsets: dict[str, int] = field(default_factory=dict)
     per_process: dict[str, tuple[int, int]] = field(default_factory=dict)
     #: Wall-clock seconds of the dispatch loop.
     wall_seconds: float = 0.0
@@ -61,15 +53,15 @@ class Topology:
 
     Nodes can be registered with the classic ``add_*`` methods or with
     the fluent builder methods (:meth:`source`, :meth:`process`,
-    :meth:`queue`, :meth:`service`), which return the topology so a
-    whole graph reads as one chained expression::
+    :meth:`service`), which return the topology so a whole graph reads
+    as one chained expression::
 
         topo = (
             Topology()
             .source("readings", items)
             .process("clean", input="readings",
                      processors=[Filter(keep)], output="clean")
-            .process("sink", input="clean", processors=[Collect()])
+            .process("sink", input="clean", processors=[Tap(print)])
         )
     """
 
@@ -90,17 +82,6 @@ class Topology:
         self.sources[source.name] = source
         return source
 
-    def add_queue(self, name: str) -> Queue:
-        """Register (or fetch) a named queue."""
-        if name not in self.queues:
-            if name in self.sources:
-                raise ValueError(
-                    f"queue {name!r} would shadow the source of the same "
-                    "name in consumer resolution; rename one of them"
-                )
-            self.queues[name] = Queue(name)
-        return self.queues[name]
-
     def add_process(self, process: Process) -> Process:
         """Register a process node."""
         if process.name in self.processes:
@@ -108,9 +89,8 @@ class Topology:
         self.processes[process.name] = process
         self._consumer_index = None
         if process.output is not None and process.output not in self.queues:
-            # Created directly (not via add_queue) so that registration
-            # order stays free: a collision with a source declared in
-            # either order is reported by validate(), not here.
+            # A collision with a source declared in either order is
+            # reported by validate(), not here.
             self.queues[process.output] = Queue(process.output)
         return self.processes[process.name]
 
@@ -154,11 +134,6 @@ class Topology:
         )
         return self
 
-    def queue(self, name: str) -> "Topology":
-        """Builder: pre-register a named queue and return the topology."""
-        self.add_queue(name)
-        return self
-
     def service(self, name: str, obj) -> "Topology":
         """Builder: register a shared service and return the topology."""
         self.services.register(name, obj)
@@ -169,9 +144,9 @@ class Topology:
         """Check the graph and (re)build the consumer index.
 
         Raises when a process consumes an unknown input, or when a
-        process output (or pre-registered queue) carries the same name
-        as a source: both would resolve to the *same* consumer list, so
-        queue items would silently masquerade as source items.
+        process output carries the same name as a source: both would
+        resolve to the *same* consumer list, so queue items would
+        silently masquerade as source items.
         """
         shadowed = sorted(set(self.queues) & set(self.sources))
         if shadowed:
@@ -223,24 +198,6 @@ class StreamRuntime:
         input short-circuits traffic after repeated failures (see
         ``docs/robustness.md``).  Without one, any chain exception
         propagates — the historical behaviour.
-    journal:
-        Optional write-ahead journal (anything with an
-        ``append(record)`` method, e.g. an open
-        :class:`repro.recovery.WriteAheadJournal` segment).  The
-        runtime appends ``{"kind": "offsets", ...}`` records of the
-        per-source consumption offsets every ``journal_every``
-        dispatched source items and once at the end of the run, so an
-        embedding can resume a dead run from the last journalled
-        offsets instead of time zero.
-    journal_every:
-        Source items between journalled offset records.
-    start_offsets:
-        Absolute per-source offsets to resume from: the first
-        ``start_offsets[name]`` items of each source are skipped at
-        seeding time (counted in ``RunStats.items_skipped``), and the
-        reported offsets continue from those positions.  Sources are
-        replayed deterministically, so skipping a processed prefix is
-        exactly-once delivery for the remainder.
     """
 
     def __init__(
@@ -248,32 +205,16 @@ class StreamRuntime:
         topology: Topology,
         metrics: Optional[Registry] = None,
         supervisor: Optional[Supervisor] = None,
-        *,
-        journal=None,
-        journal_every: int = 100,
-        start_offsets: Optional[dict[str, int]] = None,
     ):
-        if journal_every < 1:
-            raise ValueError(
-                f"journal_every must be >= 1, got {journal_every}"
-            )
         self.topology = topology
         self.metrics = metrics
         self.supervisor = supervisor
         if supervisor is not None and supervisor.metrics is None:
             supervisor.metrics = metrics
-        self.journal = journal
-        self.journal_every = journal_every
-        self.start_offsets = dict(start_offsets or {})
-        self._contexts: dict[str, ProcessorContext] = {}
         #: Arrival time of the item currently being processed.
         self.now: Optional[int] = None
 
     # ------------------------------------------------------------------
-    def _consumers_of(self, input_name: str) -> list[Process]:
-        """Indexed consumer lookup (kept for API compatibility)."""
-        return self.topology.consumers_of(input_name)
-
     def run(self) -> RunStats:
         """Drain all sources through the graph; returns run statistics."""
         topo = self.topology
@@ -282,23 +223,15 @@ class StreamRuntime:
 
         # Initialise processor chains.
         for process in topo.processes.values():
-            context = ProcessorContext(services=topo.services)
-            self._contexts[process.name] = context
             for processor in process.processors:
-                processor.init(context)
+                processor.init()
         topo.services.start_all()
 
-        # Seed the schedule with all source items, merged by arrival;
-        # a resumed run skips each source's already-processed prefix.
+        # Seed the schedule with all source items, merged by arrival.
         heap: list[tuple[int, int, str, DataItem]] = []
         seq = 0
         for source in topo.sources.values():
-            skip = self.start_offsets.get(source.name, 0)
-            stats.source_offsets[source.name] = skip
-            for index, item in enumerate(source):
-                if index < skip:
-                    stats.items_skipped += 1
-                    continue
+            for item in source:
                 heapq.heappush(heap, (item_arrival(item), seq, source.name, item))
                 seq += 1
                 stats.items_ingested += 1
@@ -322,8 +255,6 @@ class StreamRuntime:
 
         timed = self.metrics is not None
         chain_seconds: dict[str, float] = {}
-        source_names = set(topo.sources)
-        since_journal = 0
         t_run = perf_counter()
         while heap:
             arrival, _, input_name, item = heapq.heappop(heap)
@@ -351,16 +282,6 @@ class StreamRuntime:
                 and heap[0][2] == input_name
             ):
                 batch.append(heapq.heappop(heap)[3])
-            if input_name in source_names:
-                # The batch is consumed from its source whatever its
-                # consumers (or breakers) do with it: advance the
-                # source offset and journal it periodically.
-                stats.source_offsets[input_name] += len(batch)
-                if self.journal is not None:
-                    since_journal += len(batch)
-                    if since_journal >= self.journal_every:
-                        self._journal_offsets(stats, arrival)
-                        since_journal = 0
             consumers = topo.consumers_of(input_name)
             if not consumers:
                 continue
@@ -387,23 +308,12 @@ class StreamRuntime:
                                 (arrival, seq, process.output, out_item),
                             )
                             seq += 1
-                    # Explicit context emissions go to their queues too.
-                    context = self._contexts[process.name]
-                    for queue_name, emitted in context.drain_emissions():
-                        queue = topo.add_queue(queue_name)
-                        queue.put(dict(emitted))
-                        heapq.heappush(
-                            heap, (arrival, seq, queue_name, emitted)
-                        )
-                        seq += 1
                     if timed:
                         chain_seconds[process.name] = (
                             chain_seconds.get(process.name, 0.0)
                             + (perf_counter() - t0)
                         )
         stats.wall_seconds = perf_counter() - t_run
-        if self.journal is not None:
-            self._journal_offsets(stats, self.now, final=True)
 
         for process in topo.processes.values():
             for processor in process.processors:
@@ -416,19 +326,6 @@ class StreamRuntime:
             self._record_metrics(stats, chain_seconds)
         return stats
 
-    def _journal_offsets(
-        self, stats: RunStats, t, *, final: bool = False
-    ) -> None:
-        """Write-ahead record of the current source offsets."""
-        record = {
-            "kind": "offsets",
-            "offsets": dict(stats.source_offsets),
-            "t": t,
-        }
-        if final:
-            record["final"] = True
-        self.journal.append(record)
-
     def _record_metrics(
         self, stats: RunStats, chain_seconds: dict[str, float]
     ) -> None:
@@ -437,10 +334,6 @@ class StreamRuntime:
         assert registry is not None
         registry.counter("streams.items.ingested").inc(stats.items_ingested)
         registry.counter("streams.items.delivered").inc(stats.items_delivered)
-        if stats.items_skipped:
-            registry.counter("streams.items.skipped").inc(
-                stats.items_skipped
-            )
         registry.timing("streams.run.seconds").observe(stats.wall_seconds)
         for name, (consumed, produced) in stats.per_process.items():
             prefix = f"streams.process.{name}"
@@ -490,15 +383,12 @@ class StreamRuntime:
         through the process's error policy: ``fail`` propagates,
         ``retry`` re-runs the chain with accounted backoff, and
         exhausted/skipped items are dead-lettered and reported to the
-        input's circuit breaker.  A failed attempt's explicit queue
-        emissions are discarded so half-processed items never leak
-        downstream.
+        input's circuit breaker.
         """
         supervisor = self.supervisor
         if supervisor is None:
             return self._run_chain(process, dict(item))
         policy = supervisor.policy_for(process)
-        context = self._contexts[process.name]
         process.consumed += 1
         attempts = 0
         while True:
@@ -516,7 +406,6 @@ class StreamRuntime:
                         f"one item (budget {policy.timeout_s}s)"
                     )
             except Exception as exc:
-                context.drain_emissions()  # discard partial emissions
                 supervisor.chain_failed(
                     exc, timeout=isinstance(exc, ProcessorTimeout)
                 )

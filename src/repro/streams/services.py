@@ -4,13 +4,13 @@
 functions that are accessible throughout the stream processing
 application" (paper, Section 3).  The traffic-modelling procedure, for
 instance, is "wrapped as a Streams service".  A service here is any
-Python object registered under a name; processors reach it through
-their :class:`~repro.streams.processors.ProcessorContext`.
+Python object registered under a name; the runtime starts and stops it
+with the graph.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any
 
 
 class ServiceRegistry:
@@ -28,22 +28,6 @@ class ServiceRegistry:
         if name in self._services:
             raise ValueError(f"service already registered: {name!r}")
         self._services[name] = service
-
-    def lookup(self, name: str) -> Any:
-        """Return the service registered under ``name``."""
-        try:
-            return self._services[name]
-        except KeyError:
-            raise LookupError(f"unknown service: {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._services
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._services)
-
-    def __len__(self) -> int:
-        return len(self._services)
 
     def start_all(self) -> None:
         """Invoke ``start()`` on every service that defines it."""

@@ -150,11 +150,6 @@ class DeadLetterQueue:
         """A list copy of the current entries."""
         return list(self.letters)
 
-    def to_dicts(self) -> list[dict]:
-        """All entries as JSON-able dicts."""
-        return [letter.to_dict() for letter in self.letters]
-
-
 class CircuitBreaker:
     """Consecutive-failure breaker over one input stream.
 

@@ -7,7 +7,6 @@ and 3).  This module parses the equivalent XML dialect::
 
     <container>
       <stream id="bus" class="myapp.BusSource" limit="1000"/>
-      <queue id="complex-events"/>
       <service id="traffic-model" class="myapp.TrafficModelService"/>
       <process id="cep" input="bus" output="complex-events">
         <processor class="myapp.RtecProcessor" window="600" step="300"/>
@@ -125,11 +124,6 @@ def parse_topology(
                 raise XmlConfigError("<stream> requires an 'id' attribute")
             items = _instantiate(element, registry)
             topology.add_source(Source(stream_id, items))
-        elif element.tag == "queue":
-            queue_id = element.get("id")
-            if not queue_id:
-                raise XmlConfigError("<queue> requires an 'id' attribute")
-            topology.add_queue(queue_id)
         elif element.tag == "service":
             service_id = element.get("id")
             if not service_id:

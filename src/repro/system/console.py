@@ -59,10 +59,6 @@ class OperatorConsole:
         self.alerts.append(alert)
         return alert
 
-    def of_kind(self, kind: str) -> list[Alert]:
-        """All alerts of one kind."""
-        return [a for a in self.alerts if a.kind == kind]
-
     def counts(self) -> dict[str, int]:
         """Number of alerts per kind."""
         return dict(Counter(a.kind for a in self.alerts))

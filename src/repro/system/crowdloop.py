@@ -32,6 +32,14 @@ from ..crowd import (
 )
 from ..traffic_model import CONGESTED_FLOW, FREE_FLOW
 
+#: The simulated participants' error probabilities are drawn uniformly
+#: from this range, and a query reaches those within this many metres
+#: of the disagreeing intersection.
+PARTICIPANT_ERROR_RANGE = (0.05, 0.5)
+PARTICIPANT_RADIUS_M = 800.0
+#: Window (seconds) of bus reports feeding the Section 5.1 priors.
+PRIOR_WINDOW_S = 600
+
 
 class CrowdLoop:
     """Resolves source disagreements through the (simulated) crowd.
@@ -55,10 +63,9 @@ class CrowdLoop:
         self.reward_ledger: Optional[RewardLedger] = None
         if config.crowd_enabled:
             self.crowd = self._scatter_participants(faults)
-            if config.rewards:
-                self.reward_ledger = RewardLedger()
+            self.reward_ledger = RewardLedger()
         #: Disagreements answered, left unanswered, and skipped by the
-        #: outage / cooldown / significance filters.
+        #: outage / cooldown filters.
         self.resolved = 0
         self.unresolved = 0
         self.suppressed = 0
@@ -74,14 +81,14 @@ class CrowdLoop:
         cfg = self.config
         rng = random.Random(cfg.seed + 100)
         engine = QueryExecutionEngine(
-            policy=LocationPolicy(radius_m=cfg.participant_radius_m),
+            policy=LocationPolicy(radius_m=PARTICIPANT_RADIUS_M),
             seed=cfg.seed + 101,
             metrics=self.metrics,
             faults=faults,
         )
         topology = self.scenario.topology
         intersections = topology.ids()
-        lo, hi = cfg.participant_error_range
+        lo, hi = PARTICIPANT_ERROR_RANGE
         for i in range(cfg.n_participants):
             lon, lat = topology.location(rng.choice(intersections))
             engine.register(
@@ -102,7 +109,7 @@ class CrowdLoop:
         (report, intersection) pair per hit, grouped by intersection
         with a stable sort, which keeps each group's reports in stream
         (time) order."""
-        if not self.config.ce_priors or gps is None:
+        if gps is None:
             return
         topology = self.scenario.topology
         offsets, close_to = topology.close_join(
@@ -123,14 +130,12 @@ class CrowdLoop:
 
     def prior(self, int_id: str, q: int):
         """Section 5.1 prior from nearby bus reports, or None."""
-        if not self.config.ce_priors:
-            return None
         reports = self._bus_reports.get(int_id)
         if reports is None:
             return None
         times, bits = reports
         lo, hi = np.searchsorted(
-            times, (q - self.config.prior_window, q), side="right"
+            times, (q - PRIOR_WINDOW_S, q), side="right"
         ).tolist()
         if lo == hi:
             return None
@@ -152,7 +157,6 @@ class CrowdLoop:
         q: int,
         int_id: str,
         start: int,
-        snapshot,
         degraded: frozenset[str] = frozenset(),
     ) -> Optional[Event]:
         """Crowdsource one fresh ``sourceDisagreement`` episode — at
@@ -162,9 +166,8 @@ class CrowdLoop:
 
         "To minimise the impact on the participants, the crowdsourcing
         component is invoked ... when a significant disagreement in the
-        data sources is detected" (Section 5): an intersection is only
-        queried when enough distinct buses disagreed in ``snapshot``'s
-        window and it was not already queried within the cooldown.
+        data sources is detected" (Section 5): an intersection is not
+        queried again within the cooldown.
         While either feed is degraded a "disagreement" is an artifact
         of the outage, so the crowd is not bothered at all.
         """
@@ -185,16 +188,6 @@ class CrowdLoop:
         last = self._last_query_at.get(int_id)
         if last is not None and q - last < cfg.crowd_cooldown_s:
             return self._skip()
-        if cfg.adaptive and cfg.crowd_min_support > 1:
-            # Significance: distinct buses that disagreed at this
-            # intersection in the window.
-            buses = {
-                occ["bus"]
-                for occ in snapshot.all_occurrences("disagree")
-                if occ["intersection"] == int_id
-            }
-            if len(buses) < cfg.crowd_min_support:
-                return self._skip()
         self._last_query_at[int_id] = q
         node = self.scenario.node_of[int_id]
         outcome = self.crowd.handle_disagreement(
@@ -204,7 +197,6 @@ class CrowdLoop:
             time=q,
             prior=self.prior(int_id, q),
             true_label=self.scenario.ground_truth.congestion_label(node, q),
-            deadline_ms=cfg.crowd_deadline_ms,
         )
         event = outcome.crowd_event
         if event is None:

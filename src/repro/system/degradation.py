@@ -81,15 +81,6 @@ class DegradationManager:
         """The feeds currently in degraded mode."""
         return frozenset(self._degraded)
 
-    def is_degraded(self, feed: str) -> bool:
-        """Whether ``feed`` is currently in degraded mode."""
-        return feed in self._degraded
-
-    def suppresses(self, definition_feeds: Iterable[str]) -> bool:
-        """Whether a CE reading ``definition_feeds`` is untrustworthy
-        right now (any of its feeds is degraded)."""
-        return any(feed in self._degraded for feed in definition_feeds)
-
     # ------------------------------------------------------------------
     def observe(self, q: int, arrivals: Mapping[str, int]) -> frozenset[str]:
         """Account one recognition step's per-feed arrival counts.
@@ -165,42 +156,6 @@ class DegradationManager:
     # still-open intervals, whose ``end`` is ``None`` until the feed
     # recovers).  Thresholds and the metrics registry are configuration
     # and are re-attached by the restoring pipeline.
-    def state_dict(self) -> dict:
-        """The breaker/timeline state as plain JSON-able data."""
-        return {
-            "silent": dict(self._silent),
-            "degraded": sorted(self._degraded),
-            "forced": sorted(self._forced),
-            "intervals": {
-                feed: [list(span) for span in spans]
-                for feed, spans in self.intervals.items()
-            },
-        }
-
-    def load_state_dict(self, state: Mapping) -> None:
-        """Restore state captured by :meth:`state_dict`."""
-        for feed in state.get("forced", []):
-            if feed not in self.feeds:
-                self.feeds = self.feeds + (feed,)
-        silent = state["silent"]
-        self._silent = {
-            feed: int(silent.get(feed, 0)) for feed in self.feeds
-        }
-        self._degraded = {
-            feed for feed in state["degraded"] if feed in self.feeds
-        }
-        self._forced = {
-            feed for feed in state.get("forced", []) if feed in self.feeds
-        }
-        intervals = state["intervals"]
-        self.intervals = {
-            feed: [
-                (int(start), None if end is None else int(end))
-                for start, end in intervals.get(feed, [])
-            ]
-            for feed in self.feeds
-        }
-
     # ------------------------------------------------------------------
     def _count(self, feed: str, kind: str) -> None:
         if self.metrics is not None:

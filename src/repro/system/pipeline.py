@@ -33,7 +33,7 @@ from ..core.traffic import (
     default_traffic_params,
     feeds_of_definition,
 )
-from ..crowd import CrowdsourcingComponent, RewardLedger
+from ..crowd import CrowdsourcingComponent
 from ..dublin import REGIONS, DublinScenario, greenshields_flow
 from ..traffic_model import (
     RollingFlowEstimator,
@@ -52,6 +52,13 @@ from .degradation import DegradationManager, describe_timeline
 #: .estimate_citywide`.  The noise is the pipeline's own, twice
 #: :class:`~repro.traffic_model.RollingFlowEstimator`'s default.
 GP_HYPERPARAMETERS = {"alpha": 5.0, "beta": 0.05, "noise": 40.0}
+
+#: Restarts allowed per shard within one run before its breaker
+#: latches open and the region degrades, and the base of the capped
+#: exponential restart backoff (seconds, actually slept: worker
+#: restarts are wall-clock affairs).
+SHARD_MAX_RESTARTS = 3
+SHARD_RESTART_BACKOFF_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -103,36 +110,13 @@ class SystemConfig:
     #: (``shard-<region>/``); ``None`` uses a temporary directory that
     #: is removed at the end of the run.
     shard_dir: Optional[str] = None
-    #: Restarts allowed per shard within one run before its breaker
-    #: latches open and the region degrades.
-    shard_max_restarts: int = 3
-    #: Base of the capped exponential restart backoff (seconds,
-    #: actually slept — worker restarts are wall-clock affairs).
-    shard_restart_backoff_s: float = 0.05
-    #: Crowdsourcing: number of simulated participants and their
-    #: error-probability range; participants are scattered near SCATS
-    #: intersections.
+    #: Crowdsourcing: number of simulated participants, scattered near
+    #: SCATS intersections (:mod:`repro.system.crowdloop`).
     crowd_enabled: bool = True
     n_participants: int = 60
-    participant_error_range: tuple[float, float] = (0.05, 0.5)
-    participant_radius_m: float = 800.0
-    #: Real-time requirement forwarded to the query engine: workers
-    #: whose expected engine latency exceeds this are not queried
-    #: (None disables the admission test).
-    crowd_deadline_ms: Optional[float] = None
     #: "To minimise the impact on the participants" (Section 5) the
-    #: same intersection is not re-queried within this cooldown, and a
-    #: disagreement is only deemed *significant* when at least
-    #: ``crowd_min_support`` distinct buses disagreed in the window.
+    #: same intersection is not re-queried within this cooldown.
     crowd_cooldown_s: int = 600
-    crowd_min_support: int = 1
-    #: Build disagreement priors from nearby bus reports (Section 5.1's
-    #: "1 out of 4 buses" example) instead of uniform priors.
-    ce_priors: bool = True
-    #: Window (seconds) of bus reports feeding those priors.
-    prior_window: int = 600
-    #: Settle participant rewards at the end of the run.
-    rewards: bool = True
     #: Named fault profile (see :mod:`repro.faults.profiles`) injected
     #: into the generated SDE streams and the crowd engine; ``None``
     #: (or ``"none"``) runs fault-free.  The profile's RNG seed is
@@ -160,22 +144,10 @@ class SystemConfig:
             )
         if self.n_participants < 0:
             raise ValueError("n_participants must not be negative")
-        lo, hi = self.participant_error_range
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise ValueError(
-                "participant_error_range must satisfy 0 <= lo <= hi <= 1, "
-                f"got {self.participant_error_range!r}"
-            )
-        if self.crowd_cooldown_s < 0 or self.prior_window <= 0:
-            raise ValueError(
-                "crowd_cooldown_s must be >= 0 and prior_window > 0"
-            )
+        if self.crowd_cooldown_s < 0:
+            raise ValueError("crowd_cooldown_s must be >= 0")
         if self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be at least 1")
-        if self.shard_max_restarts < 0:
-            raise ValueError("shard_max_restarts must not be negative")
-        if self.shard_restart_backoff_s < 0:
-            raise ValueError("shard_restart_backoff_s must not be negative")
         if self.incremental != self.compiled_rules:
             raise ValueError(
                 "incremental and compiled_rules select one engine "
@@ -245,7 +217,7 @@ class SystemReport:
     console: OperatorConsole
     crowd_resolutions: int = 0
     crowd_unresolved: int = 0
-    #: Disagreements skipped by the cooldown / significance filters.
+    #: Disagreements skipped by the cooldown / outage filters.
     crowd_suppressed: int = 0
     flow_estimates: dict = field(default_factory=dict)
     #: Participant rewards settled at the end of the run.
@@ -275,23 +247,6 @@ class SystemReport:
         if not logs:
             return 0.0
         return sum(log.mean_elapsed for log in logs) / len(logs)
-
-    def per_definition_profile(self) -> dict[str, float]:
-        """Mean CPU seconds per definition per query, across regions.
-
-        The operations view behind Figure 4: which rule suites carry
-        the recognition cost.
-        """
-        sums: dict[str, float] = {}
-        counts: dict[str, int] = {}
-        for log in self.logs.values():
-            for snapshot in log.snapshots:
-                for name, elapsed in snapshot.per_definition.items():
-                    sums[name] = sums.get(name, 0.0) + elapsed
-                    counts[name] = counts.get(name, 0) + 1
-        return {
-            name: sums[name] / counts[name] for name in sums
-        }
 
     def total_occurrences(self, name: str) -> int:
         """Distinct occurrences of CE ``name`` across all regions."""
@@ -416,11 +371,6 @@ class UrbanTrafficSystem:
     def crowd(self) -> Optional[CrowdsourcingComponent]:
         """The crowdsourcing component (``None`` with the crowd off)."""
         return self.crowd_loop.crowd
-
-    @property
-    def reward_ledger(self) -> Optional[RewardLedger]:
-        """The reward ledger (``None`` with rewards or the crowd off)."""
-        return self.crowd_loop.reward_ledger
 
     # ------------------------------------------------------------------
     def _index_inputs(self, data) -> None:
@@ -568,8 +518,8 @@ class UrbanTrafficSystem:
                 metrics=self.metrics,
                 checkpoint_interval=cfg.checkpoint_interval,
                 directory=cfg.shard_dir,
-                max_restarts=cfg.shard_max_restarts,
-                backoff_base_s=cfg.shard_restart_backoff_s,
+                max_restarts=SHARD_MAX_RESTARTS,
+                backoff_base_s=SHARD_RESTART_BACKOFF_S,
                 degradation=self.degradation,
                 crash_plans=self.shard_crash_plans,
             )
@@ -662,7 +612,7 @@ class UrbanTrafficSystem:
                         "sourceDisagreement"
                     ):
                         event = crowd.resolve(
-                            region, q, key[0], start, snapshot, degraded
+                            region, q, key[0], start, degraded
                         )
                         if event is not None:
                             feed.append(event)

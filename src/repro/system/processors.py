@@ -29,8 +29,7 @@ class RtecProcessor(Processor):
     proves that everything arriving by ``q`` is in.  Fresh CE
     occurrences and fluent episodes are emitted as data items
     (``@type`` = CE name, episodes flagged with ``episode=True``), each
-    carrying the ``query_time`` that surfaced it and the ``snapshot``
-    it was read from.
+    carrying the ``query_time`` that surfaced it.
     """
 
     def __init__(self, engine: RTEC, *, start: int = 0):
@@ -49,7 +48,7 @@ class RtecProcessor(Processor):
                 self._events, self._facts = [], []
             snapshot = self.engine.query(q)
             fresh = self.log.add(snapshot)
-            surfaced = {"query_time": q, "snapshot": snapshot}
+            surfaced = {"query_time": q}
             for occ in fresh.occurrences:
                 out.append({
                     **occ.payload, "@type": occ.type, TIME_KEY: occ.time,
@@ -110,7 +109,6 @@ class CrowdsourcingProcessor(Processor):
             item["query_time"],
             item["key"][0],
             item[TIME_KEY],
-            item.get("snapshot"),
         )
         return None if event is None else event_to_item(event)
 

@@ -128,6 +128,18 @@ def build_paper_topology(system: UrbanTrafficSystem, data) -> PaperTopology:
             flow_estimator.observe(node, item["flow"], item[TIME_KEY])
 
     # --- event processing processes -----------------------------------------
+    # The rows the graph hands the engines, counted where they enter a
+    # CEP or feedback process: the direct loop counts the same rows at
+    # its ``feed_columns`` and crowd-feed calls.
+    metrics = system.metrics
+
+    def count_stream_row(item):
+        metrics.counter("ingest.events").inc()
+        metrics.counter("rtec.ingest.rows_fed").inc()
+
+    def count_crowd_row(item):
+        metrics.counter("rtec.ingest.rows_fed").inc()
+
     rtec_processors = {
         region: RtecProcessor(engine, start=data.start)
         for region, engine in system.engines.items()
@@ -147,7 +159,7 @@ def build_paper_topology(system: UrbanTrafficSystem, data) -> PaperTopology:
         ).process(
             f"cep-{region}",
             input=f"region-{region}",
-            processors=[rtec_processors[region]],
+            processors=[Tap(count_stream_row), rtec_processors[region]],
             output=f"ce-{region}",
         ).process(
             f"ce-stamp-{region}",
@@ -167,7 +179,7 @@ def build_paper_topology(system: UrbanTrafficSystem, data) -> PaperTopology:
         topology.process(
             f"feedback-{region}",
             input="crowd-answers",
-            processors=[FluentFeedbackProcessor(engine)],
+            processors=[Tap(count_crowd_row), FluentFeedbackProcessor(engine)],
         )
 
     return PaperTopology(

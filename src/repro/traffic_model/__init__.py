@@ -6,41 +6,32 @@ unmeasured junctions is estimated with a Gaussian Process whose
 covariance is the regularized Laplacian kernel of the street graph.
 """
 
-from .fusion import (
-    CONGESTED_FLOW,
-    FREE_FLOW,
-    CrowdFlowReport,
-    augment_observations,
-)
+from .fusion import CONGESTED_FLOW, FREE_FLOW
 from .gp import GPPrediction, GraphGP, TrafficFlowModel
 from .kernels import (
     adjacency_matrix,
     combinatorial_laplacian,
     graph_kernel,
-    is_positive_definite,
     regularized_laplacian_kernel,
 )
 from .render import SHADES, render_flow_map
 from .rolling import RollingFlowEstimator
 from .svg import render_city_svg, write_city_svg
-from .tuning import GridSearchResult, default_grid, grid_search
+from .tuning import GRID, GridSearchResult, grid_search
 
 __all__ = [
     "adjacency_matrix",
     "combinatorial_laplacian",
     "regularized_laplacian_kernel",
     "graph_kernel",
-    "is_positive_definite",
     "GraphGP",
     "GPPrediction",
     "TrafficFlowModel",
     "grid_search",
     "GridSearchResult",
-    "default_grid",
+    "GRID",
     "render_flow_map",
     "SHADES",
-    "CrowdFlowReport",
-    "augment_observations",
     "CONGESTED_FLOW",
     "FREE_FLOW",
     "RollingFlowEstimator",

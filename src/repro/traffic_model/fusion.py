@@ -10,74 +10,12 @@ results of the crowdsourcing component."
 A crowd answer is categorical (congestion / no congestion at a
 location), not a flow reading; it is folded in as a *pseudo
 observation*: a positive answer pins the junction near the congested
-branch of the fundamental diagram, a negative one near free flow, and
-conflicting/low-confidence answers are skipped.
+branch of the fundamental diagram, a negative one near free flow
+(``repro.system.crowdloop`` feeds them to the flow estimator).
 """
-
-from __future__ import annotations
-
-from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
-from typing import Optional
-
-
-@dataclass(frozen=True)
-class CrowdFlowReport:
-    """One crowd resolution mapped onto a street-graph junction."""
-
-    node: object
-    value: str  # "positive" (congestion) or "negative"
-    confidence: float = 1.0
-    time: Optional[int] = None
-
 
 #: Default pseudo-observation levels (veh/h) for crowd answers, chosen
 #: on the congested / free-flow branches of the fundamental diagram
 #: used by the Dublin substrate.
 CONGESTED_FLOW = 350.0
 FREE_FLOW = 1100.0
-
-
-def augment_observations(
-    observations: Mapping,
-    crowd_reports: Iterable[CrowdFlowReport],
-    *,
-    congested_flow: float = CONGESTED_FLOW,
-    free_flow: float = FREE_FLOW,
-    min_confidence: float = 0.7,
-    override_sensors: bool = False,
-) -> dict:
-    """Merge crowd pseudo-observations into sensor observations.
-
-    Parameters
-    ----------
-    observations:
-        Sensor readings ``{node: flow}``.
-    crowd_reports:
-        Crowd resolutions placed on junctions.
-    congested_flow, free_flow:
-        Flow levels a positive/negative answer pins the junction to.
-    min_confidence:
-        Answers below this posterior confidence are ignored.
-    override_sensors:
-        When ``False`` (default), junctions that already have a sensor
-        reading keep it — the crowd only fills gaps.  When ``True`` a
-        confident crowd answer replaces the sensor value (useful when
-        the sensor is known noisy, cf. the ``noisyScats`` fluent).
-
-    Later reports for the same junction win (reports are applied in
-    iteration order; pass them sorted by time).
-    """
-    merged = dict(observations)
-    for report in crowd_reports:
-        if report.confidence < min_confidence:
-            continue
-        if report.node in observations and not override_sensors:
-            continue
-        if report.value == "positive":
-            merged[report.node] = congested_flow
-        elif report.value == "negative":
-            merged[report.node] = free_flow
-        else:
-            raise ValueError(f"unknown crowd value: {report.value!r}")
-    return merged

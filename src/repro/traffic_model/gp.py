@@ -116,19 +116,6 @@ class GraphGP:
             covariance=covariance if full_covariance else None,
         )
 
-    def log_marginal_likelihood(self, y: Sequence[float]) -> float:
-        """``log P(y | X)`` of the fitted observations (model comparison)."""
-        self._require_fit()
-        y = np.asarray(y, dtype=float) - self._y_mean
-        n = y.size
-        log_det = 2.0 * np.log(np.diag(self._cho[0])).sum()
-        return float(
-            -0.5 * y @ sla.cho_solve(self._cho, y)
-            - 0.5 * log_det
-            - 0.5 * n * np.log(2.0 * np.pi)
-        )
-
-
 class TrafficFlowModel:
     """The traffic-modelling component: city-wide flow estimation.
 
@@ -185,23 +172,6 @@ class TrafficFlowModel:
         idx = [self._index[n] for n in nodes]
         prediction = self._gp.predict(idx)
         return dict(zip(nodes, prediction.mean.tolist()))
-
-    def estimate_with_uncertainty(
-        self, nodes: Optional[Sequence] = None
-    ) -> dict:
-        """Estimates ``{node: (mean, std)}`` at ``nodes`` (default: all)."""
-        nodes = list(nodes) if nodes is not None else self.nodes
-        idx = [self._index[n] for n in nodes]
-        prediction = self._gp.predict(idx)
-        stds = np.sqrt(prediction.variance)
-        return {
-            node: (float(m), float(s))
-            for node, m, s in zip(nodes, prediction.mean, stds)
-        }
-
-    def unobserved_nodes(self) -> list:
-        """Junctions without a sensor reading (the sparsity gap)."""
-        return [n for n in self.nodes if n not in self._observations]
 
     def rmse(self, truth: Mapping) -> float:
         """Root-mean-square error of the estimates against ``truth``."""

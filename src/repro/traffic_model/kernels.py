@@ -69,12 +69,3 @@ def graph_kernel(
     return regularized_laplacian_kernel(
         combinatorial_laplacian(adjacency), alpha, beta
     )
-
-
-def is_positive_definite(matrix: np.ndarray, tol: float = 1e-10) -> bool:
-    """Whether ``matrix`` is symmetric positive definite (up to tol)."""
-    matrix = np.asarray(matrix, dtype=float)
-    if not np.allclose(matrix, matrix.T, atol=1e-8):
-        return False
-    eigenvalues = np.linalg.eigvalsh(matrix)
-    return bool(eigenvalues.min() > tol * max(1.0, abs(eigenvalues.max())))

@@ -11,7 +11,6 @@ observations.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional
 
@@ -100,11 +99,6 @@ class RollingFlowEstimator:
             self._readings[node] = _Reading(float(value), time)
         if self.metrics is not None:
             self.metrics.counter("flow.observations").inc()
-
-    def observe_many(self, readings: Mapping, time: int) -> None:
-        """Ingest a batch of readings taken at the same time."""
-        for node, value in readings.items():
-            self.observe(node, value, time)
 
     def active_observations(self, now: int) -> dict:
         """Readings still within the staleness horizon at ``now``."""

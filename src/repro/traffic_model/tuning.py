@@ -20,11 +20,8 @@ import numpy as np
 from .gp import TrafficFlowModel
 
 
-def default_grid(points: int = 5, upper: float = 10.0) -> list[float]:
-    """An evenly spaced grid over ``(0, upper]``."""
-    if points <= 0:
-        raise ValueError("grid needs at least one point")
-    return [upper * (i + 1) / points for i in range(points)]
+#: The default candidates for α and β: evenly spaced over ``(0, 10]``.
+GRID = (2.0, 4.0, 6.0, 8.0, 10.0)
 
 
 @dataclass
@@ -54,8 +51,8 @@ def grid_search(
     graph: nx.Graph,
     observations: Mapping,
     *,
-    alphas: Sequence[float] | None = None,
-    betas: Sequence[float] | None = None,
+    alphas: Sequence[float] = GRID,
+    betas: Sequence[float] = GRID,
     folds: int = 3,
     noise: float = 1.0,
     seed: int = 0,
@@ -69,7 +66,7 @@ def grid_search(
     observations:
         Sensor readings ``{node: flow}`` (needs ≥ ``folds`` + 1 sensors).
     alphas, betas:
-        Candidate values; default evenly spaced over ``(0, 10]``.
+        Candidate values; default :data:`GRID`.
     folds:
         Number of cross-validation folds.
     """
@@ -80,8 +77,7 @@ def grid_search(
         raise ValueError(
             f"need more observations ({len(nodes)}) than folds ({folds})"
         )
-    alphas = list(alphas) if alphas is not None else default_grid()
-    betas = list(betas) if betas is not None else default_grid()
+    alphas, betas = list(alphas), list(betas)
     if any(a <= 0 for a in alphas) or any(b <= 0 for b in betas):
         raise ValueError("alpha/beta candidates must be positive")
 

@@ -1,6 +1,9 @@
 """Shared builders for the traffic CE rule tests."""
 
+import numpy as np
+
 from repro.core import RTEC, Event, FluentFact
+from repro.core.columns import EventColumns
 from repro.core.traffic import (
     Intersection,
     ScatsTopology,
@@ -95,3 +98,28 @@ def feed_reports(engine, reports):
         events=[m for m, _ in reports],
         facts=[g for _, g in reports],
     )
+
+
+def _numeric_column(values) -> np.ndarray:
+    """``numeric=`` shorthand: integers stay ``int64``, the rest is
+    ``float64``."""
+    col = np.asarray(values)
+    return col.astype(np.int64 if col.dtype.kind in "iub" else np.float64)
+
+
+def event_columns(etype, times, *, arrivals=None, numeric=None, extra=None):
+    """An :class:`EventColumns` block from raw arrays (anything
+    :func:`numpy.asarray` takes).
+
+    ``arrivals`` defaults to the occurrence times; ``numeric`` columns
+    become ``float64`` — or ``int64`` when handed integers — and
+    ``extra`` columns stay Python objects (strings, ids).  Payload keys
+    come in that order; all columns must share one length.
+    """
+    times = np.asarray(times, dtype=np.int64)
+    arr = times if arrivals is None else np.asarray(arrivals, dtype=np.int64)
+    fields = {
+        name: _numeric_column(col) for name, col in (numeric or {}).items()
+    }
+    fields.update(extra or {})
+    return EventColumns(etype, times, arr, fields=fields)

@@ -14,7 +14,7 @@ from repro.core.compiled import (
     HoldsAtIndex,
     bus_reports,
 )
-from repro.core.incremental import WorkingMemory
+from repro.core.window import WorkingMemory
 from repro.core.intervals import IntervalList
 from repro.core.rules import RuleContext
 

@@ -24,7 +24,9 @@ from repro.core.columns import (
     SDEColumns,
 )
 from repro.core.events import Event, FluentFact
-from repro.core.incremental import PendingBatch, WorkingMemory
+from repro.core.window import PendingBatch, WorkingMemory
+
+from .helpers import event_columns
 
 TRAFFIC = ColumnSpec(
     numeric=("density", "flow"),
@@ -80,14 +82,14 @@ def test_from_events_materialises_identical_objects():
     assert block.times.tolist() == [10, 40]
     assert block.arrivals.tolist() == [10, 70]
     for i, original in enumerate(events):
-        restored = block.event(i)
+        restored = block.records(np.array([i]))[0]
         assert restored == original
         # Payload is the same object — zero-copy wrap.
         assert restored.payload is original.payload
 
 
 def test_from_arrays_defaults_arrivals_to_times():
-    block = EventColumns.from_arrays(
+    block = event_columns(
         "traffic",
         [10, 20],
         numeric={"density": [1.0, 2.0], "flow": [3.0, 4.0]},
@@ -98,7 +100,7 @@ def test_from_arrays_defaults_arrivals_to_times():
         },
     )
     assert block.arrivals.tolist() == [10, 20]
-    event = block.event(1)
+    event = block.records(np.array([1]))[0]
     assert event["density"] == 2.0
     assert event["sensor"] == "d2"
     assert event.arrival == 20
@@ -106,7 +108,7 @@ def test_from_arrays_defaults_arrivals_to_times():
 
 def test_from_arrays_rejects_length_mismatch():
     with pytest.raises(ValueError, match="length mismatch"):
-        EventColumns.from_arrays(
+        event_columns(
             "traffic", [10, 20], numeric={"density": [1.0]}
         )
 
@@ -116,7 +118,7 @@ def test_fact_columns_roundtrip():
         FluentFact("gps", ("B1",), {"lon": 1.0, "congestion": 1}, 30, 45)
     ]
     block = FactColumns.from_facts("gps", facts)
-    assert block.fact(0) == facts[0]
+    assert block.records(np.array([0]))[0] == facts[0]
 
 
 def test_sde_columns_groups_by_type_and_counts():
@@ -132,13 +134,11 @@ def test_sde_columns_groups_by_type_and_counts():
     assert batch.n_events == 3
     assert batch.n_facts == 1
     assert batch.n == 4
-    assert batch.max_arrival() == 30
 
 
 def test_empty_batch():
     batch = SDEColumns.from_sdes([], [])
     assert batch.n == 0
-    assert batch.max_arrival() is None
     assert batch.blocks == ()
 
 
@@ -153,7 +153,7 @@ def test_validate_rejects_negative_times():
 
 
 def test_validate_rejects_an_event_arriving_before_it_occurs():
-    block = EventColumns.from_arrays(
+    block = event_columns(
         "traffic", [10, 40, 50], arrivals=[10, 39, 20],
         numeric={"density": [1.0, 2.0, 3.0]},
     )
@@ -186,7 +186,7 @@ def test_feed_columns_fails_closed_on_an_early_arrival():
     from repro.core import RTEC
 
     engine = RTEC([], window=100, step=50, params={})
-    block = EventColumns.from_arrays(
+    block = event_columns(
         "traffic", [5, 400], arrivals=[4, 400], numeric={"density": [1.0, 2.0]}
     )
     with pytest.raises(ValueError, match="arrives at 4 before it occurs at 5"):

@@ -64,11 +64,3 @@ class TestOccurrence:
         assert occ.key == ("B1",)
         assert occ["delay_increase"] == 90
         assert occ.get("nope") is None
-
-    def test_as_event_roundtrip(self):
-        occ = Occurrence("crowdRequest", ("I1",), 7, {"intersection": "I1"})
-        ev = occ.as_event()
-        assert ev.type == "crowdRequest"
-        assert ev.time == 7
-        assert ev["intersection"] == "I1"
-        assert ev["key"] == ("I1",)

@@ -28,14 +28,14 @@ from hypothesis import strategies as st
 from repro.core import RTEC, Event, FluentFact
 from repro.core.columns import (
     ColumnSpec,
-    EventColumns,
     FactColumns,
     SDEColumns,
 )
 from repro.core.compiled import CompiledRule
 from repro.core.events import Occurrence
-from repro.core.incremental import streamless_checkpoint
+from repro.core.window import streamless_checkpoint
 
+from .helpers import event_columns
 from .test_pending_batch import Echo
 
 WINDOW, STEP = 100, 40
@@ -125,7 +125,7 @@ def _array_batch(rows, facts) -> tuple[SDEColumns, list]:
     times = np.array([stamp[0] for stamp, _ in rows], dtype=np.int64)
     arrivals = np.array([sum(stamp) for stamp, _ in rows], dtype=np.int64)
     ids = np.array([n for _, n in rows], dtype=np.int64)
-    pings = EventColumns.from_arrays(
+    pings = event_columns(
         "ping", times, arrivals=arrivals, numeric={"id": ids}
     )
     records = [

@@ -27,10 +27,11 @@ from repro.core.intervals import (
     IntervalList,
     count_threshold,
     intersect_all,
-    make_intervals,
     relative_complement_all,
     union_all,
 )
+
+from ..reference.inertia import make_intervals
 
 #: Sampled coordinate range; probes extend past it on both sides.
 LO, HI = -8, 40

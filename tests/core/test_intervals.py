@@ -11,10 +11,11 @@ from repro.core.intervals import (
     IntervalList,
     count_threshold,
     intersect_all,
-    make_intervals,
     relative_complement_all,
     union_all,
 )
+
+from ..reference.inertia import make_intervals
 
 # ----------------------------------------------------------------------
 # Construction / normalisation

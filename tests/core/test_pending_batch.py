@@ -18,10 +18,12 @@ import numpy as np
 import pytest
 
 from repro.core import RTEC, Event, FluentFact
-from repro.core.columns import EventColumns, FactColumns, SDEColumns
+from repro.core.columns import FactColumns, SDEColumns
 from repro.core.events import Occurrence
-from repro.core.incremental import WorkingMemory, streamless_checkpoint
+from repro.core.window import WorkingMemory, streamless_checkpoint
 from repro.core.rules import DerivedEvent, RuleContext
+
+from .helpers import event_columns
 
 
 class Echo(DerivedEvent):
@@ -47,7 +49,7 @@ def _batch(n: int, seed: int = 0) -> SDEColumns:
         return times, times + late * rng.integers(1, 400, count)
 
     times, arrivals = stamps(half)
-    pings = EventColumns.from_arrays(
+    pings = event_columns(
         "ping",
         times,
         arrivals=arrivals,

@@ -25,7 +25,6 @@ class TestScatsTopology:
         assert "nope" not in topo
         assert len(topo) == 2
         assert set(topo.ids()) == {"I1", "I2"}
-        assert topo.get("I1").id == "I1"
         assert topo.location("I2") == (LON + 0.02, LAT)
         assert topo.sensors_of("I1") == (("I1", "A", "S1"), ("I1", "A", "S2"))
 
@@ -42,34 +41,6 @@ class TestScatsTopology:
         topo = _topology()
         assert topo.intersections_close_to(LON, LAT + 50 * M) == ["I1"]
         assert topo.intersections_close_to(LON + 0.01, LAT) == []
-
-    def test_nearest_intersection_within_radius(self):
-        topo = _topology()
-        int_id, dist = topo.nearest_intersection(LON, LAT + 50 * M)
-        assert int_id == "I1"
-        assert dist == pytest.approx(50, rel=0.05)
-
-    def test_nearest_intersection_falls_back_to_scan(self):
-        topo = _topology()
-        int_id, dist = topo.nearest_intersection(LON + 0.01, LAT)
-        assert int_id in {"I1", "I2"}
-        assert dist > topo.close_radius_m
-
-    def test_nearest_on_empty_topology(self):
-        topo = ScatsTopology([])
-        with pytest.raises(ValueError):
-            topo.nearest_intersection(LON, LAT)
-
-    def test_from_mappings(self):
-        topo = ScatsTopology.from_mappings(
-            locations={"I1": (LON, LAT)},
-            sensors={"I1": [("I1", "A", "S1")]},
-        )
-        assert topo.sensors_of("I1") == (("I1", "A", "S1"),)
-
-    def test_from_mappings_without_sensors(self):
-        topo = ScatsTopology.from_mappings(locations={"I1": (LON, LAT)}, sensors={})
-        assert topo.sensors_of("I1") == ()
 
     def test_close_join_lists_what_the_scalar_query_lists(self):
         topo = _topology()

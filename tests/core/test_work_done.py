@@ -59,7 +59,7 @@ class CountingTopology(ScatsTopology):
 
     def __init__(self, topology):
         super().__init__(
-            [topology.get(int_id) for int_id in topology.ids()],
+            list(topology._by_id.values()),
             close_radius_m=topology.close_radius_m,
         )
         self.joined = 0

@@ -180,18 +180,6 @@ class TestOnlineEM:
         estimate = em.process(answers)
         assert estimate.value == "negative"
 
-    def test_relative_errors(self):
-        em = OnlineEM()
-        for answers in _simulate(300, seed=7):
-            em.process(answers)
-        errors = em.relative_errors(TRUE_PS)
-        assert set(errors) == set(TRUE_PS)
-        assert all(abs(e) < 0.8 for e in errors.values())
-
-    def test_relative_errors_skips_zero_truth(self):
-        em = OnlineEM()
-        assert em.relative_errors({"p": 0.0}) == {}
-
     def test_per_participant_step_counts(self):
         # Participants answering different numbers of events get
         # different t_i counters.

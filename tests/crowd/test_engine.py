@@ -4,15 +4,12 @@ import pytest
 
 from repro.crowd import (
     AllParticipants,
-    ChainedPolicy,
     CrowdQuery,
-    DeadlinePolicy,
     DisagreementTask,
     LatencyModel,
     LocationPolicy,
     Participant,
     QueryExecutionEngine,
-    ReliabilityPolicy,
     StepLatency,
     TRIGGER_RANGE_MS,
 )
@@ -102,61 +99,6 @@ class TestSelectionPolicies:
         with pytest.raises(ValueError):
             LocationPolicy(radius_m=0)
 
-    def test_reliability_top_k(self):
-        ps = self._participants()
-        policy = ReliabilityPolicy(
-            {"near": 0.1, "far": 0.05, "sloppy": 0.6}, k=2
-        )
-        chosen = policy.select(_task(), ps)
-        assert [p.participant_id for p in chosen] == ["far", "near"]
-
-    def test_reliability_unknown_uses_default(self):
-        ps = [Participant("a", 0.5), Participant("b", 0.5)]
-        policy = ReliabilityPolicy({"a": 0.9}, k=1, default_error=0.25)
-        assert policy.select(_task(), ps)[0].participant_id == "b"
-
-    def test_reliability_validates_k(self):
-        with pytest.raises(ValueError):
-            ReliabilityPolicy({}, k=0)
-
-    def test_deadline(self):
-        ps = self._participants()
-        estimates = {"near": 100.0, "far": 900.0, "sloppy": 5000.0}
-        policy = DeadlinePolicy(
-            1000.0, lambda p: estimates[p.participant_id]
-        )
-        chosen = policy.select(_task(), ps)
-        assert {p.participant_id for p in chosen} == {"near", "far"}
-
-    def test_deadline_validates(self):
-        with pytest.raises(ValueError):
-            DeadlinePolicy(0, lambda p: 0.0)
-
-    def test_chain_via_or(self):
-        ps = self._participants()
-        policy = LocationPolicy(radius_m=500) | ReliabilityPolicy(
-            {"near": 0.1, "sloppy": 0.6}, k=1
-        )
-        chosen = policy.select(_task(), ps)
-        assert [p.participant_id for p in chosen] == ["near"]
-
-    def test_chain_short_circuits_on_empty(self):
-        calls = []
-
-        class Recorder(AllParticipants):
-            def select(self, task, candidates):
-                calls.append(len(candidates))
-                return super().select(task, candidates)
-
-        policy = ChainedPolicy([LocationPolicy(radius_m=1), Recorder()])
-        assert policy.select(_task(lon=0, lat=0), self._participants()) == []
-        assert calls == []
-
-    def test_chain_requires_policies(self):
-        with pytest.raises(ValueError):
-            ChainedPolicy([])
-
-
 class TestQueryExecutionEngine:
     def _engine(self, participants=None, **kwargs):
         engine = QueryExecutionEngine(seed=5, **kwargs)
@@ -172,8 +114,8 @@ class TestQueryExecutionEngine:
         engine = self._engine()
         result = engine.execute(CrowdQuery(task=_task()))
         assert set(result.selected) == {"p1", "p2", "p3"}
-        assert result.answered_count == 3
-        assert len(result.answer_set) == 3
+        assert sum(e.answered for e in result.executions) == 3
+        assert len(result.answer_set.answers) == 3
 
     def test_offline_devices_skipped(self):
         engine = self._engine()
@@ -211,9 +153,9 @@ class TestQueryExecutionEngine:
         result = engine.execute(
             CrowdQuery(task=_task(), reply_window_ms=1.0)
         )
-        assert result.answered_count == 0
+        assert not any(e.answered for e in result.executions)
         assert result.reduce_worker is None
-        assert not result.answer_set
+        assert not result.answer_set.answers
 
     def test_deadline_admission(self):
         # 2G expected engine latency (~936 ms) exceeds an 800 ms
@@ -234,22 +176,6 @@ class TestQueryExecutionEngine:
         # almost surely differs from the model expectation.
         assert before != after
 
-    def test_mean_step_latency(self):
-        engine = self._engine()
-        result = engine.execute(CrowdQuery(task=_task()))
-        means = result.mean_step_ms()
-        assert set(means) == {"trigger", "push", "communication"}
-        assert all(v > 0 for v in means.values())
-
-    def test_mean_step_latency_empty(self):
-        engine = QueryExecutionEngine(seed=0)
-        result = engine.execute(CrowdQuery(task=_task()))
-        assert result.mean_step_ms() == {
-            "trigger": 0.0,
-            "push": 0.0,
-            "communication": 0.0,
-        }
-
     def test_policy_applied(self):
         engine = self._engine(policy=LocationPolicy(radius_m=500))
         engine.register(Participant("far", 0.1, lon=LON + 1.0, lat=LAT))
@@ -264,41 +190,3 @@ class TestQueryExecutionEngine:
             e.push_ms for e in r2.executions
         ]
 
-
-class TestDeviceTracking:
-    """The engine tracks moving devices and connection hand-overs."""
-
-    def _engine(self):
-        engine = QueryExecutionEngine(seed=8,
-                                      policy=LocationPolicy(radius_m=500))
-        engine.register(
-            Participant("roamer", 0.1, lon=LON, lat=LAT, connection="wifi")
-        )
-        return engine
-
-    def test_update_location_affects_selection(self):
-        engine = self._engine()
-        assert engine.execute(CrowdQuery(task=_task())).selected == ["roamer"]
-        engine.update_location("roamer", LON + 1.0, LAT)
-        assert engine.execute(CrowdQuery(task=_task())).selected == []
-        engine.update_location("roamer", LON, LAT)
-        assert engine.execute(CrowdQuery(task=_task())).selected == ["roamer"]
-
-    def test_update_connection_affects_latency(self):
-        engine = self._engine()
-        wifi = engine.estimated_latency_ms(engine.online_participants()[0])
-        engine.update_connection("roamer", "2g")
-        slow = engine.estimated_latency_ms(engine.online_participants()[0])
-        assert slow > wifi
-
-    def test_update_connection_validates(self):
-        engine = self._engine()
-        with pytest.raises(ValueError, match="unknown connection"):
-            engine.update_connection("roamer", "5g")
-
-    def test_unknown_participant_rejected(self):
-        engine = self._engine()
-        with pytest.raises(KeyError):
-            engine.update_location("ghost", 0.0, 0.0)
-        with pytest.raises(KeyError):
-            engine.update_connection("ghost", "3g")

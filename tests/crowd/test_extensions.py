@@ -112,12 +112,6 @@ class TestRewards:
         assert set(rewards) == {"a", "b"}
         assert rewards["a"] > rewards["b"]
 
-    def test_ledger_settle_from_mapping(self):
-        ledger = RewardLedger()
-        ledger.record_answers(["a"])
-        rewards = ledger.settle_from({"a": 0.1})
-        assert rewards["a"] > 0
-
 
 class TestSensorProbes:
     def _engine(self, positions):

@@ -111,7 +111,7 @@ class TestAnswerSet:
         answers = AnswerSet(task)
         assert not answers
         answers.add("p1", "congestion")
-        assert len(answers) == 1
+        assert len(answers.answers) == 1
         assert answers.answers["p1"] == "congestion"
 
     def test_rejects_unknown_label(self):

@@ -126,7 +126,7 @@ class TestTrafficGroundTruth:
         node = next(iter(network.graph.nodes))
         incident = Incident(node=node, start=0, duration=10_000, severity=120.0)
         gt = TrafficGroundTruth(network, seed=1, incidents=[incident])
-        assert node in gt.congested_nodes(500)
+        assert gt.is_congested(node, 500)
 
     def test_random_incidents_respect_window(self, network):
         gt = TrafficGroundTruth(
@@ -136,11 +136,3 @@ class TestTrafficGroundTruth:
         assert len(gt.incidents) == 5
         for incident in gt.incidents:
             assert 1000 <= incident.start < 2000
-
-    def test_flow_consistent_with_density(self, network):
-        gt = TrafficGroundTruth(network, seed=1)
-        node = next(iter(network.graph.nodes))
-        t = 3600
-        assert gt.flow(node, t) == pytest.approx(
-            greenshields_flow(gt.density(node, t))
-        )

@@ -15,6 +15,8 @@ from repro.dublin import (
     write_jsonl,
 )
 
+from .helpers import region_of
+
 
 @pytest.fixture(scope="module")
 def scenario():
@@ -87,7 +89,7 @@ class TestDublinScenario:
             for ev in batch.iter_events():
                 if ev.type == "traffic":
                     lon, lat = scenario.topology.location(ev["intersection"])
-                    assert scenario.network.region_of(lon, lat) == region
+                    assert region_of(scenario.network, lon, lat) == region
 
 
 class TestDatasetAdapters:
@@ -150,73 +152,3 @@ class TestJsonlRoundTrip:
         }
         assert original == reloaded
 
-
-class TestCsvRoundTrip:
-    def test_write_creates_both_files(self, data, tmp_path):
-        from repro.dublin import write_csv
-
-        bus_path, scats_path = write_csv(tmp_path / "dataset", data)
-        assert bus_path.exists()
-        assert scats_path.exists()
-        header = bus_path.read_text().splitlines()[0]
-        assert header.startswith("time,bus,line,operator")
-
-    def test_round_trip_preserves_stream(self, data, tmp_path):
-        from repro.dublin import read_csv, write_csv
-
-        write_csv(tmp_path / "dataset", data)
-        loaded = read_csv(tmp_path / "dataset")
-        assert loaded.n_sdes == data.n_sdes
-        assert len(loaded.facts) == len(data.facts)
-        original = sorted(
-            (e.type, e.time, e.arrival, e.get("bus"), e.get("sensor"))
-            for e in data.events
-        )
-        reloaded = sorted(
-            (e.type, e.time, e.arrival, e.get("bus"), e.get("sensor"))
-            for e in loaded.events
-        )
-        assert original == reloaded
-
-    def test_gps_values_survive(self, data, tmp_path):
-        from repro.dublin import read_csv, write_csv
-
-        write_csv(tmp_path / "dataset", data)
-        loaded = read_csv(tmp_path / "dataset")
-        original = {
-            (f.key[0], f.time): (f.value["lon"], f.value["congestion"])
-            for f in data.facts
-        }
-        reloaded = {
-            (f.key[0], f.time): (f.value["lon"], f.value["congestion"])
-            for f in loaded.facts
-        }
-        assert reloaded == original
-
-    def test_read_empty_directory(self, tmp_path):
-        from repro.dublin import read_csv
-
-        loaded = read_csv(tmp_path)
-        assert loaded.n_sdes == 0
-
-    def test_recognition_identical_on_reloaded_csv(self, scenario, data,
-                                                   tmp_path):
-        from repro.core import RTEC
-        from repro.core.traffic import (
-            build_traffic_definitions,
-            default_traffic_params,
-        )
-        from repro.dublin import read_csv, write_csv
-
-        write_csv(tmp_path / "dataset", data)
-        loaded = read_csv(tmp_path / "dataset")
-
-        def recognise(stream):
-            engine = RTEC(
-                build_traffic_definitions(scenario.topology),
-                window=600, step=300, params=default_traffic_params(),
-            )
-            engine.feed(stream.events, stream.facts)
-            return [s.fluents for s in engine.run(900)]
-
-        assert recognise(data) == recognise(loaded)

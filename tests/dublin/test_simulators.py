@@ -12,6 +12,8 @@ from repro.dublin import (
     place_scats_topology,
 )
 
+from .helpers import bus_events, scats_events, unreliable_buses
+
 
 @pytest.fixture(scope="module")
 def city():
@@ -36,7 +38,7 @@ class TestScatsSimulator:
 
     def test_reporting_period(self, city):
         sim = self._sim(city, period=360, seed=1)
-        events = sorted(sim.events(0, 3600), key=lambda e: e.time)
+        events = sorted(scats_events(sim, 0, 3600), key=lambda e: e.time)
         by_sensor = {}
         for ev in events:
             key = (ev["intersection"], ev["approach"], ev["sensor"])
@@ -48,22 +50,22 @@ class TestScatsSimulator:
 
     def test_events_within_window(self, city):
         sim = self._sim(city, seed=1)
-        events = list(sim.events(500, 2000))
+        events = list(scats_events(sim, 500, 2000))
         assert events
         assert all(500 <= ev.time < 2000 for ev in events)
 
     def test_empty_window(self, city):
         sim = self._sim(city)
-        assert list(sim.events(100, 100)) == []
+        assert list(scats_events(sim, 100, 100)) == []
 
     def test_arrival_delays_bounded(self, city):
         sim = self._sim(city, max_arrival_delay=30, seed=2)
-        for ev in sim.events(0, 1800):
+        for ev in scats_events(sim, 0, 1800):
             assert 0 <= ev.arrival - ev.time <= 30
 
     def test_payload_schema(self, city):
         sim = self._sim(city, seed=1)
-        ev = next(iter(sim.events(0, 720)))
+        ev = next(iter(scats_events(sim, 0, 720)))
         assert set(ev.payload) == {
             "intersection", "approach", "sensor", "density", "flow",
         }
@@ -75,7 +77,7 @@ class TestScatsSimulator:
         sim = ScatsSensorSimulator(
             topology, node_of, gt, density_noise=0.5, flow_noise=5.0, seed=1
         )
-        events = list(sim.events(0, 7200))
+        events = list(scats_events(sim, 0, 7200))
         errors = []
         for ev in events:
             node = node_of[ev["intersection"]]
@@ -89,7 +91,7 @@ class TestScatsSimulator:
         faulty = sim.faulty_sensors()
         assert faulty
         readings = {}
-        for ev in sim.events(0, 3600):
+        for ev in scats_events(sim, 0, 3600):
             key = (ev["intersection"], ev["approach"], ev["sensor"])
             if key in faulty:
                 readings.setdefault(key, set()).add(
@@ -99,8 +101,8 @@ class TestScatsSimulator:
             assert len(values) == 1  # stuck at one reading
 
     def test_deterministic(self, city):
-        a = [e.payload for e in self._sim(city, seed=9).events(0, 1800)]
-        b = [e.payload for e in self._sim(city, seed=9).events(0, 1800)]
+        a = [e.payload for e in scats_events(self._sim(city, seed=9), 0, 1800)]
+        b = [e.payload for e in scats_events(self._sim(city, seed=9), 0, 1800)]
         assert a == b
 
     def test_sensor_count(self, city):
@@ -136,7 +138,7 @@ class TestBusFleetSimulator:
     def test_emission_cadence(self, city):
         sim = self._sim(city)
         times = {}
-        for move, _ in sim.events(0, 1800):
+        for move, _ in bus_events(sim, 0, 1800):
             times.setdefault(move["bus"], []).append(move.time)
         for bus_times in times.values():
             gaps = [b - a for a, b in zip(bus_times, bus_times[1:])]
@@ -145,7 +147,7 @@ class TestBusFleetSimulator:
 
     def test_move_and_gps_paired(self, city):
         sim = self._sim(city)
-        for move, gps in sim.events(0, 600):
+        for move, gps in bus_events(sim, 0, 600):
             assert gps.key == (move["bus"],)
             assert gps.time == move.time
             assert gps.arrival == move.arrival
@@ -153,7 +155,7 @@ class TestBusFleetSimulator:
     def test_gps_positions_on_route(self, city):
         network, *_ = city
         sim = self._sim(city)
-        for move, gps in sim.events(0, 600):
+        for move, gps in bus_events(sim, 0, 600):
             nearest = network.nearest_node(gps.value["lon"], gps.value["lat"])
             lon, lat = network.position(nearest)
             # Positions interpolate along edges; they stay within one
@@ -163,7 +165,7 @@ class TestBusFleetSimulator:
     def test_delay_nonnegative(self, city):
         sim = self._sim(city)
         assert all(
-            move["delay"] >= 0 for move, _ in sim.events(0, 1200)
+            move["delay"] >= 0 for move, _ in bus_events(sim, 0, 1200)
         )
 
     def test_unreliable_buses_report_stuck_congestion(self, city):
@@ -171,9 +173,9 @@ class TestBusFleetSimulator:
             city, unreliable_fraction=0.5,
             unreliable_mode="stuck_congested",
         )
-        unreliable = sim.unreliable_buses()
+        unreliable = unreliable_buses(sim)
         assert unreliable
-        for move, gps in sim.events(0, 1200):
+        for move, gps in bus_events(sim, 0, 1200):
             if move["bus"] in unreliable:
                 assert gps.value["congestion"] == 1
 
@@ -183,7 +185,7 @@ class TestBusFleetSimulator:
             city, unreliable_fraction=1.0, unreliable_mode="inverted"
         )
         lies = 0
-        for move, gps in sim.events(0, 600):
+        for move, gps in bus_events(sim, 0, 600):
             node = network.nearest_node(gps.value["lon"], gps.value["lat"])
             # The bit should be the opposite of the truth at the
             # bus's own reference node (which may differ slightly from
@@ -195,14 +197,14 @@ class TestBusFleetSimulator:
 
     def test_arrival_delays_mostly_small(self, city):
         sim = self._sim(city, late_fraction=0.1, max_arrival_delay=120)
-        delays = [m.arrival - m.time for m, _ in sim.events(0, 1800)]
+        delays = [m.arrival - m.time for m, _ in bus_events(sim, 0, 1800)]
         assert all(0 <= d <= 120 for d in delays)
         small = sum(1 for d in delays if d <= 5)
         assert small / len(delays) > 0.8
 
     def test_deterministic(self, city):
-        a = [(m.time, m["bus"], m["delay"]) for m, _ in self._sim(city).events(0, 900)]
-        b = [(m.time, m["bus"], m["delay"]) for m, _ in self._sim(city).events(0, 900)]
+        a = [(m.time, m["bus"], m["delay"]) for m, _ in bus_events(self._sim(city), 0, 900)]
+        b = [(m.time, m["bus"], m["delay"]) for m, _ in bus_events(self._sim(city), 0, 900)]
         assert a == b
 
     def test_make_lines_routes_valid(self, city):

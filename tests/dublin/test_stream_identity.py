@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from tests.dublin.helpers import unreliable_buses
 from tests.golden.stream_identity import (
     BARE_ONLY,
     CITIES,
@@ -59,7 +60,7 @@ def test_split_quirks_profile_reaches_the_quirks(recorded):
 def test_added_miniatures_reach_the_branches_they_were_added_for():
     scenario, start, end = CITIES["miniature_two_hours"]()
     assert scenario.config.unreliable_mode == "inverted"
-    assert scenario.buses.unreliable_buses()
+    assert unreliable_buses(scenario.buses)
     assert scenario.scats.faulty_sensors()
     gps = scenario.generate(start, end).columns.fact_block("gps")
     bus = gps.key_column(0)

@@ -3,7 +3,7 @@
 Each test exercises one documented extension pattern end-to-end so the
 guide cannot rot: a custom CE definition, a custom crowd aggregator in
 the component, a custom selection policy in the engine, and a real
-feed loaded through the CSV seam.
+feed loaded through the JSONL seam.
 """
 
 import pytest
@@ -17,9 +17,9 @@ from repro.crowd import (
     MajorityVote,
     Participant,
     QueryExecutionEngine,
-    ReliabilityPolicy,
+    SelectionPolicy,
 )
-from repro.dublin import DublinScenario, ScenarioConfig, read_csv, write_csv
+from repro.dublin import DublinScenario, ScenarioConfig, read_jsonl, write_jsonl
 
 
 class GridlockWarning(DerivedEvent):
@@ -92,12 +92,28 @@ class TestCustomAggregatorSeam:
         assert outcome.crowd_event["value"] == "positive"
 
 
+class MostReliableNearby(SelectionPolicy):
+    """The docs/extending.md policy: the ``k`` participants within
+    ``radius_m`` with the smallest estimated error rate."""
+
+    def __init__(self, estimates, radius_m=500.0, k=1):
+        self.nearby = LocationPolicy(radius_m)
+        self.estimates = estimates
+        self.k = k
+
+    def select(self, task, candidates):
+        near = self.nearby.select(task, candidates)
+        return sorted(
+            near, key=lambda p: self.estimates.get(p.participant_id, 0.25)
+        )[: self.k]
+
+
 class TestComposedPolicySeam:
     def test_location_then_reliability(self, scenario):
         int_id = scenario.topology.ids()[0]
         lon, lat = scenario.topology.location(int_id)
         estimates = {"near-good": 0.05, "near-bad": 0.6}
-        policy = LocationPolicy(500) | ReliabilityPolicy(estimates, k=1)
+        policy = MostReliableNearby(estimates, k=1)
         engine = QueryExecutionEngine(policy=policy, seed=2)
         engine.register(Participant("near-good", 0.05, lon=lon, lat=lat))
         engine.register(Participant("near-bad", 0.6, lon=lon, lat=lat))
@@ -115,12 +131,12 @@ class TestComposedPolicySeam:
 
 
 class TestRealFeedSeam:
-    def test_csv_loader_substitutes_generation(self, scenario, tmp_path):
+    def test_jsonl_loader_substitutes_generation(self, scenario, tmp_path):
         # "A real feed replaces DublinScenario.generate() with a loader
-        # producing those records" — the CSV reader is that loader.
+        # producing those records" — the JSONL reader is that loader.
         data = scenario.generate(0, 900)
-        write_csv(tmp_path / "feed", data)
-        loaded = read_csv(tmp_path / "feed")
+        write_jsonl(tmp_path / "feed.jsonl", data)
+        loaded = read_jsonl(tmp_path / "feed.jsonl")
         engine = RTEC(
             build_traffic_definitions(scenario.topology),
             window=600, step=300, params=default_traffic_params(),

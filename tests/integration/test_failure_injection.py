@@ -18,7 +18,7 @@ from repro.core.traffic import (
     default_traffic_params,
 )
 from repro.dublin import DublinScenario, ScenarioConfig
-from repro.system import SystemConfig, UrbanTrafficSystem
+from repro.system import SystemConfig, UrbanTrafficSystem, crowdloop
 from repro.traffic_model import RollingFlowEstimator
 
 LON, LAT = -6.26, 53.35
@@ -107,12 +107,12 @@ class TestCrowdOutage:
         if report.console.counts().get("source disagreement"):
             assert report.crowd_unresolved > 0
 
-    def test_partial_outage_still_resolves(self, scenario):
+    def test_partial_outage_still_resolves(self, scenario, monkeypatch):
+        monkeypatch.setattr(crowdloop, "PARTICIPANT_RADIUS_M", 5000.0)
         system = UrbanTrafficSystem(
             scenario,
             SystemConfig(adaptive=True, crowd_enabled=True,
-                         n_participants=40, seed=37,
-                         participant_radius_m=5000.0),
+                         n_participants=40, seed=37),
         )
         online = system.crowd.engine.online_participants()
         for participant in online[: len(online) // 2]:

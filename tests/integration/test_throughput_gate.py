@@ -19,11 +19,11 @@ import numpy as np
 import pytest
 
 from repro.core import RTEC
-from repro.core.columns import EventColumns, FactColumns, SDEColumns
+from repro.core.columns import FactColumns, SDEColumns
 from repro.core.reference import ReferenceRTEC
 from repro.core.traffic import build_traffic_definitions, default_traffic_params
 
-from tests.core.helpers import make_topology
+from tests.core.helpers import event_columns, make_topology
 
 DUBLIN_SDE_RATE = 0.5
 REQUIRED_MULTIPLE = 10.0
@@ -72,7 +72,7 @@ def _step_batches(topology):
     for step, start in enumerate(range(0, len(times), rows_per_step)):
         stop = min(start + rows_per_step, len(times))
         cut = slice(step * bus_rows_per_step, (step + 1) * bus_rows_per_step)
-        move = EventColumns.from_arrays(
+        move = event_columns(
             "move",
             bus_times[cut],
             numeric={"delay": delay[cut]},
@@ -94,7 +94,7 @@ def _step_batches(topology):
                 "congestion": congestion[cut],
             },
         )
-        block = EventColumns.from_arrays(
+        block = event_columns(
             "traffic",
             times[start:stop],
             numeric={

@@ -1,7 +1,6 @@
 """Crash/restart harness: run, die, resume — as one-liners.
 
-Used by the crash-parity tests, the chaos CI job and the CLI's
-``--resume`` path.  The harness treats :class:`SimulatedCrash` as the
+Used by the crash-parity tests.  The harness treats :class:`SimulatedCrash` as the
 in-process stand-in for a process death: everything the revived run
 may use must come from the recovery directory, never from the crashed
 objects.
@@ -12,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..faults import SimulatedCrash
-from .coordinator import CheckpointCoordinator
+from repro.faults import SimulatedCrash
+from repro.recovery import CheckpointCoordinator
 
 __all__ = ["CrashOutcome", "run_with_recovery", "resume_run", "run_resilient"]
 

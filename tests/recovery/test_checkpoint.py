@@ -71,7 +71,7 @@ class TestValidation:
     def _refuses_version(self, tmp_path, version):
         from repro.recovery.checkpoint import _HEADER, FORMAT_VERSION
 
-        assert FORMAT_VERSION == 8
+        assert FORMAT_VERSION == 9
         manager = CheckpointManager(tmp_path)
         info = manager.save(1, {"a": 1})
         data = info.path.read_bytes()
@@ -125,6 +125,31 @@ class TestValidation:
         # mutable state and the ground truth's memo tables; this
         # tree's buses are their frozen initial states.
         self._refuses_version(tmp_path, 7)
+
+    def test_version_8_file_refused_before_unpickling(self, tmp_path):
+        # A version-8 engine pickled its working memory as
+        # ``repro.core.incremental.WorkingMemory``, a module this tree
+        # no longer has: unpickling the payload would fail with
+        # ModuleNotFoundError.  The header refuses it first.
+        import hashlib
+        import pickle
+
+        from repro.recovery.checkpoint import _HEADER, MAGIC
+
+        blob = b"crepro.core.incremental\nWorkingMemory\n."
+        with pytest.raises(ModuleNotFoundError):
+            pickle.loads(blob)
+        manager = CheckpointManager(tmp_path)
+        manager.path_for(4).write_bytes(
+            _HEADER.pack(MAGIC, 8, len(blob), hashlib.sha256(blob).digest())
+            + blob
+        )
+        with pytest.raises(
+            CheckpointError, match="unsupported format version 8"
+        ):
+            manager.load(manager.path_for(4))
+        with pytest.raises(NoValidCheckpoint):
+            manager.load_latest()
 
     def test_load_latest_falls_back_over_torn_file(self, tmp_path):
         manager = CheckpointManager(tmp_path)

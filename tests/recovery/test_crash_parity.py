@@ -23,13 +23,10 @@ import pytest
 
 from repro.dublin import DublinScenario, ScenarioConfig
 from repro.faults import CrashInjector
-from repro.recovery import (
-    WriteAheadJournal,
-    resume_run,
-    run_resilient,
-    run_with_recovery,
-)
+from repro.recovery import WriteAheadJournal
 from repro.system import SystemConfig, UrbanTrafficSystem
+
+from .harness import resume_run, run_resilient, run_with_recovery
 
 SCENARIO = dict(
     seed=3,

@@ -6,7 +6,7 @@ each other.  It is deliberately slow and deliberately ignorant: it
 imports the record types, the definition classes (whose rule bodies it
 runs) and :class:`IntervalList` (the value a body reads and a static
 body returns) — and nothing of ``core/rtec.py``, ``core/reference.py``,
-``core/incremental.py``, ``core/columns.py`` or ``make_intervals``
+``core/window.py``, ``core/columns.py`` or ``make_intervals``
 (``test_engines_match_reference.py`` asserts that fence).  What it
 states:
 

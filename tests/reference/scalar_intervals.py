@@ -20,7 +20,9 @@ from collections.abc import Iterable
 from typing import Any, Optional
 
 from repro.core.events import FluentKey
-from repro.core.intervals import EFFECT_DELAY, IntervalList, make_intervals
+from repro.core.intervals import EFFECT_DELAY, IntervalList
+
+from .inertia import make_intervals
 
 
 class ScalarIntervals:

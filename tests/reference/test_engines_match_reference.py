@@ -46,7 +46,7 @@ from hypothesis.stateful import (
 from repro.core import RTEC, Event, FluentFact, Occurrence
 from repro.core.columns import ColumnSpec, SDEColumns
 from repro.core.compiled import CompiledRule
-from repro.core.incremental import streamless_checkpoint
+from repro.core.window import streamless_checkpoint
 from repro.core.intervals import intersect_all
 from repro.core.reference import ReferenceRTEC
 from repro.core.rules import (

@@ -11,6 +11,8 @@ import random
 from repro.dublin import DublinScenario, ScenarioConfig
 from repro.scenarios import compile_scenario, get_scenario
 
+from ..dublin.helpers import bus_events, scats_events
+
 
 def _stream_repr(data):
     return [repr(e) for e in data.events] + [repr(f) for f in data.facts]
@@ -21,8 +23,8 @@ class TestRepeatedCalls:
         scenario = DublinScenario(
             ScenarioConfig(seed=5, n_buses=6, n_lines=2, n_intersections=6)
         )
-        first = list(scenario.buses.events(0, 1200))
-        second = list(scenario.buses.events(0, 1200))
+        first = list(bus_events(scenario.buses, 0, 1200))
+        second = list(bus_events(scenario.buses, 0, 1200))
         assert [repr(pair) for pair in first] == [
             repr(pair) for pair in second
         ]
@@ -31,8 +33,8 @@ class TestRepeatedCalls:
         scenario = DublinScenario(
             ScenarioConfig(seed=5, n_buses=6, n_lines=2, n_intersections=6)
         )
-        first = list(scenario.scats.events(0, 1200))
-        second = list(scenario.scats.events(0, 1200))
+        first = list(scats_events(scenario.scats, 0, 1200))
+        second = list(scats_events(scenario.scats, 0, 1200))
         assert [repr(e) for e in first] == [repr(e) for e in second]
 
     def test_generate_identical_across_calls(self):
@@ -49,11 +51,11 @@ class TestExplicitRng:
         scenario = DublinScenario(
             ScenarioConfig(seed=5, n_buses=4, n_lines=2, n_intersections=6)
         )
-        a = list(scenario.buses.events(0, 600, rng=random.Random(9)))
-        b = list(scenario.buses.events(0, 600, rng=random.Random(9)))
+        a = list(bus_events(scenario.buses, 0, 600, rng=random.Random(9)))
+        b = list(bus_events(scenario.buses, 0, 600, rng=random.Random(9)))
         assert [repr(p) for p in a] == [repr(p) for p in b]
-        c = list(scenario.scats.events(0, 600, rng=random.Random(9)))
-        d = list(scenario.scats.events(0, 600, rng=random.Random(9)))
+        c = list(scats_events(scenario.scats, 0, 600, rng=random.Random(9)))
+        d = list(scats_events(scenario.scats, 0, 600, rng=random.Random(9)))
         assert [repr(e) for e in c] == [repr(e) for e in d]
 
     def test_global_random_state_untouched(self):

@@ -13,6 +13,8 @@ from repro.scenarios import (
     generate_radial_network,
 )
 
+from ..dublin.helpers import region_of
+
 
 @pytest.mark.parametrize(
     "make",
@@ -45,7 +47,7 @@ class TestFamilies:
     def test_every_region_populated(self, make):
         network = make(5)
         seen = {
-            network.region_of(*network.position(node))
+            region_of(network, *network.position(node))
             for node in network.graph.nodes
         }
         assert seen == set(REGIONS)

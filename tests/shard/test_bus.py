@@ -53,31 +53,6 @@ class TestShardBus:
         assert not worker_ends["south"].poll(0.0)
         bus.close()
 
-    def test_publish_fans_out_to_every_shard(self):
-        bus = ShardBus(PipeTransport())
-        regions = ("north", "south", "west")
-        worker_ends = {r: bus.open_channel(r) for r in regions}
-        failures = bus.publish("feed", step=2, sdes=[])
-        assert failures == {}
-        for end in worker_ends.values():
-            assert end.recv() == ("feed", {"step": 2, "sdes": []})
-        bus.close()
-
-    def test_publish_reports_dead_channels_without_raising(self):
-        bus = ShardBus(PipeTransport())
-        alive = bus.open_channel("north")
-        dead = bus.open_channel("south")
-        dead.close()
-        # Fill no buffers: a closed peer only surfaces on send for
-        # pipes once the fd is really gone, so close our side's peer
-        # handle and force the failure path deterministically.
-        bus.endpoint("south").close()
-        failures = bus.publish("feed", step=0, sdes=[])
-        assert set(failures) == {"south"}
-        assert isinstance(failures["south"], ShardConnectionLost)
-        assert alive.recv()[0] == "feed"
-        bus.close()
-
     def test_open_channel_replaces_previous_channel(self):
         bus = ShardBus(PipeTransport())
         first = bus.open_channel("north")
@@ -86,7 +61,7 @@ class TestShardBus:
         assert second.recv() == ("query", {"step": 9, "q": 2700})
         with pytest.raises(ShardConnectionLost):
             first.recv()  # old channel was closed on replacement
-        assert bus.shards() == ["north"]
+        assert sorted(bus._endpoints) == ["north"]
         bus.close()
 
     def test_detach_forgets_the_shard(self):
@@ -94,6 +69,6 @@ class TestShardBus:
         bus.open_channel("north")
         bus.detach("north")
         bus.detach("north")  # idempotent
-        assert bus.shards() == []
+        assert sorted(bus._endpoints) == []
         with pytest.raises(KeyError):
             bus.send("north", "query", step=0, q=0)

@@ -89,11 +89,11 @@ class TestWiring:
         degradation = DegradationManager()
         sup = ShardSupervisor(max_restarts=0, degradation=degradation)
         sup.record_death("north", step=4, q=1200, reason="killed")
-        assert degradation.is_degraded("shard:north")
+        assert "shard:north" in degradation.degraded_feeds
         assert degradation.intervals["shard:north"] == [(1200, None)]
         # Forced outages never recover from arrival accounting.
         degradation.observe(1500, {"shard:north": 99})
-        assert degradation.is_degraded("shard:north")
+        assert "shard:north" in degradation.degraded_feeds
 
     def test_metrics_namespace(self):
         metrics = Registry()

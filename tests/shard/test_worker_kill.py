@@ -17,6 +17,7 @@ import pytest
 
 from repro.faults import CrashInjector
 from repro.shard import ShardedRuntime
+from repro.system import pipeline
 
 from .test_sharded_parity import (
     CONFIG,
@@ -44,11 +45,16 @@ def sharded_system(tmp_path, crash_plans, **overrides):
     system = build_system(
         sharded=True,
         shard_dir=str(tmp_path),
-        shard_restart_backoff_s=0.01,
         **overrides,
     )
     system.shard_crash_plans = crash_plans
     return system
+
+
+@pytest.fixture(autouse=True)
+def quick_restarts(monkeypatch):
+    """Restarts back off 10 ms here, not the deployed 50 ms."""
+    monkeypatch.setattr(pipeline, "SHARD_RESTART_BACKOFF_S", 0.01)
 
 
 @pytest.mark.chaos
@@ -93,11 +99,12 @@ class TestWorkerKill:
         ]
 
     def test_restart_storm_fails_shard_but_not_siblings(
-        self, golden, tmp_path
+        self, golden, tmp_path, monkeypatch
     ):
         # Two armed injectors: the second one ships with the restore
         # payload, so the restarted worker dies again re-executing the
         # same step — exhausting a budget of one restart.
+        monkeypatch.setattr(pipeline, "SHARD_MAX_RESTARTS", 1)
         system = sharded_system(
             tmp_path,
             {
@@ -106,7 +113,6 @@ class TestWorkerKill:
                     CrashInjector(at_step=4, phase="step", mode="sigkill"),
                 ]
             },
-            shard_max_restarts=1,
         )
         report = system.run(0, END)
         events = [(e["event"], e["region"]) for e in report.shard_events]
@@ -177,8 +183,9 @@ class TestWorkerKill:
                 assert fp["ce"][region] == golden["ce"][region]
 
     def test_failed_shard_suppresses_alerts_without_stalling(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
+        monkeypatch.setattr(pipeline, "SHARD_MAX_RESTARTS", 1)
         system = sharded_system(
             tmp_path,
             {
@@ -187,7 +194,6 @@ class TestWorkerKill:
                     CrashInjector(at_step=4, phase="step", mode="sigkill"),
                 ]
             },
-            shard_max_restarts=1,
         )
         report = system.run(0, END)
         # The run completed (no exception, all steps accounted): every

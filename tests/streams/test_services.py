@@ -6,24 +6,11 @@ from repro.streams import ServiceRegistry
 
 
 class TestServiceRegistry:
-    def test_register_and_lookup(self):
-        registry = ServiceRegistry()
-        service = object()
-        registry.register("traffic-model", service)
-        assert registry.lookup("traffic-model") is service
-        assert "traffic-model" in registry
-        assert len(registry) == 1
-        assert list(registry) == ["traffic-model"]
-
     def test_duplicate_registration_rejected(self):
         registry = ServiceRegistry()
         registry.register("svc", object())
         with pytest.raises(ValueError, match="already registered"):
             registry.register("svc", object())
-
-    def test_unknown_lookup(self):
-        with pytest.raises(LookupError, match="unknown service"):
-            ServiceRegistry().lookup("nope")
 
     def test_lifecycle_hooks_optional(self):
         class WithHooks:

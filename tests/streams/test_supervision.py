@@ -7,9 +7,7 @@ import pytest
 from repro.obs import Registry
 from repro.streams import (
     CircuitBreaker,
-    Collect,
     DeadLetterQueue,
-    EmitTo,
     ErrorPolicy,
     Process,
     ProcessorTimeout,
@@ -19,8 +17,9 @@ from repro.streams import (
     Tap,
     Topology,
     Transform,
-    make_item,
 )
+
+from .helpers import Collect, make_item
 
 
 def _items(values, period=10):
@@ -217,24 +216,6 @@ class TestSupervisedRuntime:
         letter = supervisor.dead_letters.snapshot()[0]
         assert "ProcessorTimeout" in letter.error
         assert metrics.counters()["streams.supervision.timeouts"] == 1
-
-    def test_failed_attempt_discards_partial_emissions(self):
-        def explode(item):
-            raise RuntimeError("after emitting")
-
-        topo = Topology()
-        topo.add_source(Source("s", _items([1])))
-        topo.add_process(
-            Process(
-                "p", input="s",
-                processors=[EmitTo("side"), Transform(explode)],
-                policy=ErrorPolicy(mode="skip"),
-            )
-        )
-        StreamRuntime(topo, supervisor=Supervisor()).run()
-        side = topo.queues.get("side")
-        assert side is None or len(side) == 0
-
 
 class TestBreakerInRuntime:
     def _run(self, times_and_values, *, threshold=3, reset_s=100):

@@ -3,13 +3,13 @@
 import pytest
 
 from repro.streams import (
-    Collect,
     StreamRuntime,
     XmlConfigError,
     coerce_attribute,
-    make_item,
     parse_topology,
 )
+
+from .helpers import Collect, make_item
 
 
 def _source_factory(n=3, **_):
@@ -62,7 +62,6 @@ class TestParseTopology:
         xml = """
         <container>
           <stream id="s" class="test.Source" n="4"/>
-          <queue id="out"/>
           <service id="svc" class="test.Service" label="x"/>
           <process id="p" input="s" output="out">
             <processor class="test.Collect"/>
@@ -71,9 +70,9 @@ class TestParseTopology:
         """
         topo = parse_topology(xml, REGISTRY)
         assert "s" in topo.sources
-        assert len(topo.sources["s"]) == 4
+        assert len(list(topo.sources["s"])) == 4
         assert "out" in topo.queues
-        assert topo.services.lookup("svc").label == "x"
+        assert topo.services._services["svc"].label == "x"
         StreamRuntime(topo).run()
         assert [i["v"] for i in _COLLECTORS[0].items] == [0, 1, 2, 3]
         assert len(topo.queues["out"]) == 4
@@ -83,7 +82,7 @@ class TestParseTopology:
         <container>
           <stream id="s" class="test.Source"/>
           <process id="p" input="s">
-            <processor class="repro.streams.processors.Collect"/>
+            <processor class="tests.streams.helpers.Collect"/>
           </process>
         </container>
         """

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -102,6 +104,30 @@ class TestMetrics:
         )
         assert code == 0
         assert "streams.process." in capsys.readouterr().out
+
+
+    def test_streams_wiring_counts_the_rows_it_feeds(self, tmp_path, capsys):
+        # The Streams graph feeds the engines the same rows as the
+        # direct loop, so the ingest and work counters agree.
+        counters = {}
+        for flag in ([], ["--streams"]):
+            out = tmp_path / f"m{len(flag)}.json"
+            argv = ["metrics", *SMALL, "--participants", "10", "--json", str(out)]
+            assert main(argv + flag) == 0
+            counters[bool(flag)] = json.loads(out.read_text())["counters"]
+        capsys.readouterr()
+        direct, graph = counters[False], counters[True]
+        names = [
+            name
+            for name in direct
+            if name == "ingest.events"
+            or name.startswith(
+                ("rtec.ingest.", "rtec.mirror.", "rtec.close.", "rtec.compiled.", "crowd.")
+            )
+        ]
+        assert direct["ingest.events"] > 0
+        assert {"rtec.ingest.rows_fed", "rtec.ingest.rows_admitted"} <= set(names)
+        assert {n: graph.get(n) for n in names} == {n: direct[n] for n in names}
 
     @pytest.mark.parametrize("command", ["run", "metrics"])
     def test_parallel_flag_is_gone(self, capsys, command):

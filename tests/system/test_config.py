@@ -23,6 +23,15 @@ REMOVED_KEYS = (
     "feed_outage_steps",
     "distribute_by_region",
     "use_measured_flows",
+    "participant_error_range",
+    "participant_radius_m",
+    "crowd_deadline_ms",
+    "crowd_min_support",
+    "ce_priors",
+    "prior_window",
+    "rewards",
+    "shard_max_restarts",
+    "shard_restart_backoff_s",
 )
 
 
@@ -49,9 +58,9 @@ class TestFromMapping:
 
     def test_coerces_list_to_tuple(self):
         cfg = SystemConfig.from_mapping(
-            {"participant_error_range": [0.1, 0.4]}
+            {"region_groups": [["central", "north"], ["west", "south"]]}
         )
-        assert cfg.participant_error_range == (0.1, 0.4)
+        assert cfg.region_groups == (("central", "north"), ("west", "south"))
 
     def test_empty_mapping_is_defaults(self):
         assert SystemConfig.from_mapping({}) == SystemConfig()
@@ -66,7 +75,7 @@ class TestFromMapping:
     def test_field_count(self):
         # Every independently settable value doubles what the parity
         # suites have to cover; adding one is a decision, not a default.
-        assert len(fields(SystemConfig)) == 26
+        assert len(fields(SystemConfig)) == 17
 
 
 class TestValidation:
@@ -81,10 +90,6 @@ class TestValidation:
     def test_bad_noisy_variant(self):
         with pytest.raises(ValueError, match="noisy_variant"):
             SystemConfig(noisy_variant="optimistic")
-
-    def test_bad_error_range(self):
-        with pytest.raises(ValueError, match="participant_error_range"):
-            SystemConfig(participant_error_range=(0.9, 0.1))
 
     def test_negative_participants(self):
         with pytest.raises(ValueError, match="n_participants"):

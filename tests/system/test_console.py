@@ -30,7 +30,7 @@ class TestOperatorConsole:
         console.notify(1, "a", "x", "m")
         console.notify(2, "a", "y", "m")
         console.notify(3, "b", "z", "m")
-        assert len(console.of_kind("a")) == 2
+        assert [a.kind for a in console.alerts].count("a") == 2
         assert console.counts() == {"a": 2, "b": 1}
 
     def test_render_sorted_and_limited(self):

@@ -4,8 +4,6 @@ from what it reads — no ``UrbanTrafficSystem``, no engine, no stream."""
 import numpy as np
 import pytest
 
-from repro.core.events import Occurrence
-from repro.core.rtec import RecognitionSnapshot
 from repro.crowd import Participant, bus_report_prior
 from repro.dublin import DublinScenario, ScenarioConfig
 from repro.obs import Registry
@@ -42,23 +40,6 @@ def hand_made_loop(scenario, **config):
     return loop, int_id
 
 
-def _snapshot(q, int_id, buses):
-    """A query result whose window holds one ``disagree`` per bus."""
-    return RecognitionSnapshot(
-        query_time=q,
-        window_start=q - 600,
-        occurrences={
-            "disagree": [
-                Occurrence(
-                    "disagree", (bus, int_id), q - 10,
-                    {"bus": bus, "intersection": int_id},
-                )
-                for bus in buses
-            ]
-        },
-    )
-
-
 def _counts(loop):
     return loop.resolved, loop.unresolved, loop.suppressed
 
@@ -66,7 +47,7 @@ def _counts(loop):
 class TestOneDisagreement:
     def test_resolution_feeds_console_flow_field_and_rewards(self, scenario):
         loop, int_id = hand_made_loop(scenario)
-        event = loop.resolve("north", 600, int_id, 450, None)
+        event = loop.resolve("north", 600, int_id, 450)
         assert event is not None and event.type == "crowd"
         assert event["intersection"] == int_id
         assert event.time > 600
@@ -94,7 +75,7 @@ class TestOneDisagreement:
             scenario.topology.ids(),
             key=lambda i: scenario.topology.location(i),
         )
-        assert loop.resolve(None, 600, far, 450, None) is None
+        assert loop.resolve(None, 600, far, 450) is None
         assert _counts(loop) == (0, 1, 0)
 
     def test_crowd_off_counts_unresolved(self, scenario):
@@ -104,53 +85,37 @@ class TestOneDisagreement:
         )
         assert loop.crowd is None and loop.reward_ledger is None
         int_id = scenario.topology.ids()[0]
-        assert loop.resolve(None, 600, int_id, 450, None) is None
+        assert loop.resolve(None, 600, int_id, 450) is None
         assert _counts(loop) == (0, 1, 0)
         assert len(loop.console.alerts) == 1
         assert loop.settle_rewards() == {}
 
     def test_cooldown_counts_from_the_query_time(self, scenario):
         loop, int_id = hand_made_loop(scenario, crowd_cooldown_s=600)
-        assert loop.resolve(None, 600, int_id, 450, None) is not None
+        assert loop.resolve(None, 600, int_id, 450) is not None
         # Within the cooldown: announced to the operators, not asked.
-        assert loop.resolve(None, 900, int_id, 880, None) is None
+        assert loop.resolve(None, 900, int_id, 880) is None
         assert _counts(loop) == (1, 0, 1)
         assert len(loop.crowd.outcomes) == 1
-        assert len(loop.console.of_kind("source disagreement")) == 2
+        assert [a.kind for a in loop.console.alerts].count(
+            "source disagreement"
+        ) == 2
         # The cooldown runs from the last *query* (600), not from the
         # suppressed attempt.
-        assert loop.resolve(None, 1200, int_id, 1190, None) is not None
+        assert loop.resolve(None, 1200, int_id, 1190) is not None
         assert _counts(loop) == (2, 0, 1)
-
-    def test_min_support_reads_the_windows_disagreeing_buses(self, scenario):
-        loop, int_id = hand_made_loop(scenario, crowd_min_support=2)
-        other = scenario.topology.ids()[1]
-        lone = _snapshot(600, int_id, ["B1", "B1"])
-        elsewhere = _snapshot(600, other, ["B1", "B2"])
-        for snapshot in (lone, elsewhere):
-            assert loop.resolve(None, 600, int_id, 450, snapshot) is None
-        assert _counts(loop) == (0, 0, 2)
-        assert not loop.crowd.outcomes
-        # A suppressed disagreement starts no cooldown.
-        two = _snapshot(600, int_id, ["B1", "B2"])
-        assert loop.resolve(None, 600, int_id, 450, two) is not None
-        assert _counts(loop) == (1, 0, 2)
-
-    def test_min_support_is_a_self_adaptive_policy(self, scenario):
-        loop, int_id = hand_made_loop(scenario, crowd_min_support=2, adaptive=False)
-        assert loop.resolve(None, 600, int_id, 450, None) is not None
 
     def test_degraded_feed_suppresses_silently(self, scenario):
         loop, int_id = hand_made_loop(scenario)
         degraded = frozenset({"scats"})
-        assert loop.resolve(None, 600, int_id, 450, None, degraded) is None
+        assert loop.resolve(None, 600, int_id, 450, degraded) is None
         assert _counts(loop) == (0, 0, 1)
         assert not loop.console.alerts
         counters = loop.metrics.counters()
         assert counters["system.degraded.crowd_suppressed"] == 1
         assert "crowd.disagreements" not in counters
         # ... and starts no cooldown either.
-        assert loop.resolve(None, 600, int_id, 450, None) is not None
+        assert loop.resolve(None, 600, int_id, 450) is not None
 
 
 class TestPrior:
@@ -161,23 +126,12 @@ class TestPrior:
         times = np.array([100, 350, 500, 590, 610])
         bits = np.array([1, 1, 0, 0, 1])
         loop._bus_reports = {int_id: (times, bits)}
-        # Window (600 - prior_window, 600] = all but the report at 610.
+        # Window (600 - PRIOR_WINDOW_S, 600] = all but the report at 610.
         assert loop.prior(int_id, 600) == bus_report_prior(2, 4)
         assert loop.prior(int_id, 50) is None
         assert loop.prior("no-such-intersection", 600) is None
-        loop.resolve(None, 600, int_id, 450, None)
+        loop.resolve(None, 600, int_id, 450)
         assert loop.crowd.outcomes[0].task.prior == bus_report_prior(2, 4)
-
-    def test_priors_off(self, scenario):
-        loop, int_id = hand_made_loop(scenario, ce_priors=False)
-        gps = scenario.generate(0, 300).columns.fact_block("gps")
-        loop.index_bus_reports(gps)
-        assert loop._bus_reports == {}
-        loop._bus_reports = {int_id: (np.array([500]), np.array([1]))}
-        assert loop.prior(int_id, 600) is None
-        loop.resolve(None, 600, int_id, 450, None)
-        prior = loop.crowd.outcomes[0].task.prior
-        assert len(set(prior.values())) == 1  # uniform
 
     def test_index_is_built_from_a_gps_block(self, scenario):
         loop, _ = hand_made_loop(scenario)

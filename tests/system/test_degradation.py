@@ -1,5 +1,7 @@
 """Tests for feed-outage detection and degraded-mode recognition."""
 
+import pickle
+
 import pytest
 
 from repro.dublin import DublinScenario, ScenarioConfig
@@ -20,7 +22,7 @@ class TestDegradationManager:
     def test_below_threshold_silence_is_tolerated(self):
         manager = DegradationManager(threshold=2)
         assert manager.observe(300, {"scats": 0, "bus": 5}) == frozenset()
-        assert not manager.is_degraded("scats")
+        assert "scats" not in manager.degraded_feeds
 
     def test_consecutive_silence_trips_the_breaker(self):
         manager = DegradationManager(threshold=2)
@@ -39,21 +41,14 @@ class TestDegradationManager:
     def test_recovery_closes_the_interval(self):
         manager = DegradationManager(threshold=1)
         manager.observe(300, {"scats": 0, "bus": 1})
-        assert manager.is_degraded("scats")
+        assert "scats" in manager.degraded_feeds
         manager.observe(600, {"scats": 4, "bus": 1})
-        assert not manager.is_degraded("scats")
+        assert "scats" not in manager.degraded_feeds
         assert manager.intervals["scats"] == [(300, 600)]
 
     def test_missing_feed_counts_as_silent(self):
         manager = DegradationManager(threshold=1)
         assert manager.observe(300, {"bus": 1}) == frozenset({"scats"})
-
-    def test_suppresses_any_degraded_feed(self):
-        manager = DegradationManager(threshold=1)
-        manager.observe(300, {"scats": 0, "bus": 1})
-        assert manager.suppresses(("scats",))
-        assert manager.suppresses(("scats", "bus"))
-        assert not manager.suppresses(("bus",))
 
     def test_finish_keeps_only_feeds_with_outages(self):
         manager = DegradationManager(threshold=1)
@@ -175,36 +170,24 @@ class TestDegradationStateDict:
         manager.observe(600, {"scats": 4, "bus": 1})
         manager.observe(900, {"scats": 0, "bus": 1})  # re-trips: open
 
-        revived = DegradationManager(threshold=1)
-        revived.load_state_dict(manager.state_dict())
+        revived = pickle.loads(pickle.dumps(manager))
         assert revived.degraded_feeds == frozenset({"scats"})
         assert revived.intervals["scats"] == [(300, 600), (900, None)]
         # The revived breaker continues the same timeline: the next
         # arrival closes the open interval at its query time.
         revived.observe(1200, {"scats": 2, "bus": 1})
         assert revived.intervals["scats"] == [(300, 600), (900, 1200)]
-        assert not revived.is_degraded("scats")
+        assert "scats" not in revived.degraded_feeds
 
     def test_state_dict_round_trip_preserves_silent_streak(self):
         manager = DegradationManager(threshold=3)
         manager.observe(300, {"scats": 0, "bus": 1})
         manager.observe(600, {"scats": 0, "bus": 1})
-        assert not manager.is_degraded("scats")
+        assert "scats" not in manager.degraded_feeds
 
-        revived = DegradationManager(threshold=3)
-        revived.load_state_dict(manager.state_dict())
+        revived = pickle.loads(pickle.dumps(manager))
         # One more silent step after restore completes the streak —
         # exactly as it would have without the restart.
         degraded = revived.observe(900, {"scats": 0, "bus": 1})
         assert degraded == frozenset({"scats"})
         assert revived.intervals["scats"] == [(900, None)]
-
-    def test_state_dict_is_json_able(self):
-        import json
-
-        manager = DegradationManager(threshold=1)
-        manager.observe(300, {"scats": 0, "bus": 0})
-        state = json.loads(json.dumps(manager.state_dict()))
-        revived = DegradationManager(threshold=1)
-        revived.load_state_dict(state)
-        assert revived.state_dict() == manager.state_dict()

@@ -56,7 +56,7 @@ class TestTopologyShape:
 
     def test_traffic_model_registered_as_service(self, built):
         _, _, paper, _ = built
-        assert paper.topology.services.lookup("traffic-model") is (
+        assert paper.topology.services._services["traffic-model"] is (
             paper.flow_estimator
         )
 
@@ -117,7 +117,7 @@ class TestOneSystemWiredTwice:
             assert (
                 paper.rtec_processors[region].engine is system.engines[region]
             )
-        assert paper.topology.services.lookup("traffic-model") is (
+        assert paper.topology.services._services["traffic-model"] is (
             system.flow_estimator
         )
         assert paper.flow_estimator is system.flow_estimator

@@ -7,6 +7,7 @@ import pytest
 from repro.crowd import bus_report_prior
 from repro.dublin import DublinScenario, ScenarioConfig
 from repro.system import SystemConfig, UrbanTrafficSystem
+from repro.system.crowdloop import PRIOR_WINDOW_S
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +37,6 @@ def system_and_report(scenario):
             adaptive=True,
             noisy_variant="crowd",
             n_participants=40,
-            ce_priors=True,
-            rewards=True,
             seed=31,
         ),
     )
@@ -95,7 +94,7 @@ class TestPriors:
                     (fact.time, fact.value["congestion"])
                 )
         assert set(reports) == set(system.crowd_loop._bus_reports)
-        window = system.config.prior_window
+        window = PRIOR_WINDOW_S
         checked = 0
         for int_id in [*reports, "no-such-intersection"]:
             for q in range(0, 2400, 150):
@@ -150,37 +149,12 @@ class TestPriors:
                     else None
                 )
 
-    def test_priors_disabled(self, scenario):
-        system = UrbanTrafficSystem(
-            scenario,
-            SystemConfig(
-                adaptive=True, crowd_enabled=True, ce_priors=False,
-                n_participants=20, seed=31,
-            ),
-        )
-        system.run(0, 900)
-        assert not system.crowd_loop._bus_reports
-        for outcome in system.crowd.outcomes:
-            values = set(round(v, 6) for v in outcome.task.prior.values())
-            assert len(values) == 1  # uniform
-
-
 class TestRewards:
     def test_rewards_settled(self, system_and_report):
         _, report = system_and_report
         if report.crowd_resolutions:
             assert report.rewards
             assert all(v >= 0 for v in report.rewards.values())
-
-    def test_rewards_disabled(self, scenario):
-        system = UrbanTrafficSystem(
-            scenario,
-            SystemConfig(crowd_enabled=True, rewards=False,
-                         n_participants=10, seed=31),
-        )
-        report = system.run(0, 900)
-        assert report.rewards == {}
-
 
 class TestStructuredAndReliability:
     def test_structured_intersections_run(self, scenario):
@@ -241,46 +215,9 @@ class TestCrowdThrottling:
         if total_eager > total_throttled:
             assert throttled.crowd_suppressed > 0
 
-    def test_min_support_filters_lone_dissenters(self, scenario):
-        permissive = self._run(scenario, crowd_min_support=1,
-                               crowd_cooldown_s=1)
-        strict = self._run(scenario, crowd_min_support=10,
-                           crowd_cooldown_s=1)
-        asked_permissive = (
-            permissive.crowd_resolutions + permissive.crowd_unresolved
-        )
-        asked_strict = strict.crowd_resolutions + strict.crowd_unresolved
-        assert asked_strict <= asked_permissive
-
     def test_suppressed_counted_in_report(self, scenario):
         report = self._run(scenario, crowd_cooldown_s=3600)
         assert report.crowd_suppressed >= 0  # field present and sane
-
-
-class TestDeadlineAndProfile:
-    def test_crowd_deadline_excludes_slow_devices(self, scenario):
-        # An 800 ms deadline excludes 2G devices from every query.
-        system = UrbanTrafficSystem(
-            scenario,
-            SystemConfig(
-                adaptive=True, n_participants=40, seed=31,
-                crowd_deadline_ms=800.0, crowd_cooldown_s=1,
-            ),
-        )
-        system.run(0, 1800)
-        for outcome in system.crowd.outcomes:
-            for execution in outcome.execution.executions:
-                assert execution.connection != "2g"
-
-    def test_per_definition_profile(self, system_and_report):
-        _, report = system_and_report
-        profile = report.per_definition_profile()
-        assert "busCongestion" in profile
-        assert all(v >= 0.0 for v in profile.values())
-        # The profile's total is consistent with the overall mean.
-        assert sum(profile.values()) == pytest.approx(
-            report.mean_recognition_time, rel=0.5, abs=0.01
-        )
 
 
 class TestAlertSurfacing:

@@ -5,7 +5,9 @@ import pytest
 from repro.core import RTEC
 from repro.core.traffic import build_traffic_definitions, default_traffic_params
 from repro.dublin import DublinScenario, ScenarioConfig, stream_items
-from repro.streams import Collect, Process, Source, StreamRuntime, Topology
+from repro.streams import Process, Source, StreamRuntime, Topology
+
+from ..streams.helpers import Collect
 from repro.system import (
     CrowdsourcingProcessor,
     FluentFeedbackProcessor,
@@ -118,7 +120,7 @@ class TestSdesOnTheTick:
         self, seed, window, monkeypatch
     ):
         from repro.core.columns import ColumnStore
-        from repro.core.incremental import WorkingMemory
+        from repro.core.window import WorkingMemory
 
         feeds, admits = [], []
         buffer_columns, admit = WorkingMemory.buffer_columns, ColumnStore.admit

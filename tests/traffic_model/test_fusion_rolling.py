@@ -1,82 +1,9 @@
-"""Tests for crowd-observation fusion and the rolling estimator."""
+"""Tests for the rolling flow estimator."""
 
 import networkx as nx
 import pytest
 
-from repro.traffic_model import (
-    CONGESTED_FLOW,
-    FREE_FLOW,
-    CrowdFlowReport,
-    RollingFlowEstimator,
-    augment_observations,
-)
-
-
-class TestAugmentObservations:
-    def test_positive_pins_congested_flow(self):
-        merged = augment_observations(
-            {}, [CrowdFlowReport("n1", "positive", confidence=0.95)]
-        )
-        assert merged == {"n1": CONGESTED_FLOW}
-
-    def test_negative_pins_free_flow(self):
-        merged = augment_observations(
-            {}, [CrowdFlowReport("n1", "negative", confidence=0.95)]
-        )
-        assert merged == {"n1": FREE_FLOW}
-
-    def test_low_confidence_skipped(self):
-        merged = augment_observations(
-            {}, [CrowdFlowReport("n1", "positive", confidence=0.4)]
-        )
-        assert merged == {}
-
-    def test_sensor_wins_by_default(self):
-        merged = augment_observations(
-            {"n1": 777.0},
-            [CrowdFlowReport("n1", "positive", confidence=0.99)],
-        )
-        assert merged["n1"] == 777.0
-
-    def test_override_replaces_sensor(self):
-        merged = augment_observations(
-            {"n1": 777.0},
-            [CrowdFlowReport("n1", "positive", confidence=0.99)],
-            override_sensors=True,
-        )
-        assert merged["n1"] == CONGESTED_FLOW
-
-    def test_later_report_wins(self):
-        merged = augment_observations(
-            {},
-            [
-                CrowdFlowReport("n1", "positive", confidence=0.9, time=10),
-                CrowdFlowReport("n1", "negative", confidence=0.9, time=20),
-            ],
-        )
-        assert merged["n1"] == FREE_FLOW
-
-    def test_unknown_value_rejected(self):
-        with pytest.raises(ValueError, match="crowd value"):
-            augment_observations(
-                {}, [CrowdFlowReport("n1", "maybe", confidence=1.0)]
-            )
-
-    def test_original_mapping_untouched(self):
-        observations = {"n1": 500.0}
-        augment_observations(
-            observations,
-            [CrowdFlowReport("n2", "positive", confidence=1.0)],
-        )
-        assert observations == {"n1": 500.0}
-
-    def test_custom_levels(self):
-        merged = augment_observations(
-            {},
-            [CrowdFlowReport("n1", "positive", confidence=1.0)],
-            congested_flow=123.0,
-        )
-        assert merged["n1"] == 123.0
+from repro.traffic_model import RollingFlowEstimator
 
 
 class TestRollingFlowEstimator:
@@ -105,7 +32,8 @@ class TestRollingFlowEstimator:
 
     def test_estimates_all_junctions(self):
         estimator, graph = self._estimator()
-        estimator.observe_many({0: 300.0, 15: 900.0}, time=100)
+        for node, value in {0: 300.0, 15: 900.0}.items():
+            estimator.observe(node, value, time=100)
         estimates = estimator.estimate(200)
         assert set(estimates) == set(graph.nodes)
         assert estimator.refits == 1
@@ -131,20 +59,24 @@ class TestRollingFlowEstimator:
 
     def test_coverage_fraction(self):
         estimator, graph = self._estimator()
-        estimator.observe_many({0: 1.0, 1: 2.0}, time=0)
+        for node, value in {0: 1.0, 1: 2.0}.items():
+            estimator.observe(node, value, time=0)
         assert estimator.coverage(10) == pytest.approx(2 / 16)
 
     def test_estimates_track_observations(self):
         estimator, _ = self._estimator(noise=1.0)
-        estimator.observe_many({0: 200.0, 15: 800.0}, time=0)
+        for node, value in {0: 200.0, 15: 800.0}.items():
+            estimator.observe(node, value, time=0)
         estimates = estimator.estimate(10)
         assert estimates[0] < estimates[15]
 
     def test_continuous_reestimation_follows_changes(self):
         estimator, _ = self._estimator(noise=1.0, staleness_s=300)
-        estimator.observe_many({0: 200.0, 15: 200.0}, time=0)
+        for node, value in {0: 200.0, 15: 200.0}.items():
+            estimator.observe(node, value, time=0)
         first = estimator.estimate(10)
-        estimator.observe_many({0: 900.0, 15: 900.0}, time=400)
+        for node, value in {0: 900.0, 15: 900.0}.items():
+            estimator.observe(node, value, time=400)
         second = estimator.estimate(410)
         assert second[5] > first[5]
         assert estimator.refits == 2

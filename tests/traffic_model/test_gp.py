@@ -70,20 +70,6 @@ class TestGraphGP:
         assert without.covariance is None
         assert with_cov.covariance.shape == (2, 2)
 
-    def test_log_marginal_likelihood_prefers_fitting_model(self):
-        n = 8
-        graph = nx.path_graph(n)
-        smooth = [float(i) for i in range(n)]  # smooth over the path
-        obs_idx = list(range(n))
-        good = GraphGP(graph_kernel(graph, 5.0, 0.05), noise=0.5)
-        good.fit(obs_idx, smooth)
-        bad = GraphGP(np.eye(n) * 0.01, noise=0.5)
-        bad.fit(obs_idx, smooth)
-        assert good.log_marginal_likelihood(smooth) > bad.log_marginal_likelihood(
-            smooth
-        )
-
-
 class TestTrafficFlowModel:
     def test_requires_nodes(self):
         with pytest.raises(ValueError):
@@ -113,28 +99,16 @@ class TestTrafficFlowModel:
         observed = {n: truth[n] for n in graph if n % 2 == 0}
         model = TrafficFlowModel(graph, alpha=5.0, beta=0.05, noise=1.0)
         model.fit(observed)
-        rmse = model.rmse({n: truth[n] for n in model.unobserved_nodes()})
+        unobserved = [n for n in graph if n not in observed]
+        rmse = model.rmse({n: truth[n] for n in unobserved})
         # Baseline: predicting the global observed mean everywhere.
         mean = np.mean(list(observed.values()))
         baseline = np.sqrt(
             np.mean(
-                [(mean - truth[n]) ** 2 for n in model.unobserved_nodes()]
+                [(mean - truth[n]) ** 2 for n in unobserved]
             )
         )
         assert rmse < baseline
-
-    def test_unobserved_nodes(self):
-        graph = _grid_graph(3)
-        model = TrafficFlowModel(graph)
-        model.fit({0: 1.0, 4: 2.0})
-        assert set(model.unobserved_nodes()) == set(graph.nodes) - {0, 4}
-
-    def test_estimate_with_uncertainty(self):
-        graph = _grid_graph(3)
-        model = TrafficFlowModel(graph, noise=0.1)
-        model.fit({0: 1.0})
-        out = model.estimate_with_uncertainty([0, 8])
-        assert out[0][1] < out[8][1]  # further from the sensor = less sure
 
     def test_estimate_subset(self):
         graph = _grid_graph(3)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from repro.traffic_model import (
+    GRID,
     TrafficFlowModel,
-    default_grid,
     grid_search,
     render_flow_map,
 )
@@ -26,13 +26,8 @@ def _smooth_observations(graph, keep_every=1):
 
 class TestDefaultGrid:
     def test_spans_zero_to_upper_exclusive(self):
-        grid = default_grid(points=5, upper=10.0)
-        assert grid == [2.0, 4.0, 6.0, 8.0, 10.0]
-        assert all(g > 0 for g in grid)
-
-    def test_validates(self):
-        with pytest.raises(ValueError):
-            default_grid(points=0)
+        assert GRID == (2.0, 4.0, 6.0, 8.0, 10.0)
+        assert all(g > 0 for g in GRID)
 
 
 class TestGridSearch:
