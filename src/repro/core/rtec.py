@@ -42,7 +42,7 @@ import numpy as np
 
 from .columns import SDEColumns
 from .events import Event, FluentFact, FluentKey, Occurrence
-from .window import WorkingMemory
+from .window import WorkingMemory, in_streamless_checkpoint
 from .intervals import (
     EFFECT_DELAY,
     IntervalList,
@@ -107,7 +107,7 @@ class RecognitionSnapshot:
     #: Always zero: nothing is cached across queries.  Kept only
     #: because the frozen ``benchmarks/e2e/tracing.py`` sums them into
     #: ``core.incremental.*``; they go with the benchmark revision of
-    #: ROADMAP item 6.
+    #: ROADMAP item 1.
     cache_hits: int = 0
     cache_misses: int = 0
     cache_invalidations: int = 0
@@ -664,6 +664,16 @@ class RecognitionLog:
         self.snapshots: list[RecognitionSnapshot] = []
         self._seen_occurrences: set[tuple[str, FluentKey, int]] = set()
         self._seen_episodes: set[tuple[str, FluentKey, int]] = set()
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Inside a streamless checkpoint the snapshots are already in the
+        # coordinator's snapshot log: only their count travels, and the
+        # restore puts the list back before anything reads it
+        # (``CheckpointCoordinator.restore_latest``).
+        state = self.__dict__.copy()
+        if in_streamless_checkpoint():
+            state["snapshots"] = len(self.snapshots)
+        return state
 
     def add(self, snapshot: RecognitionSnapshot) -> "FreshResults":
         """Record a snapshot and return what is new in it."""

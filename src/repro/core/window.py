@@ -58,6 +58,12 @@ def streamless_checkpoint():
         _STREAMLESS.reset(token)
 
 
+def in_streamless_checkpoint() -> bool:
+    """Whether a pickle is being taken inside
+    :func:`streamless_checkpoint`."""
+    return _STREAMLESS.get()
+
+
 # ----------------------------------------------------------------------
 # Persistent working memory
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Versioned, checksummed, atomically written checkpoints.
 
-A checkpoint file is a fixed header followed by a pickle of the whole
-pipeline object graph::
+A checkpoint file is one *frame*: a fixed header followed by a pickle
+of the checkpointed object graph::
 
     offset  size  field
     0       8     magic  b"RPROCKP1"
@@ -19,22 +19,31 @@ back to the next-newest file: a torn or bit-rotted checkpoint (e.g.
 written by a non-atomic writer before a power loss — what the
 ``CrashInjector``'s mid-write phase simulates) costs the work since
 the previous checkpoint, not the run.
+
+:class:`SnapshotLog` is the same frame, appended: the pipeline's
+recognition snapshots, one frame per interval checkpoint, in one
+append-only file beside the checkpoints, validated by the same routine.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
 import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..ioutils import atomic_write_bytes
 
 MAGIC = b"RPROCKP1"
-#: Version 9: the engine's working memory pickles as
+#: Version 10: a pipeline interval checkpoint carries ``log_end``, its
+#: cursor into the :class:`SnapshotLog`, and each ``RecognitionLog``
+#: of its report as a snapshot count; a version-9 interval checkpoint
+#: pickled every snapshot of the run so far.  Since version 9 the
+#: engine's working memory pickles as
 #: ``repro.core.window.WorkingMemory`` (``repro.core.incremental`` until
 #: version 8), and a pipeline checkpoint's ``SystemConfig`` has
 #: seventeen fields (twenty-six until version 8).  Since version 8 the
@@ -58,7 +67,7 @@ MAGIC = b"RPROCKP1"
 #: ``(arrival, seq, is_fact, row)`` tuples beside the ``PendingBatch``
 #: arrays, version 1 carried only those); an older file is refused
 #: rather than mis-restored.
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 _HEADER = struct.Struct("<8sIQ32s")
 _NAME_RE = re.compile(r"^checkpoint-(\d{8})\.ckpt$")
 
@@ -78,6 +87,95 @@ class CheckpointInfo:
     path: Path
     step: int
     size: int
+
+
+def _frame(payload: Any) -> bytes:
+    """``payload`` pickled behind the checksummed header."""
+    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    header = _HEADER.pack(
+        MAGIC, FORMAT_VERSION, len(blob), hashlib.sha256(blob).digest()
+    )
+    return header + blob
+
+
+def _unframe(data: bytes, offset: int, source) -> tuple[bytes, int]:
+    """Validate the frame at ``offset`` of ``data``.
+
+    Returns ``(blob, end)``: the pickled payload, and the offset just
+    past the frame.  Raises :class:`CheckpointError` on a truncated
+    header, wrong magic or version, a payload shorter than the header
+    says, or a digest mismatch.
+    """
+    if len(data) - offset < _HEADER.size:
+        raise CheckpointError(f"{source}: truncated header at byte {offset}")
+    magic, version, length, digest = _HEADER.unpack_from(data, offset)
+    if magic != MAGIC:
+        raise CheckpointError(f"{source}: bad magic {magic!r}")
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"{source}: unsupported format version {version}")
+    start = offset + _HEADER.size
+    blob = data[start:start + length]
+    if len(blob) != length:
+        raise CheckpointError(
+            f"{source}: payload is {len(blob)} bytes, header says {length}"
+        )
+    if hashlib.sha256(blob).digest() != digest:
+        raise CheckpointError(f"{source}: payload checksum mismatch")
+    return blob, start + length
+
+
+class SnapshotLog:
+    """An append-only file of frames: ``snapshots.log``.
+
+    The pipeline coordinator appends one frame per interval checkpoint
+    (the recognition snapshots since the previous one) before it writes
+    that checkpoint, which records the file's length after the frame as
+    its ``log_end``.  A restore reads back the frames below its
+    checkpoint's ``log_end`` and truncates the file there.
+    """
+
+    def __init__(self, path):
+        self.path = Path(path)
+
+    def append(self, payload: Any) -> tuple[int, int]:
+        """Append ``payload`` as one frame, flushed and fsynced.
+
+        Returns ``(end, size)``: the file's length after the frame,
+        and the frame's.
+        """
+        data = _frame(payload)
+        with self.path.open("ab") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+            return handle.tell(), len(data)
+
+    def read(self, end: int) -> list[Any]:
+        """Validate and unpickle every frame below ``end``, in order.
+
+        Raises :class:`CheckpointError` when a frame fails validation,
+        or the file (missing, truncated) ends before ``end`` — including
+        a frame that crosses it.
+        """
+        if end == 0:
+            return []
+        try:
+            with self.path.open("rb") as handle:
+                data = handle.read(end)
+        except FileNotFoundError:
+            data = b""
+        payloads, offset = [], 0
+        while offset < end:
+            blob, offset = _unframe(data, offset, self.path)
+            payloads.append(pickle.loads(blob))
+        return payloads
+
+    def truncate(self, end: int) -> None:
+        """Cut the file back to ``end`` bytes (an empty file if it is
+        missing), so the next append lands at ``end``."""
+        with self.path.open("ab") as handle:
+            handle.truncate(end)
+            os.fsync(handle.fileno())
 
 
 class CheckpointManager:
@@ -130,11 +228,7 @@ class CheckpointManager:
         serialisation but before the atomic write — the seam the
         mid-write crash injector uses to deposit a torn file and die.
         """
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        header = _HEADER.pack(
-            MAGIC, FORMAT_VERSION, len(blob), hashlib.sha256(blob).digest()
-        )
-        data = header + blob
+        data = _frame(payload)
         path = self.path_for(step)
         if pre_replace is not None:
             pre_replace(path, data)
@@ -160,31 +254,25 @@ class CheckpointManager:
         mismatch).
         """
         data = Path(path).read_bytes()
-        if len(data) < _HEADER.size:
-            raise CheckpointError(f"{path}: truncated header")
-        magic, version, length, digest = _HEADER.unpack_from(data)
-        if magic != MAGIC:
-            raise CheckpointError(f"{path}: bad magic {magic!r}")
-        if version != FORMAT_VERSION:
+        blob, end = _unframe(data, 0, path)
+        if end != len(data):
             raise CheckpointError(
-                f"{path}: unsupported format version {version}"
+                f"{path}: payload is {len(data) - _HEADER.size} bytes, "
+                f"header says {len(blob)}"
             )
-        blob = data[_HEADER.size:]
-        if len(blob) != length:
-            raise CheckpointError(
-                f"{path}: payload is {len(blob)} bytes, header says {length}"
-            )
-        if hashlib.sha256(blob).digest() != digest:
-            raise CheckpointError(f"{path}: payload checksum mismatch")
         return pickle.loads(blob)
 
     def load_latest(
-        self,
+        self, accept: Optional[Callable[[Any], None]] = None
     ) -> tuple[Any, CheckpointInfo, int]:
         """The newest checkpoint that validates.
 
         Returns ``(payload, info, fallbacks)`` where ``fallbacks``
-        counts newer checkpoints that were skipped as invalid.  Raises
+        counts newer checkpoints that were skipped as invalid.
+        ``accept(payload)``, when given, may still refuse a file that
+        validated, by raising :class:`CheckpointError` (the pipeline
+        coordinator refuses one whose snapshot-log prefix does not
+        validate); it is skipped like a torn one.  Raises
         :class:`NoValidCheckpoint` when nothing validates (including an
         empty directory).
         """
@@ -192,7 +280,10 @@ class CheckpointManager:
         last_error: Optional[CheckpointError] = None
         for info in reversed(self.list()):
             try:
-                return self.load(info.path), info, fallbacks
+                payload = self.load(info.path)
+                if accept is not None:
+                    accept(payload)
+                return payload, info, fallbacks
             except CheckpointError as error:
                 last_error = error
                 fallbacks += 1

@@ -36,12 +36,20 @@ The pipeline lifecycle:
 * ``begin_step`` journals a write-ahead record of the step about to
   run (its query time and per-feed admitted-item counts);
 * ``commit_step`` journals the step's completion;
-* ``after_step`` snapshots the whole pipeline every
-  ``checkpoint_interval`` steps and rotates the journal to a fresh
-  segment, so recovery normally replays one segment;
-* ``restore_latest`` loads the newest valid checkpoint (falling back
-  over torn files), accounts the steps to be replayed in the
-  ``recovery.replay.*`` counters, and returns the revived system.
+* ``after_step`` snapshots the pipeline every ``checkpoint_interval``
+  steps and rotates the journal to a fresh segment, so recovery
+  normally replays one segment.  The run's recognition snapshots are
+  not in that checkpoint: the ones since the previous checkpoint are
+  appended to the *snapshot log* (``snapshots.log``, a
+  :class:`~.checkpoint.SnapshotLog`) first, and the checkpoint carries
+  the log's length, ``log_end`` — state plus a cursor, so a write
+  costs what changes, not the run so far;
+* ``restore_latest`` loads the newest checkpoint whose file *and*
+  snapshot-log prefix validate (falling back over torn files and
+  damaged frames), refills the recognition logs from the frames below
+  its ``log_end``, cuts the log back there, accounts the steps to be
+  replayed in the ``recovery.replay.*`` counters, and returns the
+  revived system.
 
 The coordinator only *observes* the run — checkpointing never mutates
 pipeline state, so a run with checkpointing enabled produces exactly
@@ -58,12 +66,16 @@ deduplicated by the restored logs.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from typing import Any, Mapping, Optional
 
 from ..core.window import streamless_checkpoint
 from ..obs import Registry
-from .checkpoint import CheckpointError, CheckpointInfo, CheckpointManager
+from .checkpoint import (
+    CheckpointError,
+    CheckpointInfo,
+    CheckpointManager,
+    SnapshotLog,
+)
 from .journal import WriteAheadJournal
 
 __all__ = ["CheckpointCoordinator"]
@@ -105,6 +117,11 @@ class CheckpointCoordinator:
             raise ValueError(f"interval must be >= 1, got {interval}")
         self.manager = CheckpointManager(directory, retain=retain)
         self.journal = WriteAheadJournal(directory)
+        #: The pipeline's recognition snapshots, one frame per interval
+        #: checkpoint (see :meth:`checkpoint`).
+        self.snapshot_log = SnapshotLog(
+            self.manager.directory / "snapshots.log"
+        )
         self.interval = interval
         self.crash = crash
         self.metrics: Optional[Registry] = None
@@ -115,6 +132,9 @@ class CheckpointCoordinator:
         self.restored_span: Optional[tuple[int, int]] = None
         self._base_step = 0
         self._resumed = False
+        #: Per engine key, how many of its log's snapshots the snapshot
+        #: log holds.
+        self._logged: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def _count(self, name: str, amount: float = 1) -> None:
@@ -167,14 +187,24 @@ class CheckpointCoordinator:
         return step - self._base_step >= self.interval
 
     def checkpoint(
-        self, step: int, payload: Any, *, streamless: bool = False
+        self,
+        step: int,
+        payload: Any,
+        *,
+        logs: Optional[Mapping[str, Any]] = None,
     ) -> None:
         """Write the checkpoint for ``step`` and rotate the journal.
 
-        ``streamless`` pickles the payload inside
-        :func:`repro.core.window.streamless_checkpoint`, dropping
-        the regenerable pending stream; whoever restores it must
-        rebuild that stream.
+        ``logs`` — the run's ``{engine key: RecognitionLog}`` — makes
+        it a pipeline interval checkpoint.  The snapshots the logs
+        gained since the previous one are appended to the snapshot log
+        first, as one frame, and ``payload["log_end"]`` becomes the
+        log's length after it.  The payload is then pickled inside
+        :func:`repro.core.window.streamless_checkpoint`, which leaves
+        out the regenerable pending stream and each log's snapshots (a
+        count stays); :meth:`restore_latest` puts both back.  The
+        append is timed with the write, under
+        ``recovery.checkpoint.seconds``.
         """
         pre_replace = None
         if self.crash is not None:
@@ -184,8 +214,14 @@ class CheckpointCoordinator:
                 crash.on_checkpoint_write(step, path, data)
 
         started = time.perf_counter()
-        with streamless_checkpoint() if streamless else nullcontext():
+        if logs is None:
             info = self.manager.save(step, payload, pre_replace=pre_replace)
+        else:
+            payload["log_end"] = self._append_snapshots(logs)
+            with streamless_checkpoint():
+                info = self.manager.save(
+                    step, payload, pre_replace=pre_replace
+                )
         elapsed = time.perf_counter() - started
         self.last_checkpoint = info
         self._base_step = step
@@ -203,21 +239,38 @@ class CheckpointCoordinator:
                 elapsed
             )
 
+    def _append_snapshots(self, logs: Mapping[str, Any]) -> int:
+        """Append the snapshots ``logs`` gained since the last append
+        as one frame (flushed and fsynced); return the snapshot log's
+        new length."""
+        end, size = self.snapshot_log.append(
+            {
+                key: log.snapshots[self._logged.get(key, 0):]
+                for key, log in logs.items()
+            }
+        )
+        self._logged = {key: len(log.snapshots) for key, log in logs.items()}
+        self._count("recovery.log.frames")
+        self._count("recovery.log.bytes", size)
+        return end
+
     def complete(self, step: int) -> None:
         """Mark the run finished and release the journal."""
         self._journal({"kind": "complete", "step": step})
         self.journal.close()
 
-    def restore(self) -> tuple[Any, list[dict[str, Any]], int]:
+    def restore(self, accept=None) -> tuple[Any, list[dict[str, Any]], int]:
         """Load the newest valid checkpoint and the journal after it.
 
         Returns ``(payload, records, fallbacks)``: the checkpointed
         state, the intact journal records written after it, and how
-        many newer-but-invalid checkpoints (torn mid-write files) were
-        skipped.  ``records`` spans *every* segment at or after the
-        restored step, in order: after a fallback the segments of the
-        skipped checkpoints hold committed work too.  Those segments
-        are archived and the restored step's reopened empty — replayed
+        many newer-but-invalid checkpoints (torn mid-write files, or
+        files ``accept`` refused — see
+        :meth:`CheckpointManager.load_latest`) were skipped.
+        ``records`` spans *every* segment at or after the restored
+        step, in order: after a fallback the segments of the skipped
+        checkpoints hold committed work too.  Those segments are
+        archived and the restored step's reopened empty — replayed
         work re-journals itself as it re-executes, so the journal on
         disk always describes the run that actually happened, each
         step once, and a crash after the replay finds it all again.
@@ -225,7 +278,7 @@ class CheckpointCoordinator:
         Raises :class:`~repro.recovery.checkpoint.NoValidCheckpoint`
         when the directory holds no restorable state.
         """
-        payload, info, fallbacks = self.manager.load_latest()
+        payload, info, fallbacks = self.manager.load_latest(accept)
         records: list[dict[str, Any]] = []
         for base_step in self.journal.segments_from(info.step):
             records.extend(self.journal.read_segment(base_step))
@@ -243,8 +296,9 @@ class CheckpointCoordinator:
             self.interval = system.config.checkpoint_interval
 
     def on_run_start(self, system, span: tuple[int, int]) -> None:
-        """Baseline checkpoint + first journal segment (fresh runs);
-        resumed runs already restored their baseline.
+        """Baseline checkpoint + first journal segment, and an empty
+        snapshot log (fresh runs); resumed runs already restored their
+        baseline.
 
         Called by the pipeline *before* it generates and feeds the
         input stream — the baseline therefore holds no pending SDEs
@@ -255,24 +309,57 @@ class CheckpointCoordinator:
         """
         self._attach(system)
         if not self._resumed:
-            self.checkpoint(0, {"system": system, "state": None, "span": span})
+            self.snapshot_log.truncate(0)
+            self.checkpoint(
+                0,
+                {"system": system, "state": None, "span": span, "log_end": 0},
+            )
 
     def after_step(self, system, state) -> None:
         """Checkpoint when the interval has elapsed since the last.
 
-        Interval checkpoints are streamless; :meth:`restore_latest`
-        rebuilds the pending stream against the baseline checkpoint.
+        Interval checkpoints are streamless and hold no recognition
+        snapshot; :meth:`restore_latest` rebuilds the pending stream
+        against the baseline checkpoint and refills the logs from the
+        snapshot log.
         """
         if self.due(state.step_index):
             self.checkpoint(
                 state.step_index,
                 {"system": system, "state": state, "span": None},
-                streamless=True,
+                logs=state.report.logs,
             )
 
     def on_run_complete(self, system, state) -> None:
         """Mark the run finished and release the journal."""
         self.complete(state.step_index)
+
+    def _refill_logs(self, payload) -> None:
+        """Put back the recognition snapshots a checkpoint left in the
+        snapshot log: read and validate every frame below its
+        ``log_end``, and refill the logs of its state.
+
+        Raises :class:`CheckpointError` — the checkpoint is then
+        skipped like a torn one — when a frame fails validation, or
+        the frames do not hold, per engine key, the number of
+        snapshots the checkpoint counted.
+        """
+        state = payload["state"]
+        logs = {} if state is None else state.report.logs
+        found: dict[str, list] = {}
+        for frame in self.snapshot_log.read(payload["log_end"]):
+            for key, snapshots in frame.items():
+                found.setdefault(key, []).extend(snapshots)
+        counted = {key: log.snapshots for key, log in logs.items()}
+        if {key: len(s) for key, s in found.items()} != counted:
+            raise CheckpointError(
+                f"{self.snapshot_log.path}: the frames below byte "
+                f"{payload['log_end']} do not hold the snapshots the "
+                f"checkpoint counted ({counted})"
+            )
+        for key, log in logs.items():
+            log.snapshots = found[key]
+        self._logged = counted
 
     def restore_latest(self) -> tuple[Any, Any]:
         """Load the newest valid checkpoint and prepare to continue.
@@ -282,14 +369,22 @@ class CheckpointCoordinator:
         calling ``system.run(*coordinator.restored_span,
         recovery=coordinator)``, which regenerates the input stream
         deterministically; otherwise call
-        ``system.resume_from(state, coordinator)``.  The journal after
-        the restored checkpoint (see :meth:`restore`) is read for
-        replay accounting only: the loop re-executes those steps on its
-        own.
+        ``system.resume_from(state, coordinator)``.
+
+        A checkpoint is restored only with its snapshot-log prefix: a
+        damaged frame below its ``log_end`` makes it invalid, and the
+        restore falls back to an older one (counted in
+        ``recovery.restore.fallbacks``).  The log is then cut back to
+        the restored ``log_end`` — 0 for a baseline — so the steps the
+        resumed run replays append their snapshots again exactly once.
+        The journal after the restored checkpoint (see :meth:`restore`)
+        is read for replay accounting only: the loop re-executes those
+        steps on its own.
         """
-        payload, records, fallbacks = self.restore()
+        payload, records, fallbacks = self.restore(accept=self._refill_logs)
         system, state = payload["system"], payload["state"]
         self.restored_span = payload["span"]
+        self.snapshot_log.truncate(payload["log_end"])
         restored_step = self.last_checkpoint.step
         if state is not None:
             # The snapshot dropped the regenerable pending stream; the

@@ -39,19 +39,20 @@ def _frame(record: dict[str, Any]) -> str:
     return f"{digest} {text}\n"
 
 
-def _parse(line: str) -> Optional[dict[str, Any]]:
-    """The record on one framed line, or ``None`` if the line is torn."""
-    if not line.endswith("\n"):
+def _parse(line: bytes) -> Optional[dict[str, Any]]:
+    """The record on one framed line, or ``None`` if the line is torn
+    or damaged.  Bytes, not text: a flipped bit can leave a line that
+    is not UTF-8, and that too must end the scan, not raise."""
+    if not line.endswith(b"\n"):
         return None  # torn tail: the trailing newline never made it
-    body = line[:-1]
-    digest, sep, text = body.partition(" ")
+    digest, sep, text = line[:-1].partition(b" ")
     if not sep:
         return None
-    if hashlib.sha256(text.encode("utf-8")).hexdigest()[:12] != digest:
+    if hashlib.sha256(text).hexdigest()[:12].encode("ascii") != digest:
         return None
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or not UTF-8
         return None
 
 
@@ -149,7 +150,7 @@ class WriteAheadJournal:
         if not path.exists():
             return []
         records = []
-        with path.open("r", encoding="utf-8", newline="") as handle:
+        with path.open("rb") as handle:
             for line in handle:
                 record = _parse(line)
                 if record is None:

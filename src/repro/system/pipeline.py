@@ -75,7 +75,7 @@ class SystemConfig:
     #: no recovery coordinator.  A mixed pair is an error.  They are
     #: two because the frozen ``benchmarks/e2e/workloads.py::oracle``
     #: names both; they go, with the reference engine, in the
-    #: benchmark revision of ROADMAP item 6.
+    #: benchmark revision of ROADMAP item 1.
     incremental: bool = True
     compiled_rules: bool = True
     #: Static vs self-adaptive recognition, and the noisy-rule variant.

@@ -71,7 +71,7 @@ class TestValidation:
     def _refuses_version(self, tmp_path, version):
         from repro.recovery.checkpoint import _HEADER, FORMAT_VERSION
 
-        assert FORMAT_VERSION == 9
+        assert FORMAT_VERSION == 10
         manager = CheckpointManager(tmp_path)
         info = manager.save(1, {"a": 1})
         data = info.path.read_bytes()
@@ -150,6 +150,12 @@ class TestValidation:
             manager.load(manager.path_for(4))
         with pytest.raises(NoValidCheckpoint):
             manager.load_latest()
+
+    def test_version_9_file_refused(self, tmp_path):
+        # A version-9 interval checkpoint pickled every recognition
+        # snapshot of the run so far; this tree's carries a count per
+        # log and a cursor into the snapshot log.
+        self._refuses_version(tmp_path, 9)
 
     def test_load_latest_falls_back_over_torn_file(self, tmp_path):
         manager = CheckpointManager(tmp_path)
