@@ -18,17 +18,17 @@ is exactly the behaviour the self-adaptive recognition (rule-sets
 
 A stream is generated in two passes.  **The schedule** — who emits
 when, how long until its next emission and when the report arrives —
-is drawn first, one emission at a time in global time order from one
-``random.Random``: the draws read the clocks and the RNG and nothing
-of the traffic.  **The kinematics** — where each bus then is, how far
-it got and what it saw — are computed afterwards as arrays: given the
-ground truth's field the buses are independent, so the k-th emissions
-of all buses are advanced together, a round at a time.
+is drawn first, in global time order from one ``random.Random``: the
+draws read the clocks and the RNG and nothing of the traffic, and they
+are made for a slice of emissions at a time (:mod:`repro.draws`).
+**The kinematics** — where each bus then is, how far it got and what
+it saw — are computed afterwards as arrays: given the ground truth's
+field the buses are independent, so the k-th emissions of all buses
+are advanced together, a round at a time.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -37,6 +37,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.columns import EventColumns, FactColumns
+from ..draws import Draws
 from .ground_truth import (
     FREE_FLOW_SPEED_KMH,
     DensityField,
@@ -202,6 +203,13 @@ class BusFleetSimulator:
         lo, hi = emission_period
         if lo <= 0 or hi < lo:
             raise ValueError("emission period must satisfy 0 < lo <= hi")
+        if max_arrival_delay < 5:
+            raise ValueError(
+                "max_arrival_delay must be at least 5 (a late report "
+                "arrives 5 to max_arrival_delay seconds after it is made)"
+            )
+        if not 0.0 <= late_fraction <= 1.0:
+            raise ValueError("late fraction must be within [0, 1]")
         self.network = network
         self.ground_truth = ground_truth
         self.lines = list(lines)
@@ -280,43 +288,56 @@ class BusFleetSimulator:
         global time order.
 
         Three draws per emission, from the one shared stream, earliest
-        bus first (ties: the smaller id *string*).  The draws must
-        never read the ground truth or where a bus is: that they do
-        not is what lets :meth:`columns` compute the kinematics
+        bus first (ties: the smaller id *string*): ``randint(lo, hi)``
+        for the gap, ``random() < late_fraction``, then the arrival
+        ``randint(5, max_arrival_delay)`` or ``randint(0, 5)``.  The
+        draws must never read the ground truth or where a bus is: that
+        they do not is what lets :meth:`columns` compute the kinematics
         afterwards, for all buses at once.
+
+        The emissions are taken a slice at a time.  With ``T`` the
+        earliest clock, every bus whose clock is below
+        ``min(T + lo, end)`` emits exactly once in the slice: once it
+        has emitted it is due again at ``t + gap >= T + lo``, after
+        every emission of the slice.  So sorting the slice by (time, id
+        string) gives the order an earliest-first heap would pop, and
+        its draws are the next records of the stream (:class:`Draws`).
         """
         lo, hi = self.emission_period
         late_fraction = self.late_fraction
         max_delay = self.max_arrival_delay
-        times: list[int] = []
-        emitters: list[int] = []
-        gaps: list[int] = []
-        arrivals: list[int] = []
-        # Per-bus local clocks, advanced in global time order; never
-        # empty, since every popped bus is pushed back.
-        heap = [
-            (start + bus.next_emission % hi, bus.bus_id, i)
-            for i, bus in enumerate(self._buses)
-        ]
-        heapq.heapify(heap)
-        while heap[0][0] < end:
-            t, bus_id, i = heap[0]
-            dt = rng.randint(lo, hi)
-            if rng.random() < late_fraction:
-                arrival = t + rng.randint(5, max_delay)
-            else:
-                arrival = t + rng.randint(0, 5)
-            times.append(t)
-            emitters.append(i)
-            gaps.append(dt)
-            arrivals.append(arrival)
-            heapq.heapreplace(heap, (t + dt, bus_id, i))
-        return (
-            np.array(times, dtype=np.int64),
-            np.array(emitters, dtype=np.int64),
-            np.array(gaps, dtype=np.int64),
-            np.array(arrivals, dtype=np.int64),
+
+        def emission(words, at):
+            gap, at = words.randint(lo, hi, at)
+            u, at = words.random(at)
+            late = u < late_fraction
+            slow, after_slow = words.randint(5, max_delay, at)
+            quick, after_quick = words.randint(0, 5, at)
+            return (
+                np.where(late, after_slow, after_quick),
+                (gap, np.where(late, slow, quick)),
+            )
+
+        ids = [bus.bus_id for bus in self._buses]
+        rank = np.empty(len(ids), dtype=np.int64)
+        rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(
+            len(ids)
         )
+        clock = np.array(
+            [start + bus.next_emission % hi for bus in self._buses],
+            dtype=np.int64,
+        )
+        # An empty first slice types the arrays of a span with no emission.
+        slices = [(np.zeros(0, dtype=np.int64),) * 4]
+        with Draws(rng, emission) as draws:
+            while (first := int(clock.min())) < end:
+                due = np.flatnonzero(clock < min(first + lo, end))
+                due = due[np.lexsort((rank[due], clock[due]))]
+                gap, delay = draws.take(len(due))
+                times = clock[due]
+                slices.append((times, due, gap, times + delay))
+                clock[due] = times + gap
+        return tuple(np.concatenate(column) for column in zip(*slices))
 
     def columns(
         self, start: int, end: int, *, rng: Optional[random.Random] = None

@@ -35,6 +35,7 @@ import numpy as np
 
 from ..core.columns import FactColumns, SDEColumns
 from ..core.events import Event, FluentFact
+from ..draws import Draws, Words
 from ..obs import Registry
 
 #: RNG sub-seed offsets so each feed walks an independent stream.
@@ -57,9 +58,11 @@ class StreamFaults:
         sensor, a mediator crash).
     delay_rate / max_delay_s:
         Probability a record's *arrival* is postponed by a uniform
-        delay in ``[1, max_delay_s]`` seconds.  Occurrence times are
-        untouched, so the record reaches the engine out of order —
-        exactly the Figure 2 pathology the working memory exists for.
+        delay in ``[1, max_delay_s]`` seconds (``max_delay_s`` at most
+        ``2**32``, the widest range :mod:`repro.draws` reproduces).
+        Occurrence times are untouched, so the record reaches the
+        engine out of order — exactly the Figure 2 pathology the
+        working memory exists for.
     duplicate_rate:
         Probability a record is delivered twice (at-least-once
         mediators, retrying gateways).
@@ -81,8 +84,8 @@ class StreamFaults:
         _rate("delay_rate", self.delay_rate)
         _rate("duplicate_rate", self.duplicate_rate)
         _rate("corrupt_rate", self.corrupt_rate)
-        if self.max_delay_s < 0:
-            raise ValueError("max_delay_s must not be negative")
+        if not 0 <= self.max_delay_s <= 1 << 32:
+            raise ValueError("max_delay_s must be within [0, 2**32]")
         if self.delay_rate > 0.0 and self.max_delay_s == 0:
             raise ValueError("delay_rate > 0 needs max_delay_s > 0")
         if self.corrupt_rate > 0.0 and not self.corrupt_fields:
@@ -160,9 +163,10 @@ class FaultProfile:
         return dataclasses.asdict(self)
 
 
-def _corrupt_value(value, rng: random.Random):
+def _corrupt_value(value):
     """Corrupt one payload value: flip congestion-style bits, flatten
-    numbers to a stuck-at-zero reading, blank out strings."""
+    numbers to a stuck-at-zero reading, blank out strings.  Draws
+    nothing: a record's draws are its fate's alone."""
     if isinstance(value, bool):
         return not value
     if isinstance(value, int) and value in (0, 1):
@@ -174,11 +178,11 @@ def _corrupt_value(value, rng: random.Random):
     return value
 
 
-def _corrupt_cells(column: np.ndarray, rows: np.ndarray, rng) -> None:
+def _corrupt_cells(column: np.ndarray, rows: np.ndarray) -> None:
     """:func:`_corrupt_value` over ``rows`` of one field column, in
     place (the caller owns the copy)."""
     for i, value in zip(rows.tolist(), column[rows].tolist()):
-        column[i] = _corrupt_value(value, rng)
+        column[i] = _corrupt_value(value)
 
 
 class FaultInjector:
@@ -241,7 +245,7 @@ class FaultInjector:
             return []
         if corrupted:
             changes = {
-                name: _corrupt_value(ev.payload[name], self._rng)
+                name: _corrupt_value(ev.payload[name])
                 for name in self.spec.corrupt_fields
                 if name in ev.payload
             }
@@ -277,7 +281,7 @@ class FaultInjector:
             changed = False
             for name in self.spec.corrupt_fields:
                 if name in mutated:
-                    mutated[name] = _corrupt_value(mutated[name], self._rng)
+                    mutated[name] = _corrupt_value(mutated[name])
                     changed = True
             if changed:
                 self._count("corrupted")
@@ -312,7 +316,7 @@ class FaultInjector:
             changed = False
             for name in self.spec.corrupt_fields:
                 if name in item and not name.startswith("@"):
-                    item[name] = _corrupt_value(item[name], self._rng)
+                    item[name] = _corrupt_value(item[name])
                     changed = True
             if changed:
                 self._count("corrupted")
@@ -352,6 +356,29 @@ class FaultInjector:
             out.extend(self.item(item))
         return out
 
+    def _fates(self, words: Words, at: np.ndarray):
+        """:meth:`_decide` for a record starting at each word of ``at``
+        (:class:`~repro.draws.Draws` program): the same draws in the
+        same order, as ``(end, (dropped, delay_s, duplicated,
+        corrupted))`` arrays."""
+        spec = self.spec
+        dropped = duplicated = corrupted = np.zeros(len(at), dtype=bool)
+        delay = np.zeros(len(at), dtype=np.int64)
+        if spec.drop_rate > 0:
+            u, at = words.random(at)
+            dropped = u < spec.drop_rate
+        if spec.delay_rate > 0:
+            u, at = words.random(at)
+            amount, at = words.randint(1, spec.max_delay_s, at)
+            delay = np.where(u < spec.delay_rate, amount, 0)
+        if spec.duplicate_rate > 0:
+            u, at = words.random(at)
+            duplicated = u < spec.duplicate_rate
+        if spec.corrupt_rate > 0:
+            u, at = words.random(at)
+            corrupted = u < spec.corrupt_rate
+        return at, (dropped, delay, duplicated, corrupted)
+
     def block(self, block):
         """Inject into one column block — an
         :class:`~repro.core.columns.EventColumns` or
@@ -359,22 +386,23 @@ class FaultInjector:
         faulty block.
 
         What :meth:`event` / :meth:`fact` do record by record, over the
-        block's arrays: the fates are still drawn one row at a time, in
-        row order (the RNG stream is the same), and then applied as a
-        keep-mask, an arrival offset, repeated rows for the duplicates
-        (adjacent, as the record path emits them) and overrides of the
-        corrupted cells.  Counters and the ``delay_s`` timing come out
-        as if every row had been counted on its own.
+        block's arrays: the fates are :meth:`_decide`'s draws for every
+        row in row order (the RNG stream is the same, and the RNG is
+        left where the per-row calls leave it), made for all rows at
+        once (:meth:`_fates`), and then applied as a keep-mask, an
+        arrival offset, repeated rows for the duplicates (adjacent, as
+        the record path emits them) and overrides of the corrupted
+        cells.  Counters and the ``delay_s`` timing come out as if
+        every row had been counted on its own.
         """
         n = len(block)
-        decide = self._decide
-        fates = np.array(
-            [decide() for _ in range(n)], dtype=np.int64
-        ).reshape(n, 4)
-        delay = fates[:, 1]
-        kept, duplicated, corrupted = (
-            fates[:, column] == flag for column, flag in ((0, 0), (2, 1), (3, 1))
-        )
+        if self.spec.active:
+            with Draws(self._rng, self._fates) as draws:
+                dropped, delay, duplicated, corrupted = draws.take(n)
+        else:  # no fault class configured: _decide draws nothing
+            dropped = duplicated = corrupted = np.zeros(n, dtype=bool)
+            delay = np.zeros(n, dtype=np.int64)
+        kept = ~dropped
         late = delay[kept & (delay > 0)]
         source = np.repeat(np.arange(n), kept * (1 + duplicated))
         out = block.take(source)  # fresh arrays: the input stays as it was
@@ -384,11 +412,10 @@ class FaultInjector:
         self._count("dropped", n - int(kept.sum()))
         self._corrupt_rows(out, source, corrupted)
         self._count("delayed", len(late))
-        if self.metrics is not None:
-            for amount in late.tolist():
-                self.metrics.timing(f"faults.{self.feed}.delay_s").observe(
-                    amount
-                )
+        if self.metrics is not None and len(late):
+            self.metrics.timing(f"faults.{self.feed}.delay_s").observe_many(
+                late.tolist()
+            )
         self._count("duplicated", int((kept & duplicated).sum()))
         self._count("emitted", len(source))
         return out
@@ -410,7 +437,7 @@ class FaultInjector:
             if names and len(rows):
                 self._count("corrupted", len(np.unique(source[rows])))
                 for name in names:
-                    _corrupt_cells(fields[name], rows, self._rng)
+                    _corrupt_cells(fields[name], rows)
             return
         for i in rows.tolist():
             if i and source[i] == source[i - 1]:
@@ -419,7 +446,7 @@ class FaultInjector:
             old = objects[i]
             if hasattr(old, "items"):
                 changes = {
-                    name: _corrupt_value(old[name], self._rng)
+                    name: _corrupt_value(old[name])
                     for name in names
                     if name in old
                 }

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Any, Iterator, Mapping, Optional
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
 
 class Counter:
@@ -81,6 +81,20 @@ class Timing:
             self.min = seconds
         if self.max is None or seconds > self.max:
             self.max = seconds
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Record several durations at once: the summary that
+        :meth:`observe` on each in turn gives when their sum is exact
+        in floating point (integer seconds, as injected delays are)."""
+        if not values:
+            return
+        self.count += len(values)
+        self.total += float(sum(values))
+        low, high = float(min(values)), float(max(values))
+        if self.min is None or low < self.min:
+            self.min = low
+        if self.max is None or high > self.max:
+            self.max = high
 
     @contextmanager
     def time(self) -> Iterator[None]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from repro.dublin import REGIONS
@@ -30,3 +32,33 @@ def unreliable_buses(sim) -> set[str]:
 def region_of(network, lon: float, lat: float) -> str:
     """The city region of one point (see ``StreetNetwork.region_codes``)."""
     return REGIONS[int(network.region_codes(lon, lat))]
+
+
+def heap_schedule(fleet, start, end, rng):
+    """The fleet's pass 1 as the per-emission heap loop it was: pop the
+    earliest bus (ties: the smaller id string), make its three draws,
+    push it back at its next emission.  The reference
+    ``BusFleetSimulator._schedule`` is held to."""
+    lo, hi = fleet.emission_period
+    times, emitters, gaps, arrivals = [], [], [], []
+    heap = [
+        (start + bus.next_emission % hi, bus.bus_id, i)
+        for i, bus in enumerate(fleet._buses)
+    ]
+    heapq.heapify(heap)
+    while heap[0][0] < end:
+        t, bus_id, i = heap[0]
+        dt = rng.randint(lo, hi)
+        if rng.random() < fleet.late_fraction:
+            arrival = t + rng.randint(5, fleet.max_arrival_delay)
+        else:
+            arrival = t + rng.randint(0, 5)
+        times.append(t)
+        emitters.append(i)
+        gaps.append(dt)
+        arrivals.append(arrival)
+        heapq.heapreplace(heap, (t + dt, bus_id, i))
+    return tuple(
+        np.array(column, dtype=np.int64)
+        for column in (times, emitters, gaps, arrivals)
+    )

@@ -7,7 +7,7 @@ the first test pins; the rest are the spans where a round-at-a-time
 pass could go wrong — nothing to emit, one bus, buses that sit a span
 out — with digests recorded from the per-emission loop (the commit
 before the split), the tie-break a 10,000-bus fleet would lose if
-the heap compared bus numbers instead of id strings, and the padded
+the schedule compared bus numbers instead of id strings, and the padded
 route lookup against the per-bus bisection it replaced.
 """
 
@@ -167,7 +167,7 @@ def test_equal_times_pop_in_id_string_order(network):
         if s == t
     ]
     assert all(a < b for a, b in ties)
-    # "B10000" sorts between "B1000" and "B1001": the order a heap of
+    # "B10000" sorts between "B1000" and "B1001": the order a sort by
     # bus *numbers* would not give.
     at = ids.index("B10000")
     same_time = [b for t, b in zip(times, ids) if t == times[at]]
