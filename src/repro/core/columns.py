@@ -6,12 +6,14 @@ columnar representation the engine keeps its inputs in, from the
 simulators to the rule bodies:
 
 * :class:`SDEColumns` — the ingestion batch type: one block of
-  ``numpy`` time/arrival arrays and typed field columns per event type
+  ``numpy`` time/arrival arrays and field columns per event type
   (:class:`EventColumns`) or fact name (:class:`FactColumns`).  The
-  simulators emit it, fault injection and the region split transform
-  it, the engine's pending buffer keeps it, and the window store
-  refers to its rows (:class:`RecordSequence` is the lazy object view
-  for everyone else).
+  simulators emit typed columns; an object stream becomes object
+  columns once, where it enters (:meth:`SDEColumns.from_sdes`, one
+  schema per block: :func:`check_schema`).  Fault injection and the
+  region split transform blocks, the engine's pending buffer keeps
+  them, and the window store refers to their rows
+  (:class:`RecordSequence` is the lazy object view for everyone else).
 * :class:`ColumnSpec` — a compiled rule's declaration of which payload
   fields it reads as numeric columns and which identify the grounding
   token.
@@ -108,23 +110,59 @@ def _mappings(fields: Mapping[str, np.ndarray], rows: np.ndarray) -> list:
     ]
 
 
+def _record_schema(record) -> tuple:
+    """The block layout a record asks for: an :class:`Event`'s payload
+    field names, in order; a :class:`FluentFact`'s key length and value
+    fields (``None`` for a value that is not a mapping)."""
+    if isinstance(record, Event):
+        return tuple(record.payload)
+    value = record.value
+    fields = tuple(value) if isinstance(value, Mapping) else None
+    return len(record.key), fields
+
+
+def _shape(schema: tuple, is_event: bool) -> str:
+    """A :func:`_record_schema` in words."""
+    if is_event:
+        return f"payload fields {list(schema)}"
+    width, fields = schema
+    if fields is None:
+        return f"key length {width} with a non-mapping value"
+    return f"key length {width} with value fields {list(fields)}"
+
+
+def check_schema(record, schemas: dict) -> None:
+    """Refuse ``record`` unless its :func:`_record_schema` is the one
+    ``schemas`` took from the first record of its type (or fluent): a
+    block has one column per payload field, key position, value field."""
+    is_event = isinstance(record, Event)
+    name = record.type if is_event else record.name
+    own = _record_schema(record)
+    first = schemas.setdefault(name, own)
+    if own != first:
+        raise ValueError(
+            f"{'event type' if is_event else 'fluent'} {name!r} mixes "
+            f"schemas: {_shape(first, is_event)}, then {_shape(own, is_event)}"
+        )
+
+
+def _block_schema(records: Sequence, empty: tuple) -> tuple:
+    """The one :func:`_record_schema` of ``records``, or ``empty``."""
+    schemas: dict = {}
+    for record in records:
+        check_schema(record, schemas)
+    return next(iter(schemas.values()), empty)
+
+
 class EventColumns:
-    """One event type's batch as a struct of arrays.
-
-    Two representations share the type:
-
-    * :meth:`from_events` wraps existing :class:`Event` objects —
-      times/arrivals become arrays, payloads stay an object column so
-      materialisation returns payload-identical events (zero-copy);
-    * ``fields`` is the fully columnar form the simulators produce:
-      one typed array per payload field
-      (``int64``, ``float64`` or ``object``), in payload key order.  No
-      ``Event`` object exists until a row is admitted into the working
-      memory, and a materialised payload is type-exact: an ``int64``
-      cell comes back as ``int``, a ``float64`` cell as ``float``.
+    """One event type's batch as a struct of arrays: occurrence times,
+    arrival times and one column per payload field (``int64``,
+    ``float64`` or ``object``), in payload key order.  A materialised
+    payload is type-exact: an ``int64`` cell comes back as ``int``, a
+    ``float64`` cell as ``float``, an object cell as the object itself.
     """
 
-    __slots__ = ("type", "times", "arrivals", "payloads", "fields")
+    __slots__ = ("type", "times", "arrivals", "fields")
 
     def __init__(
         self,
@@ -132,7 +170,6 @@ class EventColumns:
         times: np.ndarray,
         arrivals: np.ndarray,
         *,
-        payloads: Optional[Sequence[Mapping[str, Any]]] = None,
         fields: Optional[Mapping[str, Any]] = None,
     ):
         self.type = etype
@@ -143,7 +180,6 @@ class EventColumns:
             raise ValueError(
                 f"column length mismatch for event type {etype!r}"
             )
-        self.payloads = list(payloads) if payloads is not None else None
         self.fields: dict[str, np.ndarray] = {
             name: _typed_column(col, n, f"event type {etype!r}")
             for name, col in (fields or {}).items()
@@ -154,34 +190,20 @@ class EventColumns:
 
     @classmethod
     def from_events(cls, etype: str, events: Sequence[Event]) -> "EventColumns":
+        """The block of ``events``: one object column per payload field."""
         n = len(events)
+        names = _block_schema(events, ())
+        payloads = [ev.payload for ev in events]
         return cls(
             etype,
             np.fromiter((ev.time for ev in events), np.int64, count=n),
             np.fromiter((ev.arrival for ev in events), np.int64, count=n),
-            payloads=[ev.payload for ev in events],
+            fields={name: [p[name] for p in payloads] for name in names},
         )
-
-    def column(self, name: str) -> np.ndarray:
-        """One payload field as an array (an object array built from
-        the payloads when the block wraps objects)."""
-        if self.payloads is None:
-            return self.fields[name]
-        return self.cells(name, np.arange(len(self)))
 
     def cells(self, name: str, rows: np.ndarray) -> np.ndarray:
-        """Payload field ``name`` at ``rows``: those cells of the typed
-        column, or an object array read from the wrapped payloads.
-        ``tolist()`` of either gives the exact Python values a
-        materialised payload would hold."""
-        if self.payloads is None:
-            return self.fields[name][rows]
-        payloads = self.payloads
-        return np.fromiter(
-            (payloads[i][name] for i in rows.tolist()),
-            dtype=object,
-            count=len(rows),
-        )
+        """Payload field ``name`` at ``rows``."""
+        return self.fields[name][rows]
 
     def tokens(self, rows: np.ndarray, fields: Sequence[str]) -> list[tuple]:
         """The grounding tokens of ``rows``: per row the tuple of its
@@ -189,68 +211,40 @@ class EventColumns:
         if not fields:
             return [()] * len(rows)
         return list(
-            zip(*(self.cells(name, rows).tolist() for name in fields))
+            zip(*(self.fields[name][rows].tolist() for name in fields))
         )
 
     def take(self, rows: np.ndarray) -> "EventColumns":
         """The block of ``rows`` (an integer index array), in that
         order; rows may repeat."""
-        payloads = self.payloads
         return EventColumns(
             self.type,
             self.times[rows],
             self.arrivals[rows],
-            payloads=(
-                None
-                if payloads is None
-                else [payloads[i] for i in rows.tolist()]
-            ),
             fields={name: col[rows] for name, col in self.fields.items()},
         )
 
     def records(self, rows: np.ndarray) -> list[Event]:
-        """Materialise ``rows`` as :class:`Event` objects
-        (payload-identical for :meth:`from_events` blocks)."""
-        if self.payloads is not None:
-            stored = self.payloads
-            payloads = [stored[i] for i in rows.tolist()]
-        else:
-            payloads = _mappings(self.fields, rows)
+        """Materialise ``rows`` as :class:`Event` objects."""
         etype = self.type
         return [
             Event(etype, time, payload, arrival)
             for time, payload, arrival in zip(
                 self.times[rows].tolist(),
-                payloads,
+                _mappings(self.fields, rows),
                 self.arrivals[rows].tolist(),
             )
         ]
 
-    # Wrapped payloads are read-only proxies, which do not pickle; they
-    # travel as plain dicts and :meth:`records` freezes them again.
-    def __getstate__(self):
-        payloads = self.payloads
-        if payloads is not None:
-            payloads = [dict(payload) for payload in payloads]
-        return self.type, self.times, self.arrivals, payloads, self.fields
-
-    def __setstate__(self, state) -> None:
-        (
-            self.type, self.times, self.arrivals, self.payloads, self.fields,
-        ) = state
-
 
 class FactColumns:
-    """One fact name's batch: times/arrivals as arrays, plus either the
-    original key and value objects (:meth:`from_facts`) or, for
-    array-native producers, one object column per key position and one
-    typed column per field of a mapping-valued fluent (``gps`` carries
-    ``lon``/``lat``/``direction``/``congestion``) — the key tuple and
-    the value mapping are then rebuilt on access."""
+    """One fact name's batch: times and arrivals as arrays, one column
+    per key position, and either one column per field of a
+    mapping-valued fluent (``value_fields``; ``gps``) or one column of
+    values that are not mappings (``values``)."""
 
     __slots__ = (
-        "name", "times", "arrivals", "keys", "values",
-        "key_columns", "value_fields",
+        "name", "times", "arrivals", "key_columns", "value_fields", "values",
     )
 
     def __init__(
@@ -259,24 +253,19 @@ class FactColumns:
         times: np.ndarray,
         arrivals: np.ndarray,
         *,
-        keys: Optional[Sequence[FluentKey]] = None,
-        values: Optional[Sequence[Any]] = None,
         key_columns: Sequence[Any] = (),
         value_fields: Optional[Mapping[str, Any]] = None,
+        values: Optional[Sequence[Any]] = None,
     ):
         self.name = name
         self.times = times
         self.arrivals = arrivals
         n = len(times)
-        if (keys is None) != (values is None):
-            raise ValueError("keys and values come together")
         what = f"fluent fact {name!r}"
-        if len(arrivals) != n or (
-            keys is not None and (len(keys) != n or len(values) != n)
-        ):
+        if len(arrivals) != n:
             raise ValueError(f"column length mismatch for {what}")
-        self.keys = list(keys) if keys is not None else None
-        self.values = list(values) if values is not None else None
+        if values is not None and value_fields:
+            raise ValueError(f"{what} has value fields or values, not both")
         self.key_columns = tuple(
             _typed_column(col, n, what) for col in key_columns
         )
@@ -284,57 +273,40 @@ class FactColumns:
             field: _typed_column(col, n, what)
             for field, col in (value_fields or {}).items()
         }
+        self.values = None if values is None else _typed_column(
+            values, n, what
+        )
 
     def __len__(self) -> int:
         return len(self.times)
 
     @classmethod
-    def from_facts(
-        cls, name: str, facts: Sequence[FluentFact]
-    ) -> "FactColumns":
+    def from_facts(cls, name: str, facts: Sequence[FluentFact]) -> "FactColumns":
+        """The block of ``facts``: one object column per key position
+        and per value field, or one of values."""
         n = len(facts)
+        width, fields = _block_schema(facts, (0, ()))
+        keys = [f.key for f in facts]
+        values = [f.value for f in facts]
         return cls(
             name,
             np.fromiter((f.time for f in facts), np.int64, count=n),
             np.fromiter((f.arrival for f in facts), np.int64, count=n),
-            keys=[f.key for f in facts],
-            values=[f.value for f in facts],
+            key_columns=[[key[i] for key in keys] for i in range(width)],
+            value_fields={
+                field: [value[field] for value in values]
+                for field in fields or ()
+            },
+            values=None if fields is not None else values,
         )
-
-    def key_column(self, position: int) -> np.ndarray:
-        """One position of the key tuples as an object array."""
-        if self.keys is None:
-            return self.key_columns[position]
-        return np.fromiter(
-            (key[position] for key in self.keys),
-            dtype=object,
-            count=len(self.keys),
-        )
-
-    def value_column(self, field: str) -> np.ndarray:
-        """One field of a mapping-valued fluent as an array."""
-        if self.values is None:
-            return self.value_fields[field]
-        return self.cells(field, np.arange(len(self)))
 
     def cells(self, name: str, rows: np.ndarray) -> np.ndarray:
-        """Field ``name`` of a mapping-valued fluent at ``rows`` (see
-        :meth:`EventColumns.cells`)."""
-        if self.values is None:
-            return self.value_fields[name][rows]
-        values = self.values
-        return np.fromiter(
-            (values[i][name] for i in rows.tolist()),
-            dtype=object,
-            count=len(rows),
-        )
+        """Field ``name`` of a mapping-valued fluent at ``rows``."""
+        return self.value_fields[name][rows]
 
     def tokens(self, rows: np.ndarray, fields: Sequence[str] = ()) -> list:
         """The grounding tokens of ``rows``: a fact's is its key
         (``fields`` is the event blocks' argument)."""
-        if self.keys is not None:
-            keys = self.keys
-            return [keys[i] for i in rows.tolist()]
         if not self.key_columns:
             return [()] * len(rows)
         return list(zip(*(col[rows].tolist() for col in self.key_columns)))
@@ -342,59 +314,33 @@ class FactColumns:
     def take(self, rows: np.ndarray) -> "FactColumns":
         """The block of ``rows`` (an integer index array), in that
         order; rows may repeat."""
-        keys, values = self.keys, self.values
-        picked = rows.tolist() if keys is not None else ()
         return FactColumns(
             self.name,
             self.times[rows],
             self.arrivals[rows],
-            keys=None if keys is None else [keys[i] for i in picked],
-            values=None if values is None else [values[i] for i in picked],
             key_columns=[col[rows] for col in self.key_columns],
             value_fields={
                 field: col[rows] for field, col in self.value_fields.items()
             },
+            values=None if self.values is None else self.values[rows],
         )
 
     def records(self, rows: np.ndarray) -> list[FluentFact]:
-        """Materialise ``rows`` as :class:`FluentFact` objects (key
-        and value are the original references for :meth:`from_facts`
-        blocks)."""
-        keys = self.tokens(rows)
+        """Materialise ``rows`` as :class:`FluentFact` objects."""
         if self.values is not None:
-            values = [self.values[i] for i in rows.tolist()]
+            values = self.values[rows].tolist()
         else:
             values = _mappings(self.value_fields, rows)
         name = self.name
         return [
             FluentFact(name, key, value, time, arrival)
             for key, value, time, arrival in zip(
-                keys,
+                self.tokens(rows),
                 values,
                 self.times[rows].tolist(),
                 self.arrivals[rows].tolist(),
             )
         ]
-
-    # As for :class:`EventColumns`: frozen mapping values travel as
-    # plain dicts.
-    def __getstate__(self):
-        values = self.values
-        if values is not None:
-            values = [
-                dict(value) if isinstance(value, MappingProxyType) else value
-                for value in values
-            ]
-        return (
-            self.name, self.times, self.arrivals, self.keys, values,
-            self.key_columns, self.value_fields,
-        )
-
-    def __setstate__(self, state) -> None:
-        (
-            self.name, self.times, self.arrivals, self.keys, self.values,
-            self.key_columns, self.value_fields,
-        ) = state
 
 
 def block_rows(blocks: Sequence) -> tuple[np.ndarray, np.ndarray]:
@@ -656,11 +602,11 @@ class ColumnStore:
 
     What a row *is*: its occurrence time, its feed sequence number and
     a reference ``(source block, row)`` to the cells it was fed with —
-    a row of an :class:`EventColumns` / :class:`FactColumns` block,
-    either representation.  :meth:`admit` moves rows in from the
-    pending buffer's blocks with index arithmetic (an in-order arrival
-    appends; a delayed one re-sorts the tail from its time on);
-    :meth:`evict` advances the live range.  No record is built.
+    a row of an :class:`EventColumns` / :class:`FactColumns` block.
+    :meth:`admit` moves rows in from the pending buffer's blocks with
+    index arithmetic (an in-order arrival appends; a delayed one
+    re-sorts the tail from its time on); :meth:`evict` advances the
+    live range.  No record is built.
 
     What is derived from the cells, lazily, at most once per row, and
     then carried with the row through merges and evictions:

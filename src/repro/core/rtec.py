@@ -40,7 +40,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .columns import SDEColumns
+from .columns import SDEColumns, check_schema
 from .events import Event, FluentFact, FluentKey, Occurrence
 from .window import WorkingMemory, in_streamless_checkpoint
 from .intervals import (
@@ -322,11 +322,15 @@ class RTEC:
         SDEs with a negative occurrence time are rejected: the scenario
         clock starts at 0, so a negative stamp is always a mediator bug
         (or an injected corruption) and silently accepting it would
-        seed windows before time 0.  Whatever preceded the rejected
-        record stays fed.
+        seed windows before time 0.  So is a record whose schema differs
+        from the first of its type or fluent in the call
+        (:func:`~.columns.check_schema`).  Whatever preceded the
+        rejected record stays fed.
         """
         kept_events: list[Event] = []
         kept_facts: list[FluentFact] = []
+        event_schemas: dict[str, tuple] = {}
+        fact_schemas: dict[str, tuple] = {}
         try:
             for ev in events:
                 if ev.time < 0:
@@ -334,6 +338,7 @@ class RTEC:
                         f"event of type {ev.type!r} occurs at negative "
                         f"time {ev.time}; SDE timestamps must be >= 0"
                     )
+                check_schema(ev, event_schemas)
                 kept_events.append(ev)
             for fact in facts:
                 if fact.time < 0:
@@ -341,6 +346,7 @@ class RTEC:
                         f"fluent fact {fact.name!r} occurs at negative "
                         f"time {fact.time}; SDE timestamps must be >= 0"
                     )
+                check_schema(fact, fact_schemas)
                 kept_facts.append(fact)
         finally:
             self._wm.buffer_columns(

@@ -187,7 +187,7 @@ class WorkingMemory:
         self._stores: dict[tuple[str, str], ColumnStore] = {}
         #: Feeds awaiting admission — the only pending buffer: one
         #: :class:`PendingBatch` per :meth:`buffer_columns` call (the
-        #: input stream, and every later object feed wrapped by
+        #: input stream, and every later object feed converted by
         #: :meth:`repro.core.rtec.RTEC.feed`): arrays in
         #: ``(arrival, seq)`` order with a cursor, no object per row.
         self._batches: list[PendingBatch] = []

@@ -254,20 +254,20 @@ class DublinScenario:
             paired = None
             if block.type == "traffic":
                 table: dict = {}
-                codes = _codes(block.column("intersection"), table)
+                codes = _codes(block.fields["intersection"], table)
                 lon, lat = np.array(
                     [self.topology.location(int_id) for int_id in table]
                 ).reshape(-1, 2).T
                 region = self.network.region_codes(lon, lat)[codes]
             elif block.type == "move" and gps is not None and len(block):
                 paired = _last_matching_row(
-                    block.column("bus"), block.times,
-                    gps.key_column(0), gps.times,
+                    block.fields["bus"], block.times,
+                    gps.key_columns[0], gps.times,
                 )
                 found = paired[paired >= 0]
                 region[paired >= 0] = self.network.region_codes(
-                    gps.value_column("lon")[found],
-                    gps.value_column("lat")[found],
+                    gps.value_fields["lon"][found],
+                    gps.value_fields["lat"][found],
                 )
             engine = engine_of[region]
             for k, key in enumerate(keys):

@@ -178,13 +178,6 @@ def _corrupt_value(value):
     return value
 
 
-def _corrupt_cells(column: np.ndarray, rows: np.ndarray) -> None:
-    """:func:`_corrupt_value` over ``rows`` of one field column, in
-    place (the caller owns the copy)."""
-    for i, value in zip(rows.tolist(), column[rows].tolist()):
-        column[i] = _corrupt_value(value)
-
-
 class FaultInjector:
     """Applies one :class:`StreamFaults` spec to a record stream.
 
@@ -407,10 +400,19 @@ class FaultInjector:
         source = np.repeat(np.arange(n), kept * (1 + duplicated))
         out = block.take(source)  # fresh arrays: the input stays as it was
         out.arrivals += delay[source]
+        # Both copies of a duplicate get the same corrupted cells.
+        fields = out.value_fields if isinstance(out, FactColumns) else out.fields
+        names = [name for name in self.spec.corrupt_fields if name in fields]
+        rows = np.flatnonzero(corrupted[source])
+        for name in names:
+            column = fields[name]
+            for i, value in zip(rows.tolist(), column[rows].tolist()):
+                column[i] = _corrupt_value(value)
 
         self._count("seen", n)
         self._count("dropped", n - int(kept.sum()))
-        self._corrupt_rows(out, source, corrupted)
+        if names and len(rows):
+            self._count("corrupted", len(np.unique(source[rows])))
         self._count("delayed", len(late))
         if self.metrics is not None and len(late):
             self.metrics.timing(f"faults.{self.feed}.delay_s").observe_many(
@@ -419,40 +421,6 @@ class FaultInjector:
         self._count("duplicated", int((kept & duplicated).sum()))
         self._count("emitted", len(source))
         return out
-
-    def _corrupt_rows(
-        self, out, source: np.ndarray, corrupted: np.ndarray
-    ) -> None:
-        """Corrupt, in place, the rows of the emitted block ``out``
-        whose source row drew a corruption; both copies of a duplicate
-        carry the same corrupted record."""
-        names = self.spec.corrupt_fields
-        rows = np.flatnonzero(corrupted[source])
-        if isinstance(out, FactColumns):
-            objects, fields = out.values, out.value_fields
-        else:
-            objects, fields = out.payloads, out.fields
-        if objects is None:
-            names = [name for name in names if name in fields]
-            if names and len(rows):
-                self._count("corrupted", len(np.unique(source[rows])))
-                for name in names:
-                    _corrupt_cells(fields[name], rows)
-            return
-        for i in rows.tolist():
-            if i and source[i] == source[i - 1]:
-                objects[i] = objects[i - 1]
-                continue
-            old = objects[i]
-            if hasattr(old, "items"):
-                changes = {
-                    name: _corrupt_value(old[name])
-                    for name in names
-                    if name in old
-                }
-                if changes:
-                    self._count("corrupted")
-                    objects[i] = {**old, **changes}
 
 
 def inject_scenario(data, profile: FaultProfile, *,

@@ -39,35 +39,10 @@ from typing import Any, Callable, Optional
 from ..ioutils import atomic_write_bytes
 
 MAGIC = b"RPROCKP1"
-#: Version 10: a pipeline interval checkpoint carries ``log_end``, its
-#: cursor into the :class:`SnapshotLog`, and each ``RecognitionLog``
-#: of its report as a snapshot count; a version-9 interval checkpoint
-#: pickled every snapshot of the run so far.  Since version 9 the
-#: engine's working memory pickles as
-#: ``repro.core.window.WorkingMemory`` (``repro.core.incremental`` until
-#: version 8), and a pipeline checkpoint's ``SystemConfig`` has
-#: seventeen fields (twenty-six until version 8).  Since version 8 the
-#: scenario a pipeline checkpoint carries holds each
-#: bus as its frozen initial state and a ground truth without memo
-#: tables; a version-7 bus pickled its kinematics (position, distance
-#: travelled, the span's start) and a version-7 ground truth two
-#: memo dicts.  Since version 7 an engine pickle carries neither the
-#: object window's buffers nor the two configuration flags
-#: (``incremental``, ``compiled_rules``, ``_events``, ``_facts``,
-#: ``_inputs_sorted``) a version-6 engine did.  Since version 6 a
-#: pipeline checkpoint's crowd state (participants, cooldown times,
-#: prior index, reward ledger, outcome counts) is the system's
-#: ``CrowdLoop``; a version-5 system pickled it as attributes of its
-#: own.  An engine has carried its window, its pending batches,
-#: the inertia seed and the last query time — no output point of an
-#: earlier query — since version 5 (a version-4 engine pickled each
-#: definition's cached output points and reuse contract, in classes
-#: this tree no longer has; version 3 carried the window as per-key
-#: lists of record tuples, version 2 carried object feeds as
-#: ``(arrival, seq, is_fact, row)`` tuples beside the ``PendingBatch``
-#: arrays, version 1 carried only those); an older file is refused
-#: rather than mis-restored.
-FORMAT_VERSION = 10
+#: Version 11: an SDE block pickles as its columns alone, slot by slot.
+#: A file of any other version is refused at the header, before its
+#: payload is unpickled (docs/recovery.md has the history).
+FORMAT_VERSION = 11
 _HEADER = struct.Struct("<8sIQ32s")
 _NAME_RE = re.compile(r"^checkpoint-(\d{8})\.ckpt$")
 

@@ -113,12 +113,12 @@ class CrowdLoop:
             return
         topology = self.scenario.topology
         offsets, close_to = topology.close_join(
-            gps.value_column("lon"), gps.value_column("lat")
+            gps.value_fields["lon"], gps.value_fields["lat"]
         )
         order = np.argsort(close_to, kind="stable")
         report = np.repeat(np.arange(len(gps)), np.diff(offsets))[order]
         times = gps.times[report]
-        bits = np.array(gps.value_column("congestion").tolist())[report]
+        bits = np.array(gps.value_fields["congestion"].tolist())[report]
         cuts = np.searchsorted(
             close_to[order], np.arange(len(topology) + 1)
         ).tolist()

@@ -380,8 +380,8 @@ class UrbanTrafficSystem:
         if traffic is not None:
             node_of = self.scenario.node_of
             for int_id, flow, time in zip(
-                traffic.column("intersection").tolist(),
-                traffic.column("flow").tolist(),
+                traffic.fields["intersection"].tolist(),
+                traffic.fields["flow"].tolist(),
                 traffic.times.tolist(),
             ):
                 node = node_of.get(int_id)

@@ -96,9 +96,9 @@ def build_paper_topology(system: UrbanTrafficSystem, data) -> PaperTopology:
     if gps is not None:
         region_index = dict(
             zip(
-                zip(gps.key_column(0).tolist(), gps.times.tolist()),
+                zip(gps.key_columns[0].tolist(), gps.times.tolist()),
                 scenario.network.region_codes(
-                    gps.value_column("lon"), gps.value_column("lat")
+                    gps.value_fields["lon"], gps.value_fields["lat"]
                 ).tolist(),
             )
         )

@@ -59,8 +59,8 @@ def test_join_finds_what_fact_at_finds():
         if expected is None:
             assert row == -1
         else:
-            assert fixes[row].value is expected
-    assert fixes[reports.gps_row[1]].value is first[1].value
+            assert fixes[row].value == expected
+    assert fixes[reports.gps_row[1]].value == first[1].value
     # close/4 per move row: none without gps, none far away.
     starts, lens, close_to = reports.close(make_topology())
     assert lens.tolist() == [1, 1, 0, 0, 0]

@@ -84,8 +84,13 @@ def test_from_events_materialises_identical_objects():
     for i, original in enumerate(events):
         restored = block.records(np.array([i]))[0]
         assert restored == original
-        # Payload is the same object — zero-copy wrap.
-        assert restored.payload is original.payload
+        # One object column per field, in payload order, holding the
+        # payload's own cells: equal payloads, type for type.
+        assert list(restored.payload) == list(original.payload)
+        assert [type(v) for v in restored.payload.values()] == [
+            type(v) for v in original.payload.values()
+        ]
+    assert [col.dtype for col in block.fields.values()] == [object] * 5
 
 
 def test_from_arrays_defaults_arrivals_to_times():
@@ -119,6 +124,75 @@ def test_fact_columns_roundtrip():
     ]
     block = FactColumns.from_facts("gps", facts)
     assert block.records(np.array([0]))[0] == facts[0]
+
+
+def test_from_events_refuses_a_second_payload_layout():
+    events = [
+        Event("move", 10, {"bus": "B1", "delay": 5}),
+        Event("move", 20, {"delay": 7, "bus": "B2"}),
+    ]
+    with pytest.raises(
+        ValueError,
+        match=r"event type 'move' mixes schemas: payload fields "
+        r"\['bus', 'delay'\], then payload fields \['delay', 'bus'\]",
+    ):
+        EventColumns.from_events("move", events)
+
+
+def test_from_facts_refuses_a_second_key_length():
+    facts = [
+        FluentFact("weather", ("north",), "rain", 10),
+        FluentFact("weather", ("north", "coast"), "sun", 20),
+    ]
+    with pytest.raises(
+        ValueError,
+        match="fluent 'weather' mixes schemas: key length 1 with a "
+        "non-mapping value, then key length 2 with a non-mapping value",
+    ):
+        FactColumns.from_facts("weather", facts)
+
+
+def test_from_facts_refuses_other_value_fields():
+    facts = [
+        FluentFact("gps", ("B1",), {"lon": 1.0, "lat": 2.0}, 10),
+        FluentFact("gps", ("B1",), {"lon": 1.0}, 20),
+    ]
+    with pytest.raises(
+        ValueError,
+        match=r"fluent 'gps' mixes schemas: key length 1 with value fields "
+        r"\['lon', 'lat'\], then key length 1 with value fields \['lon'\]",
+    ):
+        FactColumns.from_facts("gps", facts)
+
+
+def test_from_facts_refuses_mapping_and_plain_values_mixed():
+    facts = [
+        FluentFact("noisy", ("B1",), True, 10),
+        FluentFact("noisy", ("B1",), {"value": False}, 20),
+    ]
+    with pytest.raises(
+        ValueError,
+        match=r"fluent 'noisy' mixes schemas: key length 1 with a "
+        r"non-mapping value, then key length 1 with value fields "
+        r"\['value'\]",
+    ):
+        FactColumns.from_facts("noisy", facts)
+
+
+def test_plain_fact_values_are_one_column():
+    facts = [
+        FluentFact("noisy", ("B1",), True, 10),
+        FluentFact("noisy", ("B2",), False, 20),
+    ]
+    block = FactColumns.from_facts("noisy", facts)
+    assert block.value_fields == {}
+    assert block.values.tolist() == [True, False]
+    assert block.records(np.arange(2)) == facts
+    with pytest.raises(ValueError, match="value fields or values"):
+        FactColumns(
+            "noisy", np.array([1]), np.array([1]),
+            value_fields={"a": [1]}, values=[True],
+        )
 
 
 def test_sde_columns_groups_by_type_and_counts():
@@ -394,7 +468,7 @@ def test_list_view_matches_mirror_view():
         tuple(ev[name] for name in TRAFFIC.token) for ev in events
     ]
     assert view.col("density").tolist() == [ev["density"] for ev in events]
-    assert view.records()[1].payload is events[1].payload
+    assert view.records()[1] == events[1]
     assert view.cells("sensor", np.array([2, 1])) == ["d1", "d2"]
 
 

@@ -1,7 +1,7 @@
 """Object feeds and columnar feeds admit through one pending buffer
 into one window store.
 
-``RTEC.feed`` wraps its objects with ``SDEColumns.from_sdes`` — which
+``RTEC.feed`` converts its objects with ``SDEColumns.from_sdes`` — which
 groups them by type, so sequence numbers are *not* global feed order —
 and enters through the same ``PendingBatch`` buffer as
 ``feed_columns``.  What recognition may rely on is stated here from
@@ -120,7 +120,7 @@ _ops = st.lists(
 
 
 def _array_batch(rows, facts) -> tuple[SDEColumns, list]:
-    """An array-native ``ping`` block plus a wrapped ``gps`` block, and
+    """A typed ``ping`` block plus an object-column ``gps`` block, and
     the records they stand for in canonical (feed) order."""
     times = np.array([stamp[0] for stamp, _ in rows], dtype=np.int64)
     arrivals = np.array([sum(stamp) for stamp, _ in rows], dtype=np.int64)

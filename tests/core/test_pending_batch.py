@@ -168,7 +168,7 @@ def _interleaved_memory() -> WorkingMemory:
     wm.buffer_columns(_batch(2_000, seed=1))
     wm.mark_stream_boundary()
     for t in range(420, 1300, 40):
-        # One feed per SDE pair, as RTEC.feed wraps its objects.
+        # One feed per SDE pair, as RTEC.feed converts its objects.
         wm.buffer_columns(
             SDEColumns.from_sdes(
                 [Event("crowd", t, {"answer": t % 3}, arrival=t + 30)],

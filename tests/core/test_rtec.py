@@ -109,6 +109,43 @@ class TestEngineValidation:
         assert snapshot.holds_at("power", ("x",), 50)
 
 
+    def test_a_mixed_schema_keeps_the_good_prefix(self):
+        # The schema check runs record by record beside the time check:
+        # what preceded the refused record stays fed, and an earlier
+        # negative time is the error reported.
+        eng = RTEC([_switch_fluent()], window=100, step=100)
+        with pytest.raises(ValueError, match="event type 'on' mixes schemas"):
+            eng.feed([
+                Event("on", 10, {"id": "x"}),
+                Event("other", 20, {"level": 3, "id": "z"}),
+                Event("on", 30, {"name": "y"}),
+                Event("on", 40, {"id": "w"}),
+            ])
+        snapshot = eng.query(100)
+        assert snapshot.holds_at("power", ("x",), 50)
+        assert not snapshot.holds_at("power", ("w",), 50)
+        with pytest.raises(ValueError, match="negative"):
+            eng.feed([
+                Event("on", 110, {"id": "v"}),
+                Event("on", -1, {"id": "u"}),
+                Event("on", 120, {"name": "t"}),
+            ])
+        assert eng.query(200).holds_at("power", ("v",), 150)
+
+    def test_a_mixed_fact_schema_keeps_the_good_prefix(self):
+        from repro.core.events import FluentFact
+
+        eng = RTEC([_switch_fluent()], window=100, step=100)
+        with pytest.raises(ValueError, match="fluent 'noisy' mixes schemas"):
+            eng.feed(
+                [Event("on", 10, {"id": "x"})],
+                [
+                    FluentFact("noisy", ("x",), True, 10),
+                    FluentFact("noisy", ("x", 1), True, 20),
+                ],
+            )
+        assert eng.query(100).holds_at("power", ("x",), 50)
+
 class TestSimpleFluentRecognition:
     def test_basic_episode(self):
         eng = RTEC([_switch_fluent()], window=100, step=100)

@@ -87,6 +87,7 @@ def _with_arrivals(batch, arrivals_of):
             FactColumns(
                 b.name, b.times, arrivals_of(b, b.name),
                 key_columns=b.key_columns, value_fields=b.value_fields,
+                values=b.values,
             )
             for b in batch.facts
         ],

@@ -65,8 +65,8 @@ def _assert_typed(blocks, n):
         "bus": object, "line": object, "operator": object,
         "delay": np.float64,
     }
-    assert gps.key_column(0).dtype == object
-    assert [gps.value_column(name).dtype for name in (
+    assert gps.key_columns[0].dtype == object
+    assert [gps.value_fields[name].dtype for name in (
         "lon", "lat", "direction", "congestion"
     )] == [np.float64, np.float64, np.int64, np.int64]
 
@@ -95,10 +95,10 @@ def test_the_schedule_never_reads_the_traffic(network):
     # ... while everything the traffic decides differs.
     assert not np.array_equal(move_a.fields["delay"], move_b.fields["delay"])
     assert not np.array_equal(
-        gps_a.value_column("lon"), gps_b.value_column("lon")
+        gps_a.value_fields["lon"], gps_b.value_fields["lon"]
     )
     assert not np.array_equal(
-        gps_a.value_column("congestion"), gps_b.value_column("congestion")
+        gps_a.value_fields["congestion"], gps_b.value_fields["congestion"]
     )
 
 

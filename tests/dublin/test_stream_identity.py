@@ -63,8 +63,8 @@ def test_added_miniatures_reach_the_branches_they_were_added_for():
     assert unreliable_buses(scenario.buses)
     assert scenario.scats.faulty_sensors()
     gps = scenario.generate(start, end).columns.fact_block("gps")
-    bus = gps.key_column(0)
-    direction = gps.value_column("direction")
+    bus = gps.key_columns[0]
+    direction = gps.value_fields["direction"]
     turned = {
         b for b in set(bus.tolist())
         if len(set(direction[bus == b].tolist())) == 2

@@ -120,9 +120,9 @@ def streams(draw) -> ScenarioData:
 def test_columnar_injection_equals_record_injection(profile, data, seed):
     profile = profile.with_seed(seed)
     before = digest_records(data.events, data.facts)
-    # The same stream in both block forms: typed field columns (the
-    # simulators) and wrapped objects (a loaded dataset).
-    wrapped = ScenarioData(
+    # The same stream as typed field columns (the simulators) and as
+    # object columns (a loaded dataset, built from its records).
+    objects = ScenarioData(
         SDEColumns(
             [
                 EventColumns.from_events(b.type, b.records(np.arange(len(b))))
@@ -137,9 +137,9 @@ def test_columnar_injection_equals_record_injection(profile, data, seed):
         data.end,
     )
     expected_metrics = Registry()
-    events, facts = reference_inject(wrapped, profile, expected_metrics)
+    events, facts = reference_inject(objects, profile, expected_metrics)
     expected = digest_records(events, facts)
-    for form in (data, wrapped):
+    for form in (data, objects):
         metrics = Registry()
         out = inject_scenario(form, profile, metrics=metrics)
         assert len(out.events) == len(events)

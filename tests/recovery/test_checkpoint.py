@@ -71,7 +71,7 @@ class TestValidation:
     def _refuses_version(self, tmp_path, version):
         from repro.recovery.checkpoint import _HEADER, FORMAT_VERSION
 
-        assert FORMAT_VERSION == 10
+        assert FORMAT_VERSION == 11
         manager = CheckpointManager(tmp_path)
         info = manager.save(1, {"a": 1})
         data = info.path.read_bytes()
@@ -156,6 +156,47 @@ class TestValidation:
         # snapshot of the run so far; this tree's carries a count per
         # log and a cursor into the snapshot log.
         self._refuses_version(tmp_path, 9)
+
+    def test_version_10_file_refused_before_unpickling(self, tmp_path):
+        # A version-10 SDE block pickled its own state tuple (it could
+        # hold wrapped payload objects); this tree's blocks are columns
+        # only and pickle slot by slot, so that state fails to load
+        # with UnpicklingError.  The header refuses the file first, and
+        # a restore falls back past it.
+        import hashlib
+        import pickle
+
+        import numpy as np
+
+        from repro.core.columns import EventColumns
+        from repro.recovery.checkpoint import _HEADER, MAGIC
+
+        class Version10Block:
+            def __reduce__(self):
+                times = np.array([10], dtype=np.int64)
+                state = ("traffic", times, times, [{"density": 1.0}], {})
+                return EventColumns.__new__, (EventColumns,), state
+
+        blob = pickle.dumps({"block": Version10Block()}, protocol=5)
+        with pytest.raises(
+            pickle.UnpicklingError, match="state is not a dictionary"
+        ):
+            pickle.loads(blob)
+        manager = CheckpointManager(tmp_path)
+        manager.save(2, {"step": 2})
+        manager.path_for(4).write_bytes(
+            _HEADER.pack(MAGIC, 10, len(blob), hashlib.sha256(blob).digest())
+            + blob
+        )
+        with pytest.raises(
+            CheckpointError, match="unsupported format version 10"
+        ):
+            manager.load(manager.path_for(4))
+        payload, info, fallbacks = manager.load_latest()
+        assert (payload, info.step, fallbacks) == ({"step": 2}, 2, 1)
+        manager.path_for(2).unlink()
+        with pytest.raises(NoValidCheckpoint):
+            manager.load_latest()
 
     def test_load_latest_falls_back_over_torn_file(self, tmp_path):
         manager = CheckpointManager(tmp_path)

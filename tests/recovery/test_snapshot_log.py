@@ -10,15 +10,21 @@ interval checkpoint is at most 1.5 times the first (while checkpoints
 carried every snapshot so far, the storm's grew 3.4-fold over six
 writes).  After a torn checkpoint the restore cuts the log back to the
 restored cursor, so the replayed steps are logged once.  And the
-decoders: a damaged snapshot log or journal segment is refused from
-the damage on, never read as something else.
+decoders, under cuts and bit flips Hypothesis draws: a damaged
+snapshot log or journal segment is refused from the damage on, and a
+damaged checkpoint file is refused and skipped, never read as
+something else.
 """
 
 import io
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.columns import SDEColumns
+from repro.core.events import Event, FluentFact
 from repro.faults import CrashInjector
 from repro.recovery import CheckpointError, CheckpointManager, WriteAheadJournal
 from repro.recovery.checkpoint import _HEADER, SnapshotLog
@@ -128,16 +134,56 @@ def test_replayed_steps_are_logged_once(tmp_path, torn_step):
     assert _logged(tmp_path) == _query_times(resumed.report)
 
 
+def _budget(request):
+    seeded = request.config.getoption("hypothesis_seed", None) is not None
+    return settings(
+        max_examples=1000 if seeded else 200,
+        derandomize=not seeded,
+        deadline=None,
+    )
+
+
 FRAMES = [{"central": list(range(n)), "north": ["x"] * n} for n in (3, 0, 5)]
 
 
-def test_damaged_snapshot_log_is_refused_from_the_damage_on(tmp_path):
-    log = SnapshotLog(tmp_path / "snapshots.log")
+def _damage(raw: bytes):
+    """Damaged copies of ``raw``, as ``(bytes, first damaged byte)``: a
+    cut, one to three distinct bit flips, or both."""
+    size = len(raw)
+    cut = st.one_of(st.none(), st.integers(0, size - 1))
+    flips = st.sets(st.integers(0, 8 * size - 1), max_size=3)
+
+    def apply(damage):
+        cut, bits = damage
+        damaged = raw
+        for bit in bits:
+            damaged = _flip(damaged, bit)
+        first = min([bit // 8 for bit in bits] + [size])
+        if cut is not None:
+            damaged, first = damaged[:cut], min(first, cut)
+        return damaged, first
+
+    return st.tuples(cut, flips).filter(
+        lambda damage: damage[0] is not None or damage[1]
+    ).map(apply)
+
+
+@pytest.fixture(scope="module")
+def snapshot_log(tmp_path_factory):
+    log = SnapshotLog(tmp_path_factory.mktemp("log") / "snapshots.log")
     ends = [log.append(frame)[0] for frame in FRAMES]
-    data = log.path.read_bytes()
-    damages = [(data[:cut], cut) for cut in range(0, len(data), 7)]
-    damages += [(_flip(data, bit), bit // 8) for bit in range(0, 8 * len(data), 29)]
-    for damaged, first_bad in damages:
+    return log, ends, log.path.read_bytes()
+
+
+def test_damaged_snapshot_log_is_refused_from_the_damage_on(
+    request, snapshot_log
+):
+    log, ends, raw = snapshot_log
+
+    @_budget(request)
+    @given(damage=_damage(raw))
+    def check(damage):
+        damaged, first_bad = damage
         log.path.write_bytes(damaged)
         for k, end in enumerate(ends):
             if end <= first_bad:
@@ -146,26 +192,76 @@ def test_damaged_snapshot_log_is_refused_from_the_damage_on(tmp_path):
                 with pytest.raises(CheckpointError):
                     log.read(end)
 
+    check()
 
-def test_damaged_journal_scan_stops_at_the_damaged_line(tmp_path):
-    records = [
-        {"kind": "step", "step": 1, "q": 300, "arrivals": {"bus": 4}},
-        {"kind": "feed", "step": 1, "events": [{"type": "crowd", "v": 1}]},
-        {"kind": "commit", "step": 1, "crowd_events": 1},
-    ]
-    journal = WriteAheadJournal(tmp_path)
+
+JOURNAL = [
+    {"kind": "step", "step": 1, "q": 300, "arrivals": {"bus": 4}},
+    {"kind": "feed", "step": 1, "events": [{"type": "crowd", "v": 1}]},
+    {"kind": "commit", "step": 1, "crowd_events": 1},
+]
+
+
+@pytest.fixture(scope="module")
+def journal_segment(tmp_path_factory):
+    journal = WriteAheadJournal(tmp_path_factory.mktemp("journal"))
     journal.open(0)
-    for record in records:
+    for record in JOURNAL:
         journal.append(record)
     journal.close()
-    path = journal.segment_path(0)
-    data = path.read_bytes()
-    line_ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
-    damages = [(data[:cut], cut) for cut in range(len(data))]
-    # A flipped byte at ``b`` damages its line: lines ending at or
-    # before ``b`` survive.
-    damages += [(_flip(data, bit), bit // 8) for bit in range(0, 8 * len(data), 3)]
-    for damaged, intact_through in damages:
-        path.write_bytes(damaged)
-        kept = sum(end <= intact_through for end in line_ends)
-        assert journal.read_segment(0) == records[:kept]
+    return journal, journal.segment_path(0).read_bytes()
+
+
+def test_damaged_journal_scan_stops_at_the_damaged_line(
+    request, journal_segment
+):
+    journal, raw = journal_segment
+    line_ends = [i + 1 for i, byte in enumerate(raw) if byte == ord("\n")]
+
+    @_budget(request)
+    @given(damage=_damage(raw))
+    def check(damage):
+        damaged, first_bad = damage
+        journal.segment_path(0).write_bytes(damaged)
+        # Lines ending at or before the first damaged byte survive.
+        kept = sum(end <= first_bad for end in line_ends)
+        assert journal.read_segment(0) == JOURNAL[:kept]
+
+    check()
+
+
+def _batch() -> SDEColumns:
+    return SDEColumns.from_sdes(
+        [Event("crowd", 30, {"intersection": 4, "answer": True}, 45)],
+        [FluentFact("gps", ("B1",), {"lon": 1.5, "congestion": 1}, 20)],
+    )
+
+
+@pytest.fixture(scope="module")
+def checkpoints(tmp_path_factory):
+    """A good checkpoint at step 2 and, to damage, one at step 4; both
+    carry an SDE batch, whose pickled form is what the format
+    version guards."""
+    manager = CheckpointManager(tmp_path_factory.mktemp("ckpt"))
+    manager.save(2, {"step": 2, "batch": _batch()})
+    latest = manager.save(4, {"step": 4, "batch": _batch()})
+    return manager, latest.path, latest.path.read_bytes()
+
+
+def test_damaged_checkpoint_is_refused_and_skipped(request, checkpoints):
+    manager, path, raw = checkpoints
+    expected = _batch()
+
+    @_budget(request)
+    @given(damage=_damage(raw))
+    def check(damage):
+        path.write_bytes(damage[0])
+        with pytest.raises(CheckpointError):
+            manager.load(path)
+        payload, info, fallbacks = manager.load_latest()
+        assert (payload["step"], info.step, fallbacks) == (2, 2, 1)
+        batch = payload["batch"]
+        assert list(batch.iter_events()) == list(expected.iter_events())
+        assert list(batch.iter_facts()) == list(expected.iter_facts())
+
+    check()
