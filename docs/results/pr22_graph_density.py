@@ -7,9 +7,12 @@ Prints the direct loop's set-up and run time over the same span, then
 the graph's generate / build / run time, the number of queries the four
 regions ran and how often the engines' admission entry points were
 called.  Runs on the parent of PR 22 (``build_paper_topology(scenario,
-data)`` and ``paper.flush``) and from PR 22 on
-(``build_paper_topology(system, data)``, no flush): the numbers in
-docs/performance.md, "The §3 graph", are this script on both trees.
+data)`` and ``paper.flush``), from PR 22 on
+(``build_paper_topology(system, data)``, no flush) and from the graph
+of step blocks on (``build_paper_topology(system, start, end)``, which
+generates the stream itself: "generate" then reads 0 and "build"
+holds it): the numbers in docs/performance.md, "The §3 graph", are
+this script on these trees.
 """
 
 import cProfile
@@ -51,10 +54,14 @@ print(f"direct loop: set-up {t1 - t0:.2f} s, run {t2 - t1:.2f} s "
 calls = dict.fromkeys(calls, 0)
 
 scenario = DublinScenario(ScenarioConfig(seed=0))
+params = inspect.signature(build_paper_topology).parameters
 t0 = time.perf_counter()
-data = scenario.generate(START, END)
+data = None if "start" in params else scenario.generate(START, END)
 t1 = time.perf_counter()
-if "system" in inspect.signature(build_paper_topology).parameters:
+if "start" in params:
+    system = UrbanTrafficSystem(scenario, SystemConfig())
+    paper = build_paper_topology(system, START, END)
+elif "system" in params:
     paper = build_paper_topology(
         UrbanTrafficSystem(scenario, SystemConfig()), data
     )
@@ -70,9 +77,12 @@ if hasattr(paper, "flush"):
 if profiler:
     profiler.disable()
 t3 = time.perf_counter()
+if data is None:
+    n_sdes = system.metrics.counter("ingest.events").value
 queries = sum(len(p.log.snapshots) for p in paper.rtec_processors.values())
 print(
-    f"graph: generate {t1 - t0:.2f} s ({data.n_sdes} SDEs), build "
+    f"graph: generate {t1 - t0:.2f} s "
+    f"({n_sdes if data is None else data.n_sdes} SDEs), build "
     f"{t2 - t1:.2f} s ({stats.items_ingested} items), run {t3 - t2:.2f} s "
     f"({stats.items_ingested / (t3 - t2):.0f} items/s), {queries} queries, "
     f"{calls}"

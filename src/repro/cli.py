@@ -359,19 +359,16 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     if args.streams:
         # The same system behind the paper's Streams data-flow graph
-        # instead of the direct loop: the report then carries the
-        # per-process middleware throughput (streams.process.*)
-        # beside the engines' own numbers.
+        # instead of the direct loop: the graph's processes record the
+        # loop's metrics as they run, and the report carries the
+        # per-process middleware throughput (streams.process.*) beside
+        # them.
         from .streams import StreamRuntime
         from .system import build_paper_topology
 
-        data, _ = system._stream(system, 0, args.duration)
-        paper = build_paper_topology(system, data)
+        paper = build_paper_topology(system, 0, args.duration)
         with registry.timing("ingest.loop_seconds").time():
             StreamRuntime(paper.topology, metrics=registry).run()
-        for region, processor in paper.rtec_processors.items():
-            for snapshot in processor.log.snapshots:
-                system._record_query_metrics(region, snapshot)
         system._finalise_metrics(args.duration)
     else:
         system.run(0, args.duration)

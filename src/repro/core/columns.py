@@ -537,7 +537,7 @@ class SDEColumns:
 
     def iter_events(self) -> Iterator[Event]:
         """Materialise every event row (the reference engine's feed
-        path, and the Section 3 graph's sources)."""
+        path)."""
         for block in self.events:
             yield from block.records(np.arange(len(block)))
 

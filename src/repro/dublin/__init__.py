@@ -20,7 +20,6 @@ from .dataset import (
     item_to_event,
     item_to_fact,
     read_jsonl,
-    stream_items,
     write_jsonl,
 )
 from .ground_truth import (
@@ -79,5 +78,4 @@ __all__ = [
     "item_to_fact",
     "write_jsonl",
     "read_jsonl",
-    "stream_items",
 ]

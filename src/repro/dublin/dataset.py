@@ -9,7 +9,6 @@ records and the Streams middleware's data items.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from ..core.events import Event, FluentFact
@@ -108,12 +107,4 @@ def read_jsonl(path: str | Path) -> ScenarioData:
         [e.time for e in events] + [f.time for f in facts], default=0
     )
     return ScenarioData.from_sdes(events, facts, start, end + 1)
-
-
-def stream_items(data: ScenarioData) -> Iterator[DataItem]:
-    """All records of a scenario as Streams data items, by arrival."""
-    items = [event_to_item(e) for e in data.events]
-    items.extend(fact_to_item(f) for f in data.facts)
-    items.sort(key=lambda i: i.get(ARRIVAL_KEY, i[TIME_KEY]))
-    return iter(items)
 

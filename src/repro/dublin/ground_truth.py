@@ -42,9 +42,13 @@ from .network import StreetNetwork
 FREE_FLOW_SPEED_KMH = 50.0
 JAM_DENSITY_VEH_KM = 120.0
 
-#: A junction counts as congested above this density (veh/km).  Chosen
-#: on the congested branch of the fundamental diagram and consistent
-#: with the default rule-set (2) thresholds.
+#: A junction counts as congested above this density (veh/km): the
+#: density threshold of rule-set (2).  Rule-set (2) also needs a flow
+#: of at most 600 veh/h, and under this Greenshields diagram (50 km/h,
+#: jam at 120 veh/km) that flow needs a density of at least 106.5
+#: veh/km — so below that, a junction can be congested here while its
+#: sensors never meet rule-set (2).  The calibration of the
+#: substitution against rule-set (2) is ROADMAP item 2's.
 CONGESTION_DENSITY = 60.0
 
 SECONDS_PER_HOUR = 3600

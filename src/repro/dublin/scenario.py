@@ -107,14 +107,6 @@ class ScenarioData:
         span = max(self.end - self.start, 1)
         return self.n_sdes / span
 
-    def counts_by_type(self) -> dict[str, int]:
-        """Number of SDEs per event type."""
-        out: dict[str, int] = {}
-        for block in self.columns.events:
-            if len(block):
-                out[block.type] = out.get(block.type, 0) + len(block)
-        return out
-
 
 def _time_sorted(block):
     """``block`` with its rows in stable occurrence-time order."""

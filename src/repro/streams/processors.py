@@ -31,20 +31,6 @@ class Processor(abc.ABC):
     def process(self, item: DataItem) -> ProcessorResult:
         """Handle one data item."""
 
-    def advance(self, now: int) -> ProcessorResult:
-        """Clock hook: the runtime's arrival clock reached ``now``.
-
-        Called once per process when the merged stream's arrival time
-        first moves to ``now``, *before* any item arriving at ``now``
-        is delivered — so a time-driven processor (e.g. an embedded
-        recognition engine with a persistent working memory) may only
-        complete work scheduled strictly before ``now``.  Returned
-        items are routed to the process's output queue exactly like
-        :meth:`process` results.  The default does nothing; the runtime
-        only calls processors that override this.
-        """
-        return None
-
     def finish(self) -> None:
         """Called once after the last item (resource teardown)."""
 

@@ -211,8 +211,6 @@ class StreamRuntime:
         self.supervisor = supervisor
         if supervisor is not None and supervisor.metrics is None:
             supervisor.metrics = metrics
-        #: Arrival time of the item currently being processed.
-        self.now: Optional[int] = None
 
     # ------------------------------------------------------------------
     def run(self) -> RunStats:
@@ -236,41 +234,11 @@ class StreamRuntime:
                 seq += 1
                 stats.items_ingested += 1
 
-        # Processes containing time-driven processors (an overridden
-        # ``advance``): the clock hook fires for these whenever the
-        # merged arrival clock moves, even while their own input is
-        # silent — so an embedded recognition engine keeps running its
-        # scheduled query times instead of stalling until flush.
-        time_driven = [
-            (process, hooks)
-            for process in topo.processes.values()
-            if (
-                hooks := [
-                    p
-                    for p in process.processors
-                    if type(p).advance is not Processor.advance
-                ]
-            )
-        ]
-
         timed = self.metrics is not None
         chain_seconds: dict[str, float] = {}
         t_run = perf_counter()
         while heap:
             arrival, _, input_name, item = heapq.heappop(heap)
-            if self.now is None or arrival > self.now:
-                for process, hooks in time_driven:
-                    for hook in hooks:
-                        for out_item in normalise_result(hook.advance(arrival)):
-                            stats.items_delivered += 1
-                            if process.output is not None:
-                                topo.queues[process.output].put(dict(out_item))
-                                heapq.heappush(
-                                    heap,
-                                    (arrival, seq, process.output, out_item),
-                                )
-                                seq += 1
-            self.now = arrival
             # Drain the whole same-timestamp run for this input in one
             # batch: items pushed during processing carry later
             # sequence numbers, so batching preserves the exact

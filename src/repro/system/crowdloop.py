@@ -5,10 +5,9 @@ policy around it — who the participants are, when a disagreement is
 worth bothering them with, which prior the query carries, what a
 resolution does to the flow field and the reward ledger.  Its unit of
 work is one fresh ``sourceDisagreement`` (:meth:`CrowdLoop.resolve`)
-and it has two callers: the recognition loop of
-:class:`~repro.system.pipeline.UrbanTrafficSystem` and the
-``crowdsourcing`` process of the Section 3 Streams graph
-(:class:`~repro.system.processors.CrowdsourcingProcessor`).  What
+and it has one caller, the crowd stage of
+:class:`~repro.system.pipeline.UrbanTrafficSystem`, which the
+recognition loop and the Section 3 Streams graph both run.  What
 becomes of the returned ``crowd`` SDE is the caller's routing.
 """
 

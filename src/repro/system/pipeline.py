@@ -23,9 +23,10 @@ from typing import Literal, Mapping, Optional
 
 import numpy as np
 
+from ..core.columns import EventColumns, SDEColumns
 from ..core.events import Event
 from ..core.reference import ReferenceRTEC
-from ..core.rtec import RTEC, RecognitionLog, RecognitionSnapshot
+from ..core.rtec import RTEC, FreshResults, RecognitionLog, RecognitionSnapshot
 from ..faults import FaultProfile, get_profile, inject_scenario
 from ..obs import Registry
 from ..core.traffic import (
@@ -75,7 +76,7 @@ class SystemConfig:
     #: no recovery coordinator.  A mixed pair is an error.  They are
     #: two because the frozen ``benchmarks/e2e/workloads.py::oracle``
     #: names both; they go, with the reference engine, in the
-    #: benchmark revision of ROADMAP item 1.
+    #: benchmark revision of ROADMAP item 2.
     incremental: bool = True
     compiled_rules: bool = True
     #: Static vs self-adaptive recognition, and the noisy-rule variant.
@@ -288,6 +289,12 @@ class RunState:
     report: SystemReport
 
 
+def step_arrivals(feed_arrivals: Mapping, step: int) -> dict[str, int]:
+    """Per feed, the SDEs arriving in the (1-based) ``step`` of a run:
+    one liveness observation (:meth:`UrbanTrafficSystem._feed_arrivals`)."""
+    return {feed: int(n[step - 1]) for feed, n in feed_arrivals.items()}
+
+
 class UrbanTrafficSystem:
     """Orchestrates a full scenario run with the feedback loop closed."""
 
@@ -354,8 +361,7 @@ class UrbanTrafficSystem:
         )
         #: The crowdsourcing leg: participants, query policy, priors,
         #: rewards.  One fresh disagreement at a time, from
-        #: :meth:`_run_loop` here and from the ``crowdsourcing``
-        #: process of the Section 3 graph.
+        #: :meth:`_crowdsource`.
         self.crowd_loop = CrowdLoop(
             scenario, cfg, self.console, self.flow_estimator, self.metrics,
             faults=getattr(self.fault_profile, "crowd", None),
@@ -373,22 +379,6 @@ class UrbanTrafficSystem:
         return self.crowd_loop.crowd
 
     # ------------------------------------------------------------------
-    def _index_inputs(self, data) -> None:
-        """Feed the flow estimator and the prior index from the raw
-        SDE columns (one pass; both are O(stream))."""
-        traffic = data.columns.event_block("traffic")
-        if traffic is not None:
-            node_of = self.scenario.node_of
-            for int_id, flow, time in zip(
-                traffic.fields["intersection"].tolist(),
-                traffic.fields["flow"].tolist(),
-                traffic.times.tolist(),
-            ):
-                node = node_of.get(int_id)
-                if node is not None:
-                    self.flow_estimator.observe(node, flow, time)
-        self.crowd_loop.index_bus_reports(data.columns.fact_block("gps"))
-
     def _feed_arrivals(
         self, data, start: int, end: int
     ) -> dict[str, np.ndarray]:
@@ -432,6 +422,13 @@ class UrbanTrafficSystem:
             data, groups=self._region_to_group
         )
 
+    def _generate(self, start: int, end: int):
+        """:meth:`_stream` of this system, timed once per run as
+        ``ingest.generate_seconds`` (:meth:`rebuild_pending`'s
+        regeneration runs on the pristine twin and is not timed)."""
+        with self.metrics.timing("ingest.generate_seconds").time():
+            return self._stream(self, start, end)
+
     def _ingest(self, start: int, end: int) -> dict[str, np.ndarray]:
         """Generate the run's stream and feed every engine its share.
 
@@ -442,19 +439,12 @@ class UrbanTrafficSystem:
         call, so nothing of it but the engines' pending buffers
         outlives the hand-off.  Returns the per-feed, per-step arrival
         counts.
-
-        ``ingest.generate_seconds`` is what the stream cost to make —
-        simulators, injectors and the split — observed here, once per
-        run: :meth:`rebuild_pending` regenerates on the pristine twin
-        of a restore and is not a second observation.
         """
-        with self.metrics.timing("ingest.generate_seconds").time():
-            data, split = self._stream(self, start, end)
-        self._index_inputs(data)
+        data, split = self._generate(start, end)
+        self._observe_flows(data.columns.event_block("traffic"))
+        self.crowd_loop.index_bus_reports(data.columns.fact_block("gps"))
         for region, batch in split.items():
-            self.metrics.counter("ingest.events").inc(batch.n)
-            self.metrics.counter("rtec.ingest.rows_fed").inc(batch.n)
-            self.engines[region].feed_columns(batch)
+            self._feed_region(region, batch)
             # Everything up to here is deterministically regenerable
             # from the baseline checkpoint; later feeds (crowd
             # feedback) are not.  The boundary lets interval
@@ -582,10 +572,7 @@ class UrbanTrafficSystem:
             q = state.next_q
             while q <= state.end:
                 step = state.step_index + 1
-                arrivals = {
-                    feed: int(counts[step - 1])
-                    for feed, counts in state.feed_arrivals.items()
-                }
+                arrivals = step_arrivals(state.feed_arrivals, step)
                 if recovery is not None:
                     recovery.begin_step(step, q, arrivals)
                 state.step_index = step
@@ -605,17 +592,11 @@ class UrbanTrafficSystem:
                 # results, delivered in one end-of-step batch.
                 feed: list[Event] = []
                 for region, snapshot in snapshots.items():
-                    self._record_query_metrics(region, snapshot)
-                    fresh = logs[region].add(snapshot)
+                    fresh = self._recognised(region, snapshot, logs[region])
                     self._surface_alerts(region, fresh, degraded)
-                    for _, key, start, _ in fresh.episodes_of(
-                        "sourceDisagreement"
-                    ):
-                        event = crowd.resolve(
-                            region, q, key[0], start, degraded
-                        )
-                        if event is not None:
-                            feed.append(event)
+                    feed.extend(
+                        self._crowdsource(region, q, fresh, degraded)
+                    )
                 self._deliver_crowd_feed(step, feed)
                 q += self.config.step
                 state.next_q = q
@@ -654,27 +635,6 @@ class UrbanTrafficSystem:
             recovery.on_run_complete(self, state)
         return report
 
-    # ------------------------------------------------------------------
-    def _record_query_metrics(
-        self, region: str, snapshot: RecognitionSnapshot
-    ) -> None:
-        """Per-region throughput and per-definition RTEC timings.
-
-        ``.items`` counts each SDE exactly once — the snapshot's
-        *newly arrived* events — so overlapping windows (window > step)
-        no longer inflate the throughput numbers by re-counting the
-        shared overlap at every query.
-        """
-        prefix = f"process.cep-{region}"
-        self.metrics.counter(f"{prefix}.queries").inc()
-        self.metrics.counter(f"{prefix}.items").inc(snapshot.n_new_events)
-        self.metrics.timing(f"{prefix}.seconds").observe(snapshot.elapsed)
-        snapshot.record_counters(self.metrics)
-        for name, elapsed in snapshot.per_definition.items():
-            self.metrics.timing(
-                f"rtec.definition.{name}.seconds"
-            ).observe(elapsed)
-
     def _finalise_metrics(self, end: int) -> None:
         """Derived gauges computed once per run."""
         for region in self.engines:
@@ -700,6 +660,52 @@ class UrbanTrafficSystem:
         )
 
     # ------------------------------------------------------------------
+    # The stages of a step: :meth:`_run_loop` and the processes of the
+    # Section 3 graph (:mod:`repro.system.topology`) call these.
+    def _feed_region(self, region: str, batch: SDEColumns) -> None:
+        """Hand one region's engine a block of the stream, counted."""
+        self.metrics.counter("ingest.events").inc(batch.n)
+        self.metrics.counter("rtec.ingest.rows_fed").inc(batch.n)
+        self.engines[region].feed_columns(batch)
+
+    def _observe_flows(self, traffic: Optional[EventColumns]) -> None:
+        """Feed the flow estimator the readings of a ``traffic`` block
+        (or ``None``)."""
+        if traffic is None:
+            return
+        node_of = self.scenario.node_of
+        for int_id, flow, time in zip(
+            traffic.fields["intersection"].tolist(),
+            traffic.fields["flow"].tolist(),
+            traffic.times.tolist(),
+        ):
+            node = node_of.get(int_id)
+            if node is not None:
+                self.flow_estimator.observe(node, flow, time)
+
+    def _recognised(
+        self, region: str, snapshot: RecognitionSnapshot, log: RecognitionLog
+    ) -> FreshResults:
+        """Record one region's query — throughput, per-definition RTEC
+        timings and the recognition log — and return what is fresh in
+        it.
+
+        ``.items`` counts each SDE exactly once — the snapshot's
+        *newly arrived* events — so overlapping windows (window > step)
+        no longer inflate the throughput numbers by re-counting the
+        shared overlap at every query.
+        """
+        prefix = f"process.cep-{region}"
+        self.metrics.counter(f"{prefix}.queries").inc()
+        self.metrics.counter(f"{prefix}.items").inc(snapshot.n_new_events)
+        self.metrics.timing(f"{prefix}.seconds").observe(snapshot.elapsed)
+        snapshot.record_counters(self.metrics)
+        for name, elapsed in snapshot.per_definition.items():
+            self.metrics.timing(
+                f"rtec.definition.{name}.seconds"
+            ).observe(elapsed)
+        return log.add(snapshot)
+
     def _suppressed(self, name: str, degraded: frozenset[str]) -> bool:
         """Whether a CE's alert is untrustworthy under the current
         outages (it reads a degraded feed) — if so, count and drop."""
@@ -755,6 +761,20 @@ class UrbanTrafficSystem:
                     f"({occ['lon']:.4f},{occ['lat']:.4f})",
                     f"delay increases from {occ['support']} buses", region,
                 )
+
+    def _crowdsource(
+        self, region: str, q: int, fresh: FreshResults, degraded: frozenset
+    ) -> list[Event]:
+        """Crowdsource one region's fresh ``sourceDisagreement``
+        episodes of the query at ``q``; the ``crowd`` SDEs to feed back."""
+        feed = []
+        for _, key, start, _ in fresh.episodes_of("sourceDisagreement"):
+            event = self.crowd_loop.resolve(
+                region, q, key[0], start, degraded
+            )
+            if event is not None:
+                feed.append(event)
+        return feed
 
     def _deliver_crowd_feed(self, step: int, feed: list[Event]) -> None:
         """Hand the step's crowd SDEs to every engine: over the shard

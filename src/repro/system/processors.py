@@ -5,125 +5,101 @@ would forward the received SDEs to an RTEC instance ... Then, the
 actual event processing is triggered asynchronously and the derived
 CEs are emitted to a queue in the Streams framework" (Section 3), and
 implements the crowdsourcing steps as dedicated processors likewise.
-These classes reproduce that embedding so the whole loop can be wired
-as an XML data-flow graph.
+These classes are that embedding for one
+:class:`~repro.system.pipeline.UrbanTrafficSystem`: each calls the
+system's own step stages, so a graph wired from them does what the
+system's direct loop does.  A data item carries one recognition step's
+column block per feed, or one step's results — never one SDE.
 """
 
 from __future__ import annotations
 
-from ..core.events import Event, FluentFact
-from ..core.rtec import RTEC, RecognitionLog
-from ..dublin.dataset import event_to_item, item_to_event, item_to_fact
-from ..streams.items import TIME_KEY, DataItem, item_arrival
+from ..core.columns import SDEColumns
+from ..core.rtec import RecognitionLog
+from ..streams.items import TIME_KEY, DataItem
 from ..streams.processors import Processor, ProcessorResult
-from .crowdloop import CrowdLoop
+
+#: The system's two SDE feeds: a region's engine queries a step once
+#: it holds that step's block of each.
+FEEDS = ("bus", "scats")
 
 
 class RtecProcessor(Processor):
-    """Embeds an RTEC engine in a Streams process.
+    """Embeds one region's RTEC engine in a Streams process.
 
-    Consumes SDE/fluent data items one at a time, keeps those of the
-    current step in a list, and hands the list to the engine once per
-    query time: query ``q`` runs — preceded by that one feed — when an
-    item arriving after ``q`` (or the clock hook, or :meth:`flush`)
-    proves that everything arriving by ``q`` is in.  Fresh CE
-    occurrences and fluent episodes are emitted as data items
-    (``@type`` = CE name, episodes flagged with ``episode=True``), each
-    carrying the ``query_time`` that surfaced it.
+    Consumes one column block per feed and recognition step — items
+    ``{"feed", "block", "step", "@time": q}``.  Once the step's block of
+    each of :data:`FEEDS` is in, it hands them to the engine as one
+    batch, runs the query at ``q``, records it in :attr:`log` and emits
+    one item ``{"region", "step", "@time": q, "fresh"}`` holding the
+    step's :class:`~repro.core.rtec.FreshResults`.
     """
 
-    def __init__(self, engine: RTEC, *, start: int = 0):
-        self.engine = engine
+    def __init__(self, system, region: str):
+        self.system = system
+        self.region = region
+        self.engine = system.engines[region]
         self.log = RecognitionLog()
-        self._next_query = start + engine.step
-        self._events: list[Event] = []
-        self._facts: list[FluentFact] = []
-
-    def _recognise_until(self, t: int) -> list[DataItem]:
-        out: list[DataItem] = []
-        while self._next_query <= t:
-            q = self._next_query
-            if self._events or self._facts:
-                self.engine.feed(self._events, self._facts)
-                self._events, self._facts = [], []
-            snapshot = self.engine.query(q)
-            fresh = self.log.add(snapshot)
-            surfaced = {"query_time": q}
-            for occ in fresh.occurrences:
-                out.append({
-                    **occ.payload, "@type": occ.type, TIME_KEY: occ.time,
-                    "key": occ.key, **surfaced,
-                })
-            for name, key, start, end in fresh.episodes:
-                out.append({
-                    "@type": name, TIME_KEY: start, "key": key,
-                    "episode": True, "end": end, **surfaced,
-                })
-            self._next_query += self.engine.step
-        return out
+        self._blocks: dict[str, SDEColumns] = {}
 
     def process(self, item: DataItem) -> ProcessorResult:
-        # Everything arriving by a query time before this arrival is
-        # in; the item itself belongs to a later step.
-        out = self._recognise_until(item_arrival(item) - 1)
-        if item.get("@type", "").startswith("fluent:"):
-            self._facts.append(item_to_fact(item))
-        else:
-            self._events.append(item_to_event(item))
-        return out
-
-    def advance(self, now: int) -> ProcessorResult:
-        """Clock hook: run query times that fell strictly before ``now``.
-
-        Keeps recognition flowing while this region's own input is
-        silent but the merged stream's clock advances.  Only queries
-        ``< now`` run — a query at exactly ``now`` must wait for the
-        items arriving at ``now`` (the runtime fires the hook before
-        delivering them).
-        """
-        return self._recognise_until(now - 1)
-
-    def flush(self, until: int) -> list[DataItem]:
-        """Run any outstanding query times up to ``until`` (end of
-        stream)."""
-        return self._recognise_until(until)
+        self._blocks[item["feed"]] = item["block"]
+        if len(self._blocks) < len(FEEDS):
+            return None
+        blocks = [self._blocks.pop(feed) for feed in FEEDS]
+        self.system._feed_region(
+            self.region,
+            SDEColumns(
+                [b for block in blocks for b in block.events],
+                [b for block in blocks for b in block.facts],
+            ),
+        )
+        q = item[TIME_KEY]
+        snapshot = self.engine.query(q)
+        return {
+            TIME_KEY: q,
+            "step": item["step"],
+            "region": self.region,
+            "fresh": self.system._recognised(self.region, snapshot, self.log),
+        }
 
 
 class CrowdsourcingProcessor(Processor):
     """Embeds the crowdsourcing leg in a Streams process.
 
-    Consumes the ``sourceDisagreement`` episode items emitted by
-    :class:`RtecProcessor` — resolved at the query time that surfaced
-    them, for the ``region`` the wiring stamped on them (if any) — and
-    produces ``crowd`` SDE items carrying the fused answer.
+    Consumes the items :class:`RtecProcessor` emits and crowdsources
+    their fresh ``sourceDisagreement`` episodes under the feeds
+    degraded now; emits ``{"step", "@time": q, "feed"}`` with the
+    ``crowd`` SDEs to feed back, or nothing when there are none.
     """
 
-    def __init__(self, crowd_loop: CrowdLoop):
-        self.crowd_loop = crowd_loop
+    def __init__(self, system):
+        self.system = system
 
     def process(self, item: DataItem) -> ProcessorResult:
-        if item.get("@type") != "sourceDisagreement":
-            return None
-        event = self.crowd_loop.resolve(
-            item.get("region"),
-            item["query_time"],
-            item["key"][0],
+        system = self.system
+        feed = system._crowdsource(
+            item["region"],
             item[TIME_KEY],
+            item["fresh"],
+            system.degradation.degraded_feeds,
         )
-        return None if event is None else event_to_item(event)
+        if not feed:
+            return None
+        return {TIME_KEY: item[TIME_KEY], "step": item["step"], "feed": feed}
 
 
 class FluentFeedbackProcessor(Processor):
-    """Feeds ``crowd`` SDE items back into an RTEC engine.
+    """Feeds the ``crowd`` SDEs of a :class:`CrowdsourcingProcessor`
+    item back into every engine of the system.
 
-    Closes the loop in a Streams wiring: the crowd queue is consumed by
-    this processor, which injects the events so rule-sets (4)/(5) can
-    evaluate them at the next query time.
+    Closes the loop in a Streams wiring, so rule-sets (4)/(5) can
+    evaluate the answers at the next query time.
     """
 
-    def __init__(self, engine: RTEC):
-        self.engine = engine
+    def __init__(self, system):
+        self.system = system
 
     def process(self, item: DataItem) -> ProcessorResult:
-        self.engine.feed(events=[item_to_event(item)])
+        self.system._deliver_crowd_feed(item["step"], item["feed"])
         return item

@@ -1,4 +1,4 @@
-"""The paper's exact Streams wiring, built programmatically.
+"""The paper's exact Streams wiring.
 
 Section 3 describes the deployed data-flow graph:
 
@@ -12,31 +12,72 @@ Section 3 describes the deployed data-flow graph:
 * *traffic modelling processes*: the congestion-estimation procedure
   wrapped as a Streams *service*.
 
-:func:`build_paper_topology` is that graph as a second *wiring* of one
-:class:`~repro.system.pipeline.UrbanTrafficSystem`: the system's own
-per-region engines, crowd loop and flow estimator behind the paper's
-sources, intake filters, per-region CEP processes, crowdsourcing
-process and feedback processes.  What the graph adds to the direct
-loop is transport: every SDE crosses it as one data item.
+:data:`PAPER_GRAPH_XML` is that graph in the middleware's XML dialect,
+and :func:`paper_registry` resolves its classes to one
+:class:`~repro.system.pipeline.UrbanTrafficSystem`: the streams carry
+the system's own input split, one column block per feed and
+recognition step, and the processes call the system's own step stages.
+So :func:`build_paper_topology` is a second *wiring* of the direct
+loop, not a second system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from ..core.columns import SDEColumns
 from ..core.rtec import RTEC
 from ..crowd import CrowdsourcingComponent
 from ..dublin import REGIONS
-from ..dublin.dataset import event_to_item, fact_to_item
-from ..streams import Filter, SetAttributes, Tap, Topology
+from ..streams import Tap, Topology, Transform, parse_topology
 from ..streams.items import TIME_KEY
 from ..traffic_model import RollingFlowEstimator
-from .pipeline import UrbanTrafficSystem
+from .pipeline import UrbanTrafficSystem, step_arrivals
 from .processors import (
     CrowdsourcingProcessor,
     FluentFeedbackProcessor,
     RtecProcessor,
 )
+
+_REGION_XML = """
+  <stream id="scats-{r}" class="system.Scats" region="{r}"/>
+  <process id="scats-intake-{r}" input="scats-{r}" output="region-{r}">
+    <processor class="system.ObserveFlows"/>
+  </process>
+  <process id="bus-intake-{r}" input="buses" output="region-{r}">
+    <processor class="system.RegionBlock" region="{r}"/>
+  </process>
+  <process id="cep-{r}" input="region-{r}" output="complex-events">
+    <processor class="system.Rtec" region="{r}"/>
+  </process>"""
+
+#: The Section 3 graph.  Per recognition step, ``feed-arrivals``
+#: carries each feed's arrival count (the liveness signal), ``buses``
+#: every region's bus rows and ``scats-<region>`` the region's
+#: ``traffic`` rows, the region decided once by the system's split.
+#: ``alerts`` and ``crowdsourcing`` take the regions' results in region
+#: order, as the loop does.
+PAPER_GRAPH_XML = f"""<container>
+  <service id="traffic-model" class="system.TrafficModel"/>
+  <stream id="feed-arrivals" class="system.FeedArrivals"/>
+  <process id="liveness" input="feed-arrivals">
+    <processor class="system.Liveness"/>
+  </process>
+  <stream id="buses" class="system.Buses"/>
+{''.join(_REGION_XML.format(r=region) for region in REGIONS)}
+  <process id="alerts" input="complex-events">
+    <processor class="system.Alerts"/>
+  </process>
+  <process id="crowdsourcing" input="complex-events" output="crowd-answers">
+    <processor class="system.Crowdsourcing"/>
+  </process>
+  <process id="feedback" input="crowd-answers">
+    <processor class="system.Feedback"/>
+  </process>
+</container>
+"""
 
 
 @dataclass
@@ -50,19 +91,111 @@ class PaperTopology:
     flow_estimator: RollingFlowEstimator
 
 
-def build_paper_topology(system: UrbanTrafficSystem, data) -> PaperTopology:
-    """Wire ``system`` as the Section 3 data-flow graph over ``data``.
+def _by_step(batch: SDEColumns, query_times: np.ndarray) -> list[SDEColumns]:
+    """``batch`` cut into one block per recognition step, by arrival:
+    what arrives by the first query time, then what arrives in each
+    later step.  What arrives after the last query goes with the last
+    step, where the engine keeps it pending as the loop's whole-run
+    feed does."""
+    last = len(query_times) - 1
+    parts = []
+    for block in batch.blocks:
+        step = np.minimum(
+            np.searchsorted(query_times, block.arrivals, side="left"), last
+        )
+        order = np.argsort(step, kind="stable")
+        cuts = np.searchsorted(step[order], np.arange(last + 2)).tolist()
+        parts.append(
+            [block.take(order[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        )
+    n_events = len(batch.events)
+    return [
+        SDEColumns(
+            [blocks[i] for blocks in parts[:n_events]],
+            [blocks[i] for blocks in parts[n_events:]],
+        )
+        for i in range(len(query_times))
+    ]
 
-    Sources: ``buses`` (one stream, ``move`` SDEs + ``gps`` facts
-    interleaved), ``scats-<region>`` (four streams of ``traffic``
-    SDEs) and ``end-of-stream`` (one tick past the data's end, so the
-    last query time runs inside the graph like every other).
-    Processes: ``cep-<region>`` (the system's engine of that region,
-    consuming the bus stream and its region's SCATS stream via a merge
-    queue; its CEs are stamped with the region on their way to the
-    ``complex-events`` queue), ``crowdsourcing`` (the system's crowd
-    loop) and ``feedback-<region>``.  Service: ``traffic-model`` (the
-    system's flow estimator, fed by a tap on the SCATS streams).
+
+def paper_registry(system: UrbanTrafficSystem, start: int, end: int) -> dict:
+    """The classes of :data:`PAPER_GRAPH_XML`, resolved to ``system``
+    running over ``[start, end)``.
+
+    Generates the system's stream and indexes the crowd priors as the
+    direct loop's ingest does; the streams then carry it a step at a
+    time.
+    """
+    data, split = system._generate(start, end)
+    system.crowd_loop.index_bus_reports(data.columns.fact_block("gps"))
+    step = system.config.step
+    query_times = np.arange(start + step, end + 1, step)
+    feed_arrivals = system._feed_arrivals(data, start, end)
+    steps = list(enumerate(query_times.tolist(), 1))
+    buses, scats = {}, {}
+    for region, batch in split.items():
+        traffic = [b for b in batch.events if b.type == "traffic"]
+        others = [b for b in batch.events if b.type != "traffic"]
+        buses[region] = _by_step(SDEColumns(others, batch.facts), query_times)
+        scats[region] = _by_step(SDEColumns(traffic), query_times)
+    arrivals = [
+        {TIME_KEY: q, "arrivals": step_arrivals(feed_arrivals, i)}
+        for i, q in steps
+    ]
+    bus_items = [
+        {TIME_KEY: q, "step": i, "feed": "bus",
+         "blocks": {r: blocks[i - 1] for r, blocks in buses.items()}}
+        for i, q in steps
+    ]
+
+    def scats_items(region):
+        return [
+            {TIME_KEY: q, "step": i, "feed": "scats",
+             "block": scats[region][i - 1]}
+            for i, q in steps
+        ]
+
+    return {
+        "system.TrafficModel": lambda: system.flow_estimator,
+        "system.FeedArrivals": lambda: arrivals,
+        "system.Buses": lambda: bus_items,
+        "system.Scats": scats_items,
+        "system.Liveness": lambda: Tap(
+            lambda item: system.degradation.observe(
+                item[TIME_KEY], item["arrivals"]
+            )
+        ),
+        "system.ObserveFlows": lambda: Tap(
+            lambda item: system._observe_flows(
+                item["block"].event_block("traffic")
+            )
+        ),
+        "system.RegionBlock": lambda region: Transform(
+            lambda item: {**item, "block": item["blocks"][region]}
+        ),
+        "system.Rtec": lambda region: RtecProcessor(system, region),
+        "system.Alerts": lambda: Tap(
+            lambda item: system._surface_alerts(
+                item["region"], item["fresh"],
+                system.degradation.degraded_feeds,
+            )
+        ),
+        "system.Crowdsourcing": lambda: CrowdsourcingProcessor(system),
+        "system.Feedback": lambda: FluentFeedbackProcessor(system),
+    }
+
+
+def build_paper_topology(
+    system: UrbanTrafficSystem, start: int, end: int
+) -> PaperTopology:
+    """Wire ``system`` as the Section 3 data-flow graph over
+    ``[start, end)``: :data:`PAPER_GRAPH_XML` through
+    :func:`paper_registry`.
+
+    Running the graph recognises, alerts, crowdsources and degrades
+    exactly as ``system.run(start, end)`` would; what that run does
+    after its last step (the outage timeline, the flow snapshot, the
+    metrics' derived gauges) is the caller's.
     """
     if list(system.engines) != list(REGIONS) or system.config.sharded:
         raise ValueError(
@@ -70,123 +203,16 @@ def build_paper_topology(system: UrbanTrafficSystem, data) -> PaperTopology:
             "system with one in-process engine per region (no "
             "region_groups or sharded)"
         )
-    scenario = system.scenario
-    flow_estimator = system.flow_estimator
-    topology = Topology()
-
-    # --- input handling ---------------------------------------------------
-    bus_items = [event_to_item(e) for e in data.events if e.type == "move"]
-    bus_items.extend(fact_to_item(f) for f in data.facts)
-    topology.source("buses", bus_items)
-    for region, batch in scenario.split_by_region(data).items():
-        topology.source(
-            f"scats-{region}",
-            [
-                event_to_item(e)
-                for e in batch.iter_events()
-                if e.type == "traffic"
-            ],
-        )
-    topology.source("end-of-stream", [{TIME_KEY: data.end + 1}])
-
-    # Region code of every bus emission, from its gps position: it
-    # decides for the ``move`` item and its paired ``fluent:gps`` item.
-    region_index: dict = {}
-    gps = data.columns.fact_block("gps")
-    if gps is not None:
-        region_index = dict(
-            zip(
-                zip(gps.key_columns[0].tolist(), gps.times.tolist()),
-                scenario.network.region_codes(
-                    gps.value_fields["lon"], gps.value_fields["lat"]
-                ).tolist(),
-            )
-        )
-    system.crowd_loop.index_bus_reports(gps)
-
-    def in_region(code):
-        def keep(item):
-            type_tag = item.get("@type")
-            if type_tag == "move":
-                key = (item["bus"], item[TIME_KEY])
-            elif type_tag == "fluent:gps":
-                key = (item["@key"][0], item[TIME_KEY])
-            else:
-                return False
-            return region_index.get(key) == code
-
-        return keep
-
-    # --- traffic-model service ---------------------------------------------
-    topology.service("traffic-model", flow_estimator)
-    node_of = scenario.node_of
-
-    def feed_traffic_model(item):
-        """Tap: forward a SCATS reading into the traffic-model service."""
-        node = node_of.get(item.get("intersection"))
-        if node is not None:
-            flow_estimator.observe(node, item["flow"], item[TIME_KEY])
-
-    # --- event processing processes -----------------------------------------
-    # The rows the graph hands the engines, counted where they enter a
-    # CEP or feedback process: the direct loop counts the same rows at
-    # its ``feed_columns`` and crowd-feed calls.
-    metrics = system.metrics
-
-    def count_stream_row(item):
-        metrics.counter("ingest.events").inc()
-        metrics.counter("rtec.ingest.rows_fed").inc()
-
-    def count_crowd_row(item):
-        metrics.counter("rtec.ingest.rows_fed").inc()
-
-    rtec_processors = {
-        region: RtecProcessor(engine, start=data.start)
-        for region, engine in system.engines.items()
-    }
-    for code, region in enumerate(REGIONS):
-        # Region merge: buses + this region's SCATS into one queue.
-        topology.process(
-            f"scats-intake-{region}",
-            input=f"scats-{region}",
-            processors=[Tap(feed_traffic_model)],
-            output=f"region-{region}",
-        ).process(
-            f"bus-intake-{region}",
-            input="buses",
-            processors=[Filter(in_region(code))],
-            output=f"region-{region}",
-        ).process(
-            f"cep-{region}",
-            input=f"region-{region}",
-            processors=[Tap(count_stream_row), rtec_processors[region]],
-            output=f"ce-{region}",
-        ).process(
-            f"ce-stamp-{region}",
-            input=f"ce-{region}",
-            processors=[SetAttributes(region=region)],
-            output="complex-events",
-        )
-
-    # --- crowdsourcing processes ---------------------------------------------
-    topology.process(
-        "crowdsourcing",
-        input="complex-events",
-        processors=[CrowdsourcingProcessor(system.crowd_loop)],
-        output="crowd-answers",
+    topology = parse_topology(
+        PAPER_GRAPH_XML, paper_registry(system, start, end)
     )
-    for region, engine in system.engines.items():
-        topology.process(
-            f"feedback-{region}",
-            input="crowd-answers",
-            processors=[Tap(count_crowd_row), FluentFeedbackProcessor(engine)],
-        )
-
     return PaperTopology(
         topology=topology,
-        rtec_processors=rtec_processors,
+        rtec_processors={
+            region: topology.processes[f"cep-{region}"].processors[0]
+            for region in REGIONS
+        },
         engines=system.engines,
         crowd=system.crowd,
-        flow_estimator=flow_estimator,
+        flow_estimator=system.flow_estimator,
     )
-

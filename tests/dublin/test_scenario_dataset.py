@@ -11,7 +11,6 @@ from repro.dublin import (
     item_to_event,
     item_to_fact,
     read_jsonl,
-    stream_items,
     write_jsonl,
 )
 
@@ -42,7 +41,7 @@ def data(scenario):
 class TestDublinScenario:
     def test_stream_not_empty(self, data):
         assert data.n_sdes > 500
-        counts = data.counts_by_type()
+        counts = {block.type: len(block) for block in data.columns.events}
         assert counts["move"] > 0
         assert counts["traffic"] > 0
 
@@ -112,12 +111,6 @@ class TestDatasetAdapters:
     def test_item_to_fact_rejects_events(self, data):
         with pytest.raises(ValueError, match="fluent"):
             item_to_fact(event_to_item(data.events[0]))
-
-    def test_stream_items_sorted_by_arrival(self, data):
-        items = list(stream_items(data))
-        arrivals = [i.get("@arrival", i["@time"]) for i in items]
-        assert arrivals == sorted(arrivals)
-        assert len(items) == len(data.events) + len(data.facts)
 
 
 class TestJsonlRoundTrip:

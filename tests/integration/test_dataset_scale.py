@@ -34,7 +34,7 @@ class TestPaperScale:
                            n_intersections=350)
         )
         data = scenario.generate(0, 300)
-        counts = data.counts_by_type()
+        counts = {block.type: len(block) for block in data.columns.events}
         bus_rate = counts["move"] / 300
         assert bus_rate == pytest.approx(942 / 25.0, rel=0.15)
         scats_rate = counts["traffic"] / 300

@@ -1,28 +1,19 @@
 """Integration: the complete loop wired as a Streams XML topology.
 
 Reproduces the paper's deployment shape end to end: one bus stream,
-SCATS streams, the RTEC processor emitting CEs to a queue, the
+four SCATS streams, the RTEC processors emitting CEs to a queue, the
 crowdsourcing processor resolving source disagreements, and the crowd
-answers fed back into the engine — all described declaratively and run
+answers fed back into the engines — described declaratively, resolved
+to one constructed system's stages through the XML registry, and run
 by the deterministic middleware.
 """
 
 import pytest
 
-from repro.core import RTEC
-from repro.core.traffic import build_traffic_definitions, default_traffic_params
-from repro.dublin import DublinScenario, ScenarioConfig, stream_items
-from repro.obs import Registry
+from repro.dublin import DublinScenario, ScenarioConfig
 from repro.streams import StreamRuntime, parse_topology
-from repro.system import (
-    CrowdLoop,
-    CrowdsourcingProcessor,
-    FluentFeedbackProcessor,
-    OperatorConsole,
-    RtecProcessor,
-    SystemConfig,
-)
-from repro.traffic_model import RollingFlowEstimator
+from repro.system import SystemConfig, UrbanTrafficSystem
+from repro.system.topology import PAPER_GRAPH_XML, paper_registry
 
 
 @pytest.fixture(scope="module")
@@ -40,68 +31,36 @@ def wired():
             incident_window=(0, 1200),
         )
     )
-    data = scenario.generate(0, 1200)
-    engine = RTEC(
-        build_traffic_definitions(
-            scenario.topology, adaptive=True, noisy_variant="crowd"
-        ),
-        window=600,
-        step=300,
-        params=default_traffic_params(),
+    system = UrbanTrafficSystem(
+        scenario, SystemConfig(n_participants=40, seed=5)
     )
-    rtec_processor = RtecProcessor(engine)
-
-    crowd_loop = CrowdLoop(
-        scenario,
-        SystemConfig(n_participants=40, seed=5),
-        OperatorConsole(),
-        RollingFlowEstimator(scenario.network.graph),
-        Registry(),
+    topology = parse_topology(
+        PAPER_GRAPH_XML, paper_registry(system, 0, 1200)
     )
-    component = crowd_loop.crowd
-
-    registry = {
-        "dublin.Stream": lambda **_: stream_items(data),
-        "system.Rtec": lambda **_: rtec_processor,
-        "system.Crowd": lambda **_: CrowdsourcingProcessor(crowd_loop),
-        "system.Feedback": lambda **_: FluentFeedbackProcessor(engine),
-    }
-    xml = """
-    <container>
-      <stream id="dublin" class="dublin.Stream"/>
-      <process id="cep" input="dublin" output="complex-events">
-        <processor class="system.Rtec"/>
-      </process>
-      <process id="crowdsourcing" input="complex-events" output="crowd-answers">
-        <processor class="system.Crowd"/>
-      </process>
-      <process id="feedback" input="crowd-answers" output="resolved">
-        <processor class="system.Feedback"/>
-      </process>
-    </container>
-    """
-    topology = parse_topology(xml, registry)
     StreamRuntime(topology).run()
-    rtec_processor.flush(1200)
-    return scenario, topology, rtec_processor, component
+    rtec_processor = topology.processes["cep-central"].processors[0]
+    return scenario, topology, rtec_processor, system.crowd
 
 
 class TestFullLoopOverStreams:
     def test_ces_recognised(self, wired):
-        _, topology, rtec_processor, _ = wired
-        ce_items = topology.queues["complex-events"].snapshot()
-        assert ce_items
-        types = {item["@type"] for item in ce_items}
+        _, topology, _, _ = wired
+        results = topology.queues["complex-events"].snapshot()
+        assert results
+        types = {
+            name for item in results for name, *_ in item["fresh"].episodes
+        }
         assert "sourceDisagreement" in types
 
     def test_crowd_answers_produced_and_fed_back(self, wired):
         _, topology, _, component = wired
         answers = topology.queues["crowd-answers"].snapshot()
         assert answers
-        assert all(item["@type"] == "crowd" for item in answers)
+        assert all(
+            event.type == "crowd" for item in answers for event in item["feed"]
+        )
         assert component.outcomes
-        resolved = topology.queues["resolved"].snapshot()
-        assert len(resolved) == len(answers)
+        assert topology.processes["feedback"].consumed == len(answers)
 
     def test_recognition_ran_all_query_times(self, wired):
         _, _, rtec_processor, _ = wired

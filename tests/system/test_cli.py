@@ -107,12 +107,16 @@ class TestMetrics:
 
 
     def test_streams_wiring_counts_the_rows_it_feeds(self, tmp_path, capsys):
-        # The Streams graph feeds the engines the same rows as the
-        # direct loop, so the ingest and work counters agree.
+        # The Streams graph runs the loop's own stages, so over a
+        # 1,200 s run the ingest, work and per-region query counters
+        # agree: one code path records them.
         counters = {}
         for flag in ([], ["--streams"]):
             out = tmp_path / f"m{len(flag)}.json"
-            argv = ["metrics", *SMALL, "--participants", "10", "--json", str(out)]
+            argv = [
+                "metrics", *SMALL, "--duration", "1200",
+                "--participants", "10", "--json", str(out),
+            ]
             assert main(argv + flag) == 0
             counters[bool(flag)] = json.loads(out.read_text())["counters"]
         capsys.readouterr()
@@ -124,9 +128,15 @@ class TestMetrics:
             or name.startswith(
                 ("rtec.ingest.", "rtec.mirror.", "rtec.close.", "rtec.compiled.", "crowd.")
             )
+            or (
+                name.startswith("process.cep-")
+                and name.endswith((".queries", ".items"))
+            )
         ]
         assert direct["ingest.events"] > 0
+        assert direct["process.cep-central.queries"] == 4
         assert {"rtec.ingest.rows_fed", "rtec.ingest.rows_admitted"} <= set(names)
+        assert sum(n.startswith("process.cep-") for n in names) == 2 * 4
         assert {n: graph.get(n) for n in names} == {n: direct[n] for n in names}
 
     @pytest.mark.parametrize("command", ["run", "metrics"])

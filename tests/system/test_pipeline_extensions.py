@@ -123,7 +123,7 @@ class TestPriors:
             SystemConfig(fault_profile=profile, crowd_enabled=False, seed=31),
         )
         data, _ = system._stream(system, 0, 1800)
-        system._index_inputs(data)
+        system.crowd_loop.index_bus_reports(data.columns.fact_block("gps"))
         reports: dict = {}
         for fact in data.facts:
             for int_id in scenario.topology.intersections_close_to(
