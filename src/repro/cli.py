@@ -271,7 +271,7 @@ def _render_metrics(registry) -> str:
         lines.append("per-shard runtime:")
         lines.append(
             f"  {'region':<12} {'queries':>8} {'restarts':>9} "
-            f"{'replayed':>9} {'ckpts':>6} {'journal':>8}"
+            f"{'replayed':>9} {'ckpts':>6}"
         )
         for region in shard_regions:
             pre = f"shard.{region}."
@@ -279,8 +279,7 @@ def _render_metrics(registry) -> str:
                 f"  {region:<12} {counters.get(pre + 'queries', 0):>8} "
                 f"{counters.get(pre + 'restarts', 0):>9} "
                 f"{counters.get(pre + 'recovery.replay.steps', 0):>9} "
-                f"{counters.get(pre + 'recovery.checkpoint.writes', 0):>6} "
-                f"{counters.get(pre + 'recovery.journal.records', 0):>8}"
+                f"{counters.get(pre + 'recovery.checkpoint.writes', 0):>6}"
             )
         heartbeat = timings.get("shard.heartbeat_age_s")
         summary = (

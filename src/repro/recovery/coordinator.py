@@ -4,20 +4,17 @@
 checkpoint files plus a write-ahead journal with one segment per
 checkpoint — and is the only implementation of the protocol over them:
 journal timing, the checkpoint write with its crash seams, segment
-rotation and pruning, and restore.  Two drivers use it:
+rotation and pruning, and restore.  Its one driver is the pipeline
+(:meth:`repro.system.pipeline.UrbanTrafficSystem.run` with
+``recovery=``), through the lifecycle methods below, which snapshot
+the whole system.  (A shard worker keeps checkpoints only, through a
+:class:`~.checkpoint.CheckpointManager`: its coordinator holds the
+history a restarted worker is caught up from.)
 
-* the pipeline (:meth:`repro.system.pipeline.UrbanTrafficSystem.run`
-  with ``recovery=``), through the lifecycle methods below, which
-  snapshot the whole system;
-* every shard worker (:class:`repro.shard.worker.ShardWorker`), which
-  snapshots its own engine into ``shard-<region>/`` and additionally
-  journals the crowd SDEs it is fed.
-
-The journal records four kinds, each written *before* the work it
+The journal records three kinds, each written *before* the work it
 describes::
 
     {"kind": "step",   "step": n, "q": t, "arrivals": {feed: count}}
-    {"kind": "feed",   "step": n, "events": [<dataset items>]}
     {"kind": "commit", "step": n, "crowd_events": k}
     {"kind": "complete", "step": n}
 
@@ -88,8 +85,7 @@ class CheckpointCoordinator:
     ----------
     directory:
         Where checkpoints and journal segments live.  One directory per
-        logical run (or per shard of one); resuming reads and continues
-        the same directory.
+        logical run; resuming reads and continues the same directory.
     interval:
         Checkpoint every this many recognition steps.  ``None`` (the
         default) adopts ``SystemConfig.checkpoint_interval`` from the
@@ -169,22 +165,11 @@ class CheckpointCoordinator:
             }
         )
 
-    def journal_feed(self, step: int, events: list[dict]) -> None:
-        """Journal SDEs fed after the input stream (as dataset items)
-        before the engine ingests them."""
-        self._journal({"kind": "feed", "step": step, "events": events})
-        self._count("recovery.journal.feed_events", len(events))
-
     def commit_step(self, step: int, crowd_events: int) -> None:
         """Completion record for a finished step."""
         self._journal(
             {"kind": "commit", "step": step, "crowd_events": crowd_events}
         )
-
-    def due(self, step: int) -> bool:
-        """Whether the interval has elapsed since the last checkpoint."""
-        assert self.interval is not None
-        return step - self._base_step >= self.interval
 
     def checkpoint(
         self,
@@ -254,41 +239,6 @@ class CheckpointCoordinator:
         self._count("recovery.log.bytes", size)
         return end
 
-    def complete(self, step: int) -> None:
-        """Mark the run finished and release the journal."""
-        self._journal({"kind": "complete", "step": step})
-        self.journal.close()
-
-    def restore(self, accept=None) -> tuple[Any, list[dict[str, Any]], int]:
-        """Load the newest valid checkpoint and the journal after it.
-
-        Returns ``(payload, records, fallbacks)``: the checkpointed
-        state, the intact journal records written after it, and how
-        many newer-but-invalid checkpoints (torn mid-write files, or
-        files ``accept`` refused — see
-        :meth:`CheckpointManager.load_latest`) were skipped.
-        ``records`` spans *every* segment at or after the restored
-        step, in order: after a fallback the segments of the skipped
-        checkpoints hold committed work too.  Those segments are
-        archived and the restored step's reopened empty — replayed
-        work re-journals itself as it re-executes, so the journal on
-        disk always describes the run that actually happened, each
-        step once, and a crash after the replay finds it all again.
-
-        Raises :class:`~repro.recovery.checkpoint.NoValidCheckpoint`
-        when the directory holds no restorable state.
-        """
-        payload, info, fallbacks = self.manager.load_latest(accept)
-        records: list[dict[str, Any]] = []
-        for base_step in self.journal.segments_from(info.step):
-            records.extend(self.journal.read_segment(base_step))
-            self.journal.archive(base_step)
-        self.journal.open(info.step)
-        self._resumed = True
-        self._base_step = info.step
-        self.last_checkpoint = info
-        return payload, records, fallbacks
-
     # -- pipeline lifecycle --------------------------------------------
     def _attach(self, system) -> None:
         self.metrics = system.metrics
@@ -323,7 +273,7 @@ class CheckpointCoordinator:
         against the baseline checkpoint and refills the logs from the
         snapshot log.
         """
-        if self.due(state.step_index):
+        if state.step_index - self._base_step >= self.interval:
             self.checkpoint(
                 state.step_index,
                 {"system": system, "state": state, "span": None},
@@ -332,7 +282,8 @@ class CheckpointCoordinator:
 
     def on_run_complete(self, system, state) -> None:
         """Mark the run finished and release the journal."""
-        self.complete(state.step_index)
+        self._journal({"kind": "complete", "step": state.step_index})
+        self.journal.close()
 
     def _refill_logs(self, payload) -> None:
         """Put back the recognition snapshots a checkpoint left in the
@@ -377,15 +328,32 @@ class CheckpointCoordinator:
         ``recovery.restore.fallbacks``).  The log is then cut back to
         the restored ``log_end`` — 0 for a baseline — so the steps the
         resumed run replays append their snapshots again exactly once.
-        The journal after the restored checkpoint (see :meth:`restore`)
-        is read for replay accounting only: the loop re-executes those
-        steps on its own.
+        The journal after the restored checkpoint is read for replay
+        accounting only: the loop re-executes those steps on its own.
+        It spans *every* segment at or after the restored step, in
+        order (after a fallback the segments of the skipped checkpoints
+        hold committed work too).  Those segments are archived and the
+        restored step's reopened empty — replayed work re-journals
+        itself as it re-executes, so the journal on disk always
+        describes the run that actually happened, each step once.
+
+        Raises :class:`~repro.recovery.checkpoint.NoValidCheckpoint`
+        when the directory holds no restorable state.
         """
-        payload, records, fallbacks = self.restore(accept=self._refill_logs)
+        payload, info, fallbacks = self.manager.load_latest(
+            self._refill_logs
+        )
+        records: list[dict[str, Any]] = []
+        for base_step in self.journal.segments_from(info.step):
+            records.extend(self.journal.read_segment(base_step))
+            self.journal.archive(base_step)
+        self.journal.open(info.step)
+        self._resumed = True
+        self._base_step = info.step
+        self.last_checkpoint = info
         system, state = payload["system"], payload["state"]
         self.restored_span = payload["span"]
         self.snapshot_log.truncate(payload["log_end"])
-        restored_step = self.last_checkpoint.step
         if state is not None:
             # The snapshot dropped the regenerable pending stream; the
             # pristine pre-generation system in the (always-retained)
@@ -394,7 +362,7 @@ class CheckpointCoordinator:
                 baseline = self.manager.load(self.manager.path_for(0))
             except FileNotFoundError:
                 raise CheckpointError(
-                    f"checkpoint at step {restored_step} needs the "
+                    f"checkpoint at step {info.step} needs the "
                     f"baseline {self.manager.path_for(0)} to rebuild its "
                     f"pending stream, but the file is missing"
                 ) from None
@@ -404,7 +372,7 @@ class CheckpointCoordinator:
         replay_steps = set()
         replay_items = 0
         for record in records:
-            if record.get("kind") == "step" and record["step"] > restored_step:
+            if record.get("kind") == "step" and record["step"] > info.step:
                 replay_steps.add(record["step"])
                 replay_items += sum(record["arrivals"].values())
         self._count("recovery.restore.count")

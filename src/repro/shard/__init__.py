@@ -2,9 +2,9 @@
 
 Per-region recognition workers as separate OS processes
 (:mod:`~repro.shard.worker`) fed over an abstracted message bus
-(:mod:`~repro.shard.bus`), each owning per-shard checkpoint + journal
-recovery (a :class:`~repro.recovery.CheckpointCoordinator` over its own
-directory), supervised across process
+(:mod:`~repro.shard.bus`), each checkpointing its engine into its own
+directory and caught up after a restart from the coordinator's history
+of what it sent, supervised across process
 boundaries with heartbeats, liveness timeouts and restart budgets
 (:mod:`~repro.shard.supervisor`), coordinated deterministically so an
 N-worker run is byte-identical to single-process output

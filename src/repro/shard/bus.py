@@ -4,9 +4,9 @@ The sharded runtime talks to each per-region recognition worker over a
 duplex channel carrying ``(kind, payload)`` tuples — ``"init"`` /
 ``"restore"`` / ``"feed"`` / ``"query"`` / ``"shutdown"`` downstream,
 ``"ready"`` / ``"snapshot"`` / ``"heartbeat"`` / ``"error"`` / ``"bye"``
-upstream.  :class:`ShardBus` adds the PUB/SUB-style fan-out on top:
-``publish`` broadcasts one message to every attached shard (the feed
-path), ``send`` addresses a single shard (the query path).
+upstream.  :class:`ShardBus` keeps the coordinator's end of every
+channel and addresses one shard per ``send``; fanning a feed batch out
+to every shard is the runtime's loop over them.
 
 The wire itself is abstracted behind :class:`Transport` /
 :class:`Endpoint` so the stdlib :class:`PipeTransport`
@@ -131,10 +131,8 @@ class PipeTransport(Transport):
 class ShardBus:
     """The coordinator's view of all shard channels.
 
-    Holds the coordinator-side endpoint per shard and layers the two
-    messaging patterns over them: :meth:`send` (per-shard request) and
-    :meth:`publish` (PUB/SUB-style fan-out of one message to every
-    attached shard).
+    Holds the coordinator-side endpoint per shard; :meth:`send`
+    addresses one shard.
     """
 
     def __init__(self, transport: Transport):

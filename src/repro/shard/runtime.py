@@ -15,13 +15,13 @@ Determinism: results are merged in canonical region order
 (:func:`merge_in_region_order`) regardless of which worker finished
 first, so an N-shard run is byte-identical to the single-process run.
 A worker death at any point — detected by EOF, dead pipe, exit code or
-heartbeat silence — triggers restart-from-its-own-checkpoint: the
-respawned worker replays the journal after that checkpoint, is re-sent
-any feed batches newer than its restored ``feed_step`` (the ready
-handshake carries the high-water marks), and is re-asked the in-flight
-query, while sibling shards keep flowing untouched.  A worker that
-comes back *behind* the coordinator — its journal lost a segment — is
-a journal gap no restart can cure: the region fails at once.
+heartbeat silence — triggers restart-from-its-own-checkpoint.  The
+coordinator is the only replay source: it keeps every feed batch and
+query time it sent, the ``restore`` message carries that history, and
+the respawned worker re-runs what came after its checkpoint up to the
+step before the in-flight one, then is re-asked the in-flight query,
+while sibling shards keep flowing untouched.  A restored worker that
+reports any other step fails closed: it counts as a death.
 """
 
 from __future__ import annotations
@@ -41,6 +41,15 @@ from .worker import shard_worker_main
 __all__ = ["ShardedRuntime", "merge_in_region_order"]
 
 T = TypeVar("T")
+
+#: ``multiprocessing`` start method of the workers, their heartbeat
+#: cadence, and the seconds of silence (heartbeats included) after
+#: which a live-looking worker is declared dead (wall clock).
+SHARD_START_METHOD = "fork"
+SHARD_HEARTBEAT_S = 0.25
+SHARD_LIVENESS_TIMEOUT_S = 30.0
+# A worker is only dead after missing heartbeats.
+assert SHARD_LIVENESS_TIMEOUT_S > SHARD_HEARTBEAT_S
 
 
 def merge_in_region_order(
@@ -85,13 +94,8 @@ class ShardedRuntime:
         Root for the per-shard recovery directories
         (``shard-<region>/``); a temporary directory (cleaned up at
         shutdown) when ``None``.
-    start_method:
-        ``multiprocessing`` start method for the workers.
-    heartbeat_s:
-        Worker heartbeat cadence (seconds, wall clock).
-    liveness_timeout_s / max_restarts / backoff_base_s:
-        Supervision tuning (see :class:`ShardSupervisor`); the liveness
-        timeout must exceed the heartbeat cadence.
+    max_restarts / backoff_base_s:
+        Supervision tuning (see :class:`ShardSupervisor`).
     degradation:
         Optional degradation manager told about failed regions.
     crash_plans:
@@ -108,31 +112,20 @@ class ShardedRuntime:
         metrics: Registry,
         checkpoint_interval: int = 10,
         directory=None,
-        start_method: str = "fork",
-        heartbeat_s: float = 0.25,
-        liveness_timeout_s: float = 30.0,
         max_restarts: int = 3,
         backoff_base_s: float = 0.05,
         degradation=None,
         crash_plans: Optional[Mapping[str, Iterable]] = None,
     ):
-        if heartbeat_s <= 0:
-            raise ValueError("heartbeat_s must be positive")
-        if liveness_timeout_s <= heartbeat_s:
-            raise ValueError(
-                "liveness_timeout_s must exceed heartbeat_s (a worker is "
-                "only dead after missing heartbeats)"
-            )
         self.regions = list(regions)
         self.metrics = metrics
         self.checkpoint_interval = checkpoint_interval
-        self.heartbeat_s = heartbeat_s
-        self._context = multiprocessing.get_context(start_method)
+        self._context = multiprocessing.get_context(SHARD_START_METHOD)
         self.bus = ShardBus(PipeTransport(self._context))
         self.supervisor = ShardSupervisor(
             max_restarts=max_restarts,
             backoff_base_s=backoff_base_s,
-            liveness_timeout_s=liveness_timeout_s,
+            liveness_timeout_s=SHARD_LIVENESS_TIMEOUT_S,
             metrics=metrics,
             degradation=degradation,
         )
@@ -146,9 +139,10 @@ class ShardedRuntime:
             region: list(plans)
             for region, plans in (crash_plans or {}).items()
         }
-        #: Every published feed batch, retained so a restarted worker
-        #: can be caught up past its restored ``feed_step``.
+        #: Every published feed batch and every query sent, in order:
+        #: what a restarted worker is caught up from.
         self._feed_history: list[tuple[int, list]] = []
+        self._query_history: list[tuple[int, int]] = []
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------
@@ -159,7 +153,7 @@ class ShardedRuntime:
         the run (there is no checkpoint to restart it from yet).
         """
         for region in self.regions:
-            self._spawn(region, engine=engines[region])
+            self._spawn(region, "init", engine=engines[region])
         for region in self.regions:
             try:
                 self._await_ready(region)
@@ -168,8 +162,8 @@ class ShardedRuntime:
                     f"shard {region!r} failed to start: {error}"
                 ) from error
 
-    def _spawn(self, region: str, *, engine: Any = None) -> None:
-        """Start a worker process and send ``init`` or ``restore``."""
+    def _spawn(self, region: str, kind: str, **payload: Any) -> None:
+        """Start a worker process and send it ``init`` or ``restore``."""
         crash = None
         plans = self._crash_plans.get(region)
         if plans:
@@ -181,7 +175,7 @@ class ShardedRuntime:
                 region,
                 str(self.directory / f"shard-{region}"),
                 worker_end,
-                self.heartbeat_s,
+                SHARD_HEARTBEAT_S,
             ),
             name=f"repro-shard-{region}",
             daemon=True,
@@ -191,21 +185,13 @@ class ShardedRuntime:
         self.handles[region] = ShardHandle(
             region, process, self.bus.endpoint(region)
         )
-        if engine is not None:
-            self.bus.send(
-                region,
-                "init",
-                engine=engine,
-                interval=self.checkpoint_interval,
-                crash=crash,
-            )
-        else:
-            self.bus.send(
-                region,
-                "restore",
-                interval=self.checkpoint_interval,
-                crash=crash,
-            )
+        self.bus.send(
+            region,
+            kind,
+            interval=self.checkpoint_interval,
+            crash=crash,
+            **payload,
+        )
 
     def _reap(self, region: str) -> None:
         """Tear down a (presumed dead) worker process and its channel."""
@@ -230,7 +216,7 @@ class ShardedRuntime:
         if timeout is not None:
             deadline = timeout
         while True:
-            if handle.endpoint.poll(min(self.heartbeat_s, 0.05)):
+            if handle.endpoint.poll(min(SHARD_HEARTBEAT_S, 0.05)):
                 kind, payload = handle.endpoint.recv()
                 age = time.monotonic() - handle.last_seen
                 handle.last_seen = time.monotonic()
@@ -269,8 +255,8 @@ class ShardedRuntime:
 
         A send to an already-dead worker is dropped here and counted
         (``shard.feed.dropped_sends``): the death is handled at the
-        next query, and the restart handshake re-sends everything past
-        the restored ``feed_step``.
+        next query, and the restarted worker is caught up with the
+        batch from the retained history.
         """
         batch = list(sdes)
         if not batch:
@@ -283,11 +269,6 @@ class ShardedRuntime:
                 self.bus.send(region, "feed", step=step, sdes=batch)
             except ShardConnectionLost:
                 self.metrics.counter("shard.feed.dropped_sends").inc()
-
-    def _resend_feeds(self, region: str, after_step: int) -> None:
-        for step, batch in self._feed_history:
-            if step > after_step:
-                self.bus.send(region, "feed", step=step, sdes=batch)
 
     # -- query path ----------------------------------------------------
     def query_step(self, step: int, q: int) -> dict[str, Any]:
@@ -304,6 +285,7 @@ class ShardedRuntime:
             for region in self.regions
             if not self.supervisor.is_failed(region)
         ]
+        self._query_history.append((step, q))
         send_failures: dict[str, ShardConnectionLost] = {}
         for region in live:
             try:
@@ -354,15 +336,13 @@ class ShardedRuntime:
     def _restart(
         self, region: str, step: int, q: int, reason: str
     ) -> bool:
-        """Restart a dead worker from its own checkpoint.
+        """Restart a dead worker from its own checkpoint, caught up to
+        the step before ``step``.
 
         Returns ``False`` once the restart budget is exhausted (the
-        supervisor has latched the breaker and forced the region into
-        the degradation timeline) — or at once when the restored
-        worker's handshake puts it behind both steps it may be at, the
-        in-flight one or the one before: its journal lost what lay
-        between, the re-request could only be refused, and every
-        further restart would restore the same state.
+        supervisor has declared the region failed and forced it into
+        the degradation timeline).  A restored worker whose ``ready``
+        reports any other step than ``step - 1`` counts as a death.
         """
         while True:
             self._reap(region)
@@ -370,24 +350,24 @@ class ShardedRuntime:
                 return False
             time.sleep(self.supervisor.backoff_s(region))
             try:
-                self._spawn(region)
-                ready = self._await_ready(region)
-                self._resend_feeds(region, int(ready["feed_step"]))
+                self._spawn(
+                    region,
+                    "restore",
+                    step=step,
+                    feeds=self._feed_history,
+                    queries=self._query_history,
+                )
+                restored = int(self._await_ready(region)["step"])
             except ShardConnectionLost as error:
                 reason = str(error)
                 continue
+            if restored != step - 1:
+                reason = (
+                    f"restored to step {restored}, coordinator at step {step}"
+                )
+                continue
             self.supervisor.record_restart(region, step, q)
-            restored = int(ready["step"])
-            if restored in (step - 1, step):
-                return True
-            self._reap(region)
-            self.metrics.counter("shard.journal_gaps").inc()
-            self.supervisor.fail(
-                region, step, q,
-                f"journal gap: shard at step {restored}, "
-                f"coordinator at step {step}",
-            )
-            return False
+            return True
 
     # -- teardown ------------------------------------------------------
     def shutdown(self) -> list[dict]:

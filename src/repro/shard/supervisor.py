@@ -1,19 +1,18 @@
 """Cross-process supervision of shard workers.
 
-Extends the PR-2 supervision vocabulary (:class:`CircuitBreaker`,
-restart budgets, capped exponential backoff) across process
+Restart budgets and capped exponential backoff across process
 boundaries.  The runtime reports worker deaths and heartbeats here;
 the supervisor decides whether a dead shard may restart (budget not
 yet exhausted), how long to back off first, and when to give up — at
-which point the shard's breaker latches open, the region is declared
-failed, and the :class:`~repro.system.degradation.DegradationManager`
-is told to treat ``shard:<region>`` as a forced outage so the region's
-alerts are suppressed while sibling shards keep flowing.
+which point the region is declared failed and the
+:class:`~repro.system.degradation.DegradationManager` is told to treat
+``shard:<region>`` as a forced outage so the region's alerts are
+suppressed while sibling shards keep flowing.
 
-Unlike the in-process stream breakers (event time, half-open retrial)
-a shard breaker is terminal: ``reset_after_s`` is effectively infinite
-because a worker that exhausted its restart budget inside one run has
-no independent recovery path within that run.
+A shard's breaker is a count: it is open once the shard has died more
+than ``max_restarts`` times, and it never closes again within the run —
+a worker that exhausted its restart budget has no independent recovery
+path.
 
 Everything is counted through the coordinator's registry under the
 ``shard.*`` namespace — see ``docs/observability.md``.
@@ -25,21 +24,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..obs import Registry
-from ..streams.supervision import CircuitBreaker
 
 __all__ = ["ShardSupervisor"]
-
-#: Event-time seconds after which an open shard breaker would retry —
-#: longer than any run, i.e. never: a failed shard stays failed.
-_NEVER_S = 10**12
-
-#: Gauge encoding of breaker states (same scheme as the PR-2
-#: stream supervisor's ``streams.breaker.<input>.state`` gauges).
-_BREAKER_LEVELS = {
-    CircuitBreaker.CLOSED: 0.0,
-    CircuitBreaker.HALF_OPEN: 0.5,
-    CircuitBreaker.OPEN: 1.0,
-}
 
 
 @dataclass
@@ -50,7 +36,7 @@ class ShardSupervisor:
     ----------
     max_restarts:
         Restarts allowed per shard within one run; the death after the
-        budget is spent latches the shard's breaker open.
+        budget is spent fails the shard.
     backoff_base_s / backoff_cap_s:
         Capped exponential backoff actually slept before restart ``k``:
         ``min(cap, base * 2**(k-1))`` — real seconds here, not
@@ -73,7 +59,6 @@ class ShardSupervisor:
     liveness_timeout_s: float = 30.0
     metrics: Optional[Registry] = None
     degradation: Optional[object] = None
-    breakers: dict[str, CircuitBreaker] = field(default_factory=dict)
     deaths: dict[str, int] = field(default_factory=dict)
     restarts: dict[str, int] = field(default_factory=dict)
     #: Chronological restart/failure events, surfaced as
@@ -89,25 +74,10 @@ class ShardSupervisor:
             raise ValueError("liveness_timeout_s must be positive")
 
     # ------------------------------------------------------------------
-    def breaker_for(self, region: str) -> CircuitBreaker:
-        """The shard's breaker (created on first use)."""
-        breaker = self.breakers.get(region)
-        if breaker is None:
-            breaker = self.breakers[region] = CircuitBreaker(
-                threshold=self.max_restarts + 1, reset_after_s=_NEVER_S
-            )
-        return breaker
-
     def is_failed(self, region: str) -> bool:
-        """Whether ``region``'s breaker has latched open."""
-        breaker = self.breakers.get(region)
-        return breaker is not None and breaker.is_open
+        """Whether ``region`` died more often than its budget allows."""
+        return self.deaths.get(region, 0) > self.max_restarts
 
-    def failed_regions(self) -> list[str]:
-        """Regions whose restart budget is exhausted, sorted."""
-        return sorted(r for r in self.breakers if self.is_failed(r))
-
-    # ------------------------------------------------------------------
     def record_death(
         self, region: str, step: int, q: int, reason: str
     ) -> bool:
@@ -116,24 +86,8 @@ class ShardSupervisor:
         self.deaths[region] = self.deaths.get(region, 0) + 1
         self._count("shard.deaths")
         self._count(f"shard.{region}.deaths")
-        breaker = self.breaker_for(region)
-        breaker.record_failure(q)
-        if breaker.is_open:
-            self._record_failed(region, step, q, reason)
-            return False
-        return True
-
-    def fail(self, region: str, step: int, q: int, reason: str) -> None:
-        """Declare ``region`` failed at once, whatever is left of its
-        restart budget: a condition no restart can cure."""
-        breaker = self.breaker_for(region)
-        while not breaker.is_open:
-            breaker.record_failure(q)
-        self._record_failed(region, step, q, reason)
-
-    def _record_failed(
-        self, region: str, step: int, q: int, reason: str
-    ) -> None:
+        if not self.is_failed(region):
+            return True
         self.events.append(
             {
                 "event": "failed",
@@ -141,13 +95,14 @@ class ShardSupervisor:
                 "step": step,
                 "q": q,
                 "reason": reason,
-                "deaths": self.deaths.get(region, 0),
+                "deaths": self.deaths[region],
             }
         )
         self._count("shard.failed")
         if self.degradation is not None:
             self.degradation.force_outage(f"shard:{region}", q)
         self._record_breaker(region)
+        return False
 
     def backoff_s(self, region: str) -> float:
         """Seconds to sleep before this shard's next restart."""
@@ -181,15 +136,16 @@ class ShardSupervisor:
             self.metrics.timing("shard.heartbeat_age_s").observe(age_s)
 
     def record_breaker_states(self) -> None:
-        """Export every shard breaker's state as a gauge."""
-        for region in self.breakers:
+        """Export the breaker state of every shard that died as a gauge
+        (0 closed, 1 open)."""
+        for region in self.deaths:
             self._record_breaker(region)
 
     # ------------------------------------------------------------------
     def _record_breaker(self, region: str) -> None:
         if self.metrics is not None:
             self.metrics.gauge(f"shard.breaker.{region}.state").set(
-                _BREAKER_LEVELS[self.breakers[region].state]
+                float(self.is_failed(region))
             )
 
     def _count(self, name: str) -> None:

@@ -3,28 +3,29 @@
 :func:`shard_worker_main` is the child-process entry point.  It serves
 the bus protocol in a loop — ``init`` (adopt a freshly fed engine and
 write the step-0 baseline checkpoint), ``restore`` (come back from this
-shard's own checkpoint directory, replaying the journal after it),
-``feed`` (journal then ingest crowd SDEs), ``query`` (run one
-recognition step under the begin/commit journal protocol) and
-``shutdown`` (journal a clean end and return the worker's metrics).  A
+shard's newest valid checkpoint and catch up from the history the
+coordinator sends with it), ``feed`` (ingest crowd SDEs), ``query``
+(run one recognition step, send its snapshot, then checkpoint when the
+interval is due) and ``shutdown`` (return the worker's metrics).  A
 daemon thread heartbeats over the same channel so the supervisor can
 tell a slow worker from a dead one.
 
-Durability is the pipeline's own
-:class:`~repro.recovery.coordinator.CheckpointCoordinator` over the
-shard's private directory (``shard-<region>/``), scoped to this
-worker's engine.  There is no streamless mode here: a shard checkpoint
+Durability is checkpoints only, written by a
+:class:`~repro.recovery.checkpoint.CheckpointManager` into the shard's
+private directory (``shard-<region>/``).  The worker keeps no journal:
+the coordinator already holds every feed batch and query time it sent,
+so a restored worker is caught up from that history.  A checkpoint
 pickles the fed engine wholesale (a quarter-city engine is small
 enough), so a restore never needs the scenario generator.
 
 Determinism contract: the engine is fed and queried in exactly the
-order the single-process pipeline would use, and a replayed query
+order the single-process pipeline would use, and a caught-up query
 re-executes ``engine.query(q)`` on the restored engine — the RTEC
-engine is deterministic, so the re-derived snapshot (and the
+engine is deterministic, so the re-derived state (and the
 re-incremented counters, which resume from the checkpointed registry)
-are identical to the lost originals.  The latest snapshot is kept in
-``_last`` so the coordinator's re-request of an in-flight step is
-served from cache instead of executing twice.
+are identical to the lost originals.  A checkpoint is written only
+after its step's snapshot has been sent, so a restored worker is never
+at the step the coordinator is about to re-request.
 """
 
 from __future__ import annotations
@@ -32,115 +33,134 @@ from __future__ import annotations
 import threading
 import time
 import traceback
-from typing import Optional
+from functools import partial
+from typing import Optional, Sequence
 
-from ..core.events import Event, FluentFact
+from ..core.events import FluentFact
 from ..core.rtec import RTEC, RecognitionSnapshot
-from ..dublin.dataset import (
-    event_to_item,
-    fact_to_item,
-    item_to_event,
-    item_to_fact,
-)
 from ..obs import Registry
-from ..recovery.coordinator import CheckpointCoordinator
+from ..recovery.checkpoint import CheckpointManager
 from .bus import Endpoint, ShardConnectionLost
 
-__all__ = ["ShardWorker", "shard_worker_main", "encode_sdes", "decode_sdes"]
-
-
-def encode_sdes(sdes) -> list[dict]:
-    """SDEs (events or fluent facts) as JSON-able dataset items."""
-    return [
-        fact_to_item(sde) if isinstance(sde, FluentFact)
-        else event_to_item(sde)
-        for sde in sdes
-    ]
-
-
-def decode_sdes(items) -> tuple[list[Event], list[FluentFact]]:
-    """Dataset items back to ``(events, facts)``."""
-    events: list[Event] = []
-    facts: list[FluentFact] = []
-    for item in items:
-        if str(item.get("@type", "")).startswith("fluent:"):
-            facts.append(item_to_fact(item))
-        else:
-            events.append(item_to_event(item))
-    return events, facts
+__all__ = ["ShardWorker", "shard_worker_main"]
 
 
 class ShardWorker:
-    """One region's engine plus its private recovery coordinator."""
+    """One region's engine plus the checkpoints of its directory."""
 
     def __init__(
         self,
         region: str,
-        coordinator: CheckpointCoordinator,
+        manager: CheckpointManager,
         engine: RTEC,
         metrics: Registry,
         *,
+        interval: int = 10,
+        crash=None,
         step_index: int = 0,
         feed_step: int = 0,
     ):
+        if interval < 1:
+            raise ValueError(f"interval must be >= 1, got {interval}")
         self.region = region
-        self.coordinator = coordinator
+        self.manager = manager
         self.engine = engine
-        #: This worker's registry, restored with it; the coordinator's
-        #: ``recovery.*`` series land here too.
-        self.metrics = coordinator.metrics = metrics
+        #: This worker's registry, restored with it; the ``recovery.*``
+        #: series land here too.
+        self.metrics = metrics
+        self.interval = interval
+        #: Optional :class:`repro.faults.CrashInjector`, consulted at
+        #: the start of every step and during checkpoint writes.
+        self.crash = crash
         #: Last completed recognition step (0 before the first query).
         self.step_index = step_index
-        #: Step of the newest feed batch journalled and ingested.
+        #: Step of the newest feed batch ingested.
         self.feed_step = feed_step
-        self.replayed_steps = 0
-        self.fallbacks = 0
-        self._last: Optional[tuple[int, RecognitionSnapshot]] = None
 
     # ------------------------------------------------------------------
     @classmethod
     def fresh(
-        cls,
-        region: str,
-        directory,
-        engine: RTEC,
-        *,
-        interval: int = 10,
+        cls, region: str, directory, engine: RTEC, *, interval: int = 10,
         crash=None,
     ) -> "ShardWorker":
         """Adopt a freshly fed engine and write the baseline checkpoint."""
-        coordinator = CheckpointCoordinator(
-            directory, interval=interval, crash=crash
+        worker = cls(
+            region, CheckpointManager(directory), engine, Registry(),
+            interval=interval, crash=crash,
         )
-        worker = cls(region, coordinator, engine, Registry())
-        coordinator.checkpoint(0, worker.state_payload())
+        worker.checkpoint()
         return worker
 
     @classmethod
     def restore(
-        cls, region: str, directory, *, interval: int = 10, crash=None
+        cls,
+        region: str,
+        directory,
+        *,
+        step: int,
+        feeds: Sequence[tuple[int, list]] = (),
+        queries: Sequence[tuple[int, int]] = (),
+        interval: int = 10,
+        crash=None,
     ) -> "ShardWorker":
-        """Restore from this shard's newest valid checkpoint and replay
-        the journal written after it (one segment, unless the restore
-        fell back over a corrupt newer checkpoint)."""
-        coordinator = CheckpointCoordinator(
-            directory, interval=interval, crash=crash
-        )
-        payload, records, fallbacks = coordinator.restore()
+        """Restore from this shard's newest valid checkpoint and catch
+        up to the step before ``step``, the one in flight.
+
+        ``feeds`` (``(step, batch)``) and ``queries`` (``(step, q)``)
+        are the coordinator's history of what it sent, in order.
+
+        Raises :class:`~repro.recovery.checkpoint.NoValidCheckpoint`
+        when the directory holds no restorable state.
+        """
+        manager = CheckpointManager(directory)
+        payload, _, fallbacks = manager.load_latest()
         state = payload["worker"]
         worker = cls(
             region,
-            coordinator,
+            manager,
             state["engine"],
             Registry.from_dict(state["metrics"]),
+            interval=interval,
+            crash=crash,
             step_index=int(state["step_index"]),
             feed_step=int(state["feed_step"]),
         )
-        worker.fallbacks = fallbacks
         worker.metrics.counter("recovery.restore.count").inc()
         worker.metrics.counter("recovery.restore.fallbacks").inc(fallbacks)
-        worker._replay(records)
+        worker.catch_up(step - 1, feeds, queries)
         return worker
+
+    def catch_up(
+        self,
+        until: int,
+        feeds: Sequence[tuple[int, list]],
+        queries: Sequence[tuple[int, int]],
+    ) -> None:
+        """Re-run, in the order they were first sent, the feed batches
+        after ``feed_step`` and the queries after ``step_index``, up to
+        step ``until``.
+
+        A feed batch of step *n* was published after query *n* and
+        before query *n* + 1.  Caught-up steps checkpoint as live ones
+        do; they send nothing.
+        """
+        batches = [
+            (step, batch) for step, batch in feeds
+            if self.feed_step < step <= until
+        ]
+        replayed = 0
+        for step, q in queries:
+            if step > until:
+                break
+            while batches and batches[0][0] < step:
+                self.apply_feed(*batches.pop(0))
+            if step > self.step_index:
+                self.query(step, q)
+                self.checkpoint_if_due()
+                replayed += 1
+        for batch in batches:
+            self.apply_feed(*batch)
+        self.metrics.counter("recovery.replay.steps").inc(replayed)
 
     def state_payload(self) -> dict:
         """The checkpoint payload: the whole worker state, pickled as-is
@@ -155,101 +175,59 @@ class ShardWorker:
             }
         }
 
-    def ready_info(self) -> dict:
-        """The handshake payload the coordinator resyncs from."""
-        return {
-            "region": self.region,
-            "step": self.step_index,
-            "feed_step": self.feed_step,
-            "replayed_steps": self.replayed_steps,
-            "fallbacks": self.fallbacks,
-        }
-
     # ------------------------------------------------------------------
     def query(self, step: int, q: int) -> RecognitionSnapshot:
-        """Run recognition step ``step`` at query time ``q``.
-
-        A re-request of the newest completed step (the coordinator
-        re-asks after restarting this worker) is served from cache.
-        """
-        if self._last is not None and self._last[0] == step:
-            return self._last[1]
+        """Run recognition step ``step`` at query time ``q``."""
         if step != self.step_index + 1:
             # Fail closed: querying here would silently skip the steps
-            # in between (a journal that lost segments to pruning or a
-            # second crash mid-replay cannot bring the engine up to
-            # the step the coordinator is at).
+            # in between.
             raise RuntimeError(
                 f"shard {self.region!r} is at step {self.step_index} and "
                 f"cannot run step {step}: the steps between were lost"
             )
-        # The worker sees no stream arrivals and produces no crowd
-        # SDEs: those two fields of the protocol are the pipeline's.
-        self.coordinator.begin_step(step, q, {})
+        if self.crash is not None:
+            self.crash.before_step(step)
         snapshot = self.engine.query(q)
-        self._record(snapshot)
-        self.coordinator.commit_step(step, 0)
+        self.metrics.counter("queries").inc()
         self.step_index = step
-        self._last = (step, snapshot)
-        if self.coordinator.due(step):
-            self.coordinator.checkpoint(step, self.state_payload())
         return snapshot
 
     def apply_feed(self, step: int, sdes) -> None:
-        """Journal (write-ahead) then ingest one feed batch."""
-        self.coordinator.journal_feed(step, encode_sdes(sdes))
+        """Ingest one feed batch."""
         events = [s for s in sdes if not isinstance(s, FluentFact)]
         facts = [s for s in sdes if isinstance(s, FluentFact)]
         self.engine.feed(events=events, facts=facts)
         self.metrics.counter("feed.events").inc(len(sdes))
         self.feed_step = step
 
-    def _record(self, snapshot: RecognitionSnapshot) -> None:
-        self.metrics.counter("queries").inc()
-        self.metrics.counter("items").inc(snapshot.n_new_events)
-        self.metrics.timing("query.seconds").observe(snapshot.elapsed)
-        snapshot.record_counters(self.metrics)
+    def checkpoint_if_due(self) -> None:
+        """Checkpoint every ``interval`` steps (the baseline is step 0,
+        so a restored worker keeps the cadence)."""
+        if self.step_index % self.interval == 0:
+            self.checkpoint()
 
-    def _replay(self, records) -> None:
-        """Re-drive the journalled work since the restored checkpoint.
-
-        Feeds re-ingest and committed steps re-execute, re-journalling
-        themselves into the fresh segment so a second crash still
-        replays cleanly; a trailing uncommitted ``step`` record — the
-        query the worker died inside — is left to the coordinator,
-        which re-requests it.
-        """
-        pending: Optional[tuple[int, int]] = None
-        for record in records:
-            kind = record.get("kind")
-            if kind == "feed":
-                events, facts = decode_sdes(record["events"])
-                self.apply_feed(int(record["step"]), events + facts)
-            elif kind == "step":
-                pending = (int(record["step"]), int(record["q"]))
-            elif kind == "commit":
-                if pending is None:
-                    continue  # commit without step: skip defensively
-                self.query(*pending)
-                self.replayed_steps += 1
-                pending = None
-            # "complete" cannot trail a crash — ignore anything else.
-        self.metrics.counter("recovery.replay.steps").inc(
-            self.replayed_steps
+    def checkpoint(self) -> None:
+        """Write the checkpoint of the current step."""
+        step = self.step_index
+        pre_replace = None
+        if self.crash is not None:
+            pre_replace = partial(self.crash.on_checkpoint_write, step)
+        started = time.perf_counter()
+        info = self.manager.save(
+            step, self.state_payload(), pre_replace=pre_replace
         )
-
-    def close(self, *, final_step: Optional[int] = None) -> None:
-        """Journal a clean end of run."""
-        self.coordinator.complete(
-            self.step_index if final_step is None else final_step
+        self.metrics.timing("recovery.checkpoint.seconds").observe(
+            time.perf_counter() - started
         )
+        self.metrics.counter("recovery.checkpoint.writes").inc()
+        self.metrics.counter("recovery.checkpoint.bytes").inc(info.size)
 
 
 def shard_worker_main(
     region: str,
     directory: str,
     endpoint: Endpoint,
-    heartbeat_s: float = 0.25,
+    heartbeat_s: float,
 ) -> int:
     """Child-process entry point: serve the bus protocol until EOF.
 
@@ -284,22 +262,11 @@ def shard_worker_main(
         while True:
             kind, payload = endpoint.recv()
             if kind == "init":
-                worker = ShardWorker.fresh(
-                    region,
-                    directory,
-                    payload["engine"],
-                    interval=payload.get("interval") or 10,
-                    crash=payload.get("crash"),
-                )
-                send("ready", worker.ready_info())
+                worker = ShardWorker.fresh(region, directory, **payload)
+                send("ready", {"step": worker.step_index})
             elif kind == "restore":
-                worker = ShardWorker.restore(
-                    region,
-                    directory,
-                    interval=payload.get("interval") or 10,
-                    crash=payload.get("crash"),
-                )
-                send("ready", worker.ready_info())
+                worker = ShardWorker.restore(region, directory, **payload)
+                send("ready", {"step": worker.step_index})
             elif kind == "feed":
                 assert worker is not None, "feed before init"
                 worker.apply_feed(payload["step"], payload["sdes"])
@@ -310,12 +277,10 @@ def shard_worker_main(
                     "snapshot",
                     {"step": payload["step"], "snapshot": snapshot},
                 )
+                worker.checkpoint_if_due()
             elif kind == "shutdown":
-                if worker is not None:
-                    worker.close(final_step=payload.get("step"))
-                    send("bye", {"metrics": worker.metrics.to_dict()})
-                else:
-                    send("bye", {"metrics": {}})
+                metrics = {} if worker is None else worker.metrics.to_dict()
+                send("bye", {"metrics": metrics})
                 return 0
             else:
                 raise ValueError(f"unknown bus message kind {kind!r}")

@@ -99,13 +99,13 @@ class SystemConfig:
     #: per region.
     region_groups: Optional[tuple[tuple[str, ...], ...]] = None
     #: Sharded runtime (:mod:`repro.shard`): each region's engine runs
-    #: in its own supervised OS process with per-shard
-    #: checkpoint/journal recovery, fed over the message bus — the
-    #: parallel deployment of Section 7.1.  Output is byte-identical to
-    #: the single-process run; mutually exclusive with a pipeline-level
-    #: recovery coordinator (each shard owns its recovery).  Heartbeat
-    #: cadence, liveness timeout and start method are
-    #: :class:`repro.shard.ShardedRuntime`'s defaults.
+    #: in its own supervised OS process with per-shard checkpoints,
+    #: fed over the message bus — the parallel deployment of Section
+    #: 7.1.  Output is byte-identical to the single-process run;
+    #: mutually exclusive with a pipeline-level recovery coordinator
+    #: (each shard owns its recovery).  Heartbeat cadence, liveness
+    #: timeout and start method are constants of
+    #: :mod:`repro.shard.runtime`.
     sharded: bool = False
     #: Root directory for the per-shard recovery directories
     #: (``shard-<region>/``); ``None`` uses a temporary directory that

@@ -197,8 +197,8 @@ def test_damaged_snapshot_log_is_refused_from_the_damage_on(
 
 JOURNAL = [
     {"kind": "step", "step": 1, "q": 300, "arrivals": {"bus": 4}},
-    {"kind": "feed", "step": 1, "events": [{"type": "crowd", "v": 1}]},
     {"kind": "commit", "step": 1, "crowd_events": 1},
+    {"kind": "complete", "step": 1},
 ]
 
 

@@ -103,7 +103,12 @@ class TestShardedParity:
         for region in system.engines:
             shard_dir = tmp_path / f"shard-{region}"
             assert (shard_dir / "checkpoint-00000000.ckpt").exists()
-            assert list(shard_dir.glob("journal-*.wal"))
+            # Checkpoints only: no journal, no snapshot log.
+            names = [path.name for path in shard_dir.iterdir()]
+            assert names and all(
+                name.startswith("checkpoint-") and name.endswith(".ckpt")
+                for name in names
+            )
 
     def test_recovery_and_sharded_are_mutually_exclusive(self, tmp_path):
         system = build_system(sharded=True, shard_dir=str(tmp_path))

@@ -19,7 +19,6 @@ class TestRestartBudget:
         assert sup.record_death("north", 1, 300, "killed")
         assert not sup.record_death("north", 2, 600, "killed again")
         assert sup.is_failed("north")
-        assert sup.failed_regions() == ["north"]
         failed = [e for e in sup.events if e["event"] == "failed"]
         assert failed == [
             {
@@ -37,35 +36,20 @@ class TestRestartBudget:
         assert not sup.record_death("north", 0, 0, "killed")
         assert sup.is_failed("north")
 
-    def test_fail_latches_at_once_whatever_budget_is_left(self):
-        degradation = DegradationManager()
-        sup = ShardSupervisor(max_restarts=3, degradation=degradation)
-        assert sup.record_death("north", 5, 1500, "killed")
-        sup.record_restart("north", 5, 1500)
-        sup.fail("north", 5, 1500, "journal gap: shard at step 3, ...")
-        assert sup.is_failed("north")
-        assert sup.events[-1] == {
-            "event": "failed",
-            "region": "north",
-            "step": 5,
-            "q": 1500,
-            "reason": "journal gap: shard at step 3, ...",
-            "deaths": 1,
-        }
-        assert degradation.intervals["shard:north"] == [(1500, None)]
-
     def test_budgets_are_per_region(self):
         sup = ShardSupervisor(max_restarts=1)
         sup.record_death("north", 1, 300, "x")
         sup.record_death("north", 2, 600, "x")
         assert sup.record_death("south", 1, 300, "x")
-        assert sup.failed_regions() == ["north"]
+        assert sup.is_failed("north")
+        assert not sup.is_failed("south")
 
     def test_open_breaker_never_resets_within_a_run(self):
         sup = ShardSupervisor(max_restarts=0)
         sup.record_death("north", 0, 0, "x")
-        # Even an absurdly late event-time query leaves it open.
-        assert sup.breaker_for("north").is_open
+        # A restart recorded afterwards does not close it.
+        sup.record_restart("north", 1, 300)
+        assert sup.is_failed("north")
 
 
 class TestBackoff:
@@ -127,9 +111,10 @@ class TestWiring:
 
     def test_breaker_state_gauges_cover_all_regions(self):
         metrics = Registry()
-        sup = ShardSupervisor(max_restarts=0, metrics=metrics)
-        sup.breaker_for("south")
+        sup = ShardSupervisor(max_restarts=1, metrics=metrics)
+        sup.record_death("south", 0, 0, "x")
         sup.record_death("north", 0, 0, "x")
+        sup.record_death("north", 1, 300, "x")
         sup.record_breaker_states()
         assert metrics.gauge("shard.breaker.north.state").value == 1.0
         assert metrics.gauge("shard.breaker.south.state").value == 0.0

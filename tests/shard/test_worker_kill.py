@@ -1,21 +1,24 @@
 """Chaos tests: SIGKILL a shard worker mid-run and demand parity.
 
 The contract (see ``docs/robustness.md``): killing any one worker —
-mid-step or mid-checkpoint-write, leaving a torn file — restarts that
-shard from its own newest valid checkpoint plus at most one journal
-segment, while sibling shards keep flowing, and the run's final output
-is byte-identical to the unharmed single-process run.  When the
-restart budget is exhausted the shard's breaker latches open, the
-region enters the degradation timeline as ``shard:<region>``, and the
-survivors still finish their own regions intact.  A worker restored
-*behind* the coordinator (its journal lost a segment) is the one death
-no restart can cure: the region fails at once, with the gap as the
-reason, instead of burning its budget on refused re-requests.
+mid-step, mid-checkpoint-write leaving a torn file, or between a
+checkpoint and the snapshot it follows — restarts that shard from its
+own newest valid checkpoint, caught up from the coordinator's history
+of the feeds and queries it sent, while sibling shards keep flowing,
+and the run's final output is byte-identical to the unharmed
+single-process run.  Any retained checkpoint can be caught up, the
+baseline included.  When the restart budget is exhausted the shard's
+breaker latches open, the region enters the degradation timeline as
+``shard:<region>``, and the survivors still finish their own regions
+intact.
 """
+
+import os
 
 import pytest
 
 from repro.faults import CrashInjector
+from repro.recovery import CheckpointManager
 from repro.shard import ShardedRuntime
 from repro.system import pipeline
 
@@ -79,8 +82,8 @@ class TestWorkerKill:
         assert counters["shard.restarts"] == 1
         assert counters[f"shard.{region}.restarts"] == 1
         assert counters[f"shard.{region}.recovery.restore.count"] == 1
-        # Bounded replay: at most one journal segment, i.e. no more
-        # than checkpoint_interval steps re-executed.
+        # Bounded replay: no more than checkpoint_interval steps
+        # re-executed.
         assert (
             counters.get(f"shard.{region}.recovery.replay.steps", 0)
             <= INTERVAL
@@ -136,12 +139,36 @@ class TestWorkerKill:
         # snapshots than the full run.
         assert len(report.logs["north"].snapshots) < STEPS
 
-    def test_a_lost_journal_segment_fails_the_region_at_once(
+    def test_a_checkpoint_written_before_its_snapshot_was_sent(
         self, golden, tmp_path, monkeypatch
     ):
-        # Checkpoints at steps 0 and 3; north dies inside step 5, so
-        # the committed step 4 lives only in the segment after
-        # checkpoint 3 — which is gone when the worker comes back.
+        # North's worker dies right after its step-6 checkpoint is on
+        # disk (workers fork, so the patch reaches them).  The restored
+        # worker must be at step 6 with step 6 delivered, not at step 6
+        # asked for step 6 again.
+        save = CheckpointManager.save
+
+        def save_then_die(manager, step, payload, **kwargs):
+            info = save(manager, step, payload, **kwargs)
+            if manager.directory.name == "shard-north" and step == 6:
+                os._exit(1)
+            return info
+
+        monkeypatch.setattr(CheckpointManager, "save", save_then_die)
+        system = sharded_system(tmp_path, {})
+        report = system.run(0, END)
+        assert fingerprint(system, report) == golden
+        counters = report.metrics["counters"]
+        assert counters["shard.restarts"] == 1
+        assert counters["shard.north.restarts"] == 1
+        assert not [e for e in report.shard_events if e["event"] == "failed"]
+
+    def test_a_restart_from_the_baseline_is_caught_up(
+        self, golden, tmp_path, monkeypatch
+    ):
+        # North dies inside step 5; before its restart every checkpoint
+        # but the step-0 baseline is gone, so the coordinator's history
+        # must carry it through the four steps it had completed.
         system = sharded_system(
             tmp_path,
             {
@@ -152,35 +179,24 @@ class TestWorkerKill:
         )
         spawn = ShardedRuntime._spawn
 
-        def lose_a_segment_first(runtime, region, *, engine=None):
-            if engine is None:  # a restart
-                (
-                    tmp_path / f"shard-{region}" / "journal-00000003.wal"
-                ).unlink()
-            spawn(runtime, region, engine=engine)
+        def lose_all_but_the_baseline(runtime, region, kind, **payload):
+            if kind == "restore":
+                for path in (tmp_path / f"shard-{region}").glob("*.ckpt"):
+                    if path.name != "checkpoint-00000000.ckpt":
+                        path.unlink()
+            spawn(runtime, region, kind, **payload)
 
-        monkeypatch.setattr(ShardedRuntime, "_spawn", lose_a_segment_first)
-        report = system.run(0, END)
-        assert [(e["event"], e["region"]) for e in report.shard_events] == [
-            ("restart", "north"),
-            ("failed", "north"),
-        ]
-        assert report.shard_events[-1]["reason"] == (
-            "journal gap: shard at step 3, coordinator at step 5"
+        monkeypatch.setattr(
+            ShardedRuntime, "_spawn", lose_all_but_the_baseline
         )
+        report = system.run(0, END)
+        assert fingerprint(system, report) == golden
         counters = report.metrics["counters"]
-        assert counters["shard.journal_gaps"] == 1
         assert counters["shard.restarts"] == 1
-        # One death, of a budget of three: nothing was spent on
-        # restarts that could only be refused.
-        assert counters["shard.north.deaths"] == 1
-        assert counters["shard.failed"] == 1
-        assert report.degraded["shard:north"] == [(1500, None)]
-        assert len(report.logs["north"].snapshots) == 4
-        fp = fingerprint(system, report)
-        for region in system.engines:
-            if region != "north":
-                assert fp["ce"][region] == golden["ce"][region]
+        assert counters["shard.north.recovery.replay.steps"] == 4
+        assert [(e["event"], e["region"]) for e in report.shard_events] == [
+            ("restart", "north")
+        ]
 
     def test_failed_shard_suppresses_alerts_without_stalling(
         self, tmp_path, monkeypatch

@@ -1,12 +1,12 @@
 """A shard worker's own durability, driven in-process.
 
-The worker uses the pipeline's ``CheckpointCoordinator`` over its shard
-directory; these tests pin the two places where a second, drifted
-coordinator used to get a shard directory wrong — a restore that falls
-back over a corrupt checkpoint must replay *every* journal segment
-after the one it restored, and journal segments below the oldest
-retained mid-run checkpoint must be pruned — plus the worker's refusal
-to run a step it cannot reach.
+The worker keeps checkpoints only; a restore loads the newest valid
+one and catches up from the history the coordinator sends with the
+``restore`` message.  These tests pin a restore that falls back over a
+corrupt checkpoint and is still caught up to the step before the
+in-flight one, a shard directory that holds checkpoint files alone
+(retention as in the pipeline's), and the worker's refusal to run a
+step it cannot reach.
 """
 
 import pytest
@@ -38,7 +38,13 @@ def fed_engine():
 
 
 def run_steps(worker, first, last):
-    return [worker.query(step, step * STEP) for step in range(first, last + 1)]
+    """Run steps ``first..last`` as the worker loop does: each query,
+    then its checkpoint when one is due."""
+    snapshots = []
+    for step in range(first, last + 1):
+        snapshots.append(worker.query(step, step * STEP))
+        worker.checkpoint_if_due()
+    return snapshots
 
 
 def recognised(snapshot):
@@ -51,57 +57,45 @@ def flip_a_bit(path):
     path.write_bytes(bytes(data))
 
 
-def test_fallback_restore_replays_every_later_segment(tmp_path):
+def test_fallback_restore_catches_up_from_the_coordinator_history(tmp_path):
+    feeds = [(3, [crowd_event(3 * STEP + 5)])]
+    queries = [(step, step * STEP) for step in range(1, 7)]
     reference = ShardWorker.fresh("ref", tmp_path / "ref", fed_engine(), interval=2)
     worker = ShardWorker.fresh("w", tmp_path / "w", fed_engine(), interval=2)
-    run_steps(reference, 1, 5)
-    run_steps(worker, 1, 3)
-    worker.apply_feed(3, [crowd_event(3 * STEP + 5)])
-    reference.apply_feed(3, [crowd_event(3 * STEP + 5)])
-    run_steps(worker, 4, 5)
-    # Checkpoints at steps 2 and 4; step 5 sits in the segment of the
-    # checkpoint about to rot.
+    for shard in (reference, worker):
+        run_steps(shard, 1, 3)
+        shard.apply_feed(*feeds[0])
+        run_steps(shard, 4, 5)
+    # Checkpoints at steps 2 and 4; the one at 4 rots, so the restore
+    # falls back to step 2 and must re-run step 3, the feed after it,
+    # and steps 4 and 5.  Step 6 is in flight.
     flip_a_bit(tmp_path / "w" / "checkpoint-00000004.ckpt")
 
-    restored = ShardWorker.restore("w", tmp_path / "w", interval=2)
-    assert restored.fallbacks == 1
+    restored = ShardWorker.restore(
+        "w", tmp_path / "w", step=6, feeds=feeds, queries=queries, interval=2
+    )
     assert restored.step_index == 5
     assert restored.feed_step == 3
-    assert restored.replayed_steps == 3
     counters = restored.metrics.to_dict()["counters"]
     assert counters["recovery.replay.steps"] == 3
     assert counters["recovery.restore.fallbacks"] == 1
+    assert counters["queries"] == 5
     assert recognised(restored.query(6, 6 * STEP)) == recognised(
         reference.query(6, 6 * STEP)
     )
-    # The replay re-journalled itself: the live segments hold each
-    # step once, the superseded ones were archived.
-    journal = restored.coordinator.journal
-    begun = [
-        record["step"]
-        for base in journal.segments_from(0)
-        for record in journal.read_segment(base)
-        if record["kind"] == "step"
-    ]
-    assert begun == sorted(set(begun)) and begun[-1] == 6
 
 
-def test_journal_segments_are_pruned_in_a_shard_directory(tmp_path):
-    retain = 3
+def test_a_shard_directory_holds_checkpoint_files_only(tmp_path):
     worker = ShardWorker.fresh("w", tmp_path, fed_engine(), interval=1)
-    assert worker.coordinator.manager.retain == retain
+    retain = worker.manager.retain
+    assert retain == 3
     run_steps(worker, 1, 12)
-    checkpoints = sorted(
-        int(path.stem.split("-")[1]) for path in tmp_path.glob("*.ckpt")
-    )
-    assert checkpoints == [0, 10, 11, 12]
-    segments = sorted(
-        int(path.stem.split("-")[1]) for path in tmp_path.glob("journal-*.wal")
-    )
-    assert len(segments) <= retain + 1
-    assert min(segments) >= checkpoints[1]
+    worker.apply_feed(12, [crowd_event(12 * STEP + 5)])
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        f"checkpoint-{step:08d}.ckpt" for step in (0, 10, 11, 12)
+    ]
     # What is left still restores.
-    restored = ShardWorker.restore("w", tmp_path, interval=1)
+    restored = ShardWorker.restore("w", tmp_path, step=13, interval=1)
     assert restored.step_index == 12
 
 
@@ -110,5 +104,5 @@ def test_worker_refuses_a_step_it_cannot_reach(tmp_path):
     run_steps(worker, 1, 2)
     with pytest.raises(RuntimeError, match="cannot run step 5"):
         worker.query(5, 5 * STEP)
-    # The newest completed step is still served from cache.
-    assert worker.query(2, 2 * STEP) is worker._last[1]
+    with pytest.raises(RuntimeError, match="cannot run step 2"):
+        worker.query(2, 2 * STEP)
