@@ -177,7 +177,6 @@ INVOCATIONS: tuple[tuple[tuple[list[str], dict], ...], ...] = (
         (_cli("crowd"), {}),
         (_cli("faults"), {}),
         (_cli("faults", "--show", "chaos_day"), {}),
-        (_cli("faults", "--dlq-demo"), {}),
         (_cli("scenarios", "list"), {}),
         (_cli("scenarios", "show", "grid_rush"), {}),
     ),

@@ -17,7 +17,7 @@ Usage::
 
 from repro.dublin import DublinScenario, ScenarioConfig
 from repro.obs import Registry
-from repro.streams import Counter, StreamRuntime, parse_topology
+from repro.streams import Counter, Process, StreamRuntime, parse_topology
 from repro.system import SystemConfig, UrbanTrafficSystem
 from repro.system.topology import PAPER_GRAPH_XML, paper_registry
 
@@ -42,12 +42,15 @@ def main() -> None:
     topology = parse_topology(
         PAPER_GRAPH_XML, paper_registry(system, 0, 1800)
     )
-    # The parsed graph can be extended with the fluent builder — no
-    # add_* boilerplate; here an operator tap counts the crowd answers
-    # flowing through the queue the XML declared:
+    # The parsed graph can be extended node by node; here an operator
+    # tap counts the crowd answers flowing through the queue the XML
+    # declared:
     answer_counter = Counter()
-    topology.process(
-        "operator-tap", input="crowd-answers", processors=[answer_counter]
+    topology.add_process(
+        Process(
+            "operator-tap", input="crowd-answers",
+            processors=[answer_counter],
+        )
     )
 
     metrics = Registry()

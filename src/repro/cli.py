@@ -399,61 +399,9 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     if args.show:
         print(json.dumps(get_profile(args.show).to_dict(), indent=2))
         return 0
-    if args.dlq_demo:
-        return _faults_dlq_demo(args.seed)
     print(f"{'profile':<22}description")
     for name in sorted(PROFILES):
         print(f"{name:<22}{PROFILES[name].description}")
-    return 0
-
-
-def _faults_dlq_demo(seed: int) -> int:
-    """Run a tiny supervised topology over a corrupted stream and dump
-    the resulting dead-letter queue — a smoke demo of the supervision
-    layer's skip policy."""
-    import json
-
-    from .faults import FaultInjector, StreamFaults
-    from .streams import (
-        ErrorPolicy,
-        Process,
-        Source,
-        StreamRuntime,
-        Supervisor,
-        Topology,
-        Transform,
-    )
-
-    items = [
-        {"@time": t, "intersection": f"I{t % 3}", "flow": 40 + t}
-        for t in range(20)
-    ]
-    injector = FaultInjector(
-        StreamFaults(corrupt_rate=0.4, corrupt_fields=("flow",)),
-        seed=seed,
-    )
-
-    def strict(item):
-        if item["flow"] == 0:
-            raise ValueError(f"stuck-at-zero flow at t={item['@time']}")
-        return item
-
-    topology = Topology()
-    topology.add_source(Source("scats", injector.items(items)))
-    topology.add_process(
-        Process(
-            "validate", "scats", [Transform(strict)], output="clean",
-            policy=ErrorPolicy(mode="skip"),
-        )
-    )
-    supervisor = Supervisor()
-    StreamRuntime(topology, supervisor=supervisor).run()
-    letters = [letter.to_dict() for letter in supervisor.dead_letters]
-    print(json.dumps(letters, indent=2))
-    print(
-        f"{len(letters)} corrupted item(s) dead-lettered, "
-        f"{20 - len(letters)} passed through",
-    )
     return 0
 
 
@@ -725,19 +673,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     faults = subparsers.add_parser(
         "faults",
-        help="list fault profiles, show one as JSON, or run the "
-        "dead-letter-queue demo",
+        help="list fault profiles or show one as JSON",
     )
     faults.add_argument(
         "--show", default=None, metavar="PROFILE",
         help="dump one profile's full spec as JSON",
     )
-    faults.add_argument(
-        "--dlq-demo", action="store_true",
-        help="run a supervised mini-topology over a corrupted stream "
-        "and dump the dead-letter queue",
-    )
-    faults.add_argument("--seed", type=int, default=0)
     faults.set_defaults(fn=_cmd_faults)
 
     scenarios = subparsers.add_parser(

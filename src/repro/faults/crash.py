@@ -9,9 +9,8 @@ also leaves a torn (truncated) checkpoint file behind, exercising the
 checksum validation and fall-back-to-previous-checkpoint path that a
 real power loss through a non-atomic writer would.
 
-The exception derives from ``RuntimeError`` (not from the supervised
-stream machinery's error types) so no retry policy or dead-letter path
-ever swallows it — a crash is a crash.
+The exception derives from ``RuntimeError``, and nothing on the loop's
+path catches it to carry on: a crash is a crash.
 """
 
 from __future__ import annotations

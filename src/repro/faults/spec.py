@@ -295,38 +295,6 @@ class FaultInjector:
         self._count("emitted", len(out))
         return out
 
-    def item(self, item: dict) -> list[dict]:
-        """Inject into one Streams data item (dict with ``@``-keys)."""
-        from ..streams.items import ARRIVAL_KEY, item_arrival
-
-        self._count("seen")
-        dropped, delay, duplicated, corrupted = self._decide()
-        if dropped:
-            self._count("dropped")
-            return []
-        item = dict(item)
-        if corrupted:
-            changed = False
-            for name in self.spec.corrupt_fields:
-                if name in item and not name.startswith("@"):
-                    item[name] = _corrupt_value(item[name])
-                    changed = True
-            if changed:
-                self._count("corrupted")
-        if delay:
-            self._count("delayed")
-            if self.metrics is not None:
-                self.metrics.timing(f"faults.{self.feed}.delay_s").observe(
-                    delay
-                )
-            item[ARRIVAL_KEY] = item_arrival(item) + delay
-        out = [item]
-        if duplicated:
-            self._count("duplicated")
-            out.append(dict(item))
-        self._count("emitted", len(out))
-        return out
-
     # -- stream-level injection ------------------------------------------
     def events(self, events: Iterable[Event]) -> list[Event]:
         """Inject into a whole event stream (stream order preserved)."""
@@ -340,13 +308,6 @@ class FaultInjector:
         out: list[FluentFact] = []
         for fact in facts:
             out.extend(self.fact(fact))
-        return out
-
-    def items(self, items: Iterable[dict]) -> list[dict]:
-        """Inject into a whole data-item stream."""
-        out: list[dict] = []
-        for item in items:
-            out.extend(self.item(item))
         return out
 
     def _fates(self, words: Words, at: np.ndarray):

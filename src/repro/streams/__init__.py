@@ -3,17 +3,11 @@
 Data items are key/value dicts; *sources* feed *processes* (chains of
 *processors*) connected by *queues*, with shared *services*; the graph
 can be described in XML and is executed deterministically in event
-time by :class:`StreamRuntime`.
+time by :class:`StreamRuntime`.  A processor's exception propagates out
+of the run: the graph has no error policy of its own.
 """
 
-from .items import (
-    ARRIVAL_KEY,
-    SOURCE_KEY,
-    TIME_KEY,
-    DataItem,
-    item_arrival,
-    payload_of,
-)
+from .items import ARRIVAL_KEY, SOURCE_KEY, TIME_KEY, DataItem, item_arrival
 from .processes import Process, Queue, Source
 from .processors import (
     Counter,
@@ -26,14 +20,6 @@ from .processors import (
 )
 from .runtime import RunStats, StreamRuntime, Topology
 from .services import ServiceRegistry
-from .supervision import (
-    CircuitBreaker,
-    DeadLetter,
-    DeadLetterQueue,
-    ErrorPolicy,
-    ProcessorTimeout,
-    Supervisor,
-)
 from .xmlconfig import XmlConfigError, coerce_attribute, parse_topology
 
 __all__ = [
@@ -42,7 +28,6 @@ __all__ = [
     "ARRIVAL_KEY",
     "SOURCE_KEY",
     "item_arrival",
-    "payload_of",
     "Source",
     "Queue",
     "Process",
@@ -57,12 +42,6 @@ __all__ = [
     "Topology",
     "StreamRuntime",
     "RunStats",
-    "ErrorPolicy",
-    "ProcessorTimeout",
-    "DeadLetter",
-    "DeadLetterQueue",
-    "CircuitBreaker",
-    "Supervisor",
     "parse_topology",
     "coerce_attribute",
     "XmlConfigError",

@@ -25,8 +25,3 @@ def item_arrival(item: Mapping[str, Any]) -> int:
     """Arrival time of an item; falls back to its event-time."""
     return item.get(ARRIVAL_KEY, item[TIME_KEY])
 
-
-def payload_of(item: Mapping[str, Any]) -> DataItem:
-    """The item without the reserved ``@``-prefixed runtime keys."""
-    return {k: v for k, v in item.items() if not k.startswith("@")}
-

@@ -13,7 +13,6 @@ from typing import Optional
 
 from .items import ARRIVAL_KEY, SOURCE_KEY, TIME_KEY, DataItem, item_arrival
 from .processors import Processor
-from .supervision import ErrorPolicy
 
 
 class Source:
@@ -83,11 +82,6 @@ class Process:
         order (a processor may drop the item or fan it out).
     output:
         Optional queue name to which surviving items are forwarded.
-    policy:
-        Optional :class:`~repro.streams.supervision.ErrorPolicy`
-        declared at construction; when the runtime executes under a
-        supervisor this policy wins over the supervisor's per-name and
-        default policies.  Ignored by an unsupervised runtime.
     """
 
     def __init__(
@@ -96,7 +90,6 @@ class Process:
         input: str,
         processors: Sequence[Processor],
         output: Optional[str] = None,
-        policy: Optional[ErrorPolicy] = None,
     ):
         if not processors:
             raise ValueError(f"process {name!r} needs at least one processor")
@@ -104,7 +97,6 @@ class Process:
         self.input = input
         self.processors = list(processors)
         self.output = output
-        self.policy = policy
         #: Number of items that entered this process.
         self.consumed = 0
         #: Number of items that left the end of the chain.

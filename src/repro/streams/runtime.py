@@ -8,6 +8,9 @@ merged by arrival time and pushed through their consuming processes;
 items a process emits to a queue are delivered to the queue's consumers
 at the same timestamp, before any later source item.  The result is a
 deterministic execution whose outputs depend only on the inputs.
+There is one dispatch path: an exception raised by a processor
+propagates out of :meth:`StreamRuntime.run`, and nothing after it is
+delivered.
 
 Dispatch is driven by a *consumer index* precomputed by
 :meth:`Topology.validate`: delivering an item costs one dict lookup
@@ -20,7 +23,6 @@ per item.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Optional
@@ -28,9 +30,8 @@ from typing import Optional
 from ..obs import Registry
 from .items import DataItem, item_arrival
 from .processes import Process, Queue, Source
-from .processors import Processor, normalise_result
+from .processors import normalise_result
 from .services import ServiceRegistry
-from .supervision import ProcessorTimeout, Supervisor
 
 
 @dataclass
@@ -51,18 +52,9 @@ class RunStats:
 class Topology:
     """A data-flow graph: sources, queues, processes and services.
 
-    Nodes can be registered with the classic ``add_*`` methods or with
-    the fluent builder methods (:meth:`source`, :meth:`process`,
-    :meth:`service`), which return the topology so a whole graph reads
-    as one chained expression::
-
-        topo = (
-            Topology()
-            .source("readings", items)
-            .process("clean", input="readings",
-                     processors=[Filter(keep)], output="clean")
-            .process("sink", input="clean", processors=[Tap(print)])
-        )
+    Nodes are registered with :meth:`add_source`, :meth:`add_process`
+    and ``services.register``, or parsed from XML by
+    :func:`~repro.streams.xmlconfig.parse_topology`.
     """
 
     def __init__(self) -> None:
@@ -93,51 +85,6 @@ class Topology:
             # reported by validate(), not here.
             self.queues[process.output] = Queue(process.output)
         return self.processes[process.name]
-
-    # -- fluent builder --------------------------------------------------
-    def source(self, name, items: Iterable[DataItem] = ()) -> "Topology":
-        """Builder: register a source and return the topology.
-
-        Accepts either a ready :class:`Source` instance (``items`` is
-        then ignored) or a name plus the items to wrap.
-        """
-        if isinstance(name, Source):
-            self.add_source(name)
-        else:
-            self.add_source(Source(name, items))
-        return self
-
-    def process(
-        self,
-        name,
-        *,
-        input: Optional[str] = None,
-        processors: Optional[Sequence[Processor]] = None,
-        output: Optional[str] = None,
-    ) -> "Topology":
-        """Builder: register a process node and return the topology.
-
-        Accepts either a ready :class:`Process` instance (the keyword
-        arguments are then ignored) or a name plus ``input`` and
-        ``processors``.
-        """
-        if isinstance(name, Process):
-            self.add_process(name)
-            return self
-        if input is None or processors is None:
-            raise TypeError(
-                "process() needs input= and processors= (or a Process "
-                "instance)"
-            )
-        self.add_process(
-            Process(name, input=input, processors=processors, output=output)
-        )
-        return self
-
-    def service(self, name: str, obj) -> "Topology":
-        """Builder: register a shared service and return the topology."""
-        self.services.register(name, obj)
-        return self
 
     # -- validation / dispatch index --------------------------------------
     def validate(self) -> None:
@@ -190,27 +137,11 @@ class StreamRuntime:
         records per-process item counters, chain timings and an
         ``items_per_s`` throughput gauge under ``streams.process.<name>.*``
         (see ``docs/observability.md``).
-    supervisor:
-        Optional :class:`~repro.streams.supervision.Supervisor`; when
-        given, processor-chain failures are handled by per-process
-        error policies (retry / skip / fail), poisoned items land in
-        the supervisor's dead-letter queue, and a circuit breaker per
-        input short-circuits traffic after repeated failures (see
-        ``docs/robustness.md``).  Without one, any chain exception
-        propagates — the historical behaviour.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        metrics: Optional[Registry] = None,
-        supervisor: Optional[Supervisor] = None,
-    ):
+    def __init__(self, topology: Topology, metrics: Optional[Registry] = None):
         self.topology = topology
         self.metrics = metrics
-        self.supervisor = supervisor
-        if supervisor is not None and supervisor.metrics is None:
-            supervisor.metrics = metrics
 
     # ------------------------------------------------------------------
     def run(self) -> RunStats:
@@ -253,21 +184,13 @@ class StreamRuntime:
             consumers = topo.consumers_of(input_name)
             if not consumers:
                 continue
-            supervisor = self.supervisor
             for item in batch:
-                if supervisor is not None and not supervisor.breaker_for(
-                    input_name
-                ).allow(arrival):
-                    supervisor.short_circuit(input_name, item, arrival)
-                    continue
                 # Queue items were already retained at emission time;
                 # here they are only forwarded to consuming processes.
                 for process in consumers:
                     if timed:
                         t0 = perf_counter()
-                    for out_item in self._dispatch(
-                        process, item, input_name, arrival
-                    ):
+                    for out_item in self._run_chain(process, dict(item)):
                         stats.items_delivered += 1
                         if process.output is not None:
                             topo.queues[process.output].put(dict(out_item))
@@ -288,8 +211,6 @@ class StreamRuntime:
                 processor.finish()
             stats.record_process(process)
         topo.services.stop_all()
-        if self.supervisor is not None:
-            self.supervisor.record_breaker_states()
         if self.metrics is not None:
             self._record_metrics(stats, chain_seconds)
         return stats
@@ -314,19 +235,9 @@ class StreamRuntime:
                     consumed / seconds
                 )
 
-    def _run_chain(
-        self, process: Process, item: DataItem
-    ) -> Iterable[DataItem]:
+    def _run_chain(self, process: Process, item: DataItem) -> list[DataItem]:
         """Push one item through a process's processor chain."""
         process.consumed += 1
-        batch = self._apply_chain(process, item)
-        process.produced += len(batch)
-        return batch
-
-    def _apply_chain(
-        self, process: Process, item: DataItem
-    ) -> list[DataItem]:
-        """The raw chain application, without counter bookkeeping."""
         batch = [item]
         for processor in process.processors:
             next_batch: list[DataItem] = []
@@ -335,64 +246,5 @@ class StreamRuntime:
             batch = next_batch
             if not batch:
                 break
+        process.produced += len(batch)
         return batch
-
-    def _dispatch(
-        self,
-        process: Process,
-        item: DataItem,
-        input_name: str,
-        arrival: int,
-    ) -> Iterable[DataItem]:
-        """Run one item through one process under supervision.
-
-        Without a supervisor this is exactly :meth:`_run_chain`.  With
-        one, chain failures (including soft-timeout overruns) go
-        through the process's error policy: ``fail`` propagates,
-        ``retry`` re-runs the chain with accounted backoff, and
-        exhausted/skipped items are dead-lettered and reported to the
-        input's circuit breaker.
-        """
-        supervisor = self.supervisor
-        if supervisor is None:
-            return self._run_chain(process, dict(item))
-        policy = supervisor.policy_for(process)
-        process.consumed += 1
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                t0 = perf_counter()
-                batch = self._apply_chain(process, dict(item))
-                elapsed = perf_counter() - t0
-                if (
-                    policy.timeout_s is not None
-                    and elapsed > policy.timeout_s
-                ):
-                    raise ProcessorTimeout(
-                        f"process {process.name!r} spent {elapsed:.4f}s on "
-                        f"one item (budget {policy.timeout_s}s)"
-                    )
-            except Exception as exc:
-                supervisor.chain_failed(
-                    exc, timeout=isinstance(exc, ProcessorTimeout)
-                )
-                if policy.mode == "fail":
-                    raise
-                if policy.mode == "retry" and attempts <= policy.max_retries:
-                    supervisor.account_backoff(policy.backoff_s(attempts))
-                    continue
-                supervisor.dead_letter(
-                    process=process.name,
-                    input_name=input_name,
-                    item=item,
-                    error=exc,
-                    attempts=attempts,
-                    arrival=arrival,
-                )
-                supervisor.breaker_failure(input_name, arrival)
-                return []
-            else:
-                supervisor.breaker_success(input_name, arrival)
-                process.produced += len(batch)
-                return batch

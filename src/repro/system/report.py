@@ -29,20 +29,10 @@ pre { background: #f7f7f7; padding: 1em; overflow-x: auto; }
 """
 
 
-def _breaker_label(level: float) -> str:
-    """Map the 0/0.5/1 breaker-state gauge back to its name."""
-    if level >= 1.0:
-        return "open"
-    if level >= 0.5:
-        return "half-open"
-    return "closed"
-
-
-def _outage_section(report: SystemReport, counters, gauges) -> str:
+def _outage_section(report: SystemReport, gauges) -> str:
     """The reliability story of the run in one place: degraded-feed
     intervals interleaved with shard supervisor events on the
-    simulation clock, final breaker states, and dead-letter pressure
-    (``dlq.dropped`` means the bounded queue evicted evidence)."""
+    simulation clock, and the final shard-breaker and feed states."""
     timeline: list[tuple[int, str, str]] = []
     for feed in sorted(report.degraded):
         for start, end in report.degraded[feed]:
@@ -74,15 +64,13 @@ def _outage_section(report: SystemReport, counters, gauges) -> str:
 
     breaker_rows = []
     for name in sorted(gauges):
-        if name.startswith("streams.breaker.") and name.endswith(".state"):
-            target = name[len("streams.breaker."):-len(".state")]
-            breaker_rows.append(
-                (f"stream input {target}", _breaker_label(gauges[name]))
-            )
-        elif name.startswith("shard.breaker.") and name.endswith(".state"):
+        if name.startswith("shard.breaker.") and name.endswith(".state"):
             region = name[len("shard.breaker."):-len(".state")]
             breaker_rows.append(
-                (f"shard {region}", _breaker_label(gauges[name]))
+                (
+                    f"shard {region}",
+                    "open" if gauges[name] >= 1.0 else "closed",
+                )
             )
         elif name.startswith("system.feed.") and name.endswith(".degraded"):
             feed = name[len("system.feed."):-len(".degraded")]
@@ -98,16 +86,7 @@ def _outage_section(report: SystemReport, counters, gauges) -> str:
         for target, state in breaker_rows
     )
 
-    dead_letters = int(counters.get("streams.supervision.dead_letters", 0))
-    dlq_dropped = int(counters.get("streams.supervision.dlq.dropped", 0))
-    dlq_line = ""
-    if dead_letters or dlq_dropped:
-        dlq_line = (
-            f"<p>dead letters filed: {dead_letters} · evicted from the "
-            f"bounded queue (<code>dlq.dropped</code>): {dlq_dropped}</p>"
-        )
-
-    if not (timeline_rows or breaker_table or dlq_line):
+    if not (timeline_rows or breaker_table):
         return ""
     parts = [
         "<h2>outage timeline</h2>",
@@ -128,8 +107,6 @@ def _outage_section(report: SystemReport, counters, gauges) -> str:
             "<table><tr><th>target</th><th>state</th></tr>"
             f"{breaker_table}</table>"
         )
-    if dlq_line:
-        parts.append("<h2>dead letters</h2>" + dlq_line)
     return "".join(parts)
 
 
@@ -215,7 +192,7 @@ def render_html_report(
         else ""
     )
 
-    degraded_section = _outage_section(report, counters, gauges)
+    degraded_section = _outage_section(report, gauges)
 
     return f"""<!DOCTYPE html>
 <html lang="en"><head><meta charset="utf-8">

@@ -7,7 +7,6 @@ from repro.recovery import (
     CheckpointManager,
     NoValidCheckpoint,
 )
-from repro.streams import CircuitBreaker
 
 
 class TestSaveLoad:
@@ -227,42 +226,3 @@ class TestRetention:
     def test_retain_validation(self, tmp_path):
         with pytest.raises(ValueError):
             CheckpointManager(tmp_path, retain=1)
-
-
-class TestBreakerRoundTrip:
-    """Satellite: a CircuitBreaker survives checkpoint save/load with
-    its state machine intact."""
-
-    def test_open_breaker_round_trips(self, tmp_path):
-        breaker = CircuitBreaker(threshold=2, reset_after_s=100)
-        breaker.record_failure(10)
-        breaker.record_failure(20)
-        assert breaker.is_open
-
-        manager = CheckpointManager(tmp_path)
-        info = manager.save(1, {"breaker": breaker})
-        revived = manager.load(info.path)["breaker"]
-
-        assert revived.state == CircuitBreaker.OPEN
-        assert revived.opened_at == 20
-        assert revived.open_intervals == [(20, None)]
-        # The revived breaker continues the same cooldown clock.
-        assert not revived.allow(119)
-        assert revived.allow(120)  # half-open trial
-        revived.record_success(121)
-        assert revived.state == CircuitBreaker.CLOSED
-        assert revived.open_intervals == [(20, 121)]
-
-    def test_half_open_breaker_round_trips(self, tmp_path):
-        breaker = CircuitBreaker(threshold=1, reset_after_s=50)
-        breaker.record_failure(0)
-        assert breaker.allow(50)  # transitions to half-open
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-
-        manager = CheckpointManager(tmp_path)
-        info = manager.save(1, {"breaker": breaker})
-        revived = manager.load(info.path)["breaker"]
-        assert revived.state == CircuitBreaker.HALF_OPEN
-        revived.record_failure(60)
-        assert revived.state == CircuitBreaker.OPEN
-        assert revived.opened_at == 60

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.streams import SOURCE_KEY, item_arrival, payload_of
+from repro.streams import SOURCE_KEY, item_arrival
 
 from .helpers import make_item
 
@@ -21,9 +21,3 @@ class TestMakeItem:
     def test_unstamped_time_raises(self):
         with pytest.raises(KeyError):
             item_arrival(make_item({"x": 1}))
-
-
-class TestPayloadHelpers:
-    def test_payload_of_strips_reserved(self):
-        item = make_item({"x": 1, "y": 2}, time=10, source="bus")
-        assert payload_of(item) == {"x": 1, "y": 2}

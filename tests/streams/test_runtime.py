@@ -106,44 +106,6 @@ class TestTopologyConstruction:
         assert "q" in topo.queues
 
 
-class TestFluentBuilder:
-    def test_chained_construction(self):
-        sink = Collect()
-        topo = (
-            Topology()
-            .source("s", _items([1, 2, 3]))
-            .process(
-                "keep-even",
-                input="s",
-                processors=[Filter(lambda i: i["v"] % 2 == 0)],
-                output="evens",
-            )
-            .process("sink", input="evens", processors=[sink])
-        )
-        StreamRuntime(topo).run()
-        assert [i["v"] for i in sink.items] == [2]
-
-    def test_builder_and_add_methods_interoperate(self):
-        topo = Topology().source("s", _items([1]))
-        topo.add_process(Process("p", input="s", processors=[Collect()]))
-        topo.service("svc", object())
-        topo.validate()
-        assert "p" in topo.processes
-
-    def test_source_accepts_instance(self):
-        topo = Topology().source(Source("named", _items([1])))
-        assert "named" in topo.sources
-
-    def test_process_accepts_instance(self):
-        process = Process("p", input="s", processors=[Collect()])
-        topo = Topology().source("s", _items([1])).process(process)
-        assert topo.processes["p"] is process
-
-    def test_process_requires_wiring_kwargs(self):
-        with pytest.raises(TypeError, match="input"):
-            Topology().process("p")
-
-
 class TestConsumerIndex:
     def test_validate_builds_index(self):
         topo = Topology()
@@ -212,6 +174,24 @@ class TestQueueSourceShadowing:
 
 
 class TestRuntime:
+    def test_processor_error_stops_the_run(self):
+        def explode(item):
+            if item["v"] == 2:
+                raise ValueError("bad item 2")
+            return item
+
+        topo = Topology()
+        topo.add_source(Source("s", _items([1, 2, 3])))
+        sink = Collect()
+        topo.add_process(
+            Process("p", input="s", processors=[Transform(explode)],
+                    output="q")
+        )
+        topo.add_process(Process("sink", input="q", processors=[sink]))
+        with pytest.raises(ValueError, match="bad item 2"):
+            StreamRuntime(topo).run()
+        assert [i["v"] for i in sink.items] == [1]
+
     def test_linear_pipeline(self):
         topo = Topology()
         topo.add_source(Source("s", _items([1, 2, 3, 4])))

@@ -219,20 +219,10 @@ class TestFaults:
         assert code == 2
         assert "lossy_scats" in capsys.readouterr().err
 
-    def test_dlq_demo_prints_dead_letters(self, capsys):
-        import json
-
-        code = main(["faults", "--dlq-demo", "--seed", "5"])
-        assert code == 0
-        out = capsys.readouterr().out
-        payload = json.loads(out[out.index("["):out.rindex("]") + 1])
-        assert payload  # at least one corrupted item dead-lettered
-        assert all(
-            letter["process"] == "validate"
-            or letter["process"].startswith("breaker:")
-            for letter in payload
-        )
-        assert "dead-lettered" in out.splitlines()[-1]
+    def test_dlq_demo_flag_is_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["faults", "--dlq-demo"])
+        assert exc.value.code == 2
 
     def test_run_with_blackout_prints_degraded_timeline(self, capsys):
         code = main([

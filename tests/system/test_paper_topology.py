@@ -140,6 +140,23 @@ class TestTopologyExecution:
         assert estimates is not None
 
 
+class TestFailsClosed:
+    def test_a_crowdsourcing_error_stops_the_graph(self, monkeypatch):
+        def broken(self, region, q, fresh, degraded):
+            raise RuntimeError(f"crowd down at q={q}")
+
+        monkeypatch.setattr(UrbanTrafficSystem, "_crowdsource", broken)
+        system = _system()
+        paper = build_paper_topology(system, 0, 1200)
+        with pytest.raises(RuntimeError, match="crowd down at q=300"):
+            StreamRuntime(paper.topology).run()
+        assert not paper.topology.queues["crowd-answers"].snapshot()
+        for processor in paper.rtec_processors.values():
+            assert all(
+                s.query_time == 300 for s in processor.log.snapshots
+            )
+
+
 class TestOneSystemWiredTwice:
     """The graph is a second wiring of the system, not a second system."""
 

@@ -7,7 +7,7 @@ from repro.core.events import Event
 from repro.core.rtec import FreshResults
 from repro.core.traffic import build_traffic_definitions, default_traffic_params
 from repro.dublin import DublinScenario, ScenarioConfig
-from repro.streams import StreamRuntime, Tap, Topology
+from repro.streams import Process, Source, StreamRuntime, Tap, Topology
 from repro.system import (
     CrowdsourcingProcessor,
     FluentFeedbackProcessor,
@@ -62,20 +62,20 @@ class TestRtecProcessor:
         system = _system(scenario)
         registry = paper_registry(system, 0, 1200)
         rtec = RtecProcessor(system, "central")
-        topo = (
-            Topology()
-            .source("buses", registry["system.Buses"]())
-            .source("scats", registry["system.Scats"]("central"))
-            .process(
-                "bus-intake", input="buses",
-                processors=[registry["system.RegionBlock"]("central")],
-                output="central",
-            )
-            .process(
-                "scats-intake", input="scats",
-                processors=[Tap(lambda item: None)], output="central",
-            )
-            .process("cep", input="central", processors=[rtec], output="ce")
+        topo = Topology()
+        topo.add_source(Source("buses", registry["system.Buses"]()))
+        topo.add_source(Source("scats", registry["system.Scats"]("central")))
+        topo.add_process(Process(
+            "bus-intake", input="buses",
+            processors=[registry["system.RegionBlock"]("central")],
+            output="central",
+        ))
+        topo.add_process(Process(
+            "scats-intake", input="scats",
+            processors=[Tap(lambda item: None)], output="central",
+        ))
+        topo.add_process(
+            Process("cep", input="central", processors=[rtec], output="ce")
         )
         StreamRuntime(topo).run()
         assert [s.query_time for s in rtec.log.snapshots] == [
