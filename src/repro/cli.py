@@ -315,6 +315,7 @@ def _render_metrics(registry) -> str:
             "rtec.ingest.rows_materialised",
             "rtec.mirror.rows_encoded",
             "rtec.close.rows_decided",
+            "rtec.join.rows_decided",
         ):
             lines.append(f"  {name:<34} {counters.get(name, 0):>8}")
 

@@ -593,6 +593,16 @@ def ragged_index(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.repeat(starts - first, lens) + np.arange(int(lens.sum()))
 
 
+def _time_matches(
+    times: np.ndarray, probes: np.ndarray, first: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of sorted ``times`` equal to each probe time —
+    ``first[i]`` is where ``probes[i]`` would be inserted on the left
+    — concatenated, and per position the probe it matches."""
+    lens = np.searchsorted(times, probes, "right") - first
+    return ragged_index(first, lens), np.repeat(np.arange(len(probes)), lens)
+
+
 class ColumnStore:
     """The window's rows of one event type — or of one input fluent,
     all groundings together — as a struct of arrays, in ``(time, seq)``
@@ -619,7 +629,14 @@ class ColumnStore:
       read;
     * :meth:`ragged` variable-length columns (the ``close`` join: the
       intersections a ``gps`` position is close to), computed on
-      request;
+      request, each value with room for per-value objects beside it
+      (:meth:`ragged_slots`);
+    * the :meth:`join` to a *partner* store — per row, the first
+      partner row with its grounding code and time — decided when the
+      row is first read after its admission, with some of the
+      partner's numeric fields (:meth:`carried`) and ragged columns
+      (:meth:`carried_ragged`) copied beside it, and decided anew when
+      a partner row it may join is admitted after it;
     * the :class:`~.events.Event` / :class:`~.events.FluentFact` of a
       row, built by :meth:`records` for a reader that needs an object
       (an interpreted rule body, a test).
@@ -635,8 +652,8 @@ class ColumnStore:
 
     __slots__ = (
         "spec", "is_fact", "tokens", "rows_encoded", "rows_ragged",
-        "rows_materialised", "_sources", "_bufs", "_blank", "_pools",
-        "_lo", "_hi", "_unencoded",
+        "rows_joined", "rows_materialised", "_sources", "_bufs", "_blank",
+        "_pools", "_slots", "_carried", "_lo", "_hi", "_unencoded",
     )
 
     def __init__(
@@ -649,10 +666,11 @@ class ColumnStore:
         self.is_fact = is_fact
         self.tokens = tokens
         #: Rows whose evaluation columns were filled, rows a ragged
-        #: column was computed for, and records built, over this
-        #: instance's life.
+        #: column was computed for, rows whose join was decided, and
+        #: records built, over this instance's life.
         self.rows_encoded = 0
         self.rows_ragged = 0
+        self.rows_joined = 0
         self.rows_materialised = 0
         #: The blocks live rows refer to (few: one per feed that has
         #: rows in the window).
@@ -673,6 +691,11 @@ class ColumnStore:
         #: ``_bufs["start", name]`` and is ``_bufs["len", name]`` long
         #: (negative: not computed yet).
         self._pools: dict[Any, np.ndarray] = {}
+        #: Ragged column name -> slot key -> an object array as long
+        #: as the column's values (:meth:`ragged_slots`).
+        self._slots: dict[Any, dict[Any, np.ndarray]] = {}
+        #: The ragged columns copied from a join partner.
+        self._carried: set = set()
         self._lo = 0
         self._hi = 0
         #: Whether rows were admitted since the evaluation columns
@@ -738,7 +761,11 @@ class ColumnStore:
         for name, pool in self._pools.items():
             start = self._bufs["start", name][:live]
             lens = np.maximum(self._bufs["len", name][:live], 0)
-            self._pools[name] = pool[ragged_index(start, lens)]
+            kept = ragged_index(start, lens)
+            self._pools[name] = pool[kept]
+            slots = self._slots.get(name, {})
+            for key, held in slots.items():
+                slots[key] = held[kept]
             start[:] = np.cumsum(lens) - lens
         src = self._bufs["src"][:live]
         used, src[:] = np.unique(src, return_inverse=True)
@@ -860,20 +887,169 @@ class ColumnStore:
         lens[i]]``.  Rows that lack it get it now, from
         ``compute(rows) -> (offsets, values)`` (a CSR pair over the
         given row indexes); it then stays with the row."""
-        if name not in self._pools:
-            self._pools[name] = np.empty(0, dtype=np.int64)
-            self._column(("start", name), np.int64, 0)
-            self._column(("len", name), np.int64, -1)
-        starts = self._bufs["start", name][self._lo:self._hi]
-        lens = self._bufs["len", name][self._lo:self._hi]
+        starts, lens = self._ragged_column(name)
         missing = np.flatnonzero(lens < 0)
         if len(missing):
             self.rows_ragged += len(missing)
             offsets, values = compute(missing)
-            pool = self._pools[name]
-            starts[missing] = len(pool) + offsets[:-1]
-            lens[missing] = np.diff(offsets)
-            self._pools[name] = np.concatenate((pool, values))
+            self._fill_ragged(name, missing, np.diff(offsets), values)
+        return starts, lens, self._pools[name]
+
+    def _ragged_column(self, name) -> tuple[np.ndarray, np.ndarray]:
+        """The live ``(starts, lens)`` of ragged column ``name``,
+        created empty (every row lacking it) on first use."""
+        if name not in self._pools:
+            self._pools[name] = np.empty(0, dtype=np.int64)
+            self._column(("start", name), np.int32, 0)
+            self._column(("len", name), np.int32, -1)
+        live = slice(self._lo, self._hi)
+        return self._bufs["start", name][live], self._bufs["len", name][live]
+
+    def _fill_ragged(self, name, rows, lens, values) -> None:
+        """Give ``rows`` their slices of ragged column ``name``:
+        ``lens[i]`` values each, ``values`` concatenated, appended to
+        the pool with an empty slot beside each."""
+        pool = self._pools[name]
+        live = slice(self._lo, self._hi)
+        starts = len(pool) + np.cumsum(lens) - lens
+        self._bufs["start", name][live][rows] = starts
+        self._bufs["len", name][live][rows] = lens
+        self._pools[name] = np.concatenate((pool, values))
+        slots = self._slots.get(name, {})
+        for key, held in slots.items():
+            slots[key] = np.concatenate(
+                (held, np.full(len(values), None, dtype=object))
+            )
+
+    def ragged_slots(self, name, key) -> np.ndarray:
+        """An object array beside the values of ragged column
+        ``name`` — one slot per value, ``None`` until a reader stores an
+        object in it — under ``key`` (one array per reader).  A slot
+        goes with its row's slice: it is kept while the slice is, and a
+        row whose slice is computed anew gets empty slots.  Read it
+        after the column, and write into it before the column grows."""
+        slots = self._slots.setdefault(name, {})
+        held = slots.get(key)
+        if held is None:
+            held = slots[key] = np.full(
+                len(self._pools[name]), None, dtype=object
+            )
+        return held
+
+    # -- the join ----------------------------------------------------------
+    def first_rows(self, codes: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Per probe ``(codes[i], times[i])``, the position of the
+        first row (in store order) with that grounding code and time,
+        ``-1`` for none: a search among the rows of the probe's
+        time-point, which the store keeps together."""
+        own = self.times
+        first = np.searchsorted(own, times, "left")
+        at, probe = _time_matches(own, times, first)
+        hit = self.codes[at] == codes[probe]
+        at, probe = at[hit], probe[hit]
+        # A probe's candidates ascend: its first hit is the first row.
+        lead = np.ones(len(probe), dtype=bool)
+        lead[1:] = probe[1:] != probe[:-1]
+        out = np.full(len(times), -1, dtype=np.int64)
+        out[probe[lead]] = at[lead]
+        return out
+
+    def join(
+        self, partner: "ColumnStore", carry: Sequence[str] = ()
+    ) -> np.ndarray:
+        """Per row, whether it has a partner: a ``partner`` row with
+        the row's grounding code and time, the first of which it joins.
+
+        Decided once per row, for the rows that lack a decision, with
+        ``partner``'s numeric fields ``carry`` copied beside it (NaN
+        for none; :meth:`carried`).  A row lacks one when it was
+        admitted since the last call, or when a partner row with its
+        code and time was admitted since: that row may now be the
+        first of the key, so the decision is re-opened, and the row's
+        :meth:`carried_ragged` slices go with it, slots and all.  A
+        partner serves one joining store, and every call names the
+        same fields.
+        """
+        bufs = self._bufs
+        if "joined" not in bufs:
+            # -1: undecided; 0: no partner; 1: a partner.
+            self._column("joined", np.int8, -1)
+            for name in carry:
+                self._column(("carried", name), np.float64, np.nan)
+        live = slice(self._lo, self._hi)
+        joined = bufs["joined"][live]
+        self._reopen(partner, joined)
+        undecided = np.flatnonzero(joined < 0)
+        if len(undecided):
+            self.rows_joined += len(undecided)
+            at = partner.first_rows(
+                self.codes[undecided], self.times[undecided]
+            )
+            found = at >= 0
+            joined[undecided] = found
+            for name in carry:
+                column = bufs["carried", name][live]
+                column[undecided] = np.nan
+                column[undecided[found]] = partner.col(name)[at[found]]
+        return joined > 0
+
+    def _reopen(self, partner: "ColumnStore", joined: np.ndarray) -> None:
+        """Return to undecided (``-1`` in ``joined``) every decided row
+        with the code and time of a partner row admitted since the
+        last :meth:`join`; the partner's rows are then all seen."""
+        if "unjoined" not in partner._bufs:
+            partner._column("unjoined", bool, True)
+        unjoined = partner._bufs["unjoined"][partner._lo:partner._hi]
+        fresh = np.flatnonzero(unjoined)
+        if not len(fresh):
+            return
+        unjoined[fresh] = False
+        times = partner.times[fresh]
+        at, probe = _time_matches(
+            self.times, times, np.searchsorted(self.times, times, "left")
+        )
+        decided = joined[at] >= 0
+        at, probe = at[decided], probe[decided]
+        reopened = at[self.codes[at] == partner.codes[fresh][probe]]
+        joined[reopened] = -1
+        for name in self._carried:
+            self._bufs["len", name][self._lo:self._hi][reopened] = -1
+
+    def carried(self, name: str) -> np.ndarray:
+        """Per row, the :meth:`join` partner's numeric field ``name``
+        (NaN for none)."""
+        return self._bufs["carried", name][self._lo:self._hi]
+
+    def carried_ragged(
+        self, partner: "ColumnStore", name, compute
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The partner's ragged column ``name`` (:meth:`ragged` of
+        ``partner`` with ``compute``) carried to this store's rows: a
+        row holds its :meth:`join` partner's slice (none without a
+        partner), copied when the row first lacks it.  Call after
+        :meth:`join`."""
+        partner_starts, partner_lens, partner_values = partner.ragged(
+            name, compute
+        )
+        self._carried.add(name)
+        starts, lens = self._ragged_column(name)
+        missing = np.flatnonzero(lens < 0)
+        if len(missing):
+            has = self._bufs["joined"][self._lo:self._hi][missing] > 0
+            joined = missing[has]
+            # The partner a decision found is still the first row of
+            # its key: an admitted one would have re-opened it.
+            at = partner.first_rows(self.codes[joined], self.times[joined])
+            copied = np.zeros(len(missing), dtype=np.int64)
+            copied[has] = partner_lens[at]
+            self._fill_ragged(
+                name,
+                missing,
+                copied,
+                partner_values[
+                    ragged_index(partner_starts[at], partner_lens[at])
+                ],
+            )
         return starts, lens, self._pools[name]
 
     # -- records ---------------------------------------------------------

@@ -13,7 +13,14 @@ wherever it would have called the definition's interpreted rule bodies.
 
 An evaluator always reads the *whole window* and is called once per
 query: every point of the window is derived anew, from arrays that
-are computed over the whole window either way.
+are computed over the whole window either way.  What a row determines
+on its own is decided once and carried with the row in the window's
+stores (:class:`~repro.core.columns.ColumnStore`): its evaluation
+columns and, for the bus-report family, its join to ``gps`` — the
+``gps`` row's congestion value and ``close/4`` slice — and the
+``agree``/``disagree`` occurrence built for each of its ``close``
+pairs, in a per-pair slot that is emptied when the join is decided
+anew (:class:`BusReports`).
 
 A fluent's points leave an evaluator as arrays, never as a tuple per
 point: per stream (``init``, ``term``) an ``int64`` grounding-code
@@ -338,42 +345,43 @@ def _holds_index(ctx, fluent: str, coding: Hashable, code_of: Callable):
 
 
 class BusReports:
-    """The window's bus reports as one relation.
+    """The window's bus reports as one relation: a view over the
+    ``move`` store's row-carried join to ``gps``.
 
     Every ``move`` row, in ``ctx.events("move")`` order, joined to the
     first ``gps`` row with its ``(bus, time)`` — what
-    ``ctx.fact_at("gps", (bus,), time)`` finds — by one sort and one
-    ``searchsorted`` over integer ``(bus code, time)`` keys.  A
-    ``move`` whose ``gps`` is missing (dropped, or not arrived yet)
-    joins nothing and reports nothing.
+    ``ctx.fact_at("gps", (bus,), time)`` finds.  The join is decided
+    once per row and kept on the ``move`` store with the row
+    (:meth:`~repro.core.columns.ColumnStore.join`): whether there is
+    one, its congestion value and, per topology, its ``close/4`` slice
+    (:meth:`close`).  A query decides it only for the rows admitted
+    since the previous query, and again for the rows whose ``(bus,
+    time)`` a ``gps`` row admitted since then shares: it may come first
+    now.  A ``move`` whose ``gps`` is missing (dropped, or not arrived
+    yet) joins nothing and reports nothing.
     """
 
-    __slots__ = ("move", "gps", "gps_row", "congestion", "_close")
+    __slots__ = ("move", "gps", "joined", "_pairs", "_agreement")
 
     def __init__(self, move: ColumnStore, gps: ColumnStore):
         self.move = move
         self.gps = gps
-        #: Per ``move`` row its ``gps`` row, ``-1`` for none, and the
-        #: congestion value that row reports (NaN for none).
-        self.gps_row = np.full(move.n, -1, dtype=np.int64)
-        self.congestion = np.full(move.n, np.nan)
-        self._close: dict[int, tuple] = {}
-        if not (move.n and gps.n):
-            return
-        lo = min(int(move.times[0]), int(gps.times[0]))
-        span = max(int(move.times[-1]), int(gps.times[-1])) - lo + 1
-        gps_keys = gps.codes * span + (gps.times - lo)
-        # Stable: of several gps rows of one key the first in
-        # (time, seq) order comes first, and the left search finds it.
-        order = np.argsort(gps_keys, kind="stable")
-        gps_keys = gps_keys[order]
-        move_keys = move.codes * span + (move.times - lo)
-        at = np.minimum(
-            np.searchsorted(gps_keys, move_keys, "left"), gps.n - 1
-        )
-        found = gps_keys[at] == move_keys
-        self.gps_row[found] = order[at[found]]
-        self.congestion[found] = gps.col("congestion")[self.gps_row[found]]
+        #: Per ``move`` row, whether it has a ``gps`` row.
+        self.joined = move.join(gps, carry=("congestion",))
+        self._pairs: dict[int, tuple] = {}
+        self._agreement: dict[tuple, np.ndarray] = {}
+
+    @property
+    def congestion(self) -> np.ndarray:
+        """Per ``move`` row the congestion value its ``gps`` row
+        reports (NaN for none)."""
+        return self.move.carried("congestion")
+
+    def gps_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The positions in the ``gps`` store of the joined ``gps`` rows
+        of ``move`` rows ``rows`` (``-1`` for none)."""
+        move = self.move
+        return self.gps.first_rows(move.codes[rows], move.times[rows])
 
     def close(self, topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The ``close/4`` join, per ``move`` row: ``(starts, lens,
@@ -381,29 +389,61 @@ class BusReports:
         intersections ``intersections[starts[i]:starts[i] + lens[i]]``
         (positions in ``topology.ids()``), none for a row without
         ``gps``.  Decided once per ``gps`` row, when it first shows up
-        here, and kept with the row from then on."""
-        joined = self._close.get(id(topology))
-        if joined is None:
-            gps = self.gps
-            lon, lat = gps.col("lon"), gps.col("lat")
-            starts, lens, pool = gps.ragged(
-                ("close", id(topology)),
-                lambda rows: topology.close_join(lon[rows], lat[rows]),
+        here, and carried to its ``move`` row with the join."""
+        gps = self.gps
+        lon, lat = gps.col("lon"), gps.col("lat")
+        return self.move.carried_ragged(
+            gps,
+            ("close", id(topology)),
+            lambda rows: topology.close_join(lon[rows], lat[rows]),
+        )
+
+    def pairs(self, topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every ``close`` pair of the window, expanded once per query:
+        ``(move row, intersection, position)`` per pair, rows in store
+        order and each row's intersections in
+        :meth:`~repro.core.geo.SpatialGrid.near`'s — ``position`` is
+        the pair's place in the carried ``close`` column, where
+        :meth:`slots` keeps what a reader built for it."""
+        found = self._pairs.get(id(topology))
+        if found is None:
+            starts, lens, pool = self.close(topology)
+            at = ragged_index(starts, lens)
+            found = self._pairs[id(topology)] = (
+                np.repeat(np.arange(self.move.n), lens), pool[at], at
             )
-            found = self.gps_row >= 0
-            move_starts = np.zeros(self.move.n, dtype=np.int64)
-            move_lens = np.zeros(self.move.n, dtype=np.int64)
-            move_starts[found] = starts[self.gps_row[found]]
-            move_lens[found] = lens[self.gps_row[found]]
-            joined = self._close[id(topology)] = (
-                move_starts, move_lens, pool
+        return found
+
+    def slots(self, topology, key) -> np.ndarray:
+        """The per-pair object slots of the carried ``close`` column
+        under ``key``, indexed by a pair's position (:meth:`pairs`):
+        emptied when the row's join is decided anew."""
+        return self.move.ragged_slots(("close", id(topology)), key)
+
+    def agreement(self, ctx, topology, scats_fluent: str) -> np.ndarray:
+        """Per ``close`` pair (:meth:`pairs`), whether the bus's report
+        (its congestion value's truthiness, as the interpreted body
+        reads it) agrees with ``holdsAt(scats_fluent(Int) = true, T)``
+        — probed for all pairs at once, once per query."""
+        memo_key = (id(topology), scats_fluent)
+        agreed = self._agreement.get(memo_key)
+        if agreed is None:
+            rows, intersections, _ = self.pairs(topology)
+            scats_says = _holds_index(
+                ctx,
+                scats_fluent,
+                id(topology),
+                lambda key: topology.index_of(key[0]),
+            ).probe(intersections, self.move.times[rows])
+            agreed = self._agreement[memo_key] = (
+                (self.congestion[rows] != 0) == scats_says
             )
-        return joined
+        return agreed
 
 
 def bus_reports(ctx) -> BusReports:
-    """The context's :class:`BusReports`, joined on first use in the
-    query and shared by every bus-side evaluator."""
+    """The context's :class:`BusReports`, its undecided rows joined on
+    first use in the query, shared by every bus-side evaluator."""
     reports = ctx.memo.get("__bus_reports__")
     if reports is None:
         reports = ctx.memo["__bus_reports__"] = BusReports(
@@ -411,15 +451,6 @@ def bus_reports(ctx) -> BusReports:
             ctx.facts_columns("gps", GPS_COLUMNS),
         )
     return reports
-
-
-def _report_pairs(reports: BusReports, topology, rows: np.ndarray):
-    """``(move row, intersection)`` per ``close`` pair of the given
-    ``move`` rows, rows in the order given and each row's
-    intersections in :meth:`~repro.core.geo.SpatialGrid.near`'s."""
-    starts, lens, pool = reports.close(topology)
-    lens = lens[rows]
-    return np.repeat(rows, lens), pool[ragged_index(starts[rows], lens)]
 
 
 _BUS_COLUMNS = {("event", "move"): MOVE_COLUMNS, ("fact", "gps"): GPS_COLUMNS}
@@ -448,29 +479,35 @@ class CompiledDelayIncrease(CompiledRule):
 
     def derive(self, ctx) -> dict[str, list[Any]]:
         """Vectorised pair predicate over every bus at once; hits take
-        their ``gps`` positions from the shared move-gps join and
+        their ``gps`` positions from the carried move-gps join and
         build occurrences from the original cells."""
         reports = bus_reports(ctx)
         move = reports.move
         occ: list[Occurrence] = []
         if move.n < 2:
             return {"occ": occ}
-        order = np.argsort(move.codes, kind="stable")
-        codes = move.codes[order]
+        # Codes are small: in their smallest integer type the stable
+        # sort is a radix sort, linear in the window.
+        codes = move.codes
+        order = np.argsort(
+            codes.astype(np.min_scalar_type(int(codes.max()))), kind="stable"
+        )
+        codes = codes[order]
         dt = np.diff(move.times[order])
         dd = np.diff(move.col("delay")[order])
-        gps_row = reports.gps_row[order]
+        joined = reports.joined[order]
         hits = np.flatnonzero(
             (codes[1:] == codes[:-1])
             & (dt > 0)
             & (dt < self.delay_window)
             & (dd > self.delay_delta)
-            & (gps_row[1:] >= 0)
-            & (gps_row[:-1] >= 0)
+            & joined[1:]
+            & joined[:-1]
         )
         # A hit is anchored at its later move.
         prev, cur = order[hits], order[hits + 1]
-        gps, gps_prev, gps_cur = reports.gps, gps_row[hits], gps_row[hits + 1]
+        gps = reports.gps
+        gps_prev, gps_cur = reports.gps_rows(prev), reports.gps_rows(cur)
         for (
             bus, time, delay_prev, delay_cur, from_lon, from_lat, lon, lat
         ) in zip(
@@ -508,22 +545,22 @@ class CompiledBusComparison(CompiledRule):
     Both are the same comparison with opposite sign: per ``close`` pair
     of the shared bus-report relation, the bus's congestion value (its
     truthiness, as the interpreted body reads it) against
-    ``holdsAt(scatsIntCongestion(Int) = true, T)``, probed for all
-    pairs at once.
+    ``holdsAt(scatsIntCongestion(Int) = true, T)`` — one probe of all
+    pairs per query, shared by the two (:meth:`BusReports.agreement`).
 
-    The comparison is decided anew at every query; what is kept from
-    one query to the next is only the :class:`~.events.Occurrence`
-    *objects* it emitted, by ``(move row sequence number, intersection
-    index, verdict)`` — a firing pair the previous query also emitted
-    gets the object built then.  The key determines every field of the
-    occurrence (bus and time are the row's cells, id and location the
-    topology's, ``value`` the verdict; the verdict is in the key
-    because the ``gps`` row a ``move`` joins can change when a late or
-    duplicate ``gps`` arrives), so the table has no invalidation rule:
-    it is replaced by each query's firings.  These two events fire for
-    most reports of most queries, every snapshot is retained by the
-    run's report, and consecutive windows overlap: without the table a
-    run builds each occurrence once per window it falls in.
+    The comparison is decided anew at every query; what is kept is
+    the :class:`~.events.Occurrence` a firing pair was built as, in the
+    pair's slot on its ``move`` row (:meth:`BusReports.slots`).  The
+    row's join determines every field of the occurrence (bus and time
+    are the row's cells, id and location the topology's, ``value`` the
+    congestion of the joined ``gps`` row), and a slot is emptied when
+    the join is decided anew — a late or duplicate ``gps`` may change
+    it — so a pair that fires again gets the object built the first
+    time.  These two events fire for most reports of most queries,
+    every snapshot is retained by the run's report, and consecutive
+    windows overlap: without the slots a run builds each occurrence
+    once per window it falls in.  The rule itself holds no state from
+    one query to the next.
     """
 
     columns = _BUS_COLUMNS
@@ -535,52 +572,33 @@ class CompiledBusComparison(CompiledRule):
         self.topology = topology
         self.scats_fluent = scats_fluent
         self.agree = agree
-        self._held: dict[tuple[int, int, bool], Occurrence] = {}
-
-    def __getstate__(self):
-        # Process-local, like the token codes: a restored rule refills
-        # the table at its first query.
-        return {**self.__dict__, "_held": {}}
 
     def derive(self, ctx) -> dict[str, list[Any]]:
         """The comparison over every report's ``close`` pairs;
         occurrences in report order, then ``near``'s order."""
         reports = bus_reports(ctx)
-        move = reports.move
-        if not move.n:
-            return {"occ": []}
         topology = self.topology
-        rows, intersections = _report_pairs(
-            reports, topology, np.arange(move.n)
-        )
-        scats_says = _holds_index(
-            ctx,
-            self.scats_fluent,
-            id(topology),
-            lambda key: topology.index_of(key[0]),
-        ).probe(intersections, move.times[rows])
-        bus_says = reports.congestion[rows] != 0
-        fires = np.flatnonzero(
-            bus_says == scats_says if self.agree else bus_says != scats_says
-        )
-        rows, intersections = rows[fires], intersections[fires]
-        bus_says = bus_says[fires]
-        keys = list(zip(
-            move.seqs[rows].tolist(),
-            intersections.tolist(),
-            bus_says.tolist(),
-        ))
-        occ = list(map(self._held.get, keys))
-        missing = [n for n, held in enumerate(occ) if held is None]
-        for n, built in zip(
-            missing,
-            self._occurrences(
-                move, rows[missing], intersections[missing], bus_says[missing]
-            ),
-        ):
-            occ[n] = built
-        self._held = dict(zip(keys, occ))
-        return {"occ": occ}
+        rows, intersections, at = reports.pairs(topology)
+        agreed = reports.agreement(ctx, topology, self.scats_fluent)
+        fires = np.flatnonzero(agreed if self.agree else ~agreed)
+        at = at[fires]
+        slots = reports.slots(topology, self.name)
+        occ = slots[at]
+        # An empty slot holds None, the only false object in one.
+        missing = np.flatnonzero(~occ.astype(bool))
+        if len(missing):
+            fresh = fires[missing]
+            for n, built in zip(
+                missing.tolist(),
+                self._occurrences(
+                    reports.move,
+                    rows[fresh],
+                    intersections[fresh],
+                    reports.congestion[rows[fresh]] != 0,
+                ),
+            ):
+                occ[n] = slots[at[n]] = built
+        return {"occ": occ.tolist()}
 
     def _occurrences(self, move, rows, intersections, bus_says):
         """The occurrences of the firing pairs ``(rows[i],
@@ -635,23 +653,15 @@ class CompiledBusCongestion(CompiledRule):
         reports = bus_reports(ctx)
         move = reports.move
         ids = self.topology.ids()
-        out: dict[str, Any] = {
-            "init": (_NO_POINTS, _NO_POINTS),
-            "term": (_NO_POINTS, _NO_POINTS),
-            "groundings": lambda i: (ids[i],),
-        }
-        if not move.n:
-            return out
-        rows = np.arange(move.n)
-        if self.noisy_fluent is not None:
+        rows, intersections, _ = reports.pairs(self.topology)
+        congestion = reports.congestion[rows]
+        if self.noisy_fluent is not None and len(rows):
             noisy = _holds_index(
                 ctx, self.noisy_fluent, "token", move.tokens.get
             ).probe(move.codes, move.times)
-            rows = rows[~noisy]
-        congestion = reports.congestion[rows]
+            congestion = np.where(noisy[rows], np.nan, congestion)
+        out: dict[str, Any] = {"groundings": lambda i: (ids[i],)}
         for stream, value in (("init", 1), ("term", 0)):
-            at, intersections = _report_pairs(
-                reports, self.topology, rows[congestion == value]
-            )
-            out[stream] = (intersections, move.times[at])
+            at = congestion == value
+            out[stream] = (intersections[at], move.times[rows[at]])
         return out

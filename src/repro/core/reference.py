@@ -13,7 +13,7 @@ Why it still exists: the frozen benchmark's oracle
 (``benchmarks/e2e/workloads.py::oracle``) records its reference
 digests from ``SystemConfig(incremental=False, compiled_rules=False)``,
 which selects this class.  It goes — this file, and those two fields —
-with the benchmark revision of ROADMAP item 1; what checks *both*
+with the benchmark revision of ROADMAP item 2; what checks *both*
 engines meanwhile, the shared inertia seed included, is the naive
 evaluator of ``tests/reference``.
 """

@@ -107,7 +107,7 @@ class RecognitionSnapshot:
     #: Always zero: nothing is cached across queries.  Kept only
     #: because the frozen ``benchmarks/e2e/tracing.py`` sums them into
     #: ``core.incremental.*``; they go with the benchmark revision of
-    #: ROADMAP item 1.
+    #: ROADMAP item 2.
     cache_hits: int = 0
     cache_misses: int = 0
     cache_invalidations: int = 0
@@ -123,10 +123,13 @@ class RecognitionSnapshot:
     rows_materialised: int = 0
     #: Rows whose evaluation columns (token codes, ``float64`` fields)
     #: this query filled (each admitted row of a type a compiled rule
-    #: reads, once), and ``gps`` rows it decided the ``close`` join for
-    #: (once per row per engine).
+    #: reads, once), ``gps`` rows it decided the ``close`` join for
+    #: (once per row per engine), and ``move`` rows it decided the
+    #: join to ``gps`` for (once per admitted row, and once more per
+    #: re-opening by a ``gps`` row admitted after it).
     mirror_rows_encoded: int = 0
     close_rows_decided: int = 0
+    join_rows_decided: int = 0
     #: CPU seconds spent per definition (profiling breakdown).
     per_definition: dict[str, float] = field(default_factory=dict)
 
@@ -139,6 +142,7 @@ class RecognitionSnapshot:
         "rows_materialised": "rtec.ingest.rows_materialised",
         "mirror_rows_encoded": "rtec.mirror.rows_encoded",
         "close_rows_decided": "rtec.close.rows_decided",
+        "join_rows_decided": "rtec.join.rows_decided",
     }
 
     def record_counters(self, metrics) -> None:
@@ -402,11 +406,12 @@ class RTEC:
         )
         wm = self._wm
         built, encoded = wm.rows_materialised, wm.rows_encoded
-        decided = wm.rows_close_decided
+        decided, joined = wm.rows_close_decided, wm.rows_join_decided
         self._evaluate(self._window(snapshot), snapshot)
         snapshot.rows_materialised = wm.rows_materialised - built
         snapshot.mirror_rows_encoded = wm.rows_encoded - encoded
         snapshot.close_rows_decided = wm.rows_close_decided - decided
+        snapshot.join_rows_decided = wm.rows_join_decided - joined
         self._last_query = q
         return snapshot
 

@@ -212,12 +212,18 @@ class Agree(_BusScatsComparison):
 def _crowd_answers(
     ctx: RuleContext,
 ) -> dict[object, list[tuple[int, str]]]:
-    """Crowd events grouped by intersection as ``(T', value)`` pairs."""
-    answers: dict[object, list[tuple[int, str]]] = {}
-    for ev in ctx.events("crowd"):
-        answers.setdefault(ev["intersection"], []).append(
-            (ev.time, ev["value"])
-        )
+    """Crowd events grouped by intersection as ``(T', value)`` pairs,
+    each group sorted — built once per query and shared by every body
+    that reads them (read-only)."""
+    answers = ctx.memo.get("__crowd_answers__")
+    if answers is None:
+        answers = ctx.memo["__crowd_answers__"] = {}
+        for ev in ctx.events("crowd"):
+            answers.setdefault(ev["intersection"], []).append(
+                (ev.time, ev["value"])
+            )
+        for group in answers.values():
+            group.sort()
     return answers
 
 
@@ -228,8 +234,9 @@ def _crowd_verdict_after(
     window: float,
 ) -> str | None:
     """The first crowd value for ``intersection`` with
-    ``0 < T' - T < window``, or ``None``."""
-    for t_crowd, value in sorted(answers.get(intersection, ())):
+    ``0 < T' - T < window``, or ``None`` (``answers`` as
+    :func:`_crowd_answers` gives them)."""
+    for t_crowd, value in answers.get(intersection, ()):
         if 0 < t_crowd - t < window:
             return value
     return None
@@ -310,9 +317,7 @@ class NoisyPessimistic(SimpleFluent):
         window = ctx.param("veracity.crowd_response_window")
         answers = _crowd_answers(ctx)
         for occ in ctx.derived(self._disagree_event):
-            for t_crowd, value in sorted(
-                answers.get(occ["intersection"], ())
-            ):
+            for t_crowd, value in answers.get(occ["intersection"], ()):
                 if 0 < t_crowd - occ.time < window and value == occ["value"]:
                     # Terminate at T' (the crowd answer's time).
                     yield (occ["bus"],), t_crowd

@@ -287,6 +287,13 @@ class WorkingMemory:
         return self._counted("rows_encoded")
 
     @property
+    def rows_join_decided(self) -> int:
+        """Rows whose join to a partner store (each ``move`` row's
+        ``gps``) was decided so far: once per admitted row, and again
+        per re-opening."""
+        return self._counted("rows_joined")
+
+    @property
     def rows_close_decided(self) -> int:
         """Rows a lazily joined column (the ``close`` join of the
         ``gps`` positions) was computed for so far."""

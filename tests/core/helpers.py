@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.core import RTEC, Event, FluentFact
-from repro.core.columns import EventColumns
+from repro.core.columns import EventColumns, FactColumns, SDEColumns
 from repro.core.traffic import (
     Intersection,
     ScatsTopology,
@@ -123,3 +123,54 @@ def event_columns(etype, times, *, arrivals=None, numeric=None, extra=None):
     }
     fields.update(extra or {})
     return EventColumns(etype, times, arr, fields=fields)
+
+
+def with_arrivals(batch, arrivals_of):
+    """``batch`` with every block's arrivals replaced by
+    ``arrivals_of(block, type or fluent name)``."""
+    return SDEColumns(
+        [
+            EventColumns(
+                b.type, b.times, arrivals_of(b, b.type), fields=b.fields
+            )
+            for b in batch.events
+        ],
+        [
+            FactColumns(
+                b.name, b.times, arrivals_of(b, b.name),
+                key_columns=b.key_columns, value_fields=b.value_fields,
+                values=b.values,
+            )
+            for b in batch.facts
+        ],
+    )
+
+
+def disordered_bus_rows(batch, seed, delay_rate, duplicate_rate, drop_rate):
+    """``batch`` with its rows delayed (each with probability
+    ``delay_rate``, by 1-599 s), its ``move``/``gps`` rows duplicated
+    and its ``gps`` rows dropped, each row independently: the halves
+    of a report part ways, and a ``gps`` row arrives after its
+    ``move``, or never."""
+    rng = np.random.default_rng(seed)
+
+    def copies(block, name):
+        n = len(block)
+        if name == "traffic":
+            return np.arange(n)
+        kept = rng.random(n) >= (drop_rate if name == "gps" else 0.0)
+        return np.repeat(
+            np.arange(n), kept * (1 + (rng.random(n) < duplicate_rate))
+        )
+
+    def lagged(block, name):
+        late = rng.random(len(block)) < delay_rate
+        return block.arrivals + late * rng.integers(1, 600, len(block))
+
+    return with_arrivals(
+        SDEColumns(
+            [b.take(copies(b, b.type)) for b in batch.events],
+            [b.take(copies(b, b.name)) for b in batch.facts],
+        ),
+        lagged,
+    )

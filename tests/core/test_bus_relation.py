@@ -1,6 +1,7 @@
 """The pieces of the compiled bus-report family, each against the
 interpreter's primitive it replaces: the move-gps join against
-``RuleContext.fact_at``, the batched ``holdsAt`` probe against
+``RuleContext.fact_at`` — also after a ``gps`` row admitted late
+re-opens it — the batched ``holdsAt`` probe against
 ``IntervalList.holds_at``."""
 
 import numpy as np
@@ -21,9 +22,9 @@ from repro.core.rules import RuleContext
 from .helpers import bus_report, make_topology
 
 
-def _context(reports):
-    """A context over a working memory holding ``(move, gps)`` pairs;
-    either half may be ``None``."""
+def _memory(reports):
+    """A working memory fed ``(move, gps)`` pairs; either half may be
+    ``None``."""
     memory = WorkingMemory()
     memory.declare_columns("event", "move", MOVE_COLUMNS)
     memory.declare_columns("fact", "gps", GPS_COLUMNS)
@@ -31,16 +32,47 @@ def _context(reports):
         [m for m, _ in reports if m is not None],
         [g for _, g in reports if g is not None],
     ))
-    memory.admit(1000, 0)
+    return memory
+
+
+def _context(memory, q=1000):
+    """The context of a query at ``q`` over ``memory``."""
+    memory.admit(q, 0)
     return RuleContext(
-        window_start=0, window_end=1000, events={}, facts={}, params={},
+        window_start=0, window_end=q, events={}, facts={}, params={},
         columns=memory,
     )
 
 
+def _joined_as_fact_at(ctx):
+    """Assert the join finds, per ``move`` row, what ``fact_at`` finds;
+    returns the values of the joined ``gps`` rows (``None``: none)."""
+    reports = bus_reports(ctx)
+    moves = ctx.events("move")
+    assert reports.move.records() == list(moves)
+    fixes = reports.gps.records()
+    rows = reports.gps_rows(np.arange(reports.move.n))
+    found = []
+    for move, row, joined in zip(
+        moves, rows.tolist(), reports.joined.tolist()
+    ):
+        expected = ctx.fact_at("gps", (move["bus"],), move.time)
+        if expected is None:
+            assert row == -1 and not joined
+        else:
+            assert fixes[row].value == expected and joined
+        found.append(expected)
+    assert np.array_equal(
+        reports.congestion,
+        [np.nan if value is None else value["congestion"] for value in found],
+        equal_nan=True,
+    )
+    return found
+
+
 def test_join_finds_what_fact_at_finds():
     first = bus_report(20, bus="B1", congestion=1)
-    ctx = _context([
+    ctx = _context(_memory([
         bus_report(10, bus="B1"),
         first,
         (None, bus_report(20, bus="B1", congestion=0)[1]),  # a second gps
@@ -48,23 +80,46 @@ def test_join_finds_what_fact_at_finds():
         (None, bus_report(30, bus="B2")[1]),  # move lost
         bus_report(30, bus="B1", lon=0.0),
         (bus_report(30, bus="B1")[0], None),  # a duplicate move
-    ])
+    ]))
     reports = bus_reports(ctx)
     assert bus_reports(ctx) is reports
-    moves = ctx.events("move")
-    assert reports.move.records() == list(moves)
-    fixes = reports.gps.records()
-    for move, row in zip(moves, reports.gps_row.tolist()):
-        expected = ctx.fact_at("gps", (move["bus"],), move.time)
-        if expected is None:
-            assert row == -1
-        else:
-            assert fixes[row].value == expected
-    assert fixes[reports.gps_row[1]].value == first[1].value
+    found = _joined_as_fact_at(ctx)
+    assert found[1] == first[1].value
     # close/4 per move row: none without gps, none far away.
     starts, lens, close_to = reports.close(make_topology())
     assert lens.tolist() == [1, 1, 0, 0, 0]
     assert close_to[starts[0]] == 0
+
+
+def test_a_gps_row_admitted_later_reopens_its_moves_only():
+    late = 500
+    memory = _memory([
+        # Fed first, so ordered first among the gps rows of (B1, 20)
+        # once it arrives: it becomes the row the move joins.
+        (None, bus_report(20, bus="B1", congestion=1, arrival=late)[1]),
+        bus_report(20, bus="B1", congestion=0),
+        bus_report(20, bus="B2", congestion=0),
+        (bus_report(30, bus="B3")[0], None),  # its gps comes late
+        (None, bus_report(30, bus="B3", congestion=1, arrival=late)[1]),
+    ])
+    topology = make_topology()
+    ctx = _context(memory, 300)
+    reports = bus_reports(ctx)
+    reports.close(topology)
+    assert [v and v["congestion"] for v in _joined_as_fact_at(ctx)] == [
+        0, 0, None,
+    ]
+    move = reports.move
+    assert move.rows_joined == 3
+    ctx = _context(memory, 600)
+    reports = bus_reports(ctx)
+    # B1's and B3's moves are decided anew; B2's is not.
+    assert move.rows_joined == 5
+    assert [v and v["congestion"] for v in _joined_as_fact_at(ctx)] == [
+        1, 0, 1,
+    ]
+    starts, lens, _ = reports.close(topology)
+    assert lens.tolist() == [1, 1, 1]
 
 
 _intervals = st.lists(

@@ -8,6 +8,10 @@ and a storm-like twin with half the bus SDEs delayed by minutes:
 
 * ``close/4`` is decided once per admitted ``gps`` row per engine, by
   the array join — never by the scalar lookup;
+* the ``move``-``gps`` join is decided once per admitted ``move`` row
+  and kept on the row, with its ``close/4`` slice; a query decides it
+  again only for the rows a later ``gps`` row of their ``(bus, time)``
+  re-opened;
 * a row's evaluation columns are filled once, when it is first read
   after admission — the window is not re-encoded per query — and no
   ``move``, ``gps`` or ``traffic`` record is built at all: what the
@@ -18,9 +22,10 @@ and a storm-like twin with half the bus SDEs delayed by minutes:
   full-window context — a compiled body runs exactly once, whatever
   arrived late;
 * ``disagree``/``agree`` decide every comparison anew but build an
-  ``Occurrence`` only for a firing the previous query did not emit:
-  the object of a row still in the window is handed out again, by the
-  row's sequence number;
+  ``Occurrence`` only for a pair that never fired before: the object
+  of a pair still in the window is kept in the pair's slot on its
+  ``move`` row and handed out again, until the row's join is decided
+  anew;
 * the compiled fluent bodies hand their points over as ``int64``
   arrays, never a tuple per point, and the engine looks a grounding
   up at most once per distinct grounding per query, however
@@ -28,7 +33,7 @@ and a storm-like twin with half the bus SDEs delayed by minutes:
 """
 
 import pickle
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -37,7 +42,7 @@ from hypothesis import strategies as st
 
 import repro.core.compiled as compiled
 from repro.core import RTEC, Event
-from repro.core.columns import EventColumns, FactColumns, SDEColumns
+from repro.core.columns import SDEColumns
 from repro.core.compiled import (
     CompiledBusCongestion,
     CompiledScatsCongestion,
@@ -49,6 +54,8 @@ from repro.core.rules import FunctionalEvent, RuleContext
 from repro.core.traffic import ScatsTopology, build_traffic_definitions
 
 from tests.golden.record_golden import HORIZON, golden_params, golden_scenario
+
+from .helpers import disordered_bus_rows, with_arrivals
 
 WINDOW, STEP = 1200, 300
 MIRRORED = ("traffic", "move", "gps")
@@ -74,26 +81,6 @@ class CountingTopology(ScatsTopology):
         return super().intersections_close_to(lon, lat)
 
 
-def _with_arrivals(batch, arrivals_of):
-    """``batch`` with every block's arrivals replaced."""
-    return SDEColumns(
-        [
-            EventColumns(
-                b.type, b.times, arrivals_of(b, b.type), fields=b.fields
-            )
-            for b in batch.events
-        ],
-        [
-            FactColumns(
-                b.name, b.times, arrivals_of(b, b.name),
-                key_columns=b.key_columns, value_fields=b.value_fields,
-                values=b.values,
-            )
-            for b in batch.facts
-        ],
-    )
-
-
 @pytest.fixture(scope="module")
 def streams():
     scenario = golden_scenario()
@@ -110,8 +97,8 @@ def streams():
 
     return scenario, {
         "golden": golden,
-        "delayed": _with_arrivals(golden, delayed),
-        "punctual": _with_arrivals(golden, lambda block, name: block.times),
+        "delayed": with_arrivals(golden, delayed),
+        "punctual": with_arrivals(golden, lambda block, name: block.times),
     }
 
 
@@ -162,6 +149,50 @@ def test_close_is_decided_once_per_admitted_gps_row(streams, stream):
     assert sum(s.close_rows_decided for s in snapshots) == topology.joined
     # Four definitions ask for the join; none asks point by point.
     assert topology.scalar == 0
+
+
+def _reopened(batch):
+    """``move`` rows a later ``gps`` row of their ``(bus, time)``
+    re-opens, counted from the stream: per query, the rows admitted at
+    an earlier query that share a key with a ``gps`` row it admits."""
+    move, gps = batch.event_block("move"), batch.fact_block("gps")
+    last = HORIZON // STEP
+
+    def admitted_at(block):
+        # The query q_j = j * STEP with q_{j-1} < arrival <= q_j.
+        return np.maximum(1, -(-block.arrivals // STEP)).tolist()
+
+    move_at = admitted_at(move)
+    moves = defaultdict(list)
+    for row, key in enumerate(
+        zip(move.fields["bus"].tolist(), move.times.tolist())
+    ):
+        moves[key].append((move_at[row], row))
+    reopened = set()
+    for key, j in zip(
+        zip(gps.key_columns[0].tolist(), gps.times.tolist()),
+        admitted_at(gps),
+    ):
+        if j > last:
+            continue
+        reopened.update((row, j) for i, row in moves[key] if i < j)
+    return len(reopened)
+
+
+@pytest.mark.parametrize("stream", ["golden", "delayed"])
+def test_the_join_is_decided_once_per_admitted_move_row(streams, stream):
+    scenario, batches = streams
+    batch = batches[stream]
+    _, snapshots, _ = _run(
+        build_traffic_definitions(scenario.topology, adaptive=True), batch
+    )
+    assert sum(s.rows_skipped_horizon for s in snapshots) == 0
+    reopened = _reopened(batch)
+    assert sum(s.join_rows_decided for s in snapshots) == (
+        _admitted(batch, "move") + reopened
+    )
+    if stream == "delayed":
+        assert reopened > 0
 
 
 @pytest.mark.parametrize("stream", ["golden", "delayed"])
@@ -313,54 +344,59 @@ def _adaptive(scenario, batch, **engine_args):
 QUERIES = range(STEP, HORIZON + 1, STEP)
 
 
+def _slots(engine, name):
+    """The pair slots comparison ``name`` keeps on the ``move`` store,
+    as a list (``None``: an empty slot)."""
+    rule = engine._compiled[name]
+    store = engine._wm.store("event", "move")
+    return store.ragged_slots(("close", id(rule.topology)), name).tolist()
+
+
 @pytest.mark.parametrize("stream", ["delayed", "punctual"])
 def test_a_row_still_in_the_window_keeps_its_occurrence(
     streams, stream, constructions
 ):
     scenario, batches = streams
     engine = _adaptive(scenario, batches[stream])
-    tables = {name: engine._compiled[name] for name in COMPARISONS}
-    previous, handed_out_again = None, 0
+    # Every object handed out so far (kept, so no id is reused).
+    handed_out = {name: {} for name in COMPARISONS}
+    again = 0
     for q in QUERIES:
-        held = {name: set(rule._held) for name, rule in tables.items()}
         before = Counter(constructions)
         snapshot = engine.query(q)
-        for name, rule in tables.items():
+        for name in COMPARISONS:
             fired = snapshot.occurrences[name]
-            # The table is this query's firings, no more...
-            assert len(rule._held) == len(fired)
-            assert {id(o) for o in rule._held.values()} == {
-                id(o) for o in fired
-            }
-            # ...of which exactly those the predecessor did not hold
-            # were built,
-            assert constructions[name] - before[name] == len(
-                rule._held.keys() - held[name]
-            )
-            # and the others are the predecessor's very objects.
-            if previous is not None:
-                old = {id(o) for o in previous.occurrences[name]}
-                again = sum(id(o) in old for o in fired)
-                assert again == len(rule._held.keys() & held[name])
-                handed_out_again += again
-        previous = snapshot
-    assert handed_out_again > 0
+            held = {id(o) for o in _slots(engine, name) if o is not None}
+            # Every firing is held in its pair's slot...
+            assert {id(o) for o in fired} <= held
+            # ...and exactly those never handed out before were built;
+            # the others are the very objects of an earlier query.
+            new = [o for o in fired if id(o) not in handed_out[name]]
+            assert constructions[name] - before[name] == len(new)
+            again += len(fired) - len(new)
+            handed_out[name].update((id(o), o) for o in fired)
+    assert again > 0
 
 
-def test_the_held_table_does_not_travel(streams):
+def test_the_pair_slots_do_not_travel(streams):
     scenario, batches = streams
     engine = _adaptive(scenario, batches["delayed"])
     for q in QUERIES[:4]:
         engine.query(q)
-    assert all(engine._compiled[name]._held for name in COMPARISONS)
+    assert all(any(_slots(engine, name)) for name in COMPARISONS)
     twin = pickle.loads(pickle.dumps(engine))
-    assert not any(twin._compiled[name]._held for name in COMPARISONS)
+    store = twin._wm.store("event", "move")
+    assert not store._slots and "joined" not in store._bufs
+    assert all(
+        not hasattr(twin._compiled[name], "_held") for name in COMPARISONS
+    )
     # Refilled at the first query, which answers as the original does.
     ours, theirs = engine.query(QUERIES[4]), twin.query(QUERIES[4])
     assert ours.occurrences == theirs.occurrences
     assert ours.fluents == theirs.fluents
     for name in COMPARISONS:
-        assert len(twin._compiled[name]._held) == len(theirs.occurrences[name])
+        held = [o for o in _slots(twin, name) if o is not None]
+        assert len(held) == len(theirs.occurrences[name])
 
 
 @settings(max_examples=12, deadline=None)
@@ -370,40 +406,21 @@ def test_the_held_table_does_not_travel(streams):
     duplicate_rate=st.sampled_from([0.0, 0.2]),
     drop_rate=st.sampled_from([0.0, 0.2]),
 )
-def test_the_held_table_changes_no_answer(
+def test_the_pair_slots_change_no_answer(
     streams, seed, delay_rate, duplicate_rate, drop_rate
 ):
     """Delayed and duplicated ``move``/``gps`` rows, ``gps`` rows late
-    or lost: an engine whose tables are emptied before every query
+    or lost: an engine whose pair slots are emptied before every query
     answers exactly as an untouched twin."""
     scenario, batches = streams
-    rng = np.random.default_rng(seed)
-
-    def copies(block, name):
-        n = len(block)
-        if name == "traffic":
-            return np.arange(n)
-        kept = rng.random(n) >= (drop_rate if name == "gps" else 0.0)
-        return np.repeat(
-            np.arange(n), kept * (1 + (rng.random(n) < duplicate_rate))
-        )
-
-    def lagged(block, name):
-        late = rng.random(len(block)) < delay_rate
-        return block.arrivals + late * rng.integers(1, 600, len(block))
-
-    golden = batches["golden"]
-    batch = _with_arrivals(
-        SDEColumns(
-            [b.take(copies(b, b.type)) for b in golden.events],
-            [b.take(copies(b, b.name)) for b in golden.facts],
-        ),
-        lagged,
+    batch = disordered_bus_rows(
+        batches["golden"], seed, delay_rate, duplicate_rate, drop_rate
     )
     forgetful, twin = _adaptive(scenario, batch), _adaptive(scenario, batch)
     for q in QUERIES:
-        for name in COMPARISONS:
-            forgetful._compiled[name]._held.clear()
+        store = forgetful._wm.store("event", "move")
+        if store is not None:
+            store._slots.clear()
         ours, theirs = forgetful.query(q), twin.query(q)
         assert ours.occurrences == theirs.occurrences
         assert ours.fluents == theirs.fluents

@@ -126,7 +126,10 @@ class TestMetrics:
             for name in direct
             if name == "ingest.events"
             or name.startswith(
-                ("rtec.ingest.", "rtec.mirror.", "rtec.close.", "rtec.compiled.", "crowd.")
+                (
+                    "rtec.ingest.", "rtec.mirror.", "rtec.close.",
+                    "rtec.join.", "rtec.compiled.", "crowd.",
+                )
             )
             or (
                 name.startswith("process.cep-")
