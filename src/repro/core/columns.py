@@ -956,9 +956,12 @@ class ColumnStore:
 
     def join(
         self, partner: "ColumnStore", carry: Sequence[str] = ()
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Per row, whether it has a partner: a ``partner`` row with
-        the row's grounding code and time, the first of which it joins.
+        the row's grounding code and time, the first of which it joins;
+        and per row the position in ``partner`` of the row it joins if
+        this call decided it (``-1`` otherwise), for
+        :meth:`carried_ragged` to copy from without searching again.
 
         Decided once per row, for the rows that lack a decision, with
         ``partner``'s numeric fields ``carry`` copied beside it (NaN
@@ -980,6 +983,7 @@ class ColumnStore:
         joined = bufs["joined"][live]
         self._reopen(partner, joined)
         undecided = np.flatnonzero(joined < 0)
+        partner_rows = np.full(len(joined), -1, dtype=np.int64)
         if len(undecided):
             self.rows_joined += len(undecided)
             at = partner.first_rows(
@@ -987,11 +991,12 @@ class ColumnStore:
             )
             found = at >= 0
             joined[undecided] = found
+            partner_rows[undecided] = at
             for name in carry:
                 column = bufs["carried", name][live]
                 column[undecided] = np.nan
                 column[undecided[found]] = partner.col(name)[at[found]]
-        return joined > 0
+        return joined > 0, partner_rows
 
     def _reopen(self, partner: "ColumnStore", joined: np.ndarray) -> None:
         """Return to undecided (``-1`` in ``joined``) every decided row
@@ -1021,13 +1026,13 @@ class ColumnStore:
         return self._bufs["carried", name][self._lo:self._hi]
 
     def carried_ragged(
-        self, partner: "ColumnStore", name, compute
+        self, partner: "ColumnStore", name, compute, partner_rows: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The partner's ragged column ``name`` (:meth:`ragged` of
         ``partner`` with ``compute``) carried to this store's rows: a
         row holds its :meth:`join` partner's slice (none without a
         partner), copied when the row first lacks it.  Call after
-        :meth:`join`."""
+        :meth:`join`, with the partner positions it returned."""
         partner_starts, partner_lens, partner_values = partner.ragged(
             name, compute
         )
@@ -1037,9 +1042,16 @@ class ColumnStore:
         if len(missing):
             has = self._bufs["joined"][self._lo:self._hi][missing] > 0
             joined = missing[has]
-            # The partner a decision found is still the first row of
-            # its key: an admitted one would have re-opened it.
-            at = partner.first_rows(self.codes[joined], self.times[joined])
+            at = partner_rows[joined]
+            # A row whose join an earlier call decided, and no slice
+            # was asked for since: its partner is still the first row
+            # of its key (an admitted one would have re-opened it).
+            earlier = np.flatnonzero(at < 0)
+            if len(earlier):
+                rows = joined[earlier]
+                at[earlier] = partner.first_rows(
+                    self.codes[rows], self.times[rows]
+                )
             copied = np.zeros(len(missing), dtype=np.int64)
             copied[has] = partner_lens[at]
             self._fill_ragged(

@@ -30,12 +30,14 @@ value-code array between them — and a code -> grounding lookup
 ``values``).  The engine builds every grounding's maximal intervals
 from those arrays at once (:func:`repro.core.intervals.
 simple_intervals`) and looks a grounding up once per distinct code.
-Derived events stay :class:`~.events.Occurrence` lists.
+Derived events stay :class:`~.events.Occurrence` lists, handed over
+in the order the engine keeps them in.
 
 Parity is the hard constraint, enforced by the golden-trace and
 Hypothesis differential suites: a compiled body must yield exactly the
-points the interpreted body would, in an order that sorts to the same
-result.  Three practices keep that true:
+points the interpreted body would — an occurrence list in the order
+the engine's stable sort gives the interpreter's, a fluent's points in
+an order that builds the same output.  Three practices keep that true:
 
 * every emitted occurrence time is converted to a Python ``int``
   (``numpy`` scalars would leak into snapshots and serialise
@@ -44,22 +46,30 @@ result.  Three practices keep that true:
   (:meth:`~repro.core.columns.ColumnStore.cells`: the blocks the rows
   were fed in), never round-trips through ``float64`` — an integer
   payload field must stay an integer;
-* points are emitted in the interpreter's order — the rows of
+* a derived event's occurrences leave in the engine's ``(time,
+  key)`` order, ties in the interpreter's order — the rows of
   ``ctx.events(...)``, and within a bus report the order of
-  :meth:`~repro.core.geo.SpatialGrid.near` — so that the engine's
-  stable sort leaves ties where the interpreter's would fall, and a
-  fluent's groundings first appear in the order the interpreter's
-  would (the order the engine lists them in follows from it).
+  :meth:`~repro.core.geo.SpatialGrid.near`: one stable ``np.lexsort``
+  over each point's time and a rank of its key among the window's
+  keys, built per query by sorting the distinct tokens in Python (the
+  engine sorts only the interpreter's lists); a fluent's points are
+  emitted in the interpreter's order, so that its groundings first
+  appear where the interpreter's would (the order the engine lists
+  them in follows from it).
 
-Anything these shapes can't express (fluent-dependent bodies over
-derived events, pairwise geo comparison, interval algebra) simply stays
-on the interpreter; :meth:`repro.core.rules.Definition.compiled`
-returns ``None`` and the engine counts the evaluation as a fallback.
+A body over derived events compiles only over what a compiled rule
+left for it: rule-set (4)'s ``noisy`` reads the firing pairs the
+compiled comparisons record on the query's :class:`BusReports`
+(:attr:`BusReports.fired`), not their occurrence objects.  Anything
+these shapes can't express (rule-set (5)'s crowd look-ahead, pairwise
+geo comparison, interval algebra) simply stays on the interpreter;
+:meth:`repro.core.rules.Definition.compiled` returns ``None`` and the
+engine counts the evaluation as a fallback.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from typing import Any, Hashable, Optional
 
 import numpy as np
@@ -110,7 +120,9 @@ class CompiledRule:
         """Evaluate the rule body over the context's window columns.
 
         Returns every point of the window.  A derived event:
-        ``{"occ": [Occurrence, ...]}``, each time a Python ``int``.  A
+        ``{"occ": [Occurrence, ...]}``, each time a Python ``int``, in
+        ``(time, key)`` order and ties in body order (the engine keeps
+        the list as it is).  A
         simple fluent: ``{"init": (codes, times), "term": (codes,
         times), "groundings": lookup}`` — ``int64`` arrays, one entry
         per point, and ``lookup(code)`` the grounding of a code (called
@@ -361,15 +373,24 @@ class BusReports:
     yet) joins nothing and reports nothing.
     """
 
-    __slots__ = ("move", "gps", "joined", "_pairs", "_agreement")
+    __slots__ = (
+        "move", "gps", "joined", "fired", "_gps_decided", "_pairs",
+        "_agreement", "_bus_rank",
+    )
 
     def __init__(self, move: ColumnStore, gps: ColumnStore):
         self.move = move
         self.gps = gps
-        #: Per ``move`` row, whether it has a ``gps`` row.
-        self.joined = move.join(gps, carry=("congestion",))
+        #: Per ``move`` row, whether it has a ``gps`` row; and the
+        #: position of that row for the rows decided in this query.
+        self.joined, self._gps_decided = move.join(gps, carry=("congestion",))
+        #: Per comparison event derived in this query, its firing
+        #: pairs in occurrence order: ``(move rows, intersections,
+        #: topology)`` (:class:`CompiledBusComparison`).
+        self.fired: dict[str, tuple[np.ndarray, np.ndarray, Any]] = {}
         self._pairs: dict[int, tuple] = {}
         self._agreement: dict[tuple, np.ndarray] = {}
+        self._bus_rank: Optional[np.ndarray] = None
 
     @property
     def congestion(self) -> np.ndarray:
@@ -396,6 +417,7 @@ class BusReports:
             gps,
             ("close", id(topology)),
             lambda rows: topology.close_join(lon[rows], lat[rows]),
+            self._gps_decided,
         )
 
     def pairs(self, topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -413,6 +435,14 @@ class BusReports:
                 np.repeat(np.arange(self.move.n), lens), pool[at], at
             )
         return found
+
+    def bus_rank(self) -> np.ndarray:
+        """Per token code of the window's ``move`` rows, the rank of its
+        ``(bus,)`` token among theirs in ``sorted`` order: ``(bus,)``
+        keys compare as their codes' ranks do."""
+        if self._bus_rank is None:
+            self._bus_rank = _ranks(self.move.codes, self.move.tokens.tokens)
+        return self._bus_rank
 
     def slots(self, topology, key) -> np.ndarray:
         """The per-pair object slots of the carried ``close`` column
@@ -441,10 +471,32 @@ class BusReports:
         return agreed
 
 
+def _ranks(codes: np.ndarray, keys: Sequence) -> np.ndarray:
+    """Per code, the position of ``keys[code]`` in ``sorted`` order of
+    the keys of the distinct ``codes`` (indexed by code; distinct codes
+    have distinct keys): a Python sort over the distinct keys only."""
+    if not len(codes):
+        return _NO_POINTS
+    present = np.flatnonzero(np.bincount(codes))
+    in_order = sorted(
+        range(len(present)),
+        key=[keys[code] for code in present.tolist()].__getitem__,
+    )
+    rank = np.zeros(int(present[-1]) + 1, dtype=np.int64)
+    rank[present[in_order]] = np.arange(len(present))
+    return rank
+
+
+def recorded_bus_reports(ctx) -> Optional[BusReports]:
+    """The context's :class:`BusReports` if a bus-side evaluator has
+    built it in this query (``None`` otherwise)."""
+    return ctx.memo.get("__bus_reports__")
+
+
 def bus_reports(ctx) -> BusReports:
     """The context's :class:`BusReports`, its undecided rows joined on
     first use in the query, shared by every bus-side evaluator."""
-    reports = ctx.memo.get("__bus_reports__")
+    reports = recorded_bus_reports(ctx)
     if reports is None:
         reports = ctx.memo["__bus_reports__"] = BusReports(
             ctx.events_columns("move", MOVE_COLUMNS),
@@ -504,8 +556,13 @@ class CompiledDelayIncrease(CompiledRule):
             & joined[1:]
             & joined[:-1]
         )
-        # A hit is anchored at its later move.
+        # A hit is anchored at its later move.  The hits are found bus
+        # by bus; they leave in (time, bus) order.
         prev, cur = order[hits], order[hits + 1]
+        by_time = np.lexsort(
+            (reports.bus_rank()[codes[hits + 1]], move.times[cur])
+        )
+        prev, cur = prev[by_time], cur[by_time]
         gps = reports.gps
         gps_prev, gps_cur = reports.gps_rows(prev), reports.gps_rows(cur)
         for (
@@ -575,12 +632,25 @@ class CompiledBusComparison(CompiledRule):
 
     def derive(self, ctx) -> dict[str, list[Any]]:
         """The comparison over every report's ``close`` pairs;
-        occurrences in report order, then ``near``'s order."""
+        occurrences in ``(time, key)`` order, tied ones in report
+        order, then ``near``'s order."""
         reports = bus_reports(ctx)
         topology = self.topology
         rows, intersections, at = reports.pairs(topology)
         agreed = reports.agreement(ctx, topology, self.scats_fluent)
         fires = np.flatnonzero(agreed if self.agree else ~agreed)
+        # In (time, key) order; pair order among ties.  ``agree``'s key
+        # is ``(bus,)``, ``disagree``'s ``(bus, intersection)``.
+        move = reports.move
+        rank = reports.bus_rank()[move.codes[rows[fires]]]
+        if not self.agree:
+            ids = topology.ids()
+            fired = intersections[fires]
+            rank = rank * len(ids) + _ranks(fired, ids)[fired]
+        fires = fires[np.lexsort((rank, move.times[rows[fires]]))]
+        reports.fired[self.name] = (
+            rows[fires], intersections[fires], topology
+        )
         at = at[fires]
         slots = reports.slots(topology, self.name)
         occ = slots[at]

@@ -20,7 +20,7 @@ discusses SDEs that occur before a query time but arrive after it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from types import MappingProxyType
 from typing import Any, Mapping, Optional
 
@@ -132,30 +132,69 @@ class FluentFact:
         return (FluentFact, (self.name, self.key, value, self.time, self.arrival))
 
 
-@dataclass(frozen=True)
 class Occurrence:
     """A recognised instance of a derived (complex) event.
 
     Produced by :class:`repro.core.rules.DerivedEvent` definitions, e.g.
     ``delayIncrease(Bus, Lon', Lat', Lon, Lat)``.
+
+    A frozen value object, compared and shown as a frozen dataclass of
+    ``type``, ``key``, ``time`` and ``payload`` would be (and, like one,
+    unhashable: its payload is).  The payload is a private copy and
+    ``payload`` a read-only view of it made on access, not one held
+    per occurrence: a run's snapshots retain every occurrence, and the
+    collector would visit every held view at each full pass.
     """
+
+    __slots__ = ("type", "key", "time", "_payload")
 
     type: str
     key: FluentKey
     time: int
-    payload: Mapping[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.key, tuple):
-            object.__setattr__(self, "key", tuple(self.key))
-        object.__setattr__(self, "payload", _frozen(self.payload))
+    def __init__(
+        self,
+        type: str,
+        key: FluentKey,
+        time: int,
+        payload: Mapping[str, Any] = MappingProxyType({}),
+    ) -> None:
+        setattr_ = object.__setattr__
+        setattr_(self, "type", type)
+        setattr_(self, "key", key if isinstance(key, tuple) else tuple(key))
+        setattr_(self, "time", time)
+        setattr_(self, "_payload", dict(payload))
+
+    @property
+    def payload(self) -> Mapping[str, Any]:
+        """The event attributes, read-only."""
+        return MappingProxyType(self._payload)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.type, self.key, self.time, self._payload) == (
+            other.type, other.key, other.time, other._payload
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Occurrence(type={self.type!r}, key={self.key!r}, "
+            f"time={self.time!r}, payload={self.payload!r})"
+        )
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __getitem__(self, key: str) -> Any:
-        return self.payload[key]
+        return self._payload[key]
 
     def get(self, key: str, default: Any = None) -> Any:
         """Payload attribute access with a default."""
-        return self.payload.get(key, default)
+        return self._payload.get(key, default)
 
     def __reduce__(self):
-        return (Occurrence, (self.type, self.key, self.time, dict(self.payload)))
+        return (Occurrence, (self.type, self.key, self.time, self._payload))

@@ -572,6 +572,24 @@ def _points(init, term):
     return codes, times, is_init
 
 
+def _pairs(starts: np.ndarray, ends: np.ndarray) -> list[Interval]:
+    """Per segment its ``(start, end)`` as Python ints, ``None`` for a
+    segment still held."""
+    ends_list = ends.tolist()
+    for i in np.flatnonzero(ends == _OPEN).tolist():
+        ends_list[i] = None
+    return list(zip(starts.tolist(), ends_list))
+
+
+def _lists(pairs: list[Interval], bounds: list[int]) -> list[IntervalList]:
+    """The segments ``pairs[bounds[g]:bounds[g + 1]]`` of each group
+    ``g`` as an :class:`IntervalList`: a grounding's segments of one
+    value begin and end alternately at strictly later points, so once
+    the empty ones are gone they are in normal form as they stand."""
+    wrap = IntervalList._from_normalised
+    return [wrap(tuple(pairs[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+
 def simple_intervals(init, term, seeds) -> dict[int, IntervalList]:
     """The maximal intervals of a simple fluent's groundings, by
     grounding code, from its points as arrays.
@@ -591,21 +609,22 @@ def simple_intervals(init, term, seeds) -> dict[int, IntervalList]:
     if not len(codes):
         return {}
     seed_codes, seed_starts = seeds
-    found = _held_segments(
+    codes, _, starts, ends = _held_segments(
         codes, times, is_init, None,
         (seed_codes, np.zeros(len(seed_codes), dtype=np.int64), seed_starts),
         None,
     )
-    out: dict[int, list[Interval]] = {}
-    for code, _, start, end in zip(*(column.tolist() for column in found)):
-        if end == _OPEN:
-            out.setdefault(code, []).append((start, None))
-        elif end > start:
-            out.setdefault(code, []).append((start, end))
-    return {
-        code: IntervalList._from_normalised(tuple(ivs))
-        for code, ivs in out.items()
-    }
+    # A seeded segment may end at or before its start (a termination
+    # at or before the window start): it holds nowhere.
+    kept = ends > starts
+    codes = codes[kept]
+    if not len(codes):
+        return {}
+    # The segments come grounding by grounding already.
+    heads = np.flatnonzero(np.append(True, codes[1:] != codes[:-1]))
+    bounds = heads.tolist() + [len(codes)]
+    lists = _lists(_pairs(starts[kept], ends[kept]), bounds)
+    return dict(zip(codes[heads].tolist(), lists))
 
 
 def valued_intervals(
@@ -624,25 +643,47 @@ def valued_intervals(
     value — "largest" in ``sorted`` order of the values initiated
     there, ranked in Python — takes over (initiating ``None`` holds
     nothing); re-initiating the held value at its own termination is
-    no change.  Each value's spans are normalised by
-    :class:`IntervalList`; every bound is a Python ``int``.
+    no change.  A value whose only segment is empty (a seed ended at or
+    before its start) is listed with no intervals; every bound is a
+    Python ``int``.
     """
     codes, times, is_init = _points(init, term)
     if not len(codes):
         return {}
-    found = _held_segments(
+    codes, value_codes, starts, ends = _held_segments(
         codes, times, is_init,
         np.concatenate((init[1], term[1])).astype(np.int64, copy=False),
         seeds, values,
     )
-    spans: dict[int, dict[int, list[Interval]]] = {}
-    for code, value, start, end in zip(*(column.tolist() for column in found)):
-        spans.setdefault(code, {}).setdefault(value, []).append(
-            (start, None if end == _OPEN else end)
-        )
+    if not len(codes):
+        return {}
+    # One group per (grounding, value), numbered in the order of its
+    # first segment, empty ones included: grounding by grounding (the
+    # segments come so), each grounding's values as they first begin.
+    _, first, group = np.unique(
+        codes * len(values) + value_codes,
+        return_index=True,
+        return_inverse=True,
+    )
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    group = rank[group]
+    heads = np.sort(first)
+    kept = ends > starts
+    order = np.argsort(group, kind="stable")
+    order = order[kept[order]]
+    sizes = np.bincount(group[kept], minlength=len(heads))
+    bounds = np.append(0, np.cumsum(sizes))
+    items = list(zip(
+        value_codes[heads].tolist(),
+        _lists(_pairs(starts[order], ends[order]), bounds.tolist()),
+    ))
+    head_codes = codes[heads]
+    lead = np.flatnonzero(np.append(True, head_codes[1:] != head_codes[:-1]))
+    cuts = lead.tolist() + [len(heads)]
     return {
-        code: [(value, IntervalList(ivs)) for value, ivs in by_value.items()]
-        for code, by_value in spans.items()
+        code: items[a:b]
+        for code, a, b in zip(head_codes[lead].tolist(), cuts, cuts[1:])
     }
 
 

@@ -22,8 +22,8 @@ arrays in a persistent working memory (:class:`repro.core.window.
 WorkingMemory`): a query admits what has arrived, evicts what fell
 behind the window's left edge, and the rule bodies read the stores —
 compiled where the definition offers a vectorised form, interpreted
-otherwise (``noisy``, ``congestionInTheMake``, ``noisyScats`` and
-user-defined rules).
+otherwise (``congestionInTheMake``, ``noisyScats``, rule-set (5)'s
+``noisy`` and user-defined rules).
 
 :class:`repro.core.reference.ReferenceRTEC` is the one other engine:
 the same loop over a window rebuilt from buffered objects, kept while
@@ -193,6 +193,16 @@ def _groundings_seen(
     if len(code_of) != len(key_of):
         raise ValueError("a fluent's point streams give one grounding two codes")
     return key_of, code_of, seen[0], seen[1]
+
+
+def _kept(
+    cached: Optional[IntervalList], intervals: IntervalList
+) -> IntervalList:
+    """``cached`` when it equals ``intervals``, else ``intervals``: a
+    grounding whose intervals did not change keeps last query's object,
+    so the run's snapshots share one instead of each retaining an equal
+    copy (fewer objects for the collector to keep visiting)."""
+    return cached if cached == intervals else intervals
 
 
 class RTEC:
@@ -452,9 +462,9 @@ class RTEC:
                 ctx._store_fluent(name, intervals)
                 snapshot.fluents[name] = intervals
             elif isinstance(definition, DerivedEvent):
-                streams = self._extract_streams(definition, ctx, snapshot)
-                # Stable: points tied on (time, key) stay in body order.
-                occurrences = sorted(streams["occ"], key=_occurrence_order)
+                occurrences = self._extract_streams(
+                    definition, ctx, snapshot
+                )["occ"]
                 ctx._store_occurrences(name, occurrences)
                 snapshot.occurrences[name] = occurrences
             elif isinstance(definition, (SimpleFluent, ValuedFluent)):
@@ -494,7 +504,12 @@ class RTEC:
             return rule.derive(ctx)
         snapshot.compiled_fallbacks += 1
         if isinstance(definition, DerivedEvent):
-            return {"occ": list(definition.occurrences(ctx))}
+            # Stable: points tied on (time, key) stay in body order.
+            return {
+                "occ": sorted(
+                    definition.occurrences(ctx), key=_occurrence_order
+                )
+            }
         return encode_points(
             list(definition.initiations(ctx)),
             list(definition.terminations(ctx)),
@@ -560,8 +575,7 @@ class RTEC:
         for key in keys:
             intervals = found.get(key)
             if intervals:
-                cache[key] = intervals
-                out[key] = intervals
+                cache[key] = out[key] = _kept(cache.get(key), intervals)
             else:
                 cache.pop(key, None)
         return out
@@ -621,13 +635,16 @@ class RTEC:
         for base in base_keys:
             # Refresh the cache for every previously known value of this
             # grounding, then store the new spans.
-            for stored_key in stored_by_base.get(base, ()):
-                cache.pop(stored_key, None)
+            held = {
+                stored_key[-1]: cache.pop(stored_key)
+                for stored_key in stored_by_base.get(base, ())
+            }
             for value, intervals in found.get(base, ()):
                 if intervals:
                     extended = base + (value,)
-                    cache[extended] = intervals
-                    out[extended] = intervals
+                    cache[extended] = out[extended] = _kept(
+                        held.get(value), intervals
+                    )
         return out
 
     def cached_intervals(self, name: str, key: FluentKey) -> IntervalList:

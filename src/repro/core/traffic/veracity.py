@@ -25,10 +25,17 @@ intersection id.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from typing import Any
 
-from ..compiled import CompiledBusComparison
+import numpy as np
+
+from ..compiled import (
+    CompiledBusComparison,
+    CompiledRule,
+    recorded_bus_reports,
+)
 from ..events import FluentKey, Occurrence
-from ..intervals import IntervalList, relative_complement_all
+from ..intervals import IntervalList, encode_points, relative_complement_all
 from ..rules import DerivedEvent, RuleContext, SimpleFluent, StaticFluent
 from .bus import _gps_at, close_intersections
 from .topology import ScatsTopology
@@ -284,6 +291,73 @@ class NoisyCrowdValidated(SimpleFluent):
             )
             if verdict is not None and verdict == occ["value"]:
                 yield (occ["bus"],), occ.time
+
+    def compiled(self, params) -> "CompiledNoisy":
+        """The two rule bodies over the firing pairs the compiled
+        comparisons left; only the disagreements at an intersection
+        with crowd answers reach Python."""
+        return CompiledNoisy(self)
+
+
+class CompiledNoisy(CompiledRule):
+    """Rule-set (4) over the firing pairs of the compiled ``disagree``
+    and ``agree`` (:attr:`repro.core.compiled.BusReports.fired`), in
+    their occurrence order: every agreement terminates, and a
+    disagreement at an intersection the crowd answered within the
+    response window initiates or terminates as the answer sides with
+    the sensors or the bus.  The groundings are the ``move`` store's
+    ``(bus,)`` tokens.  When either event was not derived by a
+    compiled comparison in this query, the interpreted bodies run."""
+
+    def __init__(self, definition: NoisyCrowdValidated):
+        self.definition = definition
+
+    def derive(self, ctx) -> dict[str, Any]:
+        """``init`` / ``term`` arrays of the two rule bodies."""
+        definition = self.definition
+        reports = recorded_bus_reports(ctx)
+        fired = reports.fired if reports is not None else {}
+        disagree = fired.get(definition._disagree_event)
+        agree = fired.get(definition._agree_event)
+        if disagree is None or agree is None:
+            return encode_points(
+                list(definition.initiations(ctx)),
+                list(definition.terminations(ctx)),
+                valued=False,
+            )
+        move = reports.move
+        rows, intersections, topology = disagree
+        answers = _crowd_answers(ctx)
+        asked = np.flatnonzero(np.isin(intersections, [
+            at for at in map(topology.index_of, answers) if at is not None
+        ]))
+        # Positions in ``disagree``'s pairs: the crowd sided with the
+        # sensors (initiates) or with the bus (terminates).
+        initiated: list[int] = []
+        proved: list[int] = []
+        if len(asked):
+            window = ctx.param("veracity.crowd_response_window")
+            ids = topology.ids()
+            says = reports.congestion[rows[asked]] != 0
+            for n, i, t, bus_says in zip(
+                asked.tolist(),
+                intersections[asked].tolist(),
+                move.times[rows[asked]].tolist(),
+                says.tolist(),
+            ):
+                verdict = _crowd_verdict_after(answers, ids[i], t, window)
+                if verdict is not None:
+                    value = POSITIVE if bus_says else NEGATIVE
+                    (proved if verdict == value else initiated).append(n)
+        init = rows[np.array(initiated, dtype=np.int64)]
+        term = np.concatenate((
+            agree[0], rows[np.array(proved, dtype=np.int64)]
+        ))
+        return {
+            "init": (move.codes[init], move.times[init]),
+            "term": (move.codes[term], move.times[term]),
+            "groundings": move.tokens.tokens.__getitem__,
+        }
 
 
 class NoisyPessimistic(SimpleFluent):

@@ -205,6 +205,31 @@ def generate_street_network(
     return StreetNetwork(graph=graph, bbox=bbox)
 
 
+def weighted_sample(
+    rng: random.Random, items: list, weights: list[float], k: int
+) -> list:
+    """``k`` of ``items`` drawn without replacement, each draw with
+    probability proportional to its weight among those left: one
+    ``rng.random()`` a draw, scaled by the weights' total and matched
+    to the first item whose running sum of weights reaches it.
+
+    The running sums are one ``np.cumsum`` a draw, added left to
+    right as a scalar loop adds them, so the draws are those of that
+    loop bit for bit (``tests/dublin/helpers.py::loop_weighted_sample``;
+    the placement's loop before it summed with ``sum``, which adds left
+    to right on CPython 3.11 and compensates from 3.12 on).
+    """
+    items = list(items)
+    weights = np.asarray(weights, dtype=np.float64)
+    chosen = []
+    for _ in range(k):
+        running = np.cumsum(weights)
+        i = int(np.searchsorted(running, rng.random() * running[-1], "left"))
+        chosen.append(items.pop(i))
+        weights = np.delete(weights, i)
+    return chosen
+
+
 def place_scats_topology(
     network: StreetNetwork,
     *,
@@ -237,19 +262,9 @@ def place_scats_topology(
         # Inverse-distance bias towards the centre.
         return 1.0 / (1.0 + 25.0 * math.hypot(lon - c_lon, lat - c_lat))
 
-    weights = [_weight(n) for n in nodes]
-    chosen: list = []
-    available = list(zip(nodes, weights))
-    for _ in range(n_intersections):
-        total = sum(w for _, w in available)
-        pick = rng.random() * total
-        acc = 0.0
-        for i, (node, w) in enumerate(available):
-            acc += w
-            if acc >= pick:
-                chosen.append(node)
-                available.pop(i)
-                break
+    chosen = weighted_sample(
+        rng, nodes, [_weight(n) for n in nodes], n_intersections
+    )
 
     approaches = ("N", "E", "S", "W")
     intersections = []

@@ -38,7 +38,11 @@ from hypothesis import strategies as st
 
 from repro.core import RTEC
 from repro.core.intervals import (
+    _OPEN,
     IntervalList,
+    _held_segments,
+    _normalise,
+    _points,
     encode_points,
     simple_intervals,
     valued_intervals,
@@ -327,3 +331,108 @@ def test_two_codes_of_one_grounding_are_refused():
     ctx = SimpleNamespace(window_start=WS)
     with pytest.raises(ValueError, match="two codes"):
         RTEC([], window=100, step=10)._simple_intervals(NAME, ctx, streams)
+
+
+# ----------------------------------------------------------------------
+# The builders' own output: normal form, and the loops' grouping
+# ----------------------------------------------------------------------
+def _grouped_by_loop(segments, valued):
+    """The builders' grouping as the per-segment loops it was: a
+    ``setdefault`` per segment, each group normalised by the
+    :class:`IntervalList` constructor.  The reference for the groups,
+    their values and their order."""
+    spans = {}
+    for code, value, start, end in zip(*(column.tolist() for column in segments)):
+        end = None if end == _OPEN else end
+        if valued:
+            spans.setdefault(code, {}).setdefault(value, []).append((start, end))
+        elif end is None or end > start:
+            spans.setdefault(code, []).append((start, end))
+    if valued:
+        return {
+            code: [(value, IntervalList(ivs)) for value, ivs in by_value.items()]
+            for code, by_value in spans.items()
+        }
+    return {code: IntervalList(ivs) for code, ivs in spans.items()}
+
+
+@st.composite
+def _arrays(draw, valued):
+    """Point arrays over a few codes, and seeds for some of the codes
+    with points — a seed's start may lie at or after the point that
+    ends it (an empty segment)."""
+    point = st.tuples(
+        st.integers(0, 5),
+        st.integers(0, len(VALUES) - 1),
+        st.integers(FIRST_WINDOW_START - 2, FIRST_WINDOW_START + 12),
+    )
+    streams = []
+    for _ in ("init", "term"):
+        points = draw(st.lists(point, max_size=25))
+        columns = np.array(points, dtype=np.int64).reshape(-1, 3).T
+        streams.append(tuple(columns) if valued else (columns[0], columns[2]))
+    with_points = sorted(set(np.concatenate((streams[0][0], streams[1][0])).tolist()))
+    seeded = draw(st.lists(st.sampled_from(with_points), unique=True)) if with_points else []
+    seeds = (
+        seeded,
+        [draw(st.integers(0, len(VALUES) - 1)) for _ in seeded],
+        [draw(st.integers(FIRST_WINDOW_START - 30, FIRST_WINDOW_START + 14)) for _ in seeded],
+    )
+    return streams[0], streams[1], seeds if valued else (seeds[0], seeds[2])
+
+
+def _segments(init, term, seeds, valued):
+    codes, times, is_init = _points(init, term)
+    if valued:
+        values = np.concatenate((init[1], term[1]))
+        return _held_segments(codes, times, is_init, values, seeds, VALUES)
+    return _held_segments(
+        codes, times, is_init, None,
+        (seeds[0], np.zeros(len(seeds[0]), dtype=np.int64), seeds[1]), None,
+    )
+
+
+def _check_builder(init, term, seeds, valued):
+    if valued:
+        got = valued_intervals(init, term, seeds, VALUES)
+    else:
+        got = simple_intervals(init, term, seeds)
+    codes, _, _ = _points(init, term)
+    expected = (
+        _grouped_by_loop(_segments(init, term, seeds, valued), valued)
+        if len(codes) else {}
+    )
+    assert list(got.items()) == list(expected.items())
+    lists = (
+        [intervals for spans in got.values() for _, intervals in spans]
+        if valued else list(got.values())
+    )
+    for intervals in lists:
+        assert _normalise(intervals.intervals) == intervals.intervals
+        assert all(type(b) is int for iv in intervals for b in iv if b is not None)
+
+
+@pytest.mark.parametrize("valued", [False, True], ids=["simple", "valued"])
+def test_builders_group_as_the_loops_did_in_normal_form(request, valued):
+    @_budget(request)
+    @given(arrays=_arrays(valued))
+    def check(arrays):
+        _check_builder(*arrays, valued)
+
+    check()
+
+
+def test_a_seeded_empty_segment_keeps_its_value_in_place():
+    """A seed ended where it starts is no interval, but its value still
+    comes first among its grounding's values."""
+    start = FIRST_WINDOW_START + 1
+    init = tuple(np.array(c, dtype=np.int64) for c in ([0], [1], [start + 4]))
+    term = tuple(np.array(c, dtype=np.int64) for c in ([0], [0], [start - 1]))
+    got = valued_intervals(init, term, ([0], [0], [start]), VALUES)
+    assert got == {0: [(0, IntervalList.empty()), (1, IntervalList.single(start + 5, None))]}
+    _check_builder(init, term, ([0], [0], [start]), valued=True)
+    got = simple_intervals(
+        (init[0], init[2]), (term[0], term[2]), ([0], [start])
+    )
+    assert got == {0: IntervalList.single(start + 5, None)}
+    _check_builder((init[0], init[2]), (term[0], term[2]), ([0], [start]), valued=False)

@@ -122,6 +122,28 @@ def test_a_gps_row_admitted_later_reopens_its_moves_only():
     assert lens.tolist() == [1, 1, 1]
 
 
+def test_a_slice_asked_for_after_its_join_was_decided_is_copied_right():
+    """A ``close/4`` slice is copied from the ``gps`` row the join
+    found, also for a row whose join an earlier query decided without
+    reading ``close``."""
+    topology = make_topology(n_intersections=2)
+    second = topology.location("I2")[0]
+    memory = _memory([
+        bus_report(10, bus="B1", lon=second),
+        bus_report(10, bus="B2", lon=0.0),
+        bus_report(400, bus="B1"),
+        bus_report(400, bus="B2", lon=second, arrival=450),
+    ])
+    reports = bus_reports(_context(memory, 300))
+    assert reports.joined.tolist() == [True, True]
+    reports = bus_reports(_context(memory, 600))
+    starts, lens, close_to = reports.close(topology)
+    assert [
+        close_to[a:a + n].tolist()
+        for a, n in zip(starts.tolist(), lens.tolist())
+    ] == [[1], [], [0], [1]]
+
+
 _intervals = st.lists(
     st.tuples(st.integers(-5, 60), st.one_of(st.none(), st.integers(-5, 60))),
     max_size=4,

@@ -1,5 +1,8 @@
 """Tests for the event/fluent record types."""
 
+import gc
+from types import MappingProxyType
+
 import pytest
 
 from repro.core.events import Event, FluentFact, Occurrence
@@ -64,3 +67,30 @@ class TestOccurrence:
         assert occ.key == ("B1",)
         assert occ["delay_increase"] == 90
         assert occ.get("nope") is None
+
+    def test_a_frozen_value_holding_no_view(self):
+        payload = {"bus": "B1", "value": "positive"}
+        occ = Occurrence("disagree", ("B1", "I1"), 7, payload)
+        payload["bus"] = "B2"  # the occurrence keeps its own copy
+        assert occ["bus"] == "B1"
+        with pytest.raises(TypeError):
+            occ.payload["bus"] = "B3"
+        with pytest.raises(AttributeError):
+            occ.time = 8
+        with pytest.raises(AttributeError):
+            del occ.key
+        with pytest.raises(TypeError):
+            hash(occ)
+        same = Occurrence("disagree", ["B1", "I1"], 7, dict(occ.payload))
+        assert occ == same
+        assert occ != Occurrence("disagree", ("B1", "I1"), 8, occ.payload)
+        assert repr(occ) == (
+            "Occurrence(type='disagree', key=('B1', 'I1'), time=7, "
+            "payload=mappingproxy({'bus': 'B1', 'value': 'positive'}))"
+        )
+        # No view is held, and a payload of atomic values is a dict the
+        # collector does not track: a retained occurrence adds one
+        # tracked object, itself.
+        held = gc.get_referents(occ)
+        assert not any(isinstance(r, MappingProxyType) for r in held)
+        assert not any(gc.is_tracked(r) for r in held if isinstance(r, dict))

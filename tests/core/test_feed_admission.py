@@ -20,6 +20,7 @@ whose definition has no compiled form (``Echo`` beside
 """
 
 import pickle
+from operator import attrgetter
 
 import numpy as np
 from hypothesis import given, settings
@@ -59,13 +60,18 @@ class CompiledEcho(CompiledRule):
                 pings.tokens.tokens.__getitem__, pings.codes[rows].tolist()
             )
         ]
+        # A compiled derived event hands its occurrences over in
+        # (time, key) order.
         return {
-            "occ": [
-                Occurrence("echo", (n,), time, {"id": n})
-                for n, time in zip(
-                    pings.cells("id", rows), pings.times[rows].tolist()
-                )
-            ]
+            "occ": sorted(
+                (
+                    Occurrence("echo", (n,), time, {"id": n})
+                    for n, time in zip(
+                        pings.cells("id", rows), pings.times[rows].tolist()
+                    )
+                ),
+                key=attrgetter("time", "key"),
+            )
         }
 
 

@@ -173,6 +173,19 @@ class TestSimpleFluentRecognition:
         assert snap.holds_at("power", ("x",), 75)
         assert snap.intervals("power", ("x",)).intervals == ((11, None),)
 
+    def test_an_unchanged_grounding_keeps_its_intervals_object(self):
+        # The run's snapshots share the intervals of a grounding that
+        # did not change rather than each retaining an equal copy.
+        eng = RTEC([_switch_fluent()], window=100, step=50)
+        eng.feed([Event("on", 10, {"id": "x"}), Event("on", 20, {"id": "y"})])
+        first = eng.query(50).fluents["power"]
+        eng.feed([Event("off", 70, {"id": "y"})])
+        second = eng.query(100).fluents["power"]
+        assert second == {
+            ("x",): first[("x",)], ("y",): IntervalList([(21, 71)])
+        }
+        assert second[("x",)] is first[("x",)]
+
     def test_inertia_then_termination_in_later_window(self):
         eng = RTEC([_switch_fluent()], window=50, step=50)
         eng.feed([Event("on", 10, {"id": "x"})])

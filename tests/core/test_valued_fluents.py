@@ -149,6 +149,18 @@ class TestValuedFluentWindows:
             assert len(held) <= 1, f"two values at t={t}: {held}"
 
 
+def test_an_unchanged_value_keeps_its_intervals_object():
+    eng = _engine(window=100, step=50)
+    eng.feed([_set(10, "green")])
+    first = eng.query(50).fluents["light"]
+    second = eng.query(100).fluents["light"]
+    assert second[("junction", "green")] is first[("junction", "green")]
+    eng.feed([_set(120, "red")])
+    third = eng.query(150).fluents["light"]
+    assert list(third[("junction", "green")]) == [(11, 121)]
+    assert list(third[("junction", "red")]) == [(121, None)]
+
+
 class TestInitially:
     def test_boolean_fluent_initially_true(self):
         from repro.core.rules import FunctionalSimpleFluent

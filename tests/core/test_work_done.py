@@ -307,11 +307,11 @@ def test_compiled_bodies_run_once_per_query_without_contexts(streams):
         n = len(snapshots)
         assert built == n
         assert calls == dict.fromkeys(engine._compiled, n)
-        # Counted once per definition per query: eight compiled bodies,
-        # two interpreted by choice (noisy, congestionInTheMake).
-        assert len(engine._compiled) == 8
-        assert [s.compiled_evals for s in snapshots] == [8] * n
-        assert [s.compiled_fallbacks for s in snapshots] == [2] * n
+        # Counted once per definition per query: nine compiled bodies,
+        # one interpreted by choice (congestionInTheMake).
+        assert len(engine._compiled) == 9
+        assert [s.compiled_evals for s in snapshots] == [9] * n
+        assert [s.compiled_fallbacks for s in snapshots] == [1] * n
         assert not any(
             s.cache_hits or s.cache_misses or s.cache_invalidations
             for s in snapshots

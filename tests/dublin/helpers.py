@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import heapq
+import operator
 
 import numpy as np
 
@@ -62,3 +64,24 @@ def heap_schedule(fleet, start, end, rng):
         np.array(column, dtype=np.int64)
         for column in (times, emitters, gaps, arrivals)
     )
+
+
+def loop_weighted_sample(rng, items, weights, k):
+    """``repro.dublin.network.weighted_sample`` as the scalar loop it
+    was: the total of the weights left summed anew for every draw, the
+    pick matched by a running sum.  The reference it is held to.  The
+    total is added left to right, as the loop's ``sum`` added floats
+    on CPython 3.11 (3.12's compensates)."""
+    chosen = []
+    available = list(zip(items, weights))
+    for _ in range(k):
+        total = functools.reduce(operator.add, (w for _, w in available))
+        pick = rng.random() * total
+        acc = 0.0
+        for i, (item, w) in enumerate(available):
+            acc += w
+            if acc >= pick:
+                chosen.append(item)
+                available.pop(i)
+                break
+    return chosen

@@ -29,6 +29,7 @@ still pass: the city has no initiation on a window boundary.)
 
 import ast
 import pickle
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -138,16 +139,22 @@ class CompiledEcho(CompiledRule):
     def derive(self, ctx):
         pings = ctx.events_columns("ping", PINGS)
         rows = np.arange(pings.n)
-        return {"occ": [
-            Occurrence(
-                self.name, (n,), t, {"id": n, "tag": tag, "at": None, "latest": None}
-            )
-            for n, tag, t in zip(
-                pings.cells("id", rows),
-                pings.cells("tag", rows),
-                pings.times.tolist(),
-            )
-        ]}
+        # A compiled derived event hands its occurrences over in
+        # (time, key) order.
+        return {"occ": sorted(
+            (
+                Occurrence(
+                    self.name, (n,), t,
+                    {"id": n, "tag": tag, "at": None, "latest": None},
+                )
+                for n, tag, t in zip(
+                    pings.cells("id", rows),
+                    pings.cells("tag", rows),
+                    pings.times.tolist(),
+                )
+            ),
+            key=attrgetter("time", "key"),
+        )}
 
 
 class FastEcho(Echo):
