@@ -49,7 +49,9 @@ def _scenario_and_split():
             incident_window=(0, 110 * 60),
         )
     )
-    data = scenario.generate(0, 110 * 60 + STEP_S)
+    # Through the widest window's last timed query (q = 110 min +
+    # 3 steps) and one step past it, so every timed window is full.
+    data = scenario.generate(0, 110 * 60 + 4 * STEP_S)
     return scenario, data, scenario.split_by_region(data)
 
 

@@ -40,8 +40,9 @@ from .columns import (
 #: and re-serialising the whole future stream at every checkpoint is
 #: what would make checkpointing cost O(run length) per write.  The
 #: flag is scoped to the checkpoint writer; any other pickling of a
-#: working memory (shipping fed engines to the shard workers at start,
-#: the workers' own checkpoints) keeps the full buffer.
+#: working memory (the shard workers' own checkpoints, a fed engine
+#: handed to a worker started by another method than ``fork``) keeps
+#: the full buffer.
 _STREAMLESS = contextvars.ContextVar("wm_streamless_pickle", default=False)
 
 

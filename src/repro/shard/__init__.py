@@ -2,7 +2,8 @@
 
 Per-region recognition workers as separate OS processes
 (:mod:`~repro.shard.worker`) fed over an abstracted message bus
-(:mod:`~repro.shard.bus`), each checkpointing its engine into its own
+(:mod:`~repro.shard.bus`), answering each query with a snapshot delta
+(:mod:`~repro.shard.delta`), each checkpointing its engine into its own
 directory and caught up after a restart from the coordinator's history
 of what it sent, supervised across process
 boundaries with heartbeats, liveness timeouts and restart budgets

@@ -5,8 +5,10 @@ paper runs on heterogeneous CVM/CNO nodes: each region's engine lives
 in its own OS process (:mod:`repro.shard.worker`), fed over the bus
 (:mod:`repro.shard.bus`) and supervised across the process boundary
 (:mod:`repro.shard.supervisor`).  The pipeline drives it with three
-calls per run — :meth:`start` (ship the fed engines out),
-:meth:`query_step` once per recognition step, :meth:`publish_feed` for
+calls per run — :meth:`start` (hand each fed engine to its worker
+process), :meth:`query_step` once per recognition step (each worker
+answers with a snapshot delta, :mod:`repro.shard.delta`, decoded
+against the last snapshot of its region), :meth:`publish_feed` for
 crowd-sourced SDEs — plus :meth:`shutdown`, which drains the workers
 and folds their registries into the run's metrics under
 ``shard.<region>.*``.
@@ -21,7 +23,9 @@ query time it sent, the ``restore`` message carries that history, and
 the respawned worker re-runs what came after its checkpoint up to the
 step before the in-flight one, then is re-asked the in-flight query,
 while sibling shards keep flowing untouched.  A restored worker that
-reports any other step fails closed: it counts as a death.
+reports any other step fails closed: it counts as a death, and so does
+a snapshot delta against another snapshot than the coordinator's last
+one for the region.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from ..obs import Registry
+from . import delta
 from .bus import Endpoint, PipeTransport, ShardBus, ShardConnectionLost
 from .supervisor import ShardSupervisor
 from .worker import shard_worker_main
@@ -143,11 +148,14 @@ class ShardedRuntime:
         #: what a restarted worker is caught up from.
         self._feed_history: list[tuple[int, list]] = []
         self._query_history: list[tuple[int, int]] = []
+        #: Per region, the last snapshot received: the base of the
+        #: next delta.
+        self._last: dict[str, Any] = {}
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------
     def start(self, engines: Mapping[str, Any]) -> None:
-        """Spawn one worker per region and ship it its fed engine.
+        """Spawn one worker per region, started with its fed engine.
 
         Startup is fail-fast: a worker that cannot initialise aborts
         the run (there is no checkpoint to restart it from yet).
@@ -162,8 +170,14 @@ class ShardedRuntime:
                     f"shard {region!r} failed to start: {error}"
                 ) from error
 
-    def _spawn(self, region: str, kind: str, **payload: Any) -> None:
-        """Start a worker process and send it ``init`` or ``restore``."""
+    def _spawn(
+        self, region: str, kind: str, engine: Any = None, **payload: Any
+    ) -> None:
+        """Start a worker process and send it ``init`` or ``restore``.
+
+        ``engine`` is a process argument, not part of the message: the
+        ``fork`` child inherits it (another start method pickles it).
+        """
         crash = None
         plans = self._crash_plans.get(region)
         if plans:
@@ -176,6 +190,7 @@ class ShardedRuntime:
                 str(self.directory / f"shard-{region}"),
                 worker_end,
                 SHARD_HEARTBEAT_S,
+                engine,
             ),
             name=f"repro-shard-{region}",
             daemon=True,
@@ -329,7 +344,11 @@ class ShardedRuntime:
                         f"expected snapshot, got {kind!r}"
                     )
                     continue
-                return payload["snapshot"]
+                snapshot = delta.decode(
+                    payload["snapshot"], self._last.get(region)
+                )
+                self._last[region] = snapshot
+                return snapshot
             except ShardConnectionLost as error:
                 failure = error
 

@@ -1,14 +1,20 @@
 """The shard worker: one region's recognition engine in its own process.
 
 :func:`shard_worker_main` is the child-process entry point.  It serves
-the bus protocol in a loop — ``init`` (adopt a freshly fed engine and
-write the step-0 baseline checkpoint), ``restore`` (come back from this
-shard's newest valid checkpoint and catch up from the history the
-coordinator sends with it), ``feed`` (ingest crowd SDEs), ``query``
-(run one recognition step, send its snapshot, then checkpoint when the
-interval is due) and ``shutdown`` (return the worker's metrics).  A
-daemon thread heartbeats over the same channel so the supervisor can
-tell a slow worker from a dead one.
+the bus protocol in a loop — ``init`` (adopt the freshly fed engine the
+process was started with and write the step-0 baseline checkpoint),
+``restore`` (come back from this shard's newest valid checkpoint and
+catch up from the history the coordinator sends with it), ``feed``
+(ingest crowd SDEs), ``query`` (run one recognition step, send its
+snapshot as a delta against the last one sent — :mod:`repro.shard.
+delta` — then checkpoint when the interval is due) and ``shutdown``
+(return the worker's metrics).  A daemon thread heartbeats over the
+same channel so the supervisor can tell a slow worker from a dead one.
+
+The engine reaches the worker as an argument of its process: under the
+``fork`` start method the child inherits it, and nothing is pickled.
+The worker's collector is frozen first thing, so its collections never
+walk the coordinator heap the child inherited.
 
 Durability is checkpoints only, written by a
 :class:`~repro.recovery.checkpoint.CheckpointManager` into the shard's
@@ -30,6 +36,7 @@ at the step the coordinator is about to re-request.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 import traceback
@@ -40,6 +47,7 @@ from ..core.events import FluentFact
 from ..core.rtec import RTEC, RecognitionSnapshot
 from ..obs import Registry
 from ..recovery.checkpoint import CheckpointManager
+from . import delta
 from .bus import Endpoint, ShardConnectionLost
 
 __all__ = ["ShardWorker", "shard_worker_main"]
@@ -228,8 +236,13 @@ def shard_worker_main(
     directory: str,
     endpoint: Endpoint,
     heartbeat_s: float,
+    engine: Optional[RTEC] = None,
 ) -> int:
     """Child-process entry point: serve the bus protocol until EOF.
+
+    ``engine`` is the fed engine ``init`` adopts (``None`` for a
+    worker started to ``restore``).  A process sends its first snapshot
+    in full: the last one sent is not checkpointed.
 
     Unexpected exceptions are reported upstream as an ``error`` message
     before exiting, so the supervisor sees the cause instead of a bare
@@ -237,6 +250,9 @@ def shard_worker_main(
     exactly the signal path the liveness timeout and EOF detection
     cover.
     """
+    # Everything alive now was inherited from the coordinator: move it
+    # out of the collector's sight.
+    gc.freeze()
     send_lock = threading.Lock()
 
     def send(kind: str, payload: dict) -> None:
@@ -258,11 +274,14 @@ def shard_worker_main(
     heartbeat.start()
 
     worker: Optional[ShardWorker] = None
+    sent: Optional[RecognitionSnapshot] = None
     try:
         while True:
             kind, payload = endpoint.recv()
             if kind == "init":
-                worker = ShardWorker.fresh(region, directory, **payload)
+                worker = ShardWorker.fresh(
+                    region, directory, engine, **payload
+                )
                 send("ready", {"step": worker.step_index})
             elif kind == "restore":
                 worker = ShardWorker.restore(region, directory, **payload)
@@ -275,8 +294,14 @@ def shard_worker_main(
                 snapshot = worker.query(payload["step"], payload["q"])
                 send(
                     "snapshot",
-                    {"step": payload["step"], "snapshot": snapshot},
+                    {
+                        "step": payload["step"],
+                        "snapshot": delta.encode(
+                            snapshot, sent, worker.metrics
+                        ),
+                    },
                 )
+                sent = snapshot
                 worker.checkpoint_if_due()
             elif kind == "shutdown":
                 metrics = {} if worker is None else worker.metrics.to_dict()

@@ -7,7 +7,9 @@ non-finite metric, which no strict JSON reader accepts, and anything a
 worker, thread or exit hook prints after the line hides it.  One
 ``dublin_rush`` smoke invocation untraced and one traced (a few seconds
 each) must exit 0 with a last line that parses as strict JSON and
-names its metrics.  Select only these with ``pytest -m bench_smoke``.
+names its metrics, and so must ``dublin_rush_sharded2``'s, whose forked
+shard workers share the benchmark process's stdout.  Select only these
+with ``pytest -m bench_smoke``.
 """
 
 import json
@@ -24,13 +26,11 @@ def _refuse(constant):
     raise ValueError(f"not strict JSON: {constant}")
 
 
-@pytest.mark.bench_smoke
-@pytest.mark.parametrize("trace", ["0", "1"], ids=["untraced", "traced"])
-def test_smoke_invocation_ends_with_a_strict_json_result(trace):
+def _assert_last_line_is_a_result(workload, trace):
     done = subprocess.run(
         [
             sys.executable, str(ROOT / "benchmarks" / "e2e" / "run.py"),
-            "--workload", "dublin_rush", "--seed", "0", "--smoke",
+            "--workload", workload, "--seed", "0", "--smoke",
             "--trace", trace,
         ],
         capture_output=True,
@@ -42,3 +42,15 @@ def test_smoke_invocation_ends_with_a_strict_json_result(trace):
     result = json.loads(last, parse_constant=_refuse)
     assert result["correct"] is True
     assert result["metrics"]
+
+
+@pytest.mark.bench_smoke
+@pytest.mark.parametrize("trace", ["0", "1"], ids=["untraced", "traced"])
+def test_smoke_invocation_ends_with_a_strict_json_result(trace):
+    _assert_last_line_is_a_result("dublin_rush", trace)
+
+
+@pytest.mark.bench_smoke
+@pytest.mark.parametrize("trace", ["0", "1"], ids=["untraced", "traced"])
+def test_sharded_smoke_invocation_ends_with_a_strict_json_result(trace):
+    _assert_last_line_is_a_result("dublin_rush_sharded2", trace)

@@ -10,7 +10,8 @@ single-process run.  Any retained checkpoint can be caught up, the
 baseline included.  When the restart budget is exhausted the shard's
 breaker latches open, the region enters the degradation timeline as
 ``shard:<region>``, and the survivors still finish their own regions
-intact.
+intact.  A restarted worker sends its first snapshot in full, not as
+a delta against one its predecessor sent.
 """
 
 import os
@@ -18,8 +19,9 @@ import os
 import pytest
 
 from repro.faults import CrashInjector
+from repro.obs import Registry
 from repro.recovery import CheckpointManager
-from repro.shard import ShardedRuntime
+from repro.shard import ShardBus, ShardedRuntime, delta
 from repro.system import pipeline
 
 from .test_sharded_parity import (
@@ -30,6 +32,7 @@ from .test_sharded_parity import (
     fingerprint,
     golden,  # noqa: F401  (module-scoped fixture reused here)
 )
+from .test_worker_recovery import fed_engine
 
 INTERVAL = CONFIG["checkpoint_interval"]
 
@@ -100,6 +103,33 @@ class TestWorkerKill:
         assert [(e["region"], e["attempt"]) for e in restarts] == [
             (region, 1)
         ]
+
+    def test_a_worker_killed_after_sending_deltas_restarts_in_full(
+        self, golden, tmp_path, monkeypatch
+    ):
+        # West dies inside step 7, after sending steps 2-6 as deltas.
+        # Its restarted worker has sent nothing yet: its step-7 snapshot
+        # must cross in full, and the run must not notice.
+        decode = delta.decode
+        received = []
+
+        def recording(message, base):
+            received.append((message["plain"]["query_time"], message["base"]))
+            return decode(message, base)
+
+        monkeypatch.setattr(delta, "decode", recording)
+        system = sharded_system(
+            tmp_path,
+            {"west": [CrashInjector(at_step=7, phase="step", mode="sigkill")]},
+        )
+        report = system.run(0, END)
+        assert fingerprint(system, report) == golden
+        assert report.metrics["counters"]["shard.west.restarts"] == 1
+        regions = len(system.engines)
+        full = sorted(q for q, base in received if base is None)
+        assert full == [300] * regions + [7 * 300]
+        assert all(base == q - 300 for q, base in received if base is not None)
+        assert len(received) == regions * STEPS
 
     def test_restart_storm_fails_shard_but_not_siblings(
         self, golden, tmp_path, monkeypatch
@@ -219,3 +249,27 @@ class TestWorkerKill:
                 continue
             assert len(report.logs[region].snapshots) == STEPS
         assert "shard:north" in report.degraded
+
+
+def test_the_init_message_carries_no_engine(tmp_path, monkeypatch):
+    """The fed engine reaches its worker as a process argument: the
+    ``init`` message holds the checkpoint interval and the crash plan
+    only, and the worker still answers with the engine's snapshot."""
+    sent = []
+    send = ShardBus.send
+
+    def recording(bus, shard, kind, **payload):
+        sent.append((kind, sorted(payload)))
+        send(bus, shard, kind, **payload)
+
+    monkeypatch.setattr(ShardBus, "send", recording)
+    runtime = ShardedRuntime(["a"], metrics=Registry(), directory=tmp_path)
+    try:
+        runtime.start({"a": fed_engine()})
+        snapshots = runtime.query_step(1, 300)
+    finally:
+        runtime.shutdown()
+    assert sent[0] == ("init", ["crash", "interval"])
+    expected = fed_engine().query(300)
+    assert snapshots["a"].fluents == expected.fluents
+    assert snapshots["a"].occurrences == expected.occurrences
